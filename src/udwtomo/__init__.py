@@ -10,10 +10,9 @@ spacetime multipole expansion.
 
 from . import (detector, errors, kernels, multipole, numerics, scenarios,
                smearing, spacetime, tomography)
-from .detector import (CorrelationRecord, DensityMatrix, PauliLabel,
-                       correlation_record, density_matrix, pauli_ev_closed,
-                       pauli_ev_oracle, random_kernel_matrix, sample_correlator,
-                       sample_record)
+from .detector import (CorrelatorTable, DensityMatrix, PauliLabel,
+                       correlator_table, density_matrix, pauli_ev_closed,
+                       pauli_ev_oracle, random_kernel_matrix, sample_table)
 from .kernels import (FieldState, KernelMatrix, assemble_kernels,
                       commutator_smeared, hadamard_point, phi0_coherent,
                       F_oneparticle, retarded_smeared,
@@ -26,17 +25,17 @@ from .smearing import GaussianRegion, MomentSet, evaluate, moments
 from .spacetime import (Event, Interval, LatticeSpec, Separation, build_lattice,
                         classify, interval)
 from .tomography import (ReconstructionResult, assemble_wightman,
-                         causal_correction, reconstruct_general,
-                         reconstruct_record, reconstruct_spacelike)
+                         causal_correction, reconstruct_record,
+                         reconstruct_spacelike)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "detector", "errors", "kernels", "multipole", "numerics", "scenarios",
     "smearing", "spacetime", "tomography",
-    "CorrelationRecord", "DensityMatrix", "PauliLabel", "correlation_record",
+    "CorrelatorTable", "DensityMatrix", "PauliLabel", "correlator_table",
     "density_matrix", "pauli_ev_closed", "pauli_ev_oracle",
-    "random_kernel_matrix", "sample_correlator", "sample_record",
+    "random_kernel_matrix", "sample_table",
     "FieldState", "KernelMatrix", "assemble_kernels", "commutator_smeared",
     "hadamard_point", "phi0_coherent", "F_oneparticle", "retarded_smeared",
     "wightman_smeared_closed", "wightman_smeared_quadrature",
@@ -48,6 +47,6 @@ __all__ = [
     "Event", "Interval", "LatticeSpec", "Separation", "build_lattice",
     "classify", "interval",
     "ReconstructionResult", "assemble_wightman", "causal_correction",
-    "reconstruct_general", "reconstruct_record", "reconstruct_spacelike",
+    "reconstruct_record", "reconstruct_spacelike",
     "__version__",
 ]

@@ -34,8 +34,6 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
         raw["seed"] = args.seed
     if args.enable_quadrature_columns:
         raw["enable_quadrature_columns"] = True
-    if args.threads is not None:
-        raw["threads"] = args.threads
     return raw
 
 
@@ -57,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config's seed")
         p.add_argument("--enable-quadrature-columns", action="store_true",
                        help="include the expensive quadrature cross-check columns")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for kernel assembly")
     return parser
 
 

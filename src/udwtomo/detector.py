@@ -25,14 +25,18 @@ alternatives fail the comparison at O(0.1)):
 
 with G the lambda^2-scaled retarded matrix.  Detector indices are 1-based in
 the public API, matching lattice/CSV numbering.
+
+The inversion reads only these observables, and ``CorrelatorTable`` holds
+each of them once per lattice: Z_i = <sz_i> is shared by every pair, ZZ and
+YY are symmetric, and the second cross family needs no storage because
+<sx_k sy_j> = YX_jk, i.e. XY = YX^T.  ``correlator_table`` evaluates the
+whole table at once; ``pauli_ev_closed`` stays as its scalar reference.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +47,13 @@ __all__ = [
     "MAX_QUBITS",
     "DensityMatrix",
     "PauliLabel",
-    "CorrelationRecord",
+    "CorrelatorTable",
     "density_matrix",
     "pauli_ev_oracle",
     "pauli_ev_closed",
-    "sample_correlator",
-    "correlation_record",
-    "sample_record",
+    "correlator_table",
+    "sample_table",
     "random_kernel_matrix",
-    "write_correlation_records",
-    "read_correlation_records",
 ]
 
 MAX_QUBITS = 12  # 4^N-term sums and 2^N x 2^N dense storage beyond this
@@ -203,87 +204,115 @@ def pauli_ev_closed(kernels: KernelMatrix, i: int, j: int, kind: str) -> float:
         math.cos(2.0 * G[b, k]) for k in others)
 
 
-def sample_correlator(exact_ev: float, shots: int, seed: int) -> float:
-    """Shot-noise sample of a +-1 observable with mean ``exact_ev``.
+@dataclass(frozen=True)
+class CorrelatorTable:
+    """Every detector correlator the inversion reads, each observable stored once.
 
-    Draws the number of +1 outcomes binomially (distribution-identical to
-    averaging ``shots`` independent +-1 measurements) and is deterministic
-    per seed.
+    ``z[i]`` is <sz_i>; ``zz`` and ``yy`` are symmetric with a unit diagonal
+    (sz_i^2 = sy_i^2 = 1); ``yx[i, k]`` is <sy_i sx_k>, with a zero diagonal
+    (the real part of <sy_i sx_i>).  Array indices are 0-based.
     """
-    if abs(exact_ev) > 1.0:
-        raise ValueError(f"|exact_ev| must be <= 1, got {exact_ev}")
+
+    z: np.ndarray
+    zz: np.ndarray
+    yy: np.ndarray
+    yx: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.z)
+
+    @property
+    def xy(self) -> np.ndarray:
+        """``xy[k, j]`` = <sx_k sy_j> = ``yx[j, k]``."""
+        return self.yx.T
+
+
+# Row blocks keep each (rows, n, n) ZZ/YY work array at 128 KiB: larger blocks
+# were slower and raised the peak resident memory of a 54-region run by 5 MiB.
+_CHUNK_ELEMENTS = 1 << 14
+
+
+def _prod_without(c: np.ndarray) -> np.ndarray:
+    """out[i, l] = prod_{k != l} c[i, k], from prefix and suffix products (no division)."""
+    before = np.ones_like(c)
+    before[:, 1:] = np.cumprod(c[:, :-1], axis=1)
+    after = np.ones_like(c)
+    after[:, :-1] = np.cumprod(c[:, :0:-1], axis=1)[:, ::-1]
+    return before * after
+
+
+def _symmetric(n: int, upper: np.ndarray) -> np.ndarray:
+    """Symmetric matrix with unit diagonal from its strict upper triangle."""
+    m = np.eye(n)
+    iu = np.triu_indices(n, 1)
+    m[iu] = upper
+    m.T[iu] = upper
+    return m
+
+
+def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
+    """Exact correlator table from the closed forms, in O(n^3) array work."""
+    n = kernels.n
+    H, G2 = kernels.H, 2.0 * kernels.GR
+    h_diag = np.diag(H)
+    off = ~np.eye(n, dtype=bool)
+    cos = np.where(off, np.cos(G2), 1.0)  # k = i never enters a product
+    z = np.exp(-h_diag) * np.prod(cos, axis=1)
+    yx = np.where(off, -np.exp(-h_diag)[:, None] * np.sin(G2) * _prod_without(cos), 0.0)
+
+    # prod_{k != i,j} cos(2G_ik -+ 2G_jk) over (i, j, k), a block of rows i at a time
+    zz, yy = np.empty((n, n)), np.empty((n, n))
+    idx = np.arange(n)
+    step = max(1, _CHUNK_ELEMENTS // (n * n))
+    for lo in range(0, n, step):
+        rows = idx[lo:lo + step]
+        gi, gj = G2[rows, None, :], G2[None, :, :]
+        prods = []
+        for arg in (gi - gj, gi + gj):
+            c = np.cos(arg)
+            c[np.arange(len(rows)), :, rows] = 1.0  # k = i
+            c[:, idx, idx] = 1.0                    # k = j
+            prods.append(np.prod(c, axis=2))
+        prod_diff, prod_sum = prods
+        plus = np.exp(2.0 * H[rows]) * prod_diff
+        minus = np.exp(-2.0 * H[rows]) * prod_sum
+        pref = 0.5 * np.exp(-h_diag[rows, None] - h_diag[None, :])
+        zz[rows] = pref * (plus + minus)
+        yy[rows] = pref * (plus - minus)
+    iu = np.triu_indices(n, 1)
+    return CorrelatorTable(z=z, zz=_symmetric(n, zz[iu]), yy=_symmetric(n, yy[iu]), yx=yx)
+
+
+def sample_table(exact: CorrelatorTable, shots: int,
+                 seed: int | np.random.SeedSequence) -> CorrelatorTable:
+    """Shot-noise sample of every observable in ``exact``, from one seeded generator.
+
+    Each observable is a +-1 measurement whose number of +1 outcomes is drawn
+    binomially (distribution-identical to averaging ``shots`` outcomes).
+    There is one array-valued draw per correlator family, in the order z, zz,
+    yy, yx, so ``seed`` fixes the whole table.  zz and yy are drawn once per unordered pair and
+    mirrored; the yx diagonal stays zero.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    n = exact.n
+    iu = np.triu_indices(n, 1)
+    off = ~np.eye(n, dtype=bool)
+    families = (exact.z, exact.zz[iu], exact.yy[iu], exact.yx[off])
+    worst = max(float(np.max(np.abs(ev), initial=0.0)) for ev in families)
+    if worst > 1.0:
+        raise ValueError(f"|exact_ev| must be <= 1, got {worst}")
     rng = np.random.default_rng(seed)
-    p = min(max((1.0 + exact_ev) / 2.0, 0.0), 1.0)
-    ups = int(rng.binomial(shots, p))
-    return 2.0 * ups / shots - 1.0
 
+    def draw(ev: np.ndarray) -> np.ndarray:
+        p = np.clip((1.0 + ev) / 2.0, 0.0, 1.0)
+        return 2.0 * rng.binomial(shots, p) / shots - 1.0
 
-@dataclass
-class CorrelationRecord:
-    """Correlators needed to reconstruct H_ij for one detector pair (1-based)."""
-
-    i: int
-    j: int
-    zz: float
-    yy: float
-    zi: float
-    zj: float
-    yx_ik: dict[int, float] = field(default_factory=dict)  # <sy_i sx_k> per third detector
-    xy_kj: dict[int, float] = field(default_factory=dict)  # <sx_k sy_j> per third detector
-    shots: int | None = None  # None means exact
-    seed: int | None = None
-
-
-def correlation_record(kernels: KernelMatrix, i: int, j: int) -> CorrelationRecord:
-    """Exact correlators for pair (i, j) from the closed forms."""
-    rec = CorrelationRecord(
-        i=i, j=j,
-        zz=pauli_ev_closed(kernels, i, j, "ZZ"),
-        yy=pauli_ev_closed(kernels, i, j, "YY"),
-        zi=pauli_ev_closed(kernels, i, j, "Zi"),
-        zj=pauli_ev_closed(kernels, i, j, "Zj"),
-    )
-    for k in range(1, kernels.n + 1):
-        if k in (i, j):
-            continue
-        rec.yx_ik[k] = pauli_ev_closed(kernels, i, k, "YiXj")
-        rec.xy_kj[k] = pauli_ev_closed(kernels, k, j, "XiYj")
-    return rec
-
-
-_KIND_CODES = {"zz": 0, "yy": 1, "zi": 2, "zj": 3, "yx": 4, "xy": 5}
-
-
-def _entry_seed(seed: int, i: int, j: int, kind: str, k: int = 0) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed,
-                                  spawn_key=(i, j, _KIND_CODES[kind], k))
-
-
-def sample_record(kernels: KernelMatrix, i: int, j: int, shots: int,
-                  seed: int) -> CorrelationRecord:
-    """Shot-noise sampled correlators; every observable gets its own sub-stream."""
-    exact = correlation_record(kernels, i, j)
-
-    def draw(value: float, kind: str, k: int = 0) -> float:
-        rng = np.random.default_rng(_entry_seed(seed, i, j, kind, k))
-        p = min(max((1.0 + value) / 2.0, 0.0), 1.0)
-        return 2.0 * int(rng.binomial(shots, p)) / shots - 1.0
-
-    rec = CorrelationRecord(
-        i=i, j=j,
-        zz=draw(exact.zz, "zz"),
-        yy=draw(exact.yy, "yy"),
-        zi=draw(exact.zi, "zi"),
-        zj=draw(exact.zj, "zj"),
-        shots=shots, seed=seed,
-    )
-    for k, v in exact.yx_ik.items():
-        rec.yx_ik[k] = draw(v, "yx", k)
-    for k, v in exact.xy_kj.items():
-        rec.xy_kj[k] = draw(v, "xy", k)
-    return rec
+    z, zz, yy, yx_off = (draw(ev) for ev in families)
+    yx = np.zeros((n, n))
+    yx[off] = yx_off
+    return CorrelatorTable(z=z, zz=_symmetric(n, zz), yy=_symmetric(n, yy), yx=yx)
 
 
 def random_kernel_matrix(n: int, seed: int | np.random.Generator) -> KernelMatrix:
@@ -313,74 +342,4 @@ def random_kernel_matrix(n: int, seed: int | np.random.Generator) -> KernelMatri
     w_min = float(np.linalg.eigvalsh(0.5 * (H + 1j * E)).min())
     if w_min < 1e-6:
         H += 2.0 * (1e-6 - w_min) * np.eye(n)
-    return KernelMatrix(n=n, H=H, E=E, GR=GR, Delta=GR + GR.T,
-                        Wdiag=np.diag(H) / 2.0, lam=1.0, state=None)
-
-
-def _record_rows(rec: CorrelationRecord) -> list[tuple[str, float]]:
-    rows = [(kind, getattr(rec, kind)) for kind in ("zz", "yy", "zi", "zj")]
-    rows += [(f"yx_{k}", v) for k, v in sorted(rec.yx_ik.items())]
-    rows += [(f"xy_{k}", v) for k, v in sorted(rec.xy_kj.items())]
-    return rows
-
-
-def write_correlation_records(records: list[CorrelationRecord], path: str | Path,
-                              sampled: list[CorrelationRecord] | None = None) -> None:
-    """Flatten records to CSV rows (i, j, kind, exact, sampled, shots, seed).
-
-    ``sampled`` is an optional parallel list of shot-noise records for the
-    same pairs; its columns are left empty when absent.
-    """
-    if sampled is not None and len(sampled) != len(records):
-        raise ValueError("sampled record list must parallel the exact one")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "kind", "exact", "sampled", "shots", "seed"])
-        for idx, rec in enumerate(records):
-            samp = sampled[idx] if sampled is not None else None
-            if samp is not None and (samp.i, samp.j) != (rec.i, rec.j):
-                raise ValueError(f"sampled record {idx} refers to a different pair")
-            samp_rows = dict(_record_rows(samp)) if samp is not None else {}
-            for kind, value in _record_rows(rec):
-                srow = f"{samp_rows[kind]:.17g}" if samp is not None else ""
-                shots = "" if samp is None or samp.shots is None else samp.shots
-                seed = "" if samp is None or samp.seed is None else samp.seed
-                writer.writerow([rec.i, rec.j, kind, f"{value:.17g}", srow,
-                                 shots, seed])
-
-
-def _set_record_value(rec: CorrelationRecord, kind: str, value: float) -> None:
-    if kind in ("zz", "yy", "zi", "zj"):
-        setattr(rec, kind, value)
-    elif kind.startswith("yx_"):
-        rec.yx_ik[int(kind[3:])] = value
-    elif kind.startswith("xy_"):
-        rec.xy_kj[int(kind[3:])] = value
-    else:
-        raise ValueError(f"unrecognised correlator kind {kind!r}")
-
-
-def read_correlation_records(
-        path: str | Path) -> tuple[list[CorrelationRecord],
-                                   list[CorrelationRecord] | None]:
-    """Inverse of ``write_correlation_records``: (exact, sampled-or-None)."""
-    exact: dict[tuple[int, int], CorrelationRecord] = {}
-    samp: dict[tuple[int, int], CorrelationRecord] = {}
-    any_sampled = False
-    with open(path, encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (int(row["i"]), int(row["j"]))
-            if key not in exact:
-                exact[key] = CorrelationRecord(i=key[0], j=key[1],
-                                               zz=0.0, yy=0.0, zi=0.0, zj=0.0)
-                samp[key] = CorrelationRecord(
-                    i=key[0], j=key[1], zz=0.0, yy=0.0, zi=0.0, zj=0.0,
-                    shots=int(row["shots"]) if row["shots"] else None,
-                    seed=int(row["seed"]) if row["seed"] else None)
-            _set_record_value(exact[key], row["kind"], float(row["exact"]))
-            if row["sampled"]:
-                any_sampled = True
-                _set_record_value(samp[key], row["kind"], float(row["sampled"]))
-    keys = sorted(exact)
-    return ([exact[k] for k in keys],
-            [samp[k] for k in keys] if any_sampled else None)
+    return KernelMatrix(n=n, H=H, GR=GR, lam=1.0)

@@ -54,7 +54,8 @@ class DephasingError(UdwTomoError, ValueError):
 
 
 class TangentDomainError(UdwTomoError, ValueError):
-    """A causal-correction product left the arctanh domain."""
+    """A causal-correction product left the arctanh domain; ``k`` is the
+    1-based label of the third detector whose term did."""
 
     def __init__(self, message, k=None):
         super().__init__(message)

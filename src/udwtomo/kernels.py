@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -436,34 +435,38 @@ def retarded_smeared(ri: GaussianRegion, rj: GaussianRegion) -> float:
 class KernelMatrix:
     """Coupling-scaled smeared kernels for a set of regions.
 
-    H is the symmetric (anticommutator) part, E the antisymmetric commutator
-    part, GR the retarded part, Delta = GR + GR^T the symmetric propagator and
-    Wdiag the local noise H_ii / 2.  All entries carry the lambda^2 scaling,
-    so they are dimensionless.
+    Stores H, the symmetric (anticommutator) part, and GR, the retarded
+    part; the commutator E = GR - GR^T, the symmetric propagator
+    Delta = GR + GR^T and the local noise Wdiag = H_ii / 2 are derived.  All
+    entries carry the lambda^2 scaling, so they are dimensionless.
     """
 
     n: int
     H: np.ndarray
-    E: np.ndarray
     GR: np.ndarray
-    Delta: np.ndarray
-    Wdiag: np.ndarray
     lam: float
     state: FieldState | None = None
 
+    @property
+    def E(self) -> np.ndarray:
+        # lower triangle negated from the upper one, so E_ji = -E_ij holds
+        # bitwise, signed zeros included (kernelmatrix-v1 files store it so)
+        upper = self.GR - self.GR.T
+        return np.where(np.tri(self.n, k=-1, dtype=bool), -upper.T, upper)
+
+    @property
+    def Delta(self) -> np.ndarray:
+        return self.GR + self.GR.T
+
+    @property
+    def Wdiag(self) -> np.ndarray:
+        return np.diag(self.H) / 2.0
+
+    def _tol(self, atol: float) -> float:
+        return atol * max(1.0, float(np.max(np.abs(self.H))), float(np.max(np.abs(self.GR))))
+
     def validate(self, atol: float = 1e-12) -> None:
-        scale = max(1.0, float(np.max(np.abs(self.H))), float(np.max(np.abs(self.GR))))
-        tol = atol * scale
-        checks = [
-            ("H symmetric", np.max(np.abs(self.H - self.H.T))),
-            ("E antisymmetric", np.max(np.abs(self.E + self.E.T))),
-            ("Delta = GR + GR^T", np.max(np.abs(self.Delta - (self.GR + self.GR.T)))),
-            ("E = GR - GR^T", np.max(np.abs(self.E - (self.GR - self.GR.T)))),
-            ("Wdiag = H_ii / 2", np.max(np.abs(self.Wdiag - np.diag(self.H) / 2.0))),
-        ]
-        for name, dev in checks:
-            if dev > tol:
-                raise ValueError(f"kernel invariant violated: {name} (deviation {dev:.3e})")
+        _check_deviations([("H symmetric", self.H - self.H.T)], self._tol(atol))
 
     def save(self, directory: str | Path) -> None:
         d = Path(directory)
@@ -483,6 +486,8 @@ class KernelMatrix:
 
     @classmethod
     def load(cls, directory: str | Path) -> "KernelMatrix":
+        """Read a kernelmatrix-v1 directory; its E, Delta and Wdiag files must
+        agree with the values derived from H and GR."""
         d = Path(directory)
         with open(d / "kernelmatrix.json", encoding="utf-8") as fh:
             envelope = json.load(fh)
@@ -492,13 +497,24 @@ class KernelMatrix:
         mats = {name: _read_matrix_csv(d / f"{name}.csv") for name in ("H", "E", "GR", "Delta")}
         wdiag = _read_matrix_csv(d / "Wdiag.csv").reshape(-1)
         state = envelope.get("state")
-        km = cls(n=n, H=mats["H"], E=mats["E"], GR=mats["GR"], Delta=mats["Delta"],
-                 Wdiag=wdiag, lam=float(envelope["lambda"]),
+        km = cls(n=n, H=mats["H"], GR=mats["GR"], lam=float(envelope["lambda"]),
                  state=FieldState.from_dict(state) if state else None)
-        if km.H.shape != (n, n) or km.Wdiag.shape != (n,):
+        if any(mats[name].shape != (n, n) for name in mats) or wdiag.shape != (n,):
             raise ValueError("kernel matrix shapes inconsistent with envelope")
         km.validate(atol=1e-10)
+        _check_deviations([
+            ("E = GR - GR^T", mats["E"] - km.E),
+            ("Delta = GR + GR^T", mats["Delta"] - km.Delta),
+            ("Wdiag = H_ii / 2", wdiag - km.Wdiag),
+        ], km._tol(1e-10))
         return km
+
+
+def _check_deviations(checks: list[tuple[str, np.ndarray]], tol: float) -> None:
+    for name, diff in checks:
+        dev = float(np.max(np.abs(diff)))
+        if dev > tol:
+            raise ValueError(f"kernel invariant violated: {name} (deviation {dev:.3e})")
 
 
 def _write_matrix_csv(path: Path, mat: np.ndarray) -> None:
@@ -527,15 +543,14 @@ def _pair_value(state: FieldState, ri: GaussianRegion, rj: GaussianRegion,
 
 
 def assemble_kernels(state: FieldState, regions: list[GaussianRegion], lam: float,
-                     tol: float = 1e-10, threads: int | None = None) -> KernelMatrix:
+                     tol: float = 1e-10) -> KernelMatrix:
     """Populate the full kernel matrix for a list of equal-width regions.
 
     Only zero-mean quasifree states (vacuum, thermal) are admissible: the
     exact detector state formula presupposes a vanishing one-point function.
-    E is filled from its closed form (it is state independent), H from closed
-    forms where available and from the quadrature oracle otherwise, and the
-    retarded/symmetric parts follow exactly from E and the time order, so the
-    matrix identities hold by construction.
+    The retarded part is filled from the closed commutator form (it is state
+    independent) on the future side of each pair, and H from closed forms
+    where available and from the quadrature oracle otherwise.
     """
     if state.tag not in ("vacuum", "thermal"):
         raise ValueError(
@@ -550,7 +565,6 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion], lam: floa
 
     lam2 = lam * lam
     H = np.zeros((n, n))
-    E = np.zeros((n, n))
     GR = np.zeros((n, n))
 
     def diag_value() -> float:
@@ -567,32 +581,20 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion], lam: floa
     for i in range(n):
         H[i, i] = h_diag
 
-    def fill_pair(pair: tuple[int, int]) -> None:
-        i, j = pair
-        try:
-            w = _pair_value(state, regions[i], regions[j], tol)
-        except UdwTomoError as exc:
-            raise type(exc)(f"kernel pair (i={i}, j={j}): {exc}") from exc
-        h = lam2 * 2.0 * w.real
-        H[i, j] = H[j, i] = h
-        e = lam2 * commutator_smeared(regions[i], regions[j])
-        E[i, j] = e
-        E[j, i] = -e
-        dt = regions[i].center.t - regions[j].center.t
-        if dt > 0.0:
-            GR[i, j] = e
-        elif dt < 0.0:
-            GR[j, i] = -e
+    for i in range(n):
+        for j in range(i + 1, n):
+            try:
+                w = _pair_value(state, regions[i], regions[j], tol)
+            except UdwTomoError as exc:
+                raise type(exc)(f"kernel pair (i={i}, j={j}): {exc}") from exc
+            H[i, j] = H[j, i] = lam2 * 2.0 * w.real
+            e = lam2 * commutator_smeared(regions[i], regions[j])
+            dt = regions[i].center.t - regions[j].center.t
+            if dt > 0.0:
+                GR[i, j] = e
+            elif dt < 0.0:
+                GR[j, i] = -e
 
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_pair, pairs))
-    else:
-        for p in pairs:
-            fill_pair(p)
-
-    km = KernelMatrix(n=n, H=H, E=E, GR=GR, Delta=GR + GR.T,
-                      Wdiag=np.diag(H) / 2.0, lam=lam, state=state)
+    km = KernelMatrix(n=n, H=H, GR=GR, lam=lam, state=state)
     km.validate()
     return km

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import multipole, tomography
-from .detector import correlation_record, sample_record
+from .detector import correlator_table, sample_table
 from .errors import ConfigError, UdwTomoError
 from .kernels import (FieldState, assemble_kernels, hadamard_point,
                       phi0_coherent, F_oneparticle,
@@ -43,7 +43,6 @@ class ScenarioConfig:
     seed: int
     ell: float
     tol: float
-    threads: int | None
     enable_quadrature_columns: bool
     beta: float | None = None
     delta: float | None = None
@@ -65,7 +64,6 @@ _GLOBAL_DEFAULTS: dict = {
     "seed": 20250810,
     "ell": 1.0,
     "tol": 1e-10,
-    "threads": None,
     "enable_quadrature_columns": False,
 }
 
@@ -103,7 +101,7 @@ _SCENARIO_DEFAULTS: dict[str, dict] = {
 }
 
 _KNOWN_KEYS = {
-    "scenario_id", "output_dir", "seed", "ell", "tol", "threads",
+    "scenario_id", "output_dir", "seed", "ell", "tol",
     "enable_quadrature_columns", "beta", "delta", "s_over_ell", "anchor",
     "lattice", "lambda", "state", "shots_list", "repeats", "grid",
     "ell_grid", "base_config",
@@ -206,7 +204,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
         seed=int(merged["seed"]),
         ell=_require_number(merged, "ell", positive=True),
         tol=_require_number(merged, "tol", positive=True),
-        threads=int(merged["threads"]) if merged.get("threads") else None,
         enable_quadrature_columns=bool(merged["enable_quadrature_columns"]),
     )
     ell = cfg.ell
@@ -320,40 +317,19 @@ def _run_vacuum_curves(cfg: ScenarioConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def _run_thermal_curves(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    vac = FieldState.vacuum()
-    th = FieldState.thermal(cfg.beta)
-    header = ["s_over_ell", "vacuum_pointlike", "thermal_pointlike",
-              "thermal_multipole"]
-    if cfg.enable_quadrature_columns:
-        header.append("thermal_smeared_quadrature")
-    header.append("errors")
-    rows = []
-    for s in _signed_grid(cfg):
-        a, b = _branch_events(cfg, s)
-        ri, rj = GaussianRegion(a, cfg.ell), GaussianRegion(b, cfg.ell)
-        row: list = [s]
-        try:
-            row += [hadamard_point(vac, a, b), hadamard_point(th, a, b),
-                    multipole.estimate(th, ri, rj).value]
-            if cfg.enable_quadrature_columns:
-                row.append(wightman_smeared_quadrature(th, ri, rj, cfg.tol).real)
-            row.append("")
-        except UdwTomoError as exc:
-            row = [s] + [""] * (len(header) - 2) + [f"{type(exc).__name__}: {exc}"]
-        rows.append(row)
-    path = out / "thermal_curves.csv"
-    _write_rows(path, header, rows)
-    return [path]
+_STATE_COLUMNS = ("state_kernel", "multipole", "smeared_quadrature")
+_THERMAL_COLUMNS = ("thermal_pointlike", "thermal_multipole", "thermal_smeared_quadrature")
 
 
-def _run_state_curves(cfg: ScenarioConfig, out: Path, tag: str,
-                      temporal_sign: float) -> list[Path]:
+def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
+                      temporal_sign: float, columns: tuple[str, str, str]) -> list[Path]:
+    """Vacuum and state pointlike kernels plus the state's multipole estimate
+    (and optionally its smeared quadrature) along the anchored scan."""
     vac = FieldState.vacuum()
-    state = FieldState(tag, delta=cfg.delta)
-    header = ["s_over_ell", "vacuum_pointlike", "state_kernel", "multipole"]
+    kernel_col, multipole_col, quadrature_col = columns
+    header = ["s_over_ell", "vacuum_pointlike", kernel_col, multipole_col]
     if cfg.enable_quadrature_columns:
-        header.append("smeared_quadrature")
+        header.append(quadrature_col)
     header.append("errors")
     rows = []
     for s in _signed_grid(cfg):
@@ -407,19 +383,18 @@ def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
 def _lattice_kernels(cfg: ScenarioConfig):
     events = build_lattice(cfg.lattice)
     regions = [GaussianRegion(e, cfg.ell) for e in events]
-    km = assemble_kernels(_field_state(cfg), regions, cfg.lam, tol=cfg.tol,
-                          threads=cfg.threads)
-    return km
+    return assemble_kernels(_field_state(cfg), regions, cfg.lam, tol=cfg.tol)
 
 
 def _run_tomography_roundtrip(cfg: ScenarioConfig, out: Path) -> list[Path]:
     km = _lattice_kernels(cfg)
+    table = correlator_table(km)
+    E = km.E  # derived on every access, so read once
     results, max_err = [], 0.0
     n_causal = 0
     for i in range(1, km.n + 1):
         for j in range(i + 1, km.n + 1):
-            rec = correlation_record(km, i, j)
-            res = tomography.reconstruct_record(rec, km.E[i - 1, j - 1])
+            res = tomography.reconstruct_record(table, i, j, E[i - 1, j - 1])
             results.append(res)
             max_err = max(max_err, abs(res.H_ij_reconstructed - km.H[i - 1, j - 1]))
             n_causal += res.regime == "causal"
@@ -444,17 +419,19 @@ def _run_convergence_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
 
 def _run_shot_noise_study(cfg: ScenarioConfig, out: Path) -> list[Path]:
     km = _lattice_kernels(cfg)
+    exact = correlator_table(km)
+    E = km.E  # derived on every access, so read once
     pairs = [(i, j) for i in range(1, km.n + 1) for j in range(i + 1, km.n + 1)]
     rows = []
     for shots in cfg.shots_list:
         sq_errors, n_failed = [], 0
         for rep in range(cfg.repeats):
-            seed = int(np.random.SeedSequence(
-                entropy=cfg.seed, spawn_key=(shots, rep)).generate_state(1)[0])
+            # one sampled table per repeat, shared by all of its pairs
+            table = sample_table(exact, shots, np.random.SeedSequence(
+                entropy=cfg.seed, spawn_key=(shots, rep)))
             for (i, j) in pairs:
-                rec = sample_record(km, i, j, shots, seed)
                 try:
-                    res = tomography.reconstruct_record(rec, km.E[i - 1, j - 1])
+                    res = tomography.reconstruct_record(table, i, j, E[i - 1, j - 1])
                 except UdwTomoError:
                     n_failed += 1
                     continue
@@ -469,13 +446,17 @@ def _run_shot_noise_study(cfg: ScenarioConfig, out: Path) -> list[Path]:
 _RUNNERS: dict[str, tuple[Callable, str]] = {
     "vacuum_curves": (_run_vacuum_curves,
                       "vacuum two-point curves: pointlike vs smeared vs multipole"),
-    "thermal_curves": (_run_thermal_curves,
+    "thermal_curves": (lambda cfg, out: _run_state_curves(
+                           cfg, out, FieldState.thermal(cfg.beta), 1.0, _THERMAL_COLUMNS),
                        "thermal-state curves at inverse temperature beta"),
-    "coherent_curves": (lambda cfg, out: _run_state_curves(cfg, out, "coherent", -1.0),
+    "coherent_curves": (lambda cfg, out: _run_state_curves(
+                            cfg, out, FieldState.coherent(cfg.delta), -1.0, _STATE_COLUMNS),
                         "coherent-state curves scanned from a fixed anchor event"),
     "coherent_field_grid": (_run_coherent_field_grid,
                             "classical source wave on a (t, x) grid"),
-    "oneparticle_curves": (lambda cfg, out: _run_state_curves(cfg, out, "one_particle", 1.0),
+    "oneparticle_curves": (lambda cfg, out: _run_state_curves(
+                               cfg, out, FieldState.one_particle(cfg.delta), 1.0,
+                               _STATE_COLUMNS),
                            "one-particle wavepacket curves from a fixed anchor event"),
     "oneparticle_diff_grid": (_run_oneparticle_diff_grid,
                               "wavepacket minus vacuum correlation on a (t, x) grid"),

@@ -1,6 +1,7 @@
 """Inversion of detector correlators into the smeared field two-point function.
 
-For a spacelike-isolated pair the anticommutator kernel follows from two
+All correlators are read from one ``CorrelatorTable`` per lattice.  For a
+spacelike-isolated pair the anticommutator kernel follows from two
 correlators alone,
 
     H_ij = (1/2) arctanh(<sy_i sy_j> / <sz_i sz_j>),
@@ -28,14 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import CorrelationRecord
+from .detector import CorrelatorTable
 from .errors import DephasingError, NoiseDominatedError, TangentDomainError
 
 __all__ = [
     "ReconstructionResult",
     "reconstruct_spacelike",
     "causal_correction",
-    "reconstruct_general",
     "assemble_wightman",
     "reconstruct_record",
     "write_reconstruction_results",
@@ -45,50 +45,48 @@ _DEPHASING_HARD = 1e-300   # |zz| below this: no information survives
 _DEPHASING_FLAG = 1e-6     # |zz| below this: result returned but flagged
 
 
-def reconstruct_spacelike(rec: CorrelationRecord) -> float:
+def _pair_index(table: CorrelatorTable, i: int, j: int) -> tuple[int, int, np.ndarray]:
+    """0-based (a, b) of the 1-based pair (i, j), and the third detectors' indices."""
+    n = table.n
+    if not (1 <= i <= n and 1 <= j <= n) or i == j:
+        raise ValueError(f"need distinct 1-based indices in [1, {n}], got i={i}, j={j}")
+    a, b = i - 1, j - 1
+    idx = np.arange(n)
+    return a, b, idx[(idx != a) & (idx != b)]
+
+
+def reconstruct_spacelike(table: CorrelatorTable, i: int, j: int) -> float:
     """H_ij from the yy/zz ratio alone (valid when no third-party causal links)."""
-    if abs(rec.zz) < _DEPHASING_HARD:
-        raise DephasingError(
-            f"pair ({rec.i},{rec.j}): <sz sz> = {rec.zz:g} is fully dephased")
-    ratio = rec.yy / rec.zz
+    a, b, _ = _pair_index(table, i, j)
+    zz, yy = float(table.zz[a, b]), float(table.yy[a, b])
+    if abs(zz) < _DEPHASING_HARD:
+        raise DephasingError(f"pair ({i},{j}): <sz sz> = {zz:g} is fully dephased")
+    ratio = yy / zz
     if abs(ratio) >= 1.0:
         raise NoiseDominatedError(
-            f"pair ({rec.i},{rec.j}): |yy/zz| = {abs(ratio):.6g} >= 1, "
-            "sampled record is noise dominated", ratio=ratio)
+            f"pair ({i},{j}): |yy/zz| = {abs(ratio):.6g} >= 1, "
+            "sampled correlators are noise dominated", ratio=ratio)
     return 0.5 * math.atanh(ratio)
 
 
-def causal_correction(records: Sequence[tuple[float, float, float, float]]) -> float:
-    """C_ij from per-third-detector tuples (yx_ik, zi, xy_kj, zj)."""
-    total = 0.0
-    for k, (yx_ik, zi, xy_kj, zj) in enumerate(records):
-        if zi == 0.0 or zj == 0.0:
-            raise DephasingError(f"correction term {k}: vanishing <sz> denominator")
-        arg = (yx_ik / zi) * (xy_kj / zj)
-        if abs(arg) >= 1.0:
-            raise TangentDomainError(
-                f"correction term {k}: |product| = {abs(arg):.6g} >= 1 "
-                "(some 2G approaches pi/2)", k=k)
-        total += 0.5 * math.atanh(arg)
-    return total
+def causal_correction(table: CorrelatorTable, i: int, j: int) -> float:
+    """C_ij = (1/2) sum_{k != i,j} arctanh[(<sy_i sx_k>/<sz_i>)(<sx_k sy_j>/<sz_j>)].
 
-
-def reconstruct_general(rec: CorrelationRecord,
-                        corrections: float | Sequence[tuple] | None = None) -> float:
-    """H_ij = (1/2) arctanh(yy/zz) - C_ij.
-
-    ``corrections`` may be a precomputed C_ij, explicit per-k tuples, or None
-    to build the tuples from the record's own cross correlators.
+    A ``TangentDomainError`` names the 1-based third detector k whose
+    product left the arctanh domain.
     """
-    base = reconstruct_spacelike(rec)
-    if corrections is None:
-        corrections = [(rec.yx_ik[k], rec.zi, rec.xy_kj[k], rec.zj)
-                       for k in sorted(rec.yx_ik)]
-    if isinstance(corrections, (int, float)):
-        c = float(corrections)
-    else:
-        c = causal_correction(corrections)
-    return base - c
+    a, b, others = _pair_index(table, i, j)
+    zi, zj = float(table.z[a]), float(table.z[b])
+    if zi == 0.0 or zj == 0.0:
+        raise DephasingError(f"pair ({i},{j}): vanishing <sz> denominator")
+    x = (table.yx[a, others] / zi) * (table.xy[others, b] / zj)
+    outside = np.flatnonzero(np.abs(x) >= 1.0)
+    if outside.size:
+        k = int(others[outside[0]]) + 1
+        raise TangentDomainError(
+            f"pair ({i},{j}), correction term k={k}: |product| = "
+            f"{abs(x[outside[0]]):.6g} >= 1 (some 2G approaches pi/2)", k=k)
+    return float(0.5 * np.sum(np.arctanh(x)))
 
 
 def assemble_wightman(h_ij: float, e_ij: float) -> complex:
@@ -109,26 +107,28 @@ class ReconstructionResult:
     condition_flags: list[str] = field(default_factory=list)
 
 
-def reconstruct_record(rec: CorrelationRecord, e_ij: float) -> ReconstructionResult:
-    """Invert one correlation record, consuming the known commutator entry e_ij.
+def reconstruct_record(table: CorrelatorTable, i: int, j: int,
+                       e_ij: float) -> ReconstructionResult:
+    """Invert pair (i, j) of a correlator table: H_ij = (1/2) arctanh(yy/zz) - C_ij.
 
-    The regime is data driven: a pair whose cross correlators all vanish used
-    the pure spacelike branch.  Heavily dephased pairs are flagged rather
-    than rejected.
+    Consumes the known commutator entry e_ij.  The regime is data driven: a
+    pair whose cross correlators with every third detector vanish uses the
+    pure spacelike branch.  Heavily dephased pairs are flagged rather than
+    rejected.
     """
+    a, b, others = _pair_index(table, i, j)
     flags: list[str] = []
-    if abs(rec.zz) < _DEPHASING_FLAG:
+    if abs(table.zz[a, b]) < _DEPHASING_FLAG:
         flags.append("dephasing_dominated")
-    entries = [(rec.yx_ik[k], rec.zi, rec.xy_kj[k], rec.zj) for k in sorted(rec.yx_ik)]
-    if any(yx != 0.0 or xy != 0.0 for yx, _, xy, _ in entries):
+    if np.any(table.yx[a, others] != 0.0) or np.any(table.xy[others, b] != 0.0):
         regime = "causal"
-        c = causal_correction(entries)
+        c = causal_correction(table, i, j)
     else:
         regime = "spacelike"
         c = 0.0
-    h = reconstruct_spacelike(rec) - c
+    h = reconstruct_spacelike(table, i, j) - c
     return ReconstructionResult(
-        i=rec.i, j=rec.j, H_ij_reconstructed=h, C_ij=c,
+        i=i, j=j, H_ij_reconstructed=h, C_ij=c,
         W_ij=assemble_wightman(h, e_ij), regime=regime, condition_flags=flags)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from udwtomo import scenarios
-from udwtomo.detector import (PauliLabel, correlation_record, density_matrix,
+from udwtomo.detector import (PauliLabel, correlator_table, density_matrix,
                               pauli_ev_closed, pauli_ev_oracle,
                               random_kernel_matrix)
 from udwtomo.kernels import (FieldState, assemble_kernels, commutator_smeared,
@@ -93,11 +93,11 @@ def test_criterion_3_tomography_roundtrip():
     events = build_lattice(LatticeSpec(2, 2, 10.0, 10.0))
     regions = [GaussianRegion(e, 1.0) for e in events]
     km = assemble_kernels(VAC, regions, 2.0 * math.pi, tol=1e-12)
+    table = correlator_table(km)
     max_err, n_causal, n_spacelike = 0.0, 0, 0
     for i in range(1, 17):
         for j in range(i + 1, 17):
-            rec = correlation_record(km, i, j)
-            res = reconstruct_record(rec, km.E[i - 1, j - 1])
+            res = reconstruct_record(table, i, j, km.E[i - 1, j - 1])
             max_err = max(max_err, abs(res.H_ij_reconstructed - km.H[i - 1, j - 1]))
             if res.regime == "causal":
                 n_causal += 1

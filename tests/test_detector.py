@@ -1,7 +1,8 @@
 """Exact detector-state simulation: density matrix, correlators, sampling.
 
 The density matrix built from the non-perturbative evolution formula is the
-single source of truth; every closed-form correlator is checked against it.
+single source of truth; every closed-form correlator and every entry of the
+correlator table is checked against it.
 """
 
 import math
@@ -10,11 +11,9 @@ import numpy as np
 import pytest
 
 from udwtomo import detector
-from udwtomo.detector import (CorrelationRecord, PauliLabel, correlation_record,
+from udwtomo.detector import (CorrelatorTable, PauliLabel, correlator_table,
                               density_matrix, pauli_ev_closed, pauli_ev_oracle,
-                              random_kernel_matrix, read_correlation_records,
-                              sample_correlator, sample_record,
-                              write_correlation_records)
+                              random_kernel_matrix, sample_table)
 from udwtomo.errors import CapacityError
 from udwtomo.kernels import KernelMatrix
 
@@ -22,8 +21,39 @@ from udwtomo.kernels import KernelMatrix
 def plain_kernels(n, h=None, gr=None):
     H = np.zeros((n, n)) if h is None else np.asarray(h, dtype=float)
     GR = np.zeros((n, n)) if gr is None else np.asarray(gr, dtype=float)
-    return KernelMatrix(n=n, H=H, E=GR - GR.T, GR=GR, Delta=GR + GR.T,
-                        Wdiag=np.diag(H) / 2, lam=1.0)
+    return KernelMatrix(n=n, H=H, GR=GR, lam=1.0)
+
+
+def permuted(km, perm):
+    """The same detectors relabelled: new label a is old label perm[a]."""
+    P = np.eye(km.n)[perm]
+    return KernelMatrix(n=km.n, H=P @ km.H @ P.T, GR=P @ km.GR @ P.T, lam=km.lam)
+
+
+def table_entry(table, i, j, kind):
+    """The table entry that holds pauli_ev_closed(km, i, j, kind)."""
+    a, b = i - 1, j - 1
+    return {"ZZ": table.zz[a, b], "YY": table.yy[a, b], "Zi": table.z[a],
+            "Zj": table.z[b], "YiXj": table.yx[a, b], "XiYj": table.xy[a, b]}[kind]
+
+
+KIND_OPS = {
+    "ZZ": lambda i, j: [PauliLabel("Z", i), PauliLabel("Z", j)],
+    "YY": lambda i, j: [PauliLabel("Y", i), PauliLabel("Y", j)],
+    "Zi": lambda i, j: [PauliLabel("Z", i)],
+    "Zj": lambda i, j: [PauliLabel("Z", j)],
+    "YiXj": lambda i, j: [PauliLabel("Y", i), PauliLabel("X", j)],
+    "XiYj": lambda i, j: [PauliLabel("X", i), PauliLabel("Y", j)],
+}
+
+
+def kernel_draws(sizes, seeds):
+    """Random kernels and a relabelling of each, so GR is not time ordered."""
+    for n in sizes:
+        for seed in seeds:
+            km = random_kernel_matrix(n, seed=seed)
+            yield km
+            yield permuted(km, np.random.default_rng(seed).permutation(n))
 
 
 class TestDensityMatrix:
@@ -65,10 +95,7 @@ class TestDensityMatrix:
         # permuting detectors and kernel rows/columns permutes the state
         km = random_kernel_matrix(3, seed=11)
         perm = [2, 0, 1]
-        P = np.eye(3)[perm]
-        km_p = KernelMatrix(n=3, H=P @ km.H @ P.T, E=P @ km.E @ P.T,
-                            GR=P @ km.GR @ P.T, Delta=P @ km.Delta @ P.T,
-                            Wdiag=km.Wdiag[perm], lam=1.0)
+        km_p = permuted(km, perm)
         rho = density_matrix(km).entries
         rho_p = density_matrix(km_p).entries
         # basis permutation of qubit labels
@@ -131,14 +158,6 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_kinds_match_oracle(self, n):
-        kinds_ops = {
-            "ZZ": lambda i, j: [PauliLabel("Z", i), PauliLabel("Z", j)],
-            "YY": lambda i, j: [PauliLabel("Y", i), PauliLabel("Y", j)],
-            "Zi": lambda i, j: [PauliLabel("Z", i)],
-            "Zj": lambda i, j: [PauliLabel("Z", j)],
-            "YiXj": lambda i, j: [PauliLabel("Y", i), PauliLabel("X", j)],
-            "XiYj": lambda i, j: [PauliLabel("X", i), PauliLabel("Y", j)],
-        }
         for seed in range(10):
             km = random_kernel_matrix(n, seed=100 + seed)
             rho = density_matrix(km)
@@ -146,7 +165,7 @@ class TestClosedForms:
                 for j in range(1, n + 1):
                     if i == j:
                         continue
-                    for kind, ops in kinds_ops.items():
+                    for kind, ops in KIND_OPS.items():
                         closed = pauli_ev_closed(km, i, j, kind)
                         oracle = pauli_ev_oracle(rho, ops(i, j))
                         assert closed == pytest.approx(oracle, abs=1e-12), (n, seed, i, j, kind)
@@ -191,77 +210,135 @@ class TestClosedForms:
                     assert abs(yy) < zz
 
 
+class TestCorrelatorTable:
+    def test_matches_closed_forms(self):
+        for km in kernel_draws(range(2, 7), range(6)):
+            table = correlator_table(km)
+            for i in range(1, km.n + 1):
+                for j in range(1, km.n + 1):
+                    if i == j:
+                        continue
+                    for kind in KIND_OPS:
+                        got = table_entry(table, i, j, kind)
+                        want = pauli_ev_closed(km, i, j, kind)
+                        assert abs(got - want) <= 1e-14, (km.n, i, j, kind)
+
+    def test_matches_density_matrix_oracle(self):
+        for km in kernel_draws(range(2, 7), range(3)):
+            table = correlator_table(km)
+            rho = density_matrix(km)
+            for i in range(1, km.n + 1):
+                for j in range(1, km.n + 1):
+                    if i == j:
+                        continue
+                    for kind, ops in KIND_OPS.items():
+                        got = table_entry(table, i, j, kind)
+                        want = pauli_ev_oracle(rho, ops(i, j))
+                        assert abs(got - want) <= 1e-10, (km.n, i, j, kind)
+
+    def test_layout(self):
+        table = correlator_table(random_kernel_matrix(5, seed=2))
+        assert np.array_equal(table.zz, table.zz.T)
+        assert np.array_equal(table.yy, table.yy.T)
+        assert np.all(np.diag(table.zz) == 1.0) and np.all(np.diag(table.yy) == 1.0)
+        assert np.all(np.diag(table.yx) == 0.0)
+
+    def test_relabelling_permutes_the_table(self):
+        perm = [3, 0, 4, 2, 1]
+        km = random_kernel_matrix(5, seed=9)
+        t, tp = correlator_table(km), correlator_table(permuted(km, perm))
+        ix = np.ix_(perm, perm)
+        assert np.allclose(tp.z, t.z[perm], rtol=0, atol=1e-15)
+        for name in ("zz", "yy", "yx"):
+            assert np.allclose(getattr(tp, name), getattr(t, name)[ix], rtol=0, atol=1e-15)
+
+    def test_row_blocks_agree_with_one_block(self, monkeypatch):
+        km = random_kernel_matrix(6, seed=4)
+        whole = correlator_table(km)
+        monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 80)  # two rows per block
+        blocked = correlator_table(km)
+        for name in ("z", "zz", "yy", "yx"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+
+    def test_yy_strictly_inside_zz(self):
+        # the arctanh domain of the noiseless reconstruction, for every pair
+        for km in kernel_draws([5, 6], range(10)):
+            table = correlator_table(km)
+            iu = np.triu_indices(km.n, 1)
+            assert np.all(table.zz[iu] > 0)
+            assert np.all(np.abs(table.yy[iu]) < table.zz[iu])
+
+
+def ev_table(z, zz, yy, yx):
+    return CorrelatorTable(z=np.asarray(z, float), zz=np.asarray(zz, float),
+                           yy=np.asarray(yy, float), yx=np.asarray(yx, float))
+
+
+def constant_table(n, value):
+    """Every sampled observable has mean ``value``."""
+    off = ~np.eye(n, dtype=bool)
+    return ev_table(np.full(n, value), np.where(off, value, 1.0),
+                    np.where(off, value, 1.0), np.where(off, value, 0.0))
+
+
 class TestSampler:
     def test_degenerate(self):
-        assert sample_correlator(1.0, 100, seed=4) == 1.0
-        assert sample_correlator(-1.0, 100, seed=4) == -1.0
+        exact = ev_table(z=[1.0, -1.0, 1.0],
+                         zz=[[1, -1, 1], [-1, 1, -1], [1, -1, 1]],
+                         yy=np.ones((3, 3)),
+                         yx=[[0, 1, -1], [-1, 0, 1], [1, 1, 0]])
+        got = sample_table(exact, 100, seed=4)
+        for name in ("z", "zz", "yy", "yx"):
+            assert np.array_equal(getattr(got, name), getattr(exact, name))
 
     def test_unbiased_scale(self):
-        # binomial standard error 1e-3 at 1e6 shots; 5 sigma bound
-        val = sample_correlator(0.0, 10**6, seed=123)
-        assert abs(val) <= 5e-3
+        # binomial standard error 1e-3 at 1e6 shots; 5 sigma bound on every entry
+        got = sample_table(constant_table(3, 0.0), 10**6, seed=123)
+        off = ~np.eye(3, dtype=bool)
+        for values in (got.z, got.zz[off], got.yy[off], got.yx[off]):
+            assert np.max(np.abs(values)) <= 5e-3
 
     def test_deterministic(self):
-        a = sample_correlator(0.3, 1000, seed=77)
-        b = sample_correlator(0.3, 1000, seed=77)
-        assert a == b
+        exact = correlator_table(random_kernel_matrix(4, seed=3))
+        a = sample_table(exact, 1000, seed=77)
+        b = sample_table(exact, 1000, seed=77)
+        c = sample_table(exact, 1000, seed=78)
+        for name in ("z", "zz", "yy", "yx"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert not np.array_equal(a.yx, c.yx)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            sample_correlator(1.5, 10, seed=0)
+            sample_table(constant_table(2, 1.5), 10, seed=0)
         with pytest.raises(ValueError):
-            sample_correlator(0.0, 0, seed=0)
+            sample_table(constant_table(2, 0.0), 0, seed=0)
 
 
 class TestRecords:
+    """The table holds, once, every correlator a pair inversion reads."""
+
     def test_exact_record_contents(self):
         km = random_kernel_matrix(4, seed=5)
-        rec = correlation_record(km, 1, 3)
-        assert rec.shots is None
-        assert set(rec.yx_ik) == {2, 4}
-        assert set(rec.xy_kj) == {2, 4}
-        assert rec.zz == pauli_ev_closed(km, 1, 3, "ZZ")
-        assert rec.yx_ik[2] == pauli_ev_closed(km, 1, 2, "YiXj")
-        assert rec.xy_kj[4] == pauli_ev_closed(km, 4, 3, "XiYj")
+        table = correlator_table(km)
+        assert table.n == 4
+        assert table.zz[0, 2] == pytest.approx(pauli_ev_closed(km, 1, 3, "ZZ"), abs=1e-14)
+        # the third-detector cross correlators of pair (1, 3) are rows of yx
+        assert table.yx[0, 1] == pytest.approx(pauli_ev_closed(km, 1, 2, "YiXj"), abs=1e-14)
+        assert table.xy[3, 2] == pytest.approx(pauli_ev_closed(km, 4, 3, "XiYj"), abs=1e-14)
+        assert table.xy[3, 2] == table.yx[2, 3]
 
     def test_sampled_record_determinism_and_convergence(self):
         km = random_kernel_matrix(3, seed=6)
-        a = sample_record(km, 1, 2, shots=10**6, seed=9)
-        b = sample_record(km, 1, 2, shots=10**6, seed=9)
-        assert a.zz == b.zz and a.yx_ik == b.yx_ik
-        exact = correlation_record(km, 1, 2)
-        assert a.zz == pytest.approx(exact.zz, abs=5e-3)
-        assert a.yy == pytest.approx(exact.yy, abs=5e-3)
-
-    def test_csv_roundtrip_exact_only(self, tmp_path):
-        km = random_kernel_matrix(4, seed=7)
-        recs = [correlation_record(km, i, j)
-                for i in range(1, 5) for j in range(i + 1, 5)]
-        path = tmp_path / "records.csv"
-        write_correlation_records(recs, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "i,j,kind,exact,sampled,shots,seed"
-        exact, sampled = read_correlation_records(path)
-        assert sampled is None
-        assert len(exact) == len(recs)
-        first = exact[0]
-        assert first.i == 1 and first.j == 2
-        assert first.zz == recs[0].zz
-        assert first.yx_ik == recs[0].yx_ik
-
-    def test_csv_roundtrip_with_sampled(self, tmp_path):
-        km = random_kernel_matrix(3, seed=7)
-        pairs = [(i, j) for i in range(1, 4) for j in range(i + 1, 4)]
-        recs = [correlation_record(km, i, j) for i, j in pairs]
-        samp = [sample_record(km, i, j, shots=5000, seed=3) for i, j in pairs]
-        path = tmp_path / "records.csv"
-        write_correlation_records(recs, path, sampled=samp)
-        exact, back = read_correlation_records(path)
-        assert back is not None
-        assert back[0].shots == 5000 and back[0].seed == 3
-        assert back[0].zz == samp[0].zz
-        assert exact[0].zz == recs[0].zz
-        assert back[1].xy_kj == samp[1].xy_kj
+        exact = correlator_table(km)
+        a = sample_table(exact, shots=10**6, seed=9)
+        b = sample_table(exact, shots=10**6, seed=9)
+        assert np.array_equal(a.zz, b.zz) and np.array_equal(a.yx, b.yx)
+        assert np.array_equal(a.zz, a.zz.T) and np.array_equal(a.yy, a.yy.T)
+        assert np.all(np.diag(a.yx) == 0.0)
+        off = ~np.eye(3, dtype=bool)
+        for name in ("zz", "yy", "yx"):
+            assert np.max(np.abs(getattr(a, name) - getattr(exact, name))[off]) <= 5e-3
+        assert np.max(np.abs(a.z - exact.z)) <= 5e-3
 
 
 class TestRandomKernelMatrix:

@@ -333,6 +333,10 @@ class TestAssemble:
         regions = [region(0, 0), region(10, 10), region(10, 0), region(20, 5)]
         km = assemble_kernels(FieldState.vacuum(), regions, 2 * math.pi, tol=1e-12)
         assert np.array_equal(km.E, km.GR - km.GR.T)
+        # antisymmetric bit for bit off the diagonal, signed zeros included,
+        # as saved kernelmatrix-v1 files hold it
+        off = ~np.eye(4, dtype=bool)
+        assert np.array_equal(np.signbit(km.E)[off], np.signbit(-km.E.T)[off])
         assert np.array_equal(km.Delta, km.GR + km.GR.T)
         assert np.array_equal(km.H, km.H.T)
         assert np.array_equal(km.Wdiag, np.diag(km.H) / 2)
@@ -359,13 +363,6 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble_kernels(FieldState.one_particle(1.0), [region(0, 0)], 1.0)
 
-    def test_threads_deterministic(self):
-        regions = [region(0, 0), region(10, 10), region(10, 0), region(0, 10)]
-        a = assemble_kernels(FieldState.vacuum(), regions, 1.0, tol=1e-11)
-        b = assemble_kernels(FieldState.vacuum(), regions, 1.0, tol=1e-11, threads=4)
-        assert np.array_equal(a.H, b.H)
-        assert np.array_equal(a.GR, b.GR)
-
     def test_pair_errors_are_annotated(self, monkeypatch):
         from udwtomo.errors import ConvergenceError
 
@@ -388,6 +385,18 @@ class TestAssemble:
         h_path.write_text(",".join(cells) + "\n" + rows[1] + "\n")
         with pytest.raises(ValueError, match="H symmetric"):
             KernelMatrix.load(tmp_path / "k")
+        # the stored derived matrices are outside input too
+        km.save(tmp_path / "k")
+        for name, bad, match in (("E", "0,1\n-1,0\n", r"E = GR - GR\^T"),
+                                 ("Delta", "0,1\n1,0\n", r"Delta = GR \+ GR\^T"),
+                                 ("Wdiag", "1,1\n", r"Wdiag = H_ii / 2")):
+            path = tmp_path / "k" / f"{name}.csv"
+            good = path.read_text()
+            path.write_text(bad)
+            with pytest.raises(ValueError, match=match):
+                KernelMatrix.load(tmp_path / "k")
+            path.write_text(good)
+        KernelMatrix.load(tmp_path / "k")
 
     def test_serialisation_roundtrip(self, tmp_path):
         regions = [region(0, 0), region(10, 10), region(10, 0)]

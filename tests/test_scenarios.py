@@ -32,6 +32,9 @@ class TestValidation:
         with pytest.raises(ConfigError) as ei:
             validate_config({"scenario_id": "vacuum_curves", "betta": 50})
         assert ei.value.field == "betta"
+        with pytest.raises(ConfigError) as ei:
+            validate_config({"scenario_id": "tomography_roundtrip", "threads": 2})
+        assert ei.value.field == "threads"
 
     def test_bad_range(self):
         with pytest.raises(ConfigError) as ei:
