@@ -38,15 +38,18 @@ from .errors import (ConvergenceError, LightconeSingularityError,
                      PrecisionWarning, UdwTomoError)
 from .numerics import integrate_semi_infinite
 from .smearing import GaussianRegion
-from .spacetime import Event, Separation, classify, interval
+from .spacetime import Event, default_lightcone_tol, interval, intervals
 
 __all__ = [
     "FieldState",
     "KernelMatrix",
     "hadamard_point",
+    "hadamard_array",
     "phi0_coherent",
+    "phi0_coherent_array",
     "phi0_coherent_region",
     "F_oneparticle",
+    "F_oneparticle_array",
     "wightman_smeared_quadrature",
     "wightman_smeared_closed",
     "commutator_smeared",
@@ -116,6 +119,11 @@ class FieldState:
 
 # ---------------------------------------------------------------------------
 # pointlike kernels
+#
+# Each kernel evaluates whole coordinate arrays in one numpy pass, and its
+# special branches (small-r series, thermal saturation, the sinhc limit) are
+# masks over the points.  hadamard_point, phi0_coherent and F_oneparticle
+# evaluate a single event (pair) through the same code.
 # ---------------------------------------------------------------------------
 
 def _coth(x: float) -> float:
@@ -128,7 +136,13 @@ def _coth(x: float) -> float:
     return 1.0 / math.tanh(x)
 
 
-def _thermal_real(beta: float, dt: float, dr: float) -> float:
+def _time_radius(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # t and the distance from the spatial origin of coordinates (..., 4)
+    x = np.asarray(x, dtype=float)
+    return x[..., 0], np.sqrt(x[..., 1] ** 2 + x[..., 2] ** 2 + x[..., 3] ** 2)
+
+
+def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray) -> np.ndarray:
     """Re W for the KMS state, in the cancellation-free product form.
 
     coth(a) + coth(b) = sinh(a+b) / (sinh(a) sinh(b)) turns the textbook sum
@@ -136,42 +150,70 @@ def _thermal_real(beta: float, dt: float, dr: float) -> float:
     """
     a = math.pi * (dr + dt) / beta
     b = math.pi * (dr - dt) / beta
-    if min(abs(a), abs(b)) > 300.0:
-        if a * b < 0:
-            # deep timelike saturation: value ~ e^{-2 min(|a|,|b|)}, below double range
-            return 0.0
-        return 2.0 / (8.0 * math.pi * beta * dr)
+    out = np.empty(a.shape)
+    large = np.maximum(np.abs(a), np.abs(b)) > 300.0
+    if large.any():
+        saturated = np.minimum(np.abs(a), np.abs(b)) > 300.0
+        # deep timelike saturation: value ~ e^{-2 min(|a|,|b|)}, below double range
+        out[saturated] = 0.0
+        plateau = saturated & ~(a * b < 0)
+        out[plateau] = 2.0 / (8.0 * math.pi * beta * dr[plateau])
+        # one argument beyond 300: its coth is 1 to double precision, and the
+        # product form would overflow; the other argument s enters through
+        # q = coth|s| - 1 (a + b >= 0, so the larger-magnitude argument is positive)
+        far = large & ~saturated
+        s = np.where(np.abs(a[far]) < np.abs(b[far]), a[far], b[far])
+        q = 2.0 * np.exp(-2.0 * np.abs(s)) / -np.expm1(-2.0 * np.abs(s))
+        out[far] = np.where(s > 0, 2.0 + q, -q) / (8.0 * math.pi * beta * dr[far])
+    rest = ~large
+    a, b = a[rest], b[rest]
     w = a + b  # = 2 pi dr / beta
-    sinhc = 1.0 + w * w / 6.0 if abs(w) < 1e-6 else math.sinh(w) / w
-    return sinhc * (2.0 * math.pi / beta) / (
-        8.0 * math.pi * beta * math.sinh(a) * math.sinh(b))
+    small = np.abs(w) < 1e-6
+    sinhc = np.empty(w.shape)
+    sinhc[small] = 1.0 + w[small] * w[small] / 6.0
+    sinhc[~small] = np.sinh(w[~small]) / w[~small]
+    out[rest] = sinhc * (2.0 * math.pi / beta) / (
+        8.0 * math.pi * beta * np.sinh(a) * np.sinh(b))
+    return out
 
 
-def _gaussian_wave_pair(t: float, r: float, s2: float) -> float:
+def _gaussian_wave_pair(t, r, s2: float) -> np.ndarray:
     """(exp(-(r+t)^2/(4 s2)) - exp(-(r-t)^2/(4 s2))) / r with the r -> 0 limit.
 
     This odd-in-r combination underlies the sourced classical wave, the
     smeared commutator function and their region-smeared versions.
     """
-    if r < 1e-4 * math.sqrt(s2):
-        u0 = math.exp(-t * t / (4.0 * s2))
-        p = t / (2.0 * s2)
-        return u0 * (-t / s2 + (p / s2 - p**3 / 3.0) * r * r)
-    return (math.exp(-(r + t) ** 2 / (4.0 * s2))
-            - math.exp(-(r - t) ** 2 / (4.0 * s2))) / r
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
+    out = np.empty(t.shape)
+    small = r < 1e-4 * math.sqrt(s2)
+    if small.any():
+        ts, rs = t[small], r[small]
+        u0 = np.exp(-ts * ts / (4.0 * s2))
+        p = ts / (2.0 * s2)
+        out[small] = u0 * (-ts / s2 + (p / (2.0 * s2) - p**3 / 3.0) * rs * rs)
+    tg, rg = t[~small], r[~small]
+    out[~small] = (np.exp(-(rg + tg) ** 2 / (4.0 * s2))
+                   - np.exp(-(rg - tg) ** 2 / (4.0 * s2))) / rg
+    return out
 
 
-def phi0_coherent(delta: float, x: Event) -> float:
-    """Classical wave of the Gaussian-sourced coherent state at event x.
+def phi0_coherent_array(delta: float, x: np.ndarray) -> np.ndarray:
+    """Classical wave of the Gaussian-sourced coherent state at coordinates x.
 
-    An incoming positive spherical wave from past null infinity that re-emerges
-    with flipped sign toward future null infinity; the r -> 0 singularity is
-    removable and handled by series.
+    x has shape (..., 4), ordered (t, x, y, z).  An incoming positive
+    spherical wave from past null infinity that re-emerges with flipped sign
+    toward future null infinity; the r -> 0 singularity is removable and
+    handled by series.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    r = math.sqrt(x.x**2 + x.y**2 + x.z**2)
-    return _gaussian_wave_pair(x.t, r, delta * delta) / (4.0 * math.sqrt(2.0) * math.pi)
+    t, r = _time_radius(x)
+    return _gaussian_wave_pair(t, r, delta * delta) / (4.0 * math.sqrt(2.0) * math.pi)
+
+
+def phi0_coherent(delta: float, x: Event) -> float:
+    """Classical wave of the Gaussian-sourced coherent state at event x."""
+    return float(phi0_coherent_array(delta, x.coords()))
 
 
 def phi0_coherent_region(delta: float, region: GaussianRegion) -> float:
@@ -181,44 +223,52 @@ def phi0_coherent_region(delta: float, region: GaussianRegion) -> float:
     c = region.center
     r = math.sqrt(c.x**2 + c.y**2 + c.z**2)
     s2 = delta * delta + region.ell**2
-    return delta * _gaussian_wave_pair(c.t, r, s2) / (
-        4.0 * math.sqrt(2.0) * math.pi * math.sqrt(s2))
+    return float(delta * _gaussian_wave_pair(c.t, r, s2) / (
+        4.0 * math.sqrt(2.0) * math.pi * math.sqrt(s2)))
 
 
-def _H_pm(v: float, sign: float) -> complex:
-    # v e^{-v^2} (1 + sign*i*erfi(v)) / sqrt(2 pi), Dawson-stabilised
-    return v * (math.exp(-v * v) + sign * 2j * dawsn(v) / _SQRT_PI) / _SQRT_2PI
+def _H_pm(v: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    # v e^{-v^2} (1 + sign*i*erfi(v)) / sqrt(2 pi), Dawson-stabilised: (real, imag)
+    return (v * np.exp(-v * v) / _SQRT_2PI,
+            v * (sign * 2.0 * dawsn(v) / _SQRT_PI) / _SQRT_2PI)
 
 
-def _H_pm_third(v: float, sign: float) -> complex:
-    # third derivative of _H_pm, used by the small-r series of F
-    ev = math.exp(-v * v)
+def _H_pm_third(v: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    # third derivative of _H_pm, used by the small-r series of F: (real, imag)
+    ev = np.exp(-v * v)
     g3 = (-8.0 * v**4 + 24.0 * v**2 - 6.0) * ev
     d = dawsn(v)
     m3 = (2.0 / _SQRT_PI) * (4.0 * v**3 - 10.0 * v
                              + (24.0 * v**2 - 8.0 * v**4 - 6.0) * d)
-    return (g3 + sign * 1j * m3) / _SQRT_2PI
+    return g3 / _SQRT_2PI, sign * m3 / _SQRT_2PI
 
 
-def _F_from_tr(delta: float, t: float, r: float) -> complex:
-    v_m = (r - t) / (math.sqrt(2.0) * delta)
-    v_p = (r + t) / (math.sqrt(2.0) * delta)
-    if r < 1e-3 * delta:
+def _F_from_tr(delta: float, t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # real and imaginary parts are kept apart: numpy's complex division
+    # multiplies by a reciprocal and rounds differently from these formulas
+    re, im = np.empty(t.shape), np.empty(t.shape)
+    s = math.sqrt(2.0) * delta
+    small = r < 1e-3 * delta
+    if small.any():
         # numerator is odd in r; F = N'(0)/2 + N'''(0) r^2 / 12
-        u = t / (math.sqrt(2.0) * delta)
-        ev = math.exp(-u * u)
+        u, rs = t[small] / s, r[small]
+        ev = np.exp(-u * u)
         d = dawsn(u)
         g1 = (1.0 - 2.0 * u * u) * ev
         m1 = (2.0 / _SQRT_PI) * (d + u - 2.0 * u * u * d)
-        h1m = (g1 - 1j * m1) / _SQRT_2PI  # H_-'(u)
-        f0 = h1m / (math.sqrt(2.0) * delta)
-        f2 = _H_pm_third(u, -1.0) / (math.sqrt(2.0) * delta) ** 3 / 6.0
-        return f0 + f2 * r * r
-    return (_H_pm(v_m, +1.0) + _H_pm(v_p, -1.0)) / (2.0 * r)
+        f2_re, f2_im = _H_pm_third(u, -1.0)
+        re[small] = g1 / _SQRT_2PI / s + f2_re / s**3 / 6.0 * rs * rs
+        im[small] = -m1 / _SQRT_2PI / s + f2_im / s**3 / 6.0 * rs * rs
+    tg, rg = t[~small], r[~small]
+    m_re, m_im = _H_pm((rg - tg) / s, +1.0)
+    p_re, p_im = _H_pm((rg + tg) / s, -1.0)
+    re[~small] = (m_re + p_re) / (2.0 * rg)
+    im[~small] = (m_im + p_im) / (2.0 * rg)
+    return re + 1j * im
 
 
-def F_oneparticle(delta: float, x: Event) -> complex:
-    """Positive-frequency wavepacket amplitude F(x) for the one-particle state.
+def F_oneparticle_array(delta: float, x: np.ndarray) -> np.ndarray:
+    """Positive-frequency wavepacket amplitude F at coordinates x (..., 4).
 
     Matches the radial mode integral of the Gaussian momentum profile.  The
     conjugate convention is equally self-consistent (the imaginary part drops
@@ -227,8 +277,42 @@ def F_oneparticle(delta: float, x: Event) -> complex:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    r = math.sqrt(x.x**2 + x.y**2 + x.z**2)
-    return _F_from_tr(delta, x.t, r)
+    t, r = _time_radius(x)
+    return _F_from_tr(delta, t, r)
+
+
+def F_oneparticle(delta: float, x: Event) -> complex:
+    """Positive-frequency wavepacket amplitude F(x) for the one-particle state."""
+    return complex(F_oneparticle_array(delta, x.coords()))
+
+
+def hadamard_array(state: FieldState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re W = H/2 between coordinate arrays a, b of shape (..., 4), ordered
+    (t, x, y, z), for any of the four states.
+
+    Raises if any pair is (numerically) lightlike, where the pointlike
+    kernels are singular; callers should fall back to the smeared quadrature
+    path there.
+    """
+    itv = intervals(a, b)
+    lightlike = np.abs(itv.sigma) <= default_lightcone_tol(itv)
+    if np.any(lightlike):
+        k = np.flatnonzero(lightlike)[0]
+        raise LightconeSingularityError(
+            f"pointlike kernel singular at dt={itv.dt.flat[k]:g}, dr={itv.dr.flat[k]:g}; "
+            "use the smeared/quadrature path")
+    if state.tag == "thermal":
+        return _thermal_real(state.beta, itv.dt, itv.dr)
+    vac = 1.0 / (4.0 * math.pi**2 * (-itv.dt**2 + itv.dr**2))
+    if state.tag == "vacuum":
+        return vac
+    both = np.stack(np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    if state.tag == "coherent":
+        pa, pb = phi0_coherent_array(state.delta, both)
+        return vac + pa * pb
+    # one-particle wavepacket: vac + 2 Re(F(a) conj(F(b)))
+    fa, fb = F_oneparticle_array(state.delta, both)
+    return vac + 2.0 * (fa.real * fb.real + fa.imag * fb.imag)
 
 
 def hadamard_point(state: FieldState, a: Event, b: Event) -> float:
@@ -237,23 +321,7 @@ def hadamard_point(state: FieldState, a: Event, b: Event) -> float:
     Raises on (numerically) lightlike pairs, where the pointlike kernels are
     singular; callers should fall back to the smeared quadrature path there.
     """
-    if classify(a, b) is Separation.LIGHTLIKE:
-        itv = interval(a, b)
-        raise LightconeSingularityError(
-            f"pointlike kernel singular at dt={itv.dt:g}, dr={itv.dr:g}; "
-            "use the smeared/quadrature path")
-    itv = interval(a, b)
-    vac = 1.0 / (4.0 * math.pi**2 * (-itv.dt**2 + itv.dr**2))
-    if state.tag == "vacuum":
-        return vac
-    if state.tag == "thermal":
-        return _thermal_real(state.beta, itv.dt, itv.dr)
-    if state.tag == "coherent":
-        return vac + phi0_coherent(state.delta, a) * phi0_coherent(state.delta, b)
-    # one-particle wavepacket
-    fa = F_oneparticle(state.delta, a)
-    fb = F_oneparticle(state.delta, b)
-    return vac + 2.0 * (fa * fb.conjugate()).real
+    return float(hadamard_array(state, a.coords(), b.coords()))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +472,10 @@ def commutator_smeared(ri: GaussianRegion, rj: GaussianRegion) -> float:
     """
     ell = _check_equal_widths(ri, rj)
     dt, dr = _pair_geometry(ri, rj)
+    return float(_commutator(dt, dr, ell))
+
+
+def _commutator(dt, dr, ell: float) -> np.ndarray:
     return _gaussian_wave_pair(dt, dr, 2.0 * ell * ell) / (
         8.0 * math.sqrt(2.0) * math.pi**1.5 * ell)
 
@@ -581,6 +653,10 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion], lam: floa
     for i in range(n):
         H[i, i] = h_diag
 
+    # the commutator is state independent: every pair in one array pass
+    centers = np.array([r.center.coords() for r in regions])
+    itv = intervals(centers[:, None], centers[None, :])
+    E = lam2 * _commutator(itv.dt, itv.dr, regions[0].ell)
     for i in range(n):
         for j in range(i + 1, n):
             try:
@@ -588,12 +664,10 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion], lam: floa
             except UdwTomoError as exc:
                 raise type(exc)(f"kernel pair (i={i}, j={j}): {exc}") from exc
             H[i, j] = H[j, i] = lam2 * 2.0 * w.real
-            e = lam2 * commutator_smeared(regions[i], regions[j])
-            dt = regions[i].center.t - regions[j].center.t
-            if dt > 0.0:
-                GR[i, j] = e
-            elif dt < 0.0:
-                GR[j, i] = -e
+            if itv.dt[i, j] > 0.0:
+                GR[i, j] = E[i, j]
+            elif itv.dt[i, j] < 0.0:
+                GR[j, i] = -E[i, j]
 
     km = KernelMatrix(n=n, H=H, GR=GR, lam=lam, state=state)
     km.validate()

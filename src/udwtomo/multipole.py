@@ -20,7 +20,9 @@ which makes the vacuum correction factor exactly
 The equal-time and equal-position limits (4 ell^2/dr^2 and 12 ell^2/dt^2)
 and direct comparison against the quadrature oracle pin this coefficient; a
 candidate with half this value is excluded by both.  Non-vacuum states are
-differentiated by 5-point central differences with Richardson refinement.
+differentiated by 5-point central differences with Richardson refinement;
+the stencil points of both events and both step sizes are evaluated in one
+array call of the pointlike kernel per estimate.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, LightconeSingularityError, StencilError
-from .kernels import FieldState, hadamard_point, wightman_smeared_quadrature
+from .kernels import FieldState, hadamard_array, wightman_smeared_quadrature
 from .numerics import SlopeFit, fit_loglog_slope
 from .smearing import GaussianRegion
-from .spacetime import Event, Separation, classify, interval
+from .spacetime import Event, Separation, classify, interval, intervals
 
 __all__ = [
     "DerivativeBundle",
@@ -85,60 +87,60 @@ def _vacuum_bundle(a: Event, b: Event) -> DerivativeBundle:
                             hess_ii=hess, hess_jj=hess.copy())
 
 
-def _guarded_kernel(state: FieldState, sigma0: float):
-    def k(a: Event, b: Event) -> float:
-        itv = interval(a, b)
-        if itv.sigma * sigma0 <= 0.0:
-            raise StencilError(
-                f"finite-difference stencil crossed the lightcone "
-                f"(sigma went from {sigma0:g} to {itv.sigma:g})")
-        return hadamard_point(state, a, b)
-    return k
+_PAIRS = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
 
 
-def _fd_bundle(state: FieldState, a: Event, b: Event, h: float) -> DerivativeBundle:
-    sigma0 = interval(a, b).sigma
-    kern = _guarded_kernel(state, sigma0)
-    w0 = kern(a, b)
+def _stencil() -> tuple[np.ndarray, np.ndarray]:
+    """Unit-step offsets of one event's stencil, shape (112, 4): the 16 axis
+    points (axis, then offset), then the 96 mixed points (axis pair, offset
+    along the first axis, offset along the second); and the 16 weights of
+    the mixed points."""
+    eye = np.eye(4)
+    axis = [s * eye[mu] for mu in range(4) for s in _D1_OFFSETS]
+    mixed = [s * eye[mu] + t * eye[nu] for mu, nu in _PAIRS
+             for s in _D1_OFFSETS for t in _D1_OFFSETS]
+    weights = [cs * ct for cs in _D1_WEIGHTS for ct in _D1_WEIGHTS]
+    return np.array(axis + mixed), np.array(weights)
 
-    def side(base: Event, other: Event, first_slot: bool):
-        def at(ev: Event) -> float:
-            return kern(ev, other) if first_slot else kern(other, ev)
-        grad = np.zeros(4)
-        hess = np.zeros((4, 4))
-        cache = {}
 
-        def val(sh: tuple[int, ...]) -> float:
-            if sh not in cache:
-                ev = base
-                for axis, steps in enumerate(sh):
-                    if steps:
-                        ev = ev.shifted(axis, steps * h)
-                cache[sh] = at(ev)
-            return cache[sh]
+_OFFSETS, _MIXED_WEIGHTS = _stencil()
 
-        for mu in range(4):
-            f = [val(tuple(s if ax == mu else 0 for ax in range(4)))
-                 for s in (-2, -1, 1, 2)]
-            grad[mu] = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
-            hess[mu, mu] = (-f[3] + 16.0 * f[2] - 30.0 * w0 + 16.0 * f[1] - f[0]) / (
-                12.0 * h * h)
-        for mu in range(4):
-            for nu in range(mu + 1, 4):
-                acc = 0.0
-                for s, cs in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                    for t, ct in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                        sh = [0, 0, 0, 0]
-                        sh[mu], sh[nu] = s, t
-                        acc += cs * ct * val(tuple(sh))
-                hess[mu, nu] = hess[nu, mu] = acc / (h * h)
-        return grad, hess
 
-    grad_i, hess_ii = side(a, b, first_slot=True)
-    grad_j, hess_jj = side(b, a, first_slot=False)
-    return DerivativeBundle(w=w0, grad_i=grad_i, grad_j=grad_j,
-                            hess_ii=0.5 * (hess_ii + hess_ii.T),
-                            hess_jj=0.5 * (hess_jj + hess_jj.T))
+def _fd_bundles(state: FieldState, a: Event, b: Event,
+                steps: tuple[float, ...]) -> list[DerivativeBundle]:
+    """5-point central-difference bundles at (a, b), one per step size.
+
+    The stencil points of both events for all steps go to the kernel in one
+    call.  A stencil whose sigma changes sign anywhere raises StencilError
+    before the kernel can report a lightlike point.
+    """
+    h = np.asarray(steps, dtype=float)
+    ca, cb = a.coords(), b.coords()
+    shifts = (h[:, None, None] * _OFFSETS).reshape(-1, 4)
+    # row 0 is (a, b); then a shifted against b, then a against b shifted
+    first = np.concatenate([ca[None], ca + shifts, np.broadcast_to(ca, shifts.shape)])
+    second = np.concatenate([cb[None], np.broadcast_to(cb, shifts.shape), cb + shifts])
+    sigma = intervals(first, second).sigma
+    crossed = np.flatnonzero(sigma * sigma[0] <= 0.0)
+    if crossed.size:
+        raise StencilError(
+            f"finite-difference stencil crossed the lightcone "
+            f"(sigma went from {sigma[0]:g} to {sigma[crossed[0]]:g})")
+    vals = hadamard_array(state, first, second)
+    w0 = vals[0]
+    v = vals[1:].reshape(2, len(h), len(_OFFSETS))   # (event, step, point)
+    f = v[..., :16].reshape(2, len(h), 4, 4)         # (event, step, axis, offset)
+    hh = h[:, None]
+    grad = (f[..., 0] - 8.0 * f[..., 1] + 8.0 * f[..., 2] - f[..., 3]) / (12.0 * hh)
+    hess = np.empty((2, len(h), 4, 4))
+    diag = np.arange(4)
+    hess[..., diag, diag] = (-f[..., 3] + 16.0 * f[..., 2] - 30.0 * w0
+                             + 16.0 * f[..., 1] - f[..., 0]) / (12.0 * hh * hh)
+    mixed = (v[..., 16:].reshape(2, len(h), len(_PAIRS), 16) * _MIXED_WEIGHTS).sum(axis=-1)
+    mu, nu = np.array(_PAIRS).T
+    hess[..., mu, nu] = hess[..., nu, mu] = mixed / (hh * hh)
+    return [DerivativeBundle(w=float(w0), grad_i=grad[0, k], grad_j=grad[1, k],
+                             hess_ii=hess[0, k], hess_jj=hess[1, k]) for k in range(len(h))]
 
 
 def _refine(coarse: np.ndarray, fine: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
@@ -160,8 +162,7 @@ def derivatives(state: FieldState, a: Event, b: Event,
     h = step if step is not None else (abs(itv.dt) + itv.dr) * 1e-4
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
-    coarse = _fd_bundle(state, a, b, h)
-    fine = _fd_bundle(state, a, b, h / 2.0)
+    coarse, fine = _fd_bundles(state, a, b, (h, h / 2.0))
     return DerivativeBundle(
         w=fine.w,
         grad_i=_refine(coarse.grad_i, fine.grad_i),

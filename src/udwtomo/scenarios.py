@@ -25,7 +25,7 @@ from . import multipole, tomography
 from .detector import correlator_table, sample_table
 from .errors import ConfigError, UdwTomoError
 from .kernels import (FieldState, assemble_kernels, hadamard_point,
-                      phi0_coherent, F_oneparticle,
+                      phi0_coherent_array, F_oneparticle, F_oneparticle_array,
                       wightman_smeared_closed, wightman_smeared_quadrature)
 from .numerics import fit_loglog_slope
 from .smearing import GaussianRegion
@@ -110,13 +110,20 @@ _KNOWN_KEYS = {
 SCENARIO_IDS = tuple(_SCENARIO_DEFAULTS)
 
 
-def _require_number(raw: dict, key: str, positive: bool = False) -> float:
-    v = raw.get(key)
+def _number(v, name: str, field: str | None = None) -> float:
+    """v as a float; a ConfigError on ``field`` (default ``name``) unless v is
+    a finite number."""
     if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-        raise ConfigError(f"field {key!r} must be a finite number, got {v!r}", field=key)
+        raise ConfigError(f"field {name!r} must be a finite number, got {v!r}",
+                          field=field or name)
+    return float(v)
+
+
+def _require_number(raw: dict, key: str, positive: bool = False) -> float:
+    v = _number(raw.get(key), key)
     if positive and v <= 0:
         raise ConfigError(f"field {key!r} must be positive, got {v!r}", field=key)
-    return float(v)
+    return v
 
 
 def _parse_event(d: dict, key: str) -> Event:
@@ -132,10 +139,11 @@ def _parse_event(d: dict, key: str) -> Event:
 def _parse_s_values(raw: dict) -> list[float]:
     spec = raw["s_over_ell"]
     if isinstance(spec, list):
-        vals = [float(v) for v in spec]
+        vals = [_number(v, "s_over_ell") for v in spec]
     elif isinstance(spec, dict):
         try:
-            start, stop, step = spec["start"], spec["stop"], spec["step"]
+            start, stop, step = (_number(spec[k], f"s_over_ell.{k}", "s_over_ell")
+                                 for k in ("start", "stop", "step"))
         except KeyError as exc:
             raise ConfigError("field 's_over_ell' needs start/stop/step",
                               field="s_over_ell") from exc
@@ -163,7 +171,8 @@ def _parse_grid(raw: dict) -> tuple[tuple[float, float, int], tuple[float, float
         n = ax["n"]
         if not isinstance(n, int) or n < 2:
             raise ConfigError(f"field 'grid.{axis}.n' must be an integer >= 2", field="grid")
-        out.append((float(ax["start"]), float(ax["stop"]), n))
+        out.append((_number(ax["start"], f"grid.{axis}.start", "grid"),
+                    _number(ax["stop"], f"grid.{axis}.stop", "grid"), n))
     return out[0], out[1]
 
 
@@ -172,10 +181,13 @@ def _parse_lattice(raw: dict, ell: float) -> LatticeSpec:
     if not isinstance(lat, dict):
         raise ConfigError("field 'lattice' must be an object", field="lattice")
     try:
+        counts = [lat[k] for k in ("n_space", "n_time")]
+        if any(not isinstance(n, int) or isinstance(n, bool) for n in counts):
+            raise TypeError(f"site counts must be integers, got {counts}")
         return LatticeSpec(
-            n_space=int(lat["n_space"]), n_time=int(lat["n_time"]),
-            spacing_space=float(lat["spacing_space"]) * ell,
-            spacing_time=float(lat["spacing_time"]) * ell,
+            n_space=counts[0], n_time=counts[1],
+            spacing_space=_number(lat["spacing_space"], "lattice.spacing_space") * ell,
+            spacing_time=_number(lat["spacing_time"], "lattice.spacing_time") * ell,
             origin=_parse_event(lat.get("origin", {}), "lattice.origin"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'lattice': {exc}", field="lattice") from exc
@@ -198,10 +210,14 @@ def validate_config(raw: dict) -> ScenarioConfig:
     merged.update(_SCENARIO_DEFAULTS[sid])
     merged.update({k: v for k, v in raw.items() if v is not None})
 
+    seed = merged["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"field 'seed' must be a non-negative integer, got {seed!r}",
+                          field="seed")
     cfg = ScenarioConfig(
         scenario_id=sid,
         output_dir=str(merged["output_dir"]),
-        seed=int(merged["seed"]),
+        seed=seed,
         ell=_require_number(merged, "ell", positive=True),
         tol=_require_number(merged, "tol", positive=True),
         enable_quadrature_columns=bool(merged["enable_quadrature_columns"]),
@@ -241,15 +257,17 @@ def validate_config(raw: dict) -> ScenarioConfig:
         cfg.grid_t, cfg.grid_x = _parse_grid(merged)
     if "ell_grid" in merged:
         grid = merged["ell_grid"]
-        if not isinstance(grid, list) or len(grid) < 3 or any(v <= 0 for v in grid):
+        widths = sorted(_number(v, "ell_grid") for v in grid) if isinstance(grid, list) else []
+        if len(widths) < 3 or widths[0] <= 0:
             raise ConfigError("field 'ell_grid' must list >= 3 positive widths",
                               field="ell_grid")
-        cfg.ell_grid = [float(v) * ell for v in sorted(grid)]
+        cfg.ell_grid = [v * ell for v in widths]
     if "base_config" in merged:
         bc = merged["base_config"]
         if not isinstance(bc, dict) or not {"dt", "dr"} <= set(bc):
             raise ConfigError("field 'base_config' needs dt and dr", field="base_config")
-        cfg.base_config = (float(bc["dt"]) * ell, float(bc["dr"]) * ell)
+        cfg.base_config = tuple(_number(bc[k], f"base_config.{k}", "base_config") * ell
+                                for k in ("dt", "dr"))
     return cfg
 
 
@@ -350,33 +368,33 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
     return [path]
 
 
-def _grid_points(axis: tuple[float, float, int]) -> np.ndarray:
-    start, stop, n = axis
-    return np.linspace(start, stop, n)
+def _grid(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, x) grid values in units of ell, row-major in t, and the events
+    (t ell, x ell, 0, 0) as one coordinate array."""
+    axes = [np.linspace(start, stop, n) for start, stop, n in (cfg.grid_t, cfg.grid_x)]
+    t, x = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    coords = np.zeros((t.size, 4))
+    coords[:, 0] = t * cfg.ell
+    coords[:, 1] = x * cfg.ell
+    return t, x, coords
 
 
 def _run_coherent_field_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    rows = []
-    for t in _grid_points(cfg.grid_t):
-        for x in _grid_points(cfg.grid_x):
-            rows.append([float(t), float(x),
-                         phi0_coherent(cfg.delta, Event(float(t) * cfg.ell,
-                                                        float(x) * cfg.ell, 0.0, 0.0))])
+    t, x, coords = _grid(cfg)
+    value = phi0_coherent_array(cfg.delta, coords)
     path = out / "coherent_field_grid.csv"
-    _write_rows(path, ["t", "x", "value"], rows)
+    _write_rows(path, ["t", "x", "value"], np.column_stack([t, x, value]).tolist())
     return [path]
 
 
 def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
     f_anchor = F_oneparticle(cfg.delta, cfg.anchor)
-    rows = []
-    for t in _grid_points(cfg.grid_t):
-        for x in _grid_points(cfg.grid_x):
-            f = F_oneparticle(cfg.delta, Event(float(t) * cfg.ell,
-                                               float(x) * cfg.ell, 0.0, 0.0))
-            rows.append([float(t), float(x), 2.0 * (f_anchor * f.conjugate()).real])
+    t, x, coords = _grid(cfg)
+    f = F_oneparticle_array(cfg.delta, coords)
+    # 2 Re(F(anchor) conj(F(x)))
+    value = 2.0 * (f_anchor.real * f.real + f_anchor.imag * f.imag)
     path = out / "oneparticle_diff_grid.csv"
-    _write_rows(path, ["t", "x", "value"], rows)
+    _write_rows(path, ["t", "x", "value"], np.column_stack([t, x, value]).tolist())
     return [path]
 
 

@@ -15,12 +15,15 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Event",
     "Interval",
     "LatticeSpec",
     "Separation",
     "interval",
+    "intervals",
     "classify",
     "default_lightcone_tol",
     "build_lattice",
@@ -45,16 +48,15 @@ class Event:
         return math.sqrt((self.x - other.x) ** 2 + (self.y - other.y) ** 2
                          + (self.z - other.z) ** 2)
 
-    def shifted(self, axis: int, amount: float) -> "Event":
-        """Copy of this event displaced along coordinate axis (0=t,1=x,2=y,3=z)."""
-        c = [self.t, self.x, self.y, self.z]
-        c[axis] += amount
-        return Event(*c)
+    def coords(self) -> np.ndarray:
+        """The coordinates as a length-4 array ordered (t, x, y, z)."""
+        return np.array((self.t, self.x, self.y, self.z))
 
 
 @dataclass(frozen=True)
 class Interval:
-    """Relative separation data for an ordered pair of events."""
+    """Relative separation data for an ordered pair of events (floats), or
+    for arrays of event pairs (arrays of one shape, from ``intervals``)."""
 
     dt: float     # t_a - t_b
     dr: float     # spatial distance, >= 0
@@ -74,8 +76,19 @@ def interval(a: Event, b: Event) -> Interval:
     return Interval(dt=dt, dr=dr, sigma=0.5 * (-dt * dt + dr * dr))
 
 
+def intervals(a: np.ndarray, b: np.ndarray) -> Interval:
+    """Interval of coordinate arrays a, b of shape (..., 4), ordered (t, x, y, z).
+
+    Elementwise the same arithmetic as ``interval``.
+    """
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    dt = d[..., 0]
+    dr = np.sqrt(d[..., 1] ** 2 + d[..., 2] ** 2 + d[..., 3] ** 2)
+    return Interval(dt=dt, dr=dr, sigma=0.5 * (-dt * dt + dr * dr))
+
+
 def default_lightcone_tol(itv: Interval) -> float:
-    return 1e-9 * max(abs(itv.dt), itv.dr, 1.0)
+    return 1e-9 * np.maximum(np.maximum(np.abs(itv.dt), itv.dr), 1.0)
 
 
 def classify(a: Event, b: Event, lightcone_tol: float | None = None) -> Separation:

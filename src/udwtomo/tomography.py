@@ -58,6 +58,10 @@ def _pair_index(table: CorrelatorTable, i: int, j: int) -> tuple[int, int, np.nd
 def reconstruct_spacelike(table: CorrelatorTable, i: int, j: int) -> float:
     """H_ij from the yy/zz ratio alone (valid when no third-party causal links)."""
     a, b, _ = _pair_index(table, i, j)
+    return _spacelike(table, i, j, a, b)
+
+
+def _spacelike(table: CorrelatorTable, i: int, j: int, a: int, b: int) -> float:
     zz, yy = float(table.zz[a, b]), float(table.yy[a, b])
     if abs(zz) < _DEPHASING_HARD:
         raise DephasingError(f"pair ({i},{j}): <sz sz> = {zz:g} is fully dephased")
@@ -75,7 +79,11 @@ def causal_correction(table: CorrelatorTable, i: int, j: int) -> float:
     A ``TangentDomainError`` names the 1-based third detector k whose
     product left the arctanh domain.
     """
-    a, b, others = _pair_index(table, i, j)
+    return _correction(table, i, j, *_pair_index(table, i, j))
+
+
+def _correction(table: CorrelatorTable, i: int, j: int, a: int, b: int,
+                others: np.ndarray) -> float:
     zi, zj = float(table.z[a]), float(table.z[b])
     if zi == 0.0 or zj == 0.0:
         raise DephasingError(f"pair ({i},{j}): vanishing <sz> denominator")
@@ -122,11 +130,11 @@ def reconstruct_record(table: CorrelatorTable, i: int, j: int,
         flags.append("dephasing_dominated")
     if np.any(table.yx[a, others] != 0.0) or np.any(table.xy[others, b] != 0.0):
         regime = "causal"
-        c = causal_correction(table, i, j)
+        c = _correction(table, i, j, a, b, others)
     else:
         regime = "spacelike"
         c = 0.0
-    h = reconstruct_spacelike(table, i, j) - c
+    h = _spacelike(table, i, j, a, b) - c
     return ReconstructionResult(
         i=i, j=j, H_ij_reconstructed=h, C_ij=c,
         W_ij=assemble_wightman(h, e_ij), regime=regime, condition_flags=flags)

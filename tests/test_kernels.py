@@ -96,6 +96,19 @@ class TestHadamardPoint:
         mixed = hadamard_point(FieldState.thermal(beta), Event(500.0, 100.0, 0, 0), O)
         assert mixed == 0.0 and not math.isnan(mixed)
 
+    def test_thermal_one_argument_saturated(self):
+        # one of pi (dr +- dt) / beta beyond 300, the other not: the product
+        # form would overflow there; the textbook coth sum at 30 digits decides
+        import mpmath as mp
+        beta = 1.0
+        with mp.workdps(30):
+            for (dt, dr) in ((100.0, 150.0), (110.0, 100.0), (-110.0, 100.0), (50.0, 60.0)):
+                got = hadamard_point(FieldState.thermal(beta), Event(dt, dr, 0, 0), O)
+                k = mp.pi / beta
+                want = (mp.coth(k * (dr + dt)) + mp.coth(k * (dr - dt))) / (
+                    8 * mp.pi * beta * dr)
+                assert got == pytest.approx(float(want), rel=1e-12)
+
     def test_thermal_pure_temporal_limit(self):
         # dr -> 0 analytic limit -1/(4 beta^2 sinh^2(pi dt / beta))
         beta, dt = 50.0, 5.0
@@ -150,6 +163,20 @@ class TestPhi0:
         assert lo == pytest.approx(want, rel=1e-10)
         assert hi == pytest.approx(want, rel=1e-5)
 
+    def test_series_matches_direct_form_below_switch(self):
+        # just inside the series radius (1e-4 delta) the r^2 term is ~1e-9 of
+        # the value; the direct form at 30 digits pins it
+        import mpmath as mp
+        delta = 1.5
+        with mp.workdps(30):
+            for t in (0.8, -2.0, 4.0):
+                r = 0.9e-4 * delta
+                tm, rm, s2 = mp.mpf(t), mp.mpf(r), mp.mpf(delta) ** 2
+                want = (mp.exp(-(rm + tm) ** 2 / (4 * s2)) - mp.exp(-(rm - tm) ** 2 / (4 * s2))) / (
+                    rm * 4 * mp.sqrt(2) * mp.pi)
+                got = phi0_coherent(delta, Event(t, r, 0, 0))
+                assert got == pytest.approx(float(want), rel=1e-13)
+
     def test_smeared_region_against_radial_quadrature(self):
         delta, ell = 1.5, 1.0
         for (t, x) in ((6.0, 6.0), (-3.0, 8.0), (5.0, 0.0)):
@@ -201,6 +228,55 @@ class TestOneParticleF:
         center = F_oneparticle(delta, Event(t, 0.0, 0, 0))
         assert abs(inside - center) < 1e-4 * abs(center) + 1e-15
         assert abs(outside - center) < 1e-4 * abs(center) + 1e-15
+
+
+class TestArrayKernels:
+    """Batched kernels pick a branch per point: each element of one array that
+    mixes every branch equals the same kernel evaluated one point at a time."""
+
+    # (dt, dr) at beta = 1
+    THERMAL = [(0.3, 2.0), (2.0, 0.5), (-1.5, 3.0),   # generic
+               (0.0, 200.0), (5.0, 200.0),          # saturated, spacelike plateau
+               (200.0, 0.0), (500.0, 100.0),        # saturated, timelike underflow
+               (100.0, 150.0), (110.0, 100.0),      # one argument saturated
+               (0.7, 0.0), (0.7, 1e-9)]             # dr -> 0 sinhc limit
+    # (t, r) about the source centre, delta = 1.5: phi0 switches to its series
+    # below r = 1.5e-4, F below r = 1.5e-3
+    SOURCED = [(1.0, 3.0), (-2.0, 0.5), (0.4, 7.0),   # generic
+               (1.0, 0.0), (-0.5, 1e-7),            # both series
+               (2.0, 1e-3), (-3.0, 1.2e-3)]         # F series only
+
+    @staticmethod
+    def coords(pairs):
+        return np.array([[t, 0.6 * r, 0.8 * r, 0.0] for t, r in pairs])
+
+    def test_thermal_branches(self):
+        state = FieldState.thermal(1.0)
+        a = self.coords(self.THERMAL)
+        got = kernels.hadamard_array(state, a, np.zeros(4))
+        assert got.tolist() == [hadamard_point(state, Event(*p), O) for p in a]
+
+    def test_source_amplitude_branches(self):
+        x = self.coords(self.SOURCED)
+        events = [Event(*p) for p in x]
+        assert kernels.phi0_coherent_array(1.5, x).tolist() == [
+            phi0_coherent(1.5, e) for e in events]
+        assert kernels.F_oneparticle_array(1.5, x).tolist() == [
+            F_oneparticle(1.5, e) for e in events]
+
+    @pytest.mark.parametrize("state", [FieldState.coherent(1.5),
+                                       FieldState.one_particle(1.5)])
+    def test_sourced_hadamard_branches(self, state):
+        a = self.coords(self.SOURCED)
+        b = np.roll(a, 1, axis=0) + [0.0, 0.0, 0.0, 9.0]
+        got = kernels.hadamard_array(state, a, b)
+        assert got.tolist() == [hadamard_point(state, Event(*p), Event(*q))
+                                for p, q in zip(a, b)]
+
+    def test_lightlike_point_raises(self):
+        a = self.coords([(0.3, 2.0), (1.0, 1.0)])
+        with pytest.raises(LightconeSingularityError):
+            kernels.hadamard_array(FieldState.vacuum(), a, np.zeros(4))
 
 
 class TestSmearedOracle:

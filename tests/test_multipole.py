@@ -38,7 +38,7 @@ class TestVacuumDerivatives:
         # cross-check the closed vacuum derivatives against the generic stencil
         a, b = Event(0.7, 2.5, 0.4, -0.3), Event(-0.1, 0.2, 0.0, 0.1)
         closed = derivatives(VAC, a, b)
-        fd = multipole._fd_bundle(VAC, a, b, 1e-3)
+        fd, = multipole._fd_bundles(VAC, a, b, (1e-3,))
         assert np.allclose(fd.grad_i, closed.grad_i, rtol=1e-8)
         assert np.allclose(fd.grad_j, closed.grad_j, rtol=1e-8)
         assert np.allclose(fd.hess_ii, closed.hess_ii, rtol=1e-6, atol=1e-9)
@@ -187,6 +187,69 @@ class TestEstimate:
             a = estimate(state, ri, rj)
             b = estimate(state, rj, ri)
             assert a.value == pytest.approx(b.value, rel=1e-9)
+
+
+def _mp_sourced_pair(state):
+    """Re W of a sourced state at 30 digits: the vacuum term plus
+    phi0(a) phi0(b) (coherent) or 2 Re F(a) conj F(b) (one-particle), each
+    amplitude in its closed mpmath form."""
+    import mpmath as mp
+
+    delta = mp.mpf(state.delta)
+
+    def phi0(t, r):
+        s2 = delta**2
+        return (mp.exp(-(r + t) ** 2 / (4 * s2)) - mp.exp(-(r - t) ** 2 / (4 * s2))) / (
+            r * 4 * mp.sqrt(2) * mp.pi)
+
+    def F(t, r):
+        def h(v, sign):
+            return v * mp.exp(-v * v) * (1 + sign * 1j * mp.erfi(v)) / mp.sqrt(2 * mp.pi)
+        s = mp.sqrt(2) * delta
+        return (h((r - t) / s, 1) + h((r + t) / s, -1)) / (2 * r)
+
+    def w(ta, xa, ya, za, tb, xb, yb, zb):
+        dt = ta - tb
+        dr2 = (xa - xb) ** 2 + (ya - yb) ** 2 + (za - zb) ** 2
+        ra, rb = mp.sqrt(xa**2 + ya**2 + za**2), mp.sqrt(xb**2 + yb**2 + zb**2)
+        vac = 1 / (4 * mp.pi**2 * (dr2 - dt**2))
+        if state.tag == "coherent":
+            return vac + phi0(ta, ra) * phi0(tb, rb)
+        return vac + 2 * mp.re(F(ta, ra) * mp.conj(F(tb, rb)))
+    return w
+
+
+def _mp_multipole(state, a, b, ell):
+    """W + (ell^2/2)(tr Hess_a W + tr Hess_b W), Hessians by mpmath.diff."""
+    import mpmath as mp
+
+    w = _mp_sourced_pair(state)
+    with mp.workdps(30):
+        point = [mp.mpf(v) for v in (a.t, a.x, a.y, a.z, b.t, b.x, b.y, b.z)]
+        trace = sum(mp.diff(w, point, tuple(2 if k == axis else 0 for k in range(8)))
+                    for axis in range(8))
+        return float(w(*point) + mp.mpf(ell) ** 2 / 2 * trace)
+
+
+class TestSourcedOracle:
+    """Coherent and one-particle estimates against mpmath Hessian traces."""
+
+    @pytest.mark.parametrize("state, a, b", [
+        (FieldState.coherent(1.5), Event(1.0, 6.0, 0.5, 0.0), Event(-0.5, 1.0, -2.0, 0.3)),
+        (FieldState.coherent(1.5), Event(2.0, -4.0, 1.0, 0.0), Event(-1.0, 0.5, 0.0, 2.0)),
+        # one event 1e-4 from the source centre: its stencil straddles the
+        # small-r series switch of phi0 (r = 1e-4 delta)
+        (FieldState.coherent(1.5), Event(0.8, 1e-4, 0.0, 0.0), Event(-1.0, 3.0, 1.0, 0.0)),
+        (FieldState.one_particle(4.0), Event(1.0, 6.0, 0.5, 0.0), Event(-0.5, 1.0, -2.0, 0.3)),
+        (FieldState.one_particle(4.0), Event(-3.0, 1.0, 2.0, 0.0), Event(2.0, -5.0, 0.0, 1.0)),
+        # within 1e-3 delta of the source centre: the stencil straddles the
+        # small-r series switch of F (r = 1e-3 delta)
+        (FieldState.one_particle(4.0), Event(0.8, 3e-3, 0.0, 0.0), Event(-1.0, 3.0, 1.0, 0.0)),
+    ])
+    def test_estimate_matches_mpmath(self, state, a, b):
+        ell = 0.3
+        est = estimate(state, GaussianRegion(a, ell), GaussianRegion(b, ell))
+        assert est.value == pytest.approx(_mp_multipole(state, a, b, ell), rel=1e-5)
 
 
 class TestConvergenceOrder:

@@ -55,6 +55,39 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config({"scenario_id": "shot_noise_study", "shots_list": [0]})
 
+    @pytest.mark.parametrize("raw, field", [
+        ({"scenario_id": "vacuum_curves", "s_over_ell": ["a", 1]}, "s_over_ell"),
+        ({"scenario_id": "vacuum_curves", "s_over_ell": [1.0, math.nan]}, "s_over_ell"),
+        ({"scenario_id": "vacuum_curves",
+          "s_over_ell": {"start": "a", "stop": 2.0, "step": 0.5}}, "s_over_ell"),
+        ({"scenario_id": "vacuum_curves",
+          "s_over_ell": {"start": 0.5, "stop": "a", "step": 0.5}}, "s_over_ell"),
+        ({"scenario_id": "vacuum_curves",
+          "s_over_ell": {"start": 0.5, "stop": 2.0, "step": "a"}}, "s_over_ell"),
+        ({"scenario_id": "coherent_field_grid",
+          "grid": {**SMALL_GRID, "x": {"start": "a", "stop": 1.0, "n": 3}}}, "grid"),
+        ({"scenario_id": "convergence_sweep", "ell_grid": ["a", 1, 2]}, "ell_grid"),
+        ({"scenario_id": "convergence_sweep",
+          "base_config": {"dt": 0.0, "dr": "a"}}, "base_config"),
+        ({"scenario_id": "tomography_roundtrip",
+          "lattice": {"n_space": 2, "n_time": 2, "spacing_space": math.nan,
+                      "spacing_time": 10.0}}, "lattice"),
+        ({"scenario_id": "tomography_roundtrip",
+          "lattice": {"n_space": 2.7, "n_time": 2, "spacing_space": 10.0,
+                      "spacing_time": 10.0}}, "lattice"),
+        ({"scenario_id": "vacuum_curves", "seed": "abc"}, "seed"),
+        ({"scenario_id": "shot_noise_study", "seed": -1}, "seed"),
+    ])
+    def test_malformed_values(self, raw, field, tmp_path, capsys):
+        # each is a ConfigError naming the field, and the CLI exits 2
+        with pytest.raises(ConfigError) as ei:
+            validate_config(raw)
+        assert ei.value.field == field
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["validate", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_defaults_fill_in(self):
         cfg = validate_config({"scenario_id": "thermal_curves"})
         assert cfg.beta == 50.0
