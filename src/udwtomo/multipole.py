@@ -7,22 +7,22 @@ ell^2 times the identity, so to second order
         - (ell^2/6) W(x_i, x_j) (tr R(x_i) + tr R(x_j))
         + (ell^2/2) (tr Hess_i W + tr Hess_j W) + O(ell^4),
 
-with Euclidean traces (Kronecker delta, not the metric).  The vacuum
-derivative kernels are closed form,
+with Euclidean traces (Kronecker delta, not the metric), so only the
+diagonal of each event's Hessian enters.  For the vacuum that diagonal is
+closed form, with sep = x - x' and sigma = (-dt^2 + dr^2)/2,
 
-    W_mu = -(x - x')_mu / (8 pi^2 sigma^2),
-    W_{mu nu} = (W/sigma) (2 (x - x')_mu (x - x')_nu / sigma - eta_{mu nu}),
+    d^2 W / (dx^mu)^2 = (W/sigma) (2 sep_mu^2 / sigma - eta_{mu mu})
 
-which makes the vacuum correction factor exactly
+(no sum over mu), which makes the vacuum correction factor exactly
 
     1 + ell^2 (12 dt^2 + 4 dr^2) / (-dt^2 + dr^2)^2.
 
 The equal-time and equal-position limits (4 ell^2/dr^2 and 12 ell^2/dt^2)
 and direct comparison against the quadrature oracle pin this coefficient; a
 candidate with half this value is excluded by both.  Non-vacuum states are
-differentiated by 5-point central differences with Richardson refinement;
-the stencil points of both events and both step sizes are evaluated in one
-array call of the pointlike kernel per estimate.
+differentiated by 5-point central differences along each axis with
+Richardson refinement; the 65 stencil points of both events and both step
+sizes are evaluated in one array call of the pointlike kernel per estimate.
 """
 
 from __future__ import annotations
@@ -49,21 +49,18 @@ __all__ = [
     "thermal_expansion_spatial",
 ]
 
-_ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
-# 5-point first-derivative stencil: offsets and weights (divide by h)
-_D1_OFFSETS = (-2, -1, 1, 2)
-_D1_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
+_ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
+# unit-step offsets of one event's 5-point stencil, shape (16, 4): axis, then offset
+_OFFSETS = np.array([s * e for e in np.eye(4) for s in (-2, -1, 1, 2)])
 
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """Pointlike value plus first/second coordinate derivatives at both events."""
+    """Pointlike value plus the Hessian diagonal d^2 W / (dx^mu)^2 at both events."""
 
     w: float
-    grad_i: np.ndarray   # d W / d x^mu at the first event
-    grad_j: np.ndarray   # d W / d x'^mu at the second event
-    hess_ii: np.ndarray  # 4x4 second derivatives in the first event
-    hess_jj: np.ndarray  # 4x4 second derivatives in the second event
+    hess_diag_i: np.ndarray  # shape (4,), in the first event
+    hess_diag_j: np.ndarray  # shape (4,), in the second event
 
 
 @dataclass(frozen=True)
@@ -77,33 +74,11 @@ class MultipoleEstimate:
 
 
 def _vacuum_bundle(a: Event, b: Event) -> DerivativeBundle:
-    itv = interval(a, b)
-    sigma = itv.sigma
+    sigma = interval(a, b).sigma
     w = 1.0 / (8.0 * math.pi**2 * sigma)
-    sep_lower = np.array([-(a.t - b.t), a.x - b.x, a.y - b.y, a.z - b.z])
-    grad_i = -sep_lower / (8.0 * math.pi**2 * sigma**2)
-    hess = (w / sigma) * (2.0 * np.outer(sep_lower, sep_lower) / sigma - _ETA)
-    return DerivativeBundle(w=w, grad_i=grad_i, grad_j=-grad_i,
-                            hess_ii=hess, hess_jj=hess.copy())
-
-
-_PAIRS = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
-
-
-def _stencil() -> tuple[np.ndarray, np.ndarray]:
-    """Unit-step offsets of one event's stencil, shape (112, 4): the 16 axis
-    points (axis, then offset), then the 96 mixed points (axis pair, offset
-    along the first axis, offset along the second); and the 16 weights of
-    the mixed points."""
-    eye = np.eye(4)
-    axis = [s * eye[mu] for mu in range(4) for s in _D1_OFFSETS]
-    mixed = [s * eye[mu] + t * eye[nu] for mu, nu in _PAIRS
-             for s in _D1_OFFSETS for t in _D1_OFFSETS]
-    weights = [cs * ct for cs in _D1_WEIGHTS for ct in _D1_WEIGHTS]
-    return np.array(axis + mixed), np.array(weights)
-
-
-_OFFSETS, _MIXED_WEIGHTS = _stencil()
+    sep = a.coords() - b.coords()
+    diag = (w / sigma) * (2.0 * (sep * sep) / sigma - _ETA_DIAG)
+    return DerivativeBundle(w=w, hess_diag_i=diag, hess_diag_j=diag.copy())
 
 
 def _fd_bundles(state: FieldState, a: Event, b: Event,
@@ -128,19 +103,12 @@ def _fd_bundles(state: FieldState, a: Event, b: Event,
             f"(sigma went from {sigma[0]:g} to {sigma[crossed[0]]:g})")
     vals = hadamard_array(state, first, second)
     w0 = vals[0]
-    v = vals[1:].reshape(2, len(h), len(_OFFSETS))   # (event, step, point)
-    f = v[..., :16].reshape(2, len(h), 4, 4)         # (event, step, axis, offset)
+    f = vals[1:].reshape(2, len(h), 4, 4)  # (event, step, axis, offset)
     hh = h[:, None]
-    grad = (f[..., 0] - 8.0 * f[..., 1] + 8.0 * f[..., 2] - f[..., 3]) / (12.0 * hh)
-    hess = np.empty((2, len(h), 4, 4))
-    diag = np.arange(4)
-    hess[..., diag, diag] = (-f[..., 3] + 16.0 * f[..., 2] - 30.0 * w0
-                             + 16.0 * f[..., 1] - f[..., 0]) / (12.0 * hh * hh)
-    mixed = (v[..., 16:].reshape(2, len(h), len(_PAIRS), 16) * _MIXED_WEIGHTS).sum(axis=-1)
-    mu, nu = np.array(_PAIRS).T
-    hess[..., mu, nu] = hess[..., nu, mu] = mixed / (hh * hh)
-    return [DerivativeBundle(w=float(w0), grad_i=grad[0, k], grad_j=grad[1, k],
-                             hess_ii=hess[0, k], hess_jj=hess[1, k]) for k in range(len(h))]
+    diag = (-f[..., 3] + 16.0 * f[..., 2] - 30.0 * w0
+            + 16.0 * f[..., 1] - f[..., 0]) / (12.0 * hh * hh)
+    return [DerivativeBundle(w=float(w0), hess_diag_i=diag[0, k], hess_diag_j=diag[1, k])
+            for k in range(len(h))]
 
 
 def _refine(coarse: np.ndarray, fine: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
@@ -150,38 +118,31 @@ def _refine(coarse: np.ndarray, fine: np.ndarray, rel_tol: float = 1e-6) -> np.n
     return fine
 
 
-def derivatives(state: FieldState, a: Event, b: Event,
-                step: float | None = None) -> DerivativeBundle:
-    """Derivative data of Re W at (a, b): closed form for the vacuum,
-    Richardson-refined central differences for the other states."""
+def derivatives(state: FieldState, a: Event, b: Event) -> DerivativeBundle:
+    """Hessian diagonals of Re W at (a, b): closed form for the vacuum,
+    Richardson-refined central differences with step 1e-4 (|dt| + dr) for
+    the other states."""
     if classify(a, b) is Separation.LIGHTLIKE:
         raise LightconeSingularityError("derivative kernels singular on the lightcone")
     if state.tag == "vacuum":
         return _vacuum_bundle(a, b)
     itv = interval(a, b)
-    h = step if step is not None else (abs(itv.dt) + itv.dr) * 1e-4
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+    h = (abs(itv.dt) + itv.dr) * 1e-4
     coarse, fine = _fd_bundles(state, a, b, (h, h / 2.0))
-    return DerivativeBundle(
-        w=fine.w,
-        grad_i=_refine(coarse.grad_i, fine.grad_i),
-        grad_j=_refine(coarse.grad_j, fine.grad_j),
-        hess_ii=_refine(coarse.hess_ii, fine.hess_ii),
-        hess_jj=_refine(coarse.hess_jj, fine.hess_jj),
-    )
+    return DerivativeBundle(w=fine.w,
+                            hess_diag_i=_refine(coarse.hess_diag_i, fine.hess_diag_i),
+                            hess_diag_j=_refine(coarse.hess_diag_j, fine.hess_diag_j))
 
 
 def estimate(state: FieldState, ri: GaussianRegion, rj: GaussianRegion,
              ricci_i: np.ndarray | None = None,
-             ricci_j: np.ndarray | None = None,
-             step: float | None = None) -> MultipoleEstimate:
+             ricci_j: np.ndarray | None = None) -> MultipoleEstimate:
     """Second-order multipole estimate of Re W(region_i, region_j)."""
     if abs(ri.ell - rj.ell) > 1e-12 * max(ri.ell, rj.ell):
         raise ValueError("regions must share the same width")
     ell2 = ri.ell**2
-    bundle = derivatives(state, ri.center, rj.center, step=step)
-    quad = 0.5 * ell2 * (float(np.trace(bundle.hess_ii)) + float(np.trace(bundle.hess_jj)))
+    bundle = derivatives(state, ri.center, rj.center)
+    quad = 0.5 * ell2 * (float(np.sum(bundle.hess_diag_i)) + float(np.sum(bundle.hess_diag_j)))
     ricci = 0.0
     for mat in (ricci_i, ricci_j):
         if mat is not None:

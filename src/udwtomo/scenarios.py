@@ -119,6 +119,10 @@ def _number(v, name: str, field: str | None = None) -> float:
     return float(v)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _require_number(raw: dict, key: str, positive: bool = False) -> float:
     v = _number(raw.get(key), key)
     if positive and v <= 0:
@@ -129,11 +133,7 @@ def _require_number(raw: dict, key: str, positive: bool = False) -> float:
 def _parse_event(d: dict, key: str) -> Event:
     if not isinstance(d, dict):
         raise ConfigError(f"field {key!r} must be an object with t/x/y/z", field=key)
-    try:
-        return Event(float(d.get("t", 0.0)), float(d.get("x", 0.0)),
-                     float(d.get("y", 0.0)), float(d.get("z", 0.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {key!r}: {exc}", field=key) from exc
+    return Event(*(_number(d.get(c, 0.0), f"{key}.{c}", key) for c in "txyz"))
 
 
 def _parse_s_values(raw: dict) -> list[float]:
@@ -169,7 +169,7 @@ def _parse_grid(raw: dict) -> tuple[tuple[float, float, int], tuple[float, float
         if not isinstance(ax, dict) or not {"start", "stop", "n"} <= set(ax):
             raise ConfigError(f"field 'grid.{axis}' needs start/stop/n", field="grid")
         n = ax["n"]
-        if not isinstance(n, int) or n < 2:
+        if not _is_int(n) or n < 2:
             raise ConfigError(f"field 'grid.{axis}.n' must be an integer >= 2", field="grid")
         out.append((_number(ax["start"], f"grid.{axis}.start", "grid"),
                     _number(ax["stop"], f"grid.{axis}.stop", "grid"), n))
@@ -182,7 +182,7 @@ def _parse_lattice(raw: dict, ell: float) -> LatticeSpec:
         raise ConfigError("field 'lattice' must be an object", field="lattice")
     try:
         counts = [lat[k] for k in ("n_space", "n_time")]
-        if any(not isinstance(n, int) or isinstance(n, bool) for n in counts):
+        if not all(_is_int(n) for n in counts):
             raise TypeError(f"site counts must be integers, got {counts}")
         return LatticeSpec(
             n_space=counts[0], n_time=counts[1],
@@ -211,16 +211,20 @@ def validate_config(raw: dict) -> ScenarioConfig:
     merged.update({k: v for k, v in raw.items() if v is not None})
 
     seed = merged["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError(f"field 'seed' must be a non-negative integer, got {seed!r}",
                           field="seed")
+    quadrature_columns = merged["enable_quadrature_columns"]
+    if not isinstance(quadrature_columns, bool):
+        raise ConfigError("field 'enable_quadrature_columns' must be true or false, "
+                          f"got {quadrature_columns!r}", field="enable_quadrature_columns")
     cfg = ScenarioConfig(
         scenario_id=sid,
         output_dir=str(merged["output_dir"]),
         seed=seed,
         ell=_require_number(merged, "ell", positive=True),
         tol=_require_number(merged, "tol", positive=True),
-        enable_quadrature_columns=bool(merged["enable_quadrature_columns"]),
+        enable_quadrature_columns=quadrature_columns,
     )
     ell = cfg.ell
     if "beta" in merged and merged.get("beta") is not None:
@@ -245,12 +249,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if "shots_list" in merged:
         shots = merged["shots_list"]
         if (not isinstance(shots, list) or not shots
-                or any((not isinstance(s, int)) or s < 1 for s in shots)):
+                or any(not _is_int(s) or s < 1 for s in shots)):
             raise ConfigError("field 'shots_list' must be a non-empty list of ints >= 1",
                               field="shots_list")
         cfg.shots_list = list(shots)
     if "repeats" in merged:
-        if not isinstance(merged["repeats"], int) or merged["repeats"] < 1:
+        if not _is_int(merged["repeats"]) or merged["repeats"] < 1:
             raise ConfigError("field 'repeats' must be an integer >= 1", field="repeats")
         cfg.repeats = merged["repeats"]
     if "grid" in merged:
@@ -355,8 +359,10 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
         ri, rj = GaussianRegion(a, cfg.ell), GaussianRegion(b, cfg.ell)
         row: list = [s]
         try:
-            row += [hadamard_point(vac, a, b), hadamard_point(state, a, b),
-                    multipole.estimate(state, ri, rj).value]
+            # the vacuum kernel goes first so that lightlike rows report its error
+            vacuum = hadamard_point(vac, a, b)
+            est = multipole.estimate(state, ri, rj)
+            row += [vacuum, est.pointlike_term, est.value]
             if cfg.enable_quadrature_columns:
                 row.append(wightman_smeared_quadrature(state, ri, rj, cfg.tol).real)
             row.append("")

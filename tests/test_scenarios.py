@@ -10,7 +10,9 @@ import pytest
 
 from udwtomo import cli, scenarios
 from udwtomo.errors import ConfigError
+from udwtomo.kernels import FieldState, hadamard_point
 from udwtomo.scenarios import validate_config
+from udwtomo.spacetime import Event
 
 SMALL_S = {"start": 1.0, "stop": 12.0, "step": 1.0}
 SMALL_GRID = {"t": {"start": -10.0, "stop": 10.0, "n": 5},
@@ -77,6 +79,20 @@ class TestValidation:
                       "spacing_time": 10.0}}, "lattice"),
         ({"scenario_id": "vacuum_curves", "seed": "abc"}, "seed"),
         ({"scenario_id": "shot_noise_study", "seed": -1}, "seed"),
+        ({"scenario_id": "thermal_curves", "enable_quadrature_columns": "no"},
+         "enable_quadrature_columns"),
+        ({"scenario_id": "shot_noise_study", "repeats": True}, "repeats"),
+        ({"scenario_id": "shot_noise_study", "shots_list": [True, 10]}, "shots_list"),
+        ({"scenario_id": "coherent_curves",
+          "anchor": {"t": "6", "x": -6.0, "y": 0.0, "z": 0.0}}, "anchor"),
+        ({"scenario_id": "oneparticle_curves",
+          "anchor": {"t": -60.0, "x": False, "y": 0.0, "z": 0.0}}, "anchor"),
+        ({"scenario_id": "tomography_roundtrip",
+          "lattice": {"n_space": 2, "n_time": 2, "spacing_space": 10.0,
+                      "spacing_time": 10.0, "origin": {"t": "6"}}}, "lattice"),
+        ({"scenario_id": "tomography_roundtrip",
+          "lattice": {"n_space": 2, "n_time": 2, "spacing_space": 10.0,
+                      "spacing_time": 10.0, "origin": {"z": True}}}, "lattice"),
     ])
     def test_malformed_values(self, raw, field, tmp_path, capsys):
         # each is a ConfigError naming the field, and the CLI exits 2
@@ -142,6 +158,31 @@ class TestScenarioOutputs:
         devs = [abs(float(r["state_kernel"]) - float(r["vacuum_pointlike"]))
                 for r in rows]
         assert max(devs) > 0
+
+    @pytest.mark.parametrize("raw, state, column, temporal_sign", [
+        ({"scenario_id": "thermal_curves", "s_over_ell": [0.5, 3.0, 12.0]},
+         FieldState.thermal(50.0), "thermal_pointlike", 1.0),
+        ({"scenario_id": "coherent_curves", "s_over_ell": [0.5, 6.0, 12.0]},
+         FieldState.coherent(1.5), "state_kernel", -1.0),
+        ({"scenario_id": "oneparticle_curves", "s_over_ell": [0.5, 60.0, 120.0]},
+         FieldState.one_particle(10.0), "state_kernel", 1.0),
+    ], ids=["thermal", "coherent", "oneparticle"])
+    def test_state_kernel_cells_are_pointlike_values(self, raw, state, column,
+                                                     temporal_sign, tmp_path):
+        # the state column is the multipole estimate's pointlike term; it must
+        # equal the one-event kernel at the row's events to the last bit
+        paths = scenarios.run({**raw, "output_dir": str(tmp_path)})
+        rows = read_csv(paths[0])
+        assert len(rows) == 6
+        anchor = validate_config(raw).anchor or Event(0.0, 0.0, 0.0, 0.0)
+        for r in rows:
+            assert r["errors"] == ""
+            s = float(r["s_over_ell"])
+            if s < 0:
+                b = Event(anchor.t + temporal_sign * abs(s), anchor.x, anchor.y, anchor.z)
+            else:
+                b = Event(anchor.t, anchor.x + s, anchor.y, anchor.z)
+            assert repr(float(r[column])) == repr(hadamard_point(state, anchor, b))
 
     def test_oneparticle_grid_peak_on_lightcone(self, tmp_path):
         paths = scenarios.run({"scenario_id": "oneparticle_diff_grid",
