@@ -621,8 +621,11 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion], lam: floa
     Only zero-mean quasifree states (vacuum, thermal) are admissible: the
     exact detector state formula presupposes a vanishing one-point function.
     The retarded part is filled from the closed commutator form (it is state
-    independent) on the future side of each pair, and H from closed forms
-    where available and from the quadrature oracle otherwise.
+    independent) on the future side of each pair.  An off-diagonal H entry
+    depends on its pair only through the geometry (|dt|, dr), and Re W is
+    even in dt bit for bit, so each distinct geometry (exact floats) is
+    evaluated once, from a closed form where available and from the
+    quadrature oracle otherwise, and scattered to every pair that has it.
     """
     if state.tag not in ("vacuum", "thermal"):
         raise ValueError(
@@ -649,25 +652,35 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion], lam: floa
             raise type(exc)(f"diagonal kernel: {exc}") from exc
         return lam2 * 2.0 * w.real
 
-    h_diag = diag_value()
-    for i in range(n):
-        H[i, i] = h_diag
+    np.fill_diagonal(H, diag_value())
 
     # the commutator is state independent: every pair in one array pass
     centers = np.array([r.center.coords() for r in regions])
     itv = intervals(centers[:, None], centers[None, :])
     E = lam2 * _commutator(itv.dt, itv.dr, regions[0].ell)
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
-                w = _pair_value(state, regions[i], regions[j], tol)
-            except UdwTomoError as exc:
-                raise type(exc)(f"kernel pair (i={i}, j={j}): {exc}") from exc
-            H[i, j] = H[j, i] = lam2 * 2.0 * w.real
-            if itv.dt[i, j] > 0.0:
-                GR[i, j] = E[i, j]
-            elif itv.dt[i, j] < 0.0:
-                GR[j, i] = -E[i, j]
+
+    # one evaluation per distinct (|dt|, dr), keyed on exact floats, at the
+    # first pair that has it; row-major order, so an error names the first
+    # pair that fails.  first[k] is the first pair with the geometry of pair k
+    iu, ju = np.triu_indices(n, k=1)
+    dt = itv.dt[iu, ju]
+    seen: dict[tuple[float, float], int] = {}
+    first = [seen.setdefault(key, k)
+             for k, key in enumerate(zip(np.abs(dt).tolist(), itv.dr[iu, ju].tolist()))]
+    values = np.empty(len(first))
+    for k in seen.values():
+        i, j = iu[k], ju[k]
+        try:
+            w = _pair_value(state, regions[i], regions[j], tol)
+        except UdwTomoError as exc:
+            raise type(exc)(f"kernel pair (i={i}, j={j}): {exc}") from exc
+        values[k] = lam2 * 2.0 * w.real
+    H[iu, ju] = H[ju, iu] = values[first]
+
+    # G_R from E on the future side of each pair; dt = 0 pairs stay zero
+    fut, past = dt > 0.0, dt < 0.0
+    GR[iu[fut], ju[fut]] = E[iu[fut], ju[fut]]
+    GR[ju[past], iu[past]] = -E[iu[past], ju[past]]
 
     km = KernelMatrix(n=n, H=H, GR=GR, lam=lam, state=state)
     km.validate()

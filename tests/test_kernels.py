@@ -5,6 +5,7 @@ closed forms are validated against it rather than against themselves.
 """
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -17,13 +18,49 @@ from udwtomo.kernels import (FieldState, KernelMatrix, assemble_kernels,
                              phi0_coherent_region, F_oneparticle, retarded_smeared,
                              wightman_smeared_closed, wightman_smeared_quadrature)
 from udwtomo.smearing import GaussianRegion
-from udwtomo.spacetime import Event
+from udwtomo.spacetime import (Event, LatticeSpec, build_lattice, interval,
+                               intervals)
 
 O = Event(0.0, 0.0, 0.0, 0.0)
 
 
 def region(t, x, ell=1.0):
     return GaussianRegion(Event(t, x, 0.0, 0.0), ell)
+
+
+def lattice_regions(origin=O, ell=1.0):
+    # 3^3 x 2 sites at 10 ell spacing: 54 regions, 1431 pairs
+    spec = LatticeSpec(3, 2, 10.0 * ell, 10.0 * ell, origin)
+    return [GaussianRegion(e, ell) for e in build_lattice(spec)]
+
+
+def per_pair_reference(state, regions, lam, tol=1e-10):
+    """H and GR filled pair by pair, one _pair_value call per pair."""
+    n, lam2 = len(regions), lam * lam
+    H, GR = np.zeros((n, n)), np.zeros((n, n))
+    if state.tag == "vacuum":
+        h_diag = lam2 / (8.0 * math.pi**2 * regions[0].ell**2)
+    else:
+        w = wightman_smeared_quadrature(state, regions[0], regions[0], tol)
+        h_diag = lam2 * 2.0 * w.real
+    centers = np.array([r.center.coords() for r in regions])
+    itv = intervals(centers[:, None], centers[None, :])
+    E = lam2 * kernels._commutator(itv.dt, itv.dr, regions[0].ell)
+    for i in range(n):
+        H[i, i] = h_diag
+        for j in range(i + 1, n):
+            w = kernels._pair_value(state, regions[i], regions[j], tol)
+            H[i, j] = H[j, i] = lam2 * 2.0 * w.real
+            if itv.dt[i, j] > 0.0:
+                GR[i, j] = E[i, j]
+            elif itv.dt[i, j] < 0.0:
+                GR[j, i] = -E[i, j]
+    return H, GR
+
+
+def assert_bitwise(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestFieldState:
@@ -449,6 +486,74 @@ class TestAssemble:
         regions = [region(0, 0), region(3, 5)]
         with pytest.raises(ConvergenceError, match=r"pair \(i=0, j=1\)"):
             assemble_kernels(FieldState.vacuum(), regions, 1.0)
+
+    def test_later_geometry_errors_name_its_first_pair(self, monkeypatch):
+        from udwtomo.errors import ConvergenceError
+        real = kernels._pair_value
+
+        def flaky(failing):
+            def value(state, ri, rj, tol):
+                if ri.center.spatial_distance(rj.center) in failing:
+                    raise ConvergenceError("synthetic failure")
+                return real(state, ri, rj, tol)
+            return value
+
+        # row-major pairs: (0,1) dr 30, (0,2) 50, (0,3) 70, (1,2) 20, (1,3) 40, (2,3) 20
+        regions = [region(0, 0), region(0, 30), region(0, 50), region(0, 70)]
+        monkeypatch.setattr(kernels, "_pair_value", flaky({20.0}))
+        with pytest.raises(ConvergenceError, match=r"pair \(i=1, j=2\)"):
+            assemble_kernels(FieldState.vacuum(), regions, 1.0)
+        # of two failing geometries, the one met first in row-major order
+        monkeypatch.setattr(kernels, "_pair_value", flaky({20.0, 30.0}))
+        with pytest.raises(ConvergenceError, match=r"pair \(i=0, j=1\)"):
+            assemble_kernels(FieldState.vacuum(), regions, 1.0)
+
+    @pytest.mark.parametrize("state, layout", [
+        (FieldState.thermal(50.0), "lattice"),
+        (FieldState.vacuum(), "lattice"),
+        (FieldState.thermal(50.0), "shuffled"),
+        (FieldState.vacuum(), "far"),
+    ], ids=["thermal", "vacuum", "thermal-shuffled", "vacuum-far"])
+    def test_matches_per_pair_reference_bitwise(self, state, layout):
+        if layout == "far":
+            # commutators that underflow to zero on both sides of dt
+            regions = [region(0, 0), region(10, 200), region(-10, 400), region(5, 600)]
+        else:
+            regions = lattice_regions(Event(1.234567, -3.5, 2.25, 0.1))
+        if layout != "lattice":
+            random.Random(3).shuffle(regions)
+            # upper-triangle pairs now carry both signs of dt
+            dts = [interval(a.center, b.center).dt
+                   for k, a in enumerate(regions) for b in regions[k + 1:]]
+            assert min(dts) < 0.0 < max(dts)
+        km = assemble_kernels(state, regions, 2 * math.pi)
+        H, GR = per_pair_reference(state, regions, 2 * math.pi)
+        assert_bitwise(km.H, H)
+        assert_bitwise(km.GR, GR)
+        assert_bitwise(km.E, KernelMatrix(km.n, H, GR, km.lam).E)
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
+    def test_one_evaluation_per_distinct_geometry(self, monkeypatch, shuffle):
+        regions = lattice_regions()
+        if shuffle:
+            random.Random(3).shuffle(regions)
+        calls = []
+        real = kernels._pair_value
+
+        def counting(state, ri, rj, tol):
+            itv = interval(ri.center, rj.center)
+            calls.append((abs(itv.dt), itv.dr))
+            return real(state, ri, rj, tol)
+
+        monkeypatch.setattr(kernels, "_pair_value", counting)
+        assemble_kernels(FieldState.vacuum(), regions, 1.0)
+        pairs = [interval(a.center, b.center)
+                 for k, a in enumerate(regions) for b in regions[k + 1:]]
+        geometries = {(abs(itv.dt), itv.dr) for itv in pairs}
+        assert len(pairs) == 1431
+        assert len(geometries) == 19
+        assert len(calls) == 19
+        assert set(calls) == geometries
 
     def test_load_rejects_corrupted_matrices(self, tmp_path):
         regions = [region(0, 0), region(10, 10)]

@@ -289,6 +289,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "vacuum_curves.csv" in out
 
+    def test_thermal_lattice_roundtrip(self, tmp_path, capsys):
+        # 1431 thermal pairs, none with a closed form: cheap because assembly
+        # evaluates each distinct (|dt|, dr) once
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario_id": "tomography_roundtrip", "state": "thermal", "beta": 50.0,
+            "lambda": 2.0 * math.pi,
+            "lattice": {"n_space": 3, "n_time": 2, "spacing_space": 10.0,
+                        "spacing_time": 10.0}}))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        srow = read_csv(tmp_path / "out" / "summary.csv")[0]
+        assert int(srow["n_regions"]) == 54
+        assert int(srow["n_pairs"]) == 1431
+        assert float(srow["max_abs_H_error"]) <= 1e-8
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"scenario_id": "vacuum_curves", "ell": -1.0}))
