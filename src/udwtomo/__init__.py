@@ -19,14 +19,13 @@ from .kernels import (FieldState, KernelMatrix, assemble_kernels,
                       wightman_smeared_closed, wightman_smeared_quadrature)
 from .multipole import (DerivativeBundle, MultipoleEstimate, convergence_order,
                         derivatives, estimate)
-from .numerics import (QuadratureResult, SlopeFit, erf, erfi, erfi_scaled,
-                       fit_loglog_slope, integrate_semi_infinite)
+from .numerics import (QuadratureResult, SlopeFit, fit_loglog_slope,
+                       integrate_semi_infinite)
 from .smearing import GaussianRegion, MomentSet, evaluate, moments
 from .spacetime import (Event, Interval, LatticeSpec, Separation, build_lattice,
                         classify, interval)
-from .tomography import (ReconstructionResult, assemble_wightman,
-                         causal_correction, reconstruct_record,
-                         reconstruct_spacelike)
+from .tomography import (ReconstructionResult, TableReconstruction,
+                         reconstruct_record, reconstruct_table)
 
 __version__ = "0.1.0"
 
@@ -41,12 +40,11 @@ __all__ = [
     "wightman_smeared_closed", "wightman_smeared_quadrature",
     "DerivativeBundle", "MultipoleEstimate", "convergence_order",
     "derivatives", "estimate",
-    "QuadratureResult", "SlopeFit", "erf", "erfi", "erfi_scaled",
-    "fit_loglog_slope", "integrate_semi_infinite",
+    "QuadratureResult", "SlopeFit", "fit_loglog_slope", "integrate_semi_infinite",
     "GaussianRegion", "MomentSet", "evaluate", "moments",
     "Event", "Interval", "LatticeSpec", "Separation", "build_lattice",
     "classify", "interval",
-    "ReconstructionResult", "assemble_wightman", "causal_correction",
-    "reconstruct_record", "reconstruct_spacelike",
+    "ReconstructionResult", "TableReconstruction", "reconstruct_record",
+    "reconstruct_table",
     "__version__",
 ]

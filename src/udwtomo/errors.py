@@ -10,10 +10,6 @@ class UdwTomoError(Exception):
     """Base class for all package errors."""
 
 
-class OverflowRangeError(UdwTomoError, ValueError):
-    """Input outside the admissible range of a special function."""
-
-
 class ConvergenceError(UdwTomoError, RuntimeError):
     """Quadrature failed to converge within its evaluation budget.
 

@@ -1,9 +1,4 @@
-"""Special functions and quadrature primitives.
-
-The error functions are thin wrappers over scipy.special that enforce the
-range guarantees the rest of the package relies on.  ``erfi`` is the
-imaginary error function; its numerically safe companion ``erfi_scaled``
-returns exp(-x^2)*erfi(x) via the Dawson function and never overflows.
+"""Quadrature and fitting primitives.
 
 ``integrate_semi_infinite`` is the workhorse oracle integrator: panelised
 adaptive Gauss-Kronrod on [0, K] with the cutoff K chosen from the
@@ -19,23 +14,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
-from .errors import ConvergenceError, InsufficientDataError, OverflowRangeError
+from .errors import ConvergenceError, InsufficientDataError
 
 __all__ = [
     "QuadratureResult",
     "SlopeFit",
-    "erf",
-    "erfi",
-    "erfi_scaled",
-    "dawson",
     "integrate_semi_infinite",
     "fit_loglog_slope",
 ]
-
-# erfi(x) = 2 e^{x^2} D(x) / sqrt(pi); e^{x^2} exceeds double range past ~26.6
-_ERFI_MAX_ARG = 26.0
 
 
 @dataclass(frozen=True)
@@ -54,39 +42,6 @@ class SlopeFit:
     slope: float
     intercept: float
     residual: float  # RMS residual in log-log space
-
-
-def erf(x: float) -> float:
-    """Standard error function."""
-    if not math.isfinite(x):
-        raise ValueError(f"erf requires finite input, got {x!r}")
-    return float(special.erf(x))
-
-
-def erfi(x: float) -> float:
-    """Imaginary error function erfi(x) = (2/sqrt(pi)) int_0^x e^{t^2} dt."""
-    if not math.isfinite(x):
-        raise ValueError(f"erfi requires finite input, got {x!r}")
-    if abs(x) > _ERFI_MAX_ARG:
-        raise OverflowRangeError(
-            f"erfi({x}) overflows double precision (|x| <= {_ERFI_MAX_ARG}); "
-            "use erfi_scaled")
-    return float(special.erfi(x))
-
-
-def dawson(x: float) -> float:
-    """Dawson function D(x) = e^{-x^2} int_0^x e^{t^2} dt."""
-    return float(special.dawsn(x))
-
-
-def erfi_scaled(x: float) -> float:
-    """exp(-x^2) * erfi(x) for x >= 0, computed without overflow.
-
-    Tends to 1/(x sqrt(pi)) as x -> infinity.
-    """
-    if x < 0:
-        raise ValueError("erfi_scaled is defined for x >= 0; apply oddness in the caller")
-    return 2.0 * float(special.dawsn(x)) / math.sqrt(math.pi)
 
 
 def _probe_is_complex(f: Callable[[float], complex], points: Sequence[float]) -> bool:

@@ -412,22 +412,17 @@ def _lattice_kernels(cfg: ScenarioConfig):
 
 def _run_tomography_roundtrip(cfg: ScenarioConfig, out: Path) -> list[Path]:
     km = _lattice_kernels(cfg)
-    table = correlator_table(km)
-    E = km.E  # derived on every access, so read once
-    results, max_err = [], 0.0
-    n_causal = 0
-    for i in range(1, km.n + 1):
-        for j in range(i + 1, km.n + 1):
-            res = tomography.reconstruct_record(table, i, j, E[i - 1, j - 1])
-            results.append(res)
-            max_err = max(max_err, abs(res.H_ij_reconstructed - km.H[i - 1, j - 1]))
-            n_causal += res.regime == "causal"
+    rec = tomography.reconstruct_table(correlator_table(km))
+    if rec.failures:
+        raise next(iter(rec.failures.values()))
+    max_err = float(np.max(np.abs(rec.H - km.H[rec.i - 1, rec.j - 1]), initial=0.0))
     rec_path = out / "reconstruction.csv"
-    tomography.write_reconstruction_results(results, rec_path, h_true=km.H)
+    tomography.write_reconstruction_results(rec, km.E, rec_path, h_true=km.H)
+    n_pairs, n_causal = len(rec.H), int(np.count_nonzero(rec.causal))
     sum_path = out / "summary.csv"
     _write_rows(sum_path, ["n_regions", "n_pairs", "n_causal", "n_spacelike",
                            "max_abs_H_error"],
-                [[km.n, len(results), n_causal, len(results) - n_causal, max_err]])
+                [[km.n, n_pairs, n_causal, n_pairs - n_causal, max_err]])
     return [rec_path, sum_path]
 
 
@@ -444,22 +439,18 @@ def _run_convergence_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
 def _run_shot_noise_study(cfg: ScenarioConfig, out: Path) -> list[Path]:
     km = _lattice_kernels(cfg)
     exact = correlator_table(km)
-    E = km.E  # derived on every access, so read once
-    pairs = [(i, j) for i in range(1, km.n + 1) for j in range(i + 1, km.n + 1)]
+    a, b = np.triu_indices(km.n, 1)
+    h_true = km.H[a, b]
     rows = []
     for shots in cfg.shots_list:
         sq_errors, n_failed = [], 0
         for rep in range(cfg.repeats):
             # one sampled table per repeat, shared by all of its pairs
-            table = sample_table(exact, shots, np.random.SeedSequence(
-                entropy=cfg.seed, spawn_key=(shots, rep)))
-            for (i, j) in pairs:
-                try:
-                    res = tomography.reconstruct_record(table, i, j, E[i - 1, j - 1])
-                except UdwTomoError:
-                    n_failed += 1
-                    continue
-                sq_errors.append((res.H_ij_reconstructed - km.H[i - 1, j - 1]) ** 2)
+            seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(shots, rep))
+            rec = tomography.reconstruct_table(sample_table(exact, shots, seq))
+            ok = rec.ok
+            n_failed += len(rec.failures)
+            sq_errors += ((rec.H[ok] - h_true[ok]) ** 2).tolist()
         rms = math.sqrt(sum(sq_errors) / len(sq_errors)) if sq_errors else float("nan")
         rows.append([shots, rms, n_failed])
     path = out / "shot_noise_study.csv"

@@ -14,6 +14,11 @@ each ratio being -tan(2 G) of the corresponding retarded entry, so that
 H_ij = (1/2) arctanh(yy/zz) - C_ij in general.  Combining with the known
 commutator part gives back the complex two-point value W = H/2 + i E/2.
 
+One array kernel inverts any set of pairs at once.  ``reconstruct_table``
+runs it over every pair i < j of a table, in row-major blocks of bounded
+size, and collects the failures of the pairs that cannot be inverted;
+``reconstruct_record`` is its one-pair form and raises instead.
+
 The commutator entries E_ij are consumed as known inputs (they depend only on
 the classical equation of motion, not on the state) and are never re-derived
 from the correlators here.
@@ -25,19 +30,19 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
+from . import detector
 from .detector import CorrelatorTable
-from .errors import DephasingError, NoiseDominatedError, TangentDomainError
+from .errors import (DephasingError, NoiseDominatedError, TangentDomainError,
+                     UdwTomoError)
 
 __all__ = [
     "ReconstructionResult",
-    "reconstruct_spacelike",
-    "causal_correction",
-    "assemble_wightman",
+    "TableReconstruction",
     "reconstruct_record",
+    "reconstruct_table",
     "write_reconstruction_results",
 ]
 
@@ -45,61 +50,99 @@ _DEPHASING_HARD = 1e-300   # |zz| below this: no information survives
 _DEPHASING_FLAG = 1e-6     # |zz| below this: result returned but flagged
 
 
-def _pair_index(table: CorrelatorTable, i: int, j: int) -> tuple[int, int, np.ndarray]:
-    """0-based (a, b) of the 1-based pair (i, j), and the third detectors' indices."""
-    n = table.n
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise ValueError(f"need distinct 1-based indices in [1, {n}], got i={i}, j={j}")
-    a, b = i - 1, j - 1
-    idx = np.arange(n)
-    return a, b, idx[(idx != a) & (idx != b)]
+@dataclass(frozen=True)
+class TableReconstruction:
+    """Every pair i < j of a table, row-major, with 1-based labels ``i``, ``j``.
 
-
-def reconstruct_spacelike(table: CorrelatorTable, i: int, j: int) -> float:
-    """H_ij from the yy/zz ratio alone (valid when no third-party causal links)."""
-    a, b, _ = _pair_index(table, i, j)
-    return _spacelike(table, i, j, a, b)
-
-
-def _spacelike(table: CorrelatorTable, i: int, j: int, a: int, b: int) -> float:
-    zz, yy = float(table.zz[a, b]), float(table.yy[a, b])
-    if abs(zz) < _DEPHASING_HARD:
-        raise DephasingError(f"pair ({i},{j}): <sz sz> = {zz:g} is fully dephased")
-    ratio = yy / zz
-    if abs(ratio) >= 1.0:
-        raise NoiseDominatedError(
-            f"pair ({i},{j}): |yy/zz| = {abs(ratio):.6g} >= 1, "
-            "sampled correlators are noise dominated", ratio=ratio)
-    return 0.5 * math.atanh(ratio)
-
-
-def causal_correction(table: CorrelatorTable, i: int, j: int) -> float:
-    """C_ij = (1/2) sum_{k != i,j} arctanh[(<sy_i sx_k>/<sz_i>)(<sx_k sy_j>/<sz_j>)].
-
-    A ``TangentDomainError`` names the 1-based third detector k whose
-    product left the arctanh domain.
+    ``H`` and ``C`` are NaN for the pairs in ``failures``, which maps a pair's
+    position to the error that stopped its inversion (ascending positions).
     """
-    return _correction(table, i, j, *_pair_index(table, i, j))
+
+    i: np.ndarray
+    j: np.ndarray
+    H: np.ndarray
+    C: np.ndarray
+    causal: np.ndarray
+    dephasing_dominated: np.ndarray
+    failures: dict[int, UdwTomoError]
+
+    @property
+    def ok(self) -> np.ndarray:
+        mask = np.ones(len(self.H), dtype=bool)
+        mask[list(self.failures)] = False
+        return mask
 
 
-def _correction(table: CorrelatorTable, i: int, j: int, a: int, b: int,
-                others: np.ndarray) -> float:
-    zi, zj = float(table.z[a]), float(table.z[b])
-    if zi == 0.0 or zj == 0.0:
-        raise DephasingError(f"pair ({i},{j}): vanishing <sz> denominator")
-    x = (table.yx[a, others] / zi) * (table.xy[others, b] / zj)
-    outside = np.flatnonzero(np.abs(x) >= 1.0)
-    if outside.size:
-        k = int(others[outside[0]]) + 1
-        raise TangentDomainError(
-            f"pair ({i},{j}), correction term k={k}: |product| = "
-            f"{abs(x[outside[0]]):.6g} >= 1 (some 2G approaches pi/2)", k=k)
-    return float(0.5 * np.sum(np.arctanh(x)))
+def _invert(table: CorrelatorTable, a: np.ndarray, b: np.ndarray):
+    """H, C, causal mask, dephasing flag and {position: error} of the 0-based
+    pairs (a[p], b[p]).
+
+    The third detectors of each pair are gathered in ascending order, so the
+    arctanh terms of C add up in that order.  A failing pair reports the
+    first of: zero <sz> on a causal pair, a product outside the arctanh
+    domain (first k), a fully dephased zz, a noise-dominated yy/zz.
+    """
+    lo, hi = np.minimum(a, b)[:, None], np.maximum(a, b)[:, None]
+    p = np.arange(table.n - 2)
+    others = p + (p >= lo) + (p >= hi - 1)
+    yx_a, xy_b = table.yx[a[:, None], others], table.xy[others, b[:, None]]
+    causal = np.any(yx_a != 0.0, axis=1) | np.any(xy_b != 0.0, axis=1)
+    zi, zj = table.z[a], table.z[b]
+    zz, yy = table.zz[a, b], table.yy[a, b]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (yx_a / zi[:, None]) * (xy_b / zj[:, None])
+        c = np.where(causal, 0.5 * np.sum(np.arctanh(x), axis=1), 0.0)
+        ratio = yy / zz
+    # libm's atanh: numpy's vectorised arctanh differs from it in the last
+    # 1-2 bits of about one value in five, and H would move with it
+    h = 0.5 * np.array([math.atanh(r) if -1.0 < r < 1.0 else math.nan
+                        for r in ratio.tolist()]) - c
+
+    zero_z = causal & ((zi == 0.0) | (zj == 0.0))
+    outside = np.abs(x) >= 1.0
+    tangent = causal & np.any(outside, axis=1)
+    dephased = np.abs(zz) < _DEPHASING_HARD
+    noisy = np.abs(ratio) >= 1.0
+    failures: dict[int, UdwTomoError] = {}
+    for q in np.flatnonzero(zero_z | tangent | dephased | noisy).tolist():
+        pair = f"pair ({a[q] + 1},{b[q] + 1})"
+        if zero_z[q]:
+            failures[q] = DephasingError(f"{pair}: vanishing <sz> denominator")
+        elif tangent[q]:
+            col = int(np.argmax(outside[q]))
+            k = int(others[q, col]) + 1
+            failures[q] = TangentDomainError(
+                f"{pair}, correction term k={k}: |product| = "
+                f"{abs(x[q, col]):.6g} >= 1 (some 2G approaches pi/2)", k=k)
+        elif dephased[q]:
+            failures[q] = DephasingError(f"{pair}: <sz sz> = {zz[q]:g} is fully dephased")
+        else:
+            failures[q] = NoiseDominatedError(
+                f"{pair}: |yy/zz| = {abs(ratio[q]):.6g} >= 1, "
+                "sampled correlators are noise dominated", ratio=float(ratio[q]))
+    bad = list(failures)
+    h[bad] = c[bad] = np.nan
+    return h, c, causal, np.abs(zz) < _DEPHASING_FLAG, failures
 
 
-def assemble_wightman(h_ij: float, e_ij: float) -> complex:
-    """W_ij = H_ij/2 + i E_ij/2."""
-    return complex(0.5 * h_ij, 0.5 * e_ij)
+def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
+    """Invert every pair i < j of ``table``: H_ij = (1/2) arctanh(yy/zz) - C_ij.
+
+    Pairs are taken row-major in blocks of at most ``detector._CHUNK_ELEMENTS``
+    gathered third-detector entries, so the work arrays stay small however
+    large the lattice.  A pair that cannot be inverted gets NaN and its error
+    in ``failures``; the other pairs are unaffected.
+    """
+    a, b = np.triu_indices(table.n, 1)
+    step = max(1, detector._CHUNK_ELEMENTS // max(1, table.n - 2))
+    parts, failures = [], {}
+    for start in range(0, len(a), step) or (0,):  # one call even without pairs
+        *arrays, fails = _invert(table, a[start:start + step], b[start:start + step])
+        parts.append(arrays)
+        failures.update((start + q, err) for q, err in fails.items())
+    h, c, causal, flagged = (np.concatenate(col) for col in zip(*parts))
+    return TableReconstruction(i=a + 1, j=b + 1, H=h, C=c, causal=causal,
+                               dephasing_dominated=flagged, failures=failures)
 
 
 @dataclass
@@ -122,39 +165,39 @@ def reconstruct_record(table: CorrelatorTable, i: int, j: int,
     Consumes the known commutator entry e_ij.  The regime is data driven: a
     pair whose cross correlators with every third detector vanish uses the
     pure spacelike branch.  Heavily dephased pairs are flagged rather than
-    rejected.
+    rejected; a pair that cannot be inverted raises its error.
     """
-    a, b, others = _pair_index(table, i, j)
-    flags: list[str] = []
-    if abs(table.zz[a, b]) < _DEPHASING_FLAG:
-        flags.append("dephasing_dominated")
-    if np.any(table.yx[a, others] != 0.0) or np.any(table.xy[others, b] != 0.0):
-        regime = "causal"
-        c = _correction(table, i, j, a, b, others)
-    else:
-        regime = "spacelike"
-        c = 0.0
-    h = _spacelike(table, i, j, a, b) - c
+    n = table.n
+    if not (1 <= i <= n and 1 <= j <= n) or i == j:
+        raise ValueError(f"need distinct 1-based indices in [1, {n}], got i={i}, j={j}")
+    h, c, causal, flagged, failures = _invert(table, np.array([i - 1]), np.array([j - 1]))
+    if failures:
+        raise failures[0]
+    h_ij = float(h[0])
     return ReconstructionResult(
-        i=i, j=j, H_ij_reconstructed=h, C_ij=c,
-        W_ij=assemble_wightman(h, e_ij), regime=regime, condition_flags=flags)
+        i=i, j=j, H_ij_reconstructed=h_ij, C_ij=float(c[0]),
+        W_ij=complex(0.5 * h_ij, 0.5 * e_ij),
+        regime="causal" if causal[0] else "spacelike",
+        condition_flags=["dephasing_dominated"] if flagged[0] else [])
 
 
-def write_reconstruction_results(results: Sequence[ReconstructionResult],
+def write_reconstruction_results(rec: TableReconstruction, E: np.ndarray,
                                  path: str | Path,
                                  h_true: np.ndarray | None = None) -> None:
-    """Persist results; ``h_true`` (1-based pairs via [i-1, j-1]) is optional."""
+    """Persist the inverted pairs of ``rec`` (failed pairs are left out), with
+    W = H/2 + i E/2 from the commutator matrix ``E``; ``h_true`` is optional."""
+    ok = rec.ok
+    i, j, h = rec.i[ok], rec.j[ok], rec.H[ok]
+    true = ([""] * len(h) if h_true is None
+            else [f"{v:.17g}" for v in h_true[i - 1, j - 1].tolist()])
+    regime = np.where(rec.causal[ok], "causal", "spacelike")
+    flags = np.where(rec.dephasing_dominated[ok], "dephasing_dominated", "")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["i", "j", "regime", "H_reconstructed", "H_true_if_known",
                          "C_ij", "Re_W", "Im_W", "flags"])
-        for r in results:
-            true_s = ""
-            if h_true is not None:
-                true_s = f"{h_true[r.i - 1, r.j - 1]:.17g}"
-            writer.writerow([
-                r.i, r.j, r.regime,
-                f"{r.H_ij_reconstructed:.17g}", true_s, f"{r.C_ij:.17g}",
-                f"{r.W_ij.real:.17g}", f"{r.W_ij.imag:.17g}",
-                ";".join(r.condition_flags),
-            ])
+        for i_q, j_q, regime_q, h_q, true_q, c_q, e_q, flags_q in zip(
+                i.tolist(), j.tolist(), regime.tolist(), h.tolist(), true,
+                rec.C[ok].tolist(), E[i - 1, j - 1].tolist(), flags.tolist()):
+            writer.writerow([i_q, j_q, regime_q, f"{h_q:.17g}", true_q, f"{c_q:.17g}",
+                             f"{0.5 * h_q:.17g}", f"{0.5 * e_q:.17g}", flags_q])

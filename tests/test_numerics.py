@@ -1,89 +1,62 @@
-"""Special functions and the semi-infinite integrator.
+"""The scaled imaginary error function of the closed vacuum kernels, and the
+semi-infinite integrator.
 
-Expected values for the error functions are recomputed inside the tests from
-independent quadratures of their defining integrals, not from the wrapped
-implementations.
+``kernels._erfi_scaled_over_x`` (exp(-x^2) erfi(x) / x, from the Dawson
+function) is the package's one evaluation of erfi.  Expected values are
+recomputed inside the tests from independent quadratures of erfi's defining
+integral or from mpmath, not from the implementation.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.integrate import quad
-from scipy.special import dawsn
+from scipy.special import dawsn, erfi
 
 from udwtomo import numerics
-from udwtomo.errors import ConvergenceError, InsufficientDataError, OverflowRangeError
+from udwtomo.errors import ConvergenceError, InsufficientDataError
+from udwtomo.kernels import _erfi_scaled_over_x
 
 
-def test_erf_examples():
-    assert numerics.erf(0.0) == 0.0
-    # oracle: adaptive quadrature of the defining integral
-    oracle, err = quad(lambda t: 2.0 / math.sqrt(math.pi) * math.exp(-t * t), 0.0, 1.0,
-                       epsabs=1e-15)
-    assert err < 1e-14
-    assert numerics.erf(1.0) == pytest.approx(oracle, rel=1e-14)
-    assert numerics.erf(-1.0) == -numerics.erf(1.0)
-
-
-def test_erf_tail_accuracy():
-    for x in (2.0, 4.0, 6.0):
-        oracle, _ = quad(lambda t: 2.0 / math.sqrt(math.pi) * math.exp(-t * t), 0.0, x,
-                         epsabs=1e-16)
-        assert numerics.erf(x) == pytest.approx(oracle, rel=1e-14)
+def _erfi(x):
+    """erfi(x) rebuilt from the scaled form the kernels use."""
+    return x * math.exp(x * x) * _erfi_scaled_over_x(x)
 
 
 def test_erfi_examples():
-    assert numerics.erfi(0.0) == 0.0
+    assert _erfi(0.0) == 0.0
     for x in (1.0, 3.0):
         oracle, err = quad(lambda t: 2.0 / math.sqrt(math.pi) * math.exp(t * t), 0.0, x,
                            epsabs=1e-13, epsrel=1e-13)
-        assert numerics.erfi(x) == pytest.approx(oracle, rel=1e-12)
-    assert numerics.erfi(1.0) == pytest.approx(1.6504257587975429, rel=1e-12)
+        assert _erfi(x) == pytest.approx(oracle, rel=1e-12)
+    assert _erfi(1.0) == pytest.approx(1.6504257587975429, rel=1e-12)
 
 
 def test_erfi_full_admissible_range():
-    # independent high-precision oracle across the whole admissible range
+    # independent high-precision oracle; the scaled form never overflows, so
+    # the range runs past x = 26.6, where erfi itself leaves double range
     import mpmath as mp
     mp.mp.dps = 40
-    for x in (0.5, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 26.0):
-        want = float(mp.erfi(x))
-        assert numerics.erfi(x) == pytest.approx(want, rel=1e-12)
-
-
-def test_erfi_range_guard():
-    with pytest.raises(OverflowRangeError):
-        numerics.erfi(27.0)
-    numerics.erfi(26.0)  # boundary admissible
+    for x in (1e-7, 0.5, 2.0, 5.0, 10.0, 20.0, 26.0, 30.0, 1e3):
+        want = float(mp.exp(-x * x) * mp.erfi(x) / x)
+        assert _erfi_scaled_over_x(x) == pytest.approx(want, rel=1e-12)
 
 
 def test_erfi_scaled():
-    assert numerics.erfi_scaled(0.0) == 0.0
-    assert numerics.erfi_scaled(1.0) == pytest.approx(
-        math.exp(-1.0) * numerics.erfi(1.0), rel=1e-13)
+    # x -> 0 limit 2/sqrt(pi) through the series branch, continuous across it
+    assert _erfi_scaled_over_x(0.0) == 2.0 / math.sqrt(math.pi)
+    assert _erfi_scaled_over_x(1e-6) == pytest.approx(
+        _erfi_scaled_over_x(1e-6 * (1.0 - 1e-12)), rel=1e-12)
     # 3-term asymptotic series oracle at large argument
     x = 30.0
-    asym = (1.0 + 1.0 / (2 * x * x) + 3.0 / (4 * x**4)) / (x * math.sqrt(math.pi))
-    assert numerics.erfi_scaled(x) == pytest.approx(asym, rel=1e-3)
-    with pytest.raises(ValueError):
-        numerics.erfi_scaled(-1.0)
-
-
-@given(st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
-def test_erf_odd(x):
-    assert numerics.erf(x) + numerics.erf(-x) == pytest.approx(0.0, abs=1e-15)
-
-
-@given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
-def test_erfi_odd(x):
-    assert numerics.erfi(x) + numerics.erfi(-x) == pytest.approx(0.0, abs=1e-300)
+    asym = (1.0 + 1.0 / (2 * x * x) + 3.0 / (4 * x**4)) / (x * x * math.sqrt(math.pi))
+    assert _erfi_scaled_over_x(x) == pytest.approx(asym, rel=1e-3)
 
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0, 5.0])
 def test_erfi_scaled_consistent_with_erfi(x):
-    assert numerics.erfi_scaled(x) * math.exp(x * x) == pytest.approx(
-        numerics.erfi(x), rel=1e-10)
+    assert _erfi(x) == pytest.approx(float(erfi(x)), rel=1e-10)
 
 
 class TestIntegrateSemiInfinite:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from udwtomo import cli, scenarios
-from udwtomo.errors import ConfigError
+from udwtomo.errors import ConfigError, TangentDomainError
 from udwtomo.kernels import FieldState, hadamard_point
 from udwtomo.scenarios import validate_config
 from udwtomo.spacetime import Event
@@ -257,6 +257,27 @@ class TestScenarioOutputs:
         rows = read_csv(paths[0])
         assert len(rows) == 2
         assert float(rows[0]["rms_error"]) > float(rows[1]["rms_error"])
+
+    def test_roundtrip_raises_first_failing_pair(self, tmp_path):
+        # at lambda = 4 pi and 1 ell spacing 28 of the 120 pairs leave the
+        # arctanh domain; the run stops at the row-major first of them
+        with pytest.raises(TangentDomainError) as ei:
+            scenarios.run({"scenario_id": "tomography_roundtrip", "lambda": 4 * math.pi,
+                           "lattice": {"n_space": 2, "n_time": 2, "spacing_space": 1.0,
+                                       "spacing_time": 1.0},
+                           "output_dir": str(tmp_path)})
+        assert str(ei.value).startswith("pair (9,10), correction term k=1: ")
+        assert ei.value.k == 1
+        assert not (tmp_path / "reconstruction.csv").exists()
+
+    def test_shot_noise_failure_counts(self, tmp_path):
+        # default 16-region lattice, seed and 4 repeats: failures are counted
+        # and left out of the RMS, which stays finite
+        paths = scenarios.run({"scenario_id": "shot_noise_study",
+                               "shots_list": [10, 100], "output_dir": str(tmp_path)})
+        rows = read_csv(paths[0])
+        assert [int(r["n_failed"]) for r in rows] == [312, 7]
+        assert all(math.isfinite(float(r["rms_error"])) for r in rows)
 
 
 class TestDeterminism:

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from udwtomo import tomography
+from udwtomo import detector, tomography
 from udwtomo.detector import (CorrelatorTable, correlator_table,
                               random_kernel_matrix, sample_table)
-from udwtomo.errors import (DephasingError, NoiseDominatedError, TangentDomainError)
+from udwtomo.errors import (DephasingError, NoiseDominatedError, TangentDomainError,
+                            UdwTomoError)
 from udwtomo.kernels import KernelMatrix
 from udwtomo.numerics import fit_loglog_slope
-from udwtomo.tomography import (assemble_wightman, causal_correction,
-                                reconstruct_record, reconstruct_spacelike)
+from udwtomo.tomography import reconstruct_record, reconstruct_table
 
 
 def table(n=2, zz=1.0, yy=0.0, z=1.0, yx=None):
@@ -27,22 +27,204 @@ def table(n=2, zz=1.0, yy=0.0, z=1.0, yx=None):
                            zz=np.where(off, zz, 1.0), yy=np.where(off, yy, 1.0), yx=yx_m)
 
 
+def reference(t, i, j):
+    """The per-pair inversion, one pair at a time: (H, C, regime, flagged).
+
+    C is half the arctanh sum over the third detectors in ascending order,
+    the spacelike term is math.atanh of yy/zz, and the errors are checked in
+    the order: zero <sz> on a causal pair, first k outside the arctanh
+    domain, fully dephased zz, noise-dominated yy/zz.
+    """
+    a, b = i - 1, j - 1
+    others = np.array([k for k in range(t.n) if k not in (a, b)], dtype=int)
+    flagged = abs(t.zz[a, b]) < 1e-6
+    causal = bool(np.any(t.yx[a, others] != 0.0) or np.any(t.xy[others, b] != 0.0))
+    c = 0.0
+    if causal:
+        zi, zj = float(t.z[a]), float(t.z[b])
+        if zi == 0.0 or zj == 0.0:
+            raise DephasingError(f"pair ({i},{j}): vanishing <sz> denominator")
+        x = (t.yx[a, others] / zi) * (t.xy[others, b] / zj)
+        for k, xk in zip(others, x):
+            if abs(xk) >= 1.0:
+                raise TangentDomainError(
+                    f"pair ({i},{j}), correction term k={k + 1}: |product| = "
+                    f"{abs(xk):.6g} >= 1 (some 2G approaches pi/2)", k=k + 1)
+        c = float(0.5 * np.sum(np.arctanh(x)))
+    zz, yy = float(t.zz[a, b]), float(t.yy[a, b])
+    if abs(zz) < 1e-300:
+        raise DephasingError(f"pair ({i},{j}): <sz sz> = {zz:g} is fully dephased")
+    ratio = yy / zz
+    if abs(ratio) >= 1.0:
+        raise NoiseDominatedError(
+            f"pair ({i},{j}): |yy/zz| = {abs(ratio):.6g} >= 1, "
+            "sampled correlators are noise dominated", ratio=ratio)
+    return 0.5 * math.atanh(ratio) - c, c, "causal" if causal else "spacelike", flagged
+
+
+def same_bits(u, v):
+    return np.float64(u).view(np.int64) == np.float64(v).view(np.int64)
+
+
+def same_error(got, want):
+    return (type(got) is type(want) and str(got) == str(want)
+            and getattr(got, "k", None) == getattr(want, "k", None)
+            and same_bits(getattr(got, "ratio", 0.0) or 0.0,
+                          getattr(want, "ratio", 0.0) or 0.0))
+
+
+def check_against_reference(t):
+    """Every pair of ``reconstruct_table(t)`` and of ``reconstruct_record``
+    against the reference; returns the error classes met."""
+    rec = reconstruct_table(t)
+    met = set()
+    for q, (i, j) in enumerate(zip(rec.i.tolist(), rec.j.tolist())):
+        try:
+            h, c, regime, flagged = reference(t, i, j)
+        except (DephasingError, NoiseDominatedError, TangentDomainError) as want:
+            met.add(type(want).__name__ + (" on <sz>" if "<sz>" in str(want) else ""))
+            assert same_error(rec.failures[q], want), (rec.failures[q], want)
+            assert math.isnan(rec.H[q]) and math.isnan(rec.C[q])
+            with pytest.raises(type(want)) as ei:
+                reconstruct_record(t, i, j, 0.0)
+            assert same_error(ei.value, want)
+            continue
+        assert q not in rec.failures
+        assert same_bits(rec.H[q], h) and same_bits(rec.C[q], c), (i, j)
+        assert rec.causal[q] == (regime == "causal")
+        assert rec.dephasing_dominated[q] == flagged
+        res = reconstruct_record(t, i, j, 0.25)
+        assert same_bits(res.H_ij_reconstructed, h) and same_bits(res.C_ij, c)
+        assert res.regime == regime
+        assert res.condition_flags == (["dephasing_dominated"] if flagged else [])
+    assert np.flatnonzero(~rec.ok).tolist() == list(rec.failures)
+    return met
+
+
+class TestOracle:
+    def test_exact_tables(self):
+        for seed in range(30):
+            n = 2 + seed % 6
+            assert not check_against_reference(correlator_table(random_kernel_matrix(n, seed)))
+
+    def test_sampled_tables_fail_in_every_way(self):
+        met = set()
+        for seed in range(30):
+            exact = correlator_table(random_kernel_matrix(2 + seed % 6, seed))
+            for shots in (10, 20, 100):
+                met |= check_against_reference(sample_table(exact, shots, seed))
+        assert met == {"DephasingError on <sz>", "TangentDomainError",
+                       "DephasingError", "NoiseDominatedError"}
+
+    def test_large_lattice_tables(self):
+        # rows longer than numpy's 8-way unrolled summation: C still adds in
+        # the reference's order, bit for bit
+        km = random_kernel_matrix(30, 7)
+        km = KernelMatrix(n=30, H=km.H, GR=0.3 * km.GR, lam=1.0)
+        exact = correlator_table(km)
+        check_against_reference(exact)
+        check_against_reference(sample_table(exact, 1000, 7))
+
+    @pytest.mark.parametrize("t, want", [
+        # zero <sz> on a causal pair, also outside the arctanh domain and dephased
+        (table(n=3, zz=0.0, z=[0.0, 1.0, 1.0], yx={(1, 3): 0.5, (2, 3): 0.5}),
+         DephasingError("pair (1,2): vanishing <sz> denominator")),
+        # outside the arctanh domain, also fully dephased and noise dominated
+        (table(n=3, zz=0.0, yy=0.5, yx={(1, 3): 2.0, (2, 3): 0.75}),
+         TangentDomainError("pair (1,2), correction term k=3: |product| = 1.5 >= 1 "
+                            "(some 2G approaches pi/2)", k=3)),
+        # fully dephased, also noise dominated (yy/zz is infinite)
+        (table(zz=0.0, yy=0.5), DephasingError("pair (1,2): <sz sz> = 0 is fully dephased")),
+        # two third detectors outside the domain: the lower label is named
+        (table(n=5, yx={(1, 5): 1.5, (2, 5): 1.0, (1, 3): 1.0, (2, 3): -1.0}),
+         TangentDomainError("pair (1,2), correction term k=3: |product| = 1 >= 1 "
+                            "(some 2G approaches pi/2)", k=3)),
+    ])
+    def test_error_order(self, t, want):
+        assert same_error(reconstruct_table(t).failures[0], want)
+        with pytest.raises(type(want)) as ei:
+            reconstruct_record(t, 1, 2, 0.0)
+        assert same_error(ei.value, want)
+        with pytest.raises(type(want)) as ei:
+            reference(t, 1, 2)
+        assert same_error(ei.value, want)
+
+    def test_zero_sz_on_spacelike_pair_is_harmless(self):
+        res = reconstruct_record(table(n=3, zz=0.8, yy=0.2, z=[0.0, 1.0, 1.0]), 1, 2, 0.0)
+        assert res.regime == "spacelike" and res.C_ij == 0.0
+
+    def test_zero_product_still_causal(self):
+        # a nonzero <sy_1 sx_3> makes the pair causal even though x_3 = 0
+        res = reconstruct_record(table(n=3, yx={(1, 3): 0.3}), 1, 2, 0.0)
+        assert res.regime == "causal" and res.C_ij == 0.0
+
+    def test_reversed_pair_labels(self):
+        t = sample_table(correlator_table(random_kernel_matrix(5, 3)), 50, 3)
+        for i, j in ((1, 4), (2, 5), (3, 4)):
+            try:
+                fwd = reconstruct_record(t, i, j, 0.0)
+            except UdwTomoError as exc:
+                with pytest.raises(type(exc)) as ei:
+                    reconstruct_record(t, j, i, 0.0)
+                assert str(ei.value) == str(exc).replace(f"({i},{j})", f"({j},{i})")
+                assert getattr(ei.value, "k", None) == getattr(exc, "k", None)
+                continue
+            back = reconstruct_record(t, j, i, 0.0)
+            assert same_bits(back.H_ij_reconstructed, fwd.H_ij_reconstructed)
+
+
+class TestRowBlocks:
+    def test_blocks_match_one_block(self, monkeypatch):
+        # n = 9: 7 third detectors per pair, 8 pairs in the first row; blocks
+        # of 5 pairs put a boundary inside the first row and in most others
+        t = sample_table(correlator_table(random_kernel_matrix(9, 4)), 30, 4)
+        calls = []
+        invert = tomography._invert
+
+        def counting(table, a, b):
+            calls.append(len(a))
+            return invert(table, a, b)
+
+        monkeypatch.setattr(tomography, "_invert", counting)
+        monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 1 << 30)
+        whole = reconstruct_table(t)
+        assert calls == [36]
+        monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 5 * 7)
+        calls.clear()
+        blocked = reconstruct_table(t)
+        assert calls == [5] * 7 + [1]
+        assert whole.failures, "the sampled table should fail somewhere"
+        for name in ("i", "j", "H", "C", "causal", "dephasing_dominated"):
+            u, v = getattr(whole, name), getattr(blocked, name)
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
+        assert list(whole.failures) == list(blocked.failures)
+        for q, err in whole.failures.items():
+            assert same_error(blocked.failures[q], err)
+
+    def test_no_pairs(self):
+        rec = reconstruct_table(table(n=1))
+        assert len(rec.H) == len(rec.causal) == len(rec.i) == 0 and not rec.failures
+
+
 class TestSpacelike:
     def test_zero(self):
-        assert reconstruct_spacelike(table(), 1, 2) == 0.0
+        assert reconstruct_record(table(), 1, 2, 0.0).H_ij_reconstructed == 0.0
 
     def test_arctanh_of_tanh(self):
         t = table(zz=math.exp(-0.2) * math.cosh(0.1), yy=math.exp(-0.2) * math.sinh(0.1))
-        assert reconstruct_spacelike(t, 1, 2) == pytest.approx(0.05, rel=1e-14)
+        assert reconstruct_record(t, 1, 2, 0.0).H_ij_reconstructed == pytest.approx(
+            0.05, rel=1e-14)
 
     def test_noise_dominated(self):
         with pytest.raises(NoiseDominatedError) as ei:
-            reconstruct_spacelike(table(zz=0.5, yy=0.6), 1, 2)
+            reconstruct_record(table(zz=0.5, yy=0.6), 1, 2, 0.0)
         assert ei.value.ratio == pytest.approx(1.2)
 
     def test_dephasing(self):
         with pytest.raises(DephasingError):
-            reconstruct_spacelike(table(zz=0.0, yy=0.0), 1, 2)
+            reconstruct_record(table(zz=0.0, yy=0.0), 1, 2, 0.0)
+        rec = reconstruct_table(table(zz=0.0, yy=0.0))
+        assert isinstance(rec.failures[0], DephasingError) and math.isnan(rec.H[0])
 
     def test_sampled_error_propagation(self):
         # true H = 0.05 at N = 2; sampled reconstruction within 3 propagated sigma
@@ -50,7 +232,7 @@ class TestSpacelike:
         km = KernelMatrix(n=2, H=np.array(h), GR=np.zeros((2, 2)), lam=1.0)
         shots = 10**6
         exact = correlator_table(km)
-        got = reconstruct_spacelike(sample_table(exact, shots, seed=31), 1, 2)
+        got = reconstruct_table(sample_table(exact, shots, seed=31)).H[0]
         zz, yy = exact.zz[0, 1], exact.yy[0, 1]
         ratio = yy / zz
         # binomial sigma propagated through (1/2) arctanh(y/z)
@@ -61,31 +243,34 @@ class TestSpacelike:
 
 class TestCausalCorrection:
     def test_all_zero(self):
-        assert causal_correction(table(n=5), 1, 2) == 0.0
+        rec = reconstruct_table(table(n=5))
+        assert not rec.causal.any() and (rec.C == 0.0).all()
 
     def test_single_term(self):
         # ratios -tan(2G_13) = 0.1, -tan(2G_23) = 0.2 through third detector 3
-        c = causal_correction(table(n=3, yx={(1, 3): 0.1, (2, 3): 0.2}), 1, 2)
-        assert c == pytest.approx(0.5 * math.atanh(0.02), rel=1e-14)
+        res = reconstruct_record(table(n=3, yx={(1, 3): 0.1, (2, 3): 0.2}), 1, 2, 0.0)
+        assert res.C_ij == pytest.approx(0.5 * math.atanh(0.02), rel=1e-14)
+        assert res.H_ij_reconstructed == -res.C_ij
 
     def test_tangent_domain_error_names_k(self):
+        t = table(n=4, yx={(1, 4): 1.1, (2, 4): 1.0})
         with pytest.raises(TangentDomainError) as ei:
-            causal_correction(table(n=4, yx={(1, 4): 1.1, (2, 4): 1.0}), 1, 2)
+            reconstruct_record(t, 1, 2, 0.0)
         assert ei.value.k == 4
+        assert reconstruct_table(t).failures[0].k == 4
 
     def test_zero_denominator(self):
         with pytest.raises(DephasingError):
-            causal_correction(table(n=3, z=[0.0, 1.0, 1.0],
-                                    yx={(1, 3): 0.1, (2, 3): 0.1}), 1, 2)
+            reconstruct_record(table(n=3, z=[0.0, 1.0, 1.0],
+                                     yx={(1, 3): 0.1, (2, 3): 0.1}), 1, 2, 0.0)
 
 
 class TestGeneral:
     def test_reduces_to_spacelike(self):
         for n in (2, 4):
-            t = table(n=n, zz=0.8, yy=0.2)
-            res = reconstruct_record(t, 1, 2, 0.0)
+            res = reconstruct_record(table(n=n, zz=0.8, yy=0.2), 1, 2, 0.0)
             assert res.regime == "spacelike" and res.C_ij == 0.0
-            assert res.H_ij_reconstructed == reconstruct_spacelike(t, 1, 2)
+            assert res.H_ij_reconstructed == 0.5 * math.atanh(0.2 / 0.8)
 
     def test_log_form_identity(self):
         # (1/2) arctanh(yy/zz) == (1/4) ln((zz+yy)/(zz-yy))
@@ -95,11 +280,9 @@ class TestGeneral:
 
     def test_roundtrip_causal_chain_n4(self):
         km = random_kernel_matrix(4, seed=21)
-        t = correlator_table(km)
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                h = reconstruct_record(t, i, j, 0.0).H_ij_reconstructed
-                assert h == pytest.approx(km.H[i - 1, j - 1], abs=1e-9)
+        rec = reconstruct_table(correlator_table(km))
+        assert not rec.failures
+        np.testing.assert_allclose(rec.H, km.H[rec.i - 1, rec.j - 1], rtol=0, atol=1e-9)
 
     def test_roundtrip_mixed_n6(self):
         for seed in (3, 4, 5):
@@ -114,22 +297,33 @@ class TestGeneral:
 
     def test_exact_records_never_leave_arctanh_domain(self):
         for seed in range(15):
-            t = correlator_table(random_kernel_matrix(5, seed=seed))
-            for i in range(1, 6):
-                for j in range(i + 1, 6):
-                    reconstruct_record(t, i, j, 0.0)
+            t = correlator_table(random_kernel_matrix(5, seed))
+            assert not reconstruct_table(t).failures
 
 
 class TestAssembleWightman:
-    def test_values(self):
-        assert assemble_wightman(0.0, 0.0) == 0.0
-        assert assemble_wightman(2.0, 0.0) == 1.0 + 0.0j
-        w = assemble_wightman(0.4, -0.6)
-        assert (w.real, w.imag) == (0.2, -0.3)
+    """W_ij = H_ij/2 + i E_ij/2, from the reconstructed H and the known E."""
 
-    def test_roundtrip(self):
-        h = 0.123
-        assert 2 * assemble_wightman(h, 0.9).real == pytest.approx(h, rel=1e-15)
+    def test_values(self):
+        assert reconstruct_record(table(), 1, 2, 0.0).W_ij == 0.0
+        t = table(zz=0.7, yy=0.3)
+        res = reconstruct_record(t, 1, 2, -0.6)
+        assert (res.W_ij.real, res.W_ij.imag) == (0.5 * res.H_ij_reconstructed, -0.3)
+
+    def test_roundtrip(self, tmp_path):
+        km = random_kernel_matrix(4, seed=9)
+        t = correlator_table(km)
+        for i, j in ((1, 2), (2, 4)):
+            res = reconstruct_record(t, i, j, km.E[i - 1, j - 1])
+            assert 2 * res.W_ij.real == res.H_ij_reconstructed
+            assert 2 * res.W_ij.imag == km.E[i - 1, j - 1]
+        path = tmp_path / "recon.csv"
+        rec = reconstruct_table(t)
+        tomography.write_reconstruction_results(rec, km.E, path)
+        for line, h, e in zip(path.read_text().splitlines()[1:], rec.H,
+                              km.E[rec.i - 1, rec.j - 1]):
+            cells = line.split(",")
+            assert float(cells[6]) == 0.5 * h and float(cells[7]) == 0.5 * e
 
 
 class TestReconstructRecord:
@@ -140,13 +334,14 @@ class TestReconstructRecord:
         assert res.regime in ("spacelike", "causal")
         has_link = np.any(t.yx[0, 2:] != 0.0) or np.any(t.xy[2:, 1] != 0.0)
         assert res.regime == ("causal" if has_link else "spacelike")
-        assert res.W_ij == assemble_wightman(res.H_ij_reconstructed, km.E[0, 1])
+        assert res.W_ij == complex(0.5 * res.H_ij_reconstructed, 0.5 * km.E[0, 1])
         # a causal link through a third detector switches the regime
         assert reconstruct_record(table(n=3, yx={(1, 3): 0.1}), 1, 2, 0.0).regime == "causal"
 
     def test_dephasing_flag(self):
         res = reconstruct_record(table(zz=5e-7, yy=1e-7), 1, 2, 0.0)
         assert "dephasing_dominated" in res.condition_flags
+        assert reconstruct_table(table(zz=5e-7, yy=1e-7)).dephasing_dominated[0]
 
     def test_pair_index_validation(self):
         t = table(n=3)
@@ -156,16 +351,22 @@ class TestReconstructRecord:
 
     def test_csv_output(self, tmp_path):
         km = random_kernel_matrix(3, seed=8)
-        t = correlator_table(km)
-        results = []
-        for i in range(1, 4):
-            for j in range(i + 1, 4):
-                results.append(reconstruct_record(t, i, j, km.E[i - 1, j - 1]))
+        rec = reconstruct_table(correlator_table(km))
         path = tmp_path / "recon.csv"
-        tomography.write_reconstruction_results(results, path, h_true=km.H)
+        tomography.write_reconstruction_results(rec, km.E, path, h_true=km.H)
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[:4] == ["i", "j", "regime", "H_reconstructed"]
-        assert len(lines) == 1 + len(results)
+        assert len(lines) == 1 + len(rec.H)
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["1", "2"], ["1", "3"], ["2", "3"]]
+
+    def test_csv_leaves_out_failed_pairs(self, tmp_path):
+        t = table(n=3, yx={(1, 3): 2.0, (2, 3): 0.75})   # pair (1, 2) fails
+        rec = reconstruct_table(t)
+        path = tmp_path / "recon.csv"
+        tomography.write_reconstruction_results(rec, np.zeros((3, 3)), path)
+        assert [line.split(",")[:2] for line in path.read_text().splitlines()[1:]] == [
+            ["1", "3"], ["2", "3"]]
 
 
 def test_noise_scaling_slope():
@@ -181,11 +382,9 @@ def test_noise_scaling_slope():
     for shots in (10**3, 10**4, 10**5, 10**6):
         errs = []
         for rep in range(6):
-            t = sample_table(exact, shots, seed=1000 + rep)
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    h = reconstruct_record(t, i, j, 0.0).H_ij_reconstructed
-                    errs.append((h - H[i - 1, j - 1]) ** 2)
+            rec = reconstruct_table(sample_table(exact, shots, seed=1000 + rep))
+            assert not rec.failures
+            errs += ((rec.H - H[rec.i - 1, rec.j - 1]) ** 2).tolist()
         pts.append((float(shots), math.sqrt(sum(errs) / len(errs))))
     fit = fit_loglog_slope(pts)
     assert fit.slope == pytest.approx(-0.5, abs=0.1)
