@@ -58,10 +58,6 @@ class TangentDomainError(UdwTomoError, ValueError):
         self.k = k
 
 
-class StencilError(UdwTomoError, RuntimeError):
-    """A finite-difference stencil crossed the lightcone."""
-
-
 class InsufficientDataError(UdwTomoError, ValueError):
     """Too few usable points for a fit."""
 

@@ -45,6 +45,7 @@ __all__ = [
     "KernelMatrix",
     "hadamard_point",
     "hadamard_array",
+    "hadamard_dtt_array",
     "phi0_coherent",
     "phi0_coherent_array",
     "phi0_coherent_region",
@@ -142,15 +143,21 @@ def _time_radius(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[..., 0], np.sqrt(x[..., 1] ** 2 + x[..., 2] ** 2 + x[..., 3] ** 2)
 
 
-def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray) -> np.ndarray:
-    """Re W for the KMS state, in the cancellation-free product form.
+def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Re W for the KMS state and its second dt derivative, in the
+    cancellation-free product form.
 
     coth(a) + coth(b) = sinh(a+b) / (sinh(a) sinh(b)) turns the textbook sum
-    into a form that is regular as dr -> 0 and loses no precision there.
+    into a form that is regular as dr -> 0 and loses no precision there.  Of
+    (coth a + coth b) / (8 pi beta dr) the second dt derivative is
+    W (pi/beta)^2 [csch^2 a + csch^2 b + (coth b - coth a)^2], and
+    coth b - coth a = sinh(a - b) / (sinh(a) sinh(b)) is regular there too.
     """
     a = math.pi * (dr + dt) / beta
     b = math.pi * (dr - dt) / beta
-    out = np.empty(a.shape)
+    k2 = (math.pi / beta) ** 2
+    out, out_tt = np.empty(a.shape), np.empty(a.shape)
     large = np.maximum(np.abs(a), np.abs(b)) > 300.0
     if large.any():
         saturated = np.minimum(np.abs(a), np.abs(b)) > 300.0
@@ -158,13 +165,18 @@ def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray) -> np.ndarray:
         out[saturated] = 0.0
         plateau = saturated & ~(a * b < 0)
         out[plateau] = 2.0 / (8.0 * math.pi * beta * dr[plateau])
+        # both csch^2 below double range: the value is flat in dt
+        out_tt[saturated] = 0.0
         # one argument beyond 300: its coth is 1 to double precision, and the
         # product form would overflow; the other argument s enters through
         # q = coth|s| - 1 (a + b >= 0, so the larger-magnitude argument is positive)
         far = large & ~saturated
         s = np.where(np.abs(a[far]) < np.abs(b[far]), a[far], b[far])
         q = 2.0 * np.exp(-2.0 * np.abs(s)) / -np.expm1(-2.0 * np.abs(s))
-        out[far] = np.where(s > 0, 2.0 + q, -q) / (8.0 * math.pi * beta * dr[far])
+        c = 8.0 * math.pi * beta * dr[far]
+        out[far] = np.where(s > 0, 2.0 + q, -q) / c
+        # (coth s)'' = 2 coth s csch^2 s = 2 sign(s) (1 + q) q (2 + q)
+        out_tt[far] = 2.0 * k2 * np.sign(s) * (1.0 + q) * q * (2.0 + q) / c
     rest = ~large
     a, b = a[rest], b[rest]
     w = a + b  # = 2 pi dr / beta
@@ -172,29 +184,63 @@ def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray) -> np.ndarray:
     sinhc = np.empty(w.shape)
     sinhc[small] = 1.0 + w[small] * w[small] / 6.0
     sinhc[~small] = np.sinh(w[~small]) / w[~small]
-    out[rest] = sinhc * (2.0 * math.pi / beta) / (
-        8.0 * math.pi * beta * np.sinh(a) * np.sinh(b))
+    sa, sb = np.sinh(a), np.sinh(b)
+    val = sinhc * (2.0 * math.pi / beta) / (8.0 * math.pi * beta * sa * sb)
+    out[rest] = val
+    out_tt[rest] = val * k2 * (1.0 / sa**2 + 1.0 / sb**2 + (np.sinh(a - b) / (sa * sb)) ** 2)
+    return out, out_tt
+
+
+def _hermite_chain(x: np.ndarray, f0: np.ndarray, f1: np.ndarray, n: int,
+                   c: float) -> list[np.ndarray]:
+    """[f0, f1, ..., f_n] by f_{k+1} = -c (x f_k + k f_{k-1}).
+
+    With f0 = exp(-c x^2 / 2) and f1 = -c x f0 these are the x derivatives
+    of that Gaussian (Hermite functions).  With c = 2, f0 = D(x) the Dawson
+    integral and f1 = D' = 1 - 2 x D, they are the derivatives of D, which
+    obey the same recurrence from the second on.
+    """
+    out = [f0, f1]
+    for k in range(1, n):
+        out.append(-c * (x * out[k] + k * out[k - 1]))
     return out
 
 
-def _gaussian_wave_pair(t, r, s2: float) -> np.ndarray:
-    """(exp(-(r+t)^2/(4 s2)) - exp(-(r-t)^2/(4 s2))) / r with the r -> 0 limit.
+def _gaussian_wave_pair(t, r, s2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(-(r+t)^2/(4 s2)) - exp(-(r-t)^2/(4 s2))) / r with the r -> 0 limit,
+    and its second t derivative.
 
     This odd-in-r combination underlies the sourced classical wave, the
-    smeared commutator function and their region-smeared versions.
+    smeared commutator function and their region-smeared versions.  With
+    G(x) = exp(-x^2/(4 s2)) it is (G(r + t) - G(r - t)) / r, so its second
+    t derivative is the same difference of G''; below r = 1e-4 sqrt(s2) the
+    n-th t derivative is the series 2 G^(n+1)(t) + r^2 G^(n+3)(t) / 3.
     """
     t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
-    out = np.empty(t.shape)
+    out, out_tt = np.empty(t.shape), np.empty(t.shape)
+    c = 0.5 / s2
     small = r < 1e-4 * math.sqrt(s2)
     if small.any():
         ts, rs = t[small], r[small]
-        u0 = np.exp(-ts * ts / (4.0 * s2))
-        p = ts / (2.0 * s2)
-        out[small] = u0 * (-ts / s2 + (p / (2.0 * s2) - p**3 / 3.0) * rs * rs)
-    tg, rg = t[~small], r[~small]
-    out[~small] = (np.exp(-(rg + tg) ** 2 / (4.0 * s2))
-                   - np.exp(-(rg - tg) ** 2 / (4.0 * s2))) / rg
-    return out
+        e = np.exp(-ts * ts / (4.0 * s2))
+        g = _hermite_chain(ts, e, -c * ts * e, 5, c)
+        out[small] = 2.0 * g[1] + g[3] * rs * rs / 3.0
+        out_tt[small] = 2.0 * g[3] + g[5] * rs * rs / 3.0
+    rg = r[~small]
+    x = np.stack([rg + t[~small], rg - t[~small]])
+    e = np.exp(-x**2 / (4.0 * s2))
+    g = _hermite_chain(x, e, -c * x * e, 2, c)
+    out[~small] = (g[0][0] - g[0][1]) / rg
+    out_tt[~small] = (g[2][0] - g[2][1]) / rg
+    return out, out_tt
+
+
+def _phi0(delta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the classical wave and its second time derivative at coordinates x
+    t, r = _time_radius(x)
+    norm = 4.0 * math.sqrt(2.0) * math.pi
+    value, value_tt = _gaussian_wave_pair(t, r, delta * delta)
+    return value / norm, value_tt / norm
 
 
 def phi0_coherent_array(delta: float, x: np.ndarray) -> np.ndarray:
@@ -207,8 +253,7 @@ def phi0_coherent_array(delta: float, x: np.ndarray) -> np.ndarray:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    t, r = _time_radius(x)
-    return _gaussian_wave_pair(t, r, delta * delta) / (4.0 * math.sqrt(2.0) * math.pi)
+    return _phi0(delta, x)[0]
 
 
 def phi0_coherent(delta: float, x: Event) -> float:
@@ -223,48 +268,51 @@ def phi0_coherent_region(delta: float, region: GaussianRegion) -> float:
     c = region.center
     r = math.sqrt(c.x**2 + c.y**2 + c.z**2)
     s2 = delta * delta + region.ell**2
-    return float(delta * _gaussian_wave_pair(c.t, r, s2) / (
+    return float(delta * _gaussian_wave_pair(c.t, r, s2)[0] / (
         4.0 * math.sqrt(2.0) * math.pi * math.sqrt(s2)))
 
 
-def _H_pm(v: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    # v e^{-v^2} (1 + sign*i*erfi(v)) / sqrt(2 pi), Dawson-stabilised: (real, imag)
-    return (v * np.exp(-v * v) / _SQRT_2PI,
-            v * (sign * 2.0 * dawsn(v) / _SQRT_PI) / _SQRT_2PI)
+def _F(delta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and its second time derivative at coordinates x (..., 4).
 
+    With s = sqrt(2) delta, v_-/+ = (r -/+ t) / s and D the Dawson integral,
+    F = [h(v_-) + conj h(v_+)] / (2 sqrt(2 pi) r) for
+    h(v) = v e^{-v^2} + i (2/sqrt(pi)) v D(v), and F_tt is the same
+    combination of h''/s^2; h^(n) = -g_(n+1)/2 - i D^(n+1)/sqrt(pi) for
+    n >= 1, g_n the derivatives of e^{-v^2}.  Below r = 1e-3 delta, F and
+    F_tt are the series [h^(n)(u) + (r/s)^2 h^(n+2)(u)/6] / (s^n sqrt(2 pi))
+    at u = t/s, n = 1 and 3, with the imaginary part negated.
 
-def _H_pm_third(v: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    # third derivative of _H_pm, used by the small-r series of F: (real, imag)
-    ev = np.exp(-v * v)
-    g3 = (-8.0 * v**4 + 24.0 * v**2 - 6.0) * ev
-    d = dawsn(v)
-    m3 = (2.0 / _SQRT_PI) * (4.0 * v**3 - 10.0 * v
-                             + (24.0 * v**2 - 8.0 * v**4 - 6.0) * d)
-    return g3 / _SQRT_2PI, sign * m3 / _SQRT_2PI
-
-
-def _F_from_tr(delta: float, t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # real and imaginary parts are kept apart: numpy's complex division
-    # multiplies by a reciprocal and rounds differently from these formulas
-    re, im = np.empty(t.shape), np.empty(t.shape)
+    Real and imaginary parts are kept apart: numpy's complex division
+    multiplies by a reciprocal and rounds differently from these formulas.
+    """
+    t, r = _time_radius(x)
     s = math.sqrt(2.0) * delta
+    re, im, re_tt, im_tt = (np.empty(t.shape) for _ in range(4))
     small = r < 1e-3 * delta
     if small.any():
-        # numerator is odd in r; F = N'(0)/2 + N'''(0) r^2 / 12
-        u, rs = t[small] / s, r[small]
-        ev = np.exp(-u * u)
-        d = dawsn(u)
-        g1 = (1.0 - 2.0 * u * u) * ev
-        m1 = (2.0 / _SQRT_PI) * (d + u - 2.0 * u * u * d)
-        f2_re, f2_im = _H_pm_third(u, -1.0)
-        re[small] = g1 / _SQRT_2PI / s + f2_re / s**3 / 6.0 * rs * rs
-        im[small] = -m1 / _SQRT_2PI / s + f2_im / s**3 / 6.0 * rs * rs
-    tg, rg = t[~small], r[~small]
-    m_re, m_im = _H_pm((rg - tg) / s, +1.0)
-    p_re, p_im = _H_pm((rg + tg) / s, -1.0)
-    re[~small] = (m_re + p_re) / (2.0 * rg)
-    im[~small] = (m_im + p_im) / (2.0 * rg)
-    return re + 1j * im
+        u, q = t[small] / s, (r[small] / s) ** 2 / 6.0
+        ev, d = np.exp(-u * u), dawsn(u)
+        g = _hermite_chain(u, ev, -2.0 * u * ev, 6, 2.0)
+        dd = _hermite_chain(u, d, 1.0 - 2.0 * u * d, 6, 2.0)
+        re[small] = -(g[2] + q * g[4]) / (2.0 * s * _SQRT_2PI)
+        im[small] = (dd[2] + q * dd[4]) / (s * _SQRT_PI * _SQRT_2PI)
+        re_tt[small] = -(g[4] + q * g[6]) / (2.0 * s**3 * _SQRT_2PI)
+        im_tt[small] = (dd[4] + q * dd[6]) / (s**3 * _SQRT_PI * _SQRT_2PI)
+    rg, tg = r[~small], t[~small]
+    v = np.stack([rg - tg, rg + tg]) / s
+    ev, d = np.exp(-v * v), dawsn(v)
+    g = _hermite_chain(v, ev, -2.0 * v * ev, 3, 2.0)
+    dd = _hermite_chain(v, d, 1.0 - 2.0 * v * d, 3, 2.0)
+    h_re = -0.5 * g[1] / _SQRT_2PI  # v e^{-v^2}
+    h_im = v * (2.0 * d / _SQRT_PI) / _SQRT_2PI
+    re[~small] = (h_re[0] + h_re[1]) / (2.0 * rg)
+    im[~small] = (h_im[0] - h_im[1]) / (2.0 * rg)
+    h_re_tt = -0.5 * g[3] / (s * s * _SQRT_2PI)
+    h_im_tt = -dd[3] / (s * s * _SQRT_PI * _SQRT_2PI)
+    re_tt[~small] = (h_re_tt[0] + h_re_tt[1]) / (2.0 * rg)
+    im_tt[~small] = (h_im_tt[0] - h_im_tt[1]) / (2.0 * rg)
+    return re + 1j * im, re_tt + 1j * im_tt
 
 
 def F_oneparticle_array(delta: float, x: np.ndarray) -> np.ndarray:
@@ -277,8 +325,7 @@ def F_oneparticle_array(delta: float, x: np.ndarray) -> np.ndarray:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    t, r = _time_radius(x)
-    return _F_from_tr(delta, t, r)
+    return _F(delta, x)[0]
 
 
 def F_oneparticle(delta: float, x: Event) -> complex:
@@ -286,9 +333,11 @@ def F_oneparticle(delta: float, x: Event) -> complex:
     return complex(F_oneparticle_array(delta, x.coords()))
 
 
-def hadamard_array(state: FieldState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def hadamard_dtt_array(state: FieldState, a: np.ndarray, b: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re W = H/2 between coordinate arrays a, b of shape (..., 4), ordered
-    (t, x, y, z), for any of the four states.
+    (t, x, y, z), with its second derivatives in the time of a and in the
+    time of b, for any of the four states, from one pass.
 
     Raises if any pair is (numerically) lightlike, where the pointlike
     kernels are singular; callers should fall back to the smeared quadrature
@@ -302,17 +351,28 @@ def hadamard_array(state: FieldState, a: np.ndarray, b: np.ndarray) -> np.ndarra
             f"pointlike kernel singular at dt={itv.dt.flat[k]:g}, dr={itv.dr.flat[k]:g}; "
             "use the smeared/quadrature path")
     if state.tag == "thermal":
-        return _thermal_real(state.beta, itv.dt, itv.dr)
-    vac = 1.0 / (4.0 * math.pi**2 * (-itv.dt**2 + itv.dr**2))
+        w, w_tt = _thermal_real(state.beta, itv.dt, itv.dr)
+        return w, w_tt, w_tt
+    d = -itv.dt**2 + itv.dr**2
+    vac = 1.0 / (4.0 * math.pi**2 * d)
+    vac_tt = vac * (2.0 / d + 8.0 * itv.dt**2 / d**2)
     if state.tag == "vacuum":
-        return vac
+        return vac, vac_tt, vac_tt
     both = np.stack(np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
     if state.tag == "coherent":
-        pa, pb = phi0_coherent_array(state.delta, both)
-        return vac + pa * pb
+        (pa, pb), (pa_tt, pb_tt) = _phi0(state.delta, both)
+        return vac + pa * pb, vac_tt + pa_tt * pb, vac_tt + pa * pb_tt
     # one-particle wavepacket: vac + 2 Re(F(a) conj(F(b)))
-    fa, fb = F_oneparticle_array(state.delta, both)
-    return vac + 2.0 * (fa.real * fb.real + fa.imag * fb.imag)
+    (fa, fb), (fa_tt, fb_tt) = _F(state.delta, both)
+    return (vac + 2.0 * (fa.real * fb.real + fa.imag * fb.imag),
+            vac_tt + 2.0 * (fa_tt.real * fb.real + fa_tt.imag * fb.imag),
+            vac_tt + 2.0 * (fa.real * fb_tt.real + fa.imag * fb_tt.imag))
+
+
+def hadamard_array(state: FieldState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re W = H/2 between coordinate arrays a, b: the value part of
+    ``hadamard_dtt_array``, which raises on (numerically) lightlike pairs."""
+    return hadamard_dtt_array(state, a, b)[0]
 
 
 def hadamard_point(state: FieldState, a: Event, b: Event) -> float:
@@ -476,7 +536,7 @@ def commutator_smeared(ri: GaussianRegion, rj: GaussianRegion) -> float:
 
 
 def _commutator(dt, dr, ell: float) -> np.ndarray:
-    return _gaussian_wave_pair(dt, dr, 2.0 * ell * ell) / (
+    return _gaussian_wave_pair(dt, dr, 2.0 * ell * ell)[0] / (
         8.0 * math.sqrt(2.0) * math.pi**1.5 * ell)
 
 

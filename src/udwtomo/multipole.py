@@ -7,22 +7,20 @@ ell^2 times the identity, so to second order
         - (ell^2/6) W(x_i, x_j) (tr R(x_i) + tr R(x_j))
         + (ell^2/2) (tr Hess_i W + tr Hess_j W) + O(ell^4),
 
-with Euclidean traces (Kronecker delta, not the metric), so only the
-diagonal of each event's Hessian enters.  For the vacuum that diagonal is
-closed form, with sep = x - x' and sigma = (-dt^2 + dr^2)/2,
-
-    d^2 W / (dx^mu)^2 = (W/sigma) (2 sep_mu^2 / sigma - eta_{mu mu})
-
-(no sum over mu), which makes the vacuum correction factor exactly
+with Euclidean traces (Kronecker delta, not the metric).  Every pointlike
+kernel here (vacuum, thermal, coherent, one-particle) solves the massless
+wave equation in each argument, so each trace is d_t^2 + laplacian = 2 d_t^2
+and the quadrupole term is ell^2 (d^2 W/dt_i^2 + d^2 W/dt_j^2).  The kernels
+supply those second time derivatives in closed form, in the same array pass
+as the value (``kernels.hadamard_dtt_array``).  For the vacuum,
+W = 1/(4 pi^2 D) with D = dr^2 - dt^2 and d^2 W/dt^2 = W (2/D + 8 dt^2/D^2),
+which makes the vacuum correction factor exactly
 
     1 + ell^2 (12 dt^2 + 4 dr^2) / (-dt^2 + dr^2)^2.
 
 The equal-time and equal-position limits (4 ell^2/dr^2 and 12 ell^2/dt^2)
 and direct comparison against the quadrature oracle pin this coefficient; a
-candidate with half this value is excluded by both.  Non-vacuum states are
-differentiated by 5-point central differences along each axis with
-Richardson refinement; the 65 stencil points of both events and both step
-sizes are evaluated in one array call of the pointlike kernel per estimate.
+candidate with half this value is excluded by both.
 """
 
 from __future__ import annotations
@@ -32,11 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, LightconeSingularityError, StencilError
-from .kernels import FieldState, hadamard_array, wightman_smeared_quadrature
+from .errors import InsufficientDataError
+from .kernels import (FieldState, _check_equal_widths, hadamard_dtt_array,
+                      wightman_smeared_quadrature)
 from .numerics import SlopeFit, fit_loglog_slope
-from .smearing import GaussianRegion
-from .spacetime import Event, Separation, classify, interval, intervals
+from .smearing import GaussianRegion, moments
+from .spacetime import Event
 
 __all__ = [
     "DerivativeBundle",
@@ -49,18 +48,15 @@ __all__ = [
     "thermal_expansion_spatial",
 ]
 
-_ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
-# unit-step offsets of one event's 5-point stencil, shape (16, 4): axis, then offset
-_OFFSETS = np.array([s * e for e in np.eye(4) for s in (-2, -1, 1, 2)])
-
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """Pointlike value plus the Hessian diagonal d^2 W / (dx^mu)^2 at both events."""
+    """Pointlike value plus its second time derivative at each event; by the
+    wave equation each is half the event's Euclidean Hessian trace."""
 
     w: float
-    hess_diag_i: np.ndarray  # shape (4,), in the first event
-    hess_diag_j: np.ndarray  # shape (4,), in the second event
+    dtt_i: float  # d^2 W / dt^2 in the first event
+    dtt_j: float  # d^2 W / dt^2 in the second event
 
 
 @dataclass(frozen=True)
@@ -73,83 +69,28 @@ class MultipoleEstimate:
     ricci_term: float
 
 
-def _vacuum_bundle(a: Event, b: Event) -> DerivativeBundle:
-    sigma = interval(a, b).sigma
-    w = 1.0 / (8.0 * math.pi**2 * sigma)
-    sep = a.coords() - b.coords()
-    diag = (w / sigma) * (2.0 * (sep * sep) / sigma - _ETA_DIAG)
-    return DerivativeBundle(w=w, hess_diag_i=diag, hess_diag_j=diag.copy())
-
-
-def _fd_bundles(state: FieldState, a: Event, b: Event,
-                steps: tuple[float, ...]) -> list[DerivativeBundle]:
-    """5-point central-difference bundles at (a, b), one per step size.
-
-    The stencil points of both events for all steps go to the kernel in one
-    call.  A stencil whose sigma changes sign anywhere raises StencilError
-    before the kernel can report a lightlike point.
-    """
-    h = np.asarray(steps, dtype=float)
-    ca, cb = a.coords(), b.coords()
-    shifts = (h[:, None, None] * _OFFSETS).reshape(-1, 4)
-    # row 0 is (a, b); then a shifted against b, then a against b shifted
-    first = np.concatenate([ca[None], ca + shifts, np.broadcast_to(ca, shifts.shape)])
-    second = np.concatenate([cb[None], np.broadcast_to(cb, shifts.shape), cb + shifts])
-    sigma = intervals(first, second).sigma
-    crossed = np.flatnonzero(sigma * sigma[0] <= 0.0)
-    if crossed.size:
-        raise StencilError(
-            f"finite-difference stencil crossed the lightcone "
-            f"(sigma went from {sigma[0]:g} to {sigma[crossed[0]]:g})")
-    vals = hadamard_array(state, first, second)
-    w0 = vals[0]
-    f = vals[1:].reshape(2, len(h), 4, 4)  # (event, step, axis, offset)
-    hh = h[:, None]
-    diag = (-f[..., 3] + 16.0 * f[..., 2] - 30.0 * w0
-            + 16.0 * f[..., 1] - f[..., 0]) / (12.0 * hh * hh)
-    return [DerivativeBundle(w=float(w0), hess_diag_i=diag[0, k], hess_diag_j=diag[1, k])
-            for k in range(len(h))]
-
-
-def _refine(coarse: np.ndarray, fine: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
-    scale = max(float(np.max(np.abs(fine))), 1e-300)
-    if float(np.max(np.abs(fine - coarse))) / scale > rel_tol:
-        return (16.0 * fine - coarse) / 15.0  # both stencils are 4th order
-    return fine
-
-
 def derivatives(state: FieldState, a: Event, b: Event) -> DerivativeBundle:
-    """Hessian diagonals of Re W at (a, b): closed form for the vacuum,
-    Richardson-refined central differences with step 1e-4 (|dt| + dr) for
-    the other states."""
-    if classify(a, b) is Separation.LIGHTLIKE:
-        raise LightconeSingularityError("derivative kernels singular on the lightcone")
-    if state.tag == "vacuum":
-        return _vacuum_bundle(a, b)
-    itv = interval(a, b)
-    h = (abs(itv.dt) + itv.dr) * 1e-4
-    coarse, fine = _fd_bundles(state, a, b, (h, h / 2.0))
-    return DerivativeBundle(w=fine.w,
-                            hess_diag_i=_refine(coarse.hess_diag_i, fine.hess_diag_i),
-                            hess_diag_j=_refine(coarse.hess_diag_j, fine.hess_diag_j))
+    """Re W at (a, b) and its closed second time derivative at each event.
+
+    Raises LightconeSingularityError on (numerically) lightlike pairs.
+    """
+    w, dtt_a, dtt_b = hadamard_dtt_array(state, a.coords(), b.coords())
+    return DerivativeBundle(w=float(w), dtt_i=float(dtt_a), dtt_j=float(dtt_b))
 
 
 def estimate(state: FieldState, ri: GaussianRegion, rj: GaussianRegion,
              ricci_i: np.ndarray | None = None,
              ricci_j: np.ndarray | None = None) -> MultipoleEstimate:
-    """Second-order multipole estimate of Re W(region_i, region_j)."""
-    if abs(ri.ell - rj.ell) > 1e-12 * max(ri.ell, rj.ell):
-        raise ValueError("regions must share the same width")
-    ell2 = ri.ell**2
+    """Second-order multipole estimate of Re W(region_i, region_j).
+
+    ``ricci_i`` and ``ricci_j`` are the 4x4 Ricci tensors at the region
+    centers, checked and traced by ``smearing.moments``.
+    """
+    ell = _check_equal_widths(ri, rj)
     bundle = derivatives(state, ri.center, rj.center)
-    quad = 0.5 * ell2 * (float(np.sum(bundle.hess_diag_i)) + float(np.sum(bundle.hess_diag_j)))
-    ricci = 0.0
-    for mat in (ricci_i, ricci_j):
-        if mat is not None:
-            m = np.asarray(mat, dtype=float)
-            if m.shape != (4, 4):
-                raise ValueError("ricci matrices must be 4x4")
-            ricci -= ell2 / 6.0 * bundle.w * float(np.trace(m))
+    quad = ell * ell * (bundle.dtt_i + bundle.dtt_j)
+    ricci = -bundle.w * sum(moments(r, m).ricci_trace_correction
+                            for r, m in ((ri, ricci_i), (rj, ricci_j)) if m is not None)
     return MultipoleEstimate(value=bundle.w + ricci + quad,
                              pointlike_term=bundle.w,
                              quadrupole_term=quad,
@@ -173,8 +114,8 @@ def thermal_expansion_spatial(beta: float, dr: float, ell: float) -> float:
     """Second-order thermal expansion at equal time, as verified numerically.
 
     The 1/(4 pi beta dr) leading prefactor is fixed by the beta -> infinity
-    vacuum limit and by the finite-difference quadrupole oracle; a pi-less
-    variant of that prefactor is excluded by both.
+    vacuum limit and by the closed second-time-derivative estimate; a
+    pi-less variant of that prefactor is excluded by both.
     """
     c = 1.0 / math.tanh(math.pi * dr / beta)
     s = math.sinh(math.pi * dr / beta)

@@ -292,6 +292,10 @@ class TestArrayKernels:
         a = self.coords(self.THERMAL)
         got = kernels.hadamard_array(state, a, np.zeros(4))
         assert got.tolist() == [hadamard_point(state, Event(*p), O) for p in a]
+        # the second time derivatives follow the same branch masks
+        got = np.array(kernels.hadamard_dtt_array(state, a, np.zeros(4))).T
+        assert got.tolist() == [
+            np.array(kernels.hadamard_dtt_array(state, p, np.zeros(4))).tolist() for p in a]
 
     def test_source_amplitude_branches(self):
         x = self.coords(self.SOURCED)
@@ -308,6 +312,9 @@ class TestArrayKernels:
         b = np.roll(a, 1, axis=0) + [0.0, 0.0, 0.0, 9.0]
         got = kernels.hadamard_array(state, a, b)
         assert got.tolist() == [hadamard_point(state, Event(*p), Event(*q))
+                                for p, q in zip(a, b)]
+        got = np.array(kernels.hadamard_dtt_array(state, a, b)).T
+        assert got.tolist() == [np.array(kernels.hadamard_dtt_array(state, p, q)).tolist()
                                 for p, q in zip(a, b)]
 
     def test_lightlike_point_raises(self):

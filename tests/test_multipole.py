@@ -5,9 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from udwtomo import multipole
-from udwtomo.errors import (InsufficientDataError, LightconeSingularityError,
-                            StencilError)
+from udwtomo.errors import InsufficientDataError, LightconeSingularityError
 from udwtomo.kernels import FieldState, hadamard_point, wightman_smeared_quadrature
 from udwtomo.multipole import (convergence_order, derivatives, estimate,
                                thermal_expansion_spatial,
@@ -25,28 +23,83 @@ def regions(dt, dr, ell):
 
 
 class TestVacuumDerivatives:
-    def test_closed_forms_match_finite_differences(self):
-        # cross-check the closed vacuum Hessian diagonals against the generic stencil
-        a, b = Event(0.7, 2.5, 0.4, -0.3), Event(-0.1, 0.2, 0.0, 0.1)
-        closed = derivatives(VAC, a, b)
-        fd, = multipole._fd_bundles(VAC, a, b, (1e-3,))
-        assert fd.hess_diag_i.shape == fd.hess_diag_j.shape == (4,)
-        assert np.allclose(fd.hess_diag_i, closed.hess_diag_i, rtol=1e-6, atol=1e-9)
-        assert np.allclose(fd.hess_diag_j, closed.hess_diag_j, rtol=1e-6, atol=1e-9)
-
     def test_hessian_trace_reproduces_spatial_coefficient(self):
         s = 3.0
         b = derivatives(VAC, Event(0.0, s, 0, 0), O)
-        # (ell^2/2)(tr_i + tr_j) = W * 4 ell^2 / s^2 at equal time
-        combo = 0.5 * (np.sum(b.hess_diag_i) + np.sum(b.hess_diag_j))
-        assert combo == pytest.approx(b.w * 4.0 / s**2, rel=1e-13)
+        # (ell^2/2)(tr_i + tr_j) = ell^2 (d_tt_i + d_tt_j) = W * 4 ell^2 / s^2 at equal time
+        assert b.dtt_i + b.dtt_j == pytest.approx(b.w * 4.0 / s**2, rel=1e-13)
 
     def test_lightlike_rejected(self):
-        with pytest.raises(LightconeSingularityError):
-            derivatives(VAC, Event(1.0, 1.0, 0, 0), O)
+        for state in (VAC, FieldState.thermal(5.0), FieldState.coherent(1.5),
+                      FieldState.one_particle(4.0)):
+            with pytest.raises(LightconeSingularityError):
+                derivatives(state, Event(1.0, 1.0, 0, 0), O)
 
 
-class TestFiniteDifferenceStates:
+def _mp_pair(state):
+    """Re W(a, b) at working precision as a function of the eight coordinates
+    of a and b: the vacuum term, the textbook coth sum of the thermal state
+    (its dr = 0 limit in closed form), or the vacuum term plus phi0(a) phi0(b)
+    (coherent) or 2 Re F(a) conj F(b) (one-particle), each amplitude in its
+    closed mpmath form."""
+    import mpmath as mp
+
+    def phi0(t, r):
+        s2 = mp.mpf(state.delta) ** 2
+        return (mp.exp(-(r + t) ** 2 / (4 * s2)) - mp.exp(-(r - t) ** 2 / (4 * s2))) / (
+            r * 4 * mp.sqrt(2) * mp.pi)
+
+    def F(t, r):
+        def h(v, sign):
+            return v * mp.exp(-v * v) * (1 + sign * 1j * mp.erfi(v)) / mp.sqrt(2 * mp.pi)
+        s = mp.sqrt(2) * mp.mpf(state.delta)
+        return (h((r - t) / s, 1) + h((r + t) / s, -1)) / (2 * r)
+
+    def w(ta, xa, ya, za, tb, xb, yb, zb):
+        dt = ta - tb
+        dr = mp.sqrt((xa - xb) ** 2 + (ya - yb) ** 2 + (za - zb) ** 2)
+        if state.tag == "thermal":
+            beta = mp.mpf(state.beta)
+            if dr == 0:
+                return -1 / (4 * beta**2 * mp.sinh(mp.pi * dt / beta) ** 2)
+            return (mp.coth(mp.pi * (dr + dt) / beta) + mp.coth(mp.pi * (dr - dt) / beta)) / (
+                8 * mp.pi * beta * dr)
+        vac = 1 / (4 * mp.pi**2 * (dr**2 - dt**2))
+        if state.tag == "vacuum":
+            return vac
+        ra, rb = mp.sqrt(xa**2 + ya**2 + za**2), mp.sqrt(xb**2 + yb**2 + zb**2)
+        if state.tag == "coherent":
+            return vac + phi0(ta, ra) * phi0(tb, rb)
+        return vac + 2 * mp.re(F(ta, ra) * mp.conj(F(tb, rb)))
+    return w
+
+
+def _mp_second_derivatives(state, a, b, axes):
+    """mpmath.diff second derivatives of Re W along each of ``axes`` (0-3 in
+    a, 4-7 in b), at 30 digits."""
+    import mpmath as mp
+
+    w = _mp_pair(state)
+    with mp.workdps(30):
+        point = [mp.mpf(v) for v in (*a, *b)]
+        return [float(mp.diff(w, point, tuple(2 if k == axis else 0 for k in range(8))))
+                for axis in axes]
+
+
+def _mp_multipole(state, a, b, ell):
+    """W + (ell^2/2)(tr Hess_a W + tr Hess_b W), Hessians by mpmath.diff."""
+    import mpmath as mp
+
+    a, b = a.coords(), b.coords()
+    with mp.workdps(30):
+        w = float(_mp_pair(state)(*[mp.mpf(v) for v in (*a, *b)]))
+    return w + ell**2 / 2 * sum(_mp_second_derivatives(state, a, b, range(8)))
+
+
+class TestStateDerivatives:
+    """Closed second time derivatives against mpmath.diff, across every branch
+    of the pointlike kernels."""
+
     def test_thermal_hessian_vs_analytic_second_derivative(self):
         # analytic d^2/ddt^2 of the reduced coth kernel as the oracle
         beta, dt, dr = 7.0, 1.0, 3.0
@@ -57,13 +110,64 @@ class TestFiniteDifferenceStates:
         ana = (1.0 / (8 * math.pi * beta * dr)) * k**2 * (
             2 * coth(k * (dr + dt)) * csch2(k * (dr + dt))
             + 2 * coth(k * (dr - dt)) * csch2(k * (dr - dt)))
-        assert b.hess_diag_i[0] == pytest.approx(ana, rel=1e-6)
-        assert b.hess_diag_j[0] == pytest.approx(ana, rel=1e-6)
+        assert b.dtt_i == pytest.approx(ana, rel=1e-6)
+        assert b.dtt_j == pytest.approx(ana, rel=1e-6)
 
-    def test_stencil_crossing_lightcone(self):
-        # separation comparable to the default step: stencil straddles the cone
-        with pytest.raises((StencilError, LightconeSingularityError)):
-            derivatives(FieldState.thermal(5.0), Event(1.0, 1.0 + 1e-6, 0, 0), O)
+    @pytest.mark.parametrize("state, a, b", [
+        pytest.param(VAC, (0.7, 2.5, 0.4, -0.3), (-0.1, 0.2, 0.0, 0.1), id="vacuum"),
+        pytest.param(VAC, (3.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 1.0), id="vacuum-timelike"),
+        pytest.param(FieldState.thermal(7.0), (1.0, 3.0, 0.0, 0.0), O.coords(),
+                     id="thermal"),
+        pytest.param(FieldState.thermal(1.0), (2.0, 0.3, 0.4, 0.0), O.coords(),
+                     id="thermal-timelike"),
+        pytest.param(FieldState.thermal(1.0), (0.7, 0.0, 0.0, 0.0), O.coords(),
+                     id="thermal-dr0"),
+        pytest.param(FieldState.thermal(1.0), (0.7, 1e-9, 0.0, 0.0), O.coords(),
+                     id="thermal-sinhc"),
+        # one argument of coth beyond 300, the other near the cone on either side
+        pytest.param(FieldState.thermal(1.0), (100.0, 100.5, 0.0, 0.0), O.coords(),
+                     id="thermal-one-saturated-spacelike"),
+        pytest.param(FieldState.thermal(1.0), (100.5, 100.0, 0.0, 0.0), O.coords(),
+                     id="thermal-one-saturated-timelike"),
+        pytest.param(FieldState.thermal(1.0), (5.0, 200.0, 0.0, 0.0), O.coords(),
+                     id="thermal-saturated-plateau"),
+        pytest.param(FieldState.thermal(1.0), (500.0, 100.0, 0.0, 0.0), O.coords(),
+                     id="thermal-saturated-timelike"),
+        # 1e-6 outside the lightcone, where W is large and steep
+        pytest.param(FieldState.thermal(5.0), (1.0, 1.0 + 1e-6, 0.0, 0.0), O.coords(),
+                     id="thermal-near-lightcone"),
+        # one event on either side of the small-r series switch of phi0
+        # (r = 1e-4 delta), the other where the source term dominates d_tt W
+        pytest.param(FieldState.coherent(1.5), (1.5, 0.5e-4 * 1.5, 0.0, 0.0),
+                     (-4.0, 2.0, 0.5, 0.0), id="coherent-series"),
+        pytest.param(FieldState.coherent(1.5), (1.5, 2e-4 * 1.5, 0.0, 0.0),
+                     (-4.0, 2.0, 0.5, 0.0), id="coherent-direct"),
+        pytest.param(FieldState.coherent(1.5), (1.0, 6.0, 0.5, 0.0),
+                     (-0.5, 1.0, -2.0, 0.3), id="coherent"),
+        # one event on either side of the small-r series switch of F (r = 1e-3 delta)
+        pytest.param(FieldState.one_particle(4.0), (0.8, 0.5e-3 * 4.0, 0.0, 0.0),
+                     (-1.0, 3.0, 1.0, 0.0), id="one-particle-series"),
+        pytest.param(FieldState.one_particle(4.0), (0.8, 2e-3 * 4.0, 0.0, 0.0),
+                     (-1.0, 3.0, 1.0, 0.0), id="one-particle-direct"),
+        pytest.param(FieldState.one_particle(4.0), (-3.0, 1.0, 2.0, 0.0),
+                     (2.0, -5.0, 0.0, 1.0), id="one-particle"),
+    ])
+    def test_matches_mpmath(self, state, a, b):
+        got = derivatives(state, Event(*a), Event(*b))
+        want = _mp_second_derivatives(state, a, b, (0, 4))
+        for value, ref in zip((got.dtt_i, got.dtt_j), want):
+            assert abs(value - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("state", [VAC, FieldState.thermal(7.0),
+                                       FieldState.coherent(1.5),
+                                       FieldState.one_particle(4.0)])
+    def test_wave_equation_trace(self, state):
+        # 2 d_tt W is the Euclidean Hessian trace at each event, sources included
+        a, b = (1.0, 6.0, 0.5, 0.0), (-0.5, 1.0, -2.0, 0.3)
+        got = derivatives(state, Event(*a), Event(*b))
+        diag = _mp_second_derivatives(state, a, b, range(8))
+        assert 2.0 * got.dtt_i == pytest.approx(sum(diag[:4]), rel=1e-10)
+        assert 2.0 * got.dtt_j == pytest.approx(sum(diag[4:]), rel=1e-10)
 
 
 class TestEstimate:
@@ -142,6 +246,17 @@ class TestEstimate:
         # the pi-less leading term misses the oracle by far more than ell^2
         assert abs(w - math.pi * lead) > 100 * ell2_term
 
+    def test_ricci_must_be_finite(self):
+        ri, rj = regions(0.0, 10.0, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            estimate(VAC, ri, rj, ricci_i=np.full((4, 4), np.nan))
+
+    def test_widths_must_match(self):
+        ri, _ = regions(0.0, 10.0, 0.1)
+        _, rj = regions(0.0, 10.0, 0.2)
+        with pytest.raises(ValueError, match="same width"):
+            estimate(VAC, ri, rj)
+
     def test_ricci_hook(self):
         ri, rj = regions(0.0, 10.0, 0.1)
         r = 0.3
@@ -160,61 +275,19 @@ class TestEstimate:
             assert a.value == pytest.approx(b.value, rel=1e-9)
 
 
-def _mp_sourced_pair(state):
-    """Re W of a sourced state at 30 digits: the vacuum term plus
-    phi0(a) phi0(b) (coherent) or 2 Re F(a) conj F(b) (one-particle), each
-    amplitude in its closed mpmath form."""
-    import mpmath as mp
-
-    delta = mp.mpf(state.delta)
-
-    def phi0(t, r):
-        s2 = delta**2
-        return (mp.exp(-(r + t) ** 2 / (4 * s2)) - mp.exp(-(r - t) ** 2 / (4 * s2))) / (
-            r * 4 * mp.sqrt(2) * mp.pi)
-
-    def F(t, r):
-        def h(v, sign):
-            return v * mp.exp(-v * v) * (1 + sign * 1j * mp.erfi(v)) / mp.sqrt(2 * mp.pi)
-        s = mp.sqrt(2) * delta
-        return (h((r - t) / s, 1) + h((r + t) / s, -1)) / (2 * r)
-
-    def w(ta, xa, ya, za, tb, xb, yb, zb):
-        dt = ta - tb
-        dr2 = (xa - xb) ** 2 + (ya - yb) ** 2 + (za - zb) ** 2
-        ra, rb = mp.sqrt(xa**2 + ya**2 + za**2), mp.sqrt(xb**2 + yb**2 + zb**2)
-        vac = 1 / (4 * mp.pi**2 * (dr2 - dt**2))
-        if state.tag == "coherent":
-            return vac + phi0(ta, ra) * phi0(tb, rb)
-        return vac + 2 * mp.re(F(ta, ra) * mp.conj(F(tb, rb)))
-    return w
-
-
-def _mp_multipole(state, a, b, ell):
-    """W + (ell^2/2)(tr Hess_a W + tr Hess_b W), Hessians by mpmath.diff."""
-    import mpmath as mp
-
-    w = _mp_sourced_pair(state)
-    with mp.workdps(30):
-        point = [mp.mpf(v) for v in (a.t, a.x, a.y, a.z, b.t, b.x, b.y, b.z)]
-        trace = sum(mp.diff(w, point, tuple(2 if k == axis else 0 for k in range(8)))
-                    for axis in range(8))
-        return float(w(*point) + mp.mpf(ell) ** 2 / 2 * trace)
-
-
 class TestSourcedOracle:
     """Coherent and one-particle estimates against mpmath Hessian traces."""
 
     @pytest.mark.parametrize("state, a, b", [
         (FieldState.coherent(1.5), Event(1.0, 6.0, 0.5, 0.0), Event(-0.5, 1.0, -2.0, 0.3)),
         (FieldState.coherent(1.5), Event(2.0, -4.0, 1.0, 0.0), Event(-1.0, 0.5, 0.0, 2.0)),
-        # one event 1e-4 from the source centre: its stencil straddles the
-        # small-r series switch of phi0 (r = 1e-4 delta)
+        # one event 1e-4 from the source centre, beside the small-r series
+        # switch of phi0 (r = 1e-4 delta)
         (FieldState.coherent(1.5), Event(0.8, 1e-4, 0.0, 0.0), Event(-1.0, 3.0, 1.0, 0.0)),
         (FieldState.one_particle(4.0), Event(1.0, 6.0, 0.5, 0.0), Event(-0.5, 1.0, -2.0, 0.3)),
         (FieldState.one_particle(4.0), Event(-3.0, 1.0, 2.0, 0.0), Event(2.0, -5.0, 0.0, 1.0)),
-        # within 1e-3 delta of the source centre: the stencil straddles the
-        # small-r series switch of F (r = 1e-3 delta)
+        # within 1e-3 delta of the source centre, inside the small-r series
+        # of F (r = 1e-3 delta)
         (FieldState.one_particle(4.0), Event(0.8, 3e-3, 0.0, 0.0), Event(-1.0, 3.0, 1.0, 0.0)),
     ])
     def test_estimate_matches_mpmath(self, state, a, b):
