@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import dawsn
 
 from .errors import (ConvergenceError, LightconeSingularityError,
                      PrecisionWarning, UdwTomoError)
@@ -143,10 +142,10 @@ def _time_radius(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[..., 0], np.sqrt(x[..., 1] ** 2 + x[..., 2] ** 2 + x[..., 3] ** 2)
 
 
-def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Re W for the KMS state and its second dt derivative, in the
-    cancellation-free product form.
+def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray, dtt: bool
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Re W for the KMS state and, if ``dtt``, its second dt derivative (else
+    None), in the cancellation-free product form.
 
     coth(a) + coth(b) = sinh(a+b) / (sinh(a) sinh(b)) turns the textbook sum
     into a form that is regular as dr -> 0 and loses no precision there.  Of
@@ -157,7 +156,8 @@ def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray
     a = math.pi * (dr + dt) / beta
     b = math.pi * (dr - dt) / beta
     k2 = (math.pi / beta) ** 2
-    out, out_tt = np.empty(a.shape), np.empty(a.shape)
+    out = np.empty(a.shape)
+    out_tt = np.empty(a.shape) if dtt else None
     large = np.maximum(np.abs(a), np.abs(b)) > 300.0
     if large.any():
         saturated = np.minimum(np.abs(a), np.abs(b)) > 300.0
@@ -165,8 +165,9 @@ def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray
         out[saturated] = 0.0
         plateau = saturated & ~(a * b < 0)
         out[plateau] = 2.0 / (8.0 * math.pi * beta * dr[plateau])
-        # both csch^2 below double range: the value is flat in dt
-        out_tt[saturated] = 0.0
+        if dtt:
+            # both csch^2 below double range: the value is flat in dt
+            out_tt[saturated] = 0.0
         # one argument beyond 300: its coth is 1 to double precision, and the
         # product form would overflow; the other argument s enters through
         # q = coth|s| - 1 (a + b >= 0, so the larger-magnitude argument is positive)
@@ -175,8 +176,9 @@ def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray
         q = 2.0 * np.exp(-2.0 * np.abs(s)) / -np.expm1(-2.0 * np.abs(s))
         c = 8.0 * math.pi * beta * dr[far]
         out[far] = np.where(s > 0, 2.0 + q, -q) / c
-        # (coth s)'' = 2 coth s csch^2 s = 2 sign(s) (1 + q) q (2 + q)
-        out_tt[far] = 2.0 * k2 * np.sign(s) * (1.0 + q) * q * (2.0 + q) / c
+        if dtt:
+            # (coth s)'' = 2 coth s csch^2 s = 2 sign(s) (1 + q) q (2 + q)
+            out_tt[far] = 2.0 * k2 * np.sign(s) * (1.0 + q) * q * (2.0 + q) / c
     rest = ~large
     a, b = a[rest], b[rest]
     w = a + b  # = 2 pi dr / beta
@@ -187,7 +189,8 @@ def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray
     sa, sb = np.sinh(a), np.sinh(b)
     val = sinhc * (2.0 * math.pi / beta) / (8.0 * math.pi * beta * sa * sb)
     out[rest] = val
-    out_tt[rest] = val * k2 * (1.0 / sa**2 + 1.0 / sb**2 + (np.sinh(a - b) / (sa * sb)) ** 2)
+    if dtt:
+        out_tt[rest] = val * k2 * (1.0 / sa**2 + 1.0 / sb**2 + (np.sinh(a - b) / (sa * sb)) ** 2)
     return out, out_tt
 
 
@@ -206,9 +209,10 @@ def _hermite_chain(x: np.ndarray, f0: np.ndarray, f1: np.ndarray, n: int,
     return out
 
 
-def _gaussian_wave_pair(t, r, s2: float) -> tuple[np.ndarray, np.ndarray]:
+def _gaussian_wave_pair(t, r, s2: float, dtt: bool = False
+                        ) -> tuple[np.ndarray, np.ndarray | None]:
     """(exp(-(r+t)^2/(4 s2)) - exp(-(r-t)^2/(4 s2))) / r with the r -> 0 limit,
-    and its second t derivative.
+    and, if ``dtt``, its second t derivative (else None).
 
     This odd-in-r combination underlies the sourced classical wave, the
     smeared commutator function and their region-smeared versions.  With
@@ -217,30 +221,34 @@ def _gaussian_wave_pair(t, r, s2: float) -> tuple[np.ndarray, np.ndarray]:
     n-th t derivative is the series 2 G^(n+1)(t) + r^2 G^(n+3)(t) / 3.
     """
     t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
-    out, out_tt = np.empty(t.shape), np.empty(t.shape)
+    out = np.empty(t.shape)
+    out_tt = np.empty(t.shape) if dtt else None
     c = 0.5 / s2
     small = r < 1e-4 * math.sqrt(s2)
     if small.any():
         ts, rs = t[small], r[small]
         e = np.exp(-ts * ts / (4.0 * s2))
-        g = _hermite_chain(ts, e, -c * ts * e, 5, c)
+        g = _hermite_chain(ts, e, -c * ts * e, 5 if dtt else 3, c)
         out[small] = 2.0 * g[1] + g[3] * rs * rs / 3.0
-        out_tt[small] = 2.0 * g[3] + g[5] * rs * rs / 3.0
+        if dtt:
+            out_tt[small] = 2.0 * g[3] + g[5] * rs * rs / 3.0
     rg = r[~small]
     x = np.stack([rg + t[~small], rg - t[~small]])
     e = np.exp(-x**2 / (4.0 * s2))
-    g = _hermite_chain(x, e, -c * x * e, 2, c)
-    out[~small] = (g[0][0] - g[0][1]) / rg
-    out_tt[~small] = (g[2][0] - g[2][1]) / rg
+    out[~small] = (e[0] - e[1]) / rg
+    if dtt:
+        g = _hermite_chain(x, e, -c * x * e, 2, c)
+        out_tt[~small] = (g[2][0] - g[2][1]) / rg
     return out, out_tt
 
 
-def _phi0(delta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the classical wave and its second time derivative at coordinates x
+def _phi0(delta: float, x: np.ndarray, dtt: bool = False
+          ) -> tuple[np.ndarray, np.ndarray | None]:
+    # the classical wave at coordinates x and, if dtt, its second time derivative
     t, r = _time_radius(x)
     norm = 4.0 * math.sqrt(2.0) * math.pi
-    value, value_tt = _gaussian_wave_pair(t, r, delta * delta)
-    return value / norm, value_tt / norm
+    value, value_tt = _gaussian_wave_pair(t, r, delta * delta, dtt)
+    return value / norm, value_tt / norm if dtt else None
 
 
 def phi0_coherent_array(delta: float, x: np.ndarray) -> np.ndarray:
@@ -272,8 +280,10 @@ def phi0_coherent_region(delta: float, region: GaussianRegion) -> float:
         4.0 * math.sqrt(2.0) * math.pi * math.sqrt(s2)))
 
 
-def _F(delta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F and its second time derivative at coordinates x (..., 4).
+def _F(delta: float, x: np.ndarray, dtt: bool = False
+       ) -> tuple[np.ndarray, np.ndarray | None]:
+    """F and, if ``dtt``, its second time derivative (else None) at
+    coordinates x (..., 4).
 
     With s = sqrt(2) delta, v_-/+ = (r -/+ t) / s and D the Dawson integral,
     F = [h(v_-) + conj h(v_+)] / (2 sqrt(2 pi) r) for
@@ -286,28 +296,35 @@ def _F(delta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Real and imaginary parts are kept apart: numpy's complex division
     multiplies by a reciprocal and rounds differently from these formulas.
     """
+    from scipy.special import dawsn  # here, not at import: it takes ~0.25 s to load
+
     t, r = _time_radius(x)
     s = math.sqrt(2.0) * delta
-    re, im, re_tt, im_tt = (np.empty(t.shape) for _ in range(4))
+    re, im = np.empty(t.shape), np.empty(t.shape)
+    re_tt, im_tt = (np.empty(t.shape), np.empty(t.shape)) if dtt else (None, None)
     small = r < 1e-3 * delta
     if small.any():
         u, q = t[small] / s, (r[small] / s) ** 2 / 6.0
         ev, d = np.exp(-u * u), dawsn(u)
-        g = _hermite_chain(u, ev, -2.0 * u * ev, 6, 2.0)
-        dd = _hermite_chain(u, d, 1.0 - 2.0 * u * d, 6, 2.0)
+        g = _hermite_chain(u, ev, -2.0 * u * ev, 6 if dtt else 4, 2.0)
+        dd = _hermite_chain(u, d, 1.0 - 2.0 * u * d, 6 if dtt else 4, 2.0)
         re[small] = -(g[2] + q * g[4]) / (2.0 * s * _SQRT_2PI)
         im[small] = (dd[2] + q * dd[4]) / (s * _SQRT_PI * _SQRT_2PI)
-        re_tt[small] = -(g[4] + q * g[6]) / (2.0 * s**3 * _SQRT_2PI)
-        im_tt[small] = (dd[4] + q * dd[6]) / (s**3 * _SQRT_PI * _SQRT_2PI)
+        if dtt:
+            re_tt[small] = -(g[4] + q * g[6]) / (2.0 * s**3 * _SQRT_2PI)
+            im_tt[small] = (dd[4] + q * dd[6]) / (s**3 * _SQRT_PI * _SQRT_2PI)
     rg, tg = r[~small], t[~small]
     v = np.stack([rg - tg, rg + tg]) / s
     ev, d = np.exp(-v * v), dawsn(v)
-    g = _hermite_chain(v, ev, -2.0 * v * ev, 3, 2.0)
-    dd = _hermite_chain(v, d, 1.0 - 2.0 * v * d, 3, 2.0)
-    h_re = -0.5 * g[1] / _SQRT_2PI  # v e^{-v^2}
+    g1 = -2.0 * v * ev
+    h_re = -0.5 * g1 / _SQRT_2PI  # v e^{-v^2}
     h_im = v * (2.0 * d / _SQRT_PI) / _SQRT_2PI
     re[~small] = (h_re[0] + h_re[1]) / (2.0 * rg)
     im[~small] = (h_im[0] - h_im[1]) / (2.0 * rg)
+    if not dtt:
+        return re + 1j * im, None
+    g = _hermite_chain(v, ev, g1, 3, 2.0)
+    dd = _hermite_chain(v, d, 1.0 - 2.0 * v * d, 3, 2.0)
     h_re_tt = -0.5 * g[3] / (s * s * _SQRT_2PI)
     h_im_tt = -dd[3] / (s * s * _SQRT_PI * _SQRT_2PI)
     re_tt[~small] = (h_re_tt[0] + h_re_tt[1]) / (2.0 * rg)
@@ -333,6 +350,42 @@ def F_oneparticle(delta: float, x: Event) -> complex:
     return complex(F_oneparticle_array(delta, x.coords()))
 
 
+def _hadamard(state: FieldState, a: np.ndarray, b: np.ndarray, dtt: bool
+              ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(Re W, d^2/dt_a^2 Re W, d^2/dt_b^2 Re W), the derivatives None unless
+    ``dtt``; the value entries do not depend on ``dtt``."""
+    itv = intervals(a, b)
+    lightlike = np.abs(itv.sigma) <= default_lightcone_tol(itv)
+    if np.any(lightlike):
+        k = np.flatnonzero(lightlike)[0]
+        raise LightconeSingularityError(
+            f"pointlike kernel singular at dt={itv.dt.flat[k]:g}, dr={itv.dr.flat[k]:g}; "
+            "use the smeared/quadrature path")
+    if state.tag == "thermal":
+        w, w_tt = _thermal_real(state.beta, itv.dt, itv.dr, dtt)
+        return w, w_tt, w_tt
+    d = -itv.dt**2 + itv.dr**2
+    vac = 1.0 / (4.0 * math.pi**2 * d)
+    vac_tt = vac * (2.0 / d + 8.0 * itv.dt**2 / d**2) if dtt else None
+    if state.tag == "vacuum":
+        return vac, vac_tt, vac_tt
+    both = np.stack(np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    if state.tag == "coherent":
+        (pa, pb), p_tt = _phi0(state.delta, both, dtt)
+        w = vac + pa * pb
+        if not dtt:
+            return w, None, None
+        return w, vac_tt + p_tt[0] * pb, vac_tt + pa * p_tt[1]
+    # one-particle wavepacket: vac + 2 Re(F(a) conj(F(b)))
+    (fa, fb), f_tt = _F(state.delta, both, dtt)
+    w = vac + 2.0 * (fa.real * fb.real + fa.imag * fb.imag)
+    if not dtt:
+        return w, None, None
+    fa_tt, fb_tt = f_tt
+    return (w, vac_tt + 2.0 * (fa_tt.real * fb.real + fa_tt.imag * fb.imag),
+            vac_tt + 2.0 * (fa.real * fb_tt.real + fa.imag * fb_tt.imag))
+
+
 def hadamard_dtt_array(state: FieldState, a: np.ndarray, b: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re W = H/2 between coordinate arrays a, b of shape (..., 4), ordered
@@ -343,36 +396,14 @@ def hadamard_dtt_array(state: FieldState, a: np.ndarray, b: np.ndarray
     kernels are singular; callers should fall back to the smeared quadrature
     path there.
     """
-    itv = intervals(a, b)
-    lightlike = np.abs(itv.sigma) <= default_lightcone_tol(itv)
-    if np.any(lightlike):
-        k = np.flatnonzero(lightlike)[0]
-        raise LightconeSingularityError(
-            f"pointlike kernel singular at dt={itv.dt.flat[k]:g}, dr={itv.dr.flat[k]:g}; "
-            "use the smeared/quadrature path")
-    if state.tag == "thermal":
-        w, w_tt = _thermal_real(state.beta, itv.dt, itv.dr)
-        return w, w_tt, w_tt
-    d = -itv.dt**2 + itv.dr**2
-    vac = 1.0 / (4.0 * math.pi**2 * d)
-    vac_tt = vac * (2.0 / d + 8.0 * itv.dt**2 / d**2)
-    if state.tag == "vacuum":
-        return vac, vac_tt, vac_tt
-    both = np.stack(np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-    if state.tag == "coherent":
-        (pa, pb), (pa_tt, pb_tt) = _phi0(state.delta, both)
-        return vac + pa * pb, vac_tt + pa_tt * pb, vac_tt + pa * pb_tt
-    # one-particle wavepacket: vac + 2 Re(F(a) conj(F(b)))
-    (fa, fb), (fa_tt, fb_tt) = _F(state.delta, both)
-    return (vac + 2.0 * (fa.real * fb.real + fa.imag * fb.imag),
-            vac_tt + 2.0 * (fa_tt.real * fb.real + fa_tt.imag * fb.imag),
-            vac_tt + 2.0 * (fa.real * fb_tt.real + fa.imag * fb_tt.imag))
+    return _hadamard(state, a, b, dtt=True)
 
 
 def hadamard_array(state: FieldState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re W = H/2 between coordinate arrays a, b: the value part of
-    ``hadamard_dtt_array``, which raises on (numerically) lightlike pairs."""
-    return hadamard_dtt_array(state, a, b)[0]
+    ``hadamard_dtt_array``, bit for bit, without its derivatives.  Raises on
+    (numerically) lightlike pairs."""
+    return _hadamard(state, a, b, dtt=False)[0]
 
 
 def hadamard_point(state: FieldState, a: Event, b: Event) -> float:
@@ -478,6 +509,7 @@ def _erfi_scaled_over_x(x: float) -> float:
     # exp(-x^2) erfi(x) / x = 2 D(x) / (x sqrt(pi)), continued through x = 0
     if x < 1e-6:
         return (2.0 / _SQRT_PI) * (1.0 - 2.0 * x * x / 3.0)
+    from scipy.special import dawsn  # here, not at import: it takes ~0.25 s to load
     return 2.0 * dawsn(x) / (x * _SQRT_PI)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, InsufficientDataError
 
@@ -84,6 +83,8 @@ def integrate_semi_infinite(
     dominant oscillation frequency (rad per unit k) and only affects how the
     finite range is panelised.  Deterministic for fixed inputs.
     """
+    from scipy import integrate  # here, not at import: it takes ~0.5 s to load
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     cutoff, tail_bound = _choose_cutoff(f, tol, decay_scale)

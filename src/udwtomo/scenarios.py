@@ -155,7 +155,9 @@ def _parse_s_values(raw: dict) -> list[float]:
     else:
         raise ConfigError("field 's_over_ell' must be a range object or list",
                           field="s_over_ell")
-    if not vals or any(v <= 0 for v in vals):
+    if not vals:
+        raise ConfigError("field 's_over_ell' is an empty list", field="s_over_ell")
+    if any(v <= 0 for v in vals):
         raise ConfigError("field 's_over_ell' values must be strictly positive",
                           field="s_over_ell")
     return vals
@@ -184,13 +186,18 @@ def _parse_lattice(raw: dict, ell: float) -> LatticeSpec:
         counts = [lat[k] for k in ("n_space", "n_time")]
         if not all(_is_int(n) for n in counts):
             raise TypeError(f"site counts must be integers, got {counts}")
-        return LatticeSpec(
+        spec = LatticeSpec(
             n_space=counts[0], n_time=counts[1],
             spacing_space=_number(lat["spacing_space"], "lattice.spacing_space") * ell,
             spacing_time=_number(lat["spacing_time"], "lattice.spacing_time") * ell,
             origin=_parse_event(lat.get("origin", {}), "lattice.origin"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'lattice': {exc}", field="lattice") from exc
+    # both lattice scenarios reconstruct region pairs
+    if spec.n_space**3 * spec.n_time < 2:
+        raise ConfigError("field 'lattice' must have at least 2 regions, got 1",
+                          field="lattice")
+    return spec
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
@@ -214,13 +221,16 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"field 'seed' must be a non-negative integer, got {seed!r}",
                           field="seed")
+    if not isinstance(merged["output_dir"], str):
+        raise ConfigError(f"field 'output_dir' must be a string, got {merged['output_dir']!r}",
+                          field="output_dir")
     quadrature_columns = merged["enable_quadrature_columns"]
     if not isinstance(quadrature_columns, bool):
         raise ConfigError("field 'enable_quadrature_columns' must be true or false, "
                           f"got {quadrature_columns!r}", field="enable_quadrature_columns")
     cfg = ScenarioConfig(
         scenario_id=sid,
-        output_dir=str(merged["output_dir"]),
+        output_dir=merged["output_dir"],
         seed=seed,
         ell=_require_number(merged, "ell", positive=True),
         tol=_require_number(merged, "tol", positive=True),

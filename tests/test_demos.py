@@ -1,13 +1,10 @@
 """Smoke test: every narrative demo runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import udwtomo
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -17,11 +14,7 @@ def test_demos_present():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
-    # the demos import the package under test, wherever it was imported from
-    env = dict(os.environ)
-    src = str(Path(udwtomo.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def test_demo_runs(demo, tmp_path, src_env):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          cwd=tmp_path, env=env, timeout=300)
+                          cwd=tmp_path, env=src_env, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,0 +1,72 @@
+"""Import hygiene: checking a config, listing scenarios and the scenarios
+that need no quadrature or Dawson values start without loading scipy.
+
+Each test runs a fresh interpreter, since the test process itself has
+loaded scipy long before."""
+
+import json
+import subprocess
+import sys
+
+from udwtomo import scenarios
+
+# runs the snippet, then prints the scipy modules the interpreter has loaded
+_PROBE = """
+import sys
+{body}
+print("SCIPY_MODULES=" + ",".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def loaded_scipy_modules(body, env, cwd):
+    proc = subprocess.run([sys.executable, "-c", _PROBE.format(body=body)],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.strip().splitlines()[-1]
+    assert line.startswith("SCIPY_MODULES="), proc.stdout
+    return [m for m in line.split("=", 1)[1].split(",") if m]
+
+
+def write_config(path, raw):
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_import_package(src_env, tmp_path):
+    assert loaded_scipy_modules("import udwtomo", src_env, tmp_path) == []
+
+
+def test_validate_every_scenario(src_env, tmp_path):
+    paths = [write_config(tmp_path / f"{sid}.json", {"scenario_id": sid})
+             for sid in scenarios.SCENARIO_IDS]
+    body = (f"from udwtomo import cli\n"
+            f"assert all(cli.main(['validate', p]) == 0 for p in {paths!r})")
+    assert loaded_scipy_modules(body, src_env, tmp_path) == []
+
+
+def test_list_scenarios(src_env, tmp_path):
+    body = "from udwtomo import cli\nassert cli.main(['list-scenarios']) == 0"
+    assert loaded_scipy_modules(body, src_env, tmp_path) == []
+
+
+def test_coherent_field_grid_run(src_env, tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {"scenario_id": "coherent_field_grid"})
+    body = (f"from udwtomo import cli\n"
+            f"assert cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert loaded_scipy_modules(body, src_env, tmp_path) == []
+    assert (tmp_path / "out" / "coherent_field_grid.csv").stat().st_size > 0
+
+
+def test_thermal_roundtrip_matches_in_process(src_env, tmp_path):
+    # thermal kernels need the quadrature, so the child loads scipy on first use
+    raw = {"scenario_id": "tomography_roundtrip", "state": "thermal", "beta": 50.0}
+    cfg = write_config(tmp_path / "cfg.json", raw)
+    proc = subprocess.run([sys.executable, "-m", "udwtomo.cli", "run", cfg,
+                           "--out", str(tmp_path / "child")],
+                          capture_output=True, text=True, env=src_env, cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    paths = scenarios.run({**raw, "output_dir": str(tmp_path / "here")})
+    assert paths
+    for p in paths:
+        assert (tmp_path / "child" / p.name).read_bytes() == p.read_bytes()

@@ -317,6 +317,45 @@ class TestArrayKernels:
         assert got.tolist() == [np.array(kernels.hadamard_dtt_array(state, p, q)).tolist()
                                 for p, q in zip(a, b)]
 
+    @staticmethod
+    def with_cloud(pairs, seed):
+        # the branch points plus random (t, r): a tenth inside the series radii
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(0.0, 10.0, 400) * np.where(rng.random(400) < 0.1, 1e-4, 1.0)
+        return list(pairs) + list(zip(rng.uniform(-10.0, 10.0, 400), r))
+
+    @pytest.mark.parametrize("state", [FieldState.vacuum(), FieldState.thermal(1.0),
+                                       FieldState.coherent(1.5),
+                                       FieldState.one_particle(1.5)])
+    def test_value_paths_match_derivative_paths(self, state):
+        # the value-only paths stop the Hermite/Dawson chains early; the
+        # entries they keep are the same operations, so the values are bitwise
+        if state.tag in ("vacuum", "thermal"):
+            a, b = self.coords(self.with_cloud(self.THERMAL, 1)), np.zeros(4)
+        else:
+            a = self.coords(self.with_cloud(self.SOURCED, 2))
+            b = np.roll(a, 1, axis=0) + [0.0, 0.0, 0.0, 9.0]
+        got = kernels.hadamard_array(state, a, b)
+        assert got.tolist() == kernels.hadamard_dtt_array(state, a, b)[0].tolist()
+
+    def test_source_value_paths_match_derivative_paths(self):
+        pairs = self.with_cloud(self.SOURCED, 3)
+        delta, x = 1.5, self.coords(pairs)
+        assert (kernels.phi0_coherent_array(delta, x).tolist()
+                == kernels._phi0(delta, x, dtt=True)[0].tolist())
+        assert (kernels.F_oneparticle_array(delta, x).tolist()
+                == kernels._F(delta, x, dtt=True)[0].tolist())
+        ell = 0.5
+        s2 = delta**2 + ell**2
+        for t, r in pairs:
+            value = kernels._gaussian_wave_pair(t, r, s2, dtt=True)[0]
+            assert kernels.phi0_coherent_region(delta, region(t, r, ell)) == float(
+                delta * value / (4.0 * math.sqrt(2.0) * math.pi * math.sqrt(s2)))
+        t, r = np.array(pairs).T
+        value = kernels._gaussian_wave_pair(t, r, 2.0 * ell * ell, dtt=True)[0]
+        assert kernels._commutator(t, r, ell).tolist() == (
+            value / (8.0 * math.sqrt(2.0) * math.pi**1.5 * ell)).tolist()
+
     def test_lightlike_point_raises(self):
         a = self.coords([(0.3, 2.0), (1.0, 1.0)])
         with pytest.raises(LightconeSingularityError):

@@ -93,6 +93,15 @@ class TestValidation:
         ({"scenario_id": "tomography_roundtrip",
           "lattice": {"n_space": 2, "n_time": 2, "spacing_space": 10.0,
                       "spacing_time": 10.0, "origin": {"z": True}}}, "lattice"),
+        # these three validated, and the run wrote into ./5/, reported 0
+        # pairs or reported rms_error = nan
+        ({"scenario_id": "vacuum_curves", "output_dir": 5}, "output_dir"),
+        ({"scenario_id": "tomography_roundtrip",
+          "lattice": {"n_space": 1, "n_time": 1, "spacing_space": 10.0,
+                      "spacing_time": 10.0}}, "lattice"),
+        ({"scenario_id": "shot_noise_study",
+          "lattice": {"n_space": 1, "n_time": 1, "spacing_space": 10.0,
+                      "spacing_time": 10.0}}, "lattice"),
     ])
     def test_malformed_values(self, raw, field, tmp_path, capsys):
         # each is a ConfigError naming the field, and the CLI exits 2
@@ -103,6 +112,17 @@ class TestValidation:
         path.write_text(json.dumps(raw))
         assert cli.main(["validate", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_empty_s_list_named(self):
+        # used to be reported as "values must be strictly positive"
+        with pytest.raises(ConfigError, match="empty list"):
+            validate_config({"scenario_id": "vacuum_curves", "s_over_ell": []})
+
+    def test_two_regions_suffice(self):
+        cfg = validate_config({"scenario_id": "tomography_roundtrip",
+                               "lattice": {"n_space": 1, "n_time": 2, "spacing_space": 10.0,
+                                           "spacing_time": 10.0}})
+        assert cfg.lattice.n_events == 2
 
     def test_defaults_fill_in(self):
         cfg = validate_config({"scenario_id": "thermal_curves"})
@@ -331,12 +351,12 @@ class TestCli:
         assert cli.main(["run", str(cfg)]) == 2
         assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
-    def test_console_script(self, tmp_path):
+    def test_console_script(self, tmp_path, src_env):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario_id": "vacuum_curves",
                                    "s_over_ell": [5.0]}))
         proc = subprocess.run(
             [sys.executable, "-m", "udwtomo.cli", "run", str(cfg),
              "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env)
         assert proc.returncode == 0, proc.stderr
