@@ -23,7 +23,7 @@ def main():
     regions = [GaussianRegion(e, ELL) for e in build_lattice(spec)]
     # coupling chosen so the local noise H_ii is 0.5: correlators stay well
     # inside the invertible regime
-    km = assemble_kernels(FieldState.vacuum(), regions, lam=2 * math.pi, tol=1e-12)
+    km = assemble_kernels(FieldState.vacuum(), regions, lam=2 * math.pi)
     print(f"{km.n} regions, H_ii = {km.H[0, 0]:.3f}, "
           f"strongest cross kernel |H_ij| = {np.abs(km.H - np.diag(np.diag(km.H))).max():.4f}, "
           f"strongest causal link |G_ij| = {np.abs(km.GR).max():.4f}")

@@ -13,10 +13,9 @@ so the full complex smeared two-point value between regions i, j is
 
 for the vacuum (dr -> 0 handled by the sin(k dr)/dr -> k limit), with thermal
 occupation weights (n_k + 1) and n_k on the positive/negative frequency parts
-for the KMS state.  This quadrature route is the independent oracle; closed
-forms (imaginary error function / Dawson) exist for the vacuum at pure-space
-or pure-time separations and for the coherent source terms, and are used on
-those configurations.
+for the KMS state.  This quadrature route is the independent oracle; every
+state and separation also has a closed form (Faddeeva / Dawson, summed over
+imaginary-time images for the KMS state), which is used everywhere else.
 
 Sign conventions: W = H/2 + i E/2, so the smeared commutator function
 satisfies E = 2 Im W, and the retarded propagator between regions is read off
@@ -33,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConvergenceError, LightconeSingularityError,
-                     PrecisionWarning, UdwTomoError)
+from .errors import CapacityError, LightconeSingularityError, PrecisionWarning
 from .numerics import integrate_semi_infinite
 from .smearing import GaussianRegion
 from .spacetime import Event, default_lightcone_tol, interval, intervals
@@ -393,8 +391,8 @@ def hadamard_dtt_array(state: FieldState, a: np.ndarray, b: np.ndarray
     time of b, for any of the four states, from one pass.
 
     Raises if any pair is (numerically) lightlike, where the pointlike
-    kernels are singular; callers should fall back to the smeared quadrature
-    path there.
+    kernels are singular; callers should use the smeared kernels
+    (``wightman_smeared_closed``) there.
     """
     return _hadamard(state, a, b, dtt=True)
 
@@ -410,7 +408,7 @@ def hadamard_point(state: FieldState, a: Event, b: Event) -> float:
     """Re W(a, b) = H(a, b)/2 between two events, for any of the four states.
 
     Raises on (numerically) lightlike pairs, where the pointlike kernels are
-    singular; callers should fall back to the smeared quadrature path there.
+    singular; callers should use ``wightman_smeared_closed`` there.
     """
     return float(hadamard_array(state, a.coords(), b.coords()))
 
@@ -505,55 +503,107 @@ def wightman_smeared_quadrature(state: FieldState, ri: GaussianRegion,
     return w + 2.0 * (fi * fj.conjugate()).real
 
 
-def _erfi_scaled_over_x(x: float) -> float:
-    # exp(-x^2) erfi(x) / x = 2 D(x) / (x sqrt(pi)), continued through x = 0
-    if x < 1e-6:
-        return (2.0 / _SQRT_PI) * (1.0 - 2.0 * x * x / 3.0)
-    from scipy.special import dawsn  # here, not at import: it takes ~0.25 s to load
-    return 2.0 * dawsn(x) / (x * _SQRT_PI)
+# Smearing over width-ell Gaussians is a heat flow exp(a d^2/dt^2), a = 2 ell^2,
+# which turns the vacuum's pole pair into the Faddeeva function w.  The KMS
+# kernel sums vacuum images at dt + i n beta: exactly up to n = N, beyond it
+# their heat-flow series to order M = 3 by Euler-Maclaurin with K = 4 terms.
+# Relative to the vacuum diagonal, r = 2 ell^2 / beta^2, these cuts err by at
+# most 4 (2M+2)!/(M+1)! r^(M+2) / N^(2M+3) = 6720 r^5 / N^9 and
+# 8 zeta(2K) (2K)!/(2 pi)^(2K) r / N^(2K+1) = 0.134 r / N^9.
+_HEAT_ORDER = 3
+_EULER_MACLAURIN = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)  # B_2k/(2k)!
 
 
-def _vacuum_closed_equal_time(s: float, ell: float) -> complex:
-    # W = (ell/s) e^{-s^2/8 ell^2} erfi(s / (2 sqrt2 ell)) / (8 sqrt2 pi^{3/2} ell^2),
-    # continued through s = 0 where it tends to 1 / (16 pi^2 ell^2)
-    x = s / (2.0 * math.sqrt(2.0) * ell)
-    return complex(_erfi_scaled_over_x(x) / (32.0 * math.pi**1.5 * ell**2), 0.0)
+def _faddeeva_pair(z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Im[w(z + h) - w(z - h)] / h for complex z (Im z >= 0) and real h >= 0;
+    where h max(1, |z|) < 1e-2 the series 2 Im[w' + h^2 w'''/6 + h^4 w^(5)/120],
+    w' = 2i/sqrt(pi) - 2 z w and ``_hermite_chain``'s recurrence carried as
+    g_k = h^(k-1) w^(k), which stays finite at large |z|."""
+    from scipy.special import wofz  # here, not at import: it takes ~0.25 s to load
+
+    out = np.empty(z.shape)
+    small = h * np.maximum(1.0, np.abs(z)) < 1e-2
+    if small.any():
+        zs, hs = z[small], h[small]
+        w = wofz(zs)
+        g = [None, 2j / _SQRT_PI - 2.0 * zs * w]
+        g.append(-2.0 * hs * (zs * g[1] + w))
+        for k in range(2, 5):
+            g.append(-2.0 * hs * (zs * g[k] + k * hs * g[k - 1]))
+        out[small] = 2.0 * (g[1] + g[3] / 6.0 + g[5] / 120.0).imag
+    zb, hb = z[~small], h[~small]
+    out[~small] = (wofz(zb + hb) - wofz(zb - hb)).imag / hb
+    return out
 
 
-def _vacuum_closed_temporal(dt: float, ell: float) -> complex:
-    s = abs(dt)
-    x = s / (2.0 * math.sqrt(2.0) * ell)
-    re = (1.0 / (16.0 * math.pi**2 * ell**2)
-          - s * s * _erfi_scaled_over_x(x) / (128.0 * math.pi**1.5 * ell**4))
-    im = -dt * math.exp(-s * s / (8.0 * ell * ell)) / (
-        32.0 * math.sqrt(2.0) * math.pi**1.5 * ell**3)
-    return complex(re, im)
+def _image_tail(beta: float, a: float, dt: np.ndarray, dr: np.ndarray,
+                n: int) -> np.ndarray:
+    """Sum over images m > n of the pair's heat-flow series
+    f(m) = Re[-2 sum_j (a^j/j!) q^(2j)(dt + i m beta)], q = 1/(zeta^2 - dr^2),
+    by Euler-Maclaurin in units of beta: d/dm = i d/dzeta, and the integral
+    from n is Re[i G], G = 2 artanh(dr/zeta)/dr - 2 sum_{j>=1} (a^j/j!) q^(2j-1)."""
+    a, dr, zeta = a / beta / beta, dr / beta, dt / beta + 1j * n
+    den = zeta * zeta - dr * dr
+    q = [1.0 / den, -2.0 * zeta / den**2]  # q^(k), by Leibniz on q (zeta^2 - dr^2) = 1
+    for k in range(2, 2 * _HEAT_ORDER + 2 * len(_EULER_MACLAURIN)):
+        q.append(-(2.0 * k * zeta * q[k - 1] + k * (k - 1) * q[k - 2]) / den)
+    heat = [a**j / math.factorial(j) for j in range(_HEAT_ORDER + 1)]
+    f = [(-2.0 * 1j**k * sum(c * q[2 * j + k] for j, c in enumerate(heat))).real
+         for k in range(2 * len(_EULER_MACLAURIN))]
+    t = dr / zeta
+    tiny = np.abs(t) < 1e-8  # numpy's complex arctanh underflows far below
+    artanh = np.where(tiny, 1.0 + t * t / 3.0, np.arctanh(np.where(tiny, 0.5, t))
+                      / np.where(tiny, 0.5, t)) / zeta
+    g = 2.0 * artanh - 2.0 * sum(c * q[2 * j - 1] for j, c in enumerate(heat) if j)
+    total = (1j * g).real - 0.5 * f[0] - sum(c * f[2 * k + 1]
+                                             for k, c in enumerate(_EULER_MACLAURIN))
+    return total / beta / beta
+
+
+def _smeared_real(beta: float | None, ell: float, dt, dr) -> np.ndarray:
+    """Re W between width-ell regions at (dt, dr), dr = 0 included, for the
+    vacuum (beta None) or KMS state; even in dt bit for bit.  The vacuum is
+    sqrt(pi)/(32 pi^2 a) Im[w(z + h) - w(z - h)]/h at z = dt/(2 sqrt a),
+    h = dr/(2 sqrt a), i.e. [D(u+) + D(u-)]/(8 pi^2 sqrt(a) dr) with D the
+    Dawson integral, u+- = (dr +- dt)/(2 sqrt a); the KMS state adds twice
+    the pair at z = (|dt| + i n beta)/(2 sqrt a) for each n >= 1."""
+    dt, dr = np.abs(np.asarray(dt, dtype=float)), np.asarray(dr, dtype=float)
+    a = 2.0 * ell * ell
+    s, norm = 2.0 * math.sqrt(a), _SQRT_PI / (32.0 * math.pi**2 * a)
+    h = dr / s
+    acc = _faddeeva_pair(dt / s + 0j, h)
+    if beta is None:
+        return norm * acc
+    r = 2.0 * (ell / beta) ** 2
+    n_images = math.ceil(max((max(6720.0 * r**5, 0.134 * r) / 5e-14) ** (1.0 / 9.0), 1.0))
+    if n_images > 10**6:
+        raise CapacityError(f"beta/ell = {beta / ell:g} needs {n_images} KMS images")
+    # chunks of 64 images keep work arrays O(geometries) and each geometry's
+    # sums independent of what else is evaluated with it
+    for n in np.array_split(np.arange(1, n_images + 1), range(64, n_images, 64)):
+        z = (dt[..., None] + 1j * beta * n) / s
+        acc = acc + 2.0 * _faddeeva_pair(z, np.broadcast_to(h[..., None], z.shape)).sum(-1)
+    return norm * acc + _image_tail(beta, a, dt, dr, n_images) / (4.0 * math.pi**2)
 
 
 def wightman_smeared_closed(state: FieldState, ri: GaussianRegion,
-                            rj: GaussianRegion) -> complex | None:
-    """Closed-form smeared two-point value, or None where no closed form exists.
-
-    Available for the vacuum at pure-space (dt = 0) or pure-time (dr = 0)
-    separations, and for the coherent state on those same configurations (the
-    source term has a closed form for any geometry).  Thermal and one-particle
-    smearings have no closed form.
-    """
+                            rj: GaussianRegion) -> complex:
+    """Smeared two-point value in closed form, for any of the four states at
+    any separation: the vacuum or KMS Re W, plus the product of the sourced
+    states' region-smeared amplitudes (the one-particle one is
+    (delta^2/delta'^2) F(delta', center), delta'^2 = delta^2 + 2 ell^2), and
+    Im W = E/2."""
     ell = _check_equal_widths(ri, rj)
-    if state.tag in ("thermal", "one_particle"):
-        return None
     dt, dr = _pair_geometry(ri, rj)
-    scale = max(ell, dr, abs(dt))
-    if abs(dt) <= 1e-12 * scale:
-        vac = _vacuum_closed_equal_time(dr, ell)
-    elif dr <= 1e-12 * scale:
-        vac = _vacuum_closed_temporal(dt, ell)
-    else:
-        return None
-    if state.tag == "vacuum":
-        return vac
-    return vac + (phi0_coherent_region(state.delta, ri)
-                  * phi0_coherent_region(state.delta, rj))
+    re = float(_smeared_real(state.beta, ell, dt, dr))
+    if state.tag == "coherent":
+        re += phi0_coherent_region(state.delta, ri) * phi0_coherent_region(state.delta, rj)
+    elif state.tag == "one_particle":
+        wide2 = state.delta**2 + 2.0 * ell * ell
+        fi, fj = (state.delta**2 / wide2 * complex(_F(math.sqrt(wide2), r.center.coords())[0])
+                  for r in (ri, rj))
+        re += 2.0 * (fi.real * fj.real + fi.imag * fj.imag)
+    return complex(re, float(_commutator(dt, dr, ell)) / 2.0)
 
 
 def commutator_smeared(ri: GaussianRegion, rj: GaussianRegion) -> float:
@@ -698,26 +748,18 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _pair_value(state: FieldState, ri: GaussianRegion, rj: GaussianRegion,
-                tol: float) -> complex:
-    closed = wightman_smeared_closed(state, ri, rj)
-    if closed is not None:
-        return closed
-    return wightman_smeared_quadrature(state, ri, rj, tol)
-
-
-def assemble_kernels(state: FieldState, regions: list[GaussianRegion], lam: float,
-                     tol: float = 1e-10) -> KernelMatrix:
+def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
+                     lam: float) -> KernelMatrix:
     """Populate the full kernel matrix for a list of equal-width regions.
 
     Only zero-mean quasifree states (vacuum, thermal) are admissible: the
     exact detector state formula presupposes a vanishing one-point function.
     The retarded part is filled from the closed commutator form (it is state
-    independent) on the future side of each pair.  An off-diagonal H entry
-    depends on its pair only through the geometry (|dt|, dr), and Re W is
-    even in dt bit for bit, so each distinct geometry (exact floats) is
-    evaluated once, from a closed form where available and from the
-    quadrature oracle otherwise, and scattered to every pair that has it.
+    independent) on the future side of each pair.  An H entry depends on its
+    pair only through the geometry (|dt|, dr), and Re W is even in dt bit for
+    bit, so the distinct geometries (exact floats, the diagonal's (0, 0)
+    included) go to one closed evaluation, scattered to every pair that has
+    them.
     """
     if state.tag not in ("vacuum", "thermal"):
         raise ValueError(
@@ -734,40 +776,18 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion], lam: floa
     H = np.zeros((n, n))
     GR = np.zeros((n, n))
 
-    def diag_value() -> float:
-        ri = regions[0]
-        if state.tag == "vacuum":
-            return lam2 / (8.0 * math.pi**2 * ri.ell**2)
-        try:
-            w = wightman_smeared_quadrature(state, ri, ri, tol)
-        except UdwTomoError as exc:
-            raise type(exc)(f"diagonal kernel: {exc}") from exc
-        return lam2 * 2.0 * w.real
-
-    np.fill_diagonal(H, diag_value())
-
     # the commutator is state independent: every pair in one array pass
     centers = np.array([r.center.coords() for r in regions])
     itv = intervals(centers[:, None], centers[None, :])
     E = lam2 * _commutator(itv.dt, itv.dr, regions[0].ell)
 
-    # one evaluation per distinct (|dt|, dr), keyed on exact floats, at the
-    # first pair that has it; row-major order, so an error names the first
-    # pair that fails.  first[k] is the first pair with the geometry of pair k
-    iu, ju = np.triu_indices(n, k=1)
+    # one evaluation of the distinct (|dt|, dr), keyed on exact floats
+    iu, ju = np.triu_indices(n)
     dt = itv.dt[iu, ju]
-    seen: dict[tuple[float, float], int] = {}
-    first = [seen.setdefault(key, k)
-             for k, key in enumerate(zip(np.abs(dt).tolist(), itv.dr[iu, ju].tolist()))]
-    values = np.empty(len(first))
-    for k in seen.values():
-        i, j = iu[k], ju[k]
-        try:
-            w = _pair_value(state, regions[i], regions[j], tol)
-        except UdwTomoError as exc:
-            raise type(exc)(f"kernel pair (i={i}, j={j}): {exc}") from exc
-        values[k] = lam2 * 2.0 * w.real
-    H[iu, ju] = H[ju, iu] = values[first]
+    geometry, index = np.unique(np.stack([np.abs(dt), itv.dr[iu, ju]]), axis=1,
+                                return_inverse=True)
+    values = lam2 * 2.0 * _smeared_real(state.beta, regions[0].ell, *geometry)
+    H[iu, ju] = H[ju, iu] = values[index]
 
     # G_R from E on the future side of each pair; dt = 0 pairs stay zero
     fut, past = dt > 0.0, dt < 0.0

@@ -42,7 +42,7 @@ class ScenarioConfig:
     output_dir: str
     seed: int
     ell: float
-    tol: float
+    tol: float  # quadrature cells and convergence_sweep only
     enable_quadrature_columns: bool
     beta: float | None = None
     delta: float | None = None
@@ -417,7 +417,7 @@ def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
 def _lattice_kernels(cfg: ScenarioConfig):
     events = build_lattice(cfg.lattice)
     regions = [GaussianRegion(e, cfg.ell) for e in events]
-    return assemble_kernels(_field_state(cfg), regions, cfg.lam, tol=cfg.tol)
+    return assemble_kernels(_field_state(cfg), regions, cfg.lam)
 
 
 def _run_tomography_roundtrip(cfg: ScenarioConfig, out: Path) -> list[Path]:

@@ -1,5 +1,6 @@
 """Import hygiene: checking a config, listing scenarios and the scenarios
-that need no quadrature or Dawson values start without loading scipy.
+that need no quadrature or Dawson values start without loading scipy, and
+the detector scenarios never load the quadrature.
 
 Each test runs a fresh interpreter, since the test process itself has
 loaded scipy long before."""
@@ -7,6 +8,8 @@ loaded scipy long before."""
 import json
 import subprocess
 import sys
+
+import pytest
 
 from udwtomo import scenarios
 
@@ -57,8 +60,23 @@ def test_coherent_field_grid_run(src_env, tmp_path):
     assert (tmp_path / "out" / "coherent_field_grid.csv").stat().st_size > 0
 
 
+@pytest.mark.parametrize("raw", [
+    {"scenario_id": "tomography_roundtrip"},
+    {"scenario_id": "tomography_roundtrip", "state": "thermal", "beta": 50.0},
+    {"scenario_id": "shot_noise_study", "shots_list": [1000, 10000], "repeats": 2},
+], ids=["roundtrip-vacuum", "roundtrip-thermal", "shot-noise"])
+def test_detector_scenarios_skip_quadrature(src_env, tmp_path, raw):
+    # smeared kernels are closed forms; the quadrature is the tests' oracle only
+    cfg = write_config(tmp_path / "cfg.json", raw)
+    body = (f"from udwtomo import cli\n"
+            f"assert cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0")
+    loaded = loaded_scipy_modules(body, src_env, tmp_path)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.integrate")]
+
+
 def test_thermal_roundtrip_matches_in_process(src_env, tmp_path):
-    # thermal kernels need the quadrature, so the child loads scipy on first use
+    # the child loads scipy.special at the first smeared thermal kernel
     raw = {"scenario_id": "tomography_roundtrip", "state": "thermal", "beta": 50.0}
     cfg = write_config(tmp_path / "cfg.json", raw)
     proc = subprocess.run([sys.executable, "-m", "udwtomo.cli", "run", cfg,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from udwtomo import kernels
-from udwtomo.errors import LightconeSingularityError, PrecisionWarning
+from udwtomo.errors import CapacityError, LightconeSingularityError, PrecisionWarning
 from udwtomo.kernels import (FieldState, KernelMatrix, assemble_kernels,
                              commutator_smeared, hadamard_point, phi0_coherent,
                              phi0_coherent_region, F_oneparticle, retarded_smeared,
@@ -34,22 +34,17 @@ def lattice_regions(origin=O, ell=1.0):
     return [GaussianRegion(e, ell) for e in build_lattice(spec)]
 
 
-def per_pair_reference(state, regions, lam, tol=1e-10):
-    """H and GR filled pair by pair, one _pair_value call per pair."""
+def per_pair_reference(state, regions, lam):
+    """H and GR filled pair by pair, H from one wightman_smeared_closed call
+    per pair, the diagonal included."""
     n, lam2 = len(regions), lam * lam
     H, GR = np.zeros((n, n)), np.zeros((n, n))
-    if state.tag == "vacuum":
-        h_diag = lam2 / (8.0 * math.pi**2 * regions[0].ell**2)
-    else:
-        w = wightman_smeared_quadrature(state, regions[0], regions[0], tol)
-        h_diag = lam2 * 2.0 * w.real
     centers = np.array([r.center.coords() for r in regions])
     itv = intervals(centers[:, None], centers[None, :])
     E = lam2 * kernels._commutator(itv.dt, itv.dr, regions[0].ell)
     for i in range(n):
-        H[i, i] = h_diag
-        for j in range(i + 1, n):
-            w = kernels._pair_value(state, regions[i], regions[j], tol)
+        for j in range(i, n):
+            w = wightman_smeared_closed(state, regions[i], regions[j])
             H[i, j] = H[j, i] = lam2 * 2.0 * w.real
             if itv.dt[i, j] > 0.0:
                 GR[i, j] = E[i, j]
@@ -362,7 +357,59 @@ class TestArrayKernels:
             kernels.hadamard_array(FieldState.vacuum(), a, np.zeros(4))
 
 
+def thermal_excess(beta, dt, dr):
+    """(1/(4 pi^2)) int dk e^{-2k^2} 2 n(k) cos(k dt) sin(k dr)/dr at ell = 1,
+    n(k) = 1/(e^{beta k} - 1): the KMS kernel minus the vacuum one, from
+    its own k <~ 1/beta range."""
+    from scipy.integrate import quad
+
+    def f(k):
+        radial = math.sin(k * dr) / dr if dr > 0.0 else k
+        return math.exp(-2.0 * k * k) * 2.0 / math.expm1(beta * k) * math.cos(k * dt) * radial
+
+    return quad(f, 0.0, 60.0 / beta, epsabs=1e-18, epsrel=1e-13, limit=200)[0] / (
+        4.0 * math.pi**2)
+
+
+# (dt, dr) in units of ell: equal time, equal place, dr = 1e-6, lightlike,
+# the lattice's mixed separations, and |dt|, dr up to 100
+ORACLE_GEOMETRIES = [(0.0, 3.0), (0.0, 100.0), (4.0, 0.0), (-100.0, 0.0), (0.0, 1e-6),
+                     (2.5, 1e-6), (10.0, 10.0), (-3.0, 3.0), (100.0, 100.0),
+                     (10.0, 10.0 * math.sqrt(2.0)), (3.0, 5.0), (-60.0, 100.0),
+                     (100.0, 37.0)]
+
+
 class TestSmearedOracle:
+    @pytest.mark.parametrize("state", [
+        FieldState.vacuum(), FieldState.thermal(0.3), FieldState.thermal(1.0),
+        FieldState.thermal(5.0), FieldState.thermal(50.0), FieldState.thermal(1e4),
+        FieldState.coherent(1.5), FieldState.one_particle(2.0)],
+        ids=["vacuum", "beta0.3", "beta1", "beta5", "beta50", "beta1e4", "coherent",
+             "one_particle"])
+    def test_closed_matches_quadrature_everywhere(self, state):
+        # both parts within 1e-10 of the state's diagonal kernel Re W(L, L)
+        vac = FieldState.vacuum()
+        anchor = GaussianRegion(Event(-1.5, 2.0, 0.0, 0.0), 1.0)
+        diag = wightman_smeared_quadrature(state, anchor, anchor, 1e-12).real
+        for dt, dr in [(0.0, 0.0)] + ORACLE_GEOMETRIES:
+            c = anchor.center
+            ri = GaussianRegion(Event(c.t + dt, c.x + 0.6 * dr, c.y + 0.8 * dr, 0.0), 1.0)
+            wc = wightman_smeared_closed(state, ri, anchor)
+            if state.tag == "thermal" and state.beta > 1e3:
+                # the quadrature oracle misses the thermal excess, which lives
+                # at k <~ 1/beta; the vacuum oracle plus that excess alone
+                wq = (wightman_smeared_quadrature(vac, ri, anchor, 1e-12)
+                      + thermal_excess(state.beta, dt, dr))
+            else:
+                wq = wightman_smeared_quadrature(state, ri, anchor, 1e-12)
+            assert abs(wc.real - wq.real) <= 1e-10 * diag, (dt, dr)
+            assert abs(wc.imag - wq.imag) <= 1e-10 * diag, (dt, dr)
+
+    def test_image_count_capped(self):
+        # beta/ell ~ 1e-4 would need ~3e6 KMS images: refused before any work
+        with pytest.raises(CapacityError, match="KMS images"):
+            wightman_smeared_closed(FieldState.thermal(1e-4), region(0, 5), region(0, 0))
+
     def test_closed_vs_quadrature_spatial(self):
         vac = FieldState.vacuum()
         for s in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
@@ -391,12 +438,15 @@ class TestSmearedOracle:
             assert abs(wt - wv) <= 1e-5 * abs(wv)
 
     def test_closed_unavailable_cases(self):
-        assert wightman_smeared_closed(FieldState.thermal(50.0), region(0, 5),
-                                       region(0, 0)) is None
-        assert wightman_smeared_closed(FieldState.one_particle(1.0), region(0, 5),
-                                       region(0, 0)) is None
-        assert wightman_smeared_closed(FieldState.vacuum(), region(3, 5),
-                                       region(0, 0)) is None
+        # the three cases that had no closed form while only dt = 0 or dr = 0
+        # vacuum pairs were closed
+        for state, ri in ((FieldState.thermal(50.0), region(0, 5)),
+                          (FieldState.one_particle(1.0), region(0, 5)),
+                          (FieldState.vacuum(), region(3, 5))):
+            wc = wightman_smeared_closed(state, ri, region(0, 0))
+            wq = wightman_smeared_quadrature(state, ri, region(0, 0), 1e-12)
+            assert isinstance(wc, complex)
+            assert abs(wc - wq) <= max(1e-8 * abs(wc), 1e-12)
 
     def test_closed_small_separation_limit(self):
         # s -> 0 of the equal-time form tends to 1/(16 pi^2 ell^2)
@@ -490,7 +540,7 @@ class TestAssemble:
 
     def test_identities_exact(self):
         regions = [region(0, 0), region(10, 10), region(10, 0), region(20, 5)]
-        km = assemble_kernels(FieldState.vacuum(), regions, 2 * math.pi, tol=1e-12)
+        km = assemble_kernels(FieldState.vacuum(), regions, 2 * math.pi)
         assert np.array_equal(km.E, km.GR - km.GR.T)
         # antisymmetric bit for bit off the diagonal, signed zeros included,
         # as saved kernelmatrix-v1 files hold it
@@ -502,18 +552,18 @@ class TestAssemble:
 
     def test_e_consistent_with_quadrature(self):
         regions = [region(0, 0), region(10, 10)]
-        km = assemble_kernels(FieldState.vacuum(), regions, 1.0, tol=1e-12)
+        km = assemble_kernels(FieldState.vacuum(), regions, 1.0)
         w = wightman_smeared_quadrature(FieldState.vacuum(), regions[0], regions[1],
                                         1e-12)
         assert km.E[0, 1] == pytest.approx(2 * w.imag, abs=1e-8)
 
     def test_thermal_assembly(self):
         regions = [region(0, 0), region(0, 10), region(10, 0)]
-        km = assemble_kernels(FieldState.thermal(50.0), regions, 1.0, tol=1e-11)
+        km = assemble_kernels(FieldState.thermal(50.0), regions, 1.0)
         km.validate()
         assert km.H[0, 0] > 0
         # thermal local noise exceeds the vacuum one
-        kv = assemble_kernels(FieldState.vacuum(), regions, 1.0, tol=1e-11)
+        kv = assemble_kernels(FieldState.vacuum(), regions, 1.0)
         assert km.H[0, 0] > kv.H[0, 0]
 
     def test_rejects_non_quasifree(self):
@@ -521,38 +571,6 @@ class TestAssemble:
             assemble_kernels(FieldState.coherent(1.0), [region(0, 0)], 1.0)
         with pytest.raises(ValueError):
             assemble_kernels(FieldState.one_particle(1.0), [region(0, 0)], 1.0)
-
-    def test_pair_errors_are_annotated(self, monkeypatch):
-        from udwtomo.errors import ConvergenceError
-
-        def boom(state, ri, rj, tol):
-            raise ConvergenceError("synthetic failure")
-
-        monkeypatch.setattr(kernels, "_pair_value", boom)
-        regions = [region(0, 0), region(3, 5)]
-        with pytest.raises(ConvergenceError, match=r"pair \(i=0, j=1\)"):
-            assemble_kernels(FieldState.vacuum(), regions, 1.0)
-
-    def test_later_geometry_errors_name_its_first_pair(self, monkeypatch):
-        from udwtomo.errors import ConvergenceError
-        real = kernels._pair_value
-
-        def flaky(failing):
-            def value(state, ri, rj, tol):
-                if ri.center.spatial_distance(rj.center) in failing:
-                    raise ConvergenceError("synthetic failure")
-                return real(state, ri, rj, tol)
-            return value
-
-        # row-major pairs: (0,1) dr 30, (0,2) 50, (0,3) 70, (1,2) 20, (1,3) 40, (2,3) 20
-        regions = [region(0, 0), region(0, 30), region(0, 50), region(0, 70)]
-        monkeypatch.setattr(kernels, "_pair_value", flaky({20.0}))
-        with pytest.raises(ConvergenceError, match=r"pair \(i=1, j=2\)"):
-            assemble_kernels(FieldState.vacuum(), regions, 1.0)
-        # of two failing geometries, the one met first in row-major order
-        monkeypatch.setattr(kernels, "_pair_value", flaky({20.0, 30.0}))
-        with pytest.raises(ConvergenceError, match=r"pair \(i=0, j=1\)"):
-            assemble_kernels(FieldState.vacuum(), regions, 1.0)
 
     @pytest.mark.parametrize("state, layout", [
         (FieldState.thermal(50.0), "lattice"),
@@ -584,26 +602,27 @@ class TestAssemble:
         if shuffle:
             random.Random(3).shuffle(regions)
         calls = []
-        real = kernels._pair_value
+        real = kernels._smeared_real
 
-        def counting(state, ri, rj, tol):
-            itv = interval(ri.center, rj.center)
-            calls.append((abs(itv.dt), itv.dr))
-            return real(state, ri, rj, tol)
+        def counting(beta, ell, dt, dr):
+            calls.append(list(zip(np.abs(dt).tolist(), np.asarray(dr).tolist())))
+            return real(beta, ell, dt, dr)
 
-        monkeypatch.setattr(kernels, "_pair_value", counting)
+        monkeypatch.setattr(kernels, "_smeared_real", counting)
         assemble_kernels(FieldState.vacuum(), regions, 1.0)
         pairs = [interval(a.center, b.center)
                  for k, a in enumerate(regions) for b in regions[k + 1:]]
         geometries = {(abs(itv.dt), itv.dr) for itv in pairs}
         assert len(pairs) == 1431
         assert len(geometries) == 19
-        assert len(calls) == 19
-        assert set(calls) == geometries
+        # one array call: each off-diagonal geometry once, and the diagonal's (0, 0)
+        assert len(calls) == 1
+        assert len(calls[0]) == 20
+        assert set(calls[0]) == geometries | {(0.0, 0.0)}
 
     def test_load_rejects_corrupted_matrices(self, tmp_path):
         regions = [region(0, 0), region(10, 10)]
-        km = assemble_kernels(FieldState.vacuum(), regions, 1.0, tol=1e-11)
+        km = assemble_kernels(FieldState.vacuum(), regions, 1.0)
         km.save(tmp_path / "k")
         h_path = tmp_path / "k" / "H.csv"
         rows = h_path.read_text().splitlines()
@@ -627,7 +646,7 @@ class TestAssemble:
 
     def test_serialisation_roundtrip(self, tmp_path):
         regions = [region(0, 0), region(10, 10), region(10, 0)]
-        km = assemble_kernels(FieldState.thermal(50.0), regions, 1.5, tol=1e-11)
+        km = assemble_kernels(FieldState.thermal(50.0), regions, 1.5)
         km.save(tmp_path / "k")
         back = KernelMatrix.load(tmp_path / "k")
         assert back.n == km.n

@@ -1,10 +1,12 @@
-"""The scaled imaginary error function of the closed vacuum kernels, and the
-semi-infinite integrator.
+"""The scaled imaginary error function inside the closed vacuum kernel, and
+the semi-infinite integrator.
 
-``kernels._erfi_scaled_over_x`` (exp(-x^2) erfi(x) / x, from the Dawson
-function) is the package's one evaluation of erfi.  Expected values are
-recomputed inside the tests from independent quadratures of erfi's defining
-integral or from mpmath, not from the implementation.
+At equal times the smeared vacuum kernel is
+exp(-x^2) erfi(x) / x / (32 pi^(3/2) ell^2) at x = dr / (2 sqrt2 ell), so
+these tests read exp(-x^2) erfi(x) / x off ``wightman_smeared_closed``.
+Expected values are recomputed inside the tests from independent
+quadratures of erfi's defining integral or from mpmath, not from the
+implementation.
 """
 
 import math
@@ -16,11 +18,20 @@ from scipy.special import dawsn, erfi
 
 from udwtomo import numerics
 from udwtomo.errors import ConvergenceError, InsufficientDataError
-from udwtomo.kernels import _erfi_scaled_over_x
+from udwtomo.kernels import FieldState, wightman_smeared_closed
+from udwtomo.smearing import GaussianRegion
+from udwtomo.spacetime import Event
+
+
+def _erfi_scaled_over_x(x):
+    """exp(-x^2) erfi(x) / x from the dt = 0 vacuum kernel at ell = 1."""
+    a = GaussianRegion(Event(0.0, 2.0 * math.sqrt(2.0) * x, 0.0, 0.0), 1.0)
+    b = GaussianRegion(Event(0.0, 0.0, 0.0, 0.0), 1.0)
+    return 32.0 * math.pi**1.5 * wightman_smeared_closed(FieldState.vacuum(), a, b).real
 
 
 def _erfi(x):
-    """erfi(x) rebuilt from the scaled form the kernels use."""
+    """erfi(x) rebuilt from the scaled form."""
     return x * math.exp(x * x) * _erfi_scaled_over_x(x)
 
 
@@ -44,10 +55,11 @@ def test_erfi_full_admissible_range():
 
 
 def test_erfi_scaled():
-    # x -> 0 limit 2/sqrt(pi) through the series branch, continuous across it
-    assert _erfi_scaled_over_x(0.0) == 2.0 / math.sqrt(math.pi)
-    assert _erfi_scaled_over_x(1e-6) == pytest.approx(
-        _erfi_scaled_over_x(1e-6 * (1.0 - 1e-12)), rel=1e-12)
+    # x -> 0 limit 2/sqrt(pi), continuous across the kernel's small-dr series
+    # switch, which sits at x = 1e-2 on this branch
+    assert _erfi_scaled_over_x(0.0) == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-15)
+    assert _erfi_scaled_over_x(1e-2) == pytest.approx(
+        _erfi_scaled_over_x(1e-2 * (1.0 - 1e-12)), rel=1e-12)
     # 3-term asymptotic series oracle at large argument
     x = 30.0
     asym = (1.0 + 1.0 / (2 * x * x) + 3.0 / (4 * x**4)) / (x * x * math.sqrt(math.pi))
