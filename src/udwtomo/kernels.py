@@ -35,7 +35,7 @@ import numpy as np
 from .errors import CapacityError, LightconeSingularityError, PrecisionWarning
 from .numerics import integrate_semi_infinite
 from .smearing import GaussianRegion
-from .spacetime import Event, default_lightcone_tol, interval, intervals
+from .spacetime import Event, Interval, default_lightcone_tol, interval, intervals
 
 __all__ = [
     "FieldState",
@@ -348,17 +348,24 @@ def F_oneparticle(delta: float, x: Event) -> complex:
     return complex(F_oneparticle_array(delta, x.coords()))
 
 
+def _lightcone_errors(itv: Interval) -> dict[int, LightconeSingularityError]:
+    """The error of each (numerically) lightlike pair of ``itv``, where the
+    pointlike kernels are singular, keyed by its flat position (ascending)."""
+    lightlike = np.flatnonzero(np.abs(itv.sigma) <= default_lightcone_tol(itv))
+    return {k: LightconeSingularityError(
+                f"pointlike kernel singular at dt={itv.dt.flat[k]:g}, "
+                f"dr={itv.dr.flat[k]:g}; use the smeared/quadrature path")
+            for k in lightlike.tolist()}
+
+
 def _hadamard(state: FieldState, a: np.ndarray, b: np.ndarray, dtt: bool
               ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """(Re W, d^2/dt_a^2 Re W, d^2/dt_b^2 Re W), the derivatives None unless
     ``dtt``; the value entries do not depend on ``dtt``."""
     itv = intervals(a, b)
-    lightlike = np.abs(itv.sigma) <= default_lightcone_tol(itv)
-    if np.any(lightlike):
-        k = np.flatnonzero(lightlike)[0]
-        raise LightconeSingularityError(
-            f"pointlike kernel singular at dt={itv.dt.flat[k]:g}, dr={itv.dr.flat[k]:g}; "
-            "use the smeared/quadrature path")
+    errors = _lightcone_errors(itv)
+    if errors:
+        raise next(iter(errors.values()))
     if state.tag == "thermal":
         w, w_tt = _thermal_real(state.beta, itv.dt, itv.dr, dtt)
         return w, w_tt, w_tt

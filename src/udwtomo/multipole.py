@@ -12,7 +12,9 @@ kernel here (vacuum, thermal, coherent, one-particle) solves the massless
 wave equation in each argument, so each trace is d_t^2 + laplacian = 2 d_t^2
 and the quadrupole term is ell^2 (d^2 W/dt_i^2 + d^2 W/dt_j^2).  The kernels
 supply those second time derivatives in closed form, in the same array pass
-as the value (``kernels.hadamard_dtt_array``).  For the vacuum,
+as the value (``kernels.hadamard_dtt_array``), so ``estimate_array`` gives
+the estimates of whole arrays of region centers from one kernel call, and
+``estimate`` is its one-pair form with the curvature hook.  For the vacuum,
 W = 1/(4 pi^2 D) with D = dr^2 - dt^2 and d^2 W/dt^2 = W (2/D + 8 dt^2/D^2),
 which makes the vacuum correction factor exactly
 
@@ -42,6 +44,7 @@ __all__ = [
     "MultipoleEstimate",
     "derivatives",
     "estimate",
+    "estimate_array",
     "convergence_order",
     "vacuum_quadrupole_factor",
     "thermal_expansion_temporal",
@@ -78,6 +81,20 @@ def derivatives(state: FieldState, a: Event, b: Event) -> DerivativeBundle:
     return DerivativeBundle(w=float(w), dtt_i=float(dtt_a), dtt_j=float(dtt_b))
 
 
+def estimate_array(state: FieldState, a: np.ndarray, b: np.ndarray, ell: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Second-order multipole estimates of Re W between width-``ell`` regions
+    centered at the coordinate arrays a, b of shape (..., 4), in flat
+    spacetime: (value, pointlike term, quadrupole term), from one
+    ``hadamard_dtt_array`` call.
+
+    Raises LightconeSingularityError if any pair is (numerically) lightlike.
+    """
+    w, dtt_a, dtt_b = hadamard_dtt_array(state, a, b)
+    quad = ell * ell * (dtt_a + dtt_b)
+    return w + quad, w, quad
+
+
 def estimate(state: FieldState, ri: GaussianRegion, rj: GaussianRegion,
              ricci_i: np.ndarray | None = None,
              ricci_j: np.ndarray | None = None) -> MultipoleEstimate:
@@ -87,12 +104,12 @@ def estimate(state: FieldState, ri: GaussianRegion, rj: GaussianRegion,
     centers, checked and traced by ``smearing.moments``.
     """
     ell = _check_equal_widths(ri, rj)
-    bundle = derivatives(state, ri.center, rj.center)
-    quad = ell * ell * (bundle.dtt_i + bundle.dtt_j)
-    ricci = -bundle.w * sum(moments(r, m).ricci_trace_correction
-                            for r, m in ((ri, ricci_i), (rj, ricci_j)) if m is not None)
-    return MultipoleEstimate(value=bundle.w + ricci + quad,
-                             pointlike_term=bundle.w,
+    value, w, quad = (float(v) for v in
+                      estimate_array(state, ri.center.coords(), rj.center.coords(), ell))
+    ricci = -w * sum(moments(r, m).ricci_trace_correction
+                     for r, m in ((ri, ricci_i), (rj, ricci_j)) if m is not None)
+    return MultipoleEstimate(value=value + ricci,
+                             pointlike_term=w,
                              quadrupole_term=quad,
                              ricci_term=ricci)
 

@@ -6,14 +6,21 @@ states, classical-wave and wavepacket spacetime grids, the full
 forward-simulate/invert tomography roundtrip on a 16-region lattice, the
 multipole convergence sweep, and the shot-noise scaling study.
 
+Each curve scan evaluates all of its points in one array pass per column:
+the vacuum pointlike kernel, the state's multipole estimate
+(``multipole.estimate_array``, whose pointlike term is the state's kernel)
+and, for the vacuum, the closed smeared kernel.  Lightlike points are masked
+out first and keep their error text in the ``errors`` column; the optional
+quadrature column stays one oracle call per point.
+
 All lengths are quoted in units of the region width ell.  Output CSVs are
-UTF-8 with header row, LF line endings and 17-significant-digit floats;
-identical config + seed reproduces byte-identical files.
+written by ``tables.write_rows``: UTF-8 with header row, LF line endings and
+17-significant-digit floats; identical config + seed reproduces
+byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -24,12 +31,14 @@ import numpy as np
 from . import multipole, tomography
 from .detector import correlator_table, sample_table
 from .errors import ConfigError, UdwTomoError
-from .kernels import (FieldState, assemble_kernels, hadamard_point,
-                      phi0_coherent_array, F_oneparticle, F_oneparticle_array,
-                      wightman_smeared_closed, wightman_smeared_quadrature)
+from .kernels import (FieldState, _lightcone_errors, _smeared_real, assemble_kernels,
+                      hadamard_array, phi0_coherent_array, F_oneparticle,
+                      F_oneparticle_array, wightman_smeared_quadrature)
 from .numerics import fit_loglog_slope
 from .smearing import GaussianRegion
-from .spacetime import Event, LatticeSpec, build_lattice
+from .spacetime import Event, LatticeSpec, build_lattice, intervals
+# the one CSV writer, under the name the scenario runners call
+from .tables import column_rows, write_rows as _write_rows
 
 __all__ = ["ScenarioConfig", "SCENARIO_IDS", "validate_config", "run", "list_scenarios"]
 
@@ -285,67 +294,65 @@ def validate_config(raw: dict) -> ScenarioConfig:
     return cfg
 
 
-# ---------------------------------------------------------------------------
-# output helpers
-# ---------------------------------------------------------------------------
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def _field_state(cfg: ScenarioConfig) -> FieldState:
     if cfg.state_tag == "thermal":
         return FieldState.thermal(cfg.beta)
     return FieldState.vacuum()
 
 
-def _branch_events(cfg: ScenarioConfig, s_over_ell: float,
-                   temporal_sign: float = 1.0) -> tuple[Event, Event]:
-    """Anchored scan geometry: negative s = temporal branch, positive = spatial."""
-    s = abs(s_over_ell) * cfg.ell
-    a = cfg.anchor if cfg.anchor is not None else Event(0.0, 0.0, 0.0, 0.0)
-    if s_over_ell < 0:
-        b = Event(a.t + temporal_sign * s, a.x, a.y, a.z)
-    else:
-        b = Event(a.t, a.x + s, a.y, a.z)
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # scenario runners
 # ---------------------------------------------------------------------------
 
-def _signed_grid(cfg: ScenarioConfig) -> list[float]:
-    return [-s for s in reversed(cfg.s_values)] + list(cfg.s_values)
+def _scan(cfg: ScenarioConfig, temporal_sign: float = 1.0
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                     dict[int, UdwTomoError]]:
+    """Anchored scan geometry: the signed s values (negative = temporal
+    branch, positive = spatial), the mask of the points off the lightcone,
+    those points' events as coordinate arrays (n_ok, 4) -- the anchor, and
+    the anchor moved by |s| ell in time (times ``temporal_sign``) or along
+    x -- and the lightlike points' errors by position."""
+    s = np.array([-v for v in reversed(cfg.s_values)] + list(cfg.s_values))
+    anchor = cfg.anchor if cfg.anchor is not None else Event(0.0, 0.0, 0.0, 0.0)
+    a = np.tile(anchor.coords(), (len(s), 1))
+    b = a.copy()
+    step, temporal = np.abs(s) * cfg.ell, s < 0
+    b[temporal, 0] += temporal_sign * step[temporal]
+    b[~temporal, 1] += step[~temporal]
+    failures: dict[int, UdwTomoError] = _lightcone_errors(intervals(a, b))
+    ok = np.ones(len(s), dtype=bool)
+    ok[list(failures)] = False
+    return s, ok, a[ok], b[ok], failures
+
+
+def _scattered(ok: np.ndarray, values: np.ndarray) -> list[float]:
+    # a column over every scan point; the masked points' cells are never written
+    full = np.full(len(ok), np.nan)
+    full[ok] = values
+    return full.tolist()
+
+
+def _scan_rows(s: np.ndarray, columns: list[list], failures: dict[int, UdwTomoError]
+               ) -> list[list]:
+    """One row per scan point: s, the columns' cells and an empty errors
+    cell, or, for a failed point, blank cells and the error's text."""
+    rows = []
+    for k, (s_k, *cells) in enumerate(zip(s.tolist(), *columns)):
+        exc = failures.get(k)
+        rows.append([s_k, *cells, ""] if exc is None else
+                    [s_k, *[""] * len(cells), f"{type(exc).__name__}: {exc}"])
+    return rows
 
 
 def _run_vacuum_curves(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    state = FieldState.vacuum()
-    rows = []
-    for s in _signed_grid(cfg):
-        a, b = _branch_events(cfg, s)
-        ri, rj = GaussianRegion(a, cfg.ell), GaussianRegion(b, cfg.ell)
-        row: list = [s]
-        try:
-            row += [hadamard_point(state, a, b),
-                    wightman_smeared_closed(state, ri, rj).real,
-                    multipole.estimate(state, ri, rj).value, ""]
-        except UdwTomoError as exc:
-            row = [s, "", "", "", f"{type(exc).__name__}: {exc}"]
-        rows.append(row)
+    s, ok, a, b, failures = _scan(cfg)
+    itv = intervals(a, b)
+    value, pointlike, _ = multipole.estimate_array(FieldState.vacuum(), a, b, cfg.ell)
+    smeared = _smeared_real(None, cfg.ell, itv.dt, itv.dr)
+    columns = [_scattered(ok, v) for v in (pointlike, smeared, value)]
     path = out / "vacuum_curves.csv"
     _write_rows(path, ["s_over_ell", "pointlike", "smeared_closed", "multipole", "errors"],
-                rows)
+                _scan_rows(s, columns, failures))
     return [path]
 
 
@@ -357,30 +364,26 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
                       temporal_sign: float, columns: tuple[str, str, str]) -> list[Path]:
     """Vacuum and state pointlike kernels plus the state's multipole estimate
     (and optionally its smeared quadrature) along the anchored scan."""
-    vac = FieldState.vacuum()
     kernel_col, multipole_col, quadrature_col = columns
     header = ["s_over_ell", "vacuum_pointlike", kernel_col, multipole_col]
+    s, ok, a, b, failures = _scan(cfg, temporal_sign)
+    vacuum = hadamard_array(FieldState.vacuum(), a, b)
+    value, pointlike, _ = multipole.estimate_array(state, a, b, cfg.ell)
+    cells = [_scattered(ok, v) for v in (vacuum, pointlike, value)]
     if cfg.enable_quadrature_columns:
+        # the oracle, one pair at a time; a failing pair fails its whole row
         header.append(quadrature_col)
+        quadrature = [None] * len(s)
+        for k, a_k, b_k in zip(np.flatnonzero(ok).tolist(), a.tolist(), b.tolist()):
+            ri, rj = GaussianRegion(Event(*a_k), cfg.ell), GaussianRegion(Event(*b_k), cfg.ell)
+            try:
+                quadrature[k] = wightman_smeared_quadrature(state, ri, rj, cfg.tol).real
+            except UdwTomoError as exc:
+                failures[k] = exc
+        cells.append(quadrature)
     header.append("errors")
-    rows = []
-    for s in _signed_grid(cfg):
-        a, b = _branch_events(cfg, s, temporal_sign=temporal_sign)
-        ri, rj = GaussianRegion(a, cfg.ell), GaussianRegion(b, cfg.ell)
-        row: list = [s]
-        try:
-            # the vacuum kernel goes first so that lightlike rows report its error
-            vacuum = hadamard_point(vac, a, b)
-            est = multipole.estimate(state, ri, rj)
-            row += [vacuum, est.pointlike_term, est.value]
-            if cfg.enable_quadrature_columns:
-                row.append(wightman_smeared_quadrature(state, ri, rj, cfg.tol).real)
-            row.append("")
-        except UdwTomoError as exc:
-            row = [s] + [""] * (len(header) - 2) + [f"{type(exc).__name__}: {exc}"]
-        rows.append(row)
     path = out / f"{cfg.scenario_id}.csv"
-    _write_rows(path, header, rows)
+    _write_rows(path, header, _scan_rows(s, cells, failures))
     return [path]
 
 
@@ -399,7 +402,7 @@ def _run_coherent_field_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
     t, x, coords = _grid(cfg)
     value = phi0_coherent_array(cfg.delta, coords)
     path = out / "coherent_field_grid.csv"
-    _write_rows(path, ["t", "x", "value"], np.column_stack([t, x, value]).tolist())
+    _write_rows(path, ["t", "x", "value"], column_rows(t, x, value))
     return [path]
 
 
@@ -410,7 +413,7 @@ def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
     # 2 Re(F(anchor) conj(F(x)))
     value = 2.0 * (f_anchor.real * f.real + f_anchor.imag * f.imag)
     path = out / "oneparticle_diff_grid.csv"
-    _write_rows(path, ["t", "x", "value"], np.column_stack([t, x, value]).tolist())
+    _write_rows(path, ["t", "x", "value"], column_rows(t, x, value))
     return [path]
 
 

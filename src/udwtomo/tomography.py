@@ -26,7 +26,6 @@ from the correlators here.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +36,7 @@ from . import detector
 from .detector import CorrelatorTable
 from .errors import (DephasingError, NoiseDominatedError, TangentDomainError,
                      UdwTomoError)
+from .tables import column_rows, write_rows
 
 __all__ = [
     "ReconstructionResult",
@@ -188,16 +188,10 @@ def write_reconstruction_results(rec: TableReconstruction, E: np.ndarray,
     W = H/2 + i E/2 from the commutator matrix ``E``; ``h_true`` is optional."""
     ok = rec.ok
     i, j, h = rec.i[ok], rec.j[ok], rec.H[ok]
-    true = ([""] * len(h) if h_true is None
-            else [f"{v:.17g}" for v in h_true[i - 1, j - 1].tolist()])
+    true = np.full(len(h), "") if h_true is None else h_true[i - 1, j - 1]
     regime = np.where(rec.causal[ok], "causal", "spacelike")
     flags = np.where(rec.dephasing_dominated[ok], "dephasing_dominated", "")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "regime", "H_reconstructed", "H_true_if_known",
-                         "C_ij", "Re_W", "Im_W", "flags"])
-        for i_q, j_q, regime_q, h_q, true_q, c_q, e_q, flags_q in zip(
-                i.tolist(), j.tolist(), regime.tolist(), h.tolist(), true,
-                rec.C[ok].tolist(), E[i - 1, j - 1].tolist(), flags.tolist()):
-            writer.writerow([i_q, j_q, regime_q, f"{h_q:.17g}", true_q, f"{c_q:.17g}",
-                             f"{0.5 * h_q:.17g}", f"{0.5 * e_q:.17g}", flags_q])
+    write_rows(path, ["i", "j", "regime", "H_reconstructed", "H_true_if_known",
+                      "C_ij", "Re_W", "Im_W", "flags"],
+               column_rows(i, j, regime, h, true, rec.C[ok], 0.5 * h,
+                           0.5 * E[i - 1, j - 1], flags))

@@ -75,6 +75,17 @@ def test_detector_scenarios_skip_quadrature(src_env, tmp_path, raw):
     assert not [m for m in loaded if m.startswith("scipy.integrate")]
 
 
+@pytest.mark.parametrize("scenario_id", ["vacuum_curves", "thermal_curves",
+                                         "coherent_curves", "oneparticle_curves"])
+def test_curve_scenarios_skip_quadrature(src_env, tmp_path, scenario_id):
+    # with the quadrature columns off (the default) a scan is closed forms only
+    cfg = write_config(tmp_path / "cfg.json", {"scenario_id": scenario_id})
+    body = (f"from udwtomo import cli\n"
+            f"assert cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0")
+    loaded = loaded_scipy_modules(body, src_env, tmp_path)
+    assert not [m for m in loaded if m.startswith("scipy.integrate")]
+
+
 def test_thermal_roundtrip_matches_in_process(src_env, tmp_path):
     # the child loads scipy.special at the first smeared thermal kernel
     raw = {"scenario_id": "tomography_roundtrip", "state": "thermal", "beta": 50.0}

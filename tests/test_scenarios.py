@@ -8,10 +8,12 @@ import sys
 
 import pytest
 
-from udwtomo import cli, scenarios
-from udwtomo.errors import ConfigError, TangentDomainError
-from udwtomo.kernels import FieldState, hadamard_point
+from udwtomo import cli, multipole, scenarios
+from udwtomo.errors import (ConfigError, ConvergenceError, LightconeSingularityError,
+                            TangentDomainError)
+from udwtomo.kernels import FieldState, hadamard_point, wightman_smeared_closed
 from udwtomo.scenarios import validate_config
+from udwtomo.smearing import GaussianRegion
 from udwtomo.spacetime import Event
 
 SMALL_S = {"start": 1.0, "stop": 12.0, "step": 1.0}
@@ -19,9 +21,29 @@ SMALL_GRID = {"t": {"start": -10.0, "stop": 10.0, "n": 5},
               "x": {"start": -10.0, "stop": 10.0, "n": 5}}
 
 
+VAC = FieldState.vacuum()
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+# one-pair references for the scan columns, called as f(state, ri, rj)
+def _vacuum_kernel(state, ri, rj):
+    return hadamard_point(VAC, ri.center, rj.center)
+
+
+def _state_kernel(state, ri, rj):
+    return hadamard_point(state, ri.center, rj.center)
+
+
+def _multipole(state, ri, rj):
+    return multipole.estimate(state, ri, rj).value
+
+
+def _smeared_closed(state, ri, rj):
+    return wightman_smeared_closed(state, ri, rj).real
 
 
 class TestValidation:
@@ -179,30 +201,50 @@ class TestScenarioOutputs:
                 for r in rows]
         assert max(devs) > 0
 
-    @pytest.mark.parametrize("raw, state, column, temporal_sign", [
-        ({"scenario_id": "thermal_curves", "s_over_ell": [0.5, 3.0, 12.0]},
-         FieldState.thermal(50.0), "thermal_pointlike", 1.0),
-        ({"scenario_id": "coherent_curves", "s_over_ell": [0.5, 6.0, 12.0]},
-         FieldState.coherent(1.5), "state_kernel", -1.0),
-        ({"scenario_id": "oneparticle_curves", "s_over_ell": [0.5, 60.0, 120.0]},
-         FieldState.one_particle(10.0), "state_kernel", 1.0),
-    ], ids=["thermal", "coherent", "oneparticle"])
-    def test_state_kernel_cells_are_pointlike_values(self, raw, state, column,
+    @pytest.mark.parametrize("raw, state, columns, temporal_sign", [
+        ({"scenario_id": "vacuum_curves", "s_over_ell": [1e-5, 0.5, 3.0, 12.0]},
+         VAC, {"pointlike": _state_kernel, "smeared_closed": _smeared_closed,
+               "multipole": _multipole}, 1.0),
+        ({"scenario_id": "thermal_curves", "s_over_ell": [1e-5, 0.5, 3.0, 12.0]},
+         FieldState.thermal(50.0), {"vacuum_pointlike": _vacuum_kernel,
+                                    "thermal_pointlike": _state_kernel,
+                                    "thermal_multipole": _multipole}, 1.0),
+        ({"scenario_id": "coherent_curves", "s_over_ell": [1e-5, 0.5, 6.0, 12.0]},
+         FieldState.coherent(1.5), {"vacuum_pointlike": _vacuum_kernel,
+                                    "state_kernel": _state_kernel,
+                                    "multipole": _multipole}, -1.0),
+        ({"scenario_id": "oneparticle_curves", "s_over_ell": [1e-5, 0.5, 60.0, 120.0]},
+         FieldState.one_particle(10.0), {"vacuum_pointlike": _vacuum_kernel,
+                                         "state_kernel": _state_kernel,
+                                         "multipole": _multipole}, 1.0),
+    ], ids=["vacuum", "thermal", "coherent", "oneparticle"])
+    def test_state_kernel_cells_are_pointlike_values(self, raw, state, columns,
                                                      temporal_sign, tmp_path):
-        # the state column is the multipole estimate's pointlike term; it must
-        # equal the one-event kernel at the row's events to the last bit
+        # each scan column comes from one array pass; every cell must equal
+        # the one-pair function at the row's regions to the last bit, and a
+        # lightlike row (|s| = 1e-5 ell, |sigma| <= 1e-9) must carry the
+        # one-pair kernel's error text instead
         paths = scenarios.run({**raw, "output_dir": str(tmp_path)})
         rows = read_csv(paths[0])
-        assert len(rows) == 6
-        anchor = validate_config(raw).anchor or Event(0.0, 0.0, 0.0, 0.0)
+        assert len(rows) == 8
+        cfg = validate_config(raw)
+        anchor = cfg.anchor or Event(0.0, 0.0, 0.0, 0.0)
         for r in rows:
-            assert r["errors"] == ""
             s = float(r["s_over_ell"])
             if s < 0:
                 b = Event(anchor.t + temporal_sign * abs(s), anchor.x, anchor.y, anchor.z)
             else:
                 b = Event(anchor.t, anchor.x + s, anchor.y, anchor.z)
-            assert repr(float(r[column])) == repr(hadamard_point(state, anchor, b))
+            ri, rj = GaussianRegion(anchor, cfg.ell), GaussianRegion(b, cfg.ell)
+            if abs(s) == 1e-5:
+                with pytest.raises(LightconeSingularityError) as exc:
+                    hadamard_point(state, anchor, b)
+                assert r["errors"] == f"LightconeSingularityError: {exc.value}"
+                assert all(r[column] == "" for column in columns)
+                continue
+            assert r["errors"] == ""
+            for column, one_pair in columns.items():
+                assert repr(float(r[column])) == repr(one_pair(state, ri, rj)), column
 
     def test_oneparticle_grid_peak_on_lightcone(self, tmp_path):
         paths = scenarios.run({"scenario_id": "oneparticle_diff_grid",
@@ -248,27 +290,61 @@ class TestScenarioOutputs:
         assert slope == pytest.approx(4.0, abs=0.3)
 
     def test_per_point_errors_recorded(self, tmp_path, monkeypatch):
-        # a failing point lands in the errors column; the run continues
-        from udwtomo import scenarios as sc
-        from udwtomo.errors import ConvergenceError
-        real_estimate = sc.multipole.estimate
+        # a failing point lands in the errors column with blank cells; the run
+        # continues.  Lightlike points fail in the kernels: s = 1e-5 ell gives
+        # |sigma| <= 1e-9 on both branches.
+        paths = scenarios.run({"scenario_id": "vacuum_curves",
+                               "s_over_ell": [1e-5, 3.0, 8.0],
+                               "output_dir": str(tmp_path / "lightlike")})
+        rows = read_csv(paths[0])
+        assert len(rows) == 6
+        bad = [r for r in rows if r["errors"]]
+        assert [float(r["s_over_ell"]) for r in bad] == [-1e-5, 1e-5]
+        assert [r["errors"] for r in bad] == [
+            f"LightconeSingularityError: pointlike kernel singular at dt={dt}, dr={dr}; "
+            "use the smeared/quadrature path" for dt, dr in (("-1e-05", "0"), ("0", "1e-05"))]
+        for r in bad:
+            assert r["pointlike"] == r["smeared_closed"] == r["multipole"] == ""
+        good = [r for r in rows if not r["errors"]]
+        assert all(r["pointlike"] and r["smeared_closed"] and r["multipole"]
+                   for r in good)
 
-        def flaky(state, ri, rj, **kw):
+        # a point whose oracle quadrature fails loses its whole row
+        real_quadrature = scenarios.wightman_smeared_quadrature
+
+        def flaky(state, ri, rj, tol):
             if abs(abs(ri.center.x - rj.center.x) - 5.0) < 1e-9:
                 raise ConvergenceError("synthetic point failure")
-            return real_estimate(state, ri, rj, **kw)
+            return real_quadrature(state, ri, rj, tol)
 
-        monkeypatch.setattr(sc.multipole, "estimate", flaky)
-        paths = scenarios.run({"scenario_id": "vacuum_curves",
+        monkeypatch.setattr(scenarios, "wightman_smeared_quadrature", flaky)
+        paths = scenarios.run({"scenario_id": "thermal_curves", "beta": 50.0,
                                "s_over_ell": [3.0, 5.0, 8.0],
-                               "output_dir": str(tmp_path)})
+                               "enable_quadrature_columns": True,
+                               "output_dir": str(tmp_path / "quadrature")})
         rows = read_csv(paths[0])
         assert len(rows) == 6
         bad = [r for r in rows if r["errors"]]
         assert len(bad) == 1
-        assert bad[0]["s_over_ell"] == "5" and "ConvergenceError" in bad[0]["errors"]
+        assert bad[0]["s_over_ell"] == "5"
+        assert bad[0]["errors"] == "ConvergenceError: synthetic point failure"
+        assert all(v == "" for k, v in bad[0].items() if k not in ("s_over_ell", "errors"))
         good = [r for r in rows if not r["errors"]]
-        assert all(r["pointlike"] for r in good)
+        assert all(r["thermal_pointlike"] and r["thermal_smeared_quadrature"]
+                   for r in good)
+
+    @pytest.mark.parametrize("scenario_id", ["vacuum_curves", "thermal_curves",
+                                             "coherent_curves", "oneparticle_curves"])
+    def test_all_lightlike_scan(self, scenario_id, tmp_path):
+        # every point masked: nothing raises, every row carries its error
+        paths = scenarios.run({"scenario_id": scenario_id, "s_over_ell": [1e-5],
+                               "enable_quadrature_columns": True,
+                               "output_dir": str(tmp_path)})
+        rows = read_csv(paths[0])
+        assert len(rows) == 2
+        for r in rows:
+            assert r["errors"].startswith("LightconeSingularityError: ")
+            assert all(v == "" for k, v in r.items() if k not in ("s_over_ell", "errors"))
 
     def test_shot_noise_table(self, tmp_path):
         paths = scenarios.run({"scenario_id": "shot_noise_study",

@@ -1,5 +1,6 @@
 """Inversion of correlators into the anticommutator kernel, and its failure modes."""
 
+import csv
 import math
 
 import numpy as np
@@ -359,6 +360,22 @@ class TestReconstructRecord:
         assert len(lines) == 1 + len(rec.H)
         assert [line.split(",")[:2] for line in lines[1:]] == [
             ["1", "2"], ["1", "3"], ["2", "3"]]
+
+    def test_csv_regime_and_flags(self, tmp_path):
+        # the text columns follow the table's masks, pair by pair
+        for name, t in (("mixed", correlator_table(random_kernel_matrix(4, seed=2))),
+                        ("dephased", table(zz=5e-7, yy=1e-7))):
+            rec = reconstruct_table(t)
+            path = tmp_path / f"{name}.csv"
+            tomography.write_reconstruction_results(rec, np.zeros((t.n, t.n)), path)
+            with open(path, encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [r["regime"] for r in rows] == [
+                "causal" if c else "spacelike" for c in rec.causal]
+            assert [r["flags"] for r in rows] == [
+                "dephasing_dominated" if d else "" for d in rec.dephasing_dominated]
+            assert all(r["H_true_if_known"] == "" for r in rows)
+        assert rows[0]["flags"] == "dephasing_dominated"
 
     def test_csv_leaves_out_failed_pairs(self, tmp_path):
         t = table(n=3, yx={(1, 3): 2.0, (2, 3): 0.75})   # pair (1, 2) fails
