@@ -16,6 +16,8 @@ occupation weights (n_k + 1) and n_k on the positive/negative frequency parts
 for the KMS state.  This quadrature route is the independent oracle; every
 state and separation also has a closed form (Faddeeva / Dawson, summed over
 imaginary-time images for the KMS state), which is used everywhere else.
+``_smeared_quadrature_real`` integrates the oracle's Re W for a whole array
+of pairs in one adaptive pass, for the scans' quadrature column.
 
 Sign conventions: W = H/2 + i E/2, so the smeared commutator function
 satisfies E = 2 Im W, and the retarded propagator between regions is read off
@@ -24,16 +26,15 @@ from E on the future side (dt > 0) of the pair.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import CapacityError, LightconeSingularityError, PrecisionWarning
-from .numerics import integrate_semi_infinite
+from .numerics import (_integrate_panels, integrate_semi_infinite,
+                       integrate_semi_infinite_array)
 from .smearing import GaussianRegion
 from .spacetime import Event, Interval, default_lightcone_tol, interval, intervals
 
@@ -440,6 +441,18 @@ def _radial_factor(k: float, dr: float) -> float:
     return k if dr < 1e-300 else math.sin(k * dr) / dr
 
 
+def _radial_factors(dr: np.ndarray):
+    # k -> sin(k dr)/dr for every dr of an array, continued through dr = 0
+    zero = dr < 1e-300
+    safe = np.where(zero, 1.0, dr)
+    return lambda k: np.where(zero, k, np.sin(k * safe) / safe)
+
+
+# the KMS integrand turns over at k ~ 1/beta, far below the cutoff when
+# beta >> ell; panel edges at these multiples of 1/beta resolve it
+_KMS_KNOTS = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+
 def _F_region_quadrature(delta: float, ell: float, region: GaussianRegion,
                          tol: float) -> complex:
     c = region.center
@@ -492,7 +505,8 @@ def wightman_smeared_quadrature(state: FieldState, ri: GaussianRegion,
             return (math.exp(-a * k * k) * _radial_factor(k, dr)
                     * complex(re_w, -math.sin(k * dt)) / (4.0 * math.pi**2))
 
-        return complex(integrate_semi_infinite(f, tol, decay_scale=a, osc_scale=osc).value)
+        knots = [c / beta for c in _KMS_KNOTS]
+        return complex(_integrate_panels(f, tol, a, osc, knots).value)
 
     def f_vac(k: float) -> complex:
         return (math.exp(-a * k * k) * _radial_factor(k, dr)
@@ -508,6 +522,62 @@ def wightman_smeared_quadrature(state: FieldState, ri: GaussianRegion,
     fi = _F_region_quadrature(state.delta, ell, ri, tol)
     fj = _F_region_quadrature(state.delta, ell, rj, tol)
     return w + 2.0 * (fi * fj.conjugate()).real
+
+
+def _region_amplitudes_quadrature(state: FieldState, ell: float, t: np.ndarray,
+                                  r: np.ndarray, tol: float) -> np.ndarray:
+    """The sourced state's region-smeared amplitude at every region (t, r),
+    r the distance from the source: ``_phi0_region_quadrature`` (coherent)
+    or ``_F_region_quadrature`` (one-particle) from one array pass."""
+    delta, radial = state.delta, _radial_factors(r)
+    if state.tag == "coherent":
+        a, pref = delta * delta + ell * ell, -delta / (_SQRT_2PI * math.pi)
+
+        def f(k: float) -> np.ndarray:
+            return pref * math.exp(-a * k * k) * np.sin(k * t) * radial(k)
+    else:
+        a, pref = 0.5 * delta * delta + ell * ell, delta * delta / (math.pi * math.sqrt(2.0))
+
+        def f(k: float) -> np.ndarray:
+            return pref * k * math.exp(-a * k * k) * radial(k) * np.exp(-1j * k * t)
+
+    osc = float(np.max(r + np.abs(t))) + 1.0
+    return integrate_semi_infinite_array(f, tol, decay_scale=a, osc_scale=osc).value
+
+
+def _smeared_quadrature_real(state: FieldState, ell: float, a: np.ndarray,
+                             b: np.ndarray, tol: float) -> np.ndarray:
+    """Re W between the width-ell regions centred at coordinate arrays a, b
+    of shape (n, 4): ``wightman_smeared_quadrature(...).real`` of every pair
+    from one adaptive pass over the radial momentum integral, Im W left out.
+    A sourced state adds its region amplitudes, one more pass over the
+    distinct regions.  Raises ConvergenceError when a certificate exceeds
+    10 tol."""
+    itv = intervals(a, b)
+    dt, dr = itv.dt, itv.dr
+    if dt.size == 0:
+        return np.zeros(0)
+    a2, beta, radial = 2.0 * ell * ell, state.beta, _radial_factors(dr)
+
+    def f(k: float) -> np.ndarray:
+        w = math.exp(-a2 * k * k) / (4.0 * math.pi**2)
+        if beta is not None:
+            if k <= 0.0:
+                return np.full(dt.shape, 2.0 / beta / (4.0 * math.pi**2))
+            w *= _coth(0.5 * beta * k)
+        return w * np.cos(k * dt) * radial(k)
+
+    knots = [c / beta for c in _KMS_KNOTS] if beta is not None else ()
+    osc = float(np.max(dr + np.abs(dt))) + 1.0
+    re = integrate_semi_infinite_array(f, tol, a2, osc, knots).value
+    if state.tag in ("vacuum", "thermal"):
+        return re
+    centers, index = np.unique(np.concatenate([a, b]), axis=0, return_inverse=True)
+    amp = _region_amplitudes_quadrature(state, ell, *_time_radius(centers), tol)
+    amp_a, amp_b = amp[index[:len(dt)]], amp[index[len(dt):]]
+    if state.tag == "coherent":
+        return re + amp_a * amp_b
+    return re + 2.0 * (amp_a.real * amp_b.real + amp_a.imag * amp_b.imag)
 
 
 # Smearing over width-ell Gaussians is a heat flow exp(a d^2/dt^2), a = 2 ell^2,
@@ -649,7 +719,7 @@ def retarded_smeared(ri: GaussianRegion, rj: GaussianRegion) -> float:
 
 
 # ---------------------------------------------------------------------------
-# kernel matrix assembly and serialisation
+# kernel matrix assembly
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -671,7 +741,7 @@ class KernelMatrix:
     @property
     def E(self) -> np.ndarray:
         # lower triangle negated from the upper one, so E_ji = -E_ij holds
-        # bitwise, signed zeros included (kernelmatrix-v1 files store it so)
+        # bitwise, signed zeros included
         upper = self.GR - self.GR.T
         return np.where(np.tri(self.n, k=-1, dtype=bool), -upper.T, upper)
 
@@ -683,76 +753,13 @@ class KernelMatrix:
     def Wdiag(self) -> np.ndarray:
         return np.diag(self.H) / 2.0
 
-    def _tol(self, atol: float) -> float:
-        return atol * max(1.0, float(np.max(np.abs(self.H))), float(np.max(np.abs(self.GR))))
-
     def validate(self, atol: float = 1e-12) -> None:
-        _check_deviations([("H symmetric", self.H - self.H.T)], self._tol(atol))
-
-    def save(self, directory: str | Path) -> None:
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        for name in ("H", "E", "GR", "Delta"):
-            _write_matrix_csv(d / f"{name}.csv", getattr(self, name))
-        _write_matrix_csv(d / "Wdiag.csv", self.Wdiag.reshape(1, -1))
-        envelope = {
-            "format": "kernelmatrix-v1",
-            "n": self.n,
-            "lambda": self.lam,
-            "state": self.state.to_dict() if self.state is not None else None,
-        }
-        with open(d / "kernelmatrix.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(envelope, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "KernelMatrix":
-        """Read a kernelmatrix-v1 directory; its E, Delta and Wdiag files must
-        agree with the values derived from H and GR."""
-        d = Path(directory)
-        with open(d / "kernelmatrix.json", encoding="utf-8") as fh:
-            envelope = json.load(fh)
-        if envelope.get("format") != "kernelmatrix-v1":
-            raise ValueError(f"unrecognised kernel envelope in {d}")
-        n = int(envelope["n"])
-        mats = {name: _read_matrix_csv(d / f"{name}.csv") for name in ("H", "E", "GR", "Delta")}
-        wdiag = _read_matrix_csv(d / "Wdiag.csv").reshape(-1)
-        state = envelope.get("state")
-        km = cls(n=n, H=mats["H"], GR=mats["GR"], lam=float(envelope["lambda"]),
-                 state=FieldState.from_dict(state) if state else None)
-        if any(mats[name].shape != (n, n) for name in mats) or wdiag.shape != (n,):
-            raise ValueError("kernel matrix shapes inconsistent with envelope")
-        km.validate(atol=1e-10)
-        _check_deviations([
-            ("E = GR - GR^T", mats["E"] - km.E),
-            ("Delta = GR + GR^T", mats["Delta"] - km.Delta),
-            ("Wdiag = H_ii / 2", wdiag - km.Wdiag),
-        ], km._tol(1e-10))
-        return km
-
-
-def _check_deviations(checks: list[tuple[str, np.ndarray]], tol: float) -> None:
-    for name, diff in checks:
-        dev = float(np.max(np.abs(diff)))
-        if dev > tol:
-            raise ValueError(f"kernel invariant violated: {name} (deviation {dev:.3e})")
-
-
-def _write_matrix_csv(path: Path, mat: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in np.atleast_2d(mat):
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
-
-
-def _read_matrix_csv(path: Path) -> np.ndarray:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    return np.asarray(rows, dtype=float)
+        """Raise ValueError unless H is symmetric to ``atol`` relative to the
+        largest entry (at least 1)."""
+        scale = max(1.0, float(np.max(np.abs(self.H))), float(np.max(np.abs(self.GR))))
+        dev = float(np.max(np.abs(self.H - self.H.T)))
+        if dev > atol * scale:
+            raise ValueError(f"kernel invariant violated: H symmetric (deviation {dev:.3e})")
 
 
 def assemble_kernels(state: FieldState, regions: list[GaussianRegion],

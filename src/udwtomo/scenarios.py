@@ -10,8 +10,12 @@ Each curve scan evaluates all of its points in one array pass per column:
 the vacuum pointlike kernel, the state's multipole estimate
 (``multipole.estimate_array``, whose pointlike term is the state's kernel)
 and, for the vacuum, the closed smeared kernel.  Lightlike points are masked
-out first and keep their error text in the ``errors`` column; the optional
-quadrature column stays one oracle call per point.
+out first and keep their error text in the ``errors`` column.  The optional
+quadrature column integrates the oracle's radial momentum integrals for
+every point in one adaptive pass (``kernels._smeared_quadrature_real``);
+only if that pass cannot certify the tolerance does the scan fall back to
+one ``wightman_smeared_quadrature`` call per point, where a failing point
+loses its row.
 
 All lengths are quoted in units of the region width ell.  Output CSVs are
 written by ``tables.write_rows``: UTF-8 with header row, LF line endings and
@@ -31,9 +35,10 @@ import numpy as np
 from . import multipole, tomography
 from .detector import correlator_table, sample_table
 from .errors import ConfigError, UdwTomoError
-from .kernels import (FieldState, _lightcone_errors, _smeared_real, assemble_kernels,
-                      hadamard_array, phi0_coherent_array, F_oneparticle,
-                      F_oneparticle_array, wightman_smeared_quadrature)
+from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature_real,
+                      _smeared_real, assemble_kernels, hadamard_array,
+                      phi0_coherent_array, F_oneparticle, F_oneparticle_array,
+                      wightman_smeared_quadrature)
 from .numerics import fit_loglog_slope
 from .smearing import GaussianRegion
 from .spacetime import Event, LatticeSpec, build_lattice, intervals
@@ -371,15 +376,20 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
     value, pointlike, _ = multipole.estimate_array(state, a, b, cfg.ell)
     cells = [_scattered(ok, v) for v in (vacuum, pointlike, value)]
     if cfg.enable_quadrature_columns:
-        # the oracle, one pair at a time; a failing pair fails its whole row
         header.append(quadrature_col)
-        quadrature = [None] * len(s)
-        for k, a_k, b_k in zip(np.flatnonzero(ok).tolist(), a.tolist(), b.tolist()):
-            ri, rj = GaussianRegion(Event(*a_k), cfg.ell), GaussianRegion(Event(*b_k), cfg.ell)
-            try:
-                quadrature[k] = wightman_smeared_quadrature(state, ri, rj, cfg.tol).real
-            except UdwTomoError as exc:
-                failures[k] = exc
+        try:
+            # the oracle's integrals for every pair in one certified pass
+            quadrature = _scattered(ok, _smeared_quadrature_real(state, cfg.ell, a, b, cfg.tol))
+        except UdwTomoError:
+            # uncertified: one oracle call per pair, a failing pair fails its row
+            quadrature = [None] * len(s)
+            for k, a_k, b_k in zip(np.flatnonzero(ok).tolist(), a.tolist(), b.tolist()):
+                ri = GaussianRegion(Event(*a_k), cfg.ell)
+                rj = GaussianRegion(Event(*b_k), cfg.ell)
+                try:
+                    quadrature[k] = wightman_smeared_quadrature(state, ri, rj, cfg.tol).real
+                except UdwTomoError as exc:
+                    failures[k] = exc
         cells.append(quadrature)
     header.append("errors")
     path = out / f"{cfg.scenario_id}.csv"

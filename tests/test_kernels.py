@@ -372,11 +372,12 @@ def thermal_excess(beta, dt, dr):
 
 
 # (dt, dr) in units of ell: equal time, equal place, dr = 1e-6, lightlike,
-# the lattice's mixed separations, and |dt|, dr up to 100
+# |sigma| = 1e-3 next to the cone, the lattice's mixed separations, and
+# |dt|, dr up to 100
 ORACLE_GEOMETRIES = [(0.0, 3.0), (0.0, 100.0), (4.0, 0.0), (-100.0, 0.0), (0.0, 1e-6),
-                     (2.5, 1e-6), (10.0, 10.0), (-3.0, 3.0), (100.0, 100.0),
-                     (10.0, 10.0 * math.sqrt(2.0)), (3.0, 5.0), (-60.0, 100.0),
-                     (100.0, 37.0)]
+                     (2.5, 1e-6), (10.0, 10.0), (-3.0, 3.0), (10.0, math.sqrt(100.0 + 2e-3)),
+                     (100.0, 100.0), (10.0, 10.0 * math.sqrt(2.0)), (3.0, 5.0),
+                     (-60.0, 100.0), (100.0, 37.0)]
 
 
 class TestSmearedOracle:
@@ -387,23 +388,23 @@ class TestSmearedOracle:
         ids=["vacuum", "beta0.3", "beta1", "beta5", "beta50", "beta1e4", "coherent",
              "one_particle"])
     def test_closed_matches_quadrature_everywhere(self, state):
-        # both parts within 1e-10 of the state's diagonal kernel Re W(L, L)
-        vac = FieldState.vacuum()
+        # both parts within 1e-10 of the state's diagonal kernel Re W(L, L);
+        # the one-pass array quadrature of every geometry within its tol of
+        # the oracle's real part
         anchor = GaussianRegion(Event(-1.5, 2.0, 0.0, 0.0), 1.0)
         diag = wightman_smeared_quadrature(state, anchor, anchor, 1e-12).real
-        for dt, dr in [(0.0, 0.0)] + ORACLE_GEOMETRIES:
-            c = anchor.center
-            ri = GaussianRegion(Event(c.t + dt, c.x + 0.6 * dr, c.y + 0.8 * dr, 0.0), 1.0)
+        c = anchor.center
+        others = [GaussianRegion(Event(c.t + dt, c.x + 0.6 * dr, c.y + 0.8 * dr, 0.0), 1.0)
+                  for dt, dr in [(0.0, 0.0)] + ORACLE_GEOMETRIES]
+        one_pass = kernels._smeared_quadrature_real(
+            state, 1.0, np.array([ri.center.coords() for ri in others]),
+            np.tile(c.coords(), (len(others), 1)), 1e-12)
+        for ri, re_array, (dt, dr) in zip(others, one_pass, [(0.0, 0.0)] + ORACLE_GEOMETRIES):
             wc = wightman_smeared_closed(state, ri, anchor)
-            if state.tag == "thermal" and state.beta > 1e3:
-                # the quadrature oracle misses the thermal excess, which lives
-                # at k <~ 1/beta; the vacuum oracle plus that excess alone
-                wq = (wightman_smeared_quadrature(vac, ri, anchor, 1e-12)
-                      + thermal_excess(state.beta, dt, dr))
-            else:
-                wq = wightman_smeared_quadrature(state, ri, anchor, 1e-12)
+            wq = wightman_smeared_quadrature(state, ri, anchor, 1e-12)
             assert abs(wc.real - wq.real) <= 1e-10 * diag, (dt, dr)
             assert abs(wc.imag - wq.imag) <= 1e-10 * diag, (dt, dr)
+            assert abs(re_array - wq.real) <= 1e-12, (dt, dr)
 
     def test_image_count_capped(self):
         # beta/ell ~ 1e-4 would need ~3e6 KMS images: refused before any work
@@ -430,12 +431,43 @@ class TestSmearedOracle:
         assert abs(w.imag) < 1e-12
 
     def test_thermal_large_beta_matches_vacuum_oracle(self):
+        # close to the vacuum, and above it by the thermal excess (about
+        # 1/(12 beta^2) = 8.3e-10 at dt = 0), which lives at k <~ 1/beta
         cold = FieldState.thermal(1e4)
         vac = FieldState.vacuum()
         for (t, x) in ((0.0, 3.0), (2.0, 5.0)):
             wt = wightman_smeared_quadrature(cold, region(t, x), region(0, 0), 1e-12)
             wv = wightman_smeared_quadrature(vac, region(t, x), region(0, 0), 1e-12)
             assert abs(wt - wv) <= 1e-5 * abs(wv)
+            assert abs((wt - wv).real - thermal_excess(1e4, t, x)) <= 1e-15
+            assert abs((wt - wv).imag) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [1e4, 1e5])
+    def test_thermal_oracle_large_beta_matches_mpmath(self, beta):
+        # both quadrature routes resolve the k ~ 1/beta range; the mpmath
+        # integral splits at the same scale independently
+        import mpmath as mp
+
+        mp.mp.dps = 30
+        geometries = [(0.0, 3.0), (2.0, 5.0), (4.0, 0.0), (0.0, 0.0)]
+        splits = [mp.mpf(c) / beta for c in (0.01, 0.1, 1, 10, 100)] + [1, 2, 4, 8, mp.inf]
+        want = []
+        for dt, dr in geometries:
+            def f(k):
+                radial = mp.sin(k * dr) / dr if dr else k
+                return (mp.exp(-2 * k * k) * mp.coth(beta * k / 2) * mp.cos(k * dt) * radial
+                        / (4 * mp.pi**2))
+            want.append(float(mp.quad(f, [0] + splits)))
+        state = FieldState.thermal(beta)
+        one_pass = kernels._smeared_quadrature_real(
+            state, 1.0, np.array([[dt, dr, 0.0, 0.0] for dt, dr in geometries]),
+            np.zeros((len(geometries), 4)), 1e-12)
+        for (dt, dr), w, re_array in zip(geometries, want, one_pass):
+            wq = wightman_smeared_quadrature(state, region(dt, dr), region(0, 0), 1e-12)
+            assert abs(wq.real - w) <= 1e-12, (dt, dr)
+            assert abs(re_array - w) <= 1e-12, (dt, dr)
+            assert abs(wightman_smeared_closed(state, region(dt, dr), region(0, 0)).real
+                       - w) <= 1e-12, (dt, dr)
 
     def test_closed_unavailable_cases(self):
         # the three cases that had no closed form while only dt = 0 or dr = 0
@@ -487,6 +519,34 @@ class TestSmearedOracle:
         with pytest.raises(ValueError):
             wightman_smeared_quadrature(FieldState.vacuum(), region(0, 5, ell=1.0),
                                         region(0, 0, ell=2.0), 1e-10)
+
+
+class TestSmearedQuadratureArray:
+    """The one-pass array quadrature behind the scans' quadrature column,
+    pinned cell by cell to the scalar oracle's real part at tol 1e-12."""
+
+    @pytest.mark.parametrize("state, anchor", [
+        (FieldState.thermal(0.3), (1.3, -2.2)), (FieldState.thermal(5.0), (1.3, -2.2)),
+        (FieldState.thermal(50.0), (1.3, -2.2)), (FieldState.thermal(1e4), (1.3, -2.2)),
+        (FieldState.coherent(1.5), (6.0, -6.0)), (FieldState.one_particle(10.0), (-60.0, -60.0))],
+        ids=["beta0.3", "beta5", "beta50", "beta1e4", "coherent", "one_particle"])
+    def test_scan_through_anchor_matches_oracle(self, state, anchor):
+        # temporal (dr = 0) and spatial points on both sides of the anchor,
+        # the anchor itself, and |sigma| = 1e-3 next to its lightcone
+        a = Event(*anchor, 0.0, 0.0)
+        others = [Event(a.t + s, a.x, 0.0, 0.0) for s in (-12.0, -3.0, -0.5, 0.5, 6.0)]
+        others += [Event(a.t, a.x + s, 0.0, 0.0) for s in (-12.0, -0.5, 0.0, 0.5, 3.0, 12.0)]
+        others.append(Event(a.t + 10.0, a.x + math.sqrt(100.0 + 2e-3), 0.0, 0.0))
+        itv = intervals(np.array([b.coords() for b in others]), a.coords())
+        assert np.any((itv.dr == 0.0) & (itv.dt != 0.0))
+        assert np.min(np.abs(itv.sigma[itv.sigma != 0.0])) == pytest.approx(1e-3, rel=1e-9)
+        one_pass = kernels._smeared_quadrature_real(
+            state, 1.0, np.tile(a.coords(), (len(others), 1)),
+            np.array([b.coords() for b in others]), 1e-12)
+        for b, re_array in zip(others, one_pass):
+            wq = wightman_smeared_quadrature(state, GaussianRegion(a, 1.0),
+                                             GaussianRegion(b, 1.0), 1e-12)
+            assert abs(re_array - wq.real) <= 1e-12, b
 
 
 class TestCommutatorAndRetarded:
@@ -542,8 +602,7 @@ class TestAssemble:
         regions = [region(0, 0), region(10, 10), region(10, 0), region(20, 5)]
         km = assemble_kernels(FieldState.vacuum(), regions, 2 * math.pi)
         assert np.array_equal(km.E, km.GR - km.GR.T)
-        # antisymmetric bit for bit off the diagonal, signed zeros included,
-        # as saved kernelmatrix-v1 files hold it
+        # antisymmetric bit for bit off the diagonal, signed zeros included
         off = ~np.eye(4, dtype=bool)
         assert np.array_equal(np.signbit(km.E)[off], np.signbit(-km.E.T)[off])
         assert np.array_equal(km.Delta, km.GR + km.GR.T)
@@ -620,41 +679,11 @@ class TestAssemble:
         assert len(calls[0]) == 20
         assert set(calls[0]) == geometries | {(0.0, 0.0)}
 
-    def test_load_rejects_corrupted_matrices(self, tmp_path):
-        regions = [region(0, 0), region(10, 10)]
-        km = assemble_kernels(FieldState.vacuum(), regions, 1.0)
-        km.save(tmp_path / "k")
-        h_path = tmp_path / "k" / "H.csv"
-        rows = h_path.read_text().splitlines()
-        cells = rows[0].split(",")
-        cells[1] = f"{float(cells[1]) + 1.0:.17g}"  # break H symmetry
-        h_path.write_text(",".join(cells) + "\n" + rows[1] + "\n")
+    def test_validate_rejects_asymmetric_h(self):
+        km = assemble_kernels(FieldState.vacuum(), [region(0, 0), region(10, 10)], 1.0)
+        km.H[0, 1] += 1.0
         with pytest.raises(ValueError, match="H symmetric"):
-            KernelMatrix.load(tmp_path / "k")
-        # the stored derived matrices are outside input too
-        km.save(tmp_path / "k")
-        for name, bad, match in (("E", "0,1\n-1,0\n", r"E = GR - GR\^T"),
-                                 ("Delta", "0,1\n1,0\n", r"Delta = GR \+ GR\^T"),
-                                 ("Wdiag", "1,1\n", r"Wdiag = H_ii / 2")):
-            path = tmp_path / "k" / f"{name}.csv"
-            good = path.read_text()
-            path.write_text(bad)
-            with pytest.raises(ValueError, match=match):
-                KernelMatrix.load(tmp_path / "k")
-            path.write_text(good)
-        KernelMatrix.load(tmp_path / "k")
-
-    def test_serialisation_roundtrip(self, tmp_path):
-        regions = [region(0, 0), region(10, 10), region(10, 0)]
-        km = assemble_kernels(FieldState.thermal(50.0), regions, 1.5)
-        km.save(tmp_path / "k")
-        back = KernelMatrix.load(tmp_path / "k")
-        assert back.n == km.n
-        assert back.lam == km.lam
-        assert back.state == km.state
-        assert np.array_equal(back.H, km.H)
-        assert np.array_equal(back.GR, km.GR)
-        assert np.array_equal(back.Wdiag, km.Wdiag)
+            km.validate()
 
 
 class TestLimits:

@@ -92,18 +92,28 @@ class TestIntegrateSemiInfinite:
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_complex_integrand(self):
+        # the scalar integrator, and the array one on a two-component vector
         f = lambda k: math.exp(-k * k) * complex(math.cos(k), -math.sin(k))
         res = numerics.integrate_semi_infinite(f, 1e-11, decay_scale=1.0, osc_scale=1.0)
-        re_t, _ = quad(lambda k: math.exp(-k * k) * math.cos(k), 0, 20, epsabs=1e-14)
-        im_t, _ = quad(lambda k: -math.exp(-k * k) * math.sin(k), 0, 20, epsabs=1e-14)
-        assert res.value.real == pytest.approx(re_t, abs=1e-11)
-        assert res.value.imag == pytest.approx(im_t, abs=1e-11)
+        vec = numerics.integrate_semi_infinite_array(
+            lambda k: math.exp(-k * k) * np.exp(-1j * k * np.array([1.0, 2.0])), 1e-11,
+            decay_scale=1.0, osc_scale=2.0)
+        for value, w in ((res.value, 1.0), (vec.value[0], 1.0), (vec.value[1], 2.0)):
+            re_t, _ = quad(lambda k: math.exp(-k * k) * math.cos(w * k), 0, 20, epsabs=1e-14)
+            im_t, _ = quad(lambda k: -math.exp(-k * k) * math.sin(w * k), 0, 20, epsabs=1e-14)
+            assert value.real == pytest.approx(re_t, abs=1e-11)
+            assert value.imag == pytest.approx(im_t, abs=1e-11)
 
     def test_deterministic(self):
         f = lambda k: k * math.exp(-0.3 * k * k) * math.sin(7.0 * k)
         a = numerics.integrate_semi_infinite(f, 1e-11, decay_scale=0.3, osc_scale=7.0)
         b = numerics.integrate_semi_infinite(f, 1e-11, decay_scale=0.3, osc_scale=7.0)
         assert a.value == b.value  # bit-identical
+        assert a.evaluations == b.evaluations
+        g = lambda k: k * math.exp(-0.3 * k * k) * np.sin(k * np.array([7.0, 1.0]))
+        a = numerics.integrate_semi_infinite_array(g, 1e-11, decay_scale=0.3, osc_scale=7.0)
+        b = numerics.integrate_semi_infinite_array(g, 1e-11, decay_scale=0.3, osc_scale=7.0)
+        assert a.value.tolist() == b.value.tolist()
         assert a.evaluations == b.evaluations
 
     def test_nondecaying_integrand_raises(self):
@@ -113,6 +123,59 @@ class TestIntegrateSemiInfinite:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             numerics.integrate_semi_infinite(lambda k: math.exp(-k * k), 0.0)
+        with pytest.raises(ValueError):
+            numerics.integrate_semi_infinite_array(lambda k: np.ones(2), 0.0)
+
+
+class TestIntegrateSemiInfiniteArray:
+    def test_components_match_scalar_integrator(self):
+        # e^{-a k^2} cos(w k) sin(k r)/r for several (w, r), r = 0 included
+        w = np.array([0.0, 3.0, 7.0, 0.5])
+        r = np.array([0.0, 2.0, 0.5, 9.0])
+        safe = np.where(r > 0.0, r, 1.0)
+
+        def f(k):
+            return math.exp(-2.0 * k * k) * np.cos(k * w) * np.where(
+                r > 0.0, np.sin(k * safe) / safe, k)
+
+        res = numerics.integrate_semi_infinite_array(f, 1e-12, decay_scale=2.0,
+                                                     osc_scale=17.0)
+        assert res.value.shape == (4,)
+        assert res.error_estimate <= 1e-11
+        for j in range(4):
+            one = numerics.integrate_semi_infinite(lambda k: float(f(k)[j]), 1e-12,
+                                                   decay_scale=2.0, osc_scale=17.0)
+            assert abs(res.value[j] - one.value) <= 1e-12
+
+    def test_knots_resolve_a_narrow_feature(self):
+        # a spike of width 1e-4 at k = 0 next to a unit Gaussian: both
+        # integrators find it once knots sit at its scale
+        def f(k):
+            return math.exp(-k * k) + math.exp(-(k * 1e4) ** 2)
+
+        want = math.sqrt(math.pi) / 2.0 * (1.0 + 1e-4)
+        knots = [c * 1e-4 for c in (0.01, 0.1, 1.0, 10.0, 100.0)]
+        scalar = numerics._integrate_panels(f, 1e-12, 1.0, None, knots)
+        vector = numerics.integrate_semi_infinite_array(
+            lambda k: np.array([f(k), math.exp(-k * k)]), 1e-12, decay_scale=1.0,
+            knots=knots)
+        assert scalar.value == pytest.approx(want, abs=1e-12)
+        assert vector.value[0] == pytest.approx(want, abs=1e-12)
+        assert vector.value[1] == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
+
+    def test_uncertified_component_raises(self):
+        # one component decays too slowly for the hinted Gaussian cutoff: its
+        # tail bound fails the whole pass
+        f = lambda k: np.array([math.exp(-k * k), 1.0 / (1.0 + k * k)])
+        with pytest.raises(ConvergenceError, match="exceeds tolerance"):
+            numerics.integrate_semi_infinite_array(f, 1e-10, decay_scale=1.0)
+
+    def test_non_finite_component_raises(self):
+        # NaN everywhere, and NaN only between the cutoff probes (0.5, 0.625)
+        for bad in (lambda k: math.nan, lambda k: math.nan if 0.51 < k < 0.6 else 0.0):
+            f = lambda k: np.array([math.exp(-k * k), bad(k)])
+            with pytest.raises(ConvergenceError):
+                numerics.integrate_semi_infinite_array(f, 1e-10, decay_scale=1.0)
 
 
 class TestFitLoglogSlope:

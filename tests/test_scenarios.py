@@ -11,7 +11,8 @@ import pytest
 from udwtomo import cli, multipole, scenarios
 from udwtomo.errors import (ConfigError, ConvergenceError, LightconeSingularityError,
                             TangentDomainError)
-from udwtomo.kernels import FieldState, hadamard_point, wightman_smeared_closed
+from udwtomo.kernels import (FieldState, hadamard_point, wightman_smeared_closed,
+                             wightman_smeared_quadrature)
 from udwtomo.scenarios import validate_config
 from udwtomo.smearing import GaussianRegion
 from udwtomo.spacetime import Event
@@ -209,6 +210,14 @@ class TestScenarioOutputs:
          FieldState.thermal(50.0), {"vacuum_pointlike": _vacuum_kernel,
                                     "thermal_pointlike": _state_kernel,
                                     "thermal_multipole": _multipole}, 1.0),
+        ({"scenario_id": "thermal_curves", "beta": 0.3, "s_over_ell": [1e-5, 0.5, 3.0, 12.0]},
+         FieldState.thermal(0.3), {"vacuum_pointlike": _vacuum_kernel,
+                                   "thermal_pointlike": _state_kernel,
+                                   "thermal_multipole": _multipole}, 1.0),
+        ({"scenario_id": "thermal_curves", "beta": 1e4, "s_over_ell": [1e-5, 0.5, 3.0, 12.0]},
+         FieldState.thermal(1e4), {"vacuum_pointlike": _vacuum_kernel,
+                                   "thermal_pointlike": _state_kernel,
+                                   "thermal_multipole": _multipole}, 1.0),
         ({"scenario_id": "coherent_curves", "s_over_ell": [1e-5, 0.5, 6.0, 12.0]},
          FieldState.coherent(1.5), {"vacuum_pointlike": _vacuum_kernel,
                                     "state_kernel": _state_kernel,
@@ -217,17 +226,26 @@ class TestScenarioOutputs:
          FieldState.one_particle(10.0), {"vacuum_pointlike": _vacuum_kernel,
                                          "state_kernel": _state_kernel,
                                          "multipole": _multipole}, 1.0),
-    ], ids=["vacuum", "thermal", "coherent", "oneparticle"])
+    ], ids=["vacuum", "thermal", "thermal_beta0.3", "thermal_beta1e4", "coherent",
+            "oneparticle"])
     def test_state_kernel_cells_are_pointlike_values(self, raw, state, columns,
-                                                     temporal_sign, tmp_path):
+                                                     temporal_sign, tmp_path, monkeypatch):
         # each scan column comes from one array pass; every cell must equal
         # the one-pair function at the row's regions to the last bit, and a
         # lightlike row (|s| = 1e-5 ell, |sigma| <= 1e-9) must carry the
-        # one-pair kernel's error text instead
+        # one-pair kernel's error text instead.  The quadrature column, where
+        # the scan has one, comes from one certified pass without a single
+        # per-pair oracle call, and lies within tol of the one-pair oracle.
+        per_pair_calls = []
+        monkeypatch.setattr(scenarios, "wightman_smeared_quadrature",
+                            lambda *args: per_pair_calls.append(args))
+        raw = {**raw, "enable_quadrature_columns": True}
         paths = scenarios.run({**raw, "output_dir": str(tmp_path)})
+        assert per_pair_calls == []
         rows = read_csv(paths[0])
         assert len(rows) == 8
         cfg = validate_config(raw)
+        quadrature = [c for c in rows[0] if c.endswith("smeared_quadrature")]
         anchor = cfg.anchor or Event(0.0, 0.0, 0.0, 0.0)
         for r in rows:
             s = float(r["s_over_ell"])
@@ -240,11 +258,14 @@ class TestScenarioOutputs:
                 with pytest.raises(LightconeSingularityError) as exc:
                     hadamard_point(state, anchor, b)
                 assert r["errors"] == f"LightconeSingularityError: {exc.value}"
-                assert all(r[column] == "" for column in columns)
+                assert all(r[column] == "" for column in [*columns, *quadrature])
                 continue
             assert r["errors"] == ""
             for column, one_pair in columns.items():
                 assert repr(float(r[column])) == repr(one_pair(state, ri, rj)), column
+            for column in quadrature:
+                oracle = wightman_smeared_quadrature(state, ri, rj, cfg.tol).real
+                assert abs(float(r[column]) - oracle) <= cfg.tol
 
     def test_oneparticle_grid_peak_on_lightcone(self, tmp_path):
         paths = scenarios.run({"scenario_id": "oneparticle_diff_grid",
@@ -309,7 +330,13 @@ class TestScenarioOutputs:
         assert all(r["pointlike"] and r["smeared_closed"] and r["multipole"]
                    for r in good)
 
-        # a point whose oracle quadrature fails loses its whole row
+        # a point whose oracle quadrature fails loses its whole row: when the
+        # one-pass certificate fails, the scan falls back to one oracle call
+        # per point, and only the failing point's row is lost
+        def uncertified(state, ell, a, b, tol):
+            raise ConvergenceError("accumulated quadrature error exceeds tolerance")
+
+        monkeypatch.setattr(scenarios, "_smeared_quadrature_real", uncertified)
         real_quadrature = scenarios.wightman_smeared_quadrature
 
         def flaky(state, ri, rj, tol):
