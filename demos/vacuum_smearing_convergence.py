@@ -10,30 +10,28 @@ Finishes by measuring the multipole expansion's convergence order in ell.
 import numpy as np
 
 from udwtomo import (Event, FieldState, GaussianRegion, convergence_order,
-                     estimate, hadamard_point, wightman_smeared_closed)
+                     wightman_smeared_closed)
+from udwtomo.multipole import estimate_array
 
 ELL = 1.0
 ORIGIN = Event(0.0, 0.0, 0.0, 0.0)
 
 
-def row(s_over_ell: float):
-    s = abs(s_over_ell) * ELL
-    a = Event(s, 0.0, 0.0, 0.0) if s_over_ell < 0 else Event(0.0, s, 0.0, 0.0)
-    vac = FieldState.vacuum()
-    point = hadamard_point(vac, a, ORIGIN)
-    ri, rj = GaussianRegion(a, ELL), GaussianRegion(ORIGIN, ELL)
-    smeared = wightman_smeared_closed(vac, ri, rj).real
-    mult = estimate(vac, ri, rj).value
-    return point, smeared, mult
-
-
 def main():
     print(f"{'s/ell':>7} {'pointlike':>13} {'smeared':>13} {'multipole':>13} "
           f"{'sm/pt - 1':>10}")
-    for s in (-20, -15, -10, -5, -2, 2, 5, 10, 15, 20):
-        point, smeared, mult = row(s)
-        print(f"{s:7.1f} {point:13.6e} {smeared:13.6e} {mult:13.6e} "
-              f"{smeared / point - 1:10.4f}")
+    vac = FieldState.vacuum()
+    s_over_ell = [-20, -15, -10, -5, -2, 2, 5, 10, 15, 20]
+    # temporal separation for negative s/ell, spatial for positive
+    a = np.array([[abs(s) * ELL, 0.0, 0.0, 0.0] if s < 0 else [0.0, s * ELL, 0.0, 0.0]
+                  for s in s_over_ell])
+    # the multipole estimate and its pointlike term at every separation at once
+    mult, point, _ = estimate_array(vac, a, ORIGIN.coords(), ELL)
+    for s, a_k, point_k, mult_k in zip(s_over_ell, a, point.tolist(), mult.tolist()):
+        ri, rj = GaussianRegion(Event(*a_k), ELL), GaussianRegion(ORIGIN, ELL)
+        smeared = wightman_smeared_closed(vac, ri, rj).real
+        print(f"{s:7.1f} {point_k:13.6e} {smeared:13.6e} {mult_k:13.6e} "
+              f"{smeared / point_k - 1:10.4f}")
 
     print("\nThe smeared value converges to the pointlike one like (ell/s)^2,")
     print("with coefficient 4 spatially and 12 temporally; after subtracting")

@@ -14,18 +14,14 @@ from .detector import (CorrelatorTable, DensityMatrix, PauliLabel,
                        correlator_table, density_matrix, pauli_ev_closed,
                        pauli_ev_oracle, random_kernel_matrix, sample_table)
 from .kernels import (FieldState, KernelMatrix, assemble_kernels,
-                      commutator_smeared, hadamard_point, phi0_coherent,
-                      F_oneparticle, retarded_smeared,
+                      F_oneparticle_array, hadamard_array, phi0_coherent_array,
                       wightman_smeared_closed, wightman_smeared_quadrature)
-from .multipole import (DerivativeBundle, MultipoleEstimate, convergence_order,
-                        derivatives, estimate)
+from .multipole import MultipoleEstimate, convergence_order, estimate
 from .numerics import (QuadratureResult, SlopeFit, fit_loglog_slope,
                        integrate_semi_infinite)
 from .smearing import GaussianRegion, MomentSet, evaluate, moments
-from .spacetime import (Event, Interval, LatticeSpec, Separation, build_lattice,
-                        classify, interval)
-from .tomography import (ReconstructionResult, TableReconstruction,
-                         reconstruct_record, reconstruct_table)
+from .spacetime import Event, Interval, LatticeSpec, build_lattice, intervals
+from .tomography import TableReconstruction, reconstruct_table
 
 __version__ = "0.1.0"
 
@@ -35,16 +31,13 @@ __all__ = [
     "CorrelatorTable", "DensityMatrix", "PauliLabel", "correlator_table",
     "density_matrix", "pauli_ev_closed", "pauli_ev_oracle",
     "random_kernel_matrix", "sample_table",
-    "FieldState", "KernelMatrix", "assemble_kernels", "commutator_smeared",
-    "hadamard_point", "phi0_coherent", "F_oneparticle", "retarded_smeared",
+    "FieldState", "KernelMatrix", "assemble_kernels", "F_oneparticle_array",
+    "hadamard_array", "phi0_coherent_array",
     "wightman_smeared_closed", "wightman_smeared_quadrature",
-    "DerivativeBundle", "MultipoleEstimate", "convergence_order",
-    "derivatives", "estimate",
+    "MultipoleEstimate", "convergence_order", "estimate",
     "QuadratureResult", "SlopeFit", "fit_loglog_slope", "integrate_semi_infinite",
     "GaussianRegion", "MomentSet", "evaluate", "moments",
-    "Event", "Interval", "LatticeSpec", "Separation", "build_lattice",
-    "classify", "interval",
-    "ReconstructionResult", "TableReconstruction", "reconstruct_record",
-    "reconstruct_table",
+    "Event", "Interval", "LatticeSpec", "build_lattice", "intervals",
+    "TableReconstruction", "reconstruct_table",
     "__version__",
 ]

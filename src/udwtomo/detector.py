@@ -326,18 +326,13 @@ def random_kernel_matrix(n: int, seed: int | np.random.Generator) -> KernelMatri
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     GR = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a):
-            GR[a, b] = rng.uniform(-0.3, 0.3)
+    GR[np.tril_indices(n, -1)] = rng.uniform(-0.3, 0.3, n * (n - 1) // 2)
     E = GR - GR.T
     A = rng.normal(size=(n, n))
     H = A @ A.T / n
-    boost = 0.0
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                need = abs(H[a, b]) - min(H[a, a], H[b, b])
-                boost = max(boost, need + 0.05)
+    d = np.diag(H)
+    need = np.abs(H) - np.minimum(d[:, None], d[None, :])
+    boost = np.max(need[~np.eye(n, dtype=bool)] + 0.05, initial=0.0)
     H += boost * np.eye(n)
     w_min = float(np.linalg.eigvalsh(0.5 * (H + 1j * E)).min())
     if w_min < 1e-6:

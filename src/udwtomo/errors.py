@@ -68,7 +68,3 @@ class ConfigError(UdwTomoError, ValueError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
-
-
-class PrecisionWarning(UserWarning):
-    """Result returned, but a known accuracy degradation applies."""

@@ -27,32 +27,26 @@ from E on the future side (dt > 0) of the pair.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, LightconeSingularityError, PrecisionWarning
+from .errors import CapacityError, LightconeSingularityError
 from .numerics import (_integrate_panels, integrate_semi_infinite,
                        integrate_semi_infinite_array)
 from .smearing import GaussianRegion
-from .spacetime import Event, Interval, default_lightcone_tol, interval, intervals
+from .spacetime import Interval, default_lightcone_tol, intervals
 
 __all__ = [
     "FieldState",
     "KernelMatrix",
-    "hadamard_point",
     "hadamard_array",
     "hadamard_dtt_array",
-    "phi0_coherent",
     "phi0_coherent_array",
     "phi0_coherent_region",
-    "F_oneparticle",
     "F_oneparticle_array",
     "wightman_smeared_quadrature",
     "wightman_smeared_closed",
-    "commutator_smeared",
-    "retarded_smeared",
     "assemble_kernels",
 ]
 
@@ -121,8 +115,7 @@ class FieldState:
 #
 # Each kernel evaluates whole coordinate arrays in one numpy pass, and its
 # special branches (small-r series, thermal saturation, the sinhc limit) are
-# masks over the points.  hadamard_point, phi0_coherent and F_oneparticle
-# evaluate a single event (pair) through the same code.
+# masks over the points; a single event (pair) is an array of shape (4,).
 # ---------------------------------------------------------------------------
 
 def _coth(x: float) -> float:
@@ -263,11 +256,6 @@ def phi0_coherent_array(delta: float, x: np.ndarray) -> np.ndarray:
     return _phi0(delta, x)[0]
 
 
-def phi0_coherent(delta: float, x: Event) -> float:
-    """Classical wave of the Gaussian-sourced coherent state at event x."""
-    return float(phi0_coherent_array(delta, x.coords()))
-
-
 def phi0_coherent_region(delta: float, region: GaussianRegion) -> float:
     """Classical wave smeared over a width-ell Gaussian region (closed form)."""
     if delta <= 0:
@@ -344,11 +332,6 @@ def F_oneparticle_array(delta: float, x: np.ndarray) -> np.ndarray:
     return _F(delta, x)[0]
 
 
-def F_oneparticle(delta: float, x: Event) -> complex:
-    """Positive-frequency wavepacket amplitude F(x) for the one-particle state."""
-    return complex(F_oneparticle_array(delta, x.coords()))
-
-
 def _lightcone_errors(itv: Interval) -> dict[int, LightconeSingularityError]:
     """The error of each (numerically) lightlike pair of ``itv``, where the
     pointlike kernels are singular, keyed by its flat position (ascending)."""
@@ -412,15 +395,6 @@ def hadamard_array(state: FieldState, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return _hadamard(state, a, b, dtt=False)[0]
 
 
-def hadamard_point(state: FieldState, a: Event, b: Event) -> float:
-    """Re W(a, b) = H(a, b)/2 between two events, for any of the four states.
-
-    Raises on (numerically) lightlike pairs, where the pointlike kernels are
-    singular; callers should use ``wightman_smeared_closed`` there.
-    """
-    return float(hadamard_array(state, a.coords(), b.coords()))
-
-
 # ---------------------------------------------------------------------------
 # smeared kernels
 # ---------------------------------------------------------------------------
@@ -432,8 +406,8 @@ def _check_equal_widths(ri: GaussianRegion, rj: GaussianRegion) -> float:
 
 
 def _pair_geometry(ri: GaussianRegion, rj: GaussianRegion) -> tuple[float, float]:
-    itv = interval(ri.center, rj.center)
-    return itv.dt, itv.dr
+    itv = intervals(ri.center.coords(), rj.center.coords())
+    return float(itv.dt), float(itv.dr)
 
 
 def _radial_factor(k: float, dr: float) -> float:
@@ -683,39 +657,11 @@ def wightman_smeared_closed(state: FieldState, ri: GaussianRegion,
     return complex(re, float(_commutator(dt, dr, ell)) / 2.0)
 
 
-def commutator_smeared(ri: GaussianRegion, rj: GaussianRegion) -> float:
-    """Smeared commutator function E(Lambda_i, Lambda_j) = 2 Im W_ij (closed form).
-
-    Antisymmetric under i <-> j; Gaussian-suppressed away from the lightcone
-    of the two centers.
-    """
-    ell = _check_equal_widths(ri, rj)
-    dt, dr = _pair_geometry(ri, rj)
-    return float(_commutator(dt, dr, ell))
-
-
 def _commutator(dt, dr, ell: float) -> np.ndarray:
+    """The smeared commutator E = 2 Im W between width-ell regions at (dt, dr)
+    (closed form): odd in dt, Gaussian-suppressed away from the lightcone."""
     return _gaussian_wave_pair(dt, dr, 2.0 * ell * ell)[0] / (
         8.0 * math.sqrt(2.0) * math.pi**1.5 * ell)
-
-
-def retarded_smeared(ri: GaussianRegion, rj: GaussianRegion) -> float:
-    """Smeared retarded propagator G_R(Lambda_i, Lambda_j), read off from E.
-
-    Equals E(Lambda_i, Lambda_j) when region i lies to the future of region j
-    (dt > 0) and zero otherwise; warns when the two regions straddle the
-    cone/time-order boundary so closely that this identification degrades.
-    """
-    ell = _check_equal_widths(ri, rj)
-    dt, dr = _pair_geometry(ri, rj)
-    if dt != 0.0 and abs(dt) < 5.0 * ell and abs(abs(dt) - dr) < 5.0 * ell:
-        warnings.warn(
-            f"retarded/commutator identification degraded at dt={dt:g}, dr={dr:g} "
-            f"(within 5 ell = {5 * ell:g} of the boundary)", PrecisionWarning,
-            stacklevel=2)
-    if dt <= 0.0:
-        return 0.0
-    return commutator_smeared(ri, rj)
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +673,9 @@ class KernelMatrix:
     """Coupling-scaled smeared kernels for a set of regions.
 
     Stores H, the symmetric (anticommutator) part, and GR, the retarded
-    part; the commutator E = GR - GR^T, the symmetric propagator
-    Delta = GR + GR^T and the local noise Wdiag = H_ii / 2 are derived.  All
-    entries carry the lambda^2 scaling, so they are dimensionless.
+    part; the commutator E = GR - GR^T and the symmetric propagator
+    Delta = GR + GR^T are derived.  All entries carry the lambda^2 scaling,
+    so they are dimensionless.
     """
 
     n: int
@@ -748,10 +694,6 @@ class KernelMatrix:
     @property
     def Delta(self) -> np.ndarray:
         return self.GR + self.GR.T
-
-    @property
-    def Wdiag(self) -> np.ndarray:
-        return np.diag(self.H) / 2.0
 
     def validate(self, atol: float = 1e-12) -> None:
         """Raise ValueError unless H is symmetric to ``atol`` relative to the

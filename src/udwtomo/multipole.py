@@ -40,9 +40,7 @@ from .smearing import GaussianRegion, moments
 from .spacetime import Event
 
 __all__ = [
-    "DerivativeBundle",
     "MultipoleEstimate",
-    "derivatives",
     "estimate",
     "estimate_array",
     "convergence_order",
@@ -53,16 +51,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DerivativeBundle:
-    """Pointlike value plus its second time derivative at each event; by the
-    wave equation each is half the event's Euclidean Hessian trace."""
-
-    w: float
-    dtt_i: float  # d^2 W / dt^2 in the first event
-    dtt_j: float  # d^2 W / dt^2 in the second event
-
-
-@dataclass(frozen=True)
 class MultipoleEstimate:
     """Second-order multipole estimate of the smeared two-point value."""
 
@@ -70,15 +58,6 @@ class MultipoleEstimate:
     pointlike_term: float
     quadrupole_term: float
     ricci_term: float
-
-
-def derivatives(state: FieldState, a: Event, b: Event) -> DerivativeBundle:
-    """Re W at (a, b) and its closed second time derivative at each event.
-
-    Raises LightconeSingularityError on (numerically) lightlike pairs.
-    """
-    w, dtt_a, dtt_b = hadamard_dtt_array(state, a.coords(), b.coords())
-    return DerivativeBundle(w=float(w), dtt_i=float(dtt_a), dtt_j=float(dtt_b))
 
 
 def estimate_array(state: FieldState, a: np.ndarray, b: np.ndarray, ell: float
@@ -140,13 +119,9 @@ def thermal_expansion_spatial(beta: float, dr: float, ell: float) -> float:
             + math.pi * ell**2 * c / (dr * beta**3 * s**2))
 
 
-def residual_table(state: FieldState, base_config: tuple[float, float],
-                   ell_grid: list[float], tol: float = 1e-12,
-                   include_quadrupole: bool = True) -> list[tuple[float, float]]:
-    """Per-width residuals |Re W_quadrature - estimate| at a fixed separation.
-
-    Residuals below the 1e-13 quadrature noise floor are dropped.
-    """
+def _checked_grid(base_config: tuple[float, float], ell_grid: list[float]) -> list[float]:
+    """The widths in ascending order; ValueError unless they are positive and
+    the largest is at most a tenth of the separation at (dt, dr) = base_config."""
     dt, dr = base_config
     sep = math.sqrt(abs(-dt * dt + dr * dr))
     grid = sorted(ell_grid)
@@ -154,6 +129,18 @@ def residual_table(state: FieldState, base_config: tuple[float, float],
         raise ValueError("ell grid must be strictly positive")
     if grid[-1] > sep / 10.0:
         raise ValueError(f"max(ell) = {grid[-1]:g} exceeds separation/10 = {sep / 10:g}")
+    return grid
+
+
+def residual_table(state: FieldState, base_config: tuple[float, float],
+                   ell_grid: list[float], tol: float = 1e-12,
+                   include_quadrupole: bool = True) -> list[tuple[float, float]]:
+    """Per-width residuals |Re W_quadrature - estimate| at a fixed separation.
+
+    Residuals below the 1e-13 quadrature noise floor are dropped.
+    """
+    grid = _checked_grid(base_config, ell_grid)
+    dt, dr = base_config
     a = Event(dt, dr, 0.0, 0.0)
     b = Event(0.0, 0.0, 0.0, 0.0)
     points = []

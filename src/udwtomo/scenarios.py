@@ -37,7 +37,7 @@ from .detector import correlator_table, sample_table
 from .errors import ConfigError, UdwTomoError
 from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature_real,
                       _smeared_real, assemble_kernels, hadamard_array,
-                      phi0_coherent_array, F_oneparticle, F_oneparticle_array,
+                      phi0_coherent_array, F_oneparticle_array,
                       wightman_smeared_quadrature)
 from .numerics import fit_loglog_slope
 from .smearing import GaussianRegion
@@ -296,6 +296,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
             raise ConfigError("field 'base_config' needs dt and dr", field="base_config")
         cfg.base_config = tuple(_number(bc[k], f"base_config.{k}", "base_config") * ell
                                 for k in ("dt", "dr"))
+    if cfg.ell_grid and cfg.base_config is not None:
+        # the widths convergence_sweep's residual table accepts at this separation
+        try:
+            multipole._checked_grid(cfg.base_config, cfg.ell_grid)
+        except ValueError as exc:
+            raise ConfigError(f"field 'ell_grid': {exc}", field="ell_grid") from exc
     return cfg
 
 
@@ -417,7 +423,7 @@ def _run_coherent_field_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
 
 
 def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    f_anchor = F_oneparticle(cfg.delta, cfg.anchor)
+    f_anchor = F_oneparticle_array(cfg.delta, cfg.anchor.coords())
     t, x, coords = _grid(cfg)
     f = F_oneparticle_array(cfg.delta, coords)
     # 2 Re(F(anchor) conj(F(x)))

@@ -1,17 +1,18 @@
-"""Events, intervals and causal structure in 3+1 Minkowski spacetime.
+"""Events, intervals and lattices in 3+1 Minkowski spacetime.
 
 Signature is (-,+,+,+), so the Synge world function
 
     sigma = (1/2) (x - x')^mu (x - x')_mu = (-dt^2 + dr^2) / 2
 
-is positive for spacelike separation.  Lattices of interaction centers are
-ordered with the time index outermost so that, for each fixed spatial site,
-earlier couplings precede later ones in index order.
+is positive for spacelike separation and negative for timelike separation;
+a pair counts as lightlike where |sigma| is within ``default_lightcone_tol``.
+Lattices of interaction centers are ordered with the time index outermost so
+that, for each fixed spatial site, earlier couplings precede later ones in
+index order.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -21,10 +22,7 @@ __all__ = [
     "Event",
     "Interval",
     "LatticeSpec",
-    "Separation",
-    "interval",
     "intervals",
-    "classify",
     "default_lightcone_tol",
     "build_lattice",
 ]
@@ -44,10 +42,6 @@ class Event:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"Event.{name} must be finite")
 
-    def spatial_distance(self, other: "Event") -> float:
-        return math.sqrt((self.x - other.x) ** 2 + (self.y - other.y) ** 2
-                         + (self.z - other.z) ** 2)
-
     def coords(self) -> np.ndarray:
         """The coordinates as a length-4 array ordered (t, x, y, z)."""
         return np.array((self.t, self.x, self.y, self.z))
@@ -55,56 +49,25 @@ class Event:
 
 @dataclass(frozen=True)
 class Interval:
-    """Relative separation data for an ordered pair of events (floats), or
-    for arrays of event pairs (arrays of one shape, from ``intervals``)."""
+    """Relative separation data for arrays of event pairs, from
+    ``intervals``: three arrays of the pairs' broadcast shape (0-d for a
+    single pair)."""
 
-    dt: float     # t_a - t_b
-    dr: float     # spatial distance, >= 0
-    sigma: float  # (-dt^2 + dr^2) / 2
-
-
-class Separation(enum.Enum):
-    SPACELIKE = "spacelike"
-    TIMELIKE_FUTURE = "timelike_future"
-    TIMELIKE_PAST = "timelike_past"
-    LIGHTLIKE = "lightlike"
-
-
-def interval(a: Event, b: Event) -> Interval:
-    dt = a.t - b.t
-    dr = a.spatial_distance(b)
-    return Interval(dt=dt, dr=dr, sigma=0.5 * (-dt * dt + dr * dr))
+    dt: np.ndarray     # t_a - t_b
+    dr: np.ndarray     # spatial distance, >= 0
+    sigma: np.ndarray  # (-dt^2 + dr^2) / 2
 
 
 def intervals(a: np.ndarray, b: np.ndarray) -> Interval:
-    """Interval of coordinate arrays a, b of shape (..., 4), ordered (t, x, y, z).
-
-    Elementwise the same arithmetic as ``interval``.
-    """
+    """Interval of coordinate arrays a, b of shape (..., 4), ordered (t, x, y, z)."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     dt = d[..., 0]
     dr = np.sqrt(d[..., 1] ** 2 + d[..., 2] ** 2 + d[..., 3] ** 2)
     return Interval(dt=dt, dr=dr, sigma=0.5 * (-dt * dt + dr * dr))
 
 
-def default_lightcone_tol(itv: Interval) -> float:
+def default_lightcone_tol(itv: Interval) -> np.ndarray:
     return 1e-9 * np.maximum(np.maximum(np.abs(itv.dt), itv.dr), 1.0)
-
-
-def classify(a: Event, b: Event, lightcone_tol: float | None = None) -> Separation:
-    """Causal classification of a relative to b.
-
-    TIMELIKE_FUTURE means a lies in the chronological future of b.
-    """
-    itv = interval(a, b)
-    tol = default_lightcone_tol(itv) if lightcone_tol is None else lightcone_tol
-    if tol < 0:
-        raise ValueError("lightcone_tol must be >= 0")
-    if abs(itv.sigma) <= tol:
-        return Separation.LIGHTLIKE
-    if itv.sigma > 0:
-        return Separation.SPACELIKE
-    return Separation.TIMELIKE_FUTURE if itv.dt > 0 else Separation.TIMELIKE_PAST
 
 
 @dataclass(frozen=True)

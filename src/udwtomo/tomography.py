@@ -14,10 +14,10 @@ each ratio being -tan(2 G) of the corresponding retarded entry, so that
 H_ij = (1/2) arctanh(yy/zz) - C_ij in general.  Combining with the known
 commutator part gives back the complex two-point value W = H/2 + i E/2.
 
-One array kernel inverts any set of pairs at once.  ``reconstruct_table``
-runs it over every pair i < j of a table, in row-major blocks of bounded
-size, and collects the failures of the pairs that cannot be inverted;
-``reconstruct_record`` is its one-pair form and raises instead.
+``reconstruct_table`` inverts every pair i < j of a table in one array
+pass, in row-major blocks of bounded size, and collects the failures of the
+pairs that cannot be inverted; a single pair is read off at its row-major
+position.
 
 The commutator entries E_ij are consumed as known inputs (they depend only on
 the classical equation of motion, not on the state) and are never re-derived
@@ -27,7 +27,7 @@ from the correlators here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +39,7 @@ from .errors import (DephasingError, NoiseDominatedError, TangentDomainError,
 from .tables import column_rows, write_rows
 
 __all__ = [
-    "ReconstructionResult",
     "TableReconstruction",
-    "reconstruct_record",
     "reconstruct_table",
     "write_reconstruction_results",
 ]
@@ -75,16 +73,15 @@ class TableReconstruction:
 
 def _invert(table: CorrelatorTable, a: np.ndarray, b: np.ndarray):
     """H, C, causal mask, dephasing flag and {position: error} of the 0-based
-    pairs (a[p], b[p]).
+    pairs (a[p], b[p]), a[p] < b[p].
 
     The third detectors of each pair are gathered in ascending order, so the
     arctanh terms of C add up in that order.  A failing pair reports the
     first of: zero <sz> on a causal pair, a product outside the arctanh
     domain (first k), a fully dephased zz, a noise-dominated yy/zz.
     """
-    lo, hi = np.minimum(a, b)[:, None], np.maximum(a, b)[:, None]
     p = np.arange(table.n - 2)
-    others = p + (p >= lo) + (p >= hi - 1)
+    others = p + (p >= a[:, None]) + (p >= b[:, None] - 1)
     yx_a, xy_b = table.yx[a[:, None], others], table.xy[others, b[:, None]]
     causal = np.any(yx_a != 0.0, axis=1) | np.any(xy_b != 0.0, axis=1)
     zi, zj = table.z[a], table.z[b]
@@ -143,42 +140,6 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     h, c, causal, flagged = (np.concatenate(col) for col in zip(*parts))
     return TableReconstruction(i=a + 1, j=b + 1, H=h, C=c, causal=causal,
                                dephasing_dominated=flagged, failures=failures)
-
-
-@dataclass
-class ReconstructionResult:
-    """Reconstructed pair data plus diagnostics."""
-
-    i: int
-    j: int
-    H_ij_reconstructed: float
-    C_ij: float
-    W_ij: complex
-    regime: str                      # "spacelike" | "causal"
-    condition_flags: list[str] = field(default_factory=list)
-
-
-def reconstruct_record(table: CorrelatorTable, i: int, j: int,
-                       e_ij: float) -> ReconstructionResult:
-    """Invert pair (i, j) of a correlator table: H_ij = (1/2) arctanh(yy/zz) - C_ij.
-
-    Consumes the known commutator entry e_ij.  The regime is data driven: a
-    pair whose cross correlators with every third detector vanish uses the
-    pure spacelike branch.  Heavily dephased pairs are flagged rather than
-    rejected; a pair that cannot be inverted raises its error.
-    """
-    n = table.n
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise ValueError(f"need distinct 1-based indices in [1, {n}], got i={i}, j={j}")
-    h, c, causal, flagged, failures = _invert(table, np.array([i - 1]), np.array([j - 1]))
-    if failures:
-        raise failures[0]
-    h_ij = float(h[0])
-    return ReconstructionResult(
-        i=i, j=j, H_ij_reconstructed=h_ij, C_ij=float(c[0]),
-        W_ij=complex(0.5 * h_ij, 0.5 * e_ij),
-        regime="causal" if causal[0] else "spacelike",
-        condition_flags=["dephasing_dominated"] if flagged[0] else [])
 
 
 def write_reconstruction_results(rec: TableReconstruction, E: np.ndarray,

@@ -354,3 +354,35 @@ class TestRandomKernelMatrix:
                         assert abs(km.H[i, j]) <= min(km.H[i, i], km.H[j, j]) + 1e-12
             w_min = np.linalg.eigvalsh(0.5 * (km.H + 1j * km.E)).min()
             assert w_min >= 0.0
+
+    @staticmethod
+    def loop_reference(n, seed):
+        """The generator written pair by pair: one uniform draw per GR entry
+        below the diagonal in row-major order, and the diagonal boost as the
+        running maximum over the off-diagonal pairs."""
+        rng = np.random.default_rng(seed)
+        GR = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a):
+                GR[a, b] = rng.uniform(-0.3, 0.3)
+        E = GR - GR.T
+        A = rng.normal(size=(n, n))
+        H = A @ A.T / n
+        boost = 0.0
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    boost = max(boost, abs(H[a, b]) - min(H[a, a], H[b, b]) + 0.05)
+        H += boost * np.eye(n)
+        w_min = float(np.linalg.eigvalsh(0.5 * (H + 1j * E)).min())
+        if w_min < 1e-6:
+            H += 2.0 * (1e-6 - w_min) * np.eye(n)
+        return H, GR
+
+    def test_matches_loop_reference_bitwise(self):
+        for n in range(1, 13):
+            for seed in range(40):
+                km = random_kernel_matrix(n, seed)
+                H, GR = self.loop_reference(n, seed)
+                assert km.H.tobytes() == H.tobytes(), (n, seed)
+                assert km.GR.tobytes() == GR.tobytes(), (n, seed)

@@ -6,22 +6,21 @@ closed forms are validated against it rather than against themselves.
 
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
 
 from udwtomo import kernels
-from udwtomo.errors import CapacityError, LightconeSingularityError, PrecisionWarning
+from udwtomo.errors import CapacityError, LightconeSingularityError
 from udwtomo.kernels import (FieldState, KernelMatrix, assemble_kernels,
-                             commutator_smeared, hadamard_point, phi0_coherent,
-                             phi0_coherent_region, F_oneparticle, retarded_smeared,
-                             wightman_smeared_closed, wightman_smeared_quadrature)
+                             F_oneparticle_array, hadamard_array, phi0_coherent_array,
+                             phi0_coherent_region, wightman_smeared_closed,
+                             wightman_smeared_quadrature)
 from udwtomo.smearing import GaussianRegion
-from udwtomo.spacetime import (Event, LatticeSpec, build_lattice, interval,
-                               intervals)
+from udwtomo.spacetime import Event, LatticeSpec, build_lattice, intervals
 
 O = Event(0.0, 0.0, 0.0, 0.0)
+ORIGIN = O.coords()
 
 
 def region(t, x, ell=1.0):
@@ -51,6 +50,13 @@ def per_pair_reference(state, regions, lam):
             elif itv.dt[i, j] < 0.0:
                 GR[j, i] = -E[i, j]
     return H, GR
+
+
+def pair_intervals(regions):
+    """The intervals of every pair i < j of ``regions``' centers, row-major."""
+    centers = np.array([r.center.coords() for r in regions])
+    iu, ju = np.triu_indices(len(regions), 1)
+    return intervals(centers[iu], centers[ju])
 
 
 def assert_bitwise(a, b):
@@ -84,25 +90,25 @@ class TestFieldState:
 
 class TestHadamardPoint:
     def test_vacuum_spacelike(self):
-        val = hadamard_point(FieldState.vacuum(), Event(0, 1, 0, 0), O)
+        val = float(hadamard_array(FieldState.vacuum(), [0, 1, 0, 0], ORIGIN))
         assert val == pytest.approx(1.0 / (4 * math.pi**2), rel=1e-15)
 
     def test_vacuum_timelike_sign_flip(self):
-        val = hadamard_point(FieldState.vacuum(), Event(1, 0, 0, 0), O)
+        val = float(hadamard_array(FieldState.vacuum(), [1, 0, 0, 0], ORIGIN))
         assert val == pytest.approx(-1.0 / (4 * math.pi**2), rel=1e-15)
 
     def test_lightlike_raises(self):
         for state in (FieldState.vacuum(), FieldState.thermal(5.0),
                       FieldState.coherent(1.0), FieldState.one_particle(1.0)):
             with pytest.raises(LightconeSingularityError):
-                hadamard_point(state, Event(1, 1, 0, 0), O)
+                hadamard_array(state, [1, 1, 0, 0], ORIGIN)
 
     def test_thermal_approaches_vacuum(self):
         # coth small-argument expansion: relative deviation ~ (pi dr / beta)^2 / 3
         dr = 1.0
-        vac = hadamard_point(FieldState.vacuum(), Event(0, dr, 0, 0), O)
+        vac = float(hadamard_array(FieldState.vacuum(), [0, dr, 0, 0], ORIGIN))
         for beta in (50.0, 200.0, 1000.0):
-            th = hadamard_point(FieldState.thermal(beta), Event(0, dr, 0, 0), O)
+            th = float(hadamard_array(FieldState.thermal(beta), [0, dr, 0, 0], ORIGIN))
             rel = abs(th - vac) / vac
             expect = (math.pi * dr / beta) ** 2 / 3.0
             assert rel == pytest.approx(expect, rel=0.05)
@@ -111,21 +117,22 @@ class TestHadamardPoint:
         # the product form used internally is algebraically the textbook
         # coth(pi(dr+dt)/beta) + coth(pi(dr-dt)/beta) expression
         beta = 13.0
-        for (dt, dr) in ((0.0, 1.0), (2.0, 5.0), (-4.0, 1.5), (7.0, 2.0)):
-            got = hadamard_point(FieldState.thermal(beta), Event(dt, dr, 0, 0), O)
-            k = math.pi / beta
-            want = (1.0 / math.tanh(k * (dr + dt)) + 1.0 / math.tanh(k * (dr - dt))) / (
-                8.0 * math.pi * beta * dr)
-            assert got == pytest.approx(want, rel=1e-13)
+        geometries = [(0.0, 1.0), (2.0, 5.0), (-4.0, 1.5), (7.0, 2.0)]
+        got = hadamard_array(FieldState.thermal(beta),
+                             [[dt, dr, 0, 0] for dt, dr in geometries], ORIGIN)
+        k = math.pi / beta
+        want = [(1.0 / math.tanh(k * (dr + dt)) + 1.0 / math.tanh(k * (dr - dt))) / (
+                 8.0 * math.pi * beta * dr) for dt, dr in geometries]
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_thermal_extreme_arguments(self):
         # saturation branches: deep spacelike plateau and underflowing timelike
         beta = 1.0
-        deep_space = hadamard_point(FieldState.thermal(beta), Event(0, 200.0, 0, 0), O)
+        deep_space, deep_time, mixed = hadamard_array(
+            FieldState.thermal(beta), [[0, 200.0, 0, 0], [200.0, 0, 0, 0], [500.0, 100.0, 0, 0]],
+            ORIGIN).tolist()
         assert deep_space == pytest.approx(1.0 / (4 * math.pi * beta * 200.0), rel=1e-12)
-        deep_time = hadamard_point(FieldState.thermal(beta), Event(200.0, 0, 0, 0), O)
         assert deep_time == 0.0  # true value ~ -e^{-400 pi}, below double range
-        mixed = hadamard_point(FieldState.thermal(beta), Event(500.0, 100.0, 0, 0), O)
         assert mixed == 0.0 and not math.isnan(mixed)
 
     def test_thermal_one_argument_saturated(self):
@@ -133,65 +140,66 @@ class TestHadamardPoint:
         # form would overflow there; the textbook coth sum at 30 digits decides
         import mpmath as mp
         beta = 1.0
+        geometries = [(100.0, 150.0), (110.0, 100.0), (-110.0, 100.0), (50.0, 60.0)]
+        got = hadamard_array(FieldState.thermal(beta),
+                             [[dt, dr, 0, 0] for dt, dr in geometries], ORIGIN)
         with mp.workdps(30):
-            for (dt, dr) in ((100.0, 150.0), (110.0, 100.0), (-110.0, 100.0), (50.0, 60.0)):
-                got = hadamard_point(FieldState.thermal(beta), Event(dt, dr, 0, 0), O)
-                k = mp.pi / beta
-                want = (mp.coth(k * (dr + dt)) + mp.coth(k * (dr - dt))) / (
-                    8 * mp.pi * beta * dr)
-                assert got == pytest.approx(float(want), rel=1e-12)
+            k = mp.pi / beta
+            want = [float((mp.coth(k * (dr + dt)) + mp.coth(k * (dr - dt))) / (
+                        8 * mp.pi * beta * dr)) for dt, dr in geometries]
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_thermal_pure_temporal_limit(self):
         # dr -> 0 analytic limit -1/(4 beta^2 sinh^2(pi dt / beta))
         beta, dt = 50.0, 5.0
         want = -1.0 / (4 * beta**2 * math.sinh(math.pi * dt / beta) ** 2)
-        got = hadamard_point(FieldState.thermal(beta), Event(dt, 0, 0, 0), O)
+        got, near = hadamard_array(FieldState.thermal(beta),
+                                   [[dt, 0, 0, 0], [dt, 1e-9, 0, 0]], ORIGIN).tolist()
         assert got == pytest.approx(want, rel=1e-13)
         # and continuity from tiny dr
-        near = hadamard_point(FieldState.thermal(beta), Event(dt, 1e-9, 0, 0), O)
         assert near == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("state", [FieldState.vacuum(), FieldState.thermal(37.0),
                                        FieldState.coherent(1.5),
                                        FieldState.one_particle(4.0)])
     def test_symmetry_in_arguments(self, state):
-        a, b = Event(0.7, 3.0, -1.0, 0.5), Event(-0.4, -2.0, 0.3, 1.0)
-        assert hadamard_point(state, a, b) == pytest.approx(
-            hadamard_point(state, b, a), rel=1e-13)
+        a, b = [0.7, 3.0, -1.0, 0.5], [-0.4, -2.0, 0.3, 1.0]
+        assert float(hadamard_array(state, a, b)) == pytest.approx(
+            float(hadamard_array(state, b, a)), rel=1e-13)
 
     def test_coherent_additivity_is_exact(self):
         # state kernel minus vacuum kernel equals the classical-wave product
-        a, b = Event(2.0, 5.0, 0, 0), Event(-1.0, -3.0, 1.0, 0)
+        a, b = [2.0, 5.0, 0, 0], [-1.0, -3.0, 1.0, 0]
         delta = 1.5
-        diff = (hadamard_point(FieldState.coherent(delta), a, b)
-                - hadamard_point(FieldState.vacuum(), a, b))
-        assert diff == pytest.approx(
-            phi0_coherent(delta, a) * phi0_coherent(delta, b), abs=1e-12)
+        diff = float(hadamard_array(FieldState.coherent(delta), a, b)
+                     - hadamard_array(FieldState.vacuum(), a, b))
+        phi_a, phi_b = phi0_coherent_array(delta, [a, b]).tolist()
+        assert diff == pytest.approx(phi_a * phi_b, abs=1e-12)
 
 
 class TestPhi0:
     def test_zero_at_t0(self):
-        for r in (0.3, 1.0, 7.0):
-            assert phi0_coherent(1.0, Event(0.0, r, 0, 0)) == 0.0
+        values = phi0_coherent_array(1.0, [[0.0, r, 0, 0] for r in (0.3, 1.0, 7.0)])
+        assert values.tolist() == [0.0, 0.0, 0.0]
 
     def test_odd_in_t(self):
-        v1 = phi0_coherent(2.0, Event(1.3, 0.8, 0.2, 0))
-        v2 = phi0_coherent(2.0, Event(-1.3, 0.8, 0.2, 0))
+        v1, v2 = phi0_coherent_array(2.0, [[1.3, 0.8, 0.2, 0], [-1.3, 0.8, 0.2, 0]]).tolist()
         assert v1 == pytest.approx(-v2, rel=1e-14)
 
     def test_direct_substitution(self):
         # r = t = delta = 1: (e^{-1} - 1) / (4 sqrt2 pi)
         want = (math.exp(-1.0) - 1.0) / (4 * math.sqrt(2) * math.pi)
-        assert phi0_coherent(1.0, Event(1.0, 1.0, 0, 0)) == pytest.approx(want, rel=1e-14)
+        assert float(phi0_coherent_array(1.0, [1.0, 1.0, 0, 0])) == pytest.approx(
+            want, rel=1e-14)
 
     def test_origin_limit_matches_series(self):
         delta, t = 1.5, 2.0
         want = -t * math.exp(-t * t / (4 * delta**2)) / (
             4 * math.sqrt(2) * math.pi * delta**2)
-        assert phi0_coherent(delta, Event(t, 0.0, 0, 0)) == pytest.approx(want, rel=1e-12)
+        center, lo, hi = phi0_coherent_array(
+            delta, [[t, 0.0, 0, 0], [t, 1e-8, 0, 0], [t, 1e-3, 0, 0]]).tolist()
+        assert center == pytest.approx(want, rel=1e-12)
         # continuity across the series switch radius
-        lo = phi0_coherent(delta, Event(t, 1e-8, 0, 0))
-        hi = phi0_coherent(delta, Event(t, 1e-3, 0, 0))
         assert lo == pytest.approx(want, rel=1e-10)
         assert hi == pytest.approx(want, rel=1e-5)
 
@@ -206,7 +214,7 @@ class TestPhi0:
                 tm, rm, s2 = mp.mpf(t), mp.mpf(r), mp.mpf(delta) ** 2
                 want = (mp.exp(-(rm + tm) ** 2 / (4 * s2)) - mp.exp(-(rm - tm) ** 2 / (4 * s2))) / (
                     rm * 4 * mp.sqrt(2) * mp.pi)
-                got = phi0_coherent(delta, Event(t, r, 0, 0))
+                got = float(phi0_coherent_array(delta, [t, r, 0, 0]))
                 assert got == pytest.approx(float(want), rel=1e-13)
 
     def test_smeared_region_against_radial_quadrature(self):
@@ -225,16 +233,17 @@ class TestOneParticleF:
     def test_origin_value(self):
         # t = 0, r -> 0: F = 1 / (2 delta sqrt(pi)), purely real
         delta = 1.0
-        f = F_oneparticle(delta, Event(0.0, 0.0, 0, 0))
+        f = complex(F_oneparticle_array(delta, ORIGIN))
         assert f.real == pytest.approx(1.0 / (2 * delta * math.sqrt(math.pi)), rel=1e-12)
         assert f.imag == pytest.approx(0.0, abs=1e-14)
 
     def test_t_reflection_invariance_of_hadamard_term(self):
         delta = 2.0
-        a, b = Event(1.0, 3.0, 0, 0), Event(-0.5, 1.0, 2.0, 0)
-        am, bm = Event(-1.0, 3.0, 0, 0), Event(0.5, 1.0, 2.0, 0)
-        fwd = 2 * (F_oneparticle(delta, a) * F_oneparticle(delta, b).conjugate()).real
-        bwd = 2 * (F_oneparticle(delta, am) * F_oneparticle(delta, bm).conjugate()).real
+        fa, fb, fam, fbm = F_oneparticle_array(
+            delta, [[1.0, 3.0, 0, 0], [-0.5, 1.0, 2.0, 0],
+                    [-1.0, 3.0, 0, 0], [0.5, 1.0, 2.0, 0]]).tolist()
+        fwd = 2 * (fa * fb.conjugate()).real
+        bwd = 2 * (fam * fbm.conjugate()).real
         assert fwd == pytest.approx(bwd, rel=1e-13)
 
     def test_against_mode_integral(self):
@@ -248,16 +257,15 @@ class TestOneParticleF:
             im, _ = quad(lambda k: -k * math.exp(-delta**2 * k**2 / 2)
                          * math.sin(k * t) * math.sin(k * r), 0, 40 / delta,
                          epsabs=1e-14, limit=400)
-            got = F_oneparticle(delta, Event(t, r, 0, 0))
+            got = complex(F_oneparticle_array(delta, [t, r, 0, 0]))
             assert got.real == pytest.approx(c * re, abs=1e-13)
             assert got.imag == pytest.approx(c * im, abs=1e-13)
 
     def test_small_r_series_consistency(self):
         # the small-r series branch must join the direct formula smoothly
         delta, t = 10.0, -60.0
-        inside = F_oneparticle(delta, Event(t, 5e-3 * delta, 0, 0))
-        outside = F_oneparticle(delta, Event(t, 2e-3 * delta, 0, 0))
-        center = F_oneparticle(delta, Event(t, 0.0, 0, 0))
+        inside, outside, center = F_oneparticle_array(
+            delta, [[t, 5e-3 * delta, 0, 0], [t, 2e-3 * delta, 0, 0], [t, 0.0, 0, 0]]).tolist()
         assert abs(inside - center) < 1e-4 * abs(center) + 1e-15
         assert abs(outside - center) < 1e-4 * abs(center) + 1e-15
 
@@ -286,7 +294,7 @@ class TestArrayKernels:
         state = FieldState.thermal(1.0)
         a = self.coords(self.THERMAL)
         got = kernels.hadamard_array(state, a, np.zeros(4))
-        assert got.tolist() == [hadamard_point(state, Event(*p), O) for p in a]
+        assert got.tolist() == [float(kernels.hadamard_array(state, p, np.zeros(4))) for p in a]
         # the second time derivatives follow the same branch masks
         got = np.array(kernels.hadamard_dtt_array(state, a, np.zeros(4))).T
         assert got.tolist() == [
@@ -294,11 +302,10 @@ class TestArrayKernels:
 
     def test_source_amplitude_branches(self):
         x = self.coords(self.SOURCED)
-        events = [Event(*p) for p in x]
         assert kernels.phi0_coherent_array(1.5, x).tolist() == [
-            phi0_coherent(1.5, e) for e in events]
+            float(kernels.phi0_coherent_array(1.5, p)) for p in x]
         assert kernels.F_oneparticle_array(1.5, x).tolist() == [
-            F_oneparticle(1.5, e) for e in events]
+            complex(kernels.F_oneparticle_array(1.5, p)) for p in x]
 
     @pytest.mark.parametrize("state", [FieldState.coherent(1.5),
                                        FieldState.one_particle(1.5)])
@@ -306,7 +313,7 @@ class TestArrayKernels:
         a = self.coords(self.SOURCED)
         b = np.roll(a, 1, axis=0) + [0.0, 0.0, 0.0, 9.0]
         got = kernels.hadamard_array(state, a, b)
-        assert got.tolist() == [hadamard_point(state, Event(*p), Event(*q))
+        assert got.tolist() == [float(kernels.hadamard_array(state, p, q))
                                 for p, q in zip(a, b)]
         got = np.array(kernels.hadamard_dtt_array(state, a, b)).T
         assert got.tolist() == [np.array(kernels.hadamard_dtt_array(state, p, q)).tolist()
@@ -550,38 +557,38 @@ class TestSmearedQuadratureArray:
 
 
 class TestCommutatorAndRetarded:
+    """The closed commutator E(dt, dr) that assembly evaluates, and the
+    retarded part GR that assembly reads off from it."""
+
     def test_zero_at_equal_time(self):
-        assert commutator_smeared(region(0, 5), region(0, 0)) == 0.0
-        assert retarded_smeared(region(0, 5), region(0, 0)) == 0.0
+        assert kernels._commutator(0.0, 5.0, 1.0) == 0.0
+        km = assemble_kernels(FieldState.vacuum(), [region(0, 5), region(0, 0)], 1.0)
+        assert km.GR[0, 1] == km.GR[1, 0] == 0.0
 
     def test_spacelike_tail_bound(self):
         dt, dr = 2.0, 12.0
-        e = commutator_smeared(region(dt, dr), region(0, 0))
+        e = float(kernels._commutator(dt, dr, 1.0))
         assert abs(e) <= math.exp(-((dr - abs(dt)) ** 2) / 8.0)
 
     def test_matches_2_im_quadrature(self):
         vac = FieldState.vacuum()
-        for (dt, dr) in ((10.0, 10.0), (3.0, 2.0), (-6.0, 4.0), (5.0, 0.0)):
-            e = commutator_smeared(region(dt, dr), region(0, 0))
-            w = wightman_smeared_quadrature(vac, region(dt, dr), region(0, 0), 1e-12)
+        geometries = [(10.0, 10.0), (3.0, 2.0), (-6.0, 4.0), (5.0, 0.0)]
+        dt, dr = np.array(geometries).T
+        for (t, x), e in zip(geometries, kernels._commutator(dt, dr, 1.0).tolist()):
+            w = wightman_smeared_quadrature(vac, region(t, x), region(0, 0), 1e-12)
             assert e == pytest.approx(2.0 * w.imag, abs=1e-8 * max(abs(e), 1e-4))
 
     def test_antisymmetry(self):
-        a, b = region(7.0, 3.0), region(-1.0, -2.0)
-        assert commutator_smeared(a, b) == pytest.approx(-commutator_smeared(b, a),
-                                                         rel=1e-15)
+        a, b = region(7.0, 3.0).center.coords(), region(-1.0, -2.0).center.coords()
+        itv = intervals([a, b], [b, a])
+        e_ab, e_ba = kernels._commutator(itv.dt, itv.dr, 1.0).tolist()
+        assert e_ab == pytest.approx(-e_ba, rel=1e-15)
 
     def test_retarded_time_order(self):
-        future, past = region(10.0, 10.0), region(0, 0)
-        assert retarded_smeared(future, past) == commutator_smeared(future, past)
-        assert retarded_smeared(past, future) == 0.0
-
-    def test_precision_warning_near_boundary(self):
-        with pytest.warns(PrecisionWarning):
-            retarded_smeared(region(2.0, 3.0), region(0, 0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            retarded_smeared(region(10.0, 10.0), region(0, 0))  # clean region
+        past, future = region(0, 0), region(10.0, 10.0)
+        km = assemble_kernels(FieldState.vacuum(), [past, future], 1.0)
+        assert km.GR[1, 0] == kernels._commutator(10.0, 10.0, 1.0)
+        assert km.GR[0, 1] == 0.0
 
 
 class TestAssemble:
@@ -591,7 +598,6 @@ class TestAssemble:
         assert km.H[0, 0] == pytest.approx(lam**2 / (8 * math.pi**2), rel=1e-14)
         assert km.E[0, 0] == 0.0
         assert km.GR[0, 0] == 0.0
-        assert km.Wdiag[0] == km.H[0, 0] / 2
 
     def test_two_spacelike_regions(self):
         km = assemble_kernels(FieldState.vacuum(), [region(0, 0), region(0, 12)], 1.0)
@@ -607,7 +613,6 @@ class TestAssemble:
         assert np.array_equal(np.signbit(km.E)[off], np.signbit(-km.E.T)[off])
         assert np.array_equal(km.Delta, km.GR + km.GR.T)
         assert np.array_equal(km.H, km.H.T)
-        assert np.array_equal(km.Wdiag, np.diag(km.H) / 2)
 
     def test_e_consistent_with_quadrature(self):
         regions = [region(0, 0), region(10, 10)]
@@ -646,9 +651,8 @@ class TestAssemble:
         if layout != "lattice":
             random.Random(3).shuffle(regions)
             # upper-triangle pairs now carry both signs of dt
-            dts = [interval(a.center, b.center).dt
-                   for k, a in enumerate(regions) for b in regions[k + 1:]]
-            assert min(dts) < 0.0 < max(dts)
+            dts = pair_intervals(regions).dt
+            assert dts.min() < 0.0 < dts.max()
         km = assemble_kernels(state, regions, 2 * math.pi)
         H, GR = per_pair_reference(state, regions, 2 * math.pi)
         assert_bitwise(km.H, H)
@@ -669,10 +673,9 @@ class TestAssemble:
 
         monkeypatch.setattr(kernels, "_smeared_real", counting)
         assemble_kernels(FieldState.vacuum(), regions, 1.0)
-        pairs = [interval(a.center, b.center)
-                 for k, a in enumerate(regions) for b in regions[k + 1:]]
-        geometries = {(abs(itv.dt), itv.dr) for itv in pairs}
-        assert len(pairs) == 1431
+        pairs = pair_intervals(regions)
+        geometries = set(zip(np.abs(pairs.dt).tolist(), pairs.dr.tolist()))
+        assert len(pairs.dt) == 1431
         assert len(geometries) == 19
         # one array call: each off-diagonal geometry once, and the diagonal's (0, 0)
         assert len(calls) == 1
@@ -691,11 +694,11 @@ class TestLimits:
         # pointwise convergence with observed O((s/beta)^2) rate
         from udwtomo.numerics import fit_loglog_slope
         dr = 1.0
-        a, b = Event(0, dr, 0, 0), O
-        vac = hadamard_point(FieldState.vacuum(), a, b)
+        a = [0, dr, 0, 0]
+        vac = float(hadamard_array(FieldState.vacuum(), a, ORIGIN))
         pts = []
         for beta in (50.0, 100.0, 200.0, 400.0, 800.0):
-            th = hadamard_point(FieldState.thermal(beta), a, b)
+            th = float(hadamard_array(FieldState.thermal(beta), a, ORIGIN))
             pts.append((dr / beta, abs(th - vac) / vac))
         fit = fit_loglog_slope(pts)
         assert fit.slope == pytest.approx(2.0, abs=0.1)
@@ -705,7 +708,7 @@ class TestLimits:
         vac = FieldState.vacuum()
         for s in (10.0, 12.5, 16.0, 20.0):
             w = wightman_smeared_closed(vac, region(0, s), region(0, 0)).real
-            p = hadamard_point(vac, Event(0, s, 0, 0), O)
+            p = float(hadamard_array(vac, [0, s, 0, 0], ORIGIN))
             assert abs(w - p) / abs(p) <= 5.0 / s**2
 
     def test_smeared_to_pointlike_temporal_coefficient(self):
@@ -715,6 +718,6 @@ class TestLimits:
         vac = FieldState.vacuum()
         for s in (10.0, 16.0, 20.0):
             w = wightman_smeared_closed(vac, region(s, 0), region(0, 0)).real
-            p = hadamard_point(vac, Event(s, 0, 0, 0), O)
+            p = float(hadamard_array(vac, [s, 0, 0, 0], ORIGIN))
             rel = abs(w - p) / abs(p)
             assert 12.0 / s**2 <= rel <= (12.0 + 400.0 / s**2) / s**2

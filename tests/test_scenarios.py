@@ -11,7 +11,7 @@ import pytest
 from udwtomo import cli, multipole, scenarios
 from udwtomo.errors import (ConfigError, ConvergenceError, LightconeSingularityError,
                             TangentDomainError)
-from udwtomo.kernels import (FieldState, hadamard_point, wightman_smeared_closed,
+from udwtomo.kernels import (FieldState, hadamard_array, wightman_smeared_closed,
                              wightman_smeared_quadrature)
 from udwtomo.scenarios import validate_config
 from udwtomo.smearing import GaussianRegion
@@ -32,11 +32,11 @@ def read_csv(path):
 
 # one-pair references for the scan columns, called as f(state, ri, rj)
 def _vacuum_kernel(state, ri, rj):
-    return hadamard_point(VAC, ri.center, rj.center)
+    return float(hadamard_array(VAC, ri.center.coords(), rj.center.coords()))
 
 
 def _state_kernel(state, ri, rj):
-    return hadamard_point(state, ri.center, rj.center)
+    return float(hadamard_array(state, ri.center.coords(), rj.center.coords()))
 
 
 def _multipole(state, ri, rj):
@@ -256,7 +256,7 @@ class TestScenarioOutputs:
             ri, rj = GaussianRegion(anchor, cfg.ell), GaussianRegion(b, cfg.ell)
             if abs(s) == 1e-5:
                 with pytest.raises(LightconeSingularityError) as exc:
-                    hadamard_point(state, anchor, b)
+                    hadamard_array(state, anchor.coords(), b.coords())
                 assert r["errors"] == f"LightconeSingularityError: {exc.value}"
                 assert all(r[column] == "" for column in [*columns, *quadrature])
                 continue
@@ -453,6 +453,24 @@ class TestCli:
         cfg.write_text(json.dumps({"scenario_id": "vacuum_curves", "ell": -1.0}))
         assert cli.main(["run", str(cfg)]) == 2
         assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("raw", [
+        {"scenario_id": "convergence_sweep", "ell_grid": [0.05, 0.1, 0.2]},
+        {"scenario_id": "convergence_sweep", "base_config": {"dt": 1, "dr": 1}},
+    ], ids=["ell-too-wide", "lightlike-base"])
+    def test_convergence_sweep_widths_checked_before_run(self, raw, tmp_path, capsys):
+        # widths the residual table refuses at this separation: both commands
+        # exit 2 naming ell_grid, where they used to validate and then crash
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert "field 'ell_grid'" in err and "exceeds separation/10" in err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError) as ei:
+            validate_config(raw)
+        assert ei.value.field == "ell_grid"
 
     def test_console_script(self, tmp_path, src_env):
         cfg = tmp_path / "cfg.json"

@@ -9,11 +9,10 @@ import pytest
 from udwtomo import detector, tomography
 from udwtomo.detector import (CorrelatorTable, correlator_table,
                               random_kernel_matrix, sample_table)
-from udwtomo.errors import (DephasingError, NoiseDominatedError, TangentDomainError,
-                            UdwTomoError)
+from udwtomo.errors import DephasingError, NoiseDominatedError, TangentDomainError
 from udwtomo.kernels import KernelMatrix
 from udwtomo.numerics import fit_loglog_slope
-from udwtomo.tomography import reconstruct_record, reconstruct_table
+from udwtomo.tomography import reconstruct_table
 
 
 def table(n=2, zz=1.0, yy=0.0, z=1.0, yx=None):
@@ -75,8 +74,8 @@ def same_error(got, want):
 
 
 def check_against_reference(t):
-    """Every pair of ``reconstruct_table(t)`` and of ``reconstruct_record``
-    against the reference; returns the error classes met."""
+    """Every pair of ``reconstruct_table(t)`` against the reference; returns
+    the error classes met."""
     rec = reconstruct_table(t)
     met = set()
     for q, (i, j) in enumerate(zip(rec.i.tolist(), rec.j.tolist())):
@@ -86,18 +85,11 @@ def check_against_reference(t):
             met.add(type(want).__name__ + (" on <sz>" if "<sz>" in str(want) else ""))
             assert same_error(rec.failures[q], want), (rec.failures[q], want)
             assert math.isnan(rec.H[q]) and math.isnan(rec.C[q])
-            with pytest.raises(type(want)) as ei:
-                reconstruct_record(t, i, j, 0.0)
-            assert same_error(ei.value, want)
             continue
         assert q not in rec.failures
         assert same_bits(rec.H[q], h) and same_bits(rec.C[q], c), (i, j)
         assert rec.causal[q] == (regime == "causal")
         assert rec.dephasing_dominated[q] == flagged
-        res = reconstruct_record(t, i, j, 0.25)
-        assert same_bits(res.H_ij_reconstructed, h) and same_bits(res.C_ij, c)
-        assert res.regime == regime
-        assert res.condition_flags == (["dephasing_dominated"] if flagged else [])
     assert np.flatnonzero(~rec.ok).tolist() == list(rec.failures)
     return met
 
@@ -144,34 +136,21 @@ class TestOracle:
     def test_error_order(self, t, want):
         assert same_error(reconstruct_table(t).failures[0], want)
         with pytest.raises(type(want)) as ei:
-            reconstruct_record(t, 1, 2, 0.0)
-        assert same_error(ei.value, want)
-        with pytest.raises(type(want)) as ei:
             reference(t, 1, 2)
         assert same_error(ei.value, want)
 
+    # pair (1, 2) is the first of every table, at position 0
+
     def test_zero_sz_on_spacelike_pair_is_harmless(self):
-        res = reconstruct_record(table(n=3, zz=0.8, yy=0.2, z=[0.0, 1.0, 1.0]), 1, 2, 0.0)
-        assert res.regime == "spacelike" and res.C_ij == 0.0
+        rec = reconstruct_table(table(n=3, zz=0.8, yy=0.2, z=[0.0, 1.0, 1.0]))
+        assert 0 not in rec.failures
+        assert not rec.causal[0] and rec.C[0] == 0.0
 
     def test_zero_product_still_causal(self):
         # a nonzero <sy_1 sx_3> makes the pair causal even though x_3 = 0
-        res = reconstruct_record(table(n=3, yx={(1, 3): 0.3}), 1, 2, 0.0)
-        assert res.regime == "causal" and res.C_ij == 0.0
-
-    def test_reversed_pair_labels(self):
-        t = sample_table(correlator_table(random_kernel_matrix(5, 3)), 50, 3)
-        for i, j in ((1, 4), (2, 5), (3, 4)):
-            try:
-                fwd = reconstruct_record(t, i, j, 0.0)
-            except UdwTomoError as exc:
-                with pytest.raises(type(exc)) as ei:
-                    reconstruct_record(t, j, i, 0.0)
-                assert str(ei.value) == str(exc).replace(f"({i},{j})", f"({j},{i})")
-                assert getattr(ei.value, "k", None) == getattr(exc, "k", None)
-                continue
-            back = reconstruct_record(t, j, i, 0.0)
-            assert same_bits(back.H_ij_reconstructed, fwd.H_ij_reconstructed)
+        rec = reconstruct_table(table(n=3, yx={(1, 3): 0.3}))
+        assert 0 not in rec.failures
+        assert rec.causal[0] and rec.C[0] == 0.0
 
 
 class TestRowBlocks:
@@ -209,21 +188,18 @@ class TestRowBlocks:
 
 class TestSpacelike:
     def test_zero(self):
-        assert reconstruct_record(table(), 1, 2, 0.0).H_ij_reconstructed == 0.0
+        assert reconstruct_table(table()).H[0] == 0.0
 
     def test_arctanh_of_tanh(self):
         t = table(zz=math.exp(-0.2) * math.cosh(0.1), yy=math.exp(-0.2) * math.sinh(0.1))
-        assert reconstruct_record(t, 1, 2, 0.0).H_ij_reconstructed == pytest.approx(
-            0.05, rel=1e-14)
+        assert reconstruct_table(t).H[0] == pytest.approx(0.05, rel=1e-14)
 
     def test_noise_dominated(self):
-        with pytest.raises(NoiseDominatedError) as ei:
-            reconstruct_record(table(zz=0.5, yy=0.6), 1, 2, 0.0)
-        assert ei.value.ratio == pytest.approx(1.2)
+        err = reconstruct_table(table(zz=0.5, yy=0.6)).failures[0]
+        assert isinstance(err, NoiseDominatedError)
+        assert err.ratio == pytest.approx(1.2)
 
     def test_dephasing(self):
-        with pytest.raises(DephasingError):
-            reconstruct_record(table(zz=0.0, yy=0.0), 1, 2, 0.0)
         rec = reconstruct_table(table(zz=0.0, yy=0.0))
         assert isinstance(rec.failures[0], DephasingError) and math.isnan(rec.H[0])
 
@@ -249,33 +225,30 @@ class TestCausalCorrection:
 
     def test_single_term(self):
         # ratios -tan(2G_13) = 0.1, -tan(2G_23) = 0.2 through third detector 3
-        res = reconstruct_record(table(n=3, yx={(1, 3): 0.1, (2, 3): 0.2}), 1, 2, 0.0)
-        assert res.C_ij == pytest.approx(0.5 * math.atanh(0.02), rel=1e-14)
-        assert res.H_ij_reconstructed == -res.C_ij
+        rec = reconstruct_table(table(n=3, yx={(1, 3): 0.1, (2, 3): 0.2}))
+        assert rec.C[0] == pytest.approx(0.5 * math.atanh(0.02), rel=1e-14)
+        assert rec.H[0] == -rec.C[0]
 
     def test_tangent_domain_error_names_k(self):
-        t = table(n=4, yx={(1, 4): 1.1, (2, 4): 1.0})
-        with pytest.raises(TangentDomainError) as ei:
-            reconstruct_record(t, 1, 2, 0.0)
-        assert ei.value.k == 4
-        assert reconstruct_table(t).failures[0].k == 4
+        err = reconstruct_table(table(n=4, yx={(1, 4): 1.1, (2, 4): 1.0})).failures[0]
+        assert isinstance(err, TangentDomainError)
+        assert err.k == 4
 
     def test_zero_denominator(self):
-        with pytest.raises(DephasingError):
-            reconstruct_record(table(n=3, z=[0.0, 1.0, 1.0],
-                                     yx={(1, 3): 0.1, (2, 3): 0.1}), 1, 2, 0.0)
+        rec = reconstruct_table(table(n=3, z=[0.0, 1.0, 1.0], yx={(1, 3): 0.1, (2, 3): 0.1}))
+        assert isinstance(rec.failures[0], DephasingError)
 
 
 class TestGeneral:
     def test_reduces_to_spacelike(self):
         for n in (2, 4):
-            res = reconstruct_record(table(n=n, zz=0.8, yy=0.2), 1, 2, 0.0)
-            assert res.regime == "spacelike" and res.C_ij == 0.0
-            assert res.H_ij_reconstructed == 0.5 * math.atanh(0.2 / 0.8)
+            rec = reconstruct_table(table(n=n, zz=0.8, yy=0.2))
+            assert not rec.causal[0] and rec.C[0] == 0.0
+            assert rec.H[0] == 0.5 * math.atanh(0.2 / 0.8)
 
     def test_log_form_identity(self):
         # (1/2) arctanh(yy/zz) == (1/4) ln((zz+yy)/(zz-yy))
-        direct = reconstruct_record(table(zz=0.7, yy=0.3), 1, 2, 0.0).H_ij_reconstructed
+        direct = reconstruct_table(table(zz=0.7, yy=0.3)).H[0]
         logform = 0.25 * math.log((0.7 + 0.3) / (0.7 - 0.3))
         assert direct == pytest.approx(logform, rel=1e-14)
 
@@ -290,11 +263,9 @@ class TestGeneral:
             km = random_kernel_matrix(6, seed=seed)
             if np.max(np.abs(2 * km.GR)) > 0.7:
                 continue
-            t = correlator_table(km)
-            for i in range(1, 7):
-                for j in range(i + 1, 7):
-                    h = reconstruct_record(t, i, j, 0.0).H_ij_reconstructed
-                    assert h == pytest.approx(km.H[i - 1, j - 1], abs=1e-8)
+            rec = reconstruct_table(correlator_table(km))
+            assert not rec.failures
+            assert rec.H == pytest.approx(km.H[rec.i - 1, rec.j - 1], abs=1e-8)
 
     def test_exact_records_never_leave_arctanh_domain(self):
         for seed in range(15):
@@ -305,19 +276,24 @@ class TestGeneral:
 class TestAssembleWightman:
     """W_ij = H_ij/2 + i E_ij/2, from the reconstructed H and the known E."""
 
-    def test_values(self):
-        assert reconstruct_record(table(), 1, 2, 0.0).W_ij == 0.0
+    @staticmethod
+    def w_cells(t, e_12, path):
+        """(Re W, Im W) of pair (1, 2) as written, with E_12 = e_12."""
+        tomography.write_reconstruction_results(
+            reconstruct_table(t), np.array([[0.0, e_12], [-e_12, 0.0]]), path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        return float(row["Re_W"]), float(row["Im_W"])
+
+    def test_values(self, tmp_path):
+        assert self.w_cells(table(), 0.0, tmp_path / "zero.csv") == (0.0, 0.0)
         t = table(zz=0.7, yy=0.3)
-        res = reconstruct_record(t, 1, 2, -0.6)
-        assert (res.W_ij.real, res.W_ij.imag) == (0.5 * res.H_ij_reconstructed, -0.3)
+        assert self.w_cells(t, -0.6, tmp_path / "w.csv") == (
+            0.5 * reconstruct_table(t).H[0], -0.3)
 
     def test_roundtrip(self, tmp_path):
         km = random_kernel_matrix(4, seed=9)
         t = correlator_table(km)
-        for i, j in ((1, 2), (2, 4)):
-            res = reconstruct_record(t, i, j, km.E[i - 1, j - 1])
-            assert 2 * res.W_ij.real == res.H_ij_reconstructed
-            assert 2 * res.W_ij.imag == km.E[i - 1, j - 1]
         path = tmp_path / "recon.csv"
         rec = reconstruct_table(t)
         tomography.write_reconstruction_results(rec, km.E, path)
@@ -328,27 +304,21 @@ class TestAssembleWightman:
 
 
 class TestReconstructRecord:
+    """Per-pair results of the table inversion: regime, flags, CSV rows."""
+
     def test_regime_detection(self):
-        km = random_kernel_matrix(4, seed=2)
-        t = correlator_table(km)
-        res = reconstruct_record(t, 1, 2, km.E[0, 1])
-        assert res.regime in ("spacelike", "causal")
+        t = correlator_table(random_kernel_matrix(4, seed=2))
+        rec = reconstruct_table(t)
         has_link = np.any(t.yx[0, 2:] != 0.0) or np.any(t.xy[2:, 1] != 0.0)
-        assert res.regime == ("causal" if has_link else "spacelike")
-        assert res.W_ij == complex(0.5 * res.H_ij_reconstructed, 0.5 * km.E[0, 1])
+        assert 0 not in rec.failures
+        assert rec.causal[0] == has_link
         # a causal link through a third detector switches the regime
-        assert reconstruct_record(table(n=3, yx={(1, 3): 0.1}), 1, 2, 0.0).regime == "causal"
+        assert reconstruct_table(table(n=3, yx={(1, 3): 0.1})).causal[0]
 
     def test_dephasing_flag(self):
-        res = reconstruct_record(table(zz=5e-7, yy=1e-7), 1, 2, 0.0)
-        assert "dephasing_dominated" in res.condition_flags
-        assert reconstruct_table(table(zz=5e-7, yy=1e-7)).dephasing_dominated[0]
-
-    def test_pair_index_validation(self):
-        t = table(n=3)
-        for i, j in ((1, 1), (0, 2), (1, 4)):
-            with pytest.raises(ValueError):
-                reconstruct_record(t, i, j, 0.0)
+        rec = reconstruct_table(table(zz=5e-7, yy=1e-7))
+        assert 0 not in rec.failures
+        assert rec.dephasing_dominated[0]
 
     def test_csv_output(self, tmp_path):
         km = random_kernel_matrix(3, seed=8)
