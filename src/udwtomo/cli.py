@@ -1,6 +1,7 @@
 """Command-line interface: run and validate scenario configs.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error (including an output directory that
+cannot be created), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     try:
         paths = run(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except UdwTomoError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -17,10 +17,12 @@ only if that pass cannot certify the tolerance does the scan fall back to
 one ``wightman_smeared_quadrature`` call per point, where a failing point
 loses its row.
 
-All lengths are quoted in units of the region width ell.  Output CSVs are
-written by ``tables.write_rows``: UTF-8 with header row, LF line endings and
-17-significant-digit floats; identical config + seed reproduces
-byte-identical files.
+All lengths are quoted in units of the region width ell.  Every output CSV
+is written from its columns by ``tables.write_columns``: UTF-8 with header
+row, LF line endings and 17-significant-digit floats, each distinct cell of
+a block formatted once; a curve scan's failed point keeps its s value and
+error text, its other cells blank (``tables.Blanked`` columns).  Identical
+config + seed reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature_real,
 from .numerics import fit_loglog_slope
 from .smearing import GaussianRegion
 from .spacetime import Event, LatticeSpec, build_lattice, intervals
-# the one CSV writer, under the name the scenario runners call
-from .tables import column_rows, write_rows as _write_rows
+# the one CSV writer, under the name every scenario runner calls (and
+# udwbench wraps): path first, then the header and the columns
+from .tables import Blanked, write_columns as _write_rows
 
 __all__ = ["ScenarioConfig", "SCENARIO_IDS", "validate_config", "run", "list_scenarios"]
 
@@ -336,23 +339,23 @@ def _scan(cfg: ScenarioConfig, temporal_sign: float = 1.0
     return s, ok, a[ok], b[ok], failures
 
 
-def _scattered(ok: np.ndarray, values: np.ndarray) -> list[float]:
+def _scattered(ok: np.ndarray, values: np.ndarray) -> np.ndarray:
     # a column over every scan point; the masked points' cells are never written
     full = np.full(len(ok), np.nan)
     full[ok] = values
-    return full.tolist()
+    return full
 
 
-def _scan_rows(s: np.ndarray, columns: list[list], failures: dict[int, UdwTomoError]
-               ) -> list[list]:
+def _write_scan(path: Path, header: list[str], s: np.ndarray, columns: list[np.ndarray],
+                failures: dict[int, UdwTomoError]) -> None:
     """One row per scan point: s, the columns' cells and an empty errors
     cell, or, for a failed point, blank cells and the error's text."""
-    rows = []
-    for k, (s_k, *cells) in enumerate(zip(s.tolist(), *columns)):
-        exc = failures.get(k)
-        rows.append([s_k, *cells, ""] if exc is None else
-                    [s_k, *[""] * len(cells), f"{type(exc).__name__}: {exc}"])
-    return rows
+    failed = np.zeros(len(s), dtype=bool)
+    failed[list(failures)] = True
+    errors = [""] * len(s)
+    for k, exc in failures.items():
+        errors[k] = f"{type(exc).__name__}: {exc}"
+    _write_rows(path, header, [s, *(Blanked(c, failed) for c in columns), np.array(errors)])
 
 
 def _run_vacuum_curves(cfg: ScenarioConfig, out: Path) -> list[Path]:
@@ -362,8 +365,8 @@ def _run_vacuum_curves(cfg: ScenarioConfig, out: Path) -> list[Path]:
     smeared = _smeared_real(None, cfg.ell, itv.dt, itv.dr)
     columns = [_scattered(ok, v) for v in (pointlike, smeared, value)]
     path = out / "vacuum_curves.csv"
-    _write_rows(path, ["s_over_ell", "pointlike", "smeared_closed", "multipole", "errors"],
-                _scan_rows(s, columns, failures))
+    _write_scan(path, ["s_over_ell", "pointlike", "smeared_closed", "multipole", "errors"],
+                s, columns, failures)
     return [path]
 
 
@@ -388,7 +391,7 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
             quadrature = _scattered(ok, _smeared_quadrature_real(state, cfg.ell, a, b, cfg.tol))
         except UdwTomoError:
             # uncertified: one oracle call per pair, a failing pair fails its row
-            quadrature = [None] * len(s)
+            quadrature = np.full(len(s), np.nan)
             for k, a_k, b_k in zip(np.flatnonzero(ok).tolist(), a.tolist(), b.tolist()):
                 ri = GaussianRegion(Event(*a_k), cfg.ell)
                 rj = GaussianRegion(Event(*b_k), cfg.ell)
@@ -399,7 +402,7 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
         cells.append(quadrature)
     header.append("errors")
     path = out / f"{cfg.scenario_id}.csv"
-    _write_rows(path, header, _scan_rows(s, cells, failures))
+    _write_scan(path, header, s, cells, failures)
     return [path]
 
 
@@ -418,7 +421,7 @@ def _run_coherent_field_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
     t, x, coords = _grid(cfg)
     value = phi0_coherent_array(cfg.delta, coords)
     path = out / "coherent_field_grid.csv"
-    _write_rows(path, ["t", "x", "value"], column_rows(t, x, value))
+    _write_rows(path, ["t", "x", "value"], [t, x, value])
     return [path]
 
 
@@ -429,7 +432,7 @@ def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
     # 2 Re(F(anchor) conj(F(x)))
     value = 2.0 * (f_anchor.real * f.real + f_anchor.imag * f.imag)
     path = out / "oneparticle_diff_grid.csv"
-    _write_rows(path, ["t", "x", "value"], column_rows(t, x, value))
+    _write_rows(path, ["t", "x", "value"], [t, x, value])
     return [path]
 
 
@@ -451,7 +454,7 @@ def _run_tomography_roundtrip(cfg: ScenarioConfig, out: Path) -> list[Path]:
     sum_path = out / "summary.csv"
     _write_rows(sum_path, ["n_regions", "n_pairs", "n_causal", "n_spacelike",
                            "max_abs_H_error"],
-                [[km.n, n_pairs, n_causal, n_pairs - n_causal, max_err]])
+                [[km.n], [n_pairs], [n_causal], [n_pairs - n_causal], [max_err]])
     return [rec_path, sum_path]
 
 
@@ -459,9 +462,9 @@ def _run_convergence_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
     state = _field_state(cfg)
     table = multipole.residual_table(state, cfg.base_config, cfg.ell_grid, cfg.tol)
     fit = fit_loglog_slope(table)
-    rows = [[ell, resid, fit.slope] for ell, resid in table]
+    ell, resid = np.array(table).T
     path = out / "convergence_sweep.csv"
-    _write_rows(path, ["ell", "residual", "slope"], rows)
+    _write_rows(path, ["ell", "residual", "slope"], [ell, resid, np.full(len(ell), fit.slope)])
     return [path]
 
 
@@ -470,7 +473,7 @@ def _run_shot_noise_study(cfg: ScenarioConfig, out: Path) -> list[Path]:
     exact = correlator_table(km)
     a, b = np.triu_indices(km.n, 1)
     h_true = km.H[a, b]
-    rows = []
+    rms, failed = [], []
     for shots in cfg.shots_list:
         sq_errors, n_failed = [], 0
         for rep in range(cfg.repeats):
@@ -480,10 +483,10 @@ def _run_shot_noise_study(cfg: ScenarioConfig, out: Path) -> list[Path]:
             ok = rec.ok
             n_failed += len(rec.failures)
             sq_errors += ((rec.H[ok] - h_true[ok]) ** 2).tolist()
-        rms = math.sqrt(sum(sq_errors) / len(sq_errors)) if sq_errors else float("nan")
-        rows.append([shots, rms, n_failed])
+        rms.append(math.sqrt(sum(sq_errors) / len(sq_errors)) if sq_errors else float("nan"))
+        failed.append(n_failed)
     path = out / "shot_noise_study.csv"
-    _write_rows(path, ["shots", "rms_error", "n_failed"], rows)
+    _write_rows(path, ["shots", "rms_error", "n_failed"], [cfg.shots_list, rms, failed])
     return [path]
 
 
@@ -521,6 +524,10 @@ def run(config: dict | ScenarioConfig) -> list[Path]:
     """Validate (if needed) and execute a scenario; returns the written paths."""
     cfg = config if isinstance(config, ScenarioConfig) else validate_config(config)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in its place or on its path, or no permission
+        raise ConfigError(f"field 'output_dir' names no directory that can be created: {exc}",
+                          field="output_dir") from exc
     runner, _ = _RUNNERS[cfg.scenario_id]
     return runner(cfg, out)

@@ -1,65 +1,57 @@
 """CSV tables as every scenario writes them.
 
 UTF-8, a header row, LF line endings, floats as ``%.17g`` (17 significant
-digits, so each float reads back exactly), ints in decimal, and every other
-cell as its ``str``, quoted the way ``csv.writer`` quotes it
-(``QUOTE_MINIMAL``).  The bytes are those of ``csv.writer`` fed with
-``f"{v:.17g}"`` for the floats, for rows of two or more cells (csv.writer
-writes a lone empty cell as ``""``).
+digits, so each float reads back exactly), ints in decimal, bools as
+``True``/``False``, and every other cell as its ``str``, quoted the way
+``csv.writer`` quotes it (``QUOTE_MINIMAL``).  The bytes are those of
+``csv.writer`` fed with ``f"{v:.17g}"`` for the floats, for rows of two or
+more cells (csv.writer writes a lone empty cell as ``""``).
 
-Rows are read and formatted in blocks of ``BLOCK_ROWS``, with one ``%``
-operation per block: a row's line format follows the types of its cells,
-and a block's format joins those of its rows.  Blocks stay bounded, so no
-whole-file string is built, and ``column_rows`` turns a table held as
-arrays into rows one block at a time.
+``write_columns`` takes a table as equal-length 1-D columns and writes it
+in blocks of ``BLOCK_ROWS`` rows.  Within a block each column formats each
+of its distinct cells once and gathers the texts back to its rows by the
+inverse index: a float column by its values' bit patterns (so ``-0.0``
+stays ``-0`` next to ``0``, and every NaN is its own cell), an int, bool or
+text column by its values.  Each distinct text carries the separator that
+follows it in its column, so a block is one ``"".join`` over its
+``(rows, columns)`` cells.  A ``Blanked`` column is written blank where
+its ``blank`` mask is true (a failed row's cells).  A column that is not an
+ndarray, or one of object dtype, is read as Python objects and formatted
+cell by cell, each by its own type (``None`` blank, as csv.writer writes
+it); it suits short tables and ints beyond int64.  Only one block's texts
+exist at a time, so no whole-file string is built.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "column_rows", "write_rows"]
+__all__ = ["BLOCK_ROWS", "Blanked", "write_columns"]
 
-# 256 rows of the 9-column reconstruction table format to ~40 kB; blocks of
-# 1024 rows were as fast but raised the lattice roundtrip's peak RSS by ~0.3 MiB
-BLOCK_ROWS = 256
+# the two default grid tables (~10^4 rows each) write in 14.5 and 16.9 ms at
+# 256 rows per block, 9.6 and 12.2 ms at 1024 and 8.4 and 10.8 ms at 4096
+# (2 cores, Python 3.11, numpy 2.4); larger blocks hold more texts at once
+BLOCK_ROWS = 1024
 
 # csv.writer quotes a field only if it holds one of these (which of them
 # depends on the Python version, so such fields go through csv.writer)
 _SPECIAL = frozenset(',"\r\n')
 
 
-def _cell_format(kind: type) -> str:
-    if issubclass(kind, float):
-        return "%.17g"
-    if kind is int:  # not bool, which csv.writer writes as True/False
-        return "%d"
-    return "%s"
+class Blanked(NamedTuple):
+    """A column whose cells are blank where ``blank`` is true."""
+
+    values: np.ndarray
+    blank: np.ndarray
 
 
-class _Formats(dict):
-    """Line format of a row, keyed by its cells' types."""
-
-    def __missing__(self, kinds: tuple[type, ...]) -> str:
-        line = self[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
-        return line
-
-
-_LINE_FORMATS = _Formats()
-
-
-def _text_cell(v):
-    """A cell as its line format takes it: numbers as they are, anything
-    else as its csv.writer text."""
-    if _cell_format(type(v)) != "%s":
-        return v
-    text = str(v)
+def _quoted(text: str) -> str:
+    """``text`` as csv.writer writes it in a row of two or more cells."""
     if _SPECIAL.isdisjoint(text):
         return text
     buf = io.StringIO()
@@ -67,32 +59,76 @@ def _text_cell(v):
     return buf.getvalue()[:-2]
 
 
-def _format_block(rows: Sequence[Sequence]) -> str:
-    line = "".join([_LINE_FORMATS[tuple(map(type, row))] for row in rows])
-    cells = tuple(chain.from_iterable(rows))
-    block = line % cells
-    # numbers never format to a special character, so unless a text cell
-    # brought one in, no cell needs quoting
-    if "%s" in line and (block.count(",") != line.count(",")
-                         or block.count("\n") != line.count("\n")
-                         or '"' in block or "\r" in block):
-        block = line % tuple(map(_text_cell, cells))
-    return block
+def _object_text(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return str(v)
+    if isinstance(v, (int, np.integer)):
+        return "%d" % v
+    if isinstance(v, (float, np.floating)):
+        return "%.17g" % v
+    return _quoted(str(v))
 
 
-def column_rows(*columns: np.ndarray) -> Iterator[tuple]:
-    """The rows of equal-length 1-D arrays as tuples of Python scalars,
-    converted one block at a time, so that a table held as arrays never
-    exists as Python objects all at once."""
-    for start in range(0, len(columns[0]), BLOCK_ROWS):
-        yield from zip(*(c[start:start + BLOCK_ROWS].tolist() for c in columns))
+def _column(values) -> tuple[np.ndarray, np.ndarray | None]:
+    """A column's cells as a 1-D array, and its mask of blank cells."""
+    blank = None
+    if isinstance(values, Blanked):
+        values, blank = values
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, dtype=object)
+    if values.dtype.kind == "f":
+        values = values.astype(np.float64, copy=False)
+    elif values.dtype.kind not in "iubU":
+        values = values.astype(object, copy=False)
+    if values.ndim != 1:
+        raise ValueError(f"columns must be 1-D, got shape {values.shape}")
+    if blank is not None:
+        blank = np.asarray(blank, dtype=bool)
+        if blank.shape != values.shape:
+            raise ValueError(f"blank mask of shape {blank.shape} for {len(values)} cells")
+    return values, blank
 
 
-def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``header`` and ``rows``, an iterable of rows of cells read one
-    block at a time, to ``path``."""
-    rows = iter(rows)
+def _texts(block: np.ndarray, sep: str) -> np.ndarray:
+    """The cells of a column block as texts followed by ``sep``, each
+    distinct cell formatted once (object columns cell by cell)."""
+    kind = block.dtype.kind
+    if kind == "O":
+        return np.array([_object_text(v) + sep for v in block.tolist()], dtype=object)
+    if kind == "b":
+        return np.array(["False" + sep, "True" + sep], dtype=object)[block.view(np.uint8)]
+    key = block.view(np.int64) if kind == "f" else block
+    distinct, inverse = np.unique(key, return_inverse=True)
+    if kind == "f":
+        fmt = "%.17g" + sep
+        texts = [fmt % v for v in distinct.view(np.float64).tolist()]
+    elif kind == "U":
+        texts = [_quoted(v) + sep for v in distinct.tolist()]
+    else:
+        fmt = "%d" + sep
+        texts = [fmt % v for v in distinct.tolist()]
+    return np.array(texts, dtype=object)[inverse]
+
+
+def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write ``header`` and the equal-length 1-D ``columns`` below it, one
+    column per header cell, to ``path``."""
+    columns = [_column(c) for c in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header cells but {len(columns)} columns")
+    n_rows = len(columns[0][0]) if columns else 0
+    if any(len(values) != n_rows for values, _ in columns):
+        raise ValueError("columns must have equal lengths")
+    seps = [","] * (len(columns) - 1) + ["\n"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_format_block([header]))
-        while block := list(islice(rows, BLOCK_ROWS)):
-            fh.write(_format_block(block))
+        fh.write(",".join(map(_quoted, header)) + "\n")
+        for start in range(0, n_rows, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n_rows)
+            cells = np.empty((stop - start, len(columns)), dtype=object)
+            for c, ((values, blank), sep) in enumerate(zip(columns, seps)):
+                cells[:, c] = _texts(values[start:stop], sep)
+                if blank is not None:
+                    cells[blank[start:stop], c] = sep
+            fh.write("".join(cells.ravel().tolist()))

@@ -36,7 +36,7 @@ from . import detector
 from .detector import CorrelatorTable
 from .errors import (DephasingError, NoiseDominatedError, TangentDomainError,
                      UdwTomoError)
-from .tables import column_rows, write_rows
+from .tables import write_columns
 
 __all__ = [
     "TableReconstruction",
@@ -152,7 +152,6 @@ def write_reconstruction_results(rec: TableReconstruction, E: np.ndarray,
     true = np.full(len(h), "") if h_true is None else h_true[i - 1, j - 1]
     regime = np.where(rec.causal[ok], "causal", "spacelike")
     flags = np.where(rec.dephasing_dominated[ok], "dephasing_dominated", "")
-    write_rows(path, ["i", "j", "regime", "H_reconstructed", "H_true_if_known",
-                      "C_ij", "Re_W", "Im_W", "flags"],
-               column_rows(i, j, regime, h, true, rec.C[ok], 0.5 * h,
-                           0.5 * E[i - 1, j - 1], flags))
+    write_columns(path, ["i", "j", "regime", "H_reconstructed", "H_true_if_known",
+                         "C_ij", "Re_W", "Im_W", "flags"],
+                  [i, j, regime, h, true, rec.C[ok], 0.5 * h, 0.5 * E[i - 1, j - 1], flags])

@@ -454,6 +454,22 @@ class TestCli:
         assert cli.main(["run", str(cfg)]) == 2
         assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["is-a-file", "under-a-file"])
+    def test_uncreatable_output_dir_exit_code(self, out, tmp_path, capsys):
+        # an output_dir that is a regular file, or lies under one, is a
+        # config error on output_dir (exit 2, one line), not a traceback
+        (tmp_path / "file").write_text("not a directory")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario_id": "vacuum_curves", "s_over_ell": [5.0],
+                                   "output_dir": str(tmp_path / out)}))
+        assert cli.main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'output_dir'") and err.count("\n") == 1
+        with pytest.raises(ConfigError) as ei:
+            scenarios.run(json.loads(cfg.read_text()))
+        assert ei.value.field == "output_dir"
+        assert (tmp_path / "file").read_text() == "not a directory"
+
     @pytest.mark.parametrize("raw", [
         {"scenario_id": "convergence_sweep", "ell_grid": [0.05, 0.1, 0.2]},
         {"scenario_id": "convergence_sweep", "base_config": {"dt": 1, "dr": 1}},

@@ -1,17 +1,28 @@
-"""The block CSV writer against csv.writer, byte for byte."""
+"""The columnar CSV writer against csv.writer, byte for byte."""
 
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from udwtomo import scenarios, tables
+from udwtomo.errors import ConvergenceError
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
                   math.inf, -math.inf, math.nan, 0.1, 1 / 3, -2.5e-17, 12.0]
 TEXTS = ["", "plain", "a,b", 'say "hi"', "two\nlines", "cr\rreturn", '",\n"',
          " padded ", "tab\there", "é ünïcode"]
+# NaNs with payload and sign bits, quiet and signalling
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+            0xFFF0000000000001, 0x7FF8DEADBEEF0001, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF]
+
+
+def floats_from_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
 
 
 def csv_writer_bytes(header, rows):
@@ -24,39 +35,62 @@ def csv_writer_bytes(header, rows):
     return buf.getvalue().encode("utf-8")
 
 
-def check(tmp_path, header, rows):
-    path = tmp_path / "table.csv"
-    scenarios._write_rows(path, header, rows)
-    assert path.read_bytes() == csv_writer_bytes(header, rows)
+def reference_rows(columns):
+    """The rows of ``columns`` as Python cells, a blanked cell empty."""
+    cells = []
+    for col in columns:
+        if isinstance(col, tables.Blanked):
+            cells.append(["" if b else v for v, b in zip(col.values.tolist(), col.blank)])
+        elif isinstance(col, np.ndarray):
+            cells.append(col.tolist())
+        else:
+            cells.append(list(col))
+    return list(zip(*cells))
+
+
+def check(path, header, columns):
+    scenarios._write_rows(path, header, columns)
+    assert path.read_bytes() == csv_writer_bytes(header, reference_rows(columns))
 
 
 def test_special_floats_ints_and_text(tmp_path):
-    rows = [[v, k, TEXTS[k % len(TEXTS)]] for k, v in enumerate(SPECIAL_FLOATS)]
-    rows += [[k, -k, 2**70, ""] for k in range(3)]
-    rows += [[text, 1.5, text] for text in TEXTS]
-    rows += [[np.float64(0.1), np.int64(7), True, "x"]]
-    check(tmp_path, ["a", "b,c", 'd"e', "f"], rows)
+    n = len(SPECIAL_FLOATS)
+    k = np.arange(n)
+    mixed = [SPECIAL_FLOATS[0], 3, "a,b", True, np.float64(0.1), np.int64(-7), None,
+             2**70, np.bool_(False), 'say "hi"', 1 / 3, -(2**70), ""]
+    columns = [np.array(SPECIAL_FLOATS), SPECIAL_FLOATS, k, -k,
+               [2**70 * (-1) ** v for v in range(n)], [np.int64(7)] * n,
+               np.array([np.iinfo(np.int64).min] * (n - 1) + [np.iinfo(np.int64).max]),
+               np.arange(n, dtype=np.uint64) + np.uint64(2**63), k % 3 == 0,
+               np.array([TEXTS[v % len(TEXTS)] for v in range(n)]),
+               [TEXTS[v % len(TEXTS)] for v in range(n)], mixed]
+    header = ["a", "b,c", 'd"e', "f", "wide", "np_int", "int64", "uint64", "bool",
+              "text", "text_list", "mixed"]
+    check(tmp_path / "table.csv", header, columns)
 
 
 def test_each_text_alone(tmp_path):
-    # one text per table, so no other cell decides whether the block is quoted
+    # one text per table, so no other cell decides how it is quoted
     for text in TEXTS:
-        check(tmp_path, ["s", "text"], [[1.0, text], [2.0, ""]])
+        check(tmp_path / "table.csv", ["s", "text"], [np.array([1.0, 2.0]), np.array([text, ""])])
+        check(tmp_path / "table.csv", ["s", "text"], [[1.0, 2.0], [text, ""]])
+        check(tmp_path / "table.csv", ["text", "s"], [np.array([text, text]), [2.0, 2.0]])
 
 
 def test_blocks_mix_row_types(tmp_path):
-    # rows of several line formats on both sides of each block boundary, and
-    # a text cell that needs quoting in one block only
+    # failed rows with blank cells on both sides of each block boundary, and
+    # text cells that need quoting in one block only
     n = 2 * tables.BLOCK_ROWS + 7
-    rows = []
-    for k in range(n):
-        if k % 97 == 0:
-            rows.append([k / 7, "", "", f"Error: row {k}, failed"])
-        elif k == tables.BLOCK_ROWS + 3:
-            rows.append([k / 7, 'quoted "text"', "", "multi\nline"])
-        else:
-            rows.append([k / 7, math.sin(k), k, ""])
-    check(tmp_path, ["s", "value", "count", "errors"], rows)
+    k = np.arange(n)
+    failed = k % 97 == 0
+    text = np.full(n, "", dtype=object)
+    text[tables.BLOCK_ROWS + 3] = 'quoted "text"'
+    errors = np.where(failed, np.char.add(np.char.add("Error: row ", k.astype(str)), ", failed"),
+                      "")
+    errors[tables.BLOCK_ROWS + 3] = "multi\nline"
+    columns = [k / 7, tables.Blanked(np.sin(k), failed), tables.Blanked(k, failed),
+               text.astype(str), errors]
+    check(tmp_path / "table.csv", ["s", "value", "count", "text", "errors"], columns)
 
 
 def test_numeric_rows_and_empty_table(tmp_path):
@@ -64,20 +98,164 @@ def test_numeric_rows_and_empty_table(tmp_path):
     grid = rng.standard_normal((tables.BLOCK_ROWS + 1, 3)) * 10.0 ** rng.integers(
         -300, 300, (tables.BLOCK_ROWS + 1, 3))
     grid[0] = [-0.0, math.inf, math.nan]
-    check(tmp_path, ["t", "x", "value"], grid.tolist())
-    check(tmp_path, ["t", "x", "value"], [])
+    check(tmp_path / "table.csv", ["t", "x", "value"], list(grid.T))
+    check(tmp_path / "table.csv", ["t", "x", "value"], [np.empty(0)] * 3)
+    check(tmp_path / "table.csv", ["i", "label"], [[], []])
+    assert (tmp_path / "table.csv").read_bytes() == b"i,label\n"
 
 
 def test_column_rows(tmp_path):
-    # arrays become the rows of Python scalars their tolist() would give,
-    # written the same through a generator as from a list
+    # arrays are written as the rows of Python scalars their tolist() gives,
+    # the same as the equal Python lists
     n = 2 * tables.BLOCK_ROWS + 5
     i = np.arange(n)
     label = np.where(i % 3 == 0, "causal", "spacelike")
     value = np.sin(i) * 1e-3
+    header = ["i", "label", "value"]
     rows = list(zip(i.tolist(), label.tolist(), value.tolist()))
-    assert list(tables.column_rows(i, label, value)) == rows
-    assert all(type(v) in (int, str, float) for v in rows[0])
-    path = tmp_path / "columns.csv"
-    scenarios._write_rows(path, ["i", "label", "value"], tables.column_rows(i, label, value))
-    assert path.read_bytes() == csv_writer_bytes(["i", "label", "value"], rows)
+    for columns in ([i, label, value], [i.tolist(), label.tolist(), value.tolist()]):
+        path = tmp_path / "columns.csv"
+        scenarios._write_rows(path, header, columns)
+        assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+
+def test_signed_zeros_in_one_block(tmp_path):
+    # -0.0 == 0.0, yet each keeps its own text in a block holding both
+    z = np.array([0.0, -0.0, 0.0, -0.0, -0.0, 1.0, 0.0])
+    path = tmp_path / "zeros.csv"
+    check(path, ["z", "twice"], [z, z])
+    assert path.read_text().splitlines()[1:3] == ["0,0", "-0,-0"]
+
+
+def test_nan_payloads_and_signs(tmp_path):
+    # every NaN bit pattern is its own cell, each written as csv.writer does
+    nans = floats_from_bits(NAN_BITS * 3 + [0x7FF0000000000000, 0x8000000000000000])
+    check(tmp_path / "nan.csv", ["v", "k"], [nans, np.arange(len(nans))])
+    check(tmp_path / "nan.csv", ["v", "w"], [nans, nans[::-1].copy()])
+
+
+def test_repeats_across_blocks_and_columns(tmp_path):
+    # a value repeated on both sides of a block boundary and in other columns,
+    # next to values that differ from it in the last bit only
+    n = 3 * tables.BLOCK_ROWS + 2
+    v = 0.1
+    near = np.nextafter(v, 1.0)
+    col = np.full(n, v)
+    col[1::2] = near
+    edge = slice(tables.BLOCK_ROWS - 3, tables.BLOCK_ROWS + 3)
+    col[edge] = v
+    other = col[::-1].copy()
+    ints = np.full(n, 7)
+    ints[edge] = 2**40
+    text = np.where(np.arange(n) % 5 == 0, "a,b", "plain")
+    check(tmp_path / "repeats.csv", ["a", "b", "k", "text", "k2"], [col, other, ints, text, ints])
+
+
+def test_blank_cells(tmp_path):
+    # blanked cells are empty even where the value under them equals a cell
+    # of the same block that is written; a fully blanked row keeps its commas
+    n = tables.BLOCK_ROWS + 4
+    k = np.arange(n)
+    blank = (k % 3 == 0) | (k == tables.BLOCK_ROWS)
+    value = tables.Blanked(np.full(n, 2.5), blank)
+    count = tables.Blanked(k % 4, blank)
+    flag = tables.Blanked(k % 2 == 0, blank)
+    label = tables.Blanked(np.where(k % 2 == 0, "x,y", "z"), blank)
+    errors = np.where(blank, "ConvergenceError: failed", "")
+    check(tmp_path / "blank.csv", ["s", "value", "count", "flag", "label", "errors"],
+          [k * 0.5, value, count, flag, label, errors])
+    check(tmp_path / "blank.csv", ["value", "count"], [value, count])
+
+
+def test_mismatched_columns_rejected(tmp_path):
+    with pytest.raises(ValueError, match="equal lengths"):
+        tables.write_columns(tmp_path / "bad.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
+    with pytest.raises(ValueError, match="header"):
+        tables.write_columns(tmp_path / "bad.csv", ["a", "b"], [np.zeros(2)])
+    with pytest.raises(ValueError, match="blank mask"):
+        tables.write_columns(tmp_path / "bad.csv", ["a", "b"],
+                             [np.zeros(2), tables.Blanked(np.zeros(2), [True])])
+
+
+SMALL_BLOCK = 4
+EDGE_BITS = [0, 1 << 63, 1, (1 << 63) | 1, 0x000FFFFFFFFFFFFF, 0x0010000000000000,
+             0x7FF0000000000000, 0xFFF0000000000000, *NAN_BITS]
+float_bits = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(EDGE_BITS))
+texts = st.text(alphabet=',"\r\n a\té', max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_matches_csv_writer(tmp_path_factory, data):
+    # lengths straddle the block size, shrunk so that one example spans blocks
+    n = data.draw(st.integers(0, 3 * SMALL_BLOCK + 1), label="rows")
+    pool = data.draw(st.lists(float_bits, min_size=1, max_size=4), label="pool")
+    repeated = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    distinct = data.draw(st.lists(float_bits, min_size=n, max_size=n))
+    ints = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+    words = data.draw(st.lists(texts, min_size=n, max_size=n))
+    bools = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    blank = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    columns = [floats_from_bits(repeated), floats_from_bits(distinct),
+               tables.Blanked(floats_from_bits(repeated), blank),
+               np.array(ints, dtype=np.int64), np.array(words, dtype=str), words,
+               np.array(bools, dtype=bool)]
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    with mock.patch.object(tables, "BLOCK_ROWS", SMALL_BLOCK):
+        check(path, ["repeated", "distinct", "blanked", "int", "text", "text_list", "bool"],
+              columns)
+
+
+def _captured_writes(monkeypatch):
+    """Record each header and column list a scenario writes."""
+    writes = []
+
+    def capture(path, header, columns):
+        writes.append((header, columns))
+        tables.write_columns(path, header, columns)
+
+    monkeypatch.setattr(scenarios, "_write_rows", capture)
+    return writes
+
+
+@pytest.mark.parametrize("sid", ["coherent_field_grid", "oneparticle_diff_grid"])
+def test_grid_files_match_csv_writer(sid, tmp_path, monkeypatch):
+    writes = _captured_writes(monkeypatch)
+    [path] = scenarios.run({"scenario_id": sid, "output_dir": str(tmp_path)})
+    [(header, (t, x, value))] = writes
+    cfg = scenarios.validate_config({"scenario_id": sid, "output_dir": str(tmp_path)})
+    grid_t, grid_x, _ = scenarios._grid(cfg)
+    assert np.array_equal(t, grid_t) and np.array_equal(x, grid_x)
+    rows = zip(t.tolist(), x.tolist(), value.tolist())
+    assert path.read_bytes() == csv_writer_bytes(["t", "x", "value"], rows)
+
+
+def test_scan_with_failed_point_matches_csv_writer(tmp_path, monkeypatch):
+    # the quadrature pass is uncertified and the per-point fallback fails at
+    # s = 5: that row keeps s and its error text, every other cell blank
+    def uncertified(state, ell, a, b, tol):
+        raise ConvergenceError("accumulated quadrature error exceeds tolerance")
+
+    real_quadrature = scenarios.wightman_smeared_quadrature
+
+    def flaky(state, ri, rj, tol):
+        if abs(abs(ri.center.x - rj.center.x) - 5.0) < 1e-9:
+            raise ConvergenceError("synthetic point failure")
+        return real_quadrature(state, ri, rj, tol)
+
+    monkeypatch.setattr(scenarios, "_smeared_quadrature_real", uncertified)
+    monkeypatch.setattr(scenarios, "wightman_smeared_quadrature", flaky)
+    writes = _captured_writes(monkeypatch)
+    [path] = scenarios.run({"scenario_id": "thermal_curves", "beta": 50.0,
+                            "s_over_ell": [3.0, 5.0, 8.0], "enable_quadrature_columns": True,
+                            "output_dir": str(tmp_path)})
+    [(header, (s, *columns, _))] = writes
+    values = [c.values.tolist() for c in columns]
+    rows = []
+    for k, s_k in enumerate(s.tolist()):
+        if s_k == 5.0:
+            rows.append([s_k, *[""] * len(columns), "ConvergenceError: synthetic point failure"])
+        else:
+            rows.append([s_k, *(v[k] for v in values), ""])
+    assert path.read_bytes() == csv_writer_bytes(header, rows)
+    assert b",,,,ConvergenceError: synthetic point failure\n" in path.read_bytes()
