@@ -8,36 +8,40 @@ anticommutator kernel, and quantifies finite-region effects through a
 spacetime multipole expansion.
 """
 
-from . import (detector, errors, kernels, multipole, numerics, scenarios,
-               smearing, spacetime, tomography)
-from .detector import (CorrelatorTable, DensityMatrix, PauliLabel,
-                       correlator_table, density_matrix, pauli_ev_closed,
-                       pauli_ev_oracle, random_kernel_matrix, sample_table)
-from .kernels import (FieldState, KernelMatrix, assemble_kernels,
-                      F_oneparticle_array, hadamard_array, phi0_coherent_array,
-                      wightman_smeared_closed, wightman_smeared_quadrature)
-from .multipole import MultipoleEstimate, convergence_order, estimate
-from .numerics import (QuadratureResult, SlopeFit, fit_loglog_slope,
-                       integrate_semi_infinite)
-from .smearing import GaussianRegion, MomentSet, evaluate, moments
-from .spacetime import Event, Interval, LatticeSpec, build_lattice, intervals
-from .tomography import TableReconstruction, reconstruct_table
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "detector", "errors", "kernels", "multipole", "numerics", "scenarios",
-    "smearing", "spacetime", "tomography",
-    "CorrelatorTable", "DensityMatrix", "PauliLabel", "correlator_table",
-    "density_matrix", "pauli_ev_closed", "pauli_ev_oracle",
-    "random_kernel_matrix", "sample_table",
-    "FieldState", "KernelMatrix", "assemble_kernels", "F_oneparticle_array",
-    "hadamard_array", "phi0_coherent_array",
-    "wightman_smeared_closed", "wightman_smeared_quadrature",
-    "MultipoleEstimate", "convergence_order", "estimate",
-    "QuadratureResult", "SlopeFit", "fit_loglog_slope", "integrate_semi_infinite",
-    "GaussianRegion", "MomentSet", "evaluate", "moments",
-    "Event", "Interval", "LatticeSpec", "build_lattice", "intervals",
-    "TableReconstruction", "reconstruct_table",
-    "__version__",
-]
+_SUBMODULES = ("config", "detector", "errors", "kernels", "multipole", "numerics",
+               "scenarios", "smearing", "spacetime", "tomography")
+
+# each exported name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in {
+    "detector": "CorrelatorTable DensityMatrix PauliLabel correlator_table density_matrix "
+                "pauli_ev_closed pauli_ev_oracle random_kernel_matrix sample_table",
+    "kernels": "FieldState KernelMatrix assemble_kernels F_oneparticle_array hadamard_array "
+               "phi0_coherent_array wightman_smeared_closed wightman_smeared_quadrature",
+    "multipole": "MultipoleEstimate convergence_order estimate",
+    "numerics": "QuadratureResult SlopeFit fit_loglog_slope integrate_semi_infinite",
+    "smearing": "GaussianRegion MomentSet evaluate moments",
+    "spacetime": "Event Interval LatticeSpec build_lattice intervals",
+    "tomography": "TableReconstruction reconstruct_table",
+}.items() for name in names.split()}
+
+__all__ = [*_SUBMODULES, *_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a submodule, or the one defining an exported name, on first access
+    (PEP 562), so ``import udwtomo`` loads neither numpy nor scipy."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -1,7 +1,9 @@
 """Command-line interface: run and validate scenario configs.
 
 Exit codes: 0 success, 2 config error (including an output directory that
-cannot be created), 3 numerical failure.
+cannot be created), 3 numerical failure.  Only ``run`` imports the scenario
+runners (and numpy); ``validate``, ``list-scenarios`` and ``--help`` load the
+standard library alone.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import sys
 
 from .errors import ConfigError, UdwTomoError
-from .scenarios import list_scenarios, run, validate_config
+from .config import list_scenarios, validate_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,6 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         print(f"config OK: scenario {cfg.scenario_id!r}, output -> {cfg.output_dir}")
         return EXIT_OK
+    from .scenarios import run
     try:
         paths = run(cfg)
     except ConfigError as exc:

@@ -1,0 +1,292 @@
+"""Scenario configs: defaults, parsing and validation, without numpy.
+
+A config is a JSON object naming one of ``SCENARIO_IDS`` and overriding its
+defaults; ``validate_config`` resolves it into a ``ScenarioConfig``, lengths
+in units of the region width ell, or raises ``ConfigError`` naming the field.
+Checking a config and listing the scenarios import only the standard
+library; ``scenarios.run`` executes a config and brings in numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field as dc_field
+
+from .errors import ConfigError
+from .spacetime import Event, LatticeSpec, checked_widths
+
+__all__ = ["ScenarioConfig", "SCENARIO_IDS", "validate_config", "list_scenarios"]
+
+
+@dataclass
+class ScenarioConfig:
+    """Resolved, validated scenario parameters."""
+
+    scenario_id: str
+    output_dir: str
+    seed: int
+    ell: float
+    tol: float  # quadrature cells and convergence_sweep only
+    enable_quadrature_columns: bool
+    beta: float | None = None
+    delta: float | None = None
+    s_values: list[float] = dc_field(default_factory=list)
+    anchor: Event | None = None
+    lattice: LatticeSpec | None = None
+    lam: float | None = None
+    state_tag: str = "vacuum"
+    shots_list: list[int] = dc_field(default_factory=list)
+    repeats: int = 4
+    grid_t: tuple[float, float, int] | None = None
+    grid_x: tuple[float, float, int] | None = None
+    ell_grid: list[float] = dc_field(default_factory=list)
+    base_config: tuple[float, float] | None = None
+
+
+_GLOBAL_DEFAULTS: dict = {
+    "output_dir": "out",
+    "seed": 20250810,
+    "ell": 1.0,
+    "tol": 1e-10,
+    "enable_quadrature_columns": False,
+}
+
+_S_DEFAULT = {"start": 0.5, "stop": 20.0, "step": 0.25}
+_LATTICE_DEFAULT = {"n_space": 2, "n_time": 2, "spacing_space": 10.0,
+                    "spacing_time": 10.0, "origin": {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0}}
+
+_SCENARIO_DEFAULTS: dict[str, dict] = {
+    "vacuum_curves": {"s_over_ell": dict(_S_DEFAULT)},
+    "thermal_curves": {"s_over_ell": dict(_S_DEFAULT), "beta": 50.0},
+    # delta = 3/2 ell and the (t, x) = (6, -6) ell anchor follow the figure
+    # caption; the body text quotes delta = 4 ell for the same plot, so the
+    # width is left configurable.
+    "coherent_curves": {"s_over_ell": dict(_S_DEFAULT), "delta": 1.5,
+                        "anchor": {"t": 6.0, "x": -6.0, "y": 0.0, "z": 0.0}},
+    "coherent_field_grid": {"delta": 1.5,
+                            "grid": {"t": {"start": -12.0, "stop": 12.0, "n": 97},
+                                     "x": {"start": -12.0, "stop": 12.0, "n": 97}}},
+    "oneparticle_curves": {"s_over_ell": {"start": 0.5, "stop": 130.0, "step": 0.5},
+                           "delta": 10.0,
+                           "anchor": {"t": -60.0, "x": -60.0, "y": 0.0, "z": 0.0}},
+    "oneparticle_diff_grid": {"delta": 10.0,
+                              "anchor": {"t": -60.0, "x": -60.0, "y": 0.0, "z": 0.0},
+                              "grid": {"t": {"start": -150.0, "stop": 150.0, "n": 101},
+                                       "x": {"start": -150.0, "stop": 150.0, "n": 101}}},
+    "tomography_roundtrip": {"lattice": dict(_LATTICE_DEFAULT),
+                             "lambda": 2.0 * math.pi, "state": "vacuum"},
+    # seven widths geometric from 0.02 to 0.1 ell, the values of
+    # np.geomspace(0.02, 0.1, 7) rounded to 10 decimals
+    "convergence_sweep": {"base_config": {"dt": 0.0, "dr": 1.0},
+                          "ell_grid": [round(0.02 * 5 ** (k / 6), 10) for k in range(7)],
+                          "state": "vacuum", "tol": 1e-12},
+    "shot_noise_study": {"lattice": dict(_LATTICE_DEFAULT), "lambda": 2.0 * math.pi,
+                         "shots_list": [10**3, 10**4, 10**5, 10**6, 10**7],
+                         "repeats": 4},
+}
+
+_DESCRIPTIONS = {
+    "vacuum_curves": "vacuum two-point curves: pointlike vs smeared vs multipole",
+    "thermal_curves": "thermal-state curves at inverse temperature beta",
+    "coherent_curves": "coherent-state curves scanned from a fixed anchor event",
+    "coherent_field_grid": "classical source wave on a (t, x) grid",
+    "oneparticle_curves": "one-particle wavepacket curves from a fixed anchor event",
+    "oneparticle_diff_grid": "wavepacket minus vacuum correlation on a (t, x) grid",
+    "tomography_roundtrip": "forward-simulate a detector lattice and invert it",
+    "convergence_sweep": "multipole residual vs region width with fitted order",
+    "shot_noise_study": "reconstruction RMS error against measurement shots",
+}
+
+_KNOWN_KEYS = {
+    "scenario_id", "output_dir", "seed", "ell", "tol",
+    "enable_quadrature_columns", "beta", "delta", "s_over_ell", "anchor",
+    "lattice", "lambda", "state", "shots_list", "repeats", "grid",
+    "ell_grid", "base_config",
+}
+
+SCENARIO_IDS = tuple(_SCENARIO_DEFAULTS)
+
+
+def list_scenarios() -> list[tuple[str, str]]:
+    return [(sid, _DESCRIPTIONS[sid]) for sid in SCENARIO_IDS]
+
+
+def _number(v, name: str, field: str | None = None) -> float:
+    """v as a float; a ConfigError on ``field`` (default ``name``) unless v is
+    a finite number."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        raise ConfigError(f"field {name!r} must be a finite number, got {v!r}",
+                          field=field or name)
+    return float(v)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _require_number(raw: dict, key: str, positive: bool = False) -> float:
+    v = _number(raw.get(key), key)
+    if positive and v <= 0:
+        raise ConfigError(f"field {key!r} must be positive, got {v!r}", field=key)
+    return v
+
+
+def _parse_event(d: dict, key: str) -> Event:
+    if not isinstance(d, dict):
+        raise ConfigError(f"field {key!r} must be an object with t/x/y/z", field=key)
+    return Event(*(_number(d.get(c, 0.0), f"{key}.{c}", key) for c in "txyz"))
+
+
+def _parse_s_values(raw: dict) -> list[float]:
+    spec = raw["s_over_ell"]
+    if isinstance(spec, list):
+        vals = [_number(v, "s_over_ell") for v in spec]
+    elif isinstance(spec, dict):
+        try:
+            start, stop, step = (_number(spec[k], f"s_over_ell.{k}", "s_over_ell")
+                                 for k in ("start", "stop", "step"))
+        except KeyError as exc:
+            raise ConfigError("field 's_over_ell' needs start/stop/step",
+                              field="s_over_ell") from exc
+        if step <= 0 or stop < start:
+            raise ConfigError("field 's_over_ell' range must be increasing",
+                              field="s_over_ell")
+        n = int(round((stop - start) / step))
+        vals = [start + k * step for k in range(n + 1) if start + k * step <= stop + 1e-9]
+    else:
+        raise ConfigError("field 's_over_ell' must be a range object or list",
+                          field="s_over_ell")
+    if not vals:
+        raise ConfigError("field 's_over_ell' is an empty list", field="s_over_ell")
+    if any(v <= 0 for v in vals):
+        raise ConfigError("field 's_over_ell' values must be strictly positive",
+                          field="s_over_ell")
+    return vals
+
+
+def _parse_grid(raw: dict) -> tuple[tuple[float, float, int], tuple[float, float, int]]:
+    grid = raw["grid"]
+    out = []
+    for axis in ("t", "x"):
+        ax = grid.get(axis) if isinstance(grid, dict) else None
+        if not isinstance(ax, dict) or not {"start", "stop", "n"} <= set(ax):
+            raise ConfigError(f"field 'grid.{axis}' needs start/stop/n", field="grid")
+        n = ax["n"]
+        if not _is_int(n) or n < 2:
+            raise ConfigError(f"field 'grid.{axis}.n' must be an integer >= 2", field="grid")
+        out.append((_number(ax["start"], f"grid.{axis}.start", "grid"),
+                    _number(ax["stop"], f"grid.{axis}.stop", "grid"), n))
+    return out[0], out[1]
+
+
+def _parse_lattice(raw: dict, ell: float) -> LatticeSpec:
+    lat = raw["lattice"]
+    if not isinstance(lat, dict):
+        raise ConfigError("field 'lattice' must be an object", field="lattice")
+    try:
+        counts = [lat[k] for k in ("n_space", "n_time")]
+        if not all(_is_int(n) for n in counts):
+            raise TypeError(f"site counts must be integers, got {counts}")
+        spec = LatticeSpec(
+            n_space=counts[0], n_time=counts[1],
+            spacing_space=_number(lat["spacing_space"], "lattice.spacing_space") * ell,
+            spacing_time=_number(lat["spacing_time"], "lattice.spacing_time") * ell,
+            origin=_parse_event(lat.get("origin", {}), "lattice.origin"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'lattice': {exc}", field="lattice") from exc
+    # both lattice scenarios reconstruct region pairs
+    if spec.n_space**3 * spec.n_time < 2:
+        raise ConfigError("field 'lattice' must have at least 2 regions, got 1",
+                          field="lattice")
+    return spec
+
+
+def validate_config(raw: dict) -> ScenarioConfig:
+    """Resolve a raw config dict (snake_case keys) against scenario defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object", field=None)
+    sid = raw.get("scenario_id")
+    if sid not in _SCENARIO_DEFAULTS:
+        raise ConfigError(
+            f"field 'scenario_id' must be one of {sorted(_SCENARIO_DEFAULTS)}, got {sid!r}",
+            field="scenario_id")
+    unknown = set(raw) - _KNOWN_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {sorted(unknown)}",
+                          field=sorted(unknown)[0])
+    merged = dict(_GLOBAL_DEFAULTS)
+    merged.update(_SCENARIO_DEFAULTS[sid])
+    merged.update({k: v for k, v in raw.items() if v is not None})
+
+    seed = merged["seed"]
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"field 'seed' must be a non-negative integer, got {seed!r}",
+                          field="seed")
+    if not isinstance(merged["output_dir"], str):
+        raise ConfigError(f"field 'output_dir' must be a string, got {merged['output_dir']!r}",
+                          field="output_dir")
+    quadrature_columns = merged["enable_quadrature_columns"]
+    if not isinstance(quadrature_columns, bool):
+        raise ConfigError("field 'enable_quadrature_columns' must be true or false, "
+                          f"got {quadrature_columns!r}", field="enable_quadrature_columns")
+    cfg = ScenarioConfig(
+        scenario_id=sid,
+        output_dir=merged["output_dir"],
+        seed=seed,
+        ell=_require_number(merged, "ell", positive=True),
+        tol=_require_number(merged, "tol", positive=True),
+        enable_quadrature_columns=quadrature_columns,
+    )
+    ell = cfg.ell
+    if "beta" in merged and merged.get("beta") is not None:
+        cfg.beta = _require_number(merged, "beta", positive=True) * ell
+    if "delta" in merged and merged.get("delta") is not None:
+        cfg.delta = _require_number(merged, "delta", positive=True) * ell
+    if "s_over_ell" in merged:
+        cfg.s_values = _parse_s_values(merged)
+    if "anchor" in merged:
+        a = _parse_event(merged["anchor"], "anchor")
+        cfg.anchor = Event(a.t * ell, a.x * ell, a.y * ell, a.z * ell)
+    if "lattice" in merged:
+        cfg.lattice = _parse_lattice(merged, ell)
+    if "lambda" in merged:
+        cfg.lam = _require_number(merged, "lambda", positive=True)
+    if "state" in merged:
+        if merged["state"] not in ("vacuum", "thermal"):
+            raise ConfigError("field 'state' must be 'vacuum' or 'thermal'", field="state")
+        cfg.state_tag = merged["state"]
+        if cfg.state_tag == "thermal" and cfg.beta is None:
+            raise ConfigError("thermal state requires field 'beta'", field="beta")
+    if "shots_list" in merged:
+        shots = merged["shots_list"]
+        if (not isinstance(shots, list) or not shots
+                or any(not _is_int(s) or s < 1 for s in shots)):
+            raise ConfigError("field 'shots_list' must be a non-empty list of ints >= 1",
+                              field="shots_list")
+        cfg.shots_list = list(shots)
+    if "repeats" in merged:
+        if not _is_int(merged["repeats"]) or merged["repeats"] < 1:
+            raise ConfigError("field 'repeats' must be an integer >= 1", field="repeats")
+        cfg.repeats = merged["repeats"]
+    if "grid" in merged:
+        cfg.grid_t, cfg.grid_x = _parse_grid(merged)
+    if "ell_grid" in merged:
+        grid = merged["ell_grid"]
+        widths = sorted(_number(v, "ell_grid") for v in grid) if isinstance(grid, list) else []
+        if len(widths) < 3 or widths[0] <= 0:
+            raise ConfigError("field 'ell_grid' must list >= 3 positive widths",
+                              field="ell_grid")
+        cfg.ell_grid = [v * ell for v in widths]
+    if "base_config" in merged:
+        bc = merged["base_config"]
+        if not isinstance(bc, dict) or not {"dt", "dr"} <= set(bc):
+            raise ConfigError("field 'base_config' needs dt and dr", field="base_config")
+        cfg.base_config = tuple(_number(bc[k], f"base_config.{k}", "base_config") * ell
+                                for k in ("dt", "dr"))
+    if cfg.ell_grid and cfg.base_config is not None:
+        # the widths convergence_sweep's residual table accepts at this separation
+        try:
+            checked_widths(cfg.base_config, cfg.ell_grid)
+        except ValueError as exc:
+            raise ConfigError(f"field 'ell_grid': {exc}", field="ell_grid") from exc
+    return cfg

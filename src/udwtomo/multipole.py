@@ -37,7 +37,7 @@ from .kernels import (FieldState, _check_equal_widths, hadamard_dtt_array,
                       wightman_smeared_quadrature)
 from .numerics import SlopeFit, fit_loglog_slope
 from .smearing import GaussianRegion, moments
-from .spacetime import Event
+from .spacetime import Event, checked_widths
 
 __all__ = [
     "MultipoleEstimate",
@@ -119,19 +119,6 @@ def thermal_expansion_spatial(beta: float, dr: float, ell: float) -> float:
             + math.pi * ell**2 * c / (dr * beta**3 * s**2))
 
 
-def _checked_grid(base_config: tuple[float, float], ell_grid: list[float]) -> list[float]:
-    """The widths in ascending order; ValueError unless they are positive and
-    the largest is at most a tenth of the separation at (dt, dr) = base_config."""
-    dt, dr = base_config
-    sep = math.sqrt(abs(-dt * dt + dr * dr))
-    grid = sorted(ell_grid)
-    if not grid or grid[0] <= 0:
-        raise ValueError("ell grid must be strictly positive")
-    if grid[-1] > sep / 10.0:
-        raise ValueError(f"max(ell) = {grid[-1]:g} exceeds separation/10 = {sep / 10:g}")
-    return grid
-
-
 def residual_table(state: FieldState, base_config: tuple[float, float],
                    ell_grid: list[float], tol: float = 1e-12,
                    include_quadrupole: bool = True) -> list[tuple[float, float]]:
@@ -139,7 +126,7 @@ def residual_table(state: FieldState, base_config: tuple[float, float],
 
     Residuals below the 1e-13 quadrature noise floor are dropped.
     """
-    grid = _checked_grid(base_config, ell_grid)
+    grid = checked_widths(base_config, ell_grid)
     dt, dr = base_config
     a = Event(dt, dr, 0.0, 0.0)
     b = Event(0.0, 0.0, 0.0, 0.0)

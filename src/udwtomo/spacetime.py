@@ -9,14 +9,15 @@ a pair counts as lightlike where |sigma| is within ``default_lightcone_tol``.
 Lattices of interaction centers are ordered with the time index outermost so
 that, for each fixed spatial site, earlier couplings precede later ones in
 index order.
+
+Importing the module loads no numpy: ``Event`` and ``LatticeSpec`` serve
+config checking, and the array helpers load numpy at first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "Event",
@@ -25,6 +26,7 @@ __all__ = [
     "intervals",
     "default_lightcone_tol",
     "build_lattice",
+    "checked_widths",
 ]
 
 
@@ -44,6 +46,7 @@ class Event:
 
     def coords(self) -> np.ndarray:
         """The coordinates as a length-4 array ordered (t, x, y, z)."""
+        import numpy as np
         return np.array((self.t, self.x, self.y, self.z))
 
 
@@ -60,6 +63,7 @@ class Interval:
 
 def intervals(a: np.ndarray, b: np.ndarray) -> Interval:
     """Interval of coordinate arrays a, b of shape (..., 4), ordered (t, x, y, z)."""
+    import numpy as np
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     dt = d[..., 0]
     dr = np.sqrt(d[..., 1] ** 2 + d[..., 2] ** 2 + d[..., 3] ** 2)
@@ -67,6 +71,7 @@ def intervals(a: np.ndarray, b: np.ndarray) -> Interval:
 
 
 def default_lightcone_tol(itv: Interval) -> np.ndarray:
+    import numpy as np
     return 1e-9 * np.maximum(np.maximum(np.abs(itv.dt), itv.dr), 1.0)
 
 
@@ -111,3 +116,17 @@ def build_lattice(spec: LatticeSpec) -> list[Event]:
                         o.z + iz * spec.spacing_space,
                     ))
     return events
+
+
+def checked_widths(base_config: tuple[float, float], ell_grid: list[float]) -> list[float]:
+    """The region widths in ascending order; ValueError unless they are
+    positive and the largest is at most a tenth of the separation at
+    (dt, dr) = base_config, where a multipole expansion in ell holds."""
+    dt, dr = base_config
+    sep = math.sqrt(abs(-dt * dt + dr * dr))
+    grid = sorted(ell_grid)
+    if not grid or grid[0] <= 0:
+        raise ValueError("ell grid must be strictly positive")
+    if grid[-1] > sep / 10.0:
+        raise ValueError(f"max(ell) = {grid[-1]:g} exceeds separation/10 = {sep / 10:g}")
+    return grid

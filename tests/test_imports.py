@@ -1,9 +1,10 @@
-"""Import hygiene: checking a config, listing scenarios and the scenarios
-that need no quadrature or Dawson values start without loading scipy, and
-the detector scenarios never load the quadrature.
+"""Import hygiene: importing the package, checking a config, listing the
+scenarios and ``--help`` load neither numpy nor scipy; the scenarios that
+need no quadrature or Dawson values run without loading scipy, and the
+detector scenarios never load the quadrature.
 
 Each test runs a fresh interpreter, since the test process itself has
-loaded scipy long before."""
+loaded numpy and scipy long before."""
 
 import json
 import subprocess
@@ -13,21 +14,26 @@ import pytest
 
 from udwtomo import scenarios
 
-# runs the snippet, then prints the scipy modules the interpreter has loaded
+# runs the snippet, then prints the numpy and scipy modules the interpreter has loaded
 _PROBE = """
 import sys
 {body}
-print("SCIPY_MODULES=" + ",".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print("LOADED=" + ",".join(sorted(m for m in sys.modules
+                                  if m.split(".")[0] in ("numpy", "scipy"))))
 """
 
 
-def loaded_scipy_modules(body, env, cwd):
+def loaded_modules(body, env, cwd):
     proc = subprocess.run([sys.executable, "-c", _PROBE.format(body=body)],
                           capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
     assert proc.returncode == 0, proc.stderr
     line = proc.stdout.strip().splitlines()[-1]
-    assert line.startswith("SCIPY_MODULES="), proc.stdout
+    assert line.startswith("LOADED="), proc.stdout
     return [m for m in line.split("=", 1)[1].split(",") if m]
+
+
+def loaded_scipy_modules(body, env, cwd):
+    return [m for m in loaded_modules(body, env, cwd) if m.split(".")[0] == "scipy"]
 
 
 def write_config(path, raw):
@@ -36,7 +42,7 @@ def write_config(path, raw):
 
 
 def test_import_package(src_env, tmp_path):
-    assert loaded_scipy_modules("import udwtomo", src_env, tmp_path) == []
+    assert loaded_modules("import udwtomo", src_env, tmp_path) == []
 
 
 def test_validate_every_scenario(src_env, tmp_path):
@@ -44,12 +50,23 @@ def test_validate_every_scenario(src_env, tmp_path):
              for sid in scenarios.SCENARIO_IDS]
     body = (f"from udwtomo import cli\n"
             f"assert all(cli.main(['validate', p]) == 0 for p in {paths!r})")
-    assert loaded_scipy_modules(body, src_env, tmp_path) == []
+    assert loaded_modules(body, src_env, tmp_path) == []
 
 
 def test_list_scenarios(src_env, tmp_path):
     body = "from udwtomo import cli\nassert cli.main(['list-scenarios']) == 0"
-    assert loaded_scipy_modules(body, src_env, tmp_path) == []
+    assert loaded_modules(body, src_env, tmp_path) == []
+
+
+def test_help(src_env, tmp_path):
+    body = ("from udwtomo import cli\n"
+            "try:\n"
+            "    cli.main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "else:\n"
+            "    raise AssertionError('--help did not exit')")
+    assert loaded_modules(body, src_env, tmp_path) == []
 
 
 def test_coherent_field_grid_run(src_env, tmp_path):

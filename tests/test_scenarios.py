@@ -6,9 +6,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from udwtomo import cli, multipole, scenarios
+from udwtomo import cli, config, multipole, scenarios
 from udwtomo.errors import (ConfigError, ConvergenceError, LightconeSingularityError,
                             TangentDomainError)
 from udwtomo.kernels import (FieldState, hadamard_array, wightman_smeared_closed,
@@ -154,6 +155,29 @@ class TestValidation:
         cfg = validate_config({"scenario_id": "tomography_roundtrip"})
         assert cfg.lattice.n_events == 16
         assert cfg.lam == pytest.approx(2 * math.pi)
+
+    def test_default_ell_grid_is_the_geometric_grid(self):
+        # config builds the seven widths without numpy; they are the
+        # rounded values of the geometric grid they replaced
+        cfg = validate_config({"scenario_id": "convergence_sweep"})
+        assert cfg.ell_grid == [round(v, 10) for v in np.geomspace(0.02, 0.1, 7).tolist()]
+
+
+class TestConfigSplit:
+    """``config`` holds the ids, defaults and descriptions; ``scenarios``
+    holds one runner per id and re-exports the config names."""
+
+    def test_one_runner_per_scenario_id(self):
+        assert set(scenarios._RUNNERS) == set(config.SCENARIO_IDS)
+
+    def test_every_scenario_id_has_a_description(self):
+        listed = config.list_scenarios()
+        assert [sid for sid, _ in listed] == list(config.SCENARIO_IDS)
+        assert all(isinstance(desc, str) and desc for _, desc in listed)
+
+    def test_scenarios_reexports_the_config_names(self):
+        for name in config.__all__:
+            assert getattr(scenarios, name) is getattr(config, name)
 
 
 class TestScenarioOutputs:
