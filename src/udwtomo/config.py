@@ -97,12 +97,9 @@ _DESCRIPTIONS = {
     "shot_noise_study": "reconstruction RMS error against measurement shots",
 }
 
-_KNOWN_KEYS = {
-    "scenario_id", "output_dir", "seed", "ell", "tol",
-    "enable_quadrature_columns", "beta", "delta", "s_over_ell", "anchor",
-    "lattice", "lambda", "state", "shots_list", "repeats", "grid",
-    "ell_grid", "base_config",
-}
+# every key some scenario has a default for
+_KNOWN_KEYS = {"scenario_id", *_GLOBAL_DEFAULTS,
+               *(key for defaults in _SCENARIO_DEFAULTS.values() for key in defaults)}
 
 SCENARIO_IDS = tuple(_SCENARIO_DEFAULTS)
 

@@ -28,15 +28,22 @@ the public API, matching lattice/CSV numbering.
 
 The inversion reads only these observables, and ``CorrelatorTable`` holds
 each of them once per lattice: Z_i = <sz_i> is shared by every pair, ZZ and
-YY are symmetric, and the second cross family needs no storage because
-<sx_k sy_j> = YX_jk, i.e. XY = YX^T.  ``correlator_table`` evaluates the
-whole table at once; ``pauli_ev_closed`` stays as its scalar reference.
+YY are vectors over the unordered pairs i < j, and the second cross family
+needs no storage because <sx_k sy_j> = YX_jk, i.e. XY = YX^T.
+
+The pairs i < j are taken row-major, pair (i, j) at position
+q = (i-1)(2n-i)/2 + j-i-1 (1-based i, j), the order of every per-pair array
+downstream.  ``pair_blocks`` is the one owner of that order and of the block
+size that bounds the work arrays: ``correlator_table`` evaluates ZZ and YY
+one block of pairs at a time, and ``tomography.reconstruct_table`` inverts
+the same blocks.  ``pauli_ev_closed`` stays as the scalar reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -52,6 +59,7 @@ __all__ = [
     "pauli_ev_oracle",
     "pauli_ev_closed",
     "correlator_table",
+    "pair_blocks",
     "sample_table",
     "random_kernel_matrix",
 ]
@@ -95,8 +103,11 @@ class DensityMatrix:
     mu = +1 before mu = -1.
     """
 
-    n_qubits: int
     entries: np.ndarray
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.entries).bit_length() - 1
 
     def validate(self) -> None:
         rho = self.entries
@@ -140,7 +151,7 @@ def density_matrix(kernels: KernelMatrix) -> DensityMatrix:
     e_term = 0.5 * cE.T
 
     rho = np.exp(norm_term + 1j * (delta_term + e_term)) / 2**n
-    dm = DensityMatrix(n_qubits=n, entries=rho)
+    dm = DensityMatrix(entries=rho)
     dm.validate()
     return dm
 
@@ -208,15 +219,24 @@ def pauli_ev_closed(kernels: KernelMatrix, i: int, j: int, kind: str) -> float:
 class CorrelatorTable:
     """Every detector correlator the inversion reads, each observable stored once.
 
-    ``z[i]`` is <sz_i>; ``zz`` and ``yy`` are symmetric with a unit diagonal
-    (sz_i^2 = sy_i^2 = 1); ``yx[i, k]`` is <sy_i sx_k>, with a zero diagonal
-    (the real part of <sy_i sx_i>).  Array indices are 0-based.
+    ``z[i]`` is <sz_i>; ``zz[q]`` and ``yy[q]`` are <sz_i sz_j> and
+    <sy_i sy_j> of the q-th pair i < j in row-major order (``pair_blocks``),
+    shape (n(n-1)/2,); ``yx[i, k]`` is <sy_i sx_k>, with a zero diagonal (the
+    real part of <sy_i sx_i>).  Array indices are 0-based.
     """
 
     z: np.ndarray
     zz: np.ndarray
     yy: np.ndarray
     yx: np.ndarray
+
+    def __post_init__(self):
+        n = self.n
+        pairs = (n * (n - 1) // 2,)
+        for name, want in (("zz", pairs), ("yy", pairs), ("yx", (n, n))):
+            got = np.shape(getattr(self, name))
+            if got != want:
+                raise ValueError(f"{name} of shape {got} for {n} detectors, need {want}")
 
     @property
     def n(self) -> int:
@@ -228,9 +248,20 @@ class CorrelatorTable:
         return self.yx.T
 
 
-# Row blocks keep each (rows, n, n) ZZ/YY work array at 128 KiB: larger blocks
-# were slower and raised the peak resident memory of a 54-region run by 5 MiB.
+# Pair blocks keep each (pairs, n) work array at 128 KiB: larger blocks were
+# slower and raised the peak resident memory of a 54-region run by 5 MiB.
 _CHUNK_ELEMENTS = 1 << 14
+
+
+def pair_blocks(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The pairs i < j of n detectors in row-major order, as blocks
+    ``(start, a, b)``: 0-based ``a[p] < b[p]`` is the pair at position
+    ``start + p``.  A block holds at most ``_CHUNK_ELEMENTS // n`` pairs (at
+    least one); with no pairs there is one empty block."""
+    a, b = np.triu_indices(n, 1)
+    step = max(1, _CHUNK_ELEMENTS // max(1, n))
+    for start in range(0, max(1, len(a)), step):
+        yield start, a[start:start + step], b[start:start + step]
 
 
 def _prod_without(c: np.ndarray) -> np.ndarray:
@@ -240,15 +271,6 @@ def _prod_without(c: np.ndarray) -> np.ndarray:
     after = np.ones_like(c)
     after[:, :-1] = np.cumprod(c[:, :0:-1], axis=1)[:, ::-1]
     return before * after
-
-
-def _symmetric(n: int, upper: np.ndarray) -> np.ndarray:
-    """Symmetric matrix with unit diagonal from its strict upper triangle."""
-    m = np.eye(n)
-    iu = np.triu_indices(n, 1)
-    m[iu] = upper
-    m.T[iu] = upper
-    return m
 
 
 def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
@@ -261,27 +283,22 @@ def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
     z = np.exp(-h_diag) * np.prod(cos, axis=1)
     yx = np.where(off, -np.exp(-h_diag)[:, None] * np.sin(G2) * _prod_without(cos), 0.0)
 
-    # prod_{k != i,j} cos(2G_ik -+ 2G_jk) over (i, j, k), a block of rows i at a time
-    zz, yy = np.empty((n, n)), np.empty((n, n))
-    idx = np.arange(n)
-    step = max(1, _CHUNK_ELEMENTS // (n * n))
-    for lo in range(0, n, step):
-        rows = idx[lo:lo + step]
-        gi, gj = G2[rows, None, :], G2[None, :, :]
+    # prod_{k != i,j} cos(2G_ik -+ 2G_jk), one (pairs, k) block at a time
+    zz, yy = np.empty(n * (n - 1) // 2), np.empty(n * (n - 1) // 2)
+    for start, a, b in pair_blocks(n):
+        rows = np.arange(len(a))
         prods = []
-        for arg in (gi - gj, gi + gj):
+        for arg in (G2[a] - G2[b], G2[a] + G2[b]):
             c = np.cos(arg)
-            c[np.arange(len(rows)), :, rows] = 1.0  # k = i
-            c[:, idx, idx] = 1.0                    # k = j
-            prods.append(np.prod(c, axis=2))
+            c[rows, a] = c[rows, b] = 1.0  # k = i, k = j
+            prods.append(np.prod(c, axis=1))
         prod_diff, prod_sum = prods
-        plus = np.exp(2.0 * H[rows]) * prod_diff
-        minus = np.exp(-2.0 * H[rows]) * prod_sum
-        pref = 0.5 * np.exp(-h_diag[rows, None] - h_diag[None, :])
-        zz[rows] = pref * (plus + minus)
-        yy[rows] = pref * (plus - minus)
-    iu = np.triu_indices(n, 1)
-    return CorrelatorTable(z=z, zz=_symmetric(n, zz[iu]), yy=_symmetric(n, yy[iu]), yx=yx)
+        plus = np.exp(2.0 * H[a, b]) * prod_diff
+        minus = np.exp(-2.0 * H[a, b]) * prod_sum
+        pref = 0.5 * np.exp(-h_diag[a] - h_diag[b])
+        zz[start:start + len(a)] = pref * (plus + minus)
+        yy[start:start + len(a)] = pref * (plus - minus)
+    return CorrelatorTable(z=z, zz=zz, yy=yy, yx=yx)
 
 
 def sample_table(exact: CorrelatorTable, shots: int,
@@ -291,15 +308,13 @@ def sample_table(exact: CorrelatorTable, shots: int,
     Each observable is a +-1 measurement whose number of +1 outcomes is drawn
     binomially (distribution-identical to averaging ``shots`` outcomes).
     There is one array-valued draw per correlator family, in the order z, zz,
-    yy, yx, so ``seed`` fixes the whole table.  zz and yy are drawn once per unordered pair and
-    mirrored; the yx diagonal stays zero.
+    yy, yx, so ``seed`` fixes the whole table; the yx diagonal stays zero.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     n = exact.n
-    iu = np.triu_indices(n, 1)
     off = ~np.eye(n, dtype=bool)
-    families = (exact.z, exact.zz[iu], exact.yy[iu], exact.yx[off])
+    families = (exact.z, exact.zz, exact.yy, exact.yx[off])
     worst = max(float(np.max(np.abs(ev), initial=0.0)) for ev in families)
     if worst > 1.0:
         raise ValueError(f"|exact_ev| must be <= 1, got {worst}")
@@ -312,7 +327,7 @@ def sample_table(exact: CorrelatorTable, shots: int,
     z, zz, yy, yx_off = (draw(ev) for ev in families)
     yx = np.zeros((n, n))
     yx[off] = yx_off
-    return CorrelatorTable(z=z, zz=_symmetric(n, zz), yy=_symmetric(n, yy), yx=yx)
+    return CorrelatorTable(z=z, zz=zz, yy=yy, yx=yx)
 
 
 def random_kernel_matrix(n: int, seed: int | np.random.Generator) -> KernelMatrix:
@@ -337,4 +352,4 @@ def random_kernel_matrix(n: int, seed: int | np.random.Generator) -> KernelMatri
     w_min = float(np.linalg.eigvalsh(0.5 * (H + 1j * E)).min())
     if w_min < 1e-6:
         H += 2.0 * (1e-6 - w_min) * np.eye(n)
-    return KernelMatrix(n=n, H=H, GR=GR, lam=1.0)
+    return KernelMatrix(H=H, GR=GR)

@@ -678,11 +678,12 @@ class KernelMatrix:
     so they are dimensionless.
     """
 
-    n: int
     H: np.ndarray
     GR: np.ndarray
-    lam: float
-    state: FieldState | None = None
+
+    @property
+    def n(self) -> int:
+        return len(self.H)
 
     @property
     def E(self) -> np.ndarray:
@@ -696,8 +697,13 @@ class KernelMatrix:
         return self.GR + self.GR.T
 
     def validate(self, atol: float = 1e-12) -> None:
-        """Raise ValueError unless H is symmetric to ``atol`` relative to the
-        largest entry (at least 1)."""
+        """Raise ValueError unless H and GR are square matrices of one shape
+        and H is symmetric to ``atol`` relative to the largest entry (at
+        least 1)."""
+        shape = np.shape(self.H)
+        if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.GR) != shape:
+            raise ValueError(f"kernel invariant violated: H {shape} and GR "
+                             f"{np.shape(self.GR)} must be square and of one shape")
         scale = max(1.0, float(np.max(np.abs(self.H))), float(np.max(np.abs(self.GR))))
         dev = float(np.max(np.abs(self.H - self.H.T)))
         if dev > atol * scale:
@@ -750,6 +756,6 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
     GR[iu[fut], ju[fut]] = E[iu[fut], ju[fut]]
     GR[ju[past], iu[past]] = -E[iu[past], ju[past]]
 
-    km = KernelMatrix(n=n, H=H, GR=GR, lam=lam, state=state)
+    km = KernelMatrix(H=H, GR=GR)
     km.validate()
     return km

@@ -201,7 +201,8 @@ def _run_tomography_roundtrip(cfg: ScenarioConfig, out: Path) -> list[Path]:
     sum_path = out / "summary.csv"
     _write_rows(sum_path, ["n_regions", "n_pairs", "n_causal", "n_spacelike",
                            "max_abs_H_error"],
-                [[km.n], [n_pairs], [n_causal], [n_pairs - n_causal], [max_err]])
+                [*np.array([[km.n], [n_pairs], [n_causal], [n_pairs - n_causal]]),
+                 np.array([max_err])])
     return [rec_path, sum_path]
 
 
@@ -218,8 +219,6 @@ def _run_convergence_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
 def _run_shot_noise_study(cfg: ScenarioConfig, out: Path) -> list[Path]:
     km = _lattice_kernels(cfg)
     exact = correlator_table(km)
-    a, b = np.triu_indices(km.n, 1)
-    h_true = km.H[a, b]
     rms, failed = [], []
     for shots in cfg.shots_list:
         sq_errors, n_failed = [], 0
@@ -229,11 +228,12 @@ def _run_shot_noise_study(cfg: ScenarioConfig, out: Path) -> list[Path]:
             rec = tomography.reconstruct_table(sample_table(exact, shots, seq))
             ok = rec.ok
             n_failed += len(rec.failures)
-            sq_errors += ((rec.H[ok] - h_true[ok]) ** 2).tolist()
+            sq_errors += ((rec.H[ok] - km.H[rec.i[ok] - 1, rec.j[ok] - 1]) ** 2).tolist()
         rms.append(math.sqrt(sum(sq_errors) / len(sq_errors)) if sq_errors else float("nan"))
         failed.append(n_failed)
     path = out / "shot_noise_study.csv"
-    _write_rows(path, ["shots", "rms_error", "n_failed"], [cfg.shots_list, rms, failed])
+    _write_rows(path, ["shots", "rms_error", "n_failed"],
+                [np.array(cfg.shots_list), np.array(rms), np.array(failed)])
     return [path]
 
 

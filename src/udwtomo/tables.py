@@ -2,24 +2,22 @@
 
 UTF-8, a header row, LF line endings, floats as ``%.17g`` (17 significant
 digits, so each float reads back exactly), ints in decimal, bools as
-``True``/``False``, and every other cell as its ``str``, quoted the way
-``csv.writer`` quotes it (``QUOTE_MINIMAL``).  The bytes are those of
-``csv.writer`` fed with ``f"{v:.17g}"`` for the floats, for rows of two or
-more cells (csv.writer writes a lone empty cell as ``""``).
+``True``/``False``, and text quoted the way ``csv.writer`` quotes it
+(``QUOTE_MINIMAL``).  The bytes are those of ``csv.writer`` fed with
+``f"{v:.17g}"`` for the floats, for rows of two or more cells (csv.writer
+writes a lone empty cell as ``""``).
 
-``write_columns`` takes a table as equal-length 1-D columns and writes it
-in blocks of ``BLOCK_ROWS`` rows.  Within a block each column formats each
-of its distinct cells once and gathers the texts back to its rows by the
-inverse index: a float column by its values' bit patterns (so ``-0.0``
-stays ``-0`` next to ``0``, and every NaN is its own cell), an int, bool or
-text column by its values.  Each distinct text carries the separator that
-follows it in its column, so a block is one ``"".join`` over its
-``(rows, columns)`` cells.  A ``Blanked`` column is written blank where
-its ``blank`` mask is true (a failed row's cells).  A column that is not an
-ndarray, or one of object dtype, is read as Python objects and formatted
-cell by cell, each by its own type (``None`` blank, as csv.writer writes
-it); it suits short tables and ints beyond int64.  Only one block's texts
-exist at a time, so no whole-file string is built.
+``write_columns`` takes a table as equal-length 1-D float, int, bool or
+text arrays (an object array, or anything that is not an ndarray, raises
+``ValueError``) and writes it in blocks of ``BLOCK_ROWS`` rows.  Within a
+block each column formats each of its distinct cells once and gathers the
+texts back to its rows by the inverse index: a float column by its values'
+bit patterns (so ``-0.0`` stays ``-0`` next to ``0``, and every NaN is its
+own cell), an int, bool or text column by its values.  Each distinct text
+carries the separator that follows it in its column, so a block is one
+``"".join`` over its ``(rows, columns)`` cells.  A ``Blanked`` column is
+written blank where its ``blank`` mask is true (a failed row's cells).
+Only one block's texts exist at a time, so no whole-file string is built.
 """
 
 from __future__ import annotations
@@ -59,29 +57,16 @@ def _quoted(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _object_text(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return "%d" % v
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % v
-    return _quoted(str(v))
-
-
 def _column(values) -> tuple[np.ndarray, np.ndarray | None]:
     """A column's cells as a 1-D array, and its mask of blank cells."""
     blank = None
     if isinstance(values, Blanked):
         values, blank = values
-    if not isinstance(values, np.ndarray):
-        values = np.fromiter(values, dtype=object)
+    if not isinstance(values, np.ndarray) or values.dtype.kind not in "fiubU":
+        raise ValueError("columns must be float, int, bool or text arrays, got "
+                         f"{getattr(values, 'dtype', type(values).__name__)}")
     if values.dtype.kind == "f":
         values = values.astype(np.float64, copy=False)
-    elif values.dtype.kind not in "iubU":
-        values = values.astype(object, copy=False)
     if values.ndim != 1:
         raise ValueError(f"columns must be 1-D, got shape {values.shape}")
     if blank is not None:
@@ -93,10 +78,8 @@ def _column(values) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _texts(block: np.ndarray, sep: str) -> np.ndarray:
     """The cells of a column block as texts followed by ``sep``, each
-    distinct cell formatted once (object columns cell by cell)."""
+    distinct cell formatted once."""
     kind = block.dtype.kind
-    if kind == "O":
-        return np.array([_object_text(v) + sep for v in block.tolist()], dtype=object)
     if kind == "b":
         return np.array(["False" + sep, "True" + sep], dtype=object)[block.view(np.uint8)]
     key = block.view(np.int64) if kind == "f" else block

@@ -15,9 +15,10 @@ H_ij = (1/2) arctanh(yy/zz) - C_ij in general.  Combining with the known
 commutator part gives back the complex two-point value W = H/2 + i E/2.
 
 ``reconstruct_table`` inverts every pair i < j of a table in one array
-pass, in row-major blocks of bounded size, and collects the failures of the
+pass over the pair blocks of ``detector.pair_blocks`` (row-major, the order
+of the table's ``zz`` and ``yy`` vectors), and collects the failures of the
 pairs that cannot be inverted; a single pair is read off at its row-major
-position.
+position q, where it also sits in ``table.zz`` and ``table.yy``.
 
 The commutator entries E_ij are consumed as known inputs (they depend only on
 the classical equation of motion, not on the state) and are never re-derived
@@ -32,8 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detector
-from .detector import CorrelatorTable
+from .detector import CorrelatorTable, pair_blocks
 from .errors import (DephasingError, NoiseDominatedError, TangentDomainError,
                      UdwTomoError)
 from .tables import write_columns
@@ -71,9 +71,9 @@ class TableReconstruction:
         return mask
 
 
-def _invert(table: CorrelatorTable, a: np.ndarray, b: np.ndarray):
+def _invert(table: CorrelatorTable, start: int, a: np.ndarray, b: np.ndarray):
     """H, C, causal mask, dephasing flag and {position: error} of the 0-based
-    pairs (a[p], b[p]), a[p] < b[p].
+    pairs (a[p], b[p]), a[p] < b[p], at table positions start + p.
 
     The third detectors of each pair are gathered in ascending order, so the
     arctanh terms of C add up in that order.  A failing pair reports the
@@ -85,7 +85,7 @@ def _invert(table: CorrelatorTable, a: np.ndarray, b: np.ndarray):
     yx_a, xy_b = table.yx[a[:, None], others], table.xy[others, b[:, None]]
     causal = np.any(yx_a != 0.0, axis=1) | np.any(xy_b != 0.0, axis=1)
     zi, zj = table.z[a], table.z[b]
-    zz, yy = table.zz[a, b], table.yy[a, b]
+    zz, yy = table.zz[start:start + len(a)], table.yy[start:start + len(a)]
     with np.errstate(divide="ignore", invalid="ignore"):
         x = (yx_a / zi[:, None]) * (xy_b / zj[:, None])
         c = np.where(causal, 0.5 * np.sum(np.arctanh(x), axis=1), 0.0)
@@ -125,20 +125,18 @@ def _invert(table: CorrelatorTable, a: np.ndarray, b: np.ndarray):
 def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     """Invert every pair i < j of ``table``: H_ij = (1/2) arctanh(yy/zz) - C_ij.
 
-    Pairs are taken row-major in blocks of at most ``detector._CHUNK_ELEMENTS``
-    gathered third-detector entries, so the work arrays stay small however
-    large the lattice.  A pair that cannot be inverted gets NaN and its error
-    in ``failures``; the other pairs are unaffected.
+    Pairs are taken in the row-major blocks of ``detector.pair_blocks``, so
+    the work arrays stay small however large the lattice.  A pair that cannot
+    be inverted gets NaN and its error in ``failures``; the other pairs are
+    unaffected.
     """
-    a, b = np.triu_indices(table.n, 1)
-    step = max(1, detector._CHUNK_ELEMENTS // max(1, table.n - 2))
     parts, failures = [], {}
-    for start in range(0, len(a), step) or (0,):  # one call even without pairs
-        *arrays, fails = _invert(table, a[start:start + step], b[start:start + step])
-        parts.append(arrays)
+    for start, a, b in pair_blocks(table.n):
+        *arrays, fails = _invert(table, start, a, b)
+        parts.append((a + 1, b + 1, *arrays))
         failures.update((start + q, err) for q, err in fails.items())
-    h, c, causal, flagged = (np.concatenate(col) for col in zip(*parts))
-    return TableReconstruction(i=a + 1, j=b + 1, H=h, C=c, causal=causal,
+    i, j, h, c, causal, flagged = (np.concatenate(col) for col in zip(*parts))
+    return TableReconstruction(i=i, j=j, H=h, C=c, causal=causal,
                                dephasing_dominated=flagged, failures=failures)
 
 

@@ -21,19 +21,32 @@ from udwtomo.kernels import KernelMatrix
 def plain_kernels(n, h=None, gr=None):
     H = np.zeros((n, n)) if h is None else np.asarray(h, dtype=float)
     GR = np.zeros((n, n)) if gr is None else np.asarray(gr, dtype=float)
-    return KernelMatrix(n=n, H=H, GR=GR, lam=1.0)
+    return KernelMatrix(H=H, GR=GR)
 
 
 def permuted(km, perm):
     """The same detectors relabelled: new label a is old label perm[a]."""
     P = np.eye(km.n)[perm]
-    return KernelMatrix(n=km.n, H=P @ km.H @ P.T, GR=P @ km.GR @ P.T, lam=km.lam)
+    return KernelMatrix(H=P @ km.H @ P.T, GR=P @ km.GR @ P.T)
+
+
+def pair_position(n, i, j):
+    """Row-major position of the unordered pair {i, j} (1-based labels)."""
+    i, j = min(i, j), max(i, j)
+    return (i - 1) * (2 * n - i) // 2 + j - i - 1
+
+
+def pair_matrix(n, pairs):
+    """Symmetric n x n matrix with zero diagonal from a pair vector."""
+    m = np.zeros((n, n))
+    m[np.triu_indices(n, 1)] = pairs
+    return m + m.T
 
 
 def table_entry(table, i, j, kind):
     """The table entry that holds pauli_ev_closed(km, i, j, kind)."""
-    a, b = i - 1, j - 1
-    return {"ZZ": table.zz[a, b], "YY": table.yy[a, b], "Zi": table.z[a],
+    a, b, q = i - 1, j - 1, pair_position(table.n, i, j)
+    return {"ZZ": table.zz[q], "YY": table.yy[q], "Zi": table.z[a],
             "Zj": table.z[b], "YiXj": table.yx[a, b], "XiYj": table.xy[a, b]}[kind]
 
 
@@ -236,12 +249,34 @@ class TestCorrelatorTable:
                         want = pauli_ev_oracle(rho, ops(i, j))
                         assert abs(got - want) <= 1e-10, (km.n, i, j, kind)
 
+    def test_pair_vectors_match_density_matrix_oracle(self):
+        # zz[q], yy[q] are the pair at position q of np.triu_indices(n, 1)
+        for n in range(2, 9):
+            for seed in range(2):
+                km = random_kernel_matrix(n, seed=50 + seed)
+                table, rho = correlator_table(km), density_matrix(km)
+                assert table.zz.shape == table.yy.shape == (n * (n - 1) // 2,)
+                for q, (a, b) in enumerate(zip(*np.triu_indices(n, 1))):
+                    i, j = int(a) + 1, int(b) + 1
+                    zz = pauli_ev_oracle(rho, [PauliLabel("Z", i), PauliLabel("Z", j)])
+                    yy = pauli_ev_oracle(rho, [PauliLabel("Y", i), PauliLabel("Y", j)])
+                    assert abs(table.zz[q] - zz) <= 1e-10, (n, i, j)
+                    assert abs(table.yy[q] - yy) <= 1e-10, (n, i, j)
+
     def test_layout(self):
         table = correlator_table(random_kernel_matrix(5, seed=2))
-        assert np.array_equal(table.zz, table.zz.T)
-        assert np.array_equal(table.yy, table.yy.T)
-        assert np.all(np.diag(table.zz) == 1.0) and np.all(np.diag(table.yy) == 1.0)
+        assert table.z.shape == (5,) and table.yx.shape == (5, 5)
+        assert table.zz.shape == table.yy.shape == (10,)
         assert np.all(np.diag(table.yx) == 0.0)
+
+    def test_old_layout_rejected(self):
+        n = 3
+        with pytest.raises(ValueError, match=r"zz of shape \(3, 3\)"):
+            CorrelatorTable(z=np.ones(n), zz=np.eye(n), yy=np.zeros(3), yx=np.zeros((n, n)))
+        with pytest.raises(ValueError, match=r"yy of shape \(2,\)"):
+            CorrelatorTable(z=np.ones(n), zz=np.zeros(3), yy=np.zeros(2), yx=np.zeros((n, n)))
+        with pytest.raises(ValueError, match=r"yx of shape \(6,\)"):
+            CorrelatorTable(z=np.ones(n), zz=np.zeros(3), yy=np.zeros(3), yx=np.zeros(6))
 
     def test_relabelling_permutes_the_table(self):
         perm = [3, 0, 4, 2, 1]
@@ -249,24 +284,45 @@ class TestCorrelatorTable:
         t, tp = correlator_table(km), correlator_table(permuted(km, perm))
         ix = np.ix_(perm, perm)
         assert np.allclose(tp.z, t.z[perm], rtol=0, atol=1e-15)
-        for name in ("zz", "yy", "yx"):
-            assert np.allclose(getattr(tp, name), getattr(t, name)[ix], rtol=0, atol=1e-15)
+        assert np.allclose(tp.yx, t.yx[ix], rtol=0, atol=1e-15)
+        for name in ("zz", "yy"):
+            assert np.allclose(pair_matrix(5, getattr(tp, name)),
+                               pair_matrix(5, getattr(t, name))[ix], rtol=0, atol=1e-15)
 
     def test_row_blocks_agree_with_one_block(self, monkeypatch):
-        km = random_kernel_matrix(6, seed=4)
-        whole = correlator_table(km)
-        monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 80)  # two rows per block
-        blocked = correlator_table(km)
-        for name in ("z", "zz", "yy", "yx"):
-            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+        # one pair per block, three pairs per block, and a single block
+        for n in (1, 2, 3, 54):
+            km = random_kernel_matrix(n, seed=4)
+            runs = []
+            for chunk in (n, 3 * n, 1 << 30):
+                monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", chunk)
+                sizes = [len(a) for _, a, _ in detector.pair_blocks(n)]
+                assert sum(sizes) == n * (n - 1) // 2 and max(sizes) <= chunk // n
+                exact = correlator_table(km)
+                runs.append((exact, sample_table(exact, 100, seed=n)))
+            for exact, sampled in runs[1:]:
+                for name in ("z", "zz", "yy", "yx"):
+                    for got, want in ((exact, runs[0][0]), (sampled, runs[0][1])):
+                        u, v = getattr(got, name), getattr(want, name)
+                        assert u.shape == v.shape and u.tobytes() == v.tobytes(), (n, name)
+
+    def test_pair_blocks_cover_the_pairs_in_row_major_order(self, monkeypatch):
+        monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 3 * 6)  # three pairs per block
+        blocks = list(detector.pair_blocks(6))
+        assert [start for start, _, _ in blocks] == [0, 3, 6, 9, 12]
+        a, b = (np.concatenate(col) for col in zip(*(block[1:] for block in blocks)))
+        iu = np.triu_indices(6, 1)
+        assert np.array_equal(a, iu[0]) and np.array_equal(b, iu[1])
+        for n in (0, 1):
+            [(start, a, b)] = detector.pair_blocks(n)
+            assert start == 0 and len(a) == len(b) == 0
 
     def test_yy_strictly_inside_zz(self):
         # the arctanh domain of the noiseless reconstruction, for every pair
         for km in kernel_draws([5, 6], range(10)):
             table = correlator_table(km)
-            iu = np.triu_indices(km.n, 1)
-            assert np.all(table.zz[iu] > 0)
-            assert np.all(np.abs(table.yy[iu]) < table.zz[iu])
+            assert np.all(table.zz > 0)
+            assert np.all(np.abs(table.yy) < table.zz)
 
 
 def ev_table(z, zz, yy, yx):
@@ -277,15 +333,15 @@ def ev_table(z, zz, yy, yx):
 def constant_table(n, value):
     """Every sampled observable has mean ``value``."""
     off = ~np.eye(n, dtype=bool)
-    return ev_table(np.full(n, value), np.where(off, value, 1.0),
-                    np.where(off, value, 1.0), np.where(off, value, 0.0))
+    pairs = np.full(n * (n - 1) // 2, value)
+    return ev_table(np.full(n, value), pairs, pairs, np.where(off, value, 0.0))
 
 
 class TestSampler:
     def test_degenerate(self):
         exact = ev_table(z=[1.0, -1.0, 1.0],
-                         zz=[[1, -1, 1], [-1, 1, -1], [1, -1, 1]],
-                         yy=np.ones((3, 3)),
+                         zz=[-1, 1, -1],  # pairs (1,2), (1,3), (2,3)
+                         yy=np.ones(3),
                          yx=[[0, 1, -1], [-1, 0, 1], [1, 1, 0]])
         got = sample_table(exact, 100, seed=4)
         for name in ("z", "zz", "yy", "yx"):
@@ -295,7 +351,7 @@ class TestSampler:
         # binomial standard error 1e-3 at 1e6 shots; 5 sigma bound on every entry
         got = sample_table(constant_table(3, 0.0), 10**6, seed=123)
         off = ~np.eye(3, dtype=bool)
-        for values in (got.z, got.zz[off], got.yy[off], got.yx[off]):
+        for values in (got.z, got.zz, got.yy, got.yx[off]):
             assert np.max(np.abs(values)) <= 5e-3
 
     def test_deterministic(self):
@@ -321,7 +377,7 @@ class TestRecords:
         km = random_kernel_matrix(4, seed=5)
         table = correlator_table(km)
         assert table.n == 4
-        assert table.zz[0, 2] == pytest.approx(pauli_ev_closed(km, 1, 3, "ZZ"), abs=1e-14)
+        assert table.zz[1] == pytest.approx(pauli_ev_closed(km, 1, 3, "ZZ"), abs=1e-14)
         # the third-detector cross correlators of pair (1, 3) are rows of yx
         assert table.yx[0, 1] == pytest.approx(pauli_ev_closed(km, 1, 2, "YiXj"), abs=1e-14)
         assert table.xy[3, 2] == pytest.approx(pauli_ev_closed(km, 4, 3, "XiYj"), abs=1e-14)
@@ -333,12 +389,11 @@ class TestRecords:
         a = sample_table(exact, shots=10**6, seed=9)
         b = sample_table(exact, shots=10**6, seed=9)
         assert np.array_equal(a.zz, b.zz) and np.array_equal(a.yx, b.yx)
-        assert np.array_equal(a.zz, a.zz.T) and np.array_equal(a.yy, a.yy.T)
         assert np.all(np.diag(a.yx) == 0.0)
         off = ~np.eye(3, dtype=bool)
-        for name in ("zz", "yy", "yx"):
-            assert np.max(np.abs(getattr(a, name) - getattr(exact, name))[off]) <= 5e-3
-        assert np.max(np.abs(a.z - exact.z)) <= 5e-3
+        assert np.max(np.abs(a.yx - exact.yx)[off]) <= 5e-3
+        for name in ("z", "zz", "yy"):
+            assert np.max(np.abs(getattr(a, name) - getattr(exact, name))) <= 5e-3
 
 
 class TestRandomKernelMatrix:

@@ -6,6 +6,7 @@ closed forms are validated against it rather than against themselves.
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -657,7 +658,7 @@ class TestAssemble:
         H, GR = per_pair_reference(state, regions, 2 * math.pi)
         assert_bitwise(km.H, H)
         assert_bitwise(km.GR, GR)
-        assert_bitwise(km.E, KernelMatrix(km.n, H, GR, km.lam).E)
+        assert_bitwise(km.E, KernelMatrix(H, GR).E)
 
     @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
     def test_one_evaluation_per_distinct_geometry(self, monkeypatch, shuffle):
@@ -687,6 +688,18 @@ class TestAssemble:
         km.H[0, 1] += 1.0
         with pytest.raises(ValueError, match="H symmetric"):
             km.validate()
+
+    def test_n_and_shapes(self):
+        # n is the size of H; validate refuses H and GR that are not square
+        # matrices of one shape before any array work broadcasts them
+        assert KernelMatrix(H=0.5 * np.eye(3), GR=np.zeros((3, 3))).n == 3
+        KernelMatrix(H=0.5 * np.eye(3), GR=np.zeros((3, 3))).validate()
+        for H, GR in ((0.5 * np.eye(3), np.zeros((4, 4))),
+                      (0.5 * np.eye(4), np.zeros((4, 3))),
+                      (np.zeros((3, 4)), np.zeros((3, 4))),
+                      (np.zeros(3), np.zeros(3))):
+            with pytest.raises(ValueError, match=re.escape(f"H {H.shape} and GR {GR.shape}")):
+                KernelMatrix(H=H, GR=GR).validate()
 
 
 class TestLimits:

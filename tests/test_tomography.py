@@ -19,12 +19,12 @@ def table(n=2, zz=1.0, yy=0.0, z=1.0, yx=None):
     """Correlator table built by hand: every pair has the given zz and yy,
     ``z`` is shared or per detector, and ``yx`` maps 1-based (i, k) to
     <sy_i sx_k>, zero elsewhere."""
-    off = ~np.eye(n, dtype=bool)
     yx_m = np.zeros((n, n))
     for (i, k), v in (yx or {}).items():
         yx_m[i - 1, k - 1] = v
+    pairs = n * (n - 1) // 2
     return CorrelatorTable(z=np.broadcast_to(np.asarray(z, float), (n,)).copy(),
-                           zz=np.where(off, zz, 1.0), yy=np.where(off, yy, 1.0), yx=yx_m)
+                           zz=np.full(pairs, float(zz)), yy=np.full(pairs, float(yy)), yx=yx_m)
 
 
 def reference(t, i, j):
@@ -36,8 +36,9 @@ def reference(t, i, j):
     domain, fully dephased zz, noise-dominated yy/zz.
     """
     a, b = i - 1, j - 1
+    q = a * (2 * t.n - a - 1) // 2 + b - a - 1  # row-major position of pair (i, j)
     others = np.array([k for k in range(t.n) if k not in (a, b)], dtype=int)
-    flagged = abs(t.zz[a, b]) < 1e-6
+    flagged = abs(t.zz[q]) < 1e-6
     causal = bool(np.any(t.yx[a, others] != 0.0) or np.any(t.xy[others, b] != 0.0))
     c = 0.0
     if causal:
@@ -51,7 +52,7 @@ def reference(t, i, j):
                     f"pair ({i},{j}), correction term k={k + 1}: |product| = "
                     f"{abs(xk):.6g} >= 1 (some 2G approaches pi/2)", k=k + 1)
         c = float(0.5 * np.sum(np.arctanh(x)))
-    zz, yy = float(t.zz[a, b]), float(t.yy[a, b])
+    zz, yy = float(t.zz[q]), float(t.yy[q])
     if abs(zz) < 1e-300:
         raise DephasingError(f"pair ({i},{j}): <sz sz> = {zz:g} is fully dephased")
     ratio = yy / zz
@@ -113,7 +114,7 @@ class TestOracle:
         # rows longer than numpy's 8-way unrolled summation: C still adds in
         # the reference's order, bit for bit
         km = random_kernel_matrix(30, 7)
-        km = KernelMatrix(n=30, H=km.H, GR=0.3 * km.GR, lam=1.0)
+        km = KernelMatrix(H=km.H, GR=0.3 * km.GR)
         exact = correlator_table(km)
         check_against_reference(exact)
         check_against_reference(sample_table(exact, 1000, 7))
@@ -161,15 +162,15 @@ class TestRowBlocks:
         calls = []
         invert = tomography._invert
 
-        def counting(table, a, b):
+        def counting(table, start, a, b):
             calls.append(len(a))
-            return invert(table, a, b)
+            return invert(table, start, a, b)
 
         monkeypatch.setattr(tomography, "_invert", counting)
         monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 1 << 30)
         whole = reconstruct_table(t)
         assert calls == [36]
-        monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 5 * 7)
+        monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 5 * 9)
         calls.clear()
         blocked = reconstruct_table(t)
         assert calls == [5] * 7 + [1]
@@ -180,6 +181,26 @@ class TestRowBlocks:
         assert list(whole.failures) == list(blocked.failures)
         for q, err in whole.failures.items():
             assert same_error(blocked.failures[q], err)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 54])
+    def test_sampled_roundtrip_is_block_invariant(self, monkeypatch, n):
+        # correlator table, sample and inversion at one pair per block, three
+        # pairs per block and a single block
+        km = random_kernel_matrix(n, n)
+        recs = []
+        for chunk in (n, 3 * n, 1 << 30):
+            monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", chunk)
+            recs.append(reconstruct_table(sample_table(correlator_table(km), 100, n)))
+        whole = recs[-1]
+        if n == 54:
+            assert whole.failures, "the sampled table should fail somewhere"
+        for blocked in recs[:-1]:
+            for name in ("i", "j", "H", "C", "causal", "dephasing_dominated"):
+                u, v = getattr(whole, name), getattr(blocked, name)
+                assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
+            assert list(whole.failures) == list(blocked.failures)
+            for q, err in whole.failures.items():
+                assert same_error(blocked.failures[q], err)
 
     def test_no_pairs(self):
         rec = reconstruct_table(table(n=1))
@@ -206,11 +227,11 @@ class TestSpacelike:
     def test_sampled_error_propagation(self):
         # true H = 0.05 at N = 2; sampled reconstruction within 3 propagated sigma
         h = [[0.3, 0.05], [0.05, 0.3]]
-        km = KernelMatrix(n=2, H=np.array(h), GR=np.zeros((2, 2)), lam=1.0)
+        km = KernelMatrix(H=np.array(h), GR=np.zeros((2, 2)))
         shots = 10**6
         exact = correlator_table(km)
         got = reconstruct_table(sample_table(exact, shots, seed=31)).H[0]
-        zz, yy = exact.zz[0, 1], exact.yy[0, 1]
+        zz, yy = exact.zz[0], exact.yy[0]
         ratio = yy / zz
         # binomial sigma propagated through (1/2) arctanh(y/z)
         sig = 0.5 / (1 - ratio**2) * math.sqrt(
@@ -364,7 +385,7 @@ def test_noise_scaling_slope():
     H = 0.05 * np.ones((n, n)) + 0.35 * np.eye(n)
     GR = np.zeros((n, n))
     GR[2, 0] = GR[3, 1] = 0.05
-    exact = correlator_table(KernelMatrix(n=n, H=H, GR=GR, lam=1.0))
+    exact = correlator_table(KernelMatrix(H=H, GR=GR))
     pts = []
     for shots in (10**3, 10**4, 10**5, 10**6):
         errs = []
