@@ -2,15 +2,13 @@
 
 For Gaussian regions of width ell the smeared correlator differs from the
 pointlike one at order ell^2 with a computable coefficient; this script
-checks the vacuum correction factors against the exact smeared value, prints
-the thermal second-order expansions, and exercises the Ricci hook that
-supplies the curvature correction for non-flat backgrounds.
+checks the vacuum correction factors against the exact smeared value and
+prints the thermal second-order expansions.
 """
 
 import numpy as np
 
-from udwtomo import (Event, FieldState, GaussianRegion, estimate,
-                     wightman_smeared_closed)
+from udwtomo import Event, FieldState, GaussianRegion, wightman_smeared_closed
 from udwtomo.multipole import (estimate_array, thermal_expansion_spatial,
                                thermal_expansion_temporal,
                                vacuum_quadrupole_factor)
@@ -47,15 +45,6 @@ def main():
     for dr, est in zip(seps, spatial.tolist()):
         print(f"  spatial  dr = {dr:4.1f}: pipeline {est:12.5e}  "
               f"closed form {thermal_expansion_spatial(beta, dr, ell):12.5e}")
-
-    print("\nRicci hook (user-supplied curvature, trace term only):")
-    ri = GaussianRegion(Event(0.0, 10.0, 0.0, 0.0), 0.1)
-    rj = GaussianRegion(O, 0.1)
-    flat = estimate(VAC, ri, rj)
-    curved = estimate(VAC, ri, rj, ricci_i=0.3 * np.eye(4), ricci_j=0.3 * np.eye(4))
-    print(f"  flat value   {flat.value:.8e}")
-    print(f"  curved value {curved.value:.8e} "
-          f"(ricci term {curved.ricci_term:+.2e})")
 
 
 if __name__ == "__main__":

@@ -18,12 +18,12 @@ _SUBMODULES = ("config", "detector", "errors", "kernels", "multipole", "numerics
 # each exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
     "detector": "CorrelatorTable DensityMatrix PauliLabel correlator_table density_matrix "
-                "pauli_ev_closed pauli_ev_oracle random_kernel_matrix sample_table",
+                "pauli_ev_oracle random_kernel_matrix sample_table",
     "kernels": "FieldState KernelMatrix assemble_kernels F_oneparticle_array hadamard_array "
                "phi0_coherent_array wightman_smeared_closed wightman_smeared_quadrature",
-    "multipole": "MultipoleEstimate convergence_order estimate",
+    "multipole": "convergence_order",
     "numerics": "QuadratureResult SlopeFit fit_loglog_slope integrate_semi_infinite",
-    "smearing": "GaussianRegion MomentSet evaluate moments",
+    "smearing": "GaussianRegion",
     "spacetime": "Event Interval LatticeSpec build_lattice intervals",
     "tomography": "TableReconstruction reconstruct_table",
 }.items() for name in names.split()}

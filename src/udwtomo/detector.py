@@ -10,7 +10,7 @@ sign vectors mu, mu' in {+1,-1}^N the matrix element of rho is
 (the commutator part of the Gaussian norm cancels by antisymmetry, leaving
 the anticommutator matrix H).  ``density_matrix`` builds this state exactly
 and is the single source of truth for operator expectation values; the
-closed-form correlators in ``pauli_ev_closed`` are pinned against it.
+closed-form correlators of ``correlator_table`` are pinned against it.
 
 Conventions pinned against that oracle (the cross correlators' sign, index
 order and exponent are all easy to get wrong, and plausible-looking
@@ -36,7 +36,7 @@ q = (i-1)(2n-i)/2 + j-i-1 (1-based i, j), the order of every per-pair array
 downstream.  ``pair_blocks`` is the one owner of that order and of the block
 size that bounds the work arrays: ``correlator_table`` evaluates ZZ and YY
 one block of pairs at a time, and ``tomography.reconstruct_table`` inverts
-the same blocks.  ``pauli_ev_closed`` stays as the scalar reference.
+the same blocks.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "CorrelatorTable",
     "density_matrix",
     "pauli_ev_oracle",
-    "pauli_ev_closed",
     "correlator_table",
     "pair_blocks",
     "sample_table",
@@ -178,41 +177,6 @@ def pauli_ev_oracle(rho: DensityMatrix, ops: list[PauliLabel]) -> float:
     if abs(val.imag) > 1e-12:
         raise ConsistencyError(f"expectation value has imaginary part {val.imag:.3e}")
     return val.real
-
-
-_KINDS = ("ZZ", "YY", "Zi", "Zj", "YiXj", "XiYj")
-
-
-def pauli_ev_closed(kernels: KernelMatrix, i: int, j: int, kind: str) -> float:
-    """Closed-form correlator between detectors i and j (1-based indices)."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    n = kernels.n
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise ValueError(f"need distinct 1-based indices in [1, {n}], got i={i}, j={j}")
-    H, G = kernels.H, kernels.GR
-    a, b = i - 1, j - 1
-    others = [k for k in range(n) if k not in (a, b)]
-
-    if kind in ("ZZ", "YY"):
-        prod_minus = math.prod(math.cos(2.0 * G[a, k] - 2.0 * G[b, k]) for k in others)
-        prod_plus = math.prod(math.cos(2.0 * G[a, k] + 2.0 * G[b, k]) for k in others)
-        plus = math.exp(2.0 * H[a, b]) * prod_minus
-        minus = math.exp(-2.0 * H[a, b]) * prod_plus
-        sign = 1.0 if kind == "ZZ" else -1.0
-        return 0.5 * math.exp(-H[a, a] - H[b, b]) * (plus + sign * minus)
-    if kind == "Zi":
-        return math.exp(-H[a, a]) * math.prod(
-            math.cos(2.0 * G[a, k]) for k in range(n) if k != a)
-    if kind == "Zj":
-        return math.exp(-H[b, b]) * math.prod(
-            math.cos(2.0 * G[b, k]) for k in range(n) if k != b)
-    if kind == "YiXj":
-        return -math.exp(-H[a, a]) * math.sin(2.0 * G[a, b]) * math.prod(
-            math.cos(2.0 * G[a, k]) for k in others)
-    # XiYj
-    return -math.exp(-H[b, b]) * math.sin(2.0 * G[b, a]) * math.prod(
-        math.cos(2.0 * G[b, k]) for k in others)
 
 
 @dataclass(frozen=True)

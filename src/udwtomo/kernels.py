@@ -97,18 +97,6 @@ class FieldState:
     def one_particle(cls, delta: float) -> "FieldState":
         return cls("one_particle", delta=delta)
 
-    def to_dict(self) -> dict:
-        d = {"tag": self.tag}
-        if self.beta is not None:
-            d["beta"] = self.beta
-        if self.delta is not None:
-            d["delta"] = self.delta
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FieldState":
-        return cls(d["tag"], beta=d.get("beta"), delta=d.get("delta"))
-
 
 # ---------------------------------------------------------------------------
 # pointlike kernels

@@ -1,10 +1,9 @@
 """Spacetime multipole expansion of the smeared two-point function.
 
-For width-ell Gaussian regions the dipole vanishes and the quadrupole is
-ell^2 times the identity, so to second order
+For width-ell Gaussian regions in flat spacetime the dipole vanishes and
+the quadrupole is ell^2 times the identity, so to second order
 
     W(region_i, region_j) = W(x_i, x_j)
-        - (ell^2/6) W(x_i, x_j) (tr R(x_i) + tr R(x_j))
         + (ell^2/2) (tr Hess_i W + tr Hess_j W) + O(ell^4),
 
 with Euclidean traces (Kronecker delta, not the metric).  Every pointlike
@@ -13,10 +12,10 @@ wave equation in each argument, so each trace is d_t^2 + laplacian = 2 d_t^2
 and the quadrupole term is ell^2 (d^2 W/dt_i^2 + d^2 W/dt_j^2).  The kernels
 supply those second time derivatives in closed form, in the same array pass
 as the value (``kernels.hadamard_dtt_array``), so ``estimate_array`` gives
-the estimates of whole arrays of region centers from one kernel call, and
-``estimate`` is its one-pair form with the curvature hook.  For the vacuum,
-W = 1/(4 pi^2 D) with D = dr^2 - dt^2 and d^2 W/dt^2 = W (2/D + 8 dt^2/D^2),
-which makes the vacuum correction factor exactly
+the estimates of whole arrays of region centers from one kernel call.  For
+the vacuum, W = 1/(4 pi^2 D) with D = dr^2 - dt^2 and
+d^2 W/dt^2 = W (2/D + 8 dt^2/D^2), which makes the vacuum correction factor
+exactly
 
     1 + ell^2 (12 dt^2 + 4 dr^2) / (-dt^2 + dr^2)^2.
 
@@ -28,36 +27,22 @@ candidate with half this value is excluded by both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .kernels import (FieldState, _check_equal_widths, hadamard_dtt_array,
-                      wightman_smeared_quadrature)
+from .kernels import FieldState, hadamard_dtt_array, wightman_smeared_quadrature
 from .numerics import SlopeFit, fit_loglog_slope
-from .smearing import GaussianRegion, moments
+from .smearing import GaussianRegion
 from .spacetime import Event, checked_widths
 
 __all__ = [
-    "MultipoleEstimate",
-    "estimate",
     "estimate_array",
     "convergence_order",
     "vacuum_quadrupole_factor",
     "thermal_expansion_temporal",
     "thermal_expansion_spatial",
 ]
-
-
-@dataclass(frozen=True)
-class MultipoleEstimate:
-    """Second-order multipole estimate of the smeared two-point value."""
-
-    value: float
-    pointlike_term: float
-    quadrupole_term: float
-    ricci_term: float
 
 
 def estimate_array(state: FieldState, a: np.ndarray, b: np.ndarray, ell: float
@@ -72,25 +57,6 @@ def estimate_array(state: FieldState, a: np.ndarray, b: np.ndarray, ell: float
     w, dtt_a, dtt_b = hadamard_dtt_array(state, a, b)
     quad = ell * ell * (dtt_a + dtt_b)
     return w + quad, w, quad
-
-
-def estimate(state: FieldState, ri: GaussianRegion, rj: GaussianRegion,
-             ricci_i: np.ndarray | None = None,
-             ricci_j: np.ndarray | None = None) -> MultipoleEstimate:
-    """Second-order multipole estimate of Re W(region_i, region_j).
-
-    ``ricci_i`` and ``ricci_j`` are the 4x4 Ricci tensors at the region
-    centers, checked and traced by ``smearing.moments``.
-    """
-    ell = _check_equal_widths(ri, rj)
-    value, w, quad = (float(v) for v in
-                      estimate_array(state, ri.center.coords(), rj.center.coords(), ell))
-    ricci = -w * sum(moments(r, m).ricci_trace_correction
-                     for r, m in ((ri, ricci_i), (rj, ricci_j)) if m is not None)
-    return MultipoleEstimate(value=value + ricci,
-                             pointlike_term=w,
-                             quadrupole_term=quad,
-                             ricci_term=ricci)
 
 
 def vacuum_quadrupole_factor(dt: float, dr: float, ell: float) -> float:
@@ -134,8 +100,8 @@ def residual_table(state: FieldState, base_config: tuple[float, float],
     for ell in grid:
         ri, rj = GaussianRegion(a, ell), GaussianRegion(b, ell)
         w = wightman_smeared_quadrature(state, ri, rj, tol).real
-        est = estimate(state, ri, rj)
-        model = est.value if include_quadrupole else est.pointlike_term
+        value, pointlike, _ = estimate_array(state, a.coords(), b.coords(), ell)
+        model = value if include_quadrupole else pointlike
         resid = abs(w - model)
         if resid >= 1e-13:
             points.append((ell, resid))

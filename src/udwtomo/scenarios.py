@@ -16,15 +16,14 @@ the vacuum pointlike kernel, the state's multipole estimate
 and, for the vacuum, the closed smeared kernel.  Lightlike points are masked
 out first and keep their error text in the ``errors`` column.  The optional
 quadrature column integrates the oracle's radial momentum integrals for
-every point in one adaptive pass (``kernels._smeared_quadrature_real``);
-only if that pass cannot certify the tolerance does the scan fall back to
-one ``wightman_smeared_quadrature`` call per point, where a failing point
-loses its row.
+every point in one adaptive pass (``kernels._smeared_quadrature_real``); if
+that pass cannot certify the tolerance, ``run`` raises its
+``ConvergenceError``.
 
 All lengths are quoted in units of the region width ell.  Every output CSV
 is written from its columns by ``tables.write_columns``: UTF-8 with header
 row, LF line endings and 17-significant-digit floats, each distinct cell of
-a block formatted once; a curve scan's failed point keeps its s value and
+a block formatted once; a curve scan's lightlike point keeps its s value and
 error text, its other cells blank (``tables.Blanked`` columns).  Identical
 config + seed reproduces byte-identical files.
 """
@@ -43,8 +42,7 @@ from .detector import correlator_table, sample_table
 from .errors import ConfigError, UdwTomoError
 from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature_real,
                       _smeared_real, assemble_kernels, hadamard_array,
-                      phi0_coherent_array, F_oneparticle_array,
-                      wightman_smeared_quadrature)
+                      phi0_coherent_array, F_oneparticle_array)
 from .numerics import fit_loglog_slope
 from .smearing import GaussianRegion
 from .spacetime import Event, build_lattice, intervals
@@ -133,20 +131,8 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
     cells = [_scattered(ok, v) for v in (vacuum, pointlike, value)]
     if cfg.enable_quadrature_columns:
         header.append(quadrature_col)
-        try:
-            # the oracle's integrals for every pair in one certified pass
-            quadrature = _scattered(ok, _smeared_quadrature_real(state, cfg.ell, a, b, cfg.tol))
-        except UdwTomoError:
-            # uncertified: one oracle call per pair, a failing pair fails its row
-            quadrature = np.full(len(s), np.nan)
-            for k, a_k, b_k in zip(np.flatnonzero(ok).tolist(), a.tolist(), b.tolist()):
-                ri = GaussianRegion(Event(*a_k), cfg.ell)
-                rj = GaussianRegion(Event(*b_k), cfg.ell)
-                try:
-                    quadrature[k] = wightman_smeared_quadrature(state, ri, rj, cfg.tol).real
-                except UdwTomoError as exc:
-                    failures[k] = exc
-        cells.append(quadrature)
+        # the oracle's integrals for every pair in one certified pass
+        cells.append(_scattered(ok, _smeared_quadrature_real(state, cfg.ell, a, b, cfg.tol)))
     header.append("errors")
     path = out / f"{cfg.scenario_id}.csv"
     _write_scan(path, header, s, cells, failures)

@@ -1,13 +1,12 @@
-"""Gaussian spacetime coupling regions and their multipole moments.
+"""Gaussian spacetime coupling regions.
 
 A region is an isotropic spacetime Gaussian of width ell in both time and
 space, normalised to unit 4-volume integral:
 
     Lambda(x) = exp(-((t - t_c)^2 + |x - x_c|^2) / (2 ell^2)) / ((2 pi)^2 ell^4).
 
-Its odd moments vanish; the monopole is 1 (up to an optional Ricci-trace
-volume correction) and the quadrupole is ell^2 times the 4x4 identity, with
-O(ell^4) terms dropped throughout.
+Its odd multipoles vanish, its monopole is 1 and its quadrupole is ell^2 times
+the 4x4 identity; ``multipole`` builds its second-order estimates on these.
 """
 
 from __future__ import annotations
@@ -15,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .spacetime import Event
 
-__all__ = ["GaussianRegion", "MomentSet", "evaluate", "moments"]
+__all__ = ["GaussianRegion"]
 
 
 @dataclass(frozen=True)
@@ -32,44 +29,3 @@ class GaussianRegion:
     def __post_init__(self):
         if not (math.isfinite(self.ell) and self.ell > 0):
             raise ValueError(f"region width ell must be positive and finite, got {self.ell!r}")
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """Multipole moments of a region, truncated at quadrupole order."""
-
-    monopole: float
-    dipole: np.ndarray            # 4-vector, identically zero
-    quadrupole: np.ndarray        # 4x4, ell^2 * identity
-    ricci_trace_correction: float  # amount subtracted from the bare monopole
-
-
-def evaluate(region: GaussianRegion, x: Event) -> float:
-    """Value of the normalised smearing function at event x."""
-    c, ell = region.center, region.ell
-    q = (x.t - c.t) ** 2 + (x.x - c.x) ** 2 + (x.y - c.y) ** 2 + (x.z - c.z) ** 2
-    return math.exp(-q / (2.0 * ell * ell)) / ((2.0 * math.pi) ** 2 * ell**4)
-
-
-def moments(region: GaussianRegion, ricci: np.ndarray | None = None) -> MomentSet:
-    """Monopole/dipole/quadrupole of the region, with optional Ricci correction.
-
-    ``ricci`` is the 4x4 Ricci tensor at the region center; the correction is
-    the Euclidean trace term (ell^2/6) sum_ab R_ab delta^ab of the volume
-    element expansion.  O(ell^4) contributions are dropped.
-    """
-    ell2 = region.ell**2
-    correction = 0.0
-    if ricci is not None:
-        r = np.asarray(ricci, dtype=float)
-        if r.shape != (4, 4):
-            raise ValueError(f"ricci must be a 4x4 matrix, got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("ricci entries must be finite")
-        correction = ell2 / 6.0 * float(np.trace(r))
-    return MomentSet(
-        monopole=1.0 - correction,
-        dipole=np.zeros(4),
-        quadrupole=ell2 * np.eye(4),
-        ricci_trace_correction=correction,
-    )

@@ -10,14 +10,14 @@ import time
 import numpy as np
 import pytest
 
+from test_detector import KIND_OPS, table_entry
 from udwtomo import scenarios
-from udwtomo.detector import (PauliLabel, correlator_table, density_matrix,
-                              pauli_ev_closed, pauli_ev_oracle,
+from udwtomo.detector import (correlator_table, density_matrix, pauli_ev_oracle,
                               random_kernel_matrix)
 from udwtomo.kernels import (FieldState, assemble_kernels, hadamard_array,
                              phi0_coherent_array, wightman_smeared_closed,
                              wightman_smeared_quadrature)
-from udwtomo.multipole import (convergence_order, estimate,
+from udwtomo.multipole import (convergence_order, estimate_array,
                                thermal_expansion_temporal)
 from udwtomo.numerics import fit_loglog_slope
 from udwtomo.smearing import GaussianRegion
@@ -27,16 +27,6 @@ from udwtomo.tomography import reconstruct_table
 O = Event(0.0, 0.0, 0.0, 0.0)
 ORIGIN = O.coords()
 VAC = FieldState.vacuum()
-
-_KIND_OPS = {
-    "ZZ": lambda i, j: [PauliLabel("Z", i), PauliLabel("Z", j)],
-    "YY": lambda i, j: [PauliLabel("Y", i), PauliLabel("Y", j)],
-    "Zi": lambda i, j: [PauliLabel("Z", i)],
-    "Zj": lambda i, j: [PauliLabel("Z", j)],
-    "YiXj": lambda i, j: [PauliLabel("Y", i), PauliLabel("X", j)],
-    "XiYj": lambda i, j: [PauliLabel("X", i), PauliLabel("Y", j)],
-}
-
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:2d} {'PASS' if ok else 'FAIL'}: {detail}")
@@ -54,7 +44,7 @@ def oracle_sweep():
     for n in range(2, 7):
         for draw in range(100):
             km = random_kernel_matrix(n, seed=1000 * n + draw)
-            rho = density_matrix(km)
+            table, rho = correlator_table(km), density_matrix(km)
             ent = rho.entries
             worst_herm = max(worst_herm, float(np.max(np.abs(ent - ent.conj().T))))
             worst_trace = max(worst_trace, abs(complex(np.trace(ent)) - 1.0))
@@ -63,8 +53,8 @@ def oracle_sweep():
                 for j in range(1, n + 1):
                     if i == j:
                         continue
-                    for kind, ops in _KIND_OPS.items():
-                        dev = abs(pauli_ev_closed(km, i, j, kind)
+                    for kind, ops in KIND_OPS.items():
+                        dev = abs(table_entry(table, i, j, kind)
                                   - pauli_ev_oracle(rho, ops(i, j)))
                         worst_dev = max(worst_dev, dev)
     return {"worst_dev": worst_dev, "worst_herm": worst_herm,
@@ -137,17 +127,16 @@ def test_criterion_5_multipole_order():
 
 def test_criterion_6_correction_coefficients():
     s, ell = 10.0, 1.0
-    est = estimate(VAC, GaussianRegion(Event(0, s, 0, 0), ell), GaussianRegion(O, ell))
-    spatial = est.value / float(hadamard_array(VAC, [0, s, 0, 0], ORIGIN))
+    value = float(estimate_array(VAC, [0, s, 0, 0], ORIGIN, ell)[0])
+    spatial = value / float(hadamard_array(VAC, [0, s, 0, 0], ORIGIN))
     dev_sp = abs(spatial - (1 + 4 * ell**2 / s**2))
-    est = estimate(VAC, GaussianRegion(Event(s, 0, 0, 0), ell), GaussianRegion(O, ell))
-    temporal = est.value / float(hadamard_array(VAC, [s, 0, 0, 0], ORIGIN))
+    value = float(estimate_array(VAC, [s, 0, 0, 0], ORIGIN, ell)[0])
+    temporal = value / float(hadamard_array(VAC, [s, 0, 0, 0], ORIGIN))
     dev_tp = abs(temporal - (1 + 12 * ell**2 / s**2))
     worst_th = 0.0
     beta = 50.0
     for dt in (5.0, 10.0, 20.0):
-        got = estimate(FieldState.thermal(beta), GaussianRegion(Event(dt, 0, 0, 0), ell),
-                       GaussianRegion(O, ell)).value
+        got = float(estimate_array(FieldState.thermal(beta), [dt, 0, 0, 0], ORIGIN, ell)[0])
         want = thermal_expansion_temporal(beta, dt, ell)
         worst_th = max(worst_th, abs(got - want) / abs(want))
     ok = dev_sp <= 1e-12 and dev_tp <= 1e-12 and worst_th <= 1e-6

@@ -1,8 +1,8 @@
 """Exact detector-state simulation: density matrix, correlators, sampling.
 
 The density matrix built from the non-perturbative evolution formula is the
-single source of truth; every closed-form correlator and every entry of the
-correlator table is checked against it.
+single source of truth; every entry of the closed-form correlator table is
+checked against it.
 """
 
 import math
@@ -12,7 +12,7 @@ import pytest
 
 from udwtomo import detector
 from udwtomo.detector import (CorrelatorTable, PauliLabel, correlator_table,
-                              density_matrix, pauli_ev_closed, pauli_ev_oracle,
+                              density_matrix, pauli_ev_oracle,
                               random_kernel_matrix, sample_table)
 from udwtomo.errors import CapacityError
 from udwtomo.kernels import KernelMatrix
@@ -44,10 +44,33 @@ def pair_matrix(n, pairs):
 
 
 def table_entry(table, i, j, kind):
-    """The table entry that holds pauli_ev_closed(km, i, j, kind)."""
+    """The table entry that holds the correlator ``kind`` of detectors i != j
+    (1-based): the expectation of the operators ``KIND_OPS[kind](i, j)``."""
     a, b, q = i - 1, j - 1, pair_position(table.n, i, j)
     return {"ZZ": table.zz[q], "YY": table.yy[q], "Zi": table.z[a],
             "Zj": table.z[b], "YiXj": table.yx[a, b], "XiYj": table.xy[a, b]}[kind]
+
+
+def closed_form(km, i, j, kind):
+    """The closed forms of the module docstring written out for one entry
+    (1-based i != j), the reference the table's blockwise array pass must
+    reproduce to rounding."""
+    H, G, n = km.H, km.GR, km.n
+    a, b = i - 1, j - 1
+    others = [k for k in range(n) if k not in (a, b)]
+    if kind in ("ZZ", "YY"):
+        plus = math.exp(2.0 * H[a, b]) * math.prod(
+            math.cos(2.0 * G[a, k] - 2.0 * G[b, k]) for k in others)
+        minus = math.exp(-2.0 * H[a, b]) * math.prod(
+            math.cos(2.0 * G[a, k] + 2.0 * G[b, k]) for k in others)
+        sign = 1.0 if kind == "ZZ" else -1.0
+        return 0.5 * math.exp(-H[a, a] - H[b, b]) * (plus + sign * minus)
+    if kind in ("Zi", "Zj"):
+        c = a if kind == "Zi" else b
+        return math.exp(-H[c, c]) * math.prod(math.cos(2.0 * G[c, k]) for k in range(n) if k != c)
+    c, d = (a, b) if kind == "YiXj" else (b, a)
+    return -math.exp(-H[c, c]) * math.sin(2.0 * G[c, d]) * math.prod(
+        math.cos(2.0 * G[c, k]) for k in others)
 
 
 KIND_OPS = {
@@ -144,18 +167,18 @@ class TestPauliOracle:
 
 class TestClosedForms:
     def test_trivial_kernels(self):
-        km = plain_kernels(2)
-        assert pauli_ev_closed(km, 1, 2, "ZZ") == 1.0
-        assert pauli_ev_closed(km, 1, 2, "YY") == 0.0
-        assert pauli_ev_closed(km, 1, 2, "YiXj") == 0.0
+        table = correlator_table(plain_kernels(2))
+        assert table_entry(table, 1, 2, "ZZ") == 1.0
+        assert table_entry(table, 1, 2, "YY") == 0.0
+        assert table_entry(table, 1, 2, "YiXj") == 0.0
 
     def test_two_spacelike_detectors(self):
         h = [[0.3, 0.1], [0.1, 0.4]]
-        km = plain_kernels(2, h=h)
+        table = correlator_table(plain_kernels(2, h=h))
         want_zz = math.exp(-0.7) * math.cosh(0.2)
         want_yy = math.exp(-0.7) * math.sinh(0.2)
-        assert pauli_ev_closed(km, 1, 2, "ZZ") == pytest.approx(want_zz, rel=1e-14)
-        assert pauli_ev_closed(km, 1, 2, "YY") == pytest.approx(want_yy, rel=1e-14)
+        assert table_entry(table, 1, 2, "ZZ") == pytest.approx(want_zz, rel=1e-14)
+        assert table_entry(table, 1, 2, "YY") == pytest.approx(want_yy, rel=1e-14)
         # ratio identity behind the spacelike reconstruction
         assert want_yy / want_zz == pytest.approx(math.tanh(0.2), rel=1e-14)
 
@@ -165,7 +188,7 @@ class TestClosedForms:
         gr[0, 2] = 0.2  # detector 1 in the future of detector 3
         km = plain_kernels(3, h=np.diag([0.5, 0.5, 0.5]), gr=gr)
         want = math.exp(-0.5) * math.cos(0.4)
-        assert pauli_ev_closed(km, 1, 2, "Zi") == pytest.approx(want, rel=1e-14)
+        assert table_entry(correlator_table(km), 1, 2, "Zi") == pytest.approx(want, rel=1e-14)
         rho = density_matrix(km)
         assert pauli_ev_oracle(rho, [PauliLabel("Z", 1)]) == pytest.approx(want, rel=1e-12)
 
@@ -173,52 +196,43 @@ class TestClosedForms:
     def test_all_kinds_match_oracle(self, n):
         for seed in range(10):
             km = random_kernel_matrix(n, seed=100 + seed)
-            rho = density_matrix(km)
+            table, rho = correlator_table(km), density_matrix(km)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i == j:
                         continue
                     for kind, ops in KIND_OPS.items():
-                        closed = pauli_ev_closed(km, i, j, kind)
+                        closed = table_entry(table, i, j, kind)
                         oracle = pauli_ev_oracle(rho, ops(i, j))
                         assert closed == pytest.approx(oracle, abs=1e-12), (n, seed, i, j, kind)
 
     def test_matches_oracle_at_n10(self):
         # the defining contract extends to n = 10 (1024 x 1024 dense state)
         km = random_kernel_matrix(10, seed=424)
-        rho = density_matrix(km)
+        table, rho = correlator_table(km), density_matrix(km)
         for (i, j) in ((1, 10), (3, 7), (9, 2)):
             for kind, ops in (("ZZ", [PauliLabel("Z", i), PauliLabel("Z", j)]),
                               ("YiXj", [PauliLabel("Y", i), PauliLabel("X", j)]),
                               ("Zi", [PauliLabel("Z", i)])):
-                closed = pauli_ev_closed(km, i, j, kind)
+                closed = table_entry(table, i, j, kind)
                 oracle = pauli_ev_oracle(rho, ops)
                 assert closed == pytest.approx(oracle, abs=1e-10)
-
-    def test_index_validation(self):
-        km = plain_kernels(2)
-        with pytest.raises(ValueError):
-            pauli_ev_closed(km, 1, 1, "ZZ")
-        with pytest.raises(ValueError):
-            pauli_ev_closed(km, 0, 1, "ZZ")
-        with pytest.raises(ValueError):
-            pauli_ev_closed(km, 1, 2, "XX")
 
     def test_magnitude_bound(self):
         # every correlator stays within [-1, 1] for valid kernels
         for seed in range(5):
-            km = random_kernel_matrix(4, seed=seed)
-            for kind in ("ZZ", "YY", "Zi", "Zj", "YiXj", "XiYj"):
-                assert abs(pauli_ev_closed(km, 1, 3, kind)) <= 1.0 + 1e-12
+            table = correlator_table(random_kernel_matrix(4, seed=seed))
+            for kind in KIND_OPS:
+                assert abs(table_entry(table, 1, 3, kind)) <= 1.0 + 1e-12
 
     def test_yy_strictly_inside_zz(self):
         # guarantees the arctanh domain of the noiseless reconstruction
         for seed in range(10):
-            km = random_kernel_matrix(5, seed=seed)
+            table = correlator_table(random_kernel_matrix(5, seed=seed))
             for i in range(1, 6):
                 for j in range(i + 1, 6):
-                    zz = pauli_ev_closed(km, i, j, "ZZ")
-                    yy = pauli_ev_closed(km, i, j, "YY")
+                    zz = table_entry(table, i, j, "ZZ")
+                    yy = table_entry(table, i, j, "YY")
                     assert zz > 0
                     assert abs(yy) < zz
 
@@ -233,7 +247,7 @@ class TestCorrelatorTable:
                         continue
                     for kind in KIND_OPS:
                         got = table_entry(table, i, j, kind)
-                        want = pauli_ev_closed(km, i, j, kind)
+                        want = closed_form(km, i, j, kind)
                         assert abs(got - want) <= 1e-14, (km.n, i, j, kind)
 
     def test_matches_density_matrix_oracle(self):
@@ -377,10 +391,10 @@ class TestRecords:
         km = random_kernel_matrix(4, seed=5)
         table = correlator_table(km)
         assert table.n == 4
-        assert table.zz[1] == pytest.approx(pauli_ev_closed(km, 1, 3, "ZZ"), abs=1e-14)
+        assert table.zz[1] == pytest.approx(closed_form(km, 1, 3, "ZZ"), abs=1e-14)
         # the third-detector cross correlators of pair (1, 3) are rows of yx
-        assert table.yx[0, 1] == pytest.approx(pauli_ev_closed(km, 1, 2, "YiXj"), abs=1e-14)
-        assert table.xy[3, 2] == pytest.approx(pauli_ev_closed(km, 4, 3, "XiYj"), abs=1e-14)
+        assert table.yx[0, 1] == pytest.approx(closed_form(km, 1, 2, "YiXj"), abs=1e-14)
+        assert table.xy[3, 2] == pytest.approx(closed_form(km, 4, 3, "XiYj"), abs=1e-14)
         assert table.xy[3, 2] == table.yx[2, 3]
 
     def test_sampled_record_determinism_and_convergence(self):

@@ -84,10 +84,6 @@ class TestFieldState:
         with pytest.raises(ValueError):
             bad()
 
-    def test_dict_roundtrip(self):
-        for s in (FieldState.vacuum(), FieldState.thermal(2.0), FieldState.coherent(0.5)):
-            assert FieldState.from_dict(s.to_dict()) == s
-
 
 class TestHadamardPoint:
     def test_vacuum_spacelike(self):

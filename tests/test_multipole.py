@@ -8,7 +8,7 @@ import pytest
 from udwtomo.errors import InsufficientDataError, LightconeSingularityError
 from udwtomo.kernels import (FieldState, hadamard_array, hadamard_dtt_array,
                              wightman_smeared_quadrature)
-from udwtomo.multipole import (convergence_order, estimate,
+from udwtomo.multipole import (convergence_order, estimate_array,
                                thermal_expansion_spatial,
                                thermal_expansion_temporal,
                                vacuum_quadrupole_factor)
@@ -22,6 +22,13 @@ VAC = FieldState.vacuum()
 
 def regions(dt, dr, ell):
     return GaussianRegion(Event(dt, dr, 0.0, 0.0), ell), GaussianRegion(O, ell)
+
+
+def multipole_value(state, dt, dr, ell):
+    """The estimate's value and pointlike term between width-ell regions
+    centred at (dt, dr, 0, 0) and the origin."""
+    value, pointlike, _ = estimate_array(state, [dt, dr, 0.0, 0.0], ORIGIN, ell)
+    return float(value), float(pointlike)
 
 
 class TestVacuumDerivatives:
@@ -175,19 +182,16 @@ class TestStateDerivatives:
 class TestEstimate:
     def test_spatial_factor_exact(self):
         s, ell = 10.0, 1.0
-        ri, rj = regions(0.0, s, ell)
-        est = estimate(VAC, ri, rj)
-        w0 = float(hadamard_array(VAC, ri.center.coords(), rj.center.coords()))
-        assert est.value / w0 == pytest.approx(1.0 + 4.0 * ell**2 / s**2, rel=1e-12)
-        assert est.pointlike_term == w0
-        assert est.ricci_term == 0.0
+        value, pointlike = multipole_value(VAC, 0.0, s, ell)
+        w0 = float(hadamard_array(VAC, [0.0, s, 0.0, 0.0], ORIGIN))
+        assert value / w0 == pytest.approx(1.0 + 4.0 * ell**2 / s**2, rel=1e-12)
+        assert pointlike == w0
 
     def test_temporal_factor_exact(self):
         s, ell = 10.0, 1.0
-        ri, rj = regions(s, 0.0, ell)
-        est = estimate(VAC, ri, rj)
-        w0 = float(hadamard_array(VAC, ri.center.coords(), rj.center.coords()))
-        assert est.value / w0 == pytest.approx(1.0 + 12.0 * ell**2 / s**2, rel=1e-12)
+        value, _ = multipole_value(VAC, s, 0.0, ell)
+        w0 = float(hadamard_array(VAC, [s, 0.0, 0.0, 0.0], ORIGIN))
+        assert value / w0 == pytest.approx(1.0 + 12.0 * ell**2 / s**2, rel=1e-12)
 
     def test_general_factorisation(self):
         # the generic pipeline factorises as W0 * (1 + ell^2 (12 dt^2 + 4 dr^2)/(..)^2);
@@ -195,10 +199,9 @@ class TestEstimate:
         # oracle (see the measured-coefficient test below).
         ell = 0.05
         for (dt, dr) in ((0.0, 1.0), (1.0, 0.0), (1.0, 2.0), (2.0, 1.0)):
-            ri, rj = regions(dt, dr, ell)
-            est = estimate(VAC, ri, rj)
-            w0 = float(hadamard_array(VAC, ri.center.coords(), rj.center.coords()))
-            assert est.value == pytest.approx(
+            value, _ = multipole_value(VAC, dt, dr, ell)
+            w0 = float(hadamard_array(VAC, [dt, dr, 0.0, 0.0], ORIGIN))
+            assert value == pytest.approx(
                 w0 * vacuum_quadrupole_factor(dt, dr, ell), rel=1e-12)
 
     def test_measured_coefficient_matches_quadrature(self):
@@ -220,19 +223,17 @@ class TestEstimate:
     def test_thermal_temporal_expansion(self):
         beta, ell = 50.0, 1.0
         for dt in (5.0, 10.0, 20.0):
-            ri, rj = regions(dt, 0.0, ell)
-            est = estimate(FieldState.thermal(beta), ri, rj)
+            value, _ = multipole_value(FieldState.thermal(beta), dt, 0.0, ell)
             want = thermal_expansion_temporal(beta, dt, ell)
-            assert est.value == pytest.approx(want, rel=1e-6)
+            assert value == pytest.approx(want, rel=1e-6)
 
     def test_thermal_spatial_expansion_measured(self):
         # equal-time counterpart with the numerically verified prefactor
         beta, ell = 50.0, 1.0
         for dr in (5.0, 10.0):
-            ri, rj = regions(0.0, dr, ell)
-            est = estimate(FieldState.thermal(beta), ri, rj)
+            value, _ = multipole_value(FieldState.thermal(beta), 0.0, dr, ell)
             want = thermal_expansion_spatial(beta, dr, ell)
-            assert est.value == pytest.approx(want, rel=1e-6)
+            assert value == pytest.approx(want, rel=1e-6)
 
     def test_thermal_spatial_expansion_vs_oracle(self):
         # the oracle adjudicates both pieces of the equal-time expansion: the
@@ -248,33 +249,12 @@ class TestEstimate:
         # the pi-less leading term misses the oracle by far more than ell^2
         assert abs(w - math.pi * lead) > 100 * ell2_term
 
-    def test_ricci_must_be_finite(self):
-        ri, rj = regions(0.0, 10.0, 0.1)
-        with pytest.raises(ValueError, match="finite"):
-            estimate(VAC, ri, rj, ricci_i=np.full((4, 4), np.nan))
-
-    def test_widths_must_match(self):
-        ri, _ = regions(0.0, 10.0, 0.1)
-        _, rj = regions(0.0, 10.0, 0.2)
-        with pytest.raises(ValueError, match="same width"):
-            estimate(VAC, ri, rj)
-
-    def test_ricci_hook(self):
-        ri, rj = regions(0.0, 10.0, 0.1)
-        r = 0.3
-        est = estimate(VAC, ri, rj, ricci_i=np.diag([r] * 4), ricci_j=np.diag([r] * 4))
-        base = estimate(VAC, ri, rj)
-        w0 = base.pointlike_term
-        assert est.ricci_term == pytest.approx(-2 * (0.01 / 6) * w0 * 4 * r, rel=1e-12)
-        assert est.value == pytest.approx(base.value + est.ricci_term, rel=1e-12)
-
     def test_symmetry_i_j(self):
         for state in (VAC, FieldState.thermal(40.0), FieldState.coherent(1.5),
                       FieldState.one_particle(4.0)):
-            ri, rj = regions(3.0, 7.0, 0.3)
-            a = estimate(state, ri, rj)
-            b = estimate(state, rj, ri)
-            assert a.value == pytest.approx(b.value, rel=1e-9)
+            a = estimate_array(state, [3.0, 7.0, 0.0, 0.0], ORIGIN, 0.3)[0]
+            b = estimate_array(state, ORIGIN, [3.0, 7.0, 0.0, 0.0], 0.3)[0]
+            assert a == pytest.approx(b, rel=1e-9)
 
 
 class TestSourcedOracle:
@@ -294,8 +274,8 @@ class TestSourcedOracle:
     ])
     def test_estimate_matches_mpmath(self, state, a, b):
         ell = 0.3
-        est = estimate(state, GaussianRegion(a, ell), GaussianRegion(b, ell))
-        assert est.value == pytest.approx(_mp_multipole(state, a, b, ell), rel=1e-5)
+        value = float(estimate_array(state, a.coords(), b.coords(), ell)[0])
+        assert value == pytest.approx(_mp_multipole(state, a, b, ell), rel=1e-5)
 
 
 class TestConvergenceOrder:

@@ -1,16 +1,24 @@
 """Every name the package and its submodules export in ``__all__`` resolves,
-the package's names on first access."""
+the package's names on first access, and every function and class the
+package defines is reached from the package or a demo."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import udwtomo
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(udwtomo.__path__))
+ROOT = Path(__file__).resolve().parents[1]
+# kept for the tests alone: the dense state and its expectation values pin
+# the correlator table, and the random kernels feed both
+TEST_ORACLES = ("density_matrix", "pauli_ev_oracle", "random_kernel_matrix")
 
 
 def test_package_all_resolves():
@@ -52,3 +60,29 @@ def test_submodule_all_resolves(name):
     exported = getattr(module, "__all__", [])
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def _loaded_names(tree: ast.AST) -> Counter:
+    """How often each name is read, as a bare name or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
+def test_every_definition_is_reached():
+    # a module-level function or class that nothing in the package or the
+    # demos reads (its own body aside) is reached only by tests, if at all;
+    # imports, __all__ and the package's export table do not count as reads,
+    # and dunder hooks (the module __getattr__ and __dir__) are the
+    # interpreter's to call
+    package = sorted((ROOT / "src" / "udwtomo").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*package, *sorted((ROOT / "demos").glob("*.py"))]}
+    loads = sum((_loaded_names(tree) for tree in trees.values()), Counter())
+    unreached = [f"{path.stem}.{node.name}"
+                 for path in package for node in trees[path].body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and node.name not in TEST_ORACLES and not node.name.startswith("__")
+                 and loads[node.name] == _loaded_names(node)[node.name]]
+    assert unreached == []

@@ -41,7 +41,8 @@ def _state_kernel(state, ri, rj):
 
 
 def _multipole(state, ri, rj):
-    return multipole.estimate(state, ri, rj).value
+    value, _, _ = multipole.estimate_array(state, ri.center.coords(), rj.center.coords(), ri.ell)
+    return float(value)
 
 
 def _smeared_closed(state, ri, rj):
@@ -253,19 +254,15 @@ class TestScenarioOutputs:
     ], ids=["vacuum", "thermal", "thermal_beta0.3", "thermal_beta1e4", "coherent",
             "oneparticle"])
     def test_state_kernel_cells_are_pointlike_values(self, raw, state, columns,
-                                                     temporal_sign, tmp_path, monkeypatch):
+                                                     temporal_sign, tmp_path):
         # each scan column comes from one array pass; every cell must equal
         # the one-pair function at the row's regions to the last bit, and a
         # lightlike row (|s| = 1e-5 ell, |sigma| <= 1e-9) must carry the
         # one-pair kernel's error text instead.  The quadrature column, where
-        # the scan has one, comes from one certified pass without a single
-        # per-pair oracle call, and lies within tol of the one-pair oracle.
-        per_pair_calls = []
-        monkeypatch.setattr(scenarios, "wightman_smeared_quadrature",
-                            lambda *args: per_pair_calls.append(args))
+        # the scan has one, comes from one certified pass and lies within tol
+        # of the one-pair oracle.
         raw = {**raw, "enable_quadrature_columns": True}
         paths = scenarios.run({**raw, "output_dir": str(tmp_path)})
-        assert per_pair_calls == []
         rows = read_csv(paths[0])
         assert len(rows) == 8
         cfg = validate_config(raw)
@@ -334,10 +331,10 @@ class TestScenarioOutputs:
         slope = float(rows[0]["slope"])
         assert slope == pytest.approx(4.0, abs=0.3)
 
-    def test_per_point_errors_recorded(self, tmp_path, monkeypatch):
-        # a failing point lands in the errors column with blank cells; the run
-        # continues.  Lightlike points fail in the kernels: s = 1e-5 ell gives
-        # |sigma| <= 1e-9 on both branches.
+    def test_per_point_errors_recorded(self, tmp_path, monkeypatch, capsys):
+        # a lightlike point lands in the errors column with blank cells; the
+        # run continues.  Lightlike points fail in the kernels: s = 1e-5 ell
+        # gives |sigma| <= 1e-9 on both branches.
         paths = scenarios.run({"scenario_id": "vacuum_curves",
                                "s_over_ell": [1e-5, 3.0, 8.0],
                                "output_dir": str(tmp_path / "lightlike")})
@@ -354,35 +351,23 @@ class TestScenarioOutputs:
         assert all(r["pointlike"] and r["smeared_closed"] and r["multipole"]
                    for r in good)
 
-        # a point whose oracle quadrature fails loses its whole row: when the
-        # one-pass certificate fails, the scan falls back to one oracle call
-        # per point, and only the failing point's row is lost
+        # an uncertified quadrature pass fails the whole run, before any file
+        # is written, and the CLI reports it as a numerical failure (exit 3)
         def uncertified(state, ell, a, b, tol):
             raise ConvergenceError("accumulated quadrature error exceeds tolerance")
 
         monkeypatch.setattr(scenarios, "_smeared_quadrature_real", uncertified)
-        real_quadrature = scenarios.wightman_smeared_quadrature
-
-        def flaky(state, ri, rj, tol):
-            if abs(abs(ri.center.x - rj.center.x) - 5.0) < 1e-9:
-                raise ConvergenceError("synthetic point failure")
-            return real_quadrature(state, ri, rj, tol)
-
-        monkeypatch.setattr(scenarios, "wightman_smeared_quadrature", flaky)
-        paths = scenarios.run({"scenario_id": "thermal_curves", "beta": 50.0,
-                               "s_over_ell": [3.0, 5.0, 8.0],
-                               "enable_quadrature_columns": True,
-                               "output_dir": str(tmp_path / "quadrature")})
-        rows = read_csv(paths[0])
-        assert len(rows) == 6
-        bad = [r for r in rows if r["errors"]]
-        assert len(bad) == 1
-        assert bad[0]["s_over_ell"] == "5"
-        assert bad[0]["errors"] == "ConvergenceError: synthetic point failure"
-        assert all(v == "" for k, v in bad[0].items() if k not in ("s_over_ell", "errors"))
-        good = [r for r in rows if not r["errors"]]
-        assert all(r["thermal_pointlike"] and r["thermal_smeared_quadrature"]
-                   for r in good)
+        raw = {"scenario_id": "thermal_curves", "beta": 50.0, "s_over_ell": [3.0, 5.0, 8.0],
+               "enable_quadrature_columns": True, "output_dir": str(tmp_path / "quadrature")}
+        with pytest.raises(ConvergenceError, match="accumulated quadrature error"):
+            scenarios.run(raw)
+        assert not (tmp_path / "quadrature" / "thermal_curves.csv").exists()
+        cfg = tmp_path / "quadrature.json"
+        cfg.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg)]) == cli.EXIT_NUMERICAL == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: accumulated quadrature error exceeds tolerance\n")
 
     @pytest.mark.parametrize("scenario_id", ["vacuum_curves", "thermal_curves",
                                              "coherent_curves", "oneparticle_curves"])

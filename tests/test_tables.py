@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 from unittest import mock
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udwtomo import scenarios, tables
+from udwtomo import cli, scenarios, tables
 from udwtomo.errors import ConvergenceError
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
@@ -231,32 +232,39 @@ def test_grid_files_match_csv_writer(sid, tmp_path, monkeypatch):
     assert path.read_bytes() == csv_writer_bytes(["t", "x", "value"], rows)
 
 
-def test_scan_with_failed_point_matches_csv_writer(tmp_path, monkeypatch):
-    # the quadrature pass is uncertified and the per-point fallback fails at
-    # s = 5: that row keeps s and its error text, every other cell blank
-    def uncertified(state, ell, a, b, tol):
-        raise ConvergenceError("accumulated quadrature error exceeds tolerance")
-
-    real_quadrature = scenarios.wightman_smeared_quadrature
-
-    def flaky(state, ri, rj, tol):
-        if abs(abs(ri.center.x - rj.center.x) - 5.0) < 1e-9:
-            raise ConvergenceError("synthetic point failure")
-        return real_quadrature(state, ri, rj, tol)
-
-    monkeypatch.setattr(scenarios, "_smeared_quadrature_real", uncertified)
-    monkeypatch.setattr(scenarios, "wightman_smeared_quadrature", flaky)
+def test_scan_with_failed_point_matches_csv_writer(tmp_path, monkeypatch, capsys):
+    # the lightlike points (|s| = 1e-5 ell) fail in the kernels: their rows
+    # keep s and the error text, every other cell blank, the quadrature
+    # column's included
+    raw = {"scenario_id": "thermal_curves", "beta": 50.0, "s_over_ell": [1e-5, 3.0, 8.0],
+           "enable_quadrature_columns": True, "output_dir": str(tmp_path / "scan")}
     writes = _captured_writes(monkeypatch)
-    [path] = scenarios.run({"scenario_id": "thermal_curves", "beta": 50.0,
-                            "s_over_ell": [3.0, 5.0, 8.0], "enable_quadrature_columns": True,
-                            "output_dir": str(tmp_path)})
-    [(header, (s, *columns, _))] = writes
+    [path] = scenarios.run(raw)
+    [(header, (s, *columns, errors))] = writes
+    assert [bool(e) for e in errors.tolist()] == [abs(s_k) == 1e-5 for s_k in s.tolist()]
     values = [c.values.tolist() for c in columns]
     rows = []
-    for k, s_k in enumerate(s.tolist()):
-        if s_k == 5.0:
-            rows.append([s_k, *[""] * len(columns), "ConvergenceError: synthetic point failure"])
+    for k, (s_k, error) in enumerate(zip(s.tolist(), errors.tolist())):
+        if error:
+            assert error.startswith("LightconeSingularityError: ")
+            rows.append([s_k, *[""] * len(columns), error])
         else:
             rows.append([s_k, *(v[k] for v in values), ""])
     assert path.read_bytes() == csv_writer_bytes(header, rows)
-    assert b",,,,ConvergenceError: synthetic point failure\n" in path.read_bytes()
+
+    # an uncertified quadrature pass writes no file: run raises, and the CLI
+    # exits 3 with the numerical failure on one line
+    def uncertified(state, ell, a, b, tol):
+        raise ConvergenceError("accumulated quadrature error exceeds tolerance")
+
+    monkeypatch.setattr(scenarios, "_smeared_quadrature_real", uncertified)
+    raw["output_dir"] = str(tmp_path / "uncertified")
+    with pytest.raises(ConvergenceError, match="accumulated quadrature error"):
+        scenarios.run(raw)
+    assert len(writes) == 1
+    cfg = tmp_path / "uncertified.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_NUMERICAL == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: accumulated quadrature error exceeds tolerance\n")
+    assert len(writes) == 1
