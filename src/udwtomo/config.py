@@ -117,6 +117,10 @@ def _number(v, name: str, field: str | None = None) -> float:
     return float(v)
 
 
+# the largest shot count a binomial draw takes (its count is an int64)
+MAX_SHOTS = (1 << 63) - 1
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -257,9 +261,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if "shots_list" in merged:
         shots = merged["shots_list"]
         if (not isinstance(shots, list) or not shots
-                or any(not _is_int(s) or s < 1 for s in shots)):
-            raise ConfigError("field 'shots_list' must be a non-empty list of ints >= 1",
-                              field="shots_list")
+                or any(not _is_int(s) or not 1 <= s <= MAX_SHOTS for s in shots)):
+            raise ConfigError("field 'shots_list' must be a non-empty list of ints in "
+                              "[1, 2^63 - 1]", field="shots_list")
         cfg.shots_list = list(shots)
     if "repeats" in merged:
         if not _is_int(merged["repeats"]) or merged["repeats"] < 1:

@@ -37,16 +37,22 @@ downstream.  ``pair_blocks`` is the one owner of that order and of the block
 size that bounds the work arrays: ``correlator_table`` evaluates ZZ and YY
 one block of pairs at a time, and ``tomography.reconstruct_table`` inverts
 the same blocks.
+
+``sample_table`` draws one table, or a stack of tables (one per shot count
+and seed) that carries a leading axis on every array.  ``pair_blocks`` then
+runs over the stack's (table, pair) rows, so one inversion pass takes the
+whole stack, and ``stack_size`` bounds a stack by the same element budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .config import MAX_SHOTS
 from .errors import CapacityError, ConsistencyError
 from .kernels import KernelMatrix
 
@@ -59,6 +65,7 @@ __all__ = [
     "pauli_ev_oracle",
     "correlator_table",
     "pair_blocks",
+    "stack_size",
     "sample_table",
     "random_kernel_matrix",
 ]
@@ -187,6 +194,10 @@ class CorrelatorTable:
     <sy_i sy_j> of the q-th pair i < j in row-major order (``pair_blocks``),
     shape (n(n-1)/2,); ``yx[i, k]`` is <sy_i sx_k>, with a zero diagonal (the
     real part of <sy_i sx_i>).  Array indices are 0-based.
+
+    A stack of R tables (``sample_table`` with R shot counts) is the same
+    class with a leading axis on every array: ``z`` (R, n), ``zz`` and ``yy``
+    (R, n(n-1)/2), ``yx`` (R, n, n), table r at index r.
     """
 
     z: np.ndarray
@@ -195,37 +206,47 @@ class CorrelatorTable:
     yx: np.ndarray
 
     def __post_init__(self):
-        n = self.n
-        pairs = (n * (n - 1) // 2,)
-        for name, want in (("zz", pairs), ("yy", pairs), ("yx", (n, n))):
+        n, stack = self.n, np.shape(self.z)[:-1]
+        pairs = stack + (n * (n - 1) // 2,)
+        for name, want in (("zz", pairs), ("yy", pairs), ("yx", stack + (n, n))):
             got = np.shape(getattr(self, name))
             if got != want:
                 raise ValueError(f"{name} of shape {got} for {n} detectors, need {want}")
 
     @property
     def n(self) -> int:
-        return len(self.z)
+        return np.shape(self.z)[-1]
 
     @property
     def xy(self) -> np.ndarray:
-        """``xy[k, j]`` = <sx_k sy_j> = ``yx[j, k]``."""
-        return self.yx.T
+        """``xy[k, j]`` = <sx_k sy_j> = ``yx[j, k]`` (per table of a stack)."""
+        return np.swapaxes(self.yx, -1, -2)
 
 
-# Pair blocks keep each (pairs, n) work array at 128 KiB: larger blocks were
-# slower and raised the peak resident memory of a 54-region run by 5 MiB.
+# One budget for every work array: pair blocks keep each (pairs, n) array of
+# the table evaluation and the inversion at 128 KiB (larger blocks were slower
+# and raised the peak resident memory of a 54-region run by 5 MiB), and
+# ``stack_size`` keeps each stack of sampled tables within it.
 _CHUNK_ELEMENTS = 1 << 14
 
 
-def pair_blocks(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The pairs i < j of n detectors in row-major order, as blocks
-    ``(start, a, b)``: 0-based ``a[p] < b[p]`` is the pair at position
-    ``start + p``.  A block holds at most ``_CHUNK_ELEMENTS // n`` pairs (at
-    least one); with no pairs there is one empty block."""
-    a, b = np.triu_indices(n, 1)
+def pair_blocks(n: int, tables: int = 1) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The pairs i < j of n detectors in row-major order, once for each of
+    ``tables`` stacked tables, as blocks ``(start, a, b)``: 0-based
+    ``a[p] < b[p]`` is the pair at flat position ``start + p`` of the stack's
+    (tables, n(n-1)/2) pair arrays.  A block holds at most
+    ``_CHUNK_ELEMENTS // n`` pairs (at least one) and may span two tables;
+    with no pairs there is one empty block."""
+    a, b = (np.tile(v, tables) for v in np.triu_indices(n, 1))
     step = max(1, _CHUNK_ELEMENTS // max(1, n))
     for start in range(0, max(1, len(a)), step):
         yield start, a[start:start + step], b[start:start + step]
+
+
+def stack_size(n: int) -> int:
+    """How many sampled tables of n detectors (2n^2 stored elements each) one
+    stack holds within ``_CHUNK_ELEMENTS``, at least one."""
+    return max(1, _CHUNK_ELEMENTS // max(1, 2 * n * n))
 
 
 def _prod_without(c: np.ndarray) -> np.ndarray:
@@ -265,32 +286,49 @@ def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
     return CorrelatorTable(z=z, zz=zz, yy=yy, yx=yx)
 
 
-def sample_table(exact: CorrelatorTable, shots: int,
-                 seed: int | np.random.SeedSequence) -> CorrelatorTable:
-    """Shot-noise sample of every observable in ``exact``, from one seeded generator.
+def sample_table(exact: CorrelatorTable, shots: int | Sequence[int],
+                 seed: int | np.random.SeedSequence | Sequence) -> CorrelatorTable:
+    """Shot-noise sample of every observable in ``exact``: one table, or a stack.
 
     Each observable is a +-1 measurement whose number of +1 outcomes is drawn
     binomially (distribution-identical to averaging ``shots`` outcomes).
-    There is one array-valued draw per correlator family, in the order z, zz,
-    yy, yx, so ``seed`` fixes the whole table; the yx diagonal stays zero.
+    An int ``shots`` and one ``seed`` give one table.  A sequence of R shot
+    counts and a sequence of R seeds give a stack of R tables, table r
+    bitwise the one table of ``sample_table(exact, shots[r], seed[r])``.
+    Each table has a generator of its own and one binomial draw over z, zz,
+    yy and yx off the diagonal, in that order, so its seed fixes it; the yx
+    diagonal stays zero.  The probabilities and the |ev| <= 1 check of
+    ``exact`` (one table) are computed once for the whole stack.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    stack = np.shape(shots)  # () for one table, (R,) for a stack of R
+    shot_list = list(shots) if stack else [shots]
+    for k in shot_list:
+        if (isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer))
+                or not 1 <= k <= MAX_SHOTS):
+            raise ValueError(f"shots must be integers in [1, 2^63 - 1], got {k!r}")
+    seeds = list(seed) if stack else [seed]
+    if len(seeds) != len(shot_list):
+        raise ValueError(f"{len(shot_list)} shot counts need as many seeds, got {len(seeds)}")
     n = exact.n
+    if np.ndim(exact.z) != 1:
+        raise ValueError("exact must be one table, not a stack")
     off = ~np.eye(n, dtype=bool)
-    families = (exact.z, exact.zz, exact.yy, exact.yx[off])
-    worst = max(float(np.max(np.abs(ev), initial=0.0)) for ev in families)
+    ev = np.concatenate((exact.z, exact.zz, exact.yy, exact.yx[off]))
+    worst = float(np.max(np.abs(ev), initial=0.0))
     if worst > 1.0:
         raise ValueError(f"|exact_ev| must be <= 1, got {worst}")
-    rng = np.random.default_rng(seed)
+    p = np.clip((1.0 + ev) / 2.0, 0.0, 1.0)
 
-    def draw(ev: np.ndarray) -> np.ndarray:
-        p = np.clip((1.0 + ev) / 2.0, 0.0, 1.0)
-        return 2.0 * rng.binomial(shots, p) / shots - 1.0
-
-    z, zz, yy, yx_off = (draw(ev) for ev in families)
-    yx = np.zeros((n, n))
-    yx[off] = yx_off
+    ups = np.empty((len(shot_list), len(p)), dtype=np.int64)  # +1 outcomes
+    for r, (k, s) in enumerate(zip(shot_list, seeds)):
+        ups[r] = np.random.default_rng(s).binomial(k, p)
+    n_shots = np.array(shot_list, dtype=np.int64)[:, None]
+    values = (2.0 * ups / n_shots - 1.0).reshape(stack + (len(p),))
+    m = n + n * (n - 1) // 2
+    z, zz, yy = (np.ascontiguousarray(values[..., lo:hi])
+                 for lo, hi in ((0, n), (n, m), (m, 2 * m - n)))
+    yx = np.zeros(stack + (n, n))
+    yx[..., off] = values[..., 2 * m - n:]
     return CorrelatorTable(z=z, zz=zz, yy=yy, yx=yx)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import multipole, tomography
 from .config import SCENARIO_IDS, ScenarioConfig, list_scenarios, validate_config
-from .detector import correlator_table, sample_table
+from .detector import correlator_table, sample_table, stack_size
 from .errors import ConfigError, UdwTomoError
 from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature_real,
                       _smeared_real, assemble_kernels, hadamard_array,
@@ -205,18 +205,26 @@ def _run_convergence_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
 def _run_shot_noise_study(cfg: ScenarioConfig, out: Path) -> list[Path]:
     km = _lattice_kernels(cfg)
     exact = correlator_table(km)
+    # one sampled table per (shots, repeat), shared by all of its pairs;
+    # the tables are sampled and inverted as stacks, in that order
+    runs = [(shots, rep) for shots in cfg.shots_list for rep in range(cfg.repeats)]
     rms, failed = [], []
-    for shots in cfg.shots_list:
-        sq_errors, n_failed = [], 0
-        for rep in range(cfg.repeats):
-            # one sampled table per repeat, shared by all of its pairs
-            seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(shots, rep))
-            rec = tomography.reconstruct_table(sample_table(exact, shots, seq))
-            ok = rec.ok
-            n_failed += len(rec.failures)
-            sq_errors += ((rec.H[ok] - km.H[rec.i[ok] - 1, rec.j[ok] - 1]) ** 2).tolist()
-        rms.append(math.sqrt(sum(sq_errors) / len(sq_errors)) if sq_errors else float("nan"))
-        failed.append(n_failed)
+    sq_errors, n_failed = [], 0
+    step = stack_size(exact.n)
+    for first in range(0, len(runs), step):
+        stack = runs[first:first + step]
+        seeds = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=run) for run in stack]
+        rec = tomography.reconstruct_table(
+            sample_table(exact, [shots for shots, _ in stack], seeds))
+        sq = (rec.H - km.H[rec.i - 1, rec.j - 1]) ** 2
+        for (_, rep), ok, sq_r in zip(stack, rec.ok, sq):
+            sq_errors += sq_r[ok].tolist()
+            n_failed += len(ok) - int(np.count_nonzero(ok))
+            if rep == cfg.repeats - 1:
+                rms.append(math.sqrt(sum(sq_errors) / len(sq_errors))
+                           if sq_errors else float("nan"))
+                failed.append(n_failed)
+                sq_errors, n_failed = [], 0
     path = out / "shot_noise_study.csv"
     _write_rows(path, ["shots", "rms_error", "n_failed"],
                 [np.array(cfg.shots_list), np.array(rms), np.array(failed)])

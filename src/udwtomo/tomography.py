@@ -18,7 +18,9 @@ commutator part gives back the complex two-point value W = H/2 + i E/2.
 pass over the pair blocks of ``detector.pair_blocks`` (row-major, the order
 of the table's ``zz`` and ``yy`` vectors), and collects the failures of the
 pairs that cannot be inverted; a single pair is read off at its row-major
-position q, where it also sits in ``table.zz`` and ``table.yy``.
+position q, where it also sits in ``table.zz`` and ``table.yy``.  A stack of
+sampled tables is inverted in the same pass, over all its (table, pair)
+rows; each table comes out bitwise as when it is inverted alone.
 
 The commutator entries E_ij are consumed as known inputs (they depend only on
 the classical equation of motion, not on the state) and are never re-derived
@@ -52,8 +54,11 @@ _DEPHASING_FLAG = 1e-6     # |zz| below this: result returned but flagged
 class TableReconstruction:
     """Every pair i < j of a table, row-major, with 1-based labels ``i``, ``j``.
 
-    ``H`` and ``C`` are NaN for the pairs in ``failures``, which maps a pair's
-    position to the error that stopped its inversion (ascending positions).
+    Every array has the shape of the table's ``zz``: (n(n-1)/2,) for one
+    table, (R, n(n-1)/2) for a stack of R.  ``H`` and ``C`` are NaN for the
+    pairs in ``failures``, which maps a pair's flat position in ``H.ravel()``
+    (for one table, its row-major position q) to the error that stopped its
+    inversion, in ascending positions.
     """
 
     i: np.ndarray
@@ -66,40 +71,47 @@ class TableReconstruction:
 
     @property
     def ok(self) -> np.ndarray:
-        mask = np.ones(len(self.H), dtype=bool)
+        mask = np.ones(self.H.size, dtype=bool)
         mask[list(self.failures)] = False
-        return mask
+        return mask.reshape(self.H.shape)
 
 
 def _invert(table: CorrelatorTable, start: int, a: np.ndarray, b: np.ndarray):
     """H, C, causal mask, dephasing flag and {position: error} of the 0-based
-    pairs (a[p], b[p]), a[p] < b[p], at table positions start + p.
+    pairs (a[p], b[p]), a[p] < b[p], at flat positions start + p of the table
+    or stack (``detector.pair_blocks``).
 
     The third detectors of each pair are gathered in ascending order, so the
     arctanh terms of C add up in that order.  A failing pair reports the
     first of: zero <sz> on a causal pair, a product outside the arctanh
     domain (first k), a fully dephased zz, a noise-dominated yy/zz.
     """
-    p = np.arange(table.n - 2)
+    n, stop = table.n, start + len(a)
+    # detectors a and b of each row's own table, numbered over the whole stack
+    first = np.arange(start, stop) // max(1, n * (n - 1) // 2) * n
+    ra, rb = first + a, first + b
+    p = np.arange(n - 2)
     others = p + (p >= a[:, None]) + (p >= b[:, None] - 1)
-    yx_a, xy_b = table.yx[a[:, None], others], table.xy[others, b[:, None]]
+    yx = table.yx.reshape(-1)
+    yx_a, xy_b = yx[(ra * n)[:, None] + others], yx[(rb * n)[:, None] + others]
     causal = np.any(yx_a != 0.0, axis=1) | np.any(xy_b != 0.0, axis=1)
-    zi, zj = table.z[a], table.z[b]
-    zz, yy = table.zz[start:start + len(a)], table.yy[start:start + len(a)]
+    z = table.z.reshape(-1)
+    zi, zj = z[ra], z[rb]
+    zz, yy = table.zz.reshape(-1)[start:stop], table.yy.reshape(-1)[start:stop]
     with np.errstate(divide="ignore", invalid="ignore"):
         x = (yx_a / zi[:, None]) * (xy_b / zj[:, None])
         c = np.where(causal, 0.5 * np.sum(np.arctanh(x), axis=1), 0.0)
         ratio = yy / zz
     # libm's atanh: numpy's vectorised arctanh differs from it in the last
     # 1-2 bits of about one value in five, and H would move with it
-    h = 0.5 * np.array([math.atanh(r) if -1.0 < r < 1.0 else math.nan
-                        for r in ratio.tolist()]) - c
+    noisy = np.abs(ratio) >= 1.0
+    inside = np.where(noisy, np.nan, ratio).tolist()
+    h = 0.5 * np.fromiter(map(math.atanh, inside), float, len(inside)) - c
 
     zero_z = causal & ((zi == 0.0) | (zj == 0.0))
     outside = np.abs(x) >= 1.0
     tangent = causal & np.any(outside, axis=1)
     dephased = np.abs(zz) < _DEPHASING_HARD
-    noisy = np.abs(ratio) >= 1.0
     failures: dict[int, UdwTomoError] = {}
     for q in np.flatnonzero(zero_z | tangent | dephased | noisy).tolist():
         pair = f"pair ({a[q] + 1},{b[q] + 1})"
@@ -125,17 +137,20 @@ def _invert(table: CorrelatorTable, start: int, a: np.ndarray, b: np.ndarray):
 def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     """Invert every pair i < j of ``table``: H_ij = (1/2) arctanh(yy/zz) - C_ij.
 
-    Pairs are taken in the row-major blocks of ``detector.pair_blocks``, so
-    the work arrays stay small however large the lattice.  A pair that cannot
-    be inverted gets NaN and its error in ``failures``; the other pairs are
-    unaffected.
+    A stack of tables is inverted in the same pass, every (table, pair) row
+    at once.  The rows are taken in the blocks of ``detector.pair_blocks``,
+    so the work arrays stay small however large the lattice or the stack,
+    and each table's pairs come out bitwise as when it is inverted alone.  A
+    pair that cannot be inverted gets NaN and its error in ``failures``; the
+    other pairs are unaffected.
     """
+    shape = np.shape(table.zz)
     parts, failures = [], {}
-    for start, a, b in pair_blocks(table.n):
+    for start, a, b in pair_blocks(table.n, math.prod(shape[:-1])):
         *arrays, fails = _invert(table, start, a, b)
         parts.append((a + 1, b + 1, *arrays))
         failures.update((start + q, err) for q, err in fails.items())
-    i, j, h, c, causal, flagged = (np.concatenate(col) for col in zip(*parts))
+    i, j, h, c, causal, flagged = (np.concatenate(col).reshape(shape) for col in zip(*parts))
     return TableReconstruction(i=i, j=j, H=h, C=c, causal=causal,
                                dephasing_dominated=flagged, failures=failures)
 

@@ -330,6 +330,18 @@ class TestCorrelatorTable:
         for n in (0, 1):
             [(start, a, b)] = detector.pair_blocks(n)
             assert start == 0 and len(a) == len(b) == 0
+            [(start, a, b)] = detector.pair_blocks(n, tables=3)
+            assert start == 0 and len(a) == len(b) == 0
+
+    def test_pair_blocks_run_over_a_stack(self, monkeypatch):
+        # 3 tables of 15 pairs in blocks of 4 rows: blocks 3, 7 and 11 span two tables
+        monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 4 * 6)
+        blocks = list(detector.pair_blocks(6, tables=3))
+        assert [start for start, _, _ in blocks] == list(range(0, 45, 4))
+        a, b = (np.concatenate(col) for col in zip(*(block[1:] for block in blocks)))
+        iu = np.triu_indices(6, 1)
+        assert np.array_equal(a, np.tile(iu[0], 3)) and np.array_equal(b, np.tile(iu[1], 3))
+        assert not list(detector.pair_blocks(6, tables=0))[0][1].size
 
     def test_yy_strictly_inside_zz(self):
         # the arctanh domain of the noiseless reconstruction, for every pair
@@ -382,6 +394,103 @@ class TestSampler:
             sample_table(constant_table(2, 1.5), 10, seed=0)
         with pytest.raises(ValueError):
             sample_table(constant_table(2, 0.0), 0, seed=0)
+
+    @pytest.mark.parametrize("shots", [2.5, True, 10**19, 2**63, 0, -3, np.True_,
+                                       np.float64(10.0), "10", None])
+    def test_shots_must_be_integers_in_range(self, shots):
+        # 2.5 would draw binomial(2, p) and divide by 2.5, True would mean one
+        # shot, and 10^19 overflows the draw's int64 count
+        exact = constant_table(2, 0.0)
+        with pytest.raises(ValueError, match="shots must be integers in"):
+            sample_table(exact, shots, seed=0)
+        with pytest.raises(ValueError, match="shots must be integers in"):
+            sample_table(exact, [10, shots], seed=[0, 1])
+
+    def test_integer_shots_accepted_up_to_int64(self):
+        exact = constant_table(2, 0.0)
+        for shots in (1, np.int64(7), np.uint8(3), 2**63 - 1):
+            got = sample_table(exact, shots, seed=0)
+            assert got.z.shape == (2,) and np.all(np.abs(got.z) <= 1.0)
+
+
+def four_draws(exact, shots, seed):
+    """The sampler written as one binomial draw per correlator family (z, zz,
+    yy, yx off the diagonal, in that order) from one generator: the stream
+    that a table's single concatenated draw reproduces bit for bit."""
+    rng = np.random.default_rng(seed)
+    off = ~np.eye(exact.n, dtype=bool)
+
+    def draw(ev):
+        return 2.0 * rng.binomial(shots, np.clip((1.0 + ev) / 2.0, 0.0, 1.0)) / shots - 1.0
+
+    z, zz, yy, yx_off = (draw(ev) for ev in (exact.z, exact.zz, exact.yy, exact.yx[off]))
+    yx = np.zeros((exact.n, exact.n))
+    yx[off] = yx_off
+    return CorrelatorTable(z=z, zz=zz, yy=yy, yx=yx)
+
+
+def same_table(got, want):
+    return all(getattr(got, name).shape == getattr(want, name).shape
+               and getattr(got, name).tobytes() == getattr(want, name).tobytes()
+               for name in ("z", "zz", "yy", "yx"))
+
+
+class TestStack:
+    """A stack of sampled tables is its tables, each sampled alone."""
+
+    def test_one_table_matches_four_family_draws(self):
+        for n in (1, 2, 5, 16):
+            exact = correlator_table(random_kernel_matrix(n, n))
+            for seed in range(8):
+                for shots in (1, 10, 1000, 10**7):
+                    assert same_table(sample_table(exact, shots, seed),
+                                      four_draws(exact, shots, seed)), (n, seed, shots)
+
+    def test_stack_matches_single_tables(self):
+        exact = correlator_table(random_kernel_matrix(6, 2))
+        shots = [10, 1000, 7, 10**6, 1000]
+        seeds = [np.random.SeedSequence(entropy=5, spawn_key=(s, r)) for r, s in enumerate(shots)]
+        stack = sample_table(exact, shots, seeds)
+        assert stack.n == 6
+        assert (stack.z.shape, stack.zz.shape, stack.yy.shape, stack.yx.shape) == (
+            (5, 6), (5, 15), (5, 15), (5, 6, 6))
+        assert np.all(np.diagonal(stack.yx, axis1=1, axis2=2) == 0.0)
+        for r, (k, seed) in enumerate(zip(shots, seeds)):
+            one = sample_table(exact, k, seed)
+            assert same_table(CorrelatorTable(*(getattr(stack, name)[r]
+                                                for name in ("z", "zz", "yy", "yx"))), one)
+            assert np.all(np.diag(one.yx) == 0.0)
+        # one seed through the stacked and the unstacked call
+        single = sample_table(exact, shots[:1], seeds[:1])
+        assert single.z.shape == (1, 6) and single.yx.shape == (1, 6, 6)
+        assert same_table(CorrelatorTable(single.z[0], single.zz[0], single.yy[0],
+                                          single.yx[0]), sample_table(exact, 10, seeds[0]))
+
+    def test_stack_arguments(self):
+        exact = constant_table(3, 0.0)
+        with pytest.raises(ValueError, match="2 shot counts need as many seeds, got 3"):
+            sample_table(exact, [10, 10], [0, 1, 2])
+        with pytest.raises(ValueError, match="one table, not a stack"):
+            sample_table(sample_table(exact, [10], [0]), 10, 0)
+        empty = sample_table(exact, [], [])
+        assert empty.z.shape == (0, 3) and empty.yx.shape == (0, 3, 3)
+
+    def test_stack_layout(self):
+        z, pairs, yx = np.ones((3, 4)), np.zeros((3, 6)), np.arange(48.0).reshape(3, 4, 4)
+        stack = CorrelatorTable(z=z, zz=pairs, yy=pairs, yx=yx)
+        assert stack.n == 4
+        for r in range(3):
+            assert np.array_equal(stack.xy[r], yx[r].T)
+        with pytest.raises(ValueError, match=r"zz of shape \(2, 6\) for 4 detectors, "
+                                             r"need \(3, 6\)"):
+            CorrelatorTable(z=z, zz=np.zeros((2, 6)), yy=pairs, yx=yx)
+        with pytest.raises(ValueError, match=r"yx of shape \(4, 4\)"):
+            CorrelatorTable(z=z, zz=pairs, yy=pairs, yx=yx[0])
+
+    def test_stack_size_within_budget(self, monkeypatch):
+        for budget, n, want in ((1 << 14, 16, 32), (1536, 16, 3), (100, 16, 1), (10, 0, 10)):
+            monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", budget)
+            assert detector.stack_size(n) == want
 
 
 class TestRecords:

@@ -9,14 +9,17 @@ import sys
 import numpy as np
 import pytest
 
-from udwtomo import cli, config, multipole, scenarios
+from udwtomo import cli, config, detector, multipole, scenarios
+from udwtomo.detector import correlator_table, sample_table
 from udwtomo.errors import (ConfigError, ConvergenceError, LightconeSingularityError,
                             TangentDomainError)
-from udwtomo.kernels import (FieldState, hadamard_array, wightman_smeared_closed,
+from udwtomo.kernels import (FieldState, assemble_kernels, hadamard_array, wightman_smeared_closed,
                              wightman_smeared_quadrature)
 from udwtomo.scenarios import validate_config
 from udwtomo.smearing import GaussianRegion
-from udwtomo.spacetime import Event
+from udwtomo.spacetime import Event, build_lattice
+from udwtomo.tables import write_columns
+from udwtomo.tomography import reconstruct_table
 
 SMALL_S = {"start": 1.0, "stop": 12.0, "step": 1.0}
 SMALL_GRID = {"t": {"start": -10.0, "stop": 10.0, "n": 5},
@@ -108,6 +111,8 @@ class TestValidation:
          "enable_quadrature_columns"),
         ({"scenario_id": "shot_noise_study", "repeats": True}, "repeats"),
         ({"scenario_id": "shot_noise_study", "shots_list": [True, 10]}, "shots_list"),
+        # validated, and the run raised from the sampler's int64 shot count
+        ({"scenario_id": "shot_noise_study", "shots_list": [10, 2**63]}, "shots_list"),
         ({"scenario_id": "coherent_curves",
           "anchor": {"t": "6", "x": -6.0, "y": 0.0, "z": 0.0}}, "anchor"),
         ({"scenario_id": "oneparticle_curves",
@@ -410,6 +415,68 @@ class TestScenarioOutputs:
         rows = read_csv(paths[0])
         assert [int(r["n_failed"]) for r in rows] == [312, 7]
         assert all(math.isfinite(float(r["rms_error"])) for r in rows)
+
+
+def shot_noise_reference(config_dict, path):
+    """``shot_noise_study.csv`` written table by table: one sampled table and
+    one inversion per (shots, repeat), the squared errors of the surviving
+    pairs summed in (repeat, pair) order for each shot count; returns the bytes."""
+    cfg = validate_config(config_dict)
+    regions = [GaussianRegion(e, cfg.ell) for e in build_lattice(cfg.lattice)]
+    km = assemble_kernels(FieldState.vacuum(), regions, cfg.lam)
+    exact = correlator_table(km)
+    rms, failed = [], []
+    for shots in cfg.shots_list:
+        sq_errors, n_failed = [], 0
+        for rep in range(cfg.repeats):
+            seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(shots, rep))
+            rec = reconstruct_table(sample_table(exact, shots, seed))
+            n_failed += len(rec.failures)
+            for q, (i, j) in enumerate(zip(rec.i.tolist(), rec.j.tolist())):
+                if q not in rec.failures:
+                    sq_errors.append((rec.H[q] - km.H[i - 1, j - 1]) ** 2)
+        rms.append(math.sqrt(sum(sq_errors) / len(sq_errors)) if sq_errors else math.nan)
+        failed.append(n_failed)
+    write_columns(path, ["shots", "rms_error", "n_failed"],
+                  [np.array(cfg.shots_list), np.array(rms), np.array(failed)])
+    return path.read_bytes()
+
+
+class TestShotNoiseStacks:
+    """The study samples and inverts stacks of tables; its CSV is the
+    table-by-table loop's, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [1, 2022])
+    def test_csv_matches_per_table_loop(self, tmp_path, seed):
+        cfg = {"scenario_id": "shot_noise_study", "shots_list": [10, 100, 10**3, 10**5],
+               "repeats": 3, "seed": seed}
+        [path] = scenarios.run({**cfg, "output_dir": str(tmp_path / "run")})
+        assert path.read_bytes() == shot_noise_reference(cfg, tmp_path / "reference.csv")
+        assert int(read_csv(path)[0]["n_failed"]) > 0
+
+    def test_stacks_stay_within_budget(self, monkeypatch, tmp_path):
+        # three 16-region tables (2 * 16^2 stored elements each) per stack:
+        # 100 tables in 34 stacks, some of them spanning both shot counts
+        budget = 3 * 2 * 16**2 + 100
+        monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", budget)
+        stacks = []
+        sample = scenarios.sample_table
+
+        def recording(exact, shots, seed):
+            stack = sample(exact, shots, seed)
+            stacks.append((list(shots), sum(getattr(stack, name).size
+                                            for name in ("z", "zz", "yy", "yx"))))
+            return stack
+
+        monkeypatch.setattr(scenarios, "sample_table", recording)
+        cfg = {"scenario_id": "shot_noise_study", "shots_list": [100, 10**4],
+               "repeats": 50, "seed": 3}
+        [path] = scenarios.run({**cfg, "output_dir": str(tmp_path / "run")})
+        assert len(stacks) == 34 and [k for shots, _ in stacks for k in shots] == (
+            [100] * 50 + [10**4] * 50)
+        assert max(size for _, size in stacks) <= budget
+        assert stacks[16][0] == [100, 100, 10**4]
+        assert path.read_bytes() == shot_noise_reference(cfg, tmp_path / "reference.csv")
 
 
 class TestDeterminism:

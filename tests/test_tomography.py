@@ -9,10 +9,15 @@ import pytest
 from udwtomo import detector, tomography
 from udwtomo.detector import (CorrelatorTable, correlator_table,
                               random_kernel_matrix, sample_table)
+from udwtomo.config import validate_config
 from udwtomo.errors import DephasingError, NoiseDominatedError, TangentDomainError
-from udwtomo.kernels import KernelMatrix
+from udwtomo.kernels import FieldState, KernelMatrix, assemble_kernels
 from udwtomo.numerics import fit_loglog_slope
-from udwtomo.tomography import reconstruct_table
+from udwtomo.smearing import GaussianRegion
+from udwtomo.spacetime import build_lattice
+from udwtomo.tomography import TableReconstruction, reconstruct_table
+
+FIELDS = ("i", "j", "H", "C", "causal", "dephasing_dominated")
 
 
 def table(n=2, zz=1.0, yy=0.0, z=1.0, yx=None):
@@ -72,6 +77,24 @@ def same_error(got, want):
             and getattr(got, "k", None) == getattr(want, "k", None)
             and same_bits(getattr(got, "ratio", 0.0) or 0.0,
                           getattr(want, "ratio", 0.0) or 0.0))
+
+
+def assert_same_reconstruction(got, want):
+    """Every field bitwise, and the same failures in the same order."""
+    for name in FIELDS:
+        u, v = getattr(got, name), getattr(want, name)
+        assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes(), name
+    assert list(got.failures) == list(want.failures)
+    for q, err in want.failures.items():
+        assert same_error(got.failures[q], err)
+
+
+def table_of(rec, r):
+    """Table r of a stack's reconstruction, laid out as one table's."""
+    P = rec.H.shape[-1]
+    return TableReconstruction(
+        *(getattr(rec, name)[r] for name in FIELDS),
+        failures={q - r * P: err for q, err in rec.failures.items() if r * P <= q < (r + 1) * P})
 
 
 def check_against_reference(t):
@@ -185,26 +208,65 @@ class TestRowBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3, 54])
     def test_sampled_roundtrip_is_block_invariant(self, monkeypatch, n):
         # correlator table, sample and inversion at one pair per block, three
-        # pairs per block and a single block
+        # and four pairs per block and a single block, of one table and of a
+        # stack of three (four-pair blocks span two of its tables at n = 2, 3
+        # and 54)
         km = random_kernel_matrix(n, n)
-        recs = []
-        for chunk in (n, 3 * n, 1 << 30):
+        recs, stacks = [], []
+        for chunk in (n, 3 * n, 4 * n, 1 << 30):
             monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", chunk)
-            recs.append(reconstruct_table(sample_table(correlator_table(km), 100, n)))
+            exact = correlator_table(km)
+            recs.append(reconstruct_table(sample_table(exact, 100, n)))
+            stacks.append(reconstruct_table(sample_table(exact, [100, 30, 100],
+                                                         [n, n + 1, n + 2])))
         whole = recs[-1]
         if n == 54:
             assert whole.failures, "the sampled table should fail somewhere"
         for blocked in recs[:-1]:
-            for name in ("i", "j", "H", "C", "causal", "dephasing_dominated"):
-                u, v = getattr(whole, name), getattr(blocked, name)
-                assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
-            assert list(whole.failures) == list(blocked.failures)
-            for q, err in whole.failures.items():
-                assert same_error(blocked.failures[q], err)
+            assert_same_reconstruction(blocked, whole)
+        for blocked in stacks[:-1]:
+            assert_same_reconstruction(blocked, stacks[-1])
+        assert_same_reconstruction(table_of(stacks[-1], 0), whole)
 
     def test_no_pairs(self):
         rec = reconstruct_table(table(n=1))
         assert len(rec.H) == len(rec.causal) == len(rec.i) == 0 and not rec.failures
+
+
+class TestStacks:
+    """A stack of tables inverts in one pass, bitwise as table by table."""
+
+    @pytest.mark.parametrize("shots, n_failed", [(10, 312), (100, 7)])
+    def test_stack_matches_per_table_inversion(self, monkeypatch, shots, n_failed):
+        # the shot-noise study's default 16-region lattice, seed and 4 repeats:
+        # the failure counts of test_shot_noise_failure_counts
+        cfg = validate_config({"scenario_id": "shot_noise_study"})
+        regions = [GaussianRegion(e, cfg.ell) for e in build_lattice(cfg.lattice)]
+        exact = correlator_table(assemble_kernels(FieldState.vacuum(), regions, cfg.lam))
+        seeds = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=(shots, rep))
+                 for rep in range(4)]
+        singles = [reconstruct_table(sample_table(exact, shots, seed)) for seed in seeds]
+        assert sum(len(rec.failures) for rec in singles) == n_failed
+        # blocks of 50 rows over 120-pair tables: blocks 2, 4 and 7 span two tables
+        monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 50 * 16)
+        stack = reconstruct_table(sample_table(exact, [shots] * 4, seeds))
+        assert stack.H.shape == (4, 120)
+        for r, rec in enumerate(singles):
+            assert_same_reconstruction(table_of(stack, r), rec)
+        assert np.flatnonzero(~stack.ok.ravel()).tolist() == list(stack.failures)
+        assert np.array_equal(stack.ok, np.array([rec.ok for rec in singles]))
+
+    def test_hand_built_stack(self):
+        # tables that fail in different ways, stacked by hand
+        parts = [table(n=4, yx={(1, 4): 1.1, (2, 4): 1.0}), table(n=4, zz=0.5, yy=0.6),
+                 table(n=4, z=[0.0, 1.0, 1.0, 1.0], yx={(1, 3): 0.1, (2, 3): 0.1})]
+        stack = CorrelatorTable(*(np.array([getattr(t, name) for t in parts])
+                                  for name in ("z", "zz", "yy", "yx")))
+        rec = reconstruct_table(stack)
+        assert rec.i.shape == (3, 6) and np.array_equal(rec.i[2], [1, 1, 1, 2, 2, 3])
+        for r, t in enumerate(parts):
+            assert_same_reconstruction(table_of(rec, r), reconstruct_table(t))
+        assert min(rec.failures) == 0 and max(rec.failures) >= 12
 
 
 class TestSpacelike:
