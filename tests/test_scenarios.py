@@ -111,8 +111,6 @@ class TestValidation:
          "enable_quadrature_columns"),
         ({"scenario_id": "shot_noise_study", "repeats": True}, "repeats"),
         ({"scenario_id": "shot_noise_study", "shots_list": [True, 10]}, "shots_list"),
-        # validated, and the run raised from the sampler's int64 shot count
-        ({"scenario_id": "shot_noise_study", "shots_list": [10, 2**63]}, "shots_list"),
         ({"scenario_id": "coherent_curves",
           "anchor": {"t": "6", "x": -6.0, "y": 0.0, "z": 0.0}}, "anchor"),
         ({"scenario_id": "oneparticle_curves",
@@ -132,6 +130,8 @@ class TestValidation:
         ({"scenario_id": "shot_noise_study",
           "lattice": {"n_space": 1, "n_time": 1, "spacing_space": 10.0,
                       "spacing_time": 10.0}}, "lattice"),
+        # validated, and the run raised from the sampler's int64 shot count
+        ({"scenario_id": "shot_noise_study", "shots_list": [10, 2**63]}, "shots_list"),
     ])
     def test_malformed_values(self, raw, field, tmp_path, capsys):
         # each is a ConfigError naming the field, and the CLI exits 2
