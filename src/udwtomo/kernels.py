@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, LightconeSingularityError
-from .numerics import (_integrate_panels, integrate_semi_infinite,
-                       integrate_semi_infinite_array)
+from .numerics import integrate_semi_infinite, integrate_semi_infinite_array
 from .smearing import GaussianRegion
 from .spacetime import Interval, default_lightcone_tol, intervals
 
@@ -43,7 +42,6 @@ __all__ = [
     "hadamard_array",
     "hadamard_dtt_array",
     "phi0_coherent_array",
-    "phi0_coherent_region",
     "F_oneparticle_array",
     "wightman_smeared_quadrature",
     "wightman_smeared_closed",
@@ -244,17 +242,6 @@ def phi0_coherent_array(delta: float, x: np.ndarray) -> np.ndarray:
     return _phi0(delta, x)[0]
 
 
-def phi0_coherent_region(delta: float, region: GaussianRegion) -> float:
-    """Classical wave smeared over a width-ell Gaussian region (closed form)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    c = region.center
-    r = math.sqrt(c.x**2 + c.y**2 + c.z**2)
-    s2 = delta * delta + region.ell**2
-    return float(delta * _gaussian_wave_pair(c.t, r, s2)[0] / (
-        4.0 * math.sqrt(2.0) * math.pi * math.sqrt(s2)))
-
-
 def _F(delta: float, x: np.ndarray, dtt: bool = False
        ) -> tuple[np.ndarray, np.ndarray | None]:
     """F and, if ``dtt``, its second time derivative (else None) at
@@ -330,6 +317,14 @@ def _lightcone_errors(itv: Interval) -> dict[int, LightconeSingularityError]:
             for k in lightlike.tolist()}
 
 
+def _source_term(state: FieldState, amp_a, amp_b):
+    """The sourced state's part of Re W between regions (or points) with
+    amplitudes amp_a and amp_b: phi0_a phi0_b, or 2 Re(F_a conj F_b)."""
+    if state.tag == "coherent":
+        return amp_a * amp_b
+    return 2.0 * (amp_a.real * amp_b.real + amp_a.imag * amp_b.imag)
+
+
 def _hadamard(state: FieldState, a: np.ndarray, b: np.ndarray, dtt: bool
               ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """(Re W, d^2/dt_a^2 Re W, d^2/dt_b^2 Re W), the derivatives None unless
@@ -347,20 +342,12 @@ def _hadamard(state: FieldState, a: np.ndarray, b: np.ndarray, dtt: bool
     if state.tag == "vacuum":
         return vac, vac_tt, vac_tt
     both = np.stack(np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-    if state.tag == "coherent":
-        (pa, pb), p_tt = _phi0(state.delta, both, dtt)
-        w = vac + pa * pb
-        if not dtt:
-            return w, None, None
-        return w, vac_tt + p_tt[0] * pb, vac_tt + pa * p_tt[1]
-    # one-particle wavepacket: vac + 2 Re(F(a) conj(F(b)))
-    (fa, fb), f_tt = _F(state.delta, both, dtt)
-    w = vac + 2.0 * (fa.real * fb.real + fa.imag * fb.imag)
+    (amp_a, amp_b), amp_tt = (_phi0 if state.tag == "coherent" else _F)(state.delta, both, dtt)
+    w = vac + _source_term(state, amp_a, amp_b)
     if not dtt:
         return w, None, None
-    fa_tt, fb_tt = f_tt
-    return (w, vac_tt + 2.0 * (fa_tt.real * fb.real + fa_tt.imag * fb.imag),
-            vac_tt + 2.0 * (fa.real * fb_tt.real + fa.imag * fb_tt.imag))
+    return (w, vac_tt + _source_term(state, amp_tt[0], amp_b),
+            vac_tt + _source_term(state, amp_a, amp_tt[1]))
 
 
 def hadamard_dtt_array(state: FieldState, a: np.ndarray, b: np.ndarray
@@ -415,82 +402,64 @@ def _radial_factors(dr: np.ndarray):
 _KMS_KNOTS = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
-def _F_region_quadrature(delta: float, ell: float, region: GaussianRegion,
-                         tol: float) -> complex:
+def _region_amplitude_quadrature(state: FieldState, ell: float, region: GaussianRegion,
+                                 tol: float) -> float | complex:
+    """The sourced state's amplitude smeared over a width-ell region (phi0 for
+    the coherent state, F for the one-particle one) by its radial momentum
+    integral: the scalar twin of ``_region_amplitudes_quadrature``."""
     c = region.center
     r = math.sqrt(c.x**2 + c.y**2 + c.z**2)
-    t = c.t
-    a = 0.5 * delta * delta + ell * ell
-    pref = delta * delta / (math.pi * math.sqrt(2.0))
+    t, delta = c.t, state.delta
+    if state.tag == "coherent":
+        a, pref = delta * delta + ell * ell, -delta / (_SQRT_2PI * math.pi)
 
-    def f(k: float) -> complex:
-        return (pref * k * math.exp(-a * k * k) * _radial_factor(k, r)
-                * complex(math.cos(k * t), -math.sin(k * t)))
+        def f(k: float) -> float:
+            return pref * math.exp(-a * k * k) * math.sin(k * t) * _radial_factor(k, r)
+    else:
+        a, pref = 0.5 * delta * delta + ell * ell, delta * delta / (math.pi * math.sqrt(2.0))
 
-    res = integrate_semi_infinite(f, tol, decay_scale=a, osc_scale=r + abs(t) + 1.0)
-    return complex(res.value)
+        def f(k: float) -> complex:
+            return (pref * k * math.exp(-a * k * k) * _radial_factor(k, r)
+                    * complex(math.cos(k * t), -math.sin(k * t)))
 
-
-def _phi0_region_quadrature(delta: float, ell: float, region: GaussianRegion,
-                            tol: float) -> float:
-    c = region.center
-    r = math.sqrt(c.x**2 + c.y**2 + c.z**2)
-    t = c.t
-    a = delta * delta + ell * ell
-    pref = -delta / (_SQRT_2PI * math.pi)
-
-    def f(k: float) -> float:
-        return pref * math.exp(-a * k * k) * math.sin(k * t) * _radial_factor(k, r)
-
-    res = integrate_semi_infinite(f, tol, decay_scale=a, osc_scale=r + abs(t) + 1.0)
-    return float(res.value.real if isinstance(res.value, complex) else res.value)
+    return integrate_semi_infinite(f, tol, a, r + abs(t) + 1.0).value
 
 
 def wightman_smeared_quadrature(state: FieldState, ri: GaussianRegion,
-                                rj: GaussianRegion, tol: float = 1e-10) -> complex:
+                                rj: GaussianRegion, tol: float) -> complex:
     """Full complex smeared two-point value via the radial momentum integral.
 
-    This is the independent oracle for every closed form in this module.
+    This is the independent oracle for every closed form in this module: the
+    vacuum or KMS integral in one ``integrate_semi_infinite`` call, and for
+    a sourced state one more per region amplitude.
     """
     ell = _check_equal_widths(ri, rj)
     dt, dr = _pair_geometry(ri, rj)
-    a = 2.0 * ell * ell
-    osc = dr + abs(dt) + 1.0
+    a, beta = 2.0 * ell * ell, state.beta
 
-    if state.tag == "thermal":
-        beta = state.beta
-
-        def f(k: float) -> complex:
-            if k <= 0.0:
-                return complex(2.0 / beta / (4.0 * math.pi**2), 0.0)
+    def f(k: float) -> complex:
+        if beta is None:
+            re_w = math.cos(k * dt)
+        elif k > 0.0:
             re_w = _coth(0.5 * beta * k) * math.cos(k * dt)
-            return (math.exp(-a * k * k) * _radial_factor(k, dr)
-                    * complex(re_w, -math.sin(k * dt)) / (4.0 * math.pi**2))
-
-        knots = [c / beta for c in _KMS_KNOTS]
-        return complex(_integrate_panels(f, tol, a, osc, knots).value)
-
-    def f_vac(k: float) -> complex:
+        else:  # the k -> 0 limit of coth(beta k/2) sin(k dr)/dr
+            return complex(2.0 / beta / (4.0 * math.pi**2), 0.0)
         return (math.exp(-a * k * k) * _radial_factor(k, dr)
-                * complex(math.cos(k * dt), -math.sin(k * dt)) / (4.0 * math.pi**2))
+                * complex(re_w, -math.sin(k * dt)) / (4.0 * math.pi**2))
 
-    w = complex(integrate_semi_infinite(f_vac, tol, decay_scale=a, osc_scale=osc).value)
-    if state.tag == "vacuum":
+    knots = [c / beta for c in _KMS_KNOTS] if beta is not None else ()
+    w = complex(integrate_semi_infinite(f, tol, a, dr + abs(dt) + 1.0, knots).value)
+    if state.tag in ("vacuum", "thermal"):
         return w
-    if state.tag == "coherent":
-        pi_ = _phi0_region_quadrature(state.delta, ell, ri, tol)
-        pj_ = _phi0_region_quadrature(state.delta, ell, rj, tol)
-        return w + pi_ * pj_
-    fi = _F_region_quadrature(state.delta, ell, ri, tol)
-    fj = _F_region_quadrature(state.delta, ell, rj, tol)
-    return w + 2.0 * (fi * fj.conjugate()).real
+    amp_i, amp_j = (_region_amplitude_quadrature(state, ell, r, tol) for r in (ri, rj))
+    return w + _source_term(state, amp_i, amp_j)
 
 
 def _region_amplitudes_quadrature(state: FieldState, ell: float, t: np.ndarray,
                                   r: np.ndarray, tol: float) -> np.ndarray:
     """The sourced state's region-smeared amplitude at every region (t, r),
-    r the distance from the source: ``_phi0_region_quadrature`` (coherent)
-    or ``_F_region_quadrature`` (one-particle) from one array pass."""
+    r the distance from the source: ``_region_amplitude_quadrature`` of
+    every region from one array pass."""
     delta, radial = state.delta, _radial_factors(r)
     if state.tag == "coherent":
         a, pref = delta * delta + ell * ell, -delta / (_SQRT_2PI * math.pi)
@@ -536,10 +505,7 @@ def _smeared_quadrature_real(state: FieldState, ell: float, a: np.ndarray,
         return re
     centers, index = np.unique(np.concatenate([a, b]), axis=0, return_inverse=True)
     amp = _region_amplitudes_quadrature(state, ell, *_time_radius(centers), tol)
-    amp_a, amp_b = amp[index[:len(dt)]], amp[index[len(dt):]]
-    if state.tag == "coherent":
-        return re + amp_a * amp_b
-    return re + 2.0 * (amp_a.real * amp_b.real + amp_a.imag * amp_b.imag)
+    return re + _source_term(state, amp[index[:len(dt)]], amp[index[len(dt):]])
 
 
 # Smearing over width-ell Gaussians is a heat flow exp(a d^2/dt^2), a = 2 ell^2,
@@ -625,23 +591,31 @@ def _smeared_real(beta: float | None, ell: float, dt, dr) -> np.ndarray:
     return norm * acc + _image_tail(beta, a, dt, dr, n_images) / (4.0 * math.pi**2)
 
 
+def _region_amplitudes(state: FieldState, ell: float, x: np.ndarray) -> np.ndarray:
+    """The sourced state's amplitude smeared over the width-ell regions
+    centred at coordinates x (..., 4), in closed form: smearing widens the
+    source, so it is the pointlike amplitude at the width delta', scaled;
+    coherent (delta/delta') phi0(delta', x) with delta'^2 = delta^2 + ell^2,
+    one-particle (delta^2/delta'^2) F(delta', x) with delta'^2 = delta^2 + 2 ell^2."""
+    delta = state.delta
+    if state.tag == "coherent":
+        wide = math.sqrt(delta * delta + ell * ell)
+        return delta / wide * _phi0(wide, x)[0]
+    wide2 = delta**2 + 2.0 * ell * ell
+    return delta**2 / wide2 * _F(math.sqrt(wide2), x)[0]
+
+
 def wightman_smeared_closed(state: FieldState, ri: GaussianRegion,
                             rj: GaussianRegion) -> complex:
     """Smeared two-point value in closed form, for any of the four states at
-    any separation: the vacuum or KMS Re W, plus the product of the sourced
-    states' region-smeared amplitudes (the one-particle one is
-    (delta^2/delta'^2) F(delta', center), delta'^2 = delta^2 + 2 ell^2), and
-    Im W = E/2."""
+    any separation: the vacuum or KMS Re W, plus the sourced states' term
+    from their ``_region_amplitudes``, and Im W = E/2."""
     ell = _check_equal_widths(ri, rj)
     dt, dr = _pair_geometry(ri, rj)
     re = float(_smeared_real(state.beta, ell, dt, dr))
-    if state.tag == "coherent":
-        re += phi0_coherent_region(state.delta, ri) * phi0_coherent_region(state.delta, rj)
-    elif state.tag == "one_particle":
-        wide2 = state.delta**2 + 2.0 * ell * ell
-        fi, fj = (state.delta**2 / wide2 * complex(_F(math.sqrt(wide2), r.center.coords())[0])
-                  for r in (ri, rj))
-        re += 2.0 * (fi.real * fj.real + fi.imag * fj.imag)
+    if state.tag in ("coherent", "one_particle"):
+        amp = _region_amplitudes(state, ell, np.array([ri.center.coords(), rj.center.coords()]))
+        re += _source_term(state, amp[0], amp[1])
     return complex(re, float(_commutator(dt, dr, ell)) / 2.0)
 
 

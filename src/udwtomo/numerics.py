@@ -1,13 +1,15 @@
 """Quadrature and fitting primitives.
 
-``integrate_semi_infinite`` is the workhorse oracle integrator: panelised
+``integrate_semi_infinite`` is the one scalar oracle integrator: panelised
 adaptive Gauss-Kronrod on [0, K] with the cutoff K chosen from the
 integrand's Gaussian decay, plus an explicit tail certificate.  All the
 radial momentum integrands in this package carry an exp(-a k^2) factor, so
-truncation error is bounded analytically when the decay scale is supplied.
-``integrate_semi_infinite_array`` is its sibling for a vector of integrands
-(one per pair of a scan) under the same cutoff and panel rules, integrated
-by ``scipy.integrate.quad_vec`` in one adaptive pass.
+every caller passes that decay scale a, and the truncation error is bounded
+analytically; the oscillation scale sets the panels and optional knots add
+panel edges.  ``integrate_semi_infinite_array`` takes the same arguments
+for a vector of integrands (one per pair of a scan) under the same cutoff
+and panel rules, integrated by ``scipy.integrate.quad_vec`` in one adaptive
+pass.
 """
 
 from __future__ import annotations
@@ -52,81 +54,61 @@ def _probe_is_complex(f: Callable[[float], complex], points: Sequence[float]) ->
     return any(isinstance(f(p), complex) for p in points)
 
 
-def _choose_cutoff(f, tol: float, decay_scale: float | None):
-    """Return (K, tail_bound) such that |int_K^inf f| <= tail_bound <~ tol/10.
+def _plan(f, tol: float, decay_scale: float, osc_scale: float,
+          knots: Sequence[float]) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """(K, tail_bound, edges, limit) of both integrators: the cutoff K with
+    |int_K^inf f| <= tail_bound <~ tol/10, the panel edges on [0, K] and
+    each panel's subdivision budget.
 
     For a vector-valued f one K serves every component (the largest |f|
-    sets it) and the tail bound is per component."""
-    tail_target = tol / 10.0
-    if decay_scale is not None and decay_scale > 0:
-        a = decay_scale
-        probes = np.linspace(0.0, 3.0 / math.sqrt(a), 25)[1:]
-        mag = max(np.max(np.abs(f(p))) for p in probes)
-        if not math.isfinite(mag):
-            raise ConvergenceError(f"integrand is not finite on [0, {probes[-1]:g}]")
-        mag = max(mag, 1e-300)
-        k = math.sqrt((max(math.log(mag / tail_target), 0.0) + 5.0) / a)
-        # |f| <= |f(K)| e^{-a(k^2-K^2)} beyond K, so the tail is <= |f(K)|/(2aK)
-        fk = np.maximum.reduce([np.abs(f(k)), np.abs(f(1.02 * k)), np.abs(f(1.1 * k))])
-        return k, fk / (2.0 * a * k)
-    # no decay hint: geometric scan until the integrand looks dead
-    k = 1.0
-    for _ in range(60):
-        samples = [np.max(np.abs(f(k * (1.0 + 0.13 * i)))) for i in range(8)]
-        if max(samples) * 4.0 * k < tail_target:
-            return 2.0 * k, max(samples) * 4.0 * k
-        k *= 2.0
-    raise ConvergenceError(
-        "integrand does not decay within the scanned range [0, 2^60]")
-
-
-def _panels(cutoff: float, osc_scale: float | None,
-            knots: Sequence[float]) -> tuple[np.ndarray, int]:
-    """Panel edges on [0, cutoff] and each panel's subdivision budget.
-
-    ``knots`` are extra edges where the integrand changes on a scale the
-    panels would not resolve (the thermal occupation at k ~ 1/beta); those
-    outside (0, cutoff) are dropped."""
-    if osc_scale is not None and osc_scale > 0:
-        # aim for <= 50 oscillation periods per panel, capping the panel count;
-        # heavily oscillatory panels get a proportionally larger subdivision budget
-        width = max(50.0 * 2.0 * math.pi / osc_scale, cutoff / 512.0)
-        periods_per_panel = width * osc_scale / (2.0 * math.pi)
-        limit = max(100, min(5000, int(3.0 * periods_per_panel) + 50))
-    else:
-        width = cutoff / 8.0
-        limit = 200
-    n_panels = max(1, math.ceil(cutoff / width))
-    edges = np.linspace(0.0, cutoff, n_panels + 1)
+    sets it) and the tail bound is per component.  ``knots`` are extra
+    edges where the integrand changes on a scale the panels would not
+    resolve (the thermal occupation at k ~ 1/beta); those outside (0, K)
+    are dropped."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if not (decay_scale > 0 and osc_scale > 0):
+        raise ValueError("decay_scale and osc_scale must be positive")
+    a = decay_scale
+    probes = np.linspace(0.0, 3.0 / math.sqrt(a), 25)[1:]
+    mag = max(np.max(np.abs(f(p))) for p in probes)
+    if not math.isfinite(mag):
+        raise ConvergenceError(f"integrand is not finite on [0, {probes[-1]:g}]")
+    mag = max(mag, 1e-300)
+    cutoff = math.sqrt((max(math.log(mag / (tol / 10.0)), 0.0) + 5.0) / a)
+    # |f| <= |f(K)| e^{-a(k^2-K^2)} beyond K, so the tail is <= |f(K)|/(2aK)
+    fk = np.maximum.reduce([np.abs(f(cutoff)), np.abs(f(1.02 * cutoff)),
+                            np.abs(f(1.1 * cutoff))])
+    # aim for <= 50 oscillation periods per panel, capping the panel count;
+    # heavily oscillatory panels get a proportionally larger subdivision budget
+    width = max(50.0 * 2.0 * math.pi / osc_scale, cutoff / 512.0)
+    periods_per_panel = width * osc_scale / (2.0 * math.pi)
+    limit = max(100, min(5000, int(3.0 * periods_per_panel) + 50))
+    edges = np.linspace(0.0, cutoff, max(1, math.ceil(cutoff / width)) + 1)
     inner = [x for x in knots if 0.0 < x < cutoff]
-    return (np.union1d(edges, inner) if inner else edges), limit
+    return (cutoff, fk / (2.0 * a * cutoff),
+            np.union1d(edges, inner) if inner else edges, limit)
 
 
 def integrate_semi_infinite(
     f: Callable[[float], complex],
     tol: float,
-    decay_scale: float | None = None,
-    osc_scale: float | None = None,
+    decay_scale: float,
+    osc_scale: float,
+    knots: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate f over [0, infinity) to absolute tolerance ``tol``.
 
-    ``decay_scale`` is the Gaussian decay rate a when |f(k)| ~ exp(-a k^2)
-    eventually; it makes the truncation bound analytic.  ``osc_scale`` is the
-    dominant oscillation frequency (rad per unit k) and only affects how the
-    finite range is panelised.  Deterministic for fixed inputs.
+    ``decay_scale`` is the Gaussian decay rate a of |f(k)| ~ exp(-a k^2); it
+    makes the truncation bound analytic.  ``osc_scale`` is the dominant
+    oscillation frequency (rad per unit k) and ``knots`` are extra panel
+    edges; both only affect how the finite range is panelised.  Each panel
+    of a real f, or of the real and imaginary parts of a complex one, is
+    integrated by ``scipy.integrate.quad``.  Deterministic for fixed inputs.
     """
-    return _integrate_panels(f, tol, decay_scale, osc_scale, ())
-
-
-def _integrate_panels(f, tol: float, decay_scale: float | None,
-                      osc_scale: float | None, knots: Sequence[float]) -> QuadratureResult:
-    # integrate_semi_infinite with extra panel edges at ``knots``
     from scipy import integrate  # here, not at import: it takes ~0.5 s to load
 
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    cutoff, tail_bound = _choose_cutoff(f, tol, decay_scale)
-    edges, limit = _panels(cutoff, osc_scale, knots)
+    cutoff, tail_bound, edges, limit = _plan(f, tol, decay_scale, osc_scale, knots)
     n_panels = len(edges) - 1
 
     is_complex = _probe_is_complex(f, [cutoff * 0.31, cutoff * 0.07])
@@ -161,8 +143,8 @@ def _integrate_panels(f, tol: float, decay_scale: float | None,
 def integrate_semi_infinite_array(
     f: Callable[[float], np.ndarray],
     tol: float,
-    decay_scale: float | None = None,
-    osc_scale: float | None = None,
+    decay_scale: float,
+    osc_scale: float,
     knots: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate every component of a vector-valued f over [0, infinity) to
@@ -180,10 +162,7 @@ def integrate_semi_infinite_array(
     """
     from scipy import integrate  # here, not at import: it takes ~0.5 s to load
 
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    cutoff, tail_bound = _choose_cutoff(f, tol, decay_scale)
-    edges, limit = _panels(cutoff, osc_scale, knots)
+    cutoff, tail_bound, edges, limit = _plan(f, tol, decay_scale, osc_scale, knots)
     # quad_vec stops once its error sum is below epsabs / 8: this asks for
     # the tol / 2 that the scalar integrator's panel tolerances add up to.
     # workers=map is the serial default without importing multiprocessing,

@@ -156,15 +156,15 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
 
 
 def write_reconstruction_results(rec: TableReconstruction, E: np.ndarray,
-                                 path: str | Path,
-                                 h_true: np.ndarray | None = None) -> None:
+                                 path: str | Path, h_true: np.ndarray) -> None:
     """Persist the inverted pairs of ``rec`` (failed pairs are left out), with
-    W = H/2 + i E/2 from the commutator matrix ``E``; ``h_true`` is optional."""
+    W = H/2 + i E/2 from the commutator matrix ``E`` and the true H of each
+    pair from ``h_true``."""
     ok = rec.ok
     i, j, h = rec.i[ok], rec.j[ok], rec.H[ok]
-    true = np.full(len(h), "") if h_true is None else h_true[i - 1, j - 1]
     regime = np.where(rec.causal[ok], "causal", "spacelike")
     flags = np.where(rec.dephasing_dominated[ok], "dephasing_dominated", "")
     write_columns(path, ["i", "j", "regime", "H_reconstructed", "H_true_if_known",
                          "C_ij", "Re_W", "Im_W", "flags"],
-                  [i, j, regime, h, true, rec.C[ok], 0.5 * h, 0.5 * E[i - 1, j - 1], flags])
+                  [i, j, regime, h, h_true[i - 1, j - 1], rec.C[ok], 0.5 * h,
+                   0.5 * E[i - 1, j - 1], flags])

@@ -15,8 +15,7 @@ from udwtomo import kernels
 from udwtomo.errors import CapacityError, LightconeSingularityError
 from udwtomo.kernels import (FieldState, KernelMatrix, assemble_kernels,
                              F_oneparticle_array, hadamard_array, phi0_coherent_array,
-                             phi0_coherent_region, wightman_smeared_closed,
-                             wightman_smeared_quadrature)
+                             wightman_smeared_closed, wightman_smeared_quadrature)
 from udwtomo.smearing import GaussianRegion
 from udwtomo.spacetime import Event, LatticeSpec, build_lattice, intervals
 
@@ -26,6 +25,12 @@ ORIGIN = O.coords()
 
 def region(t, x, ell=1.0):
     return GaussianRegion(Event(t, x, 0.0, 0.0), ell)
+
+
+def region_amplitudes(state, *regions):
+    """The closed region amplitudes of equal-width regions, one array call."""
+    return kernels._region_amplitudes(state, regions[0].ell,
+                                      np.array([r.center.coords() for r in regions]))
 
 
 def lattice_regions(origin=O, ell=1.0):
@@ -216,14 +221,15 @@ class TestPhi0:
 
     def test_smeared_region_against_radial_quadrature(self):
         delta, ell = 1.5, 1.0
+        state = FieldState.coherent(delta)
         for (t, x) in ((6.0, 6.0), (-3.0, 8.0), (5.0, 0.0)):
-            closed = phi0_coherent_region(delta, region(t, x, ell))
-            quad = kernels._phi0_region_quadrature(delta, ell, region(t, x, ell), 1e-13)
+            closed = float(region_amplitudes(state, region(t, x, ell))[0])
+            quad = kernels._region_amplitude_quadrature(state, ell, region(t, x, ell), 1e-13)
             assert closed == pytest.approx(quad, abs=1e-12)
 
     def test_smeared_region_zero_at_equal_time(self):
         # region centered on the t = 0 slice: in/out Gaussians coincide
-        assert phi0_coherent_region(1.5, region(0.0, 4.0)) == 0.0
+        assert region_amplitudes(FieldState.coherent(1.5), region(0.0, 4.0))[0] == 0.0
 
 
 class TestOneParticleF:
@@ -345,11 +351,12 @@ class TestArrayKernels:
         assert (kernels.F_oneparticle_array(delta, x).tolist()
                 == kernels._F(delta, x, dtt=True)[0].tolist())
         ell = 0.5
-        s2 = delta**2 + ell**2
-        for t, r in pairs:
-            value = kernels._gaussian_wave_pair(t, r, s2, dtt=True)[0]
-            assert kernels.phi0_coherent_region(delta, region(t, r, ell)) == float(
-                delta * value / (4.0 * math.sqrt(2.0) * math.pi * math.sqrt(s2)))
+        wide = math.sqrt(delta * delta + ell * ell)
+        assert kernels._region_amplitudes(FieldState.coherent(delta), ell, x).tolist() == (
+            delta / wide * kernels._phi0(wide, x, dtt=True)[0]).tolist()
+        wide2 = delta**2 + 2.0 * ell * ell
+        assert kernels._region_amplitudes(FieldState.one_particle(delta), ell, x).tolist() == (
+            delta**2 / wide2 * kernels._F(math.sqrt(wide2), x, dtt=True)[0]).tolist()
         t, r = np.array(pairs).T
         value = kernels._gaussian_wave_pair(t, r, 2.0 * ell * ell, dtt=True)[0]
         assert kernels._commutator(t, r, ell).tolist() == (
@@ -409,6 +416,49 @@ class TestSmearedOracle:
             assert abs(wc.real - wq.real) <= 1e-10 * diag, (dt, dr)
             assert abs(wc.imag - wq.imag) <= 1e-10 * diag, (dt, dr)
             assert abs(re_array - wq.real) <= 1e-12, (dt, dr)
+
+    @pytest.mark.parametrize("state, calls", [
+        (FieldState.vacuum(), 1), (FieldState.thermal(50.0), 1),
+        (FieldState.coherent(1.5), 3), (FieldState.one_particle(2.0), 3)],
+        ids=["vacuum", "beta50", "coherent", "one_particle"])
+    def test_every_quadrature_goes_through_one_integrator(self, state, calls, monkeypatch):
+        # the two-point integral (the KMS one with its knots at multiples of
+        # 1/beta), then one integral per region amplitude of a sourced state
+        seen = []
+
+        def counted(f, tol, decay_scale, osc_scale, knots=()):
+            seen.append(list(knots))
+            return integrate(f, tol, decay_scale, osc_scale, knots)
+
+        integrate = kernels.integrate_semi_infinite
+        ri, rj = region(2.0, 5.0), region(-1.0, 0.5)
+        want = wightman_smeared_quadrature(state, ri, rj, 1e-10)
+        monkeypatch.setattr(kernels, "integrate_semi_infinite", counted)
+        assert wightman_smeared_quadrature(state, ri, rj, 1e-10) == want
+        assert len(seen) == calls
+        knots = [c / state.beta for c in kernels._KMS_KNOTS] if state.beta else []
+        assert seen[0] == knots
+        assert all(k == [] for k in seen[1:])
+
+    @pytest.mark.parametrize("state", [FieldState.coherent(1.5), FieldState.one_particle(2.0)],
+                             ids=["coherent", "one_particle"])
+    def test_region_amplitudes_match_quadrature(self, state):
+        # centres on the source (r = 0), on its t = 0 slice, next to its
+        # lightcone r = |t| and generic, for two widths; the scalar
+        # quadrature agrees with the array one
+        x = np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0], [-8.0, 1e-7, 0.0, 0.0],
+                      [0.0, 4.0, 0.0, 0.0], [0.0, 1.2, -0.5, 2.0], [6.0, 6.0, 0.0, 0.0],
+                      [6.0, 6.0 + 1e-9, 0.0, 0.0], [-5.0, 3.0, 4.0, 0.0],
+                      [2.0, 0.3, 0.0, 0.0], [12.0, -7.0, 3.0, 1.0]])
+        for ell in (0.5, 1.0):
+            closed = kernels._region_amplitudes(state, ell, x)
+            quad = kernels._region_amplitudes_quadrature(state, ell, *kernels._time_radius(x),
+                                                         1e-13)
+            assert np.max(np.abs(closed - quad)) <= 1e-12
+            for xi, qi in zip(x, quad):
+                one = kernels._region_amplitude_quadrature(
+                    state, ell, GaussianRegion(Event(*xi), ell), 1e-13)
+                assert abs(one - qi) <= 1e-12, xi
 
     def test_image_count_capped(self):
         # beta/ell ~ 1e-4 would need ~3e6 KMS images: refused before any work
@@ -506,7 +556,7 @@ class TestSmearedOracle:
         ri, rj = region(0, 8), region(0, 0)
         wc = wightman_smeared_closed(coh, ri, rj)
         wv = wightman_smeared_closed(vac, ri, rj)
-        prod = (phi0_coherent_region(1.5, ri) * phi0_coherent_region(1.5, rj))
+        prod = np.prod(region_amplitudes(coh, ri, rj))
         assert wc - wv == pytest.approx(prod, abs=1e-15)
 
     def test_coherent_quadrature_additivity(self):
@@ -516,7 +566,7 @@ class TestSmearedOracle:
         ri, rj = region(2.0, 8.0), region(0, 0)
         wc = wightman_smeared_quadrature(coh, ri, rj, 1e-12)
         wv = wightman_smeared_quadrature(vac, ri, rj, 1e-12)
-        prod = (phi0_coherent_region(1.5, ri) * phi0_coherent_region(1.5, rj))
+        prod = np.prod(region_amplitudes(coh, ri, rj))
         assert (wc - wv).real == pytest.approx(prod, abs=1e-10)
 
     def test_width_mismatch_rejected(self):

@@ -74,7 +74,7 @@ def test_erfi_scaled_consistent_with_erfi(x):
 class TestIntegrateSemiInfinite:
     def test_gaussian(self):
         res = numerics.integrate_semi_infinite(lambda k: math.exp(-k * k), 1e-12,
-                                               decay_scale=1.0)
+                                               decay_scale=1.0, osc_scale=1.0)
         assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
         assert res.error_estimate <= 1e-12
         assert res.evaluations >= 1
@@ -86,10 +86,6 @@ class TestIntegrateSemiInfinite:
                                                     if k > 0 else 1.0)
         res = numerics.integrate_semi_infinite(f, 1e-10, decay_scale=2.0, osc_scale=5.0)
         assert res.value == pytest.approx(target, abs=1e-10)
-
-    def test_exponential_no_hint(self):
-        res = numerics.integrate_semi_infinite(lambda k: math.exp(-k), 1e-10)
-        assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_complex_integrand(self):
         # the scalar integrator, and the array one on a two-component vector
@@ -118,13 +114,21 @@ class TestIntegrateSemiInfinite:
 
     def test_nondecaying_integrand_raises(self):
         with pytest.raises(ConvergenceError):
-            numerics.integrate_semi_infinite(lambda k: 1.0 / (1.0 + k), 1e-10)
+            numerics.integrate_semi_infinite(lambda k: 1.0 / (1.0 + k), 1e-10,
+                                             decay_scale=1.0, osc_scale=1.0)
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):
-            numerics.integrate_semi_infinite(lambda k: math.exp(-k * k), 0.0)
+            numerics.integrate_semi_infinite(lambda k: math.exp(-k * k), 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            numerics.integrate_semi_infinite_array(lambda k: np.ones(2), 0.0)
+            numerics.integrate_semi_infinite_array(lambda k: np.ones(2), 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("scales", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0)])
+    def test_scales_must_be_positive(self, scales):
+        for integrate in (numerics.integrate_semi_infinite,
+                          numerics.integrate_semi_infinite_array):
+            with pytest.raises(ValueError, match="decay_scale and osc_scale"):
+                integrate(lambda k: np.exp(-k * k) * np.ones(2), 1e-10, *scales)
 
 
 class TestIntegrateSemiInfiniteArray:
@@ -155,10 +159,10 @@ class TestIntegrateSemiInfiniteArray:
 
         want = math.sqrt(math.pi) / 2.0 * (1.0 + 1e-4)
         knots = [c * 1e-4 for c in (0.01, 0.1, 1.0, 10.0, 100.0)]
-        scalar = numerics._integrate_panels(f, 1e-12, 1.0, None, knots)
+        scalar = numerics.integrate_semi_infinite(f, 1e-12, 1.0, 1.0, knots)
         vector = numerics.integrate_semi_infinite_array(
             lambda k: np.array([f(k), math.exp(-k * k)]), 1e-12, decay_scale=1.0,
-            knots=knots)
+            osc_scale=1.0, knots=knots)
         assert scalar.value == pytest.approx(want, abs=1e-12)
         assert vector.value[0] == pytest.approx(want, abs=1e-12)
         assert vector.value[1] == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
@@ -168,14 +172,17 @@ class TestIntegrateSemiInfiniteArray:
         # tail bound fails the whole pass
         f = lambda k: np.array([math.exp(-k * k), 1.0 / (1.0 + k * k)])
         with pytest.raises(ConvergenceError, match="exceeds tolerance"):
-            numerics.integrate_semi_infinite_array(f, 1e-10, decay_scale=1.0)
+            numerics.integrate_semi_infinite_array(f, 1e-10, decay_scale=1.0,
+                                                   osc_scale=1.0)
 
     def test_non_finite_component_raises(self):
-        # NaN everywhere, and NaN only between the cutoff probes (0.5, 0.625)
+        # NaN everywhere, and NaN only between the cutoff probes (0.5, 0.625);
+        # at osc_scale 100 the initial panels sample that window
         for bad in (lambda k: math.nan, lambda k: math.nan if 0.51 < k < 0.6 else 0.0):
             f = lambda k: np.array([math.exp(-k * k), bad(k)])
             with pytest.raises(ConvergenceError):
-                numerics.integrate_semi_infinite_array(f, 1e-10, decay_scale=1.0)
+                numerics.integrate_semi_infinite_array(f, 1e-10, decay_scale=1.0,
+                                                       osc_scale=100.0)
 
 
 class TestFitLoglogSlope:

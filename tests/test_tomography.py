@@ -363,7 +363,7 @@ class TestAssembleWightman:
     def w_cells(t, e_12, path):
         """(Re W, Im W) of pair (1, 2) as written, with E_12 = e_12."""
         tomography.write_reconstruction_results(
-            reconstruct_table(t), np.array([[0.0, e_12], [-e_12, 0.0]]), path)
+            reconstruct_table(t), np.array([[0.0, e_12], [-e_12, 0.0]]), path, np.eye(2))
         with open(path, encoding="utf-8", newline="") as fh:
             row = next(csv.DictReader(fh))
         return float(row["Re_W"]), float(row["Im_W"])
@@ -379,7 +379,7 @@ class TestAssembleWightman:
         t = correlator_table(km)
         path = tmp_path / "recon.csv"
         rec = reconstruct_table(t)
-        tomography.write_reconstruction_results(rec, km.E, path)
+        tomography.write_reconstruction_results(rec, km.E, path, km.H)
         for line, h, e in zip(path.read_text().splitlines()[1:], rec.H,
                               km.E[rec.i - 1, rec.j - 1]):
             cells = line.split(",")
@@ -416,25 +416,27 @@ class TestReconstructRecord:
 
     def test_csv_regime_and_flags(self, tmp_path):
         # the text columns follow the table's masks, pair by pair
-        for name, t in (("mixed", correlator_table(random_kernel_matrix(4, seed=2))),
-                        ("dephased", table(zz=5e-7, yy=1e-7))):
+        km = random_kernel_matrix(4, seed=2)
+        for name, t, h_true in (("mixed", correlator_table(km), km.H),
+                                ("dephased", table(zz=5e-7, yy=1e-7), np.eye(2))):
             rec = reconstruct_table(t)
             path = tmp_path / f"{name}.csv"
-            tomography.write_reconstruction_results(rec, np.zeros((t.n, t.n)), path)
+            tomography.write_reconstruction_results(rec, np.zeros((t.n, t.n)), path, h_true)
             with open(path, encoding="utf-8", newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert [r["regime"] for r in rows] == [
                 "causal" if c else "spacelike" for c in rec.causal]
             assert [r["flags"] for r in rows] == [
                 "dephasing_dominated" if d else "" for d in rec.dephasing_dominated]
-            assert all(r["H_true_if_known"] == "" for r in rows)
+            assert [float(r["H_true_if_known"]) for r in rows] == (
+                h_true[rec.i - 1, rec.j - 1].tolist())
         assert rows[0]["flags"] == "dephasing_dominated"
 
     def test_csv_leaves_out_failed_pairs(self, tmp_path):
         t = table(n=3, yx={(1, 3): 2.0, (2, 3): 0.75})   # pair (1, 2) fails
         rec = reconstruct_table(t)
         path = tmp_path / "recon.csv"
-        tomography.write_reconstruction_results(rec, np.zeros((3, 3)), path)
+        tomography.write_reconstruction_results(rec, np.zeros((3, 3)), path, np.eye(3))
         assert [line.split(",")[:2] for line in path.read_text().splitlines()[1:]] == [
             ["1", "3"], ["2", "3"]]
 
