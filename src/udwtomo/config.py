@@ -125,9 +125,9 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _require_number(raw: dict, key: str, positive: bool = False) -> float:
+def _require_number(raw: dict, key: str) -> float:
     v = _number(raw.get(key), key)
-    if positive and v <= 0:
+    if v <= 0:
         raise ConfigError(f"field {key!r} must be positive, got {v!r}", field=key)
     return v
 
@@ -234,15 +234,15 @@ def validate_config(raw: dict) -> ScenarioConfig:
         scenario_id=sid,
         output_dir=merged["output_dir"],
         seed=seed,
-        ell=_require_number(merged, "ell", positive=True),
-        tol=_require_number(merged, "tol", positive=True),
+        ell=_require_number(merged, "ell"),
+        tol=_require_number(merged, "tol"),
         enable_quadrature_columns=quadrature_columns,
     )
     ell = cfg.ell
     if "beta" in merged and merged.get("beta") is not None:
-        cfg.beta = _require_number(merged, "beta", positive=True) * ell
+        cfg.beta = _require_number(merged, "beta") * ell
     if "delta" in merged and merged.get("delta") is not None:
-        cfg.delta = _require_number(merged, "delta", positive=True) * ell
+        cfg.delta = _require_number(merged, "delta") * ell
     if "s_over_ell" in merged:
         cfg.s_values = _parse_s_values(merged)
     if "anchor" in merged:
@@ -251,7 +251,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if "lattice" in merged:
         cfg.lattice = _parse_lattice(merged, ell)
     if "lambda" in merged:
-        cfg.lam = _require_number(merged, "lambda", positive=True)
+        cfg.lam = _require_number(merged, "lambda")
     if "state" in merged:
         if merged["state"] not in ("vacuum", "thermal"):
             raise ConfigError("field 'state' must be 'vacuum' or 'thermal'", field="state")

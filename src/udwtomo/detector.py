@@ -106,7 +106,8 @@ class DensityMatrix:
     """Dense detector state in the mu eigenbasis.
 
     Row/column index bits run from qubit 1 (most significant) down, with
-    mu = +1 before mu = -1.
+    mu = +1 before mu = -1.  Raises ConsistencyError unless the entries are
+    Hermitian and of unit trace to 1e-12 and positive semidefinite to 1e-10.
     """
 
     entries: np.ndarray
@@ -115,7 +116,7 @@ class DensityMatrix:
     def n_qubits(self) -> int:
         return len(self.entries).bit_length() - 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         rho = self.entries
         herm = float(np.max(np.abs(rho - rho.conj().T)))
         if herm > _HERMITICITY_TOL:
@@ -157,9 +158,7 @@ def density_matrix(kernels: KernelMatrix) -> DensityMatrix:
     e_term = 0.5 * cE.T
 
     rho = np.exp(norm_term + 1j * (delta_term + e_term)) / 2**n
-    dm = DensityMatrix(entries=rho)
-    dm.validate()
-    return dm
+    return DensityMatrix(entries=rho)
 
 
 def pauli_ev_oracle(rho: DensityMatrix, ops: list[PauliLabel]) -> float:

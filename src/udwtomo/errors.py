@@ -11,14 +11,12 @@ class UdwTomoError(Exception):
 
 
 class ConvergenceError(UdwTomoError, RuntimeError):
-    """Quadrature failed to converge within its evaluation budget.
+    """Quadrature failed to converge within its evaluation budget, or could
+    not certify its tolerance; ``error_estimate`` is the error it reached,
+    if any."""
 
-    Carries the best available estimate so callers can degrade gracefully.
-    """
-
-    def __init__(self, message, best_estimate=None, error_estimate=None):
+    def __init__(self, message, error_estimate=None):
         super().__init__(message)
-        self.best_estimate = best_estimate
         self.error_estimate = error_estimate
 
 

@@ -105,8 +105,7 @@ class FieldState:
 # ---------------------------------------------------------------------------
 
 def _coth(x: float) -> float:
-    if x < 0:
-        return -_coth(-x)
+    # x > 0: both callers pass beta k / 2 with k > 0
     if x < 1e-6:
         return 1.0 / x + x / 3.0
     if x > 350.0:
@@ -120,10 +119,10 @@ def _time_radius(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[..., 0], np.sqrt(x[..., 1] ** 2 + x[..., 2] ** 2 + x[..., 3] ** 2)
 
 
-def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray, dtt: bool
-                  ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Re W for the KMS state and, if ``dtt``, its second dt derivative (else
-    None), in the cancellation-free product form.
+def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Re W for the KMS state and its second dt derivative, in the
+    cancellation-free product form.
 
     coth(a) + coth(b) = sinh(a+b) / (sinh(a) sinh(b)) turns the textbook sum
     into a form that is regular as dr -> 0 and loses no precision there.  Of
@@ -134,8 +133,7 @@ def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray, dtt: bool
     a = math.pi * (dr + dt) / beta
     b = math.pi * (dr - dt) / beta
     k2 = (math.pi / beta) ** 2
-    out = np.empty(a.shape)
-    out_tt = np.empty(a.shape) if dtt else None
+    out, out_tt = np.empty(a.shape), np.empty(a.shape)
     large = np.maximum(np.abs(a), np.abs(b)) > 300.0
     if large.any():
         saturated = np.minimum(np.abs(a), np.abs(b)) > 300.0
@@ -143,9 +141,8 @@ def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray, dtt: bool
         out[saturated] = 0.0
         plateau = saturated & ~(a * b < 0)
         out[plateau] = 2.0 / (8.0 * math.pi * beta * dr[plateau])
-        if dtt:
-            # both csch^2 below double range: the value is flat in dt
-            out_tt[saturated] = 0.0
+        # both csch^2 below double range: the value is flat in dt
+        out_tt[saturated] = 0.0
         # one argument beyond 300: its coth is 1 to double precision, and the
         # product form would overflow; the other argument s enters through
         # q = coth|s| - 1 (a + b >= 0, so the larger-magnitude argument is positive)
@@ -154,9 +151,8 @@ def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray, dtt: bool
         q = 2.0 * np.exp(-2.0 * np.abs(s)) / -np.expm1(-2.0 * np.abs(s))
         c = 8.0 * math.pi * beta * dr[far]
         out[far] = np.where(s > 0, 2.0 + q, -q) / c
-        if dtt:
-            # (coth s)'' = 2 coth s csch^2 s = 2 sign(s) (1 + q) q (2 + q)
-            out_tt[far] = 2.0 * k2 * np.sign(s) * (1.0 + q) * q * (2.0 + q) / c
+        # (coth s)'' = 2 coth s csch^2 s = 2 sign(s) (1 + q) q (2 + q)
+        out_tt[far] = 2.0 * k2 * np.sign(s) * (1.0 + q) * q * (2.0 + q) / c
     rest = ~large
     a, b = a[rest], b[rest]
     w = a + b  # = 2 pi dr / beta
@@ -167,8 +163,7 @@ def _thermal_real(beta: float, dt: np.ndarray, dr: np.ndarray, dtt: bool
     sa, sb = np.sinh(a), np.sinh(b)
     val = sinhc * (2.0 * math.pi / beta) / (8.0 * math.pi * beta * sa * sb)
     out[rest] = val
-    if dtt:
-        out_tt[rest] = val * k2 * (1.0 / sa**2 + 1.0 / sb**2 + (np.sinh(a - b) / (sa * sb)) ** 2)
+    out_tt[rest] = val * k2 * (1.0 / sa**2 + 1.0 / sb**2 + (np.sinh(a - b) / (sa * sb)) ** 2)
     return out, out_tt
 
 
@@ -325,49 +320,40 @@ def _source_term(state: FieldState, amp_a, amp_b):
     return 2.0 * (amp_a.real * amp_b.real + amp_a.imag * amp_b.imag)
 
 
-def _hadamard(state: FieldState, a: np.ndarray, b: np.ndarray, dtt: bool
-              ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(Re W, d^2/dt_a^2 Re W, d^2/dt_b^2 Re W), the derivatives None unless
-    ``dtt``; the value entries do not depend on ``dtt``."""
-    itv = intervals(a, b)
-    errors = _lightcone_errors(itv)
-    if errors:
-        raise next(iter(errors.values()))
-    if state.tag == "thermal":
-        w, w_tt = _thermal_real(state.beta, itv.dt, itv.dr, dtt)
-        return w, w_tt, w_tt
-    d = -itv.dt**2 + itv.dr**2
-    vac = 1.0 / (4.0 * math.pi**2 * d)
-    vac_tt = vac * (2.0 / d + 8.0 * itv.dt**2 / d**2) if dtt else None
-    if state.tag == "vacuum":
-        return vac, vac_tt, vac_tt
-    both = np.stack(np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-    (amp_a, amp_b), amp_tt = (_phi0 if state.tag == "coherent" else _F)(state.delta, both, dtt)
-    w = vac + _source_term(state, amp_a, amp_b)
-    if not dtt:
-        return w, None, None
-    return (w, vac_tt + _source_term(state, amp_tt[0], amp_b),
-            vac_tt + _source_term(state, amp_a, amp_tt[1]))
-
-
 def hadamard_dtt_array(state: FieldState, a: np.ndarray, b: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re W = H/2 between coordinate arrays a, b of shape (..., 4), ordered
     (t, x, y, z), with its second derivatives in the time of a and in the
-    time of b, for any of the four states, from one pass.
+    time of b, for any of the four states: the one pointlike pass.
 
     Raises if any pair is (numerically) lightlike, where the pointlike
     kernels are singular; callers should use the smeared kernels
     (``wightman_smeared_closed``) there.
     """
-    return _hadamard(state, a, b, dtt=True)
+    itv = intervals(a, b)
+    errors = _lightcone_errors(itv)
+    if errors:
+        raise next(iter(errors.values()))
+    if state.tag == "thermal":
+        w, w_tt = _thermal_real(state.beta, itv.dt, itv.dr)
+        return w, w_tt, w_tt
+    d = -itv.dt**2 + itv.dr**2
+    vac = 1.0 / (4.0 * math.pi**2 * d)
+    vac_tt = vac * (2.0 / d + 8.0 * itv.dt**2 / d**2)
+    if state.tag == "vacuum":
+        return vac, vac_tt, vac_tt
+    both = np.stack(np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    (amp_a, amp_b), amp_tt = (_phi0 if state.tag == "coherent" else _F)(state.delta, both, True)
+    return (vac + _source_term(state, amp_a, amp_b),
+            vac_tt + _source_term(state, amp_tt[0], amp_b),
+            vac_tt + _source_term(state, amp_a, amp_tt[1]))
 
 
 def hadamard_array(state: FieldState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re W = H/2 between coordinate arrays a, b: the value part of
-    ``hadamard_dtt_array``, bit for bit, without its derivatives.  Raises on
-    (numerically) lightlike pairs."""
-    return _hadamard(state, a, b, dtt=False)[0]
+    """Re W = H/2 between coordinate arrays a, b: the value that
+    ``hadamard_dtt_array`` returns.  Raises on (numerically) lightlike
+    pairs."""
+    return hadamard_dtt_array(state, a, b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +616,16 @@ def _commutator(dt, dr, ell: float) -> np.ndarray:
 # kernel matrix assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class KernelMatrix:
     """Coupling-scaled smeared kernels for a set of regions.
 
     Stores H, the symmetric (anticommutator) part, and GR, the retarded
     part; the commutator E = GR - GR^T and the symmetric propagator
     Delta = GR + GR^T are derived.  All entries carry the lambda^2 scaling,
-    so they are dimensionless.
+    so they are dimensionless.  Raises ValueError unless H and GR are square
+    matrices of one shape and H is symmetric to 1e-12 relative to the
+    largest entry (at least 1).
     """
 
     H: np.ndarray
@@ -658,17 +646,14 @@ class KernelMatrix:
     def Delta(self) -> np.ndarray:
         return self.GR + self.GR.T
 
-    def validate(self, atol: float = 1e-12) -> None:
-        """Raise ValueError unless H and GR are square matrices of one shape
-        and H is symmetric to ``atol`` relative to the largest entry (at
-        least 1)."""
+    def __post_init__(self):
         shape = np.shape(self.H)
         if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.GR) != shape:
             raise ValueError(f"kernel invariant violated: H {shape} and GR "
                              f"{np.shape(self.GR)} must be square and of one shape")
         scale = max(1.0, float(np.max(np.abs(self.H))), float(np.max(np.abs(self.GR))))
         dev = float(np.max(np.abs(self.H - self.H.T)))
-        if dev > atol * scale:
+        if dev > 1e-12 * scale:
             raise ValueError(f"kernel invariant violated: H symmetric (deviation {dev:.3e})")
 
 
@@ -718,6 +703,4 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
     GR[iu[fut], ju[fut]] = E[iu[fut], ju[fut]]
     GR[ju[past], iu[past]] = -E[iu[past], ju[past]]
 
-    km = KernelMatrix(H=H, GR=GR)
-    km.validate()
-    return km
+    return KernelMatrix(H=H, GR=GR)

@@ -30,7 +30,6 @@ import math
 
 import numpy as np
 
-from .errors import InsufficientDataError
 from .kernels import FieldState, hadamard_dtt_array, wightman_smeared_quadrature
 from .numerics import SlopeFit, fit_loglog_slope
 from .smearing import GaussianRegion
@@ -115,9 +114,7 @@ def convergence_order(state: FieldState, base_config: tuple[float, float],
 
     With the quadrupole term included the residual is O(ell^4); truncating
     the estimate to the pointlike term exposes the O(ell^2) error instead.
+    Fewer than 3 residuals above the noise floor raise InsufficientDataError.
     """
-    points = residual_table(state, base_config, ell_grid, tol, include_quadrupole)
-    if len(points) < 3:
-        raise InsufficientDataError(
-            f"only {len(points)} residuals above the noise floor; refine the grid")
-    return fit_loglog_slope(points)
+    return fit_loglog_slope(residual_table(state, base_config, ell_grid, tol,
+                                           include_quadrupole))

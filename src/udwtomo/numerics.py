@@ -46,7 +46,6 @@ class SlopeFit:
     """Least-squares line through (log scale, log magnitude) points."""
 
     slope: float
-    intercept: float
     residual: float  # RMS residual in log-log space
 
 
@@ -124,7 +123,7 @@ def integrate_semi_infinite(
             if len(out) > 3:
                 raise ConvergenceError(
                     f"quadrature failed on panel [{lo:g}, {hi:g}]: {out[3]}",
-                    best_estimate=out[0], error_estimate=out[1])
+                    error_estimate=out[1])
             acc += out[0]
             abserr += out[1]
             evals += out[2]["neval"]
@@ -134,7 +133,6 @@ def integrate_semi_infinite(
     if err > 10.0 * tol:
         raise ConvergenceError(
             f"accumulated quadrature error {err:.3e} exceeds tolerance {tol:.3e}",
-            best_estimate=totals[0] if len(totals) == 1 else complex(*totals),
             error_estimate=err)
     value = complex(totals[0], totals[1]) if is_complex else totals[0]
     return QuadratureResult(value=value, error_estimate=err, evaluations=evals)
@@ -175,7 +173,7 @@ def integrate_semi_infinite_array(
     if not err <= 10.0 * tol:
         raise ConvergenceError(
             f"accumulated quadrature error {err:.3e} exceeds tolerance {tol:.3e}",
-            best_estimate=value, error_estimate=err)
+            error_estimate=err)
     return QuadratureResult(value=value, error_estimate=err, evaluations=info.neval)
 
 
@@ -190,5 +188,4 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
     lx, ly = np.log(scales), np.log(mags)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    return SlopeFit(slope=float(slope), intercept=float(intercept),
-                    residual=float(np.sqrt(np.mean(resid**2))))
+    return SlopeFit(slope=float(slope), residual=float(np.sqrt(np.mean(resid**2))))

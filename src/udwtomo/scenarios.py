@@ -41,7 +41,7 @@ from .config import SCENARIO_IDS, ScenarioConfig, list_scenarios, validate_confi
 from .detector import correlator_table, sample_table, stack_size
 from .errors import ConfigError, UdwTomoError
 from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature_real,
-                      _smeared_real, assemble_kernels, hadamard_array,
+                      _smeared_real, _source_term, assemble_kernels, hadamard_array,
                       phi0_coherent_array, F_oneparticle_array)
 from .numerics import fit_loglog_slope
 from .smearing import GaussianRegion
@@ -84,23 +84,20 @@ def _scan(cfg: ScenarioConfig, temporal_sign: float = 1.0
     return s, ok, a[ok], b[ok], failures
 
 
-def _scattered(ok: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # a column over every scan point; the masked points' cells are never written
-    full = np.full(len(ok), np.nan)
-    full[ok] = values
-    return full
-
-
-def _write_scan(path: Path, header: list[str], s: np.ndarray, columns: list[np.ndarray],
-                failures: dict[int, UdwTomoError]) -> None:
-    """One row per scan point: s, the columns' cells and an empty errors
-    cell, or, for a failed point, blank cells and the error's text."""
-    failed = np.zeros(len(s), dtype=bool)
-    failed[list(failures)] = True
+def _write_scan(path: Path, header: list[str], s: np.ndarray, ok: np.ndarray,
+                columns: list[np.ndarray], failures: dict[int, UdwTomoError]) -> None:
+    """One row per scan point: s, the cells of the columns (each holding
+    the points off the lightcone, in order) and an empty errors cell, or,
+    for a failed point, blank cells and the error's text."""
+    failed, full_columns = ~ok, []
+    for values in columns:
+        full = np.full(len(ok), np.nan)  # the failed points' cells are never written
+        full[ok] = values
+        full_columns.append(Blanked(full, failed))
     errors = [""] * len(s)
     for k, exc in failures.items():
         errors[k] = f"{type(exc).__name__}: {exc}"
-    _write_rows(path, header, [s, *(Blanked(c, failed) for c in columns), np.array(errors)])
+    _write_rows(path, header, [s, *full_columns, np.array(errors)])
 
 
 def _run_vacuum_curves(cfg: ScenarioConfig, out: Path) -> list[Path]:
@@ -108,10 +105,9 @@ def _run_vacuum_curves(cfg: ScenarioConfig, out: Path) -> list[Path]:
     itv = intervals(a, b)
     value, pointlike, _ = multipole.estimate_array(FieldState.vacuum(), a, b, cfg.ell)
     smeared = _smeared_real(None, cfg.ell, itv.dt, itv.dr)
-    columns = [_scattered(ok, v) for v in (pointlike, smeared, value)]
     path = out / "vacuum_curves.csv"
     _write_scan(path, ["s_over_ell", "pointlike", "smeared_closed", "multipole", "errors"],
-                s, columns, failures)
+                s, ok, [pointlike, smeared, value], failures)
     return [path]
 
 
@@ -128,14 +124,14 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
     s, ok, a, b, failures = _scan(cfg, temporal_sign)
     vacuum = hadamard_array(FieldState.vacuum(), a, b)
     value, pointlike, _ = multipole.estimate_array(state, a, b, cfg.ell)
-    cells = [_scattered(ok, v) for v in (vacuum, pointlike, value)]
+    cells = [vacuum, pointlike, value]
     if cfg.enable_quadrature_columns:
         header.append(quadrature_col)
         # the oracle's integrals for every pair in one certified pass
-        cells.append(_scattered(ok, _smeared_quadrature_real(state, cfg.ell, a, b, cfg.tol)))
+        cells.append(_smeared_quadrature_real(state, cfg.ell, a, b, cfg.tol))
     header.append("errors")
     path = out / f"{cfg.scenario_id}.csv"
-    _write_scan(path, header, s, cells, failures)
+    _write_scan(path, header, s, ok, cells, failures)
     return [path]
 
 
@@ -161,9 +157,8 @@ def _run_coherent_field_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
 def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
     f_anchor = F_oneparticle_array(cfg.delta, cfg.anchor.coords())
     t, x, coords = _grid(cfg)
-    f = F_oneparticle_array(cfg.delta, coords)
-    # 2 Re(F(anchor) conj(F(x)))
-    value = 2.0 * (f_anchor.real * f.real + f_anchor.imag * f.imag)
+    value = _source_term(FieldState.one_particle(cfg.delta), f_anchor,
+                         F_oneparticle_array(cfg.delta, coords))
     path = out / "oneparticle_diff_grid.csv"
     _write_rows(path, ["t", "x", "value"], [t, x, value])
     return [path]

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from udwtomo import detector
-from udwtomo.detector import (CorrelatorTable, PauliLabel, correlator_table,
+from udwtomo.detector import (CorrelatorTable, DensityMatrix, PauliLabel, correlator_table,
                               density_matrix, pauli_ev_oracle,
                               random_kernel_matrix, sample_table)
-from udwtomo.errors import CapacityError
+from udwtomo.errors import CapacityError, ConsistencyError
 from udwtomo.kernels import KernelMatrix
 
 
@@ -117,6 +117,13 @@ class TestDensityMatrix:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             density_matrix(plain_kernels(13))
+
+    def test_construction_refuses_unphysical_entries(self):
+        for entries, match in ((np.array([[0.5, 0.1], [0.3, 0.5]]), "not Hermitian"),
+                               (np.eye(2), "trace"),
+                               (np.diag([1.5, -0.5]), "not PSD")):
+            with pytest.raises(ConsistencyError, match=match):
+                DensityMatrix(entries=entries)
 
     def test_perturbative_excitation_limit(self):
         # weak coupling: excitation probability P_e = (1 - e^{-H11})/2 must
@@ -523,7 +530,7 @@ class TestRandomKernelMatrix:
     def test_generator_constraints(self):
         for seed in range(10):
             km = random_kernel_matrix(5, seed=seed)
-            km.validate()
+            KernelMatrix(H=km.H, GR=km.GR)
             assert np.max(np.abs(km.GR)) <= 0.3
             assert np.all(np.tril(km.GR, -1) == km.GR)  # strictly lower triangular
             for i in range(5):

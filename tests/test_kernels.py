@@ -232,6 +232,20 @@ class TestPhi0:
         assert region_amplitudes(FieldState.coherent(1.5), region(0.0, 4.0))[0] == 0.0
 
 
+def f_mode_integral(delta, t, r):
+    """F at time t and distance r > 0 from the source by the radial momentum
+    integral of u_k f(k), the defining expression."""
+    from scipy.integrate import quad
+    c = delta**2 / (math.pi * math.sqrt(2.0) * r)
+    re, _ = quad(lambda k: k * math.exp(-delta**2 * k**2 / 2)
+                 * math.cos(k * t) * math.sin(k * r), 0, 40 / delta,
+                 epsabs=1e-14, limit=400)
+    im, _ = quad(lambda k: -k * math.exp(-delta**2 * k**2 / 2)
+                 * math.sin(k * t) * math.sin(k * r), 0, 40 / delta,
+                 epsabs=1e-14, limit=400)
+    return complex(c * re, c * im)
+
+
 class TestOneParticleF:
     def test_origin_value(self):
         # t = 0, r -> 0: F = 1 / (2 delta sqrt(pi)), purely real
@@ -250,19 +264,11 @@ class TestOneParticleF:
         assert fwd == pytest.approx(bwd, rel=1e-13)
 
     def test_against_mode_integral(self):
-        # radial momentum integral of u_k f(k), the defining expression
-        from scipy.integrate import quad
         for (delta, t, r) in ((10.0, -60.0, 60.0), (1.0, 0.5, 0.7), (2.0, 3.0, 5.0)):
-            c = delta**2 / (math.pi * math.sqrt(2.0) * r)
-            re, _ = quad(lambda k: k * math.exp(-delta**2 * k**2 / 2)
-                         * math.cos(k * t) * math.sin(k * r), 0, 40 / delta,
-                         epsabs=1e-14, limit=400)
-            im, _ = quad(lambda k: -k * math.exp(-delta**2 * k**2 / 2)
-                         * math.sin(k * t) * math.sin(k * r), 0, 40 / delta,
-                         epsabs=1e-14, limit=400)
+            want = f_mode_integral(delta, t, r)
             got = complex(F_oneparticle_array(delta, [t, r, 0, 0]))
-            assert got.real == pytest.approx(c * re, abs=1e-13)
-            assert got.imag == pytest.approx(c * im, abs=1e-13)
+            assert got.real == pytest.approx(want.real, abs=1e-13)
+            assert got.imag == pytest.approx(want.imag, abs=1e-13)
 
     def test_small_r_series_consistency(self):
         # the small-r series branch must join the direct formula smoothly
@@ -649,7 +655,7 @@ class TestAssemble:
     def test_two_spacelike_regions(self):
         km = assemble_kernels(FieldState.vacuum(), [region(0, 0), region(0, 12)], 1.0)
         assert abs(km.E[0, 1]) <= math.exp(-144.0 / 8.0)
-        km.validate()
+        KernelMatrix(H=km.H, GR=km.GR)
 
     def test_identities_exact(self):
         regions = [region(0, 0), region(10, 10), region(10, 0), region(20, 5)]
@@ -671,7 +677,7 @@ class TestAssemble:
     def test_thermal_assembly(self):
         regions = [region(0, 0), region(0, 10), region(10, 0)]
         km = assemble_kernels(FieldState.thermal(50.0), regions, 1.0)
-        km.validate()
+        KernelMatrix(H=km.H, GR=km.GR)
         assert km.H[0, 0] > 0
         # thermal local noise exceeds the vacuum one
         kv = assemble_kernels(FieldState.vacuum(), regions, 1.0)
@@ -731,21 +737,30 @@ class TestAssemble:
 
     def test_validate_rejects_asymmetric_h(self):
         km = assemble_kernels(FieldState.vacuum(), [region(0, 0), region(10, 10)], 1.0)
-        km.H[0, 1] += 1.0
+        H = km.H.copy()
+        H[0, 1] += 1.0
         with pytest.raises(ValueError, match="H symmetric"):
-            km.validate()
+            KernelMatrix(H=H, GR=km.GR)
+
+    def test_construction_refuses_invalid_matrices(self):
+        # a hand-built matrix is checked as an assembled one is, so the
+        # correlator table never reads one triangle of an asymmetric H and no
+        # shape mismatch surfaces later as a broadcast error
+        with pytest.raises(ValueError, match="H symmetric"):
+            KernelMatrix(H=np.array([[0.5, 0.1], [0.3, 0.5]]), GR=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=re.escape("H (4, 4) and GR (3, 3)")):
+            KernelMatrix(H=0.5 * np.eye(4), GR=np.zeros((3, 3)))
 
     def test_n_and_shapes(self):
-        # n is the size of H; validate refuses H and GR that are not square
-        # matrices of one shape before any array work broadcasts them
+        # n is the size of H; construction refuses H and GR that are not
+        # square matrices of one shape before any array work broadcasts them
         assert KernelMatrix(H=0.5 * np.eye(3), GR=np.zeros((3, 3))).n == 3
-        KernelMatrix(H=0.5 * np.eye(3), GR=np.zeros((3, 3))).validate()
         for H, GR in ((0.5 * np.eye(3), np.zeros((4, 4))),
                       (0.5 * np.eye(4), np.zeros((4, 3))),
                       (np.zeros((3, 4)), np.zeros((3, 4))),
                       (np.zeros(3), np.zeros(3))):
             with pytest.raises(ValueError, match=re.escape(f"H {H.shape} and GR {GR.shape}")):
-                KernelMatrix(H=H, GR=GR).validate()
+                KernelMatrix(H=H, GR=GR)
 
 
 class TestLimits:

@@ -1,6 +1,7 @@
 """Every name the package and its submodules export in ``__all__`` resolves,
-the package's names on first access, and every function and class the
-package defines is reached from the package or a demo."""
+the package's names on first access, every function and class the
+package defines is reached from the package or a demo, and every field the
+package stores is read."""
 
 import ast
 import importlib
@@ -86,3 +87,39 @@ def test_every_definition_is_reached():
                  and node.name not in TEST_ORACLES and not node.name.startswith("__")
                  and loads[node.name] == _loaded_names(node)[node.name]]
     assert unreached == []
+
+
+def _stored_attributes(tree: ast.AST) -> list[str]:
+    """The fields of each dataclass and the ``self.<attr>`` that each
+    ``__init__`` sets (the exceptions' payloads), as ``Class.attr``."""
+    out = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            out += [f"{cls.name}.{n.target.id}" for n in cls.body
+                    if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+        for init in (n for n in cls.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "__init__"):
+            out += [f"{cls.name}.{t.attr}" for n in ast.walk(init)
+                    if isinstance(n, (ast.Assign, ast.AnnAssign))
+                    for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                    if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                    and t.value.id == "self"]
+    return out
+
+
+def test_every_stored_attribute_is_read():
+    # a value the package stores but nothing reads as an attribute -- not
+    # the package, the demos, the tests nor the benchmark -- is computed
+    # for no one
+    package = sorted((ROOT / "src" / "udwtomo").glob("*.py"))
+    readers = [*package, *(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+               *(ROOT / "udwbench").rglob("*.py")]
+    reads = set()
+    for path in readers:
+        reads |= {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    stored = [name for path in package
+              for name in _stored_attributes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert stored
+    assert [name for name in stored if name.split(".")[1] not in reads] == []

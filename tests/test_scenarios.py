@@ -13,13 +13,15 @@ from udwtomo import cli, config, detector, multipole, scenarios
 from udwtomo.detector import correlator_table, sample_table
 from udwtomo.errors import (ConfigError, ConvergenceError, LightconeSingularityError,
                             TangentDomainError)
-from udwtomo.kernels import (FieldState, assemble_kernels, hadamard_array, wightman_smeared_closed,
-                             wightman_smeared_quadrature)
+from udwtomo.kernels import (F_oneparticle_array, FieldState, assemble_kernels, hadamard_array,
+                             wightman_smeared_closed, wightman_smeared_quadrature)
 from udwtomo.scenarios import validate_config
 from udwtomo.smearing import GaussianRegion
 from udwtomo.spacetime import Event, build_lattice
 from udwtomo.tables import write_columns
 from udwtomo.tomography import reconstruct_table
+
+from test_kernels import f_mode_integral
 
 SMALL_S = {"start": 1.0, "stop": 12.0, "step": 1.0}
 SMALL_GRID = {"t": {"start": -10.0, "stop": 10.0, "n": 5},
@@ -304,6 +306,28 @@ class TestScenarioOutputs:
         # largest magnitude sits near the wavepacket lightcone, not at the origin
         peak = max(vals.items(), key=lambda kv: abs(kv[1]))
         assert abs(peak[0][0]) + abs(peak[0][1]) > 30.0
+
+    def test_oneparticle_grid_values(self, tmp_path):
+        # each cell is 2 Re(F(anchor) conj F(x)); the three largest also
+        # against F from its radial mode integral
+        delta, anchor = 10.0, [-60.0, -60.0, 0.0, 0.0]
+        paths = scenarios.run({"scenario_id": "oneparticle_diff_grid", "ell": 1.0,
+                               "delta": delta, "anchor": dict(zip("txyz", anchor)),
+                               "grid": {"t": {"start": -120.0, "stop": 120.0, "n": 9},
+                                        "x": {"start": -90.0, "stop": 90.0, "n": 7}},
+                               "output_dir": str(tmp_path)})
+        rows = read_csv(paths[0])
+        assert len(rows) == 63
+        t, x, value = (np.array([float(r[c]) for r in rows]) for c in ("t", "x", "value"))
+        fa = complex(F_oneparticle_array(delta, anchor))
+        f = F_oneparticle_array(delta, np.stack([t, x, 0 * t, 0 * t], axis=1))
+        want = 2.0 * (fa.real * f.real + fa.imag * f.imag)
+        assert [repr(v) for v in value.tolist()] == [repr(v) for v in want.tolist()]
+        fa_modes = f_mode_integral(delta, anchor[0], math.hypot(*anchor[1:]))
+        for k in np.argsort(-np.abs(value))[:3]:
+            fx_modes = f_mode_integral(delta, t[k], abs(x[k]))
+            assert value[k] == pytest.approx(2.0 * (fa_modes * fx_modes.conjugate()).real,
+                                             rel=1e-10)
 
     def test_tomography_roundtrip_other_lattices(self, tmp_path):
         # a purely temporal 4-coupling chain and a mixed 12-region lattice
