@@ -1,7 +1,8 @@
 """Command-line interface: run and validate scenario configs.
 
 Exit codes: 0 success, 2 config error (including an output directory that
-cannot be created), 3 numerical failure.  Only ``run`` imports the scenario
+cannot be created, or an output file in it that cannot be opened or
+written), 3 numerical failure.  Only ``run`` imports the scenario
 runners (and numpy); ``validate``, ``list-scenarios`` and ``--help`` load the
 standard library alone.
 """

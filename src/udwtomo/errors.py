@@ -12,12 +12,7 @@ class UdwTomoError(Exception):
 
 class ConvergenceError(UdwTomoError, RuntimeError):
     """Quadrature failed to converge within its evaluation budget, or could
-    not certify its tolerance; ``error_estimate`` is the error it reached,
-    if any."""
-
-    def __init__(self, message, error_estimate=None):
-        super().__init__(message)
-        self.error_estimate = error_estimate
+    not certify its tolerance; the message gives the error it reached."""
 
 
 class LightconeSingularityError(UdwTomoError, ValueError):

@@ -121,9 +121,8 @@ def integrate_semi_infinite(
             out = integrate.quad(part, lo, hi, epsabs=eps, epsrel=1e-12,
                                  limit=limit, full_output=1)
             if len(out) > 3:
-                raise ConvergenceError(
-                    f"quadrature failed on panel [{lo:g}, {hi:g}]: {out[3]}",
-                    error_estimate=out[1])
+                raise ConvergenceError(f"quadrature failed on panel [{lo:g}, {hi:g}] "
+                                       f"(error estimate {out[1]:.3e}): {out[3]}")
             acc += out[0]
             abserr += out[1]
             evals += out[2]["neval"]
@@ -132,8 +131,7 @@ def integrate_semi_infinite(
     err = abserr + tail_bound
     if err > 10.0 * tol:
         raise ConvergenceError(
-            f"accumulated quadrature error {err:.3e} exceeds tolerance {tol:.3e}",
-            error_estimate=err)
+            f"accumulated quadrature error {err:.3e} exceeds tolerance {tol:.3e}")
     value = complex(totals[0], totals[1]) if is_complex else totals[0]
     return QuadratureResult(value=value, error_estimate=err, evaluations=evals)
 
@@ -172,8 +170,7 @@ def integrate_semi_infinite_array(
     err = float(np.max(abserr + tail_bound))
     if not err <= 10.0 * tol:
         raise ConvergenceError(
-            f"accumulated quadrature error {err:.3e} exceeds tolerance {tol:.3e}",
-            error_estimate=err)
+            f"accumulated quadrature error {err:.3e} exceeds tolerance {tol:.3e}")
     return QuadratureResult(value=value, error_estimate=err, evaluations=info.neval)
 
 

@@ -23,7 +23,7 @@ that pass cannot certify the tolerance, ``run`` raises its
 All lengths are quoted in units of the region width ell.  Every output CSV
 is written from its columns by ``tables.write_columns``: UTF-8 with header
 row, LF line endings and 17-significant-digit floats, each distinct cell of
-a block formatted once; a curve scan's lightlike point keeps its s value and
+a column formatted once; a curve scan's lightlike point keeps its s value and
 error text, its other cells blank (``tables.Blanked`` columns).  Identical
 config + seed reproduces byte-identical files.
 """
@@ -251,4 +251,8 @@ def run(config: dict | ScenarioConfig) -> list[Path]:
     except OSError as exc:  # a file in its place or on its path, or no permission
         raise ConfigError(f"field 'output_dir' names no directory that can be created: {exc}",
                           field="output_dir") from exc
-    return _RUNNERS[cfg.scenario_id](cfg, out)
+    try:
+        return _RUNNERS[cfg.scenario_id](cfg, out)
+    except OSError as exc:  # the runners open only their output files
+        raise ConfigError(f"field 'output_dir' holds an output file that cannot be written: "
+                          f"{exc}", field="output_dir") from exc

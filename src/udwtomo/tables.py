@@ -9,15 +9,27 @@ writes a lone empty cell as ``""``).
 
 ``write_columns`` takes a table as equal-length 1-D float, int, bool or
 text arrays (an object array, or anything that is not an ndarray, raises
-``ValueError``) and writes it in blocks of ``BLOCK_ROWS`` rows.  Within a
-block each column formats each of its distinct cells once and gathers the
-texts back to its rows by the inverse index: a float column by its values'
-bit patterns (so ``-0.0`` stays ``-0`` next to ``0``, and every NaN is its
-own cell), an int, bool or text column by its values.  Each distinct text
-carries the separator that follows it in its column, so a block is one
-``"".join`` over its ``(rows, columns)`` cells.  A ``Blanked`` column is
+``ValueError``).  Each column is deduplicated once over the whole table by
+one ``np.unique`` -- a float column by its values' bit patterns (so ``-0.0``
+stays ``-0`` next to ``0``, and every NaN is its own cell), an int or text
+column by its values -- and each distinct cell is formatted once, carrying
+the separator that follows it in its column.  The rows are then written in
+blocks of ``BLOCK_ROWS``, each block one ``"".join`` over its ``(rows,
+columns)`` texts gathered by the inverse index.  A ``Blanked`` column is
 written blank where its ``blank`` mask is true (a failed row's cells).
-Only one block's texts exist at a time, so no whole-file string is built.
+
+A float column with fewer than ``_ARRAY_MIN_FLOATS`` distinct values is
+formatted by ``"%.17g" % v``, one value at a time.  A larger one goes
+through an exact array pass (``_array_texts``) in chunks of at most
+``BLOCK_ROWS`` values: each value is scaled to a 17-digit integer by a
+double-double power of ten, and its text laid out in numpy.  The pass
+certifies each rounding, and ``"%.17g" % v`` formats whatever it does not
+settle: near-ties, zeros, NaNs, infinities and magnitudes outside
+[1e-250, 1e250).  Either way the texts are those of ``"%.17g" % v``.  At
+the scenarios' defaults the two grids' value columns and the 520-row
+one-particle scan take the array pass; the 158-row scans, the grids'
+coordinates, the 16-region roundtrip's 120 pairs and the small tables
+(shot-noise study, convergence sweep, summary) do not.
 """
 
 from __future__ import annotations
@@ -31,10 +43,17 @@ import numpy as np
 
 __all__ = ["BLOCK_ROWS", "Blanked", "write_columns"]
 
-# the two default grid tables (~10^4 rows each) write in 14.5 and 16.9 ms at
-# 256 rows per block, 9.6 and 12.2 ms at 1024 and 8.4 and 10.8 ms at 4096
+# the two default grid tables (~10^4 rows each) write in 4.4 and 4.7 ms at
+# 256 rows per block, 3.2 and 3.5 ms at 1024 and 3.6 and 3.7 ms at 4096
 # (2 cores, Python 3.11, numpy 2.4); larger blocks hold more texts at once
 BLOCK_ROWS = 1024
+
+# the array pass costs ~75 us per chunk before its ~0.2 us per value, "%.17g"
+# ~0.7 us per full-precision value: on the gallery's scan and grid columns
+# the two break even at 144-160 distinct values (2 cores, Python 3.11, numpy
+# 2.4); short decimals such as grid coordinates (~0.27 us each by "%.17g")
+# gain nothing at any size
+_ARRAY_MIN_FLOATS = 160
 
 # csv.writer quotes a field only if it holds one of these (which of them
 # depends on the Python version, so such fields go through csv.writer)
@@ -76,23 +95,189 @@ def _column(values) -> tuple[np.ndarray, np.ndarray | None]:
     return values, blank
 
 
-def _texts(block: np.ndarray, sep: str) -> np.ndarray:
-    """The cells of a column block as texts followed by ``sep``, each
-    distinct cell formatted once."""
-    kind = block.dtype.kind
+# ---------------------------------------------------------------------------
+# the array pass: "%.17g" % v for many floats at once
+# ---------------------------------------------------------------------------
+
+# |v| in [1e-250, 1e250) has decimal exponent X in [-250, 249]; v 10^(16 - X)
+# is its 17-digit integer, and X may move by one at a decade boundary
+_MIN_ABS, _MAX_ABS = 1e-250, 1e250
+_K_MIN, _K_MAX = 16 - 251, 16 + 251
+_SPLITTER = 134217729.0   # 2^27 + 1: Veltkamp's split into two 26-bit halves
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as hi + lo, each with at most 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _pow10_table() -> np.ndarray:
+    """Rows hi, lo and hi's two halves, columns k in [_K_MIN, _K_MAX]:
+    hi is 10^k correctly rounded and lo the rest correctly rounded, both
+    from exact int arithmetic (int / int rounds correctly in Python), so
+    hi + lo = 10^k to ~2^-107 relative."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            p = 10 ** k
+            hi.append(float(p))
+            lo.append(float(p - int(hi[-1])))
+        else:
+            q = 10 ** -k
+            hi.append(1 / q)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * q) / (den * q))
+    hi = np.array(hi)
+    return np.stack([hi, np.array(lo), *_split(hi)])
+
+
+_POW10 = _pow10_table()
+
+
+def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a 10^(16 - x) as s + e, s the nearest float to it: Dekker's exact
+    product of a and hi, plus a lo (error ~1e-14 for s in [1e16, 1e17))."""
+    hi, lo, h_hi, h_lo = _POW10.take(16 - x - _K_MIN, axis=1)
+    a_hi, a_lo = _split(a)
+    p = a * hi
+    r = (((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * lo
+    s = p + r
+    return s, r - (s - p)
+
+
+# A text is gathered from its value's 27 codes: the 17 digits, the point,
+# "0", "-", "e", the exponent's sign, its three digits, the separator and
+# NUL (which numpy's str drops from the end of a text).
+_DOT, _ZERO, _MINUS, _E, _EXP_SIGN, _EXP, _SEP, _NUL = 17, 18, 19, 20, 21, 22, 25, 26
+_WIDTH = 25   # "-d.dddddddddddddddde-ddd" and the separator
+# layouts: fixed point for X in [-4, 16] (layout X + 4), then exponent
+# notation with two and with three exponent digits
+_FIXED = 21
+_LAYOUTS = _FIXED + 2
+
+
+def _template(neg: bool, layout: int, m: int) -> list[int]:
+    """The codes a text takes, in order: sign ``neg``, ``layout``, and ``m``
+    significant digits (%g drops the 17 - m zeros after them)."""
+    out = [_MINUS] if neg else []
+    if 4 <= layout < _FIXED:                     # X >= 0: ddd.ddd, or ddd
+        x = layout - 4
+        out += range(x + 1)
+        if m > x + 1:
+            out += [_DOT, *range(x + 1, m)]
+    elif layout < _FIXED:                        # X < 0: 0.000ddd
+        out += [_ZERO, _DOT, *[_ZERO] * (3 - layout), *range(m)]
+    else:                                        # d.ddde+dd, d.ddde-ddd
+        out += [0, *([_DOT, *range(1, m)] if m > 1 else [])]
+        out += [_E, _EXP_SIGN, *range(_SEP - (2 if layout == _FIXED else 3), _SEP)]
+    out.append(_SEP)
+    return out + [_NUL] * (_WIDTH - len(out))
+
+
+def _templates() -> np.ndarray:
+    """Every template, row (neg * _LAYOUTS + layout) * 17 + m - 1."""
+    rows = [(neg, layout, m) for neg in (False, True) for layout in range(_LAYOUTS)
+            for m in range(1, 18)]
+    out = np.empty((len(rows), _WIDTH), dtype=np.uint8)
+    for row, args in zip(out, rows):
+        row[:] = _template(*args)
+    return out
+
+
+_TEMPLATES = _templates()
+_CONSTANT_CODES = np.array([ord(c) for c in ".0-e"], dtype=np.uint8)[:, None]
+# the codes of the four digits of each int below 10^4, one column per int
+_GROUP_CODES = (np.arange(10 ** 4, dtype=np.uint16)
+                // np.array([1000, 100, 10, 1], dtype=np.uint16)[:, None] % 10 + ord("0")
+                ).astype(np.uint8)
+_RANKS = np.arange(1, 18, dtype=np.uint8)[:, None]
+
+
+def _array_texts(v: np.ndarray, sep: str) -> tuple[list[str], np.ndarray]:
+    """``"%.17g" % x + sep`` for each float64 x in ``v``, and the mask of
+    the texts that hold it; the others are placeholders."""
+    n = len(v)
+    a = np.abs(v)
+    ok = (a >= _MIN_ABS) & (a < _MAX_ABS)
+    a[~ok] = 1.0
+    x = np.floor(np.log10(a)).astype(np.intp)
+    s, e = _scaled(a, x)
+    # next to a power of ten log10 can miss the decade by one; the side is
+    # read off s + e, because s alone can round onto 1e16 or 1e17
+    shift = (((s > 1e17) | ((s == 1e17) & (e >= 0))).astype(np.intp)
+             - ((s < 1e16) | ((s == 1e16) & (e < 0))))
+    moved = np.flatnonzero(shift)
+    if len(moved):
+        x[moved] += shift[moved]
+        s[moved], e[moved] = _scaled(a[moved], x[moved])
+    # s is an integer, so s + e rounds to D = s + round(e); a fraction within
+    # 1e-7 of 1/2 (far above the ~1e-14 error) may be a tie: left unsettled
+    whole = np.floor(e)
+    frac = e - whole
+    ok &= np.abs(frac - 0.5) > 1e-7
+    d = s.astype(np.int64) + (whole + (frac > 0.5)).astype(np.int64)
+    carry = d == 10 ** 17                        # rounded up into the next decade
+    d[carry] = 10 ** 16
+    x[carry] += 1
+    # codes: one row per code, one column per value; D's digits four at a time
+    codes = np.empty((_NUL + 1, n), dtype=np.uint8)
+    for row in (13, 9, 5, 1):
+        d, group = np.divmod(d, 10 ** 4)
+        codes[row:row + 4] = _GROUP_CODES.take(group, axis=1)
+    codes[0] = d + ord("0")
+    codes[_DOT:_EXP_SIGN] = _CONSTANT_CODES
+    codes[_EXP_SIGN] = np.where(x < 0, ord("-"), ord("+"))
+    codes[_EXP:_SEP] = _GROUP_CODES[1:].take(np.abs(x), axis=1)
+    codes[_SEP] = ord(sep)
+    codes[_NUL] = 0
+    m = np.max((codes[:17] != ord("0")) * _RANKS, axis=0)   # significant digits
+    layout = np.where((x >= -4) & (x <= 16), x + 4,
+                      np.where(np.abs(x) < 100, _FIXED, _FIXED + 1))
+    template = _TEMPLATES.take((np.signbit(v) * _LAYOUTS + layout) * 17 + m - 1, axis=0)
+    index = np.multiply(template, n, dtype=np.intp)
+    index += np.arange(n)[:, None]
+    # the codes as UCS4, read back as fixed-width str (np.strings needs numpy 2)
+    texts = codes.ravel().take(index).astype(np.uint32).view(f"U{_WIDTH}").ravel().tolist()
+    return texts, ok
+
+
+def _float_texts(v: np.ndarray, sep: str) -> list[str]:
+    """``"%.17g" % x + sep`` for each float64 x in ``v``."""
+    fmt = "%.17g" + sep
+    if len(v) < _ARRAY_MIN_FLOATS:
+        return [fmt % x for x in v.tolist()]
+    texts = []
+    for start in range(0, len(v), BLOCK_ROWS):
+        chunk = v[start:start + BLOCK_ROWS]
+        out, ok = _array_texts(chunk, sep)
+        for i in np.flatnonzero(~ok).tolist():
+            out[i] = fmt % float(chunk[i])
+        texts += out
+    return texts
+
+
+# ---------------------------------------------------------------------------
+# the writer
+# ---------------------------------------------------------------------------
+
+def _texts(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
+    """A column's distinct cells as texts followed by ``sep``, and the
+    index of each row's text."""
+    kind = values.dtype.kind
     if kind == "b":
-        return np.array(["False" + sep, "True" + sep], dtype=object)[block.view(np.uint8)]
-    key = block.view(np.int64) if kind == "f" else block
+        return np.array(["False" + sep, "True" + sep], dtype=object), values.view(np.uint8)
+    key = values.view(np.int64) if kind == "f" else values
     distinct, inverse = np.unique(key, return_inverse=True)
     if kind == "f":
-        fmt = "%.17g" + sep
-        texts = [fmt % v for v in distinct.view(np.float64).tolist()]
+        texts = _float_texts(distinct.view(np.float64), sep)
     elif kind == "U":
         texts = [_quoted(v) + sep for v in distinct.tolist()]
     else:
         fmt = "%d" + sep
         texts = [fmt % v for v in distinct.tolist()]
-    return np.array(texts, dtype=object)[inverse]
+    return np.array(texts, dtype=object), inverse
 
 
 def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
@@ -105,13 +290,14 @@ def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) ->
     if any(len(values) != n_rows for values, _ in columns):
         raise ValueError("columns must have equal lengths")
     seps = [","] * (len(columns) - 1) + ["\n"]
+    cells = [(*_texts(values, sep), blank, sep) for (values, blank), sep in zip(columns, seps)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(map(_quoted, header)) + "\n")
         for start in range(0, n_rows, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, n_rows)
-            cells = np.empty((stop - start, len(columns)), dtype=object)
-            for c, ((values, blank), sep) in enumerate(zip(columns, seps)):
-                cells[:, c] = _texts(values[start:stop], sep)
+            block = np.empty((stop - start, len(columns)), dtype=object)
+            for c, (texts, inverse, blank, sep) in enumerate(cells):
+                block[:, c] = texts[inverse[start:stop]]
                 if blank is not None:
-                    cells[blank[start:stop], c] = sep
-            fh.write("".join(cells.ravel().tolist()))
+                    block[blank[start:stop], c] = sep
+            fh.write("".join(block.ravel().tolist()))

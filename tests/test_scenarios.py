@@ -570,6 +570,23 @@ class TestCli:
         assert ei.value.field == "output_dir"
         assert (tmp_path / "file").read_text() == "not a directory"
 
+    def test_unwritable_output_file_exit_code(self, tmp_path, capsys):
+        # a directory where an output file goes is a config error on
+        # output_dir (exit 2, one line), not a traceback
+        out = tmp_path / "out"
+        (out / "coherent_field_grid.csv").mkdir(parents=True)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario_id": "coherent_field_grid",
+                                   "output_dir": str(out)}))
+        assert cli.main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'output_dir'") and err.count("\n") == 1
+        assert "coherent_field_grid.csv" in err
+        with pytest.raises(ConfigError) as ei:
+            scenarios.run(json.loads(cfg.read_text()))
+        assert ei.value.field == "output_dir"
+        assert (out / "coherent_field_grid.csv").is_dir()
+
     @pytest.mark.parametrize("raw", [
         {"scenario_id": "convergence_sweep", "ell_grid": [0.05, 0.1, 0.2]},
         {"scenario_id": "convergence_sweep", "base_config": {"dt": 1, "dr": 1}},

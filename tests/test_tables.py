@@ -1,6 +1,7 @@
 """The columnar CSV writer against csv.writer, byte for byte."""
 
 import csv
+import decimal
 import io
 import json
 import math
@@ -178,6 +179,106 @@ def test_mismatched_columns_rejected(tmp_path):
     with pytest.raises(ValueError, match="blank mask"):
         tables.write_columns(tmp_path / "bad.csv", ["a", "b"],
                              [np.zeros(2), tables.Blanked(np.zeros(2), [True])])
+
+
+def _powers_of_ten():
+    # each 10^k, as the float nearest to it, with both of its neighbours
+    p = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+
+
+def _ties(rng):
+    # q / 2^e whose exact decimal expansion has 18 significant digits, the
+    # last a 5: an exact tie at the 18th digit (exact by decimal's expansion)
+    ties = []
+    for e in range(3, 26):
+        digits = 18 - math.ceil(math.log10(5) * e)
+        q = rng.integers(10 ** (digits - 1), 10 ** digits, 500) | 1
+        for v in (q / 2.0 ** e).tolist():
+            expansion = format(decimal.Decimal(v), "f").replace(".", "").strip("0")
+            if len(expansion) == 18 and expansion[-1] == "5":
+                ties.append(v)
+    return np.array(ties)
+
+
+def _near_tie(x):
+    """Whether the digits of ``x`` after its 17th are within 1e-7 of 1/2."""
+    exact = decimal.Decimal(abs(x))
+    scaled = exact.scaleb(16 - exact.adjusted(), decimal.Context(prec=800))
+    return abs(scaled - int(scaled) - decimal.Decimal("0.5")) <= decimal.Decimal("1e-7")
+
+
+def _decade_carries():
+    # each float(1ek) and the four floats below it: where one lies below 10^k
+    # by less than half a 17th digit, %.17g rounds it up into the next decade
+    below = [np.array([float(f"1e{k}") for k in range(-300, 301)])]
+    for _ in range(4):
+        below.append(np.nextafter(below[-1], 0))
+    return np.concatenate(below)
+
+
+def _carried(v):
+    """The values of ``v`` whose 17 digits round up to a power of ten."""
+    carried = []
+    for x in np.abs(v).tolist():
+        text = decimal.Decimal("%.17g" % x).normalize()
+        if text.as_tuple().digits == (1,) and decimal.Decimal(x) < text:
+            carried.append(x)
+    return carried
+
+
+EXACT_SETS = {
+    "powers of ten": lambda rng: _powers_of_ten(),
+    "powers of two": lambda rng: 2.0 ** np.arange(-1074, 1024),
+    "subnormals": lambda rng: floats_from_bits(rng.integers(1, 2**52, 1000, dtype=np.uint64)),
+    "1e250 edges": lambda rng: np.array([1e250, np.nextafter(1e250, 0), 1e-250,
+                                         np.nextafter(1e-250, 0), np.nextafter(1e-250, 1)]),
+    "18th-digit ties": _ties,
+    "decade carries": lambda rng: _decade_carries(),
+    "random bits": lambda rng: floats_from_bits(rng.integers(0, 2**64, 10**5, dtype=np.uint64)),
+    "1e-12 to 1e4": lambda rng: 10.0 ** rng.uniform(-12, 4, 10**5),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_SETS))
+def test_array_pass_is_printf_exact(name):
+    # every text the array pass settles is "%.17g" % v, and it settles every
+    # value in [1e-250, 1e250) except near-ties; negatives likewise
+    rng = np.random.default_rng(20)
+    v = EXACT_SETS[name](rng)
+    v = np.concatenate([v, -v])
+    texts, ok = tables._array_texts(v, ",")
+    ref = ["%.17g," % x for x in v.tolist()]
+    assert [t for t, settled in zip(texts, ok) if settled] == [r for r, settled in zip(ref, ok)
+                                                             if settled]
+    in_range = (np.abs(v) >= 1e-250) & (np.abs(v) < 1e250)
+    assert not (ok & ~in_range).any()
+    unsettled = v[in_range & ~ok].tolist()
+    assert all(_near_tie(x) for x in unsettled)
+    if name == "18th-digit ties":
+        assert len(v) > 10**4 and len(unsettled) == len(v)
+    if name == "decade carries":
+        assert len(_carried(v)) == 2 * 13         # 1e-243, ..., 1e-14, ..., 1e+220
+    assert tables._float_texts(v, ",") == ref
+
+
+@pytest.mark.parametrize("extra", [-1, 0], ids=["below-threshold", "at-threshold"])
+def test_each_side_of_the_array_threshold(tmp_path, monkeypatch, extra):
+    # float columns one distinct value short of the threshold are formatted
+    # value by value, columns that reach it by the array pass; csv.writer's
+    # bytes either way, each value twice, zeros, NaN, inf and out-of-range
+    # magnitudes among them
+    n = tables._ARRAY_MIN_FLOATS + extra
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    v[:8] = [-0.0, 0.0, math.nan, -math.inf, 1e-300, -1e280, 12.5, 1e16]
+    v = np.concatenate([v, v[::-1]])
+    calls = []
+    array_texts = tables._array_texts
+    monkeypatch.setattr(tables, "_array_texts", lambda *a: calls.append(1) or array_texts(*a))
+    check(tmp_path / "threshold.csv", ["v", "w", "k"],
+          [v, tables.Blanked(-v, np.arange(2 * n) % 7 == 0), np.arange(2 * n)])
+    assert len(calls) == (2 if extra == 0 else 0)
 
 
 SMALL_BLOCK = 4
