@@ -181,10 +181,8 @@ def test_mismatched_columns_rejected(tmp_path):
                              [np.zeros(2), tables.Blanked(np.zeros(2), [True])])
 
 
-def _powers_of_ten():
-    # each 10^k, as the float nearest to it, with both of its neighbours
-    p = np.array([float(f"1e{k}") for k in range(-300, 301)])
-    return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+# each 10^k as the float nearest to it
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-300, 301)])
 
 
 def _ties(rng):
@@ -211,7 +209,7 @@ def _near_tie(x):
 def _decade_carries():
     # each float(1ek) and the four floats below it: where one lies below 10^k
     # by less than half a 17th digit, %.17g rounds it up into the next decade
-    below = [np.array([float(f"1e{k}") for k in range(-300, 301)])]
+    below = [POWERS_OF_TEN]
     for _ in range(4):
         below.append(np.nextafter(below[-1], 0))
     return np.concatenate(below)
@@ -228,7 +226,8 @@ def _carried(v):
 
 
 EXACT_SETS = {
-    "powers of ten": lambda rng: _powers_of_ten(),
+    "powers of ten": lambda rng: np.concatenate([POWERS_OF_TEN, np.nextafter(POWERS_OF_TEN, 0),
+                                                 np.nextafter(POWERS_OF_TEN, np.inf)]),
     "powers of two": lambda rng: 2.0 ** np.arange(-1074, 1024),
     "subnormals": lambda rng: floats_from_bits(rng.integers(1, 2**52, 1000, dtype=np.uint64)),
     "1e250 edges": lambda rng: np.array([1e250, np.nextafter(1e250, 0), 1e-250,
