@@ -35,8 +35,9 @@ The pairs i < j are taken row-major, pair (i, j) at position
 q = (i-1)(2n-i)/2 + j-i-1 (1-based i, j), the order of every per-pair array
 downstream.  ``pair_blocks`` is the one owner of that order and of the block
 size that bounds the work arrays: ``correlator_table`` evaluates ZZ and YY
-one block of pairs at a time, and ``tomography.reconstruct_table`` inverts
-the same blocks.
+one block of pairs at a time, each factor cos(2G_ik -+ 2G_jk) as
+c_ik c_jk +- s_ik s_jk from c = cos 2G and s = sin 2G taken once, and
+``tomography.reconstruct_table`` inverts the same blocks.
 
 ``sample_table`` draws one table, or a stack of tables (one per shot count
 and seed) that carries a leading axis on every array.  ``pair_blocks`` then
@@ -222,10 +223,13 @@ class CorrelatorTable:
         return np.swapaxes(self.yx, -1, -2)
 
 
-# One budget for every work array: pair blocks keep each (pairs, n) array of
-# the table evaluation and the inversion at 128 KiB (larger blocks were slower
-# and raised the peak resident memory of a 54-region run by 5 MiB), and
-# ``stack_size`` keeps each stack of sampled tables within it.
+# One budget for every work array: pair blocks keep each float array of the
+# table evaluation (pairs, nonzero G columns + 1) and of the inversion (the
+# gathered ratio rows, pairs x n, and x, pairs x (n - 2)) within 128 KiB, and
+# ``stack_size`` keeps each stack of sampled tables within it.  On the 54- and
+# 81-region thermal lattices (2 cores, numpy 2.4) 2^12 and 2^13 elements were
+# slower, 2^15 inverted 10-13 % faster but raised the peak resident memory of
+# a 54-region roundtrip by 0.3 MiB, and 2^16 was slower again (+1.4 MiB).
 _CHUNK_ELEMENTS = 1 << 14
 
 
@@ -258,24 +262,38 @@ def _prod_without(c: np.ndarray) -> np.ndarray:
 
 
 def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
-    """Exact correlator table from the closed forms, in O(n^3) array work."""
+    """Exact correlator table from the closed forms, in O(n^3) array work.
+
+    cos 2G and sin 2G are taken once, n^2 values each.  The pair products
+    prod_{k != i,j} cos(2G_ik -+ 2G_jk) are formed as prod_k (c_ik c_jk +- s_ik s_jk)
+    over the columns k where some G_ik != 0: every other factor is exactly 1.
+    """
     n = kernels.n
     H, G2 = kernels.H, 2.0 * kernels.GR
     h_diag = np.diag(H)
     off = ~np.eye(n, dtype=bool)
-    cos = np.where(off, np.cos(G2), 1.0)  # k = i never enters a product
+    c, s = np.cos(G2), np.sin(G2)
+    cos = np.where(off, c, 1.0)  # k = i never enters a product
     z = np.exp(-h_diag) * np.prod(cos, axis=1)
-    yx = np.where(off, -np.exp(-h_diag)[:, None] * np.sin(G2) * _prod_without(cos), 0.0)
+    yx = np.where(off, -np.exp(-h_diag)[:, None] * s * _prod_without(cos), 0.0)
 
-    # prod_{k != i,j} cos(2G_ik -+ 2G_jk), one (pairs, k) block at a time
+    # the columns with a nonzero G, then one of factor 1 (c = 1, s = 0) that
+    # takes the k = i and k = j exclusions of detectors outside them
+    cols = np.flatnonzero(np.any(G2 != 0.0, axis=0))
+    col_of = np.full(n, len(cols))
+    col_of[cols] = np.arange(len(cols))
+    cc, ss = np.ones((n, len(cols) + 1)), np.zeros((n, len(cols) + 1))
+    cc[:, :-1], ss[:, :-1] = c[:, cols], s[:, cols]
+
+    # one (pairs, columns) block at a time
     zz, yy = np.empty(n * (n - 1) // 2), np.empty(n * (n - 1) // 2)
     for start, a, b in pair_blocks(n):
         rows = np.arange(len(a))
+        both_c, both_s = cc[a] * cc[b], ss[a] * ss[b]
         prods = []
-        for arg in (G2[a] - G2[b], G2[a] + G2[b]):
-            c = np.cos(arg)
-            c[rows, a] = c[rows, b] = 1.0  # k = i, k = j
-            prods.append(np.prod(c, axis=1))
+        for f in (both_c + both_s, both_c - both_s):  # cos(2G_ik -+ 2G_jk)
+            f[rows, col_of[a]] = f[rows, col_of[b]] = 1.0  # k = i, k = j
+            prods.append(np.prod(f, axis=1))
         prod_diff, prod_sum = prods
         plus = np.exp(2.0 * H[a, b]) * prod_diff
         minus = np.exp(-2.0 * H[a, b]) * prod_sum

@@ -690,12 +690,13 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
     itv = intervals(centers[:, None], centers[None, :])
     E = lam2 * _commutator(itv.dt, itv.dr, regions[0].ell)
 
-    # one evaluation of the distinct (|dt|, dr), keyed on exact floats
+    # one evaluation of the distinct (|dt|, dr), keyed on exact floats: the
+    # complex key |dt| + i dr sorts them as (|dt|, dr) pairs in one 1-D pass
     iu, ju = np.triu_indices(n)
     dt = itv.dt[iu, ju]
-    geometry, index = np.unique(np.stack([np.abs(dt), itv.dr[iu, ju]]), axis=1,
-                                return_inverse=True)
-    values = lam2 * 2.0 * _smeared_real(state.beta, regions[0].ell, *geometry)
+    geometry, index = np.unique(np.abs(dt) + 1j * itv.dr[iu, ju], return_inverse=True)
+    values = lam2 * 2.0 * _smeared_real(state.beta, regions[0].ell, geometry.real,
+                                        geometry.imag)
     H[iu, ju] = H[ju, iu] = values[index]
 
     # G_R from E on the future side of each pair; dt = 0 pairs stay zero

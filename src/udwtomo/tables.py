@@ -13,10 +13,13 @@ text arrays (an object array, or anything that is not an ndarray, raises
 one ``np.unique`` -- a float column by its values' bit patterns (so ``-0.0``
 stays ``-0`` next to ``0``, and every NaN is its own cell), an int or text
 column by its values -- and each distinct cell is formatted once, carrying
-the separator that follows it in its column.  The rows are then written in
-blocks of ``BLOCK_ROWS``, each block one ``"".join`` over its ``(rows,
-columns)`` texts gathered by the inverse index.  A ``Blanked`` column is
-written blank where its ``blank`` mask is true (a failed row's cells).
+the separator that follows it in its column.  A bool column needs no
+``np.unique``: its two texts are ``False`` and ``True``, or the two of a
+``Labelled`` column, which writes a text column of two values from the mask
+it comes from.  The rows are then written in blocks of ``BLOCK_ROWS``, each
+block one ``"".join`` over its ``(rows, columns)`` texts gathered by the
+inverse index.  A ``Blanked`` column is written blank where its ``blank``
+mask is true (a failed row's cells).
 
 A float column with fewer than ``_ARRAY_MIN_FLOATS`` distinct values is
 formatted by ``"%.17g" % v``, one value at a time.  A larger one goes
@@ -41,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "Blanked", "write_columns"]
+__all__ = ["BLOCK_ROWS", "Blanked", "Labelled", "write_columns"]
 
 # the two default grid tables (~10^4 rows each) write in 4.4 and 4.7 ms at
 # 256 rows per block, 3.2 and 3.5 ms at 1024 and 3.6 and 3.7 ms at 4096
@@ -67,6 +70,15 @@ class Blanked(NamedTuple):
     blank: np.ndarray
 
 
+class Labelled(NamedTuple):
+    """A bool column written as ``true`` where ``values`` is true and as
+    ``false`` elsewhere."""
+
+    values: np.ndarray
+    false: str
+    true: str
+
+
 def _quoted(text: str) -> str:
     """``text`` as csv.writer writes it in a row of two or more cells."""
     if _SPECIAL.isdisjoint(text):
@@ -76,11 +88,16 @@ def _quoted(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _column(values) -> tuple[np.ndarray, np.ndarray | None]:
-    """A column's cells as a 1-D array, and its mask of blank cells."""
-    blank = None
+def _column(values) -> tuple[np.ndarray, np.ndarray | None, tuple[str, str]]:
+    """A column's cells as a 1-D array, its mask of blank cells, and the
+    texts of False and True."""
+    blank, labels = None, ("False", "True")
     if isinstance(values, Blanked):
         values, blank = values
+    elif isinstance(values, Labelled):
+        values, labels = values.values, (values.false, values.true)
+        if getattr(values, "dtype", None) != bool:
+            raise ValueError("a Labelled column's values must be a bool array")
     if not isinstance(values, np.ndarray) or values.dtype.kind not in "fiubU":
         raise ValueError("columns must be float, int, bool or text arrays, got "
                          f"{getattr(values, 'dtype', type(values).__name__)}")
@@ -92,7 +109,7 @@ def _column(values) -> tuple[np.ndarray, np.ndarray | None]:
         blank = np.asarray(blank, dtype=bool)
         if blank.shape != values.shape:
             raise ValueError(f"blank mask of shape {blank.shape} for {len(values)} cells")
-    return values, blank
+    return values, blank, labels
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +279,13 @@ def _float_texts(v: np.ndarray, sep: str) -> list[str]:
 # the writer
 # ---------------------------------------------------------------------------
 
-def _texts(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
+def _texts(values: np.ndarray, sep: str,
+           labels: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     """A column's distinct cells as texts followed by ``sep``, and the
-    index of each row's text."""
+    index of each row's text; a bool column's two are ``labels``."""
     kind = values.dtype.kind
     if kind == "b":
-        return np.array(["False" + sep, "True" + sep], dtype=object), values.view(np.uint8)
+        return np.array([_quoted(v) + sep for v in labels], dtype=object), values.view(np.uint8)
     key = values.view(np.int64) if kind == "f" else values
     distinct, inverse = np.unique(key, return_inverse=True)
     if kind == "f":
@@ -287,10 +305,11 @@ def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) ->
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header cells but {len(columns)} columns")
     n_rows = len(columns[0][0]) if columns else 0
-    if any(len(values) != n_rows for values, _ in columns):
+    if any(len(values) != n_rows for values, _, _ in columns):
         raise ValueError("columns must have equal lengths")
     seps = [","] * (len(columns) - 1) + ["\n"]
-    cells = [(*_texts(values, sep), blank, sep) for (values, blank), sep in zip(columns, seps)]
+    cells = [(*_texts(values, sep, labels), blank, sep)
+             for (values, blank, labels), sep in zip(columns, seps)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(map(_quoted, header)) + "\n")
         for start in range(0, n_rows, BLOCK_ROWS):

@@ -14,13 +14,14 @@ each ratio being -tan(2 G) of the corresponding retarded entry, so that
 H_ij = (1/2) arctanh(yy/zz) - C_ij in general.  Combining with the known
 commutator part gives back the complex two-point value W = H/2 + i E/2.
 
-``reconstruct_table`` inverts every pair i < j of a table in one array
-pass over the pair blocks of ``detector.pair_blocks`` (row-major, the order
-of the table's ``zz`` and ``yy`` vectors), and collects the failures of the
-pairs that cannot be inverted; a single pair is read off at its row-major
-position q, where it also sits in ``table.zz`` and ``table.yy``.  A stack of
-sampled tables is inverted in the same pass, over all its (table, pair)
-rows; each table comes out bitwise as when it is inverted alone.
+``reconstruct_table`` forms the ratios yx / z once per table (or stack),
+inverts every pair i < j in one array pass over the pair blocks of
+``detector.pair_blocks`` (row-major, the order of the table's ``zz`` and
+``yy`` vectors), and collects the failures of the pairs that cannot be
+inverted; a single pair is read off at its row-major position q, where it
+also sits in ``table.zz`` and ``table.yy``.  A stack of sampled tables is
+inverted in the same pass, over all its (table, pair) rows; each table comes
+out bitwise as when it is inverted alone.
 
 The commutator entries E_ij are consumed as known inputs (they depend only on
 the classical equation of motion, not on the state) and are never re-derived
@@ -38,7 +39,7 @@ import numpy as np
 from .detector import CorrelatorTable, pair_blocks
 from .errors import (DephasingError, NoiseDominatedError, TangentDomainError,
                      UdwTomoError)
-from .tables import write_columns
+from .tables import Labelled, write_columns
 
 __all__ = [
     "TableReconstruction",
@@ -76,31 +77,40 @@ class TableReconstruction:
         return mask.reshape(self.H.shape)
 
 
-def _invert(table: CorrelatorTable, start: int, a: np.ndarray, b: np.ndarray):
+def _invert(table: CorrelatorTable, ratios: np.ndarray, counts: np.ndarray,
+            start: int, a: np.ndarray, b: np.ndarray):
     """H, C, causal mask, dephasing flag and {position: error} of the 0-based
     pairs (a[p], b[p]), a[p] < b[p], at flat positions start + p of the table
     or stack (``detector.pair_blocks``).
 
-    The third detectors of each pair are gathered in ascending order, so the
-    arctanh terms of C add up in that order.  A failing pair reports the
-    first of: zero <sz> on a causal pair, a product outside the arctanh
-    domain (first k), a fully dephased zz, a noise-dominated yy/zz.
+    ``ratios`` holds yx / z and ``counts`` each row's number of nonzero yx
+    off the diagonal, one row per detector of the stack, both formed once
+    per table or stack.  A pair is causal if row i or row j of yx is nonzero
+    outside columns i and j.  Its x_k = (yx_ik/z_i)(yx_jk/z_j) are the
+    products of the gathered ratio rows, kept at the third detectors k in
+    ascending order, so the arctanh terms of C add up in that order; arctanh
+    is evaluated only where x_k != 0 (arctanh(+-0) = +-0).  A failing pair
+    reports the first of: zero <sz> on a causal pair, a product outside the
+    arctanh domain (first k), a fully dephased zz, a noise-dominated yy/zz.
     """
     n, stop = table.n, start + len(a)
     # detectors a and b of each row's own table, numbered over the whole stack
     first = np.arange(start, stop) // max(1, n * (n - 1) // 2) * n
     ra, rb = first + a, first + b
-    p = np.arange(n - 2)
-    others = p + (p >= a[:, None]) + (p >= b[:, None] - 1)
     yx = table.yx.reshape(-1)
-    yx_a, xy_b = yx[(ra * n)[:, None] + others], yx[(rb * n)[:, None] + others]
-    causal = np.any(yx_a != 0.0, axis=1) | np.any(xy_b != 0.0, axis=1)
+    causal = (counts[ra] > (yx[ra * n + b] != 0.0)) | (counts[rb] > (yx[rb * n + a] != 0.0))
+    rows = np.arange(len(a))
+    third = np.ones((len(a), n), dtype=bool)  # k != a, b
+    third[rows, a] = third[rows, b] = False
     z = table.z.reshape(-1)
     zi, zj = z[ra], z[rb]
     zz, yy = table.zz.reshape(-1)[start:stop], table.yy.reshape(-1)[start:stop]
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = (yx_a / zi[:, None]) * (xy_b / zj[:, None])
-        c = np.where(causal, 0.5 * np.sum(np.arctanh(x), axis=1), 0.0)
+        x = (ratios[ra] * ratios[rb])[third].reshape(len(a), max(0, n - 2))
+        nonzero = x != 0.0
+        terms = x.copy()  # arctanh(+-0) = +-0
+        terms[nonzero] = np.arctanh(x[nonzero])
+        c = np.where(causal, 0.5 * np.sum(terms, axis=1), 0.0)
         ratio = yy / zz
     # libm's atanh: numpy's vectorised arctanh differs from it in the last
     # 1-2 bits of about one value in five, and H would move with it
@@ -119,7 +129,7 @@ def _invert(table: CorrelatorTable, start: int, a: np.ndarray, b: np.ndarray):
             failures[q] = DephasingError(f"{pair}: vanishing <sz> denominator")
         elif tangent[q]:
             col = int(np.argmax(outside[q]))
-            k = int(others[q, col]) + 1
+            k = int(np.flatnonzero(third[q])[col]) + 1
             failures[q] = TangentDomainError(
                 f"{pair}, correction term k={k}: |product| = "
                 f"{abs(x[q, col]):.6g} >= 1 (some 2G approaches pi/2)", k=k)
@@ -144,10 +154,13 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     pair that cannot be inverted gets NaN and its error in ``failures``; the
     other pairs are unaffected.
     """
-    shape = np.shape(table.zz)
+    shape, n = np.shape(table.zz), table.n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (table.yx / table.z[..., None]).reshape(-1, n)
+    counts = np.count_nonzero((table.yx != 0.0) & ~np.eye(n, dtype=bool), axis=-1).reshape(-1)
     parts, failures = [], {}
-    for start, a, b in pair_blocks(table.n, math.prod(shape[:-1])):
-        *arrays, fails = _invert(table, start, a, b)
+    for start, a, b in pair_blocks(n, math.prod(shape[:-1])):
+        *arrays, fails = _invert(table, ratios, counts, start, a, b)
         parts.append((a + 1, b + 1, *arrays))
         failures.update((start + q, err) for q, err in fails.items())
     i, j, h, c, causal, flagged = (np.concatenate(col).reshape(shape) for col in zip(*parts))
@@ -162,8 +175,8 @@ def write_reconstruction_results(rec: TableReconstruction, E: np.ndarray,
     pair from ``h_true``."""
     ok = rec.ok
     i, j, h = rec.i[ok], rec.j[ok], rec.H[ok]
-    regime = np.where(rec.causal[ok], "causal", "spacelike")
-    flags = np.where(rec.dephasing_dominated[ok], "dephasing_dominated", "")
+    regime = Labelled(rec.causal[ok], "spacelike", "causal")
+    flags = Labelled(rec.dephasing_dominated[ok], "", "dephasing_dominated")
     write_columns(path, ["i", "j", "regime", "H_reconstructed", "H_true_if_known",
                          "C_ij", "Re_W", "Im_W", "flags"],
                   [i, j, regime, h, h_true[i - 1, j - 1], rec.C[ok], 0.5 * h,

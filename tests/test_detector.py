@@ -15,7 +15,9 @@ from udwtomo.detector import (CorrelatorTable, DensityMatrix, PauliLabel, correl
                               density_matrix, pauli_ev_oracle,
                               random_kernel_matrix, sample_table)
 from udwtomo.errors import CapacityError, ConsistencyError
-from udwtomo.kernels import KernelMatrix
+from udwtomo.kernels import FieldState, KernelMatrix, assemble_kernels
+from udwtomo.smearing import GaussianRegion
+from udwtomo.spacetime import Event, LatticeSpec, build_lattice
 
 
 def plain_kernels(n, h=None, gr=None):
@@ -349,6 +351,54 @@ class TestCorrelatorTable:
         iu = np.triu_indices(6, 1)
         assert np.array_equal(a, np.tile(iu[0], 3)) and np.array_equal(b, np.tile(iu[1], 3))
         assert not list(detector.pair_blocks(6, tables=0))[0][1].size
+
+    @staticmethod
+    def lattice_kernels(state, n_space, n_time):
+        # 10 ell spacing at lambda = 2 pi, off a non-round origin
+        spec = LatticeSpec(n_space, n_time, 10.0, 10.0, Event(1.234567, -3.5, 2.25, 0.1))
+        regions = [GaussianRegion(e, 1.0) for e in build_lattice(spec)]
+        return assemble_kernels(state, regions, 2 * math.pi)
+
+    @staticmethod
+    def block_sparse_kernels():
+        # G nonzero in columns 2, 4 and 6 only (1-based), on both sides of the
+        # diagonal (the labels are not in time order); pairs such as (2, 6)
+        # and (2, 7) hold a nonzero column at i, and (1, 4) and (3, 6) one at
+        # j, whose factor (cos 2G_ji, cos 2G_ij) must be left out
+        km = random_kernel_matrix(8, seed=31)
+        GR = np.zeros((8, 8))
+        for (i, k), g in {(6, 2): 0.25, (7, 2): -0.2, (1, 4): 0.15, (8, 4): 0.3,
+                          (3, 6): -0.1, (7, 6): 0.2}.items():
+            GR[i - 1, k - 1] = g
+        return KernelMatrix(H=km.H + 0.5 * np.eye(8), GR=GR)
+
+    @pytest.mark.parametrize("case", ["thermal-54", "vacuum-16", "block-sparse", "n1", "n2",
+                                      "zero-gr"])
+    def test_lattice_shapes_match_closed_forms(self, case):
+        km = {
+            "thermal-54": lambda: self.lattice_kernels(FieldState.thermal(50.0), 3, 2),
+            "vacuum-16": lambda: self.lattice_kernels(FieldState.vacuum(), 2, 2),
+            "block-sparse": self.block_sparse_kernels,
+            "n1": lambda: plain_kernels(1, h=[[0.4]]),
+            "n2": lambda: random_kernel_matrix(2, seed=5),
+            "zero-gr": lambda: KernelMatrix(H=random_kernel_matrix(5, seed=6).H,
+                                            GR=np.zeros((5, 5))),
+        }[case]()
+        n, table = km.n, correlator_table(km)
+        assert np.any(km.GR != 0.0) == (case not in ("n1", "zero-gr"))
+        if case == "block-sparse":
+            assert np.count_nonzero(np.any(km.GR != 0.0, axis=0)) == 3
+        rho = density_matrix(km) if n <= 10 else None
+        if n == 1:
+            assert table.z[0] == math.exp(-0.4)
+            assert abs(table.z[0] - pauli_ev_oracle(rho, [PauliLabel("Z", 1)])) <= 1e-10
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                for kind, ops in KIND_OPS.items():
+                    got = table_entry(table, i, j, kind)
+                    assert abs(got - closed_form(km, i, j, kind)) <= 1e-14, (i, j, kind)
+                    if rho is not None:
+                        assert abs(got - pauli_ev_oracle(rho, ops(i, j))) <= 1e-10, (i, j, kind)
 
     def test_yy_strictly_inside_zz(self):
         # the arctanh domain of the noiseless reconstruction, for every pair

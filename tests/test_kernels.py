@@ -694,11 +694,21 @@ class TestAssemble:
         (FieldState.vacuum(), "lattice"),
         (FieldState.thermal(50.0), "shuffled"),
         (FieldState.vacuum(), "far"),
-    ], ids=["thermal", "vacuum", "thermal-shuffled", "vacuum-far"])
+        (FieldState.thermal(43.073227), "ulp"),
+    ], ids=["thermal", "vacuum", "thermal-shuffled", "vacuum-far", "thermal-ulp"])
     def test_matches_per_pair_reference_bitwise(self, state, layout):
         if layout == "far":
             # commutators that underflow to zero on both sides of dt
             regions = [region(0, 0), region(10, 200), region(-10, 400), region(5, 600)]
+        elif layout == "ulp":
+            # no coordinate of the origin is round, so pairs of one physical
+            # geometry differ in the last bits of dt or dr: 27 exact-float
+            # geometries where rounding leaves 19, each a key of its own
+            regions = lattice_regions(Event(-3.306967, 0.059643, 1.581189, 2.675809))
+            pairs = pair_intervals(regions)
+            exact = set(zip(np.abs(pairs.dt).tolist(), pairs.dr.tolist()))
+            rounded = {(round(dt, 9), round(dr, 9)) for dt, dr in exact}
+            assert (len(exact), len(rounded)) == (27, 19)
         else:
             regions = lattice_regions(Event(1.234567, -3.5, 2.25, 0.1))
         if layout != "lattice":

@@ -43,6 +43,8 @@ def reference_rows(columns):
     for col in columns:
         if isinstance(col, tables.Blanked):
             cells.append(["" if b else v for v, b in zip(col.values.tolist(), col.blank)])
+        elif isinstance(col, tables.Labelled):
+            cells.append([col.true if v else col.false for v in col.values.tolist()])
         else:
             cells.append(col.tolist())
     return list(zip(*cells))
@@ -169,6 +171,25 @@ def test_blank_cells(tmp_path):
     check(tmp_path / "blank.csv", ["s", "value", "count", "flag", "label", "errors"],
           [k * 0.5, value, count, flag, label, errors])
     check(tmp_path / "blank.csv", ["value", "count"], [value, count])
+
+
+def test_labelled_columns(tmp_path):
+    # a bool mask written as two texts, each quoted as csv.writer quotes it,
+    # on both sides of a block boundary; all true, all false and no rows
+    n = tables.BLOCK_ROWS + 5
+    k = np.arange(n)
+    for false, true in (("spacelike", "causal"), ("", "dephasing_dominated"),
+                        ("a,b", 'say "hi"'), ("two\nlines", "")):
+        columns = [k, tables.Labelled(k % 3 == 0, false, true),
+                   tables.Labelled(np.ones(n, dtype=bool), false, true),
+                   tables.Labelled(np.zeros(n, dtype=bool), true, false)]
+        check(tmp_path / "labelled.csv", ["k", "mixed", "true", "false"], columns)
+    check(tmp_path / "labelled.csv", ["k", "label"],
+          [k[:0], tables.Labelled(np.zeros(0, dtype=bool), "no", "yes")])
+    for values in (k % 2, np.where(k % 2 == 0, "yes", "no"), [True, False]):
+        with pytest.raises(ValueError, match="Labelled column's values must be a bool array"):
+            tables.write_columns(tmp_path / "bad.csv", ["k", "label"],
+                                 [k, tables.Labelled(values, "no", "yes")])
 
 
 def test_mismatched_columns_rejected(tmp_path):

@@ -1,6 +1,7 @@
 """Inversion of correlators into the anticommutator kernel, and its failure modes."""
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from udwtomo.errors import DephasingError, NoiseDominatedError, TangentDomainErr
 from udwtomo.kernels import FieldState, KernelMatrix, assemble_kernels
 from udwtomo.numerics import fit_loglog_slope
 from udwtomo.smearing import GaussianRegion
-from udwtomo.spacetime import build_lattice
+from udwtomo.spacetime import Event, LatticeSpec, build_lattice
 from udwtomo.tomography import TableReconstruction, reconstruct_table
 
 FIELDS = ("i", "j", "H", "C", "causal", "dephasing_dominated")
@@ -142,6 +143,26 @@ class TestOracle:
         check_against_reference(exact)
         check_against_reference(sample_table(exact, 1000, 7))
 
+    def test_assembled_lattice_table(self):
+        # the 3^3 x 2 thermal lattice at 10 ell: 1431 pairs, 1080 of them
+        # causal, with exact zeros in most x_k; exact and sampled, bit for bit
+        spec = LatticeSpec(3, 2, 10.0, 10.0, Event(-3.306967, 0.059643, 1.581189, 2.675809))
+        regions = [GaussianRegion(e, 1.0) for e in build_lattice(spec)]
+        exact = correlator_table(assemble_kernels(FieldState.thermal(50.0), regions, 2 * math.pi))
+        assert not check_against_reference(exact)
+        assert np.count_nonzero(reconstruct_table(exact).causal) == 1080
+        check_against_reference(sample_table(exact, 1000, 11))
+
+    def test_zero_sz_gives_nan_ratios(self):
+        # z_1 = 0: yx_1k / z_1 is 0/0 for k = 2, 4 and inf for k = 3, so
+        # pairs (1, 2) and (1, 4) fail on <sz>, while pair (1, 3), whose
+        # third detectors 2 and 4 carry no yx, stays spacelike and inverts
+        t = table(n=4, zz=0.8, yy=0.2, z=[0.0, 0.9, 0.8, 0.7],
+                  yx={(1, 3): 0.4, (2, 4): 0.1, (4, 2): -0.05})
+        assert check_against_reference(t) == {"DephasingError on <sz>"}
+        rec = reconstruct_table(t)
+        assert sorted(rec.failures) == [0, 2] and not rec.causal[1]
+
     @pytest.mark.parametrize("t, want", [
         # zero <sz> on a causal pair, also outside the arctanh domain and dephased
         (table(n=3, zz=0.0, z=[0.0, 1.0, 1.0], yx={(1, 3): 0.5, (2, 3): 0.5}),
@@ -177,6 +198,14 @@ class TestOracle:
         assert rec.causal[0] and rec.C[0] == 0.0
 
 
+    def test_yx_diagonal_is_not_read(self):
+        # a nonzero yx diagonal, which no table holds, leaves pair (1, 2)
+        # spacelike: only third detectors make a pair causal
+        t = table(n=3, yx={(1, 1): 0.5, (2, 2): 0.5})
+        assert not check_against_reference(t)
+        assert not reconstruct_table(t).causal[0]
+
+
 class TestRowBlocks:
     def test_blocks_match_one_block(self, monkeypatch):
         # n = 9: 7 third detectors per pair, 8 pairs in the first row; blocks
@@ -185,9 +214,9 @@ class TestRowBlocks:
         calls = []
         invert = tomography._invert
 
-        def counting(table, start, a, b):
+        def counting(table, ratios, counts, start, a, b):
             calls.append(len(a))
-            return invert(table, start, a, b)
+            return invert(table, ratios, counts, start, a, b)
 
         monkeypatch.setattr(tomography, "_invert", counting)
         monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 1 << 30)
@@ -431,6 +460,37 @@ class TestReconstructRecord:
             assert [float(r["H_true_if_known"]) for r in rows] == (
                 h_true[rec.i - 1, rec.j - 1].tolist())
         assert rows[0]["flags"] == "dephasing_dominated"
+
+    def test_csv_bytes(self, tmp_path):
+        # byte for byte what csv.writer writes for the inverted pairs, with
+        # the regime and flags texts that the masks stand for
+        km = random_kernel_matrix(5, seed=2)
+        mixed = CorrelatorTable(z=np.array([1.0, 0.9, 0.8]), zz=np.array([5e-7, 0.8, 0.0]),
+                                yy=np.array([1e-7, 0.2, 0.0]),
+                                yx=np.array([[0.0, 0.0, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        for name, t, E, h_true in (("lattice", correlator_table(km), km.E, km.H),
+                                   ("mixed", mixed, np.zeros((3, 3)), np.eye(3))):
+            rec = reconstruct_table(t)
+            path = tmp_path / f"{name}.csv"
+            tomography.write_reconstruction_results(rec, E, path, h_true)
+            ok = rec.ok
+            i, j = rec.i[ok], rec.j[ok]
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["i", "j", "regime", "H_reconstructed", "H_true_if_known", "C_ij",
+                             "Re_W", "Im_W", "flags"])
+            for row in zip(i.tolist(), j.tolist(),
+                           np.where(rec.causal[ok], "causal", "spacelike").tolist(),
+                           rec.H[ok].tolist(), h_true[i - 1, j - 1].tolist(),
+                           rec.C[ok].tolist(), (0.5 * rec.H[ok]).tolist(),
+                           (0.5 * E[i - 1, j - 1]).tolist(),
+                           np.where(rec.dephasing_dominated[ok], "dephasing_dominated",
+                                    "").tolist()):
+                writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+            assert path.read_bytes() == buf.getvalue().encode("utf-8")
+        # pair (2, 3) fails; (1, 2) is causal and flagged, (1, 3) neither
+        assert [(c[:3], c[-1]) for c in csv.reader(path.read_text().splitlines()[1:])] == [
+            (["1", "2", "causal"], "dephasing_dominated"), (["1", "3", "spacelike"], "")]
 
     def test_csv_leaves_out_failed_pairs(self, tmp_path):
         t = table(n=3, yx={(1, 3): 2.0, (2, 3): 0.75})   # pair (1, 2) fails
