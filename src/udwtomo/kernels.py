@@ -17,7 +17,11 @@ for the KMS state.  This quadrature route is the independent oracle; every
 state and separation also has a closed form (Faddeeva / Dawson, summed over
 imaginary-time images for the KMS state), which is used everywhere else.
 ``_smeared_quadrature_real`` integrates the oracle's Re W for a whole array
-of pairs in one adaptive pass, for the scans' quadrature column.
+of pairs in one adaptive pass, for the scans' quadrature column: its
+integrand takes an array of k and returns every pair's value at each k, so
+``numerics.integrate_semi_infinite_array`` evaluates each refinement round
+in one call.  ``_coth`` holds the occupation's small-argument series and
+saturation once, for that integrand and for the scalar oracle.
 
 Sign conventions: W = H/2 + i E/2, so the smeared commutator function
 satisfies E = 2 Im W, and the retarded propagator between regions is read off
@@ -104,13 +108,12 @@ class FieldState:
 # masks over the points; a single event (pair) is an array of shape (4,).
 # ---------------------------------------------------------------------------
 
-def _coth(x: float) -> float:
-    # x > 0: both callers pass beta k / 2 with k > 0
-    if x < 1e-6:
-        return 1.0 / x + x / 3.0
-    if x > 350.0:
-        return 1.0
-    return 1.0 / math.tanh(x)
+def _coth(x, tanh=np.tanh):
+    """coth x for x > 0 (every caller passes beta k / 2 with k > 0), a float
+    or elementwise over an array: the two-term series below 1e-6, 1 above
+    350.  The scalar oracle passes math.tanh, which keeps libm's bits (np.tanh
+    differs from it in the last bit on some arguments)."""
+    return np.where(x < 1e-6, 1.0 / x + x / 3.0, np.where(x > 350.0, 1.0, 1.0 / tanh(x)))
 
 
 def _time_radius(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -427,7 +430,7 @@ def wightman_smeared_quadrature(state: FieldState, ri: GaussianRegion,
         if beta is None:
             re_w = math.cos(k * dt)
         elif k > 0.0:
-            re_w = _coth(0.5 * beta * k) * math.cos(k * dt)
+            re_w = _coth(0.5 * beta * k, math.tanh) * math.cos(k * dt)
         else:  # the k -> 0 limit of coth(beta k/2) sin(k dr)/dr
             return complex(2.0 / beta / (4.0 * math.pi**2), 0.0)
         return (math.exp(-a * k * k) * _radial_factor(k, dr)
@@ -450,13 +453,15 @@ def _region_amplitudes_quadrature(state: FieldState, ell: float, t: np.ndarray,
     if state.tag == "coherent":
         a, pref = delta * delta + ell * ell, -delta / (_SQRT_2PI * math.pi)
 
-        def f(k: float) -> np.ndarray:
-            return pref * math.exp(-a * k * k) * np.sin(k * t) * radial(k)
+        def f(k: np.ndarray) -> np.ndarray:
+            k = k[:, None]
+            return pref * np.exp(-a * k * k) * np.sin(k * t) * radial(k)
     else:
         a, pref = 0.5 * delta * delta + ell * ell, delta * delta / (math.pi * math.sqrt(2.0))
 
-        def f(k: float) -> np.ndarray:
-            return pref * k * math.exp(-a * k * k) * radial(k) * np.exp(-1j * k * t)
+        def f(k: np.ndarray) -> np.ndarray:
+            k = k[:, None]
+            return pref * k * np.exp(-a * k * k) * radial(k) * np.exp(-1j * k * t)
 
     osc = float(np.max(r + np.abs(t))) + 1.0
     return integrate_semi_infinite_array(f, tol, decay_scale=a, osc_scale=osc).value
@@ -476,13 +481,13 @@ def _smeared_quadrature_real(state: FieldState, ell: float, a: np.ndarray,
         return np.zeros(0)
     a2, beta, radial = 2.0 * ell * ell, state.beta, _radial_factors(dr)
 
-    def f(k: float) -> np.ndarray:
-        w = math.exp(-a2 * k * k) / (4.0 * math.pi**2)
+    def f(k: np.ndarray) -> np.ndarray:
+        # the integrator samples k > 0 only, where coth is finite
+        w = np.exp(-a2 * k * k) / (4.0 * math.pi**2)
         if beta is not None:
-            if k <= 0.0:
-                return np.full(dt.shape, 2.0 / beta / (4.0 * math.pi**2))
-            w *= _coth(0.5 * beta * k)
-        return w * np.cos(k * dt) * radial(k)
+            w = w * _coth(0.5 * beta * k)
+        k = k[:, None]
+        return w[:, None] * np.cos(k * dt) * radial(k)
 
     knots = [c / beta for c in _KMS_KNOTS] if beta is not None else ()
     osc = float(np.max(dr + np.abs(dt))) + 1.0

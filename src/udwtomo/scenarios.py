@@ -16,9 +16,10 @@ the vacuum pointlike kernel, the state's multipole estimate
 and, for the vacuum, the closed smeared kernel.  Lightlike points are masked
 out first and keep their error text in the ``errors`` column.  The optional
 quadrature column integrates the oracle's radial momentum integrals for
-every point in one adaptive pass (``kernels._smeared_quadrature_real``); if
-that pass cannot certify the tolerance, ``run`` raises its
-``ConvergenceError``.
+every point in one adaptive pass (``kernels._smeared_quadrature_real``),
+whose integrand is evaluated once per refinement round over every node and
+point, without scipy; if that pass cannot certify the tolerance, ``run``
+raises its ``ConvergenceError``.
 
 All lengths are quoted in units of the region width ell.  Every output CSV
 is written from its columns by ``tables.write_columns``: UTF-8 with header

@@ -10,6 +10,7 @@ implementation.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,8 +93,8 @@ class TestIntegrateSemiInfinite:
         f = lambda k: math.exp(-k * k) * complex(math.cos(k), -math.sin(k))
         res = numerics.integrate_semi_infinite(f, 1e-11, decay_scale=1.0, osc_scale=1.0)
         vec = numerics.integrate_semi_infinite_array(
-            lambda k: math.exp(-k * k) * np.exp(-1j * k * np.array([1.0, 2.0])), 1e-11,
-            decay_scale=1.0, osc_scale=2.0)
+            lambda k: np.exp(-k * k)[:, None] * np.exp(-1j * k[:, None] * np.array([1.0, 2.0])),
+            1e-11, decay_scale=1.0, osc_scale=2.0)
         for value, w in ((res.value, 1.0), (vec.value[0], 1.0), (vec.value[1], 2.0)):
             re_t, _ = quad(lambda k: math.exp(-k * k) * math.cos(w * k), 0, 20, epsabs=1e-14)
             im_t, _ = quad(lambda k: -math.exp(-k * k) * math.sin(w * k), 0, 20, epsabs=1e-14)
@@ -106,7 +107,8 @@ class TestIntegrateSemiInfinite:
         b = numerics.integrate_semi_infinite(f, 1e-11, decay_scale=0.3, osc_scale=7.0)
         assert a.value == b.value  # bit-identical
         assert a.evaluations == b.evaluations
-        g = lambda k: k * math.exp(-0.3 * k * k) * np.sin(k * np.array([7.0, 1.0]))
+        g = lambda k: ((k * np.exp(-0.3 * k * k))[:, None]
+                       * np.sin(k[:, None] * np.array([7.0, 1.0])))
         a = numerics.integrate_semi_infinite_array(g, 1e-11, decay_scale=0.3, osc_scale=7.0)
         b = numerics.integrate_semi_infinite_array(g, 1e-11, decay_scale=0.3, osc_scale=7.0)
         assert a.value.tolist() == b.value.tolist()
@@ -121,7 +123,7 @@ class TestIntegrateSemiInfinite:
         with pytest.raises(ValueError):
             numerics.integrate_semi_infinite(lambda k: math.exp(-k * k), 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            numerics.integrate_semi_infinite_array(lambda k: np.ones(2), 0.0, 1.0, 1.0)
+            numerics.integrate_semi_infinite_array(lambda k: np.ones((k.size, 2)), 0.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("scales", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0)])
     def test_scales_must_be_positive(self, scales):
@@ -139,7 +141,8 @@ class TestIntegrateSemiInfiniteArray:
         safe = np.where(r > 0.0, r, 1.0)
 
         def f(k):
-            return math.exp(-2.0 * k * k) * np.cos(k * w) * np.where(
+            k = k[:, None]
+            return np.exp(-2.0 * k * k) * np.cos(k * w) * np.where(
                 r > 0.0, np.sin(k * safe) / safe, k)
 
         res = numerics.integrate_semi_infinite_array(f, 1e-12, decay_scale=2.0,
@@ -147,8 +150,8 @@ class TestIntegrateSemiInfiniteArray:
         assert res.value.shape == (4,)
         assert res.error_estimate <= 1e-11
         for j in range(4):
-            one = numerics.integrate_semi_infinite(lambda k: float(f(k)[j]), 1e-12,
-                                                   decay_scale=2.0, osc_scale=17.0)
+            one = numerics.integrate_semi_infinite(lambda k: float(f(np.array([k]))[0, j]),
+                                                   1e-12, decay_scale=2.0, osc_scale=17.0)
             assert abs(res.value[j] - one.value) <= 1e-12
 
     def test_knots_resolve_a_narrow_feature(self):
@@ -161,8 +164,8 @@ class TestIntegrateSemiInfiniteArray:
         knots = [c * 1e-4 for c in (0.01, 0.1, 1.0, 10.0, 100.0)]
         scalar = numerics.integrate_semi_infinite(f, 1e-12, 1.0, 1.0, knots)
         vector = numerics.integrate_semi_infinite_array(
-            lambda k: np.array([f(k), math.exp(-k * k)]), 1e-12, decay_scale=1.0,
-            osc_scale=1.0, knots=knots)
+            lambda k: np.stack([np.exp(-k * k) + np.exp(-(k * 1e4) ** 2), np.exp(-k * k)], 1),
+            1e-12, decay_scale=1.0, osc_scale=1.0, knots=knots)
         assert scalar.value == pytest.approx(want, abs=1e-12)
         assert vector.value[0] == pytest.approx(want, abs=1e-12)
         assert vector.value[1] == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
@@ -170,7 +173,7 @@ class TestIntegrateSemiInfiniteArray:
     def test_uncertified_component_raises(self):
         # one component decays too slowly for the hinted Gaussian cutoff: its
         # tail bound fails the whole pass
-        f = lambda k: np.array([math.exp(-k * k), 1.0 / (1.0 + k * k)])
+        f = lambda k: np.stack([np.exp(-k * k), 1.0 / (1.0 + k * k)], 1)
         with pytest.raises(ConvergenceError, match="exceeds tolerance"):
             numerics.integrate_semi_infinite_array(f, 1e-10, decay_scale=1.0,
                                                    osc_scale=1.0)
@@ -178,11 +181,167 @@ class TestIntegrateSemiInfiniteArray:
     def test_non_finite_component_raises(self):
         # NaN everywhere, and NaN only between the cutoff probes (0.5, 0.625);
         # at osc_scale 100 the initial panels sample that window
-        for bad in (lambda k: math.nan, lambda k: math.nan if 0.51 < k < 0.6 else 0.0):
-            f = lambda k: np.array([math.exp(-k * k), bad(k)])
+        for bad in (lambda k: np.full(k.shape, math.nan),
+                    lambda k: np.where((0.51 < k) & (k < 0.6), math.nan, 0.0)):
+            f = lambda k: np.stack([np.exp(-k * k), bad(k)], 1)
             with pytest.raises(ConvergenceError):
                 numerics.integrate_semi_infinite_array(f, 1e-10, decay_scale=1.0,
                                                        osc_scale=100.0)
+
+
+def _quad_vec_reference(f, tol, decay_scale, osc_scale, knots=()):
+    """(value, certificate, evaluations) of the reference algorithm,
+    ``scipy.integrate.quad_vec`` with ``norm="max"``, given one scalar k per
+    call and ``integrate_semi_infinite_array``'s cutoff, panels, tolerances
+    and certificate.  Raises ConvergenceError where that certificate fails."""
+    from scipy.integrate import quad_vec
+
+    cutoff, tail_bound, edges, limit = numerics._plan(f, tol, decay_scale, osc_scale, knots)
+    value, abserr, info = quad_vec(
+        lambda k: f(np.array([k]))[0], 0.0, cutoff, epsabs=4.0 * tol, epsrel=1e-12,
+        norm="max", limit=limit * (len(edges) - 1), points=edges[1:-1], full_output=True,
+        workers=map)
+    err = float(np.max(abserr + tail_bound))
+    if not err <= 10.0 * tol:
+        raise ConvergenceError(f"certificate {err:.3e}")
+    return value, err, info.neval
+
+
+def _counted(f):
+    """f, and a list that records the number of k of each call."""
+    sizes = []
+
+    def g(k):
+        sizes.append(k.size)
+        return f(k)
+
+    return g, sizes
+
+
+def _oscillating(k):
+    # e^{-k^2/2} cos(w k) at frequencies up to 60: panels of ~50 periods,
+    # which take several refinement rounds
+    k = k[:, None]
+    return np.exp(-0.5 * k * k) * np.cos(k * np.array([0.0, 15.0, 40.0, 60.0]))
+
+
+def _gallery_thermal_scan(tmp_path, monkeypatch):
+    """The arguments of the array quadrature that the ``states_gallery``
+    benchmark workload's thermal scan makes at seed 1."""
+    from udwtomo import kernels, scenarios
+
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return numerics.integrate_semi_infinite_array(*args)
+
+    monkeypatch.setattr(kernels, "integrate_semi_infinite_array", record)
+    scenarios.run({"scenario_id": "thermal_curves", "beta": 50.236432,
+                   "enable_quadrature_columns": True,
+                   "anchor": {"t": 4.504637, "x": -3.558404, "y": 0.0, "z": 0.0},
+                   "s_over_ell": {"start": 0.5, "stop": 20.0, "step": 0.25},
+                   "output_dir": str(tmp_path)})
+    monkeypatch.undo()
+    assert len(calls) == 1
+    return calls[0]
+
+
+class TestBatchedGaussKronrod:
+    """The array integrator against quad_vec, the algorithm it runs."""
+
+    CASES = {
+        # the integrands of TestIntegrateSemiInfiniteArray and TestIntegrateSemiInfinite
+        "components": (lambda k: np.exp(-2.0 * k[:, None] ** 2) * np.cos(
+            k[:, None] * np.array([0.0, 3.0, 7.0, 0.5])) * np.where(
+            np.array([False, True, True, True]),
+            np.sin(k[:, None] * np.array([1.0, 2.0, 0.5, 9.0])) / np.array([1.0, 2.0, 0.5, 9.0]),
+            k[:, None]), 1e-12, 2.0, 17.0, ()),
+        "knots": (lambda k: np.stack([np.exp(-k * k) + np.exp(-(k * 1e4) ** 2),
+                                      np.exp(-k * k)], 1),
+                  1e-12, 1.0, 1.0, [c * 1e-4 for c in (0.01, 0.1, 1.0, 10.0, 100.0)]),
+        "complex": (lambda k: np.exp(-k * k)[:, None] * np.exp(
+            -1j * k[:, None] * np.array([1.0, 2.0])), 1e-11, 1.0, 2.0, ()),
+        "deterministic": (lambda k: (k * np.exp(-0.3 * k * k))[:, None] * np.sin(
+            k[:, None] * np.array([7.0, 1.0])), 1e-11, 0.3, 7.0, ()),
+        "uncertified": (lambda k: np.stack([np.exp(-k * k), 1.0 / (1.0 + k * k)], 1),
+                        1e-10, 1.0, 1.0, ()),
+        "narrow-nan": (lambda k: np.stack([np.exp(-k * k), np.where(
+            (0.51 < k) & (k < 0.6), math.nan, 0.0)], 1), 1e-10, 1.0, 100.0, ()),
+        "high-osc": (_oscillating, 1e-12, 0.5, 60.0, ()),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_quad_vec(self, case):
+        f, *args = self.CASES[case]
+        try:
+            want = _quad_vec_reference(f, *args)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                numerics.integrate_semi_infinite_array(f, *args)
+            return
+        got = numerics.integrate_semi_infinite_array(f, *args)
+        assert got.evaluations == want[2]
+        assert got.error_estimate == pytest.approx(want[1], rel=1e-12)
+        np.testing.assert_allclose(got.value, want[0], rtol=1e-14, atol=1e-17)
+
+    def test_high_osc_case_takes_several_rounds(self):
+        f, sizes = _counted(_oscillating)
+        numerics.integrate_semi_infinite_array(f, 1e-12, 0.5, 60.0)
+        # the magnitude probes, the cutoff points, the panels, then the rounds
+        assert sizes[:2] == [24, 3]
+        assert len(sizes) - 3 >= 3
+
+    def test_gallery_thermal_scan_matches_quad_vec(self, tmp_path, monkeypatch):
+        f, *args = _gallery_thermal_scan(tmp_path, monkeypatch)
+        counted, sizes = _counted(f)
+        got = numerics.integrate_semi_infinite_array(counted, *args)
+        value, err, neval = _quad_vec_reference(f, *args)
+        assert got.evaluations == neval == sum(sizes[2:])
+        assert got.error_estimate == pytest.approx(err, rel=1e-12)
+        np.testing.assert_allclose(got.value, value, rtol=1e-14, atol=1e-17)
+        # one call per round: the panels, then each refinement round
+        assert len(sizes) < 10 and sizes[:2] == [24, 3]
+
+    @pytest.mark.parametrize("case", ["components", "complex", "high-osc"])
+    def test_chunked_rounds_give_the_same_bits(self, case, monkeypatch):
+        f, *args = self.CASES[case]
+        whole_f, whole_sizes = _counted(f)
+        whole = numerics.integrate_semi_infinite_array(whole_f, *args)
+        # one interval per call
+        monkeypatch.setattr(numerics, "_CHUNK_VALUES", 1)
+        split_f, split_sizes = _counted(f)
+        split = numerics.integrate_semi_infinite_array(split_f, *args)
+        assert max(split_sizes[2:]) == 21 < max(whole_sizes[2:])
+        assert split.value.tolist() == whole.value.tolist()
+        assert split.error_estimate == whole.error_estimate
+        assert split.evaluations == whole.evaluations
+
+    def test_nan_in_a_refinement_round_raises(self):
+        # finite at the probes and on the panels; the first round's nodes
+        # are NaN in one component
+        sizes = []
+
+        def f(k):
+            sizes.append(k.size)
+            out = np.stack([np.exp(-k * k), np.exp(-2.0 * k * k)], 1)
+            if len(sizes) > 3:
+                out[:, 1] = math.nan
+            return out
+
+        with pytest.raises(ConvergenceError):
+            numerics.integrate_semi_infinite_array(f, 1e-10, 1.0, 1.0)
+        assert len(sizes) == 4
+
+    def test_interval_cap_raises(self):
+        # cos(1e4 k) has ~1e4 periods on [0, K]: no interval the cap allows
+        # resolves it, so the rounds stop at the cap with the error near 1
+        f = lambda k: np.stack([np.exp(-k * k), np.exp(-k * k) * np.cos(1e4 * k)], 1)
+        with pytest.raises(ConvergenceError, match="exceeds tolerance") as exc:
+            numerics.integrate_semi_infinite_array(f, 1e-10, 1.0, 1.0)
+        intervals, cap = map(int, re.search(r"\((\d+) intervals, cap (\d+)\)",
+                                            str(exc.value)).groups())
+        assert intervals >= cap == 200
 
 
 class TestFitLoglogSlope:
