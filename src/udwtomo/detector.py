@@ -34,10 +34,28 @@ needs no storage because <sx_k sy_j> = YX_jk, i.e. XY = YX^T.
 The pairs i < j are taken row-major, pair (i, j) at position
 q = (i-1)(2n-i)/2 + j-i-1 (1-based i, j), the order of every per-pair array
 downstream.  ``pair_blocks`` is the one owner of that order and of the block
-size that bounds the work arrays: ``correlator_table`` evaluates ZZ and YY
-one block of pairs at a time, each factor cos(2G_ik -+ 2G_jk) as
-c_ik c_jk +- s_ik s_jk from c = cos 2G and s = sin 2G taken once, and
-``tomography.reconstruct_table`` inverts the same blocks.
+size that bounds the per-pair work arrays.
+
+Both O(n^3) lattice passes sum a function of x_k = T_ik T_jk over the third
+detectors k: with T = tan 2G,
+
+    prod_{k != i,j} cos(2G_ik -+ 2G_jk)
+        = exp(L_i + L_j - log c_ij - log c_ji + sum_k log(1 +- x_k)),
+
+where c = cos 2G and L_i = sum_{k != i} log c_ik, and the inversion's
+correction is (1/2) sum_k arctanh x_k with T = yx / z.  ``_power_sums``
+expands both in powers of x: sum_k x_k^p is the pair's entry of
+S_p = T^(o p) (T^(o p))^T, one n x n matrix product per power, and T's zero
+diagonal drops the k = i and k = j terms.  A pair joins the series when
+r_ij = max_k |T_ik| max_k |T_jk|, which bounds every |x_k|, is below
+``_SERIES_RADIUS``; each table takes as many powers as its largest r_ij
+needs to bring the remainder under 2^-53 sum_k |x_k|.  Every other pair --
+r_ij past the radius, or a row of T with an entry that is not finite or of
+magnitude 1 or more, or (for the table) a row with a non-positive cos 2G --
+keeps the exact per-pair path: ``correlator_table`` forms each factor
+cos(2G_ik -+ 2G_jk) as c_ik c_jk +- s_ik s_jk from s = sin 2G, and
+``tomography.reconstruct_table`` sums arctanh x_k, both taking those pairs
+block by block of ``pair_blocks``.
 
 ``sample_table`` draws one table, or a stack of tables (one per shot count
 and seed) that carries a leading axis on every array.  ``pair_blocks`` then
@@ -47,6 +65,7 @@ whole stack, and ``stack_size`` bounds a stack by the same element budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -223,13 +242,16 @@ class CorrelatorTable:
         return np.swapaxes(self.yx, -1, -2)
 
 
-# One budget for every work array: pair blocks keep each float array of the
-# table evaluation (pairs, nonzero G columns + 1) and of the inversion (the
-# gathered ratio rows, pairs x n, and x, pairs x (n - 2)) within 128 KiB, and
-# ``stack_size`` keeps each stack of sampled tables within it.  On the 54- and
-# 81-region thermal lattices (2 cores, numpy 2.4) 2^12 and 2^13 elements were
-# slower, 2^15 inverted 10-13 % faster but raised the peak resident memory of
-# a 54-region roundtrip by 0.3 MiB, and 2^16 was slower again (+1.4 MiB).
+# One budget for every per-pair work array: pair blocks keep each float array
+# of the exact path -- the table's (pairs, nonzero G columns + 1) factors and
+# the inversion's gathered ratio rows (pairs x n) and products x
+# (pairs x (n - 2)) -- within 128 KiB, and ``stack_size`` keeps each stack of
+# sampled tables within it.  The series path holds a few n x n arrays per
+# table of a stack instead (T, its running power, the product and two sums).
+# On the 54- and 81-region thermal lattices (2 cores, numpy 2.4), before the
+# series took over their pairs, 2^12 and 2^13 elements were slower, 2^15
+# inverted 10-13 % faster but raised the peak resident memory of a 54-region
+# roundtrip by 0.3 MiB, and 2^16 was slower again (+1.4 MiB).
 _CHUNK_ELEMENTS = 1 << 14
 
 
@@ -240,7 +262,7 @@ def pair_blocks(n: int, tables: int = 1) -> Iterator[tuple[int, np.ndarray, np.n
     (tables, n(n-1)/2) pair arrays.  A block holds at most
     ``_CHUNK_ELEMENTS // n`` pairs (at least one) and may span two tables;
     with no pairs there is one empty block."""
-    a, b = (np.tile(v, tables) for v in np.triu_indices(n, 1))
+    a, b = (np.tile(v, tables) for v in _pairs(n))
     step = max(1, _CHUNK_ELEMENTS // max(1, n))
     for start in range(0, max(1, len(a)), step):
         yield start, a[start:start + step], b[start:start + step]
@@ -252,6 +274,87 @@ def stack_size(n: int) -> int:
     return max(1, _CHUNK_ELEMENTS // max(1, 2 * n * n))
 
 
+# A pair is summed as a power series when r_ij, its bound on every |x_k|, is
+# below this radius; just below it a table takes 49 matrix products (every
+# power up to 49) and the inversion 24 (the odd powers up to 47).
+_SERIES_RADIUS = 0.5
+_SERIES_TOL = 2.0**-53  # remainder bound, relative to sum_k |x_k|
+# entries of a power t^(o p) of |t| < 1 below this are dropped, at p = 1 and
+# then at the first power past twice the last such p: the entries kept stay
+# above 2^-510 up to the next drop, so no product of two of them is subnormal
+# (a subnormal operand slows a matrix product many times over)
+_FLUSH = 2.0**-255
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based a < b of the pairs of n detectors, row-major (read-only)."""
+    a, b = np.triu_indices(n, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def _last_power(r: float, step: int) -> int:
+    """The highest power p = 1, 1 + step, ... a series with bound r < 1 on
+    every |x_k| needs: the first P whose remainder bound over the powers past
+    it, r^(P+step-1) / ((P+step)(1 - r^step)) sum_k |x_k| (each term weighs
+    1/p <= 1/(P+step)), is at most ``_SERIES_TOL`` sum_k |x_k|; 0 when r = 0."""
+    if r == 0.0:
+        return 0
+    last = 1
+    while r ** (last + step - 1) / ((last + step) * (1.0 - r**step)) > _SERIES_TOL:
+        last += step
+    return last
+
+
+def _power_sums(t: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k x_k^p / p over the odd and over the even powers p = 1, 1 + step,
+    ..., x_k = t_ik t_jk, for every pair i < j of each table of the stack
+    ``t`` (tables, n, n), which must have a zero diagonal: one batched matrix
+    product S_p = t^(o p) (t^(o p))^T per power.
+
+    A row is left out unless every |t_ik| < 1 (so a non-finite row is left
+    out too).  A pair is in the series when both its rows are kept and
+    r_ij = R_i R_j < ``_SERIES_RADIUS``, with R_i = max_k |t_ik|.  Each table
+    takes the powers up to ``_last_power`` of the largest r_ij among its
+    series pairs, so its sums stay bitwise the same whatever else is stacked
+    with it.  Entries of t^(o p) below ``_FLUSH`` are dropped, which moves
+    each S_p of a pair by less than n 2^-255, on top of the truncation
+    bound.  Returns the odd and the even sums, each (tables, n(n-1)/2)
+    row-major, NaN at the pairs outside the series; the even sums are zero
+    when ``step`` is 2.
+    """
+    tables, n = t.shape[0], t.shape[-1]
+    a, b = _pairs(n)
+    size = np.abs(t)
+    kept = np.all(size < 1.0, axis=-1)
+    bound = np.max(size, axis=-1, where=kept[..., None], initial=0.0)
+    r = bound[:, a] * bound[:, b]
+    series = kept[:, a] & kept[:, b] & (r < _SERIES_RADIUS)
+    last = np.array([_last_power(v, step)
+                     for v in np.max(r, axis=-1, where=series, initial=0.0).tolist()])
+    power_of_t = np.where(kept[..., None], t, 0.0)
+    factor = power_of_t if step == 1 else power_of_t * power_of_t
+    sums = np.zeros((2, tables, n, n))  # even, odd
+    drop_at = 1
+    for power in range(1, int(np.max(last, initial=0)) + 1, step):
+        if power >= drop_at:
+            power_of_t[np.abs(power_of_t) < _FLUSH] = 0.0
+            drop_at = 2 * power
+        live = last >= power
+        every = live.all()
+        q = power_of_t if every else power_of_t[live]
+        s = np.matmul(q, q.swapaxes(-1, -2))
+        s /= power
+        if every:
+            sums[power % 2] += s
+        else:
+            sums[power % 2, live] += s
+        power_of_t = power_of_t * factor
+    even, odd = sums.reshape(2, tables, n * n)[:, :, a * n + b]
+    return np.where(series, odd, np.nan), np.where(series, even, np.nan)
+
+
 def _prod_without(c: np.ndarray) -> np.ndarray:
     """out[i, l] = prod_{k != l} c[i, k], from prefix and suffix products (no division)."""
     before = np.ones_like(c)
@@ -261,22 +364,14 @@ def _prod_without(c: np.ndarray) -> np.ndarray:
     return before * after
 
 
-def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
-    """Exact correlator table from the closed forms, in O(n^3) array work.
-
-    cos 2G and sin 2G are taken once, n^2 values each.  The pair products
-    prod_{k != i,j} cos(2G_ik -+ 2G_jk) are formed as prod_k (c_ik c_jk +- s_ik s_jk)
-    over the columns k where some G_ik != 0: every other factor is exactly 1.
-    """
-    n = kernels.n
-    H, G2 = kernels.H, 2.0 * kernels.GR
-    h_diag = np.diag(H)
-    off = ~np.eye(n, dtype=bool)
-    c, s = np.cos(G2), np.sin(G2)
-    cos = np.where(off, c, 1.0)  # k = i never enters a product
-    z = np.exp(-h_diag) * np.prod(cos, axis=1)
-    yx = np.where(off, -np.exp(-h_diag)[:, None] * s * _prod_without(cos), 0.0)
-
+def _exact_products(H: np.ndarray, G2: np.ndarray, c: np.ndarray, s: np.ndarray,
+                    exact: np.ndarray, zz: np.ndarray, yy: np.ndarray) -> None:
+    """zz and yy of the pairs that the mask ``exact`` marks, row-major, the
+    marked pairs of one block of ``pair_blocks`` at a time: each pair's
+    prod_{k != i,j} cos(2G_ik -+ 2G_jk) as prod_k (c_ik c_jk +- s_ik s_jk)
+    over the columns k where some G_ik != 0 (every other factor is exactly 1),
+    with c = cos 2G and s = sin 2G."""
+    n, h_diag = len(H), np.diag(H)
     # the columns with a nonzero G, then one of factor 1 (c = 1, s = 0) that
     # takes the k = i and k = j exclusions of detectors outside them
     cols = np.flatnonzero(np.any(G2 != 0.0, axis=0))
@@ -285,9 +380,11 @@ def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
     cc, ss = np.ones((n, len(cols) + 1)), np.zeros((n, len(cols) + 1))
     cc[:, :-1], ss[:, :-1] = c[:, cols], s[:, cols]
 
-    # one (pairs, columns) block at a time
-    zz, yy = np.empty(n * (n - 1) // 2), np.empty(n * (n - 1) // 2)
     for start, a, b in pair_blocks(n):
+        at = start + np.flatnonzero(exact[start:start + len(a)])
+        if not len(at):
+            continue
+        a, b = a[at - start], b[at - start]
         rows = np.arange(len(a))
         both_c, both_s = cc[a] * cc[b], ss[a] * ss[b]
         prods = []
@@ -298,8 +395,50 @@ def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
         plus = np.exp(2.0 * H[a, b]) * prod_diff
         minus = np.exp(-2.0 * H[a, b]) * prod_sum
         pref = 0.5 * np.exp(-h_diag[a] - h_diag[b])
-        zz[start:start + len(a)] = pref * (plus + minus)
-        yy[start:start + len(a)] = pref * (plus - minus)
+        zz[at] = pref * (plus + minus)
+        yy[at] = pref * (plus - minus)
+
+
+def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
+    """Exact correlator table from the closed forms, in O(n^3) array work.
+
+    cos 2G and sin 2G are taken once, n^2 values each.  The pair products
+    prod_{k != i,j} cos(2G_ik -+ 2G_jk) of the series pairs (module
+    docstring) come from ``_power_sums`` over T = tan 2G, all powers:
+
+        zz = e^(A) cosh(2 H_ij + O),   yy = e^(A) sinh(2 H_ij + O),
+        A = L_i + L_j - log c_ij - log c_ji - H_ii - H_jj - E,
+
+    with O and E the sums over the odd and the even powers.  A row with a
+    non-positive cos 2G_ik (k != i) is left out of the series.  Every other
+    pair takes ``_exact_products``.
+    """
+    n = kernels.n
+    H, G2 = kernels.H, 2.0 * kernels.GR
+    h_diag = np.diag(H)
+    off = ~np.eye(n, dtype=bool)
+    c, s = np.cos(G2), np.sin(G2)
+    cos = np.where(off, c, 1.0)  # k = i never enters a product
+    z = np.exp(-h_diag) * np.prod(cos, axis=1)
+    yx = np.where(off, -np.exp(-h_diag)[:, None] * s * _prod_without(cos), 0.0)
+
+    positive = np.all(cos > 0.0, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(off, s / c, 0.0)
+    t[~positive] = np.nan  # left out of the series
+    odd, even = (v[0] for v in _power_sums(t[None], 1))
+    series = ~np.isnan(odd)
+    zz, yy = np.empty(n * (n - 1) // 2), np.empty(n * (n - 1) // 2)
+    a, b = (v[series] for v in _pairs(n))
+    log_c = np.log(np.where(positive[:, None], cos, 1.0))
+    log_rows = np.sum(log_c, axis=1)
+    amp = np.exp(log_rows[a] + log_rows[b] - log_c[a, b] - log_c[b, a] - h_diag[a] - h_diag[b]
+                 - even[series])
+    u = 2.0 * H[a, b] + odd[series]
+    zz[series], yy[series] = amp * np.cosh(u), amp * np.sinh(u)
+
+    if not series.all():
+        _exact_products(H, G2, c, s, ~series, zz, yy)
     return CorrelatorTable(z=z, zz=zz, yy=yy, yx=yx)
 
 

@@ -479,7 +479,18 @@ def _smeared_quadrature_real(state: FieldState, ell: float, a: np.ndarray,
     dt, dr = itv.dt, itv.dr
     if dt.size == 0:
         return np.zeros(0)
-    a2, beta, radial = 2.0 * ell * ell, state.beta, _radial_factors(dr)
+    a2, beta = 2.0 * ell * ell, state.beta
+    # cos(k dt) is 1 where dt = 0, and sin(k dr)/dr is k where dr = 0 (an
+    # anchored scan point has one or the other).  The pairs run in the order
+    # dt = dr = 0, then dr = 0, then both nonzero, then dt = 0, so each
+    # factor is taken on one slice, where it is not trivial; every pair's
+    # integral is independent of the order of the others, bit for bit
+    timed, on_axis = dt != 0.0, dr < 1e-300
+    order = np.argsort(np.array([0, 1, 3, 2])[timed + 2 * ~on_axis], kind="stable")
+    dt, dr = dt[order], dr[order]
+    first_timed, first_moved = np.count_nonzero(on_axis & ~timed), np.count_nonzero(on_axis)
+    timed_part = slice(first_timed, first_timed + np.count_nonzero(timed))
+    dt_timed, dr_moved = dt[timed_part], dr[first_moved:]
 
     def f(k: np.ndarray) -> np.ndarray:
         # the integrator samples k > 0 only, where coth is finite
@@ -487,11 +498,16 @@ def _smeared_quadrature_real(state: FieldState, ell: float, a: np.ndarray,
         if beta is not None:
             w = w * _coth(0.5 * beta * k)
         k = k[:, None]
-        return w[:, None] * np.cos(k * dt) * radial(k)
+        out = np.repeat(w[:, None], len(dt), axis=1)  # w cos(k dt) radial(k)
+        out[:, timed_part] *= np.cos(k * dt_timed)
+        out[:, :first_moved] *= k
+        out[:, first_moved:] *= np.sin(k * dr_moved) / dr_moved
+        return out
 
     knots = [c / beta for c in _KMS_KNOTS] if beta is not None else ()
     osc = float(np.max(dr + np.abs(dt))) + 1.0
-    re = integrate_semi_infinite_array(f, tol, a2, osc, knots).value
+    re = np.empty(len(dt))
+    re[order] = integrate_semi_infinite_array(f, tol, a2, osc, knots).value
     if state.tag in ("vacuum", "thermal"):
         return re
     centers, index = np.unique(np.concatenate([a, b]), axis=0, return_inverse=True)

@@ -14,14 +14,20 @@ each ratio being -tan(2 G) of the corresponding retarded entry, so that
 H_ij = (1/2) arctanh(yy/zz) - C_ij in general.  Combining with the known
 commutator part gives back the complex two-point value W = H/2 + i E/2.
 
-``reconstruct_table`` forms the ratios yx / z once per table (or stack),
-inverts every pair i < j in one array pass over the pair blocks of
-``detector.pair_blocks`` (row-major, the order of the table's ``zz`` and
-``yy`` vectors), and collects the failures of the pairs that cannot be
-inverted; a single pair is read off at its row-major position q, where it
-also sits in ``table.zz`` and ``table.yy``.  A stack of sampled tables is
-inverted in the same pass, over all its (table, pair) rows; each table comes
-out bitwise as when it is inverted alone.
+``reconstruct_table`` forms the ratios T = yx / z once per table (or
+stack) and inverts every pair i < j in one array pass, in row-major order
+(``detector.pair_blocks``, the order of the table's ``zz`` and ``yy``
+vectors), collecting the failures of the pairs that cannot be inverted; a
+single pair is read off at its row-major position q, where it also sits in
+``table.zz`` and ``table.yy``.  C is a power series in x_k = T_ik T_jk,
+(1/2) sum_m S_(2m+1) / (2m+1) with S_p = T^(o p) (T^(o p))^T, so the pairs
+under the series radius take C from a few n x n matrix products
+(``detector._power_sums``); the others -- a bound on |x_k| past the radius,
+or a ratio row that is not finite or reaches 1 -- sum arctanh x_k one by one
+over blocks of pairs, and only they can meet the <sz> and arctanh-domain
+errors.  A stack of sampled tables is inverted in the same pass, over all
+its (table, pair) rows, with one batched product per power; each table
+comes out bitwise as when it is inverted alone.
 
 The commutator entries E_ij are consumed as known inputs (they depend only on
 the classical equation of motion, not on the state) and are never re-derived
@@ -36,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import CorrelatorTable, pair_blocks
+from .detector import CorrelatorTable, _pairs, _power_sums, pair_blocks
 from .errors import (DephasingError, NoiseDominatedError, TangentDomainError,
                      UdwTomoError)
 from .tables import Labelled, write_columns
@@ -77,40 +83,84 @@ class TableReconstruction:
         return mask.reshape(self.H.shape)
 
 
-def _invert(table: CorrelatorTable, ratios: np.ndarray, counts: np.ndarray,
-            start: int, a: np.ndarray, b: np.ndarray):
-    """H, C, causal mask, dephasing flag and {position: error} of the 0-based
-    pairs (a[p], b[p]), a[p] < b[p], at flat positions start + p of the table
-    or stack (``detector.pair_blocks``).
+def _exact_correction(ratios: np.ndarray, ra: np.ndarray, rb: np.ndarray,
+                      a: np.ndarray, b: np.ndarray):
+    """C of a block of pairs on the exact path, and each pair's first third
+    detector k (1-based, 0 if none) with |x_k| >= 1 and that |x_k|.
 
-    ``ratios`` holds yx / z and ``counts`` each row's number of nonzero yx
-    off the diagonal, one row per detector of the stack, both formed once
-    per table or stack.  A pair is causal if row i or row j of yx is nonzero
-    outside columns i and j.  Its x_k = (yx_ik/z_i)(yx_jk/z_j) are the
-    products of the gathered ratio rows, kept at the third detectors k in
-    ascending order, so the arctanh terms of C add up in that order; arctanh
-    is evaluated only where x_k != 0 (arctanh(+-0) = +-0).  A failing pair
-    reports the first of: zero <sz> on a causal pair, a product outside the
-    arctanh domain (first k), a fully dephased zz, a noise-dominated yy/zz.
+    The pairs are detectors a[p] < b[p] of their table, rows ra[p] and rb[p]
+    of ``ratios`` (yx / z, one row per detector of the stack).  Their
+    x_k = (yx_ik/z_i)(yx_jk/z_j) are the products of the gathered ratio rows,
+    kept at the third detectors k in ascending order, so the arctanh terms
+    of C add up in that order; arctanh is evaluated only where x_k != 0
+    (arctanh(+-0) = +-0).
     """
-    n, stop = table.n, start + len(a)
-    # detectors a and b of each row's own table, numbered over the whole stack
-    first = np.arange(start, stop) // max(1, n * (n - 1) // 2) * n
-    ra, rb = first + a, first + b
-    yx = table.yx.reshape(-1)
-    causal = (counts[ra] > (yx[ra * n + b] != 0.0)) | (counts[rb] > (yx[rb * n + a] != 0.0))
-    rows = np.arange(len(a))
+    n, rows = ratios.shape[-1], np.arange(len(a))
     third = np.ones((len(a), n), dtype=bool)  # k != a, b
     third[rows, a] = third[rows, b] = False
-    z = table.z.reshape(-1)
-    zi, zj = z[ra], z[rb]
-    zz, yy = table.zz.reshape(-1)[start:stop], table.yy.reshape(-1)[start:stop]
     with np.errstate(divide="ignore", invalid="ignore"):
         x = (ratios[ra] * ratios[rb])[third].reshape(len(a), max(0, n - 2))
         nonzero = x != 0.0
         terms = x.copy()  # arctanh(+-0) = +-0
         terms[nonzero] = np.arctanh(x[nonzero])
-        c = np.where(causal, 0.5 * np.sum(terms, axis=1), 0.0)
+        c = 0.5 * np.sum(terms, axis=1)
+    # the first column outside the domain of each row that has one
+    out_rows, out_cols = np.nonzero(np.abs(x) >= 1.0)
+    hit, at = np.unique(out_rows, return_index=True)
+    col = out_cols[at]
+    k = col + (col >= a[hit])  # the col-th third detector, 0-based
+    k += k >= b[hit]
+    k_first, x_first = np.zeros(len(a), dtype=int), np.zeros(len(a))
+    k_first[hit], x_first[hit] = k + 1, np.abs(x[hit, col])
+    return c, k_first, x_first
+
+
+def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
+    """Invert every pair i < j of ``table``: H_ij = (1/2) arctanh(yy/zz) - C_ij.
+
+    A stack of tables is inverted in the same pass, every (table, pair) row
+    at once, and each table's pairs come out bitwise as when it is inverted
+    alone.  C_ij of the series pairs comes from ``detector._power_sums`` over
+    T = yx / z with a zero diagonal, odd powers only, one batched product per
+    power for the whole stack.  Every other pair sums its arctanh terms
+    (``_exact_correction``), the marked pairs of one block of
+    ``detector.pair_blocks`` at a time, so those work arrays stay small
+    however large the lattice or the stack.
+
+    A pair is causal if row i or row j of yx is nonzero outside columns i and
+    j; a spacelike pair has C = 0.  A pair that cannot be inverted gets NaN
+    and its error in ``failures``, the first of: zero <sz> on a causal pair,
+    a product outside the arctanh domain (first k), a fully dephased zz, a
+    noise-dominated yy/zz.  A series pair has finite ratio rows and every
+    |x_k| < 1, so only the last two can stop it.  The other pairs are
+    unaffected.
+    """
+    shape, n = np.shape(table.zz), table.n
+    tables = math.prod(shape[:-1])
+    off = ~np.eye(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (table.yx / table.z[..., None]).reshape(-1, n)
+    c = 0.5 * _power_sums(np.where(off, ratios.reshape(tables, n, n), 0.0), 2)[0].reshape(-1)
+    # every (table, pair) row, its detectors numbered over the whole stack
+    a, b = (np.tile(v, tables) for v in _pairs(n))
+    first = np.repeat(np.arange(tables) * n, n * (n - 1) // 2)
+    ra, rb = first + a, first + b
+    counts = np.count_nonzero((table.yx != 0.0) & off, axis=-1).reshape(-1)
+    yx = table.yx.reshape(-1)
+    causal = (counts[ra] > (yx[ra * n + b] != 0.0)) | (counts[rb] > (yx[rb * n + a] != 0.0))
+
+    exact = np.isnan(c)
+    k_out, x_out = np.zeros(len(c), dtype=int), np.zeros(len(c))
+    for start, ea, eb in pair_blocks(n, tables) if exact.any() else ():
+        at = start + np.flatnonzero(exact[start:start + len(ea)])
+        if len(at):
+            c[at], k_out[at], x_out[at] = _exact_correction(
+                ratios, ra[at], rb[at], ea[at - start], eb[at - start])
+    c = np.where(causal, c, 0.0)
+
+    z = table.z.reshape(-1)
+    zz, yy = table.zz.reshape(-1), table.yy.reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
         ratio = yy / zz
     # libm's atanh: numpy's vectorised arctanh differs from it in the last
     # 1-2 bits of about one value in five, and H would move with it
@@ -118,9 +168,8 @@ def _invert(table: CorrelatorTable, ratios: np.ndarray, counts: np.ndarray,
     inside = np.where(noisy, np.nan, ratio).tolist()
     h = 0.5 * np.fromiter(map(math.atanh, inside), float, len(inside)) - c
 
-    zero_z = causal & ((zi == 0.0) | (zj == 0.0))
-    outside = np.abs(x) >= 1.0
-    tangent = causal & np.any(outside, axis=1)
+    zero_z = causal & ((z[ra] == 0.0) | (z[rb] == 0.0))
+    tangent = causal & (k_out > 0)
     dephased = np.abs(zz) < _DEPHASING_HARD
     failures: dict[int, UdwTomoError] = {}
     for q in np.flatnonzero(zero_z | tangent | dephased | noisy).tolist():
@@ -128,11 +177,10 @@ def _invert(table: CorrelatorTable, ratios: np.ndarray, counts: np.ndarray,
         if zero_z[q]:
             failures[q] = DephasingError(f"{pair}: vanishing <sz> denominator")
         elif tangent[q]:
-            col = int(np.argmax(outside[q]))
-            k = int(np.flatnonzero(third[q])[col]) + 1
+            k = int(k_out[q])
             failures[q] = TangentDomainError(
                 f"{pair}, correction term k={k}: |product| = "
-                f"{abs(x[q, col]):.6g} >= 1 (some 2G approaches pi/2)", k=k)
+                f"{x_out[q]:.6g} >= 1 (some 2G approaches pi/2)", k=k)
         elif dephased[q]:
             failures[q] = DephasingError(f"{pair}: <sz sz> = {zz[q]:g} is fully dephased")
         else:
@@ -141,29 +189,8 @@ def _invert(table: CorrelatorTable, ratios: np.ndarray, counts: np.ndarray,
                 "sampled correlators are noise dominated", ratio=float(ratio[q]))
     bad = list(failures)
     h[bad] = c[bad] = np.nan
-    return h, c, causal, np.abs(zz) < _DEPHASING_FLAG, failures
-
-
-def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
-    """Invert every pair i < j of ``table``: H_ij = (1/2) arctanh(yy/zz) - C_ij.
-
-    A stack of tables is inverted in the same pass, every (table, pair) row
-    at once.  The rows are taken in the blocks of ``detector.pair_blocks``,
-    so the work arrays stay small however large the lattice or the stack,
-    and each table's pairs come out bitwise as when it is inverted alone.  A
-    pair that cannot be inverted gets NaN and its error in ``failures``; the
-    other pairs are unaffected.
-    """
-    shape, n = np.shape(table.zz), table.n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = (table.yx / table.z[..., None]).reshape(-1, n)
-    counts = np.count_nonzero((table.yx != 0.0) & ~np.eye(n, dtype=bool), axis=-1).reshape(-1)
-    parts, failures = [], {}
-    for start, a, b in pair_blocks(n, math.prod(shape[:-1])):
-        *arrays, fails = _invert(table, ratios, counts, start, a, b)
-        parts.append((a + 1, b + 1, *arrays))
-        failures.update((start + q, err) for q, err in fails.items())
-    i, j, h, c, causal, flagged = (np.concatenate(col).reshape(shape) for col in zip(*parts))
+    i, j, h, c, causal, flagged = (v.reshape(shape) for v in (
+        a + 1, b + 1, h, c, causal, np.abs(zz) < _DEPHASING_FLAG))
     return TableReconstruction(i=i, j=j, H=h, C=c, causal=causal,
                                dephasing_dominated=flagged, failures=failures)
 

@@ -400,6 +400,47 @@ class TestCorrelatorTable:
                     if rho is not None:
                         assert abs(got - pauli_ev_oracle(rho, ops(i, j))) <= 1e-10, (i, j, kind)
 
+    @pytest.mark.parametrize("case", ["random", "thermal-54", "vacuum-81", "strong"])
+    def test_series_matches_exact_path(self, monkeypatch, case):
+        # the series pairs against the per-pair products (every pair exact at
+        # radius 0); "strong" has rows with |2G| past pi/2 (a non-positive
+        # cos 2G) and past pi/4 (|tan 2G| >= 1), whose pairs keep the exact
+        # path bit for bit
+        kms = {
+            "random": lambda: list(kernel_draws(range(2, 9), range(3))),
+            "thermal-54": lambda: [self.lattice_kernels(FieldState.thermal(50.0), 3, 2)],
+            "vacuum-81": lambda: [self.lattice_kernels(FieldState.vacuum(), 3, 3)],
+            "strong": lambda: [self.strong_rows(km) for km in kernel_draws([6, 8], range(3))],
+        }[case]()
+        tables = [correlator_table(km) for km in kms]
+        radius = detector._SERIES_RADIUS
+        monkeypatch.setattr(detector, "_SERIES_RADIUS", 0.0)
+        met = {True: 0, False: 0}
+        for km, got in zip(kms, tables):
+            want = correlator_table(km)
+            assert got.z.tobytes() == want.z.tobytes() and got.yx.tobytes() == want.yx.tobytes()
+            t = np.tan(2.0 * km.GR)
+            np.fill_diagonal(t, 0.0)
+            kept = np.all(np.cos(2.0 * km.GR) > 0.0, axis=1) & np.all(np.abs(t) < 1.0, axis=1)
+            bound = np.max(np.abs(t), axis=1)
+            for q, (a, b) in enumerate(zip(*np.triu_indices(km.n, 1))):
+                series = bool(kept[a] and kept[b] and bound[a] * bound[b] < radius)
+                met[series] += 1
+                if series:
+                    assert abs(got.zz[q] - want.zz[q]) <= 1e-14, (a, b)
+                    assert abs(got.yy[q] - want.yy[q]) <= 1e-14, (a, b)
+                else:
+                    assert got.zz[q] == want.zz[q] and got.yy[q] == want.yy[q], (a, b)
+        assert met[True] > 0 and (met[False] > 0 or case != "strong"), met
+
+    @staticmethod
+    def strong_rows(km):
+        # the last detector with 2G = 1.8 to the first (cos 2G < 0), the one
+        # before it with 2G = 1 (tan 2G > 1); the labels need not be in time order
+        GR = km.GR.copy()
+        GR[-1, 0], GR[-2, 0] = 0.9, 0.5
+        return KernelMatrix(H=km.H + 2.0 * np.eye(km.n), GR=GR)
+
     def test_yy_strictly_inside_zz(self):
         # the arctanh domain of the noiseless reconstruction, for every pair
         for km in kernel_draws([5, 6], range(10)):

@@ -609,6 +609,36 @@ class TestSmearedQuadratureArray:
             assert abs(re_array - wq.real) <= 1e-12, b
 
 
+    @pytest.mark.parametrize("beta", [None, 0.3, 50.0])
+    def test_trivial_factors_skipped_bit_for_bit(self, beta):
+        # coincident, temporal, spatial and general pairs in mixed order: the
+        # pass takes cos(k dt) only where dt != 0 and sin(k dr)/dr only where
+        # dr != 0, and gives the bits of the integrand that takes both
+        # everywhere
+        from udwtomo.numerics import integrate_semi_infinite_array
+
+        state = FieldState.vacuum() if beta is None else FieldState.thermal(beta)
+        steps = [(3.0, 0.0), (0.0, 2.5), (0.0, 0.0), (4.0, 1.5), (-6.0, 0.0), (0.0, 9.0),
+                 (-2.0, 7.0), (0.5, 0.0), (0.0, 0.0), (0.0, -0.5)]
+        a = np.tile(Event(1.3, -2.2, 0.0, 0.0).coords(), (len(steps), 1))
+        b = a + np.array([[dt, dx, 0.0, 0.0] for dt, dx in steps])
+        itv = intervals(a, b)
+        radial = kernels._radial_factors(itv.dr)
+
+        def f(k):
+            w = np.exp(-2.0 * k * k) / (4.0 * math.pi**2)
+            if beta is not None:
+                w = w * kernels._coth(0.5 * beta * k)
+            k = k[:, None]
+            return w[:, None] * np.cos(k * itv.dt) * radial(k)
+
+        knots = [c / beta for c in kernels._KMS_KNOTS] if beta is not None else ()
+        want = integrate_semi_infinite_array(
+            f, 1e-10, 2.0, float(np.max(itv.dr + np.abs(itv.dt))) + 1.0, knots).value
+        got = kernels._smeared_quadrature_real(state, 1.0, a, b, 1e-10)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestCommutatorAndRetarded:
     """The closed commutator E(dt, dr) that assembly evaluates, and the
     retarded part GR that assembly reads off from it."""

@@ -98,6 +98,13 @@ def table_of(rec, r):
         failures={q - r * P: err for q, err in rec.failures.items() if r * P <= q < (r + 1) * P})
 
 
+@pytest.fixture
+def exact_path(monkeypatch):
+    """Every pair on the per-pair path (no series pairs), which the reference
+    reproduces bit for bit."""
+    monkeypatch.setattr(detector, "_SERIES_RADIUS", 0.0)
+
+
 def check_against_reference(t):
     """Every pair of ``reconstruct_table(t)`` against the reference; returns
     the error classes met."""
@@ -120,11 +127,13 @@ def check_against_reference(t):
 
 
 class TestOracle:
+    @pytest.mark.usefixtures("exact_path")
     def test_exact_tables(self):
         for seed in range(30):
             n = 2 + seed % 6
             assert not check_against_reference(correlator_table(random_kernel_matrix(n, seed)))
 
+    @pytest.mark.usefixtures("exact_path")
     def test_sampled_tables_fail_in_every_way(self):
         met = set()
         for seed in range(30):
@@ -134,6 +143,7 @@ class TestOracle:
         assert met == {"DephasingError on <sz>", "TangentDomainError",
                        "DephasingError", "NoiseDominatedError"}
 
+    @pytest.mark.usefixtures("exact_path")
     def test_large_lattice_tables(self):
         # rows longer than numpy's 8-way unrolled summation: C still adds in
         # the reference's order, bit for bit
@@ -143,6 +153,7 @@ class TestOracle:
         check_against_reference(exact)
         check_against_reference(sample_table(exact, 1000, 7))
 
+    @pytest.mark.usefixtures("exact_path")
     def test_assembled_lattice_table(self):
         # the 3^3 x 2 thermal lattice at 10 ell: 1431 pairs, 1080 of them
         # causal, with exact zeros in most x_k; exact and sampled, bit for bit
@@ -206,19 +217,127 @@ class TestOracle:
         assert not reconstruct_table(t).causal[0]
 
 
+EPS = 2.0**-52
+
+
+def series_pairs(t):
+    """Mask of the pairs of one table whose C comes from the power series."""
+    off = ~np.eye(t.n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(off, t.yx / t.z[:, None], 0.0)
+    return ~np.isnan(detector._power_sums(ratios[None], 2)[0][0])
+
+
+def lattice_kernels(n_space, n_time, state, lam=2 * math.pi, spacing=10.0,
+                    origin=Event(-3.306967, 0.059643, 1.581189, 2.675809)):
+    spec = LatticeSpec(n_space, n_time, spacing, spacing, origin)
+    return assemble_kernels(state, [GaussianRegion(e, 1.0) for e in build_lattice(spec)], lam)
+
+
+class TestSeries:
+    """Pairs under the series radius take C from power sums of T = yx / z.
+
+    The truncation leaves at most 2^-53 sum_k |x_k|; with rounding, measured
+    on these cases, C stays within 2.3 eps sum_k |x_k| of the per-pair
+    arctanh sum and H within 1.1 eps (|H| + sum_k |x_k|).  The bound asserted
+    is 4 eps of each.  Every other pair, and every failure, is the
+    reference's bit for bit.
+    """
+
+    @staticmethod
+    def kernels(case):
+        if case == "random":
+            scaled = random_kernel_matrix(30, 7)
+            return [random_kernel_matrix(2 + seed % 7, seed) for seed in range(14)] + [
+                KernelMatrix(H=scaled.H, GR=0.3 * scaled.GR)]
+        if case == "thermal-54":
+            return [lattice_kernels(3, 2, FieldState.thermal(50.0))]
+        return [lattice_kernels(3, 3, FieldState.vacuum())]
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    @pytest.mark.parametrize("case", ["random", "thermal-54", "vacuum-81"])
+    def test_series_pairs_within_bound(self, case, shots):
+        met_series = met_exact = 0
+        for km in self.kernels(case):
+            exact = correlator_table(km)
+            t = exact if shots is None else sample_table(exact, shots, km.n)
+            rec, series = reconstruct_table(t), series_pairs(t)
+            ratios = t.yx / t.z[:, None]
+            for q, (i, j) in enumerate(zip(rec.i.tolist(), rec.j.tolist())):
+                try:
+                    h, c, regime, flagged = reference(t, i, j)
+                except (DephasingError, NoiseDominatedError, TangentDomainError) as want:
+                    assert same_error(rec.failures[q], want), (rec.failures[q], want)
+                    continue
+                assert q not in rec.failures
+                assert rec.causal[q] == (regime == "causal")
+                assert rec.dephasing_dominated[q] == flagged
+                if not series[q]:
+                    met_exact += 1
+                    assert same_bits(rec.H[q], h) and same_bits(rec.C[q], c), (i, j)
+                    continue
+                met_series += 1
+                others = [k for k in range(t.n) if k not in (i - 1, j - 1)]
+                size = float(np.sum(np.abs(ratios[i - 1, others] * ratios[j - 1, others])))
+                assert abs(rec.C[q] - c) <= 4 * EPS * size, (i, j)
+                assert abs(rec.H[q] - h) <= 4 * EPS * (abs(h) + size), (i, j)
+        assert met_series > 0
+        if case == "random" and shots:
+            assert met_exact > 0, "noisy small tables should leave pairs past the radius"
+
+    @pytest.mark.parametrize("spacing", [1.0, 2.0, 3.0, 10.0])
+    @pytest.mark.parametrize("lam, failed", [(4, [28, 28, 28, 0]), (6, [28, 28, 28, 12])])
+    def test_16_region_failures_match_exact_path(self, monkeypatch, lam, failed, spacing):
+        # the 16-region vacuum lattice: which pairs fail, how and with what
+        # message is the per-pair pipeline's, table and inversion alike
+        km = lattice_kernels(2, 2, FieldState.vacuum(), lam * math.pi, spacing,
+                             Event(0.0, 0.0, 0.0, 0.0))
+        rec = reconstruct_table(correlator_table(km))
+        monkeypatch.setattr(detector, "_SERIES_RADIUS", 0.0)
+        want = reconstruct_table(correlator_table(km))
+        assert len(want.failures) == failed[[1.0, 2.0, 3.0, 10.0].index(spacing)]
+        assert list(rec.failures) == list(want.failures)
+        for q, err in want.failures.items():
+            assert same_error(rec.failures[q], err)
+        assert np.array_equal(rec.causal, want.causal)
+        # zz shrinks with e^(-H_ii) at 6 pi and 1 ell, where H moves most
+        assert np.allclose(rec.H[rec.ok], want.H[want.ok], rtol=0, atol=1e-9)
+
+    def test_stack_of_mixed_shots_matches_tables(self, monkeypatch):
+        # tables of 10^3 and 10^7 shots need different powers; the stack
+        # still inverts each table bitwise as alone
+        exact = correlator_table(lattice_kernels(3, 2, FieldState.thermal(50.0)))
+        shots, seeds = [10**3, 10**7, 10**3, 10**7], [1, 2, 3, 4]
+        powers = []
+        last_power = detector._last_power
+
+        def recording(r, step):
+            powers.append(last_power(r, step))
+            return powers[-1]
+
+        monkeypatch.setattr(detector, "_last_power", recording)
+        singles = [reconstruct_table(sample_table(exact, k, seed)) for k, seed in zip(shots, seeds)]
+        alone, powers[:] = list(powers), []
+        stack = reconstruct_table(sample_table(exact, shots, seeds))
+        assert powers == alone and len(set(alone)) > 1, alone
+        for r, rec in enumerate(singles):
+            assert_same_reconstruction(table_of(stack, r), rec)
+
+
 class TestRowBlocks:
+    @pytest.mark.usefixtures("exact_path")
     def test_blocks_match_one_block(self, monkeypatch):
         # n = 9: 7 third detectors per pair, 8 pairs in the first row; blocks
         # of 5 pairs put a boundary inside the first row and in most others
         t = sample_table(correlator_table(random_kernel_matrix(9, 4)), 30, 4)
         calls = []
-        invert = tomography._invert
+        correction = tomography._exact_correction
 
-        def counting(table, ratios, counts, start, a, b):
+        def counting(ratios, ra, rb, a, b):
             calls.append(len(a))
-            return invert(table, ratios, counts, start, a, b)
+            return correction(ratios, ra, rb, a, b)
 
-        monkeypatch.setattr(tomography, "_invert", counting)
+        monkeypatch.setattr(tomography, "_exact_correction", counting)
         monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 1 << 30)
         whole = reconstruct_table(t)
         assert calls == [36]
