@@ -32,6 +32,8 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
+    if not isinstance(raw, dict):  # left for validate_config to reject
+        return raw
     if args.out is not None:
         raw["output_dir"] = args.out
     if args.seed is not None:

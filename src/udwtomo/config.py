@@ -264,6 +264,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 or any(not _is_int(s) or not 1 <= s <= MAX_SHOTS for s in shots)):
             raise ConfigError("field 'shots_list' must be a non-empty list of ints in "
                               "[1, 2^63 - 1]", field="shots_list")
+        if len(set(shots)) < len(shots):  # a repeat would redraw the same tables
+            raise ConfigError(f"field 'shots_list' must not repeat a shot count, got {shots}",
+                              field="shots_list")
         cfg.shots_list = list(shots)
     if "repeats" in merged:
         if not _is_int(merged["repeats"]) or merged["repeats"] < 1:

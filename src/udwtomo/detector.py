@@ -255,17 +255,20 @@ class CorrelatorTable:
 _CHUNK_ELEMENTS = 1 << 14
 
 
-def pair_blocks(n: int, tables: int = 1) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The pairs i < j of n detectors in row-major order, once for each of
-    ``tables`` stacked tables, as blocks ``(start, a, b)``: 0-based
-    ``a[p] < b[p]`` is the pair at flat position ``start + p`` of the stack's
-    (tables, n(n-1)/2) pair arrays.  A block holds at most
-    ``_CHUNK_ELEMENTS // n`` pairs (at least one) and may span two tables;
-    with no pairs there is one empty block."""
-    a, b = (np.tile(v, tables) for v in _pairs(n))
-    step = max(1, _CHUNK_ELEMENTS // max(1, n))
-    for start in range(0, max(1, len(a)), step):
-        yield start, a[start:start + step], b[start:start + step]
+def pair_blocks(n: int, marked: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The pairs i < j of n detectors that the flat mask ``marked`` marks, in
+    row-major order, as blocks ``(at, a, b)``: ``marked`` runs over the pairs
+    of one table or of a stack's flattened (tables, n(n-1)/2) pair arrays,
+    ``at`` holds the marked positions among one block of at most
+    ``_CHUNK_ELEMENTS // n`` positions (at least one; it may span two tables),
+    and 0-based ``a[p] < b[p]`` is the pair at ``at[p]``.  Blocks with no
+    marked pair are skipped."""
+    a, b = _pairs(n)
+    at = np.flatnonzero(marked)
+    block = at // max(1, _CHUNK_ELEMENTS // max(1, n))
+    for part in np.split(at, np.flatnonzero(np.diff(block)) + 1) if len(at) else ():
+        q = part % len(a)  # the position within its table
+        yield part, a[q], b[q]
 
 
 def stack_size(n: int) -> int:
@@ -380,11 +383,7 @@ def _exact_products(H: np.ndarray, G2: np.ndarray, c: np.ndarray, s: np.ndarray,
     cc, ss = np.ones((n, len(cols) + 1)), np.zeros((n, len(cols) + 1))
     cc[:, :-1], ss[:, :-1] = c[:, cols], s[:, cols]
 
-    for start, a, b in pair_blocks(n):
-        at = start + np.flatnonzero(exact[start:start + len(a)])
-        if not len(at):
-            continue
-        a, b = a[at - start], b[at - start]
+    for at, a, b in pair_blocks(n, exact):
         rows = np.arange(len(a))
         both_c, both_s = cc[a] * cc[b], ss[a] * ss[b]
         prods = []

@@ -8,7 +8,9 @@ Each scenario reproduces one of the study's figures or protocol checks at
 desk scale: two-point-function curves against separation for the four field
 states, classical-wave and wavepacket spacetime grids, the full
 forward-simulate/invert tomography roundtrip on a 16-region lattice, the
-multipole convergence sweep, and the shot-noise scaling study.
+multipole convergence sweep, and the shot-noise scaling study.  The lattice
+scenarios share one chain: ``_lattice`` (kernels, exact table, true H per
+pair), then ``_sampled_errors`` for the sampled (shots, repeat) runs.
 
 Each curve scan evaluates all of its points in one array pass per column:
 the vacuum pointlike kernel, the state's multipole estimate
@@ -37,9 +39,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import multipole, tomography
+from . import multipole, tables, tomography
 from .config import SCENARIO_IDS, ScenarioConfig, list_scenarios, validate_config
-from .detector import correlator_table, sample_table, stack_size
+from .detector import CorrelatorTable, correlator_table, sample_table, stack_size
 from .errors import ConfigError, UdwTomoError
 from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature_real,
                       _smeared_real, _source_term, assemble_kernels, hadamard_array,
@@ -47,11 +49,13 @@ from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature_real,
 from .numerics import fit_loglog_slope
 from .smearing import GaussianRegion
 from .spacetime import Event, build_lattice, intervals
-# the one CSV writer, under the name every scenario runner calls (and
-# udwbench wraps): path first, then the header and the columns
-from .tables import Blanked, write_columns as _write_rows
+from .tables import Blanked, Labelled
 
 __all__ = ["ScenarioConfig", "SCENARIO_IDS", "validate_config", "run", "list_scenarios"]
+
+# the one CSV writer, under the name every scenario runner calls (and
+# udwbench wraps): path first, then the header and the columns
+_write_rows = tables.write_columns
 
 
 def _field_state(cfg: ScenarioConfig) -> FieldState:
@@ -165,20 +169,48 @@ def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def _lattice_kernels(cfg: ScenarioConfig):
-    events = build_lattice(cfg.lattice)
-    regions = [GaussianRegion(e, cfg.ell) for e in events]
-    return assemble_kernels(_field_state(cfg), regions, cfg.lam)
+def _lattice(cfg: ScenarioConfig):
+    """The lattice's kernels, its exact correlator table and the true H of
+    every pair i < j, row-major (the order of the table's pair vectors)."""
+    regions = [GaussianRegion(e, cfg.ell) for e in build_lattice(cfg.lattice)]
+    km = assemble_kernels(_field_state(cfg), regions, cfg.lam)
+    return km, correlator_table(km), km.H[np.triu_indices(km.n, 1)]
+
+
+def _sampled_errors(exact: CorrelatorTable, h_true: np.ndarray, runs: list[tuple[int, int]],
+                    seed: int) -> np.ndarray:
+    """H - H_true of every pair, NaN where the inversion failed, one row per
+    (shots, repeat) run: one table each, seeded by ``SeedSequence(entropy=
+    seed, spawn_key=run)``, sampled and inverted in stacks of ``stack_size``."""
+    errors, step = [], stack_size(exact.n)
+    for first in range(0, len(runs), step):
+        stack = runs[first:first + step]
+        seeds = [np.random.SeedSequence(entropy=seed, spawn_key=run) for run in stack]
+        rec = tomography.reconstruct_table(
+            sample_table(exact, [shots for shots, _ in stack], seeds))
+        errors.append(rec.H - h_true)  # H is NaN at the failed pairs
+    return np.concatenate(errors)
+
+
+def _write_reconstruction(path: Path, rec: tomography.TableReconstruction, E: np.ndarray,
+                          h_true: np.ndarray) -> None:
+    """One row per pair of ``rec`` (one table, every pair inverted), beside its
+    true H, with W = H/2 + i E/2 from the commutator matrix ``E``."""
+    _write_rows(path, ["i", "j", "regime", "H_reconstructed", "H_true_if_known", "C_ij",
+                       "Re_W", "Im_W", "flags"],
+                [rec.i, rec.j, Labelled(rec.causal, "spacelike", "causal"), rec.H, h_true,
+                 rec.C, 0.5 * rec.H, 0.5 * E[rec.i - 1, rec.j - 1],
+                 Labelled(rec.dephasing_dominated, "", "dephasing_dominated")])
 
 
 def _run_tomography_roundtrip(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    km = _lattice_kernels(cfg)
-    rec = tomography.reconstruct_table(correlator_table(km))
+    km, exact, h_true = _lattice(cfg)
+    rec = tomography.reconstruct_table(exact)
     if rec.failures:
         raise next(iter(rec.failures.values()))
-    max_err = float(np.max(np.abs(rec.H - km.H[rec.i - 1, rec.j - 1]), initial=0.0))
+    max_err = float(np.max(np.abs(rec.H - h_true), initial=0.0))
     rec_path = out / "reconstruction.csv"
-    tomography.write_reconstruction_results(rec, km.E, rec_path, h_true=km.H)
+    _write_reconstruction(rec_path, rec, km.E, h_true)
     n_pairs, n_causal = len(rec.H), int(np.count_nonzero(rec.causal))
     sum_path = out / "summary.csv"
     _write_rows(sum_path, ["n_regions", "n_pairs", "n_causal", "n_spacelike",
@@ -199,28 +231,14 @@ def _run_convergence_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
 
 
 def _run_shot_noise_study(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    km = _lattice_kernels(cfg)
-    exact = correlator_table(km)
-    # one sampled table per (shots, repeat), shared by all of its pairs;
-    # the tables are sampled and inverted as stacks, in that order
+    _, exact, h_true = _lattice(cfg)
     runs = [(shots, rep) for shots in cfg.shots_list for rep in range(cfg.repeats)]
     rms, failed = [], []
-    sq_errors, n_failed = [], 0
-    step = stack_size(exact.n)
-    for first in range(0, len(runs), step):
-        stack = runs[first:first + step]
-        seeds = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=run) for run in stack]
-        rec = tomography.reconstruct_table(
-            sample_table(exact, [shots for shots, _ in stack], seeds))
-        sq = (rec.H - km.H[rec.i - 1, rec.j - 1]) ** 2
-        for (_, rep), ok, sq_r in zip(stack, rec.ok, sq):
-            sq_errors += sq_r[ok].tolist()
-            n_failed += len(ok) - int(np.count_nonzero(ok))
-            if rep == cfg.repeats - 1:
-                rms.append(math.sqrt(sum(sq_errors) / len(sq_errors))
-                           if sq_errors else float("nan"))
-                failed.append(n_failed)
-                sq_errors, n_failed = [], 0
+    # each shot count's survivors, their squares summed in (repeat, pair) order
+    for errors in _sampled_errors(exact, h_true, runs, cfg.seed).reshape(len(cfg.shots_list), -1):
+        sq = (errors[~np.isnan(errors)] ** 2).tolist()
+        rms.append(math.sqrt(sum(sq) / len(sq)) if sq else float("nan"))
+        failed.append(errors.size - len(sq))
     path = out / "shot_noise_study.csv"
     _write_rows(path, ["shots", "rms_error", "n_failed"],
                 [np.array(cfg.shots_list), np.array(rms), np.array(failed)])

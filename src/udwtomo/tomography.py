@@ -11,8 +11,10 @@ while pairs with causally connected third detectors pick up a correction
     C_ij = (1/2) sum_k arctanh[ (<sy_i sx_k>/<sz_i>) (<sx_k sy_j>/<sz_j>) ],
 
 each ratio being -tan(2 G) of the corresponding retarded entry, so that
-H_ij = (1/2) arctanh(yy/zz) - C_ij in general.  Combining with the known
-commutator part gives back the complex two-point value W = H/2 + i E/2.
+H_ij = (1/2) arctanh(yy/zz) - C_ij in general.  Combined with the known
+commutator part E_ij, which depends only on the classical equation of motion
+and is never re-derived from the correlators, H gives back the complex
+two-point value W = H/2 + i E/2 (the scenarios' reconstruction CSV).
 
 ``reconstruct_table`` forms the ratios T = yx / z once per table (or
 stack) and inverts every pair i < j in one array pass, in row-major order
@@ -28,30 +30,20 @@ over blocks of pairs, and only they can meet the <sz> and arctanh-domain
 errors.  A stack of sampled tables is inverted in the same pass, over all
 its (table, pair) rows, with one batched product per power; each table
 comes out bitwise as when it is inverted alone.
-
-The commutator entries E_ij are consumed as known inputs (they depend only on
-the classical equation of motion, not on the state) and are never re-derived
-from the correlators here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .detector import CorrelatorTable, _pairs, _power_sums, pair_blocks
 from .errors import (DephasingError, NoiseDominatedError, TangentDomainError,
                      UdwTomoError)
-from .tables import Labelled, write_columns
 
-__all__ = [
-    "TableReconstruction",
-    "reconstruct_table",
-    "write_reconstruction_results",
-]
+__all__ = ["TableReconstruction", "reconstruct_table"]
 
 _DEPHASING_HARD = 1e-300   # |zz| below this: no information survives
 _DEPHASING_FLAG = 1e-6     # |zz| below this: result returned but flagged
@@ -149,13 +141,9 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     yx = table.yx.reshape(-1)
     causal = (counts[ra] > (yx[ra * n + b] != 0.0)) | (counts[rb] > (yx[rb * n + a] != 0.0))
 
-    exact = np.isnan(c)
     k_out, x_out = np.zeros(len(c), dtype=int), np.zeros(len(c))
-    for start, ea, eb in pair_blocks(n, tables) if exact.any() else ():
-        at = start + np.flatnonzero(exact[start:start + len(ea)])
-        if len(at):
-            c[at], k_out[at], x_out[at] = _exact_correction(
-                ratios, ra[at], rb[at], ea[at - start], eb[at - start])
+    for at, ea, eb in pair_blocks(n, np.isnan(c)):
+        c[at], k_out[at], x_out[at] = _exact_correction(ratios, ra[at], rb[at], ea, eb)
     c = np.where(causal, c, 0.0)
 
     z = table.z.reshape(-1)
@@ -193,18 +181,3 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
         a + 1, b + 1, h, c, causal, np.abs(zz) < _DEPHASING_FLAG))
     return TableReconstruction(i=i, j=j, H=h, C=c, causal=causal,
                                dephasing_dominated=flagged, failures=failures)
-
-
-def write_reconstruction_results(rec: TableReconstruction, E: np.ndarray,
-                                 path: str | Path, h_true: np.ndarray) -> None:
-    """Persist the inverted pairs of ``rec`` (failed pairs are left out), with
-    W = H/2 + i E/2 from the commutator matrix ``E`` and the true H of each
-    pair from ``h_true``."""
-    ok = rec.ok
-    i, j, h = rec.i[ok], rec.j[ok], rec.H[ok]
-    regime = Labelled(rec.causal[ok], "spacelike", "causal")
-    flags = Labelled(rec.dephasing_dominated[ok], "", "dephasing_dominated")
-    write_columns(path, ["i", "j", "regime", "H_reconstructed", "H_true_if_known",
-                         "C_ij", "Re_W", "Im_W", "flags"],
-                  [i, j, regime, h, h_true[i - 1, j - 1], rec.C[ok], 0.5 * h,
-                   0.5 * E[i - 1, j - 1], flags])

@@ -319,8 +319,9 @@ class TestCorrelatorTable:
             runs = []
             for chunk in (n, 3 * n, 1 << 30):
                 monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", chunk)
-                sizes = [len(a) for _, a, _ in detector.pair_blocks(n)]
-                assert sum(sizes) == n * (n - 1) // 2 and max(sizes) <= chunk // n
+                every = np.ones(n * (n - 1) // 2, dtype=bool)
+                sizes = [len(a) for _, a, _ in detector.pair_blocks(n, every)]
+                assert sum(sizes) == len(every) and max(sizes, default=0) <= chunk // n
                 exact = correlator_table(km)
                 runs.append((exact, sample_table(exact, 100, seed=n)))
             for exact, sampled in runs[1:]:
@@ -331,26 +332,36 @@ class TestCorrelatorTable:
 
     def test_pair_blocks_cover_the_pairs_in_row_major_order(self, monkeypatch):
         monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 3 * 6)  # three pairs per block
-        blocks = list(detector.pair_blocks(6))
-        assert [start for start, _, _ in blocks] == [0, 3, 6, 9, 12]
+        blocks = list(detector.pair_blocks(6, np.ones(15, dtype=bool)))
+        assert [at.tolist() for at, _, _ in blocks] == [
+            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11], [12, 13, 14]]
         a, b = (np.concatenate(col) for col in zip(*(block[1:] for block in blocks)))
         iu = np.triu_indices(6, 1)
         assert np.array_equal(a, iu[0]) and np.array_equal(b, iu[1])
+        # only the marked pairs, and no block without one
+        marked = np.zeros(15, dtype=bool)
+        marked[[1, 2, 9, 14]] = True
+        blocks = list(detector.pair_blocks(6, marked))
+        assert [at.tolist() for at, _, _ in blocks] == [[1, 2], [9], [14]]
+        assert [(a.tolist(), b.tolist()) for _, a, b in blocks] == [
+            ([0, 0], [2, 3]), ([2], [3]), ([4], [5])]
+        assert not list(detector.pair_blocks(6, np.zeros(15, dtype=bool)))
         for n in (0, 1):
-            [(start, a, b)] = detector.pair_blocks(n)
-            assert start == 0 and len(a) == len(b) == 0
-            [(start, a, b)] = detector.pair_blocks(n, tables=3)
-            assert start == 0 and len(a) == len(b) == 0
+            assert not list(detector.pair_blocks(n, np.zeros(0, dtype=bool)))
 
     def test_pair_blocks_run_over_a_stack(self, monkeypatch):
         # 3 tables of 15 pairs in blocks of 4 rows: blocks 3, 7 and 11 span two tables
         monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 4 * 6)
-        blocks = list(detector.pair_blocks(6, tables=3))
-        assert [start for start, _, _ in blocks] == list(range(0, 45, 4))
+        blocks = list(detector.pair_blocks(6, np.ones(45, dtype=bool)))
+        assert [at[0] for at, _, _ in blocks] == list(range(0, 45, 4))
         a, b = (np.concatenate(col) for col in zip(*(block[1:] for block in blocks)))
         iu = np.triu_indices(6, 1)
         assert np.array_equal(a, np.tile(iu[0], 3)) and np.array_equal(b, np.tile(iu[1], 3))
-        assert not list(detector.pair_blocks(6, tables=0))[0][1].size
+        # the block of rows 12-15 spans tables 0 and 1: pair 14 of one, pair 0 of the next
+        marked = np.zeros(45, dtype=bool)
+        marked[[14, 15]] = True
+        [(at, a, b)] = detector.pair_blocks(6, marked)
+        assert at.tolist() == [14, 15] and a.tolist() == [4, 0] and b.tolist() == [5, 1]
 
     @staticmethod
     def lattice_kernels(state, n_space, n_time):

@@ -134,6 +134,8 @@ class TestValidation:
                       "spacing_time": 10.0}}, "lattice"),
         # validated, and the run raised from the sampler's int64 shot count
         ({"scenario_id": "shot_noise_study", "shots_list": [10, 2**63]}, "shots_list"),
+        # validated, and both 1000-shot rows drew the same tables
+        ({"scenario_id": "shot_noise_study", "shots_list": [1000, 1000, 10000]}, "shots_list"),
     ])
     def test_malformed_values(self, raw, field, tmp_path, capsys):
         # each is a ConfigError naming the field, and the CLI exits 2
@@ -547,6 +549,20 @@ class TestCli:
         assert int(srow["n_regions"]) == 54
         assert int(srow["n_pairs"]) == 1431
         assert float(srow["max_abs_H_error"]) <= 1e-8
+
+    @pytest.mark.parametrize("flag", [["--out", "out"], ["--seed", "3"],
+                                      ["--enable-quadrature-columns"]],
+                             ids=["out", "seed", "quadrature-columns"])
+    def test_non_object_config_with_override(self, flag, tmp_path, capsys):
+        # the override used to write into the list or string and crash with
+        # a TypeError traceback (exit 1)
+        for value in ([1, 2], "s"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(value))
+            for command in ("validate", "run"):
+                assert cli.main([command, str(cfg), *flag]) == 2
+                assert capsys.readouterr().err == (
+                    "config error: config must be a JSON object\n")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

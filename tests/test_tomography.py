@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from udwtomo import detector, tomography
+from udwtomo import detector, scenarios, tomography
 from udwtomo.detector import (CorrelatorTable, correlator_table,
                               random_kernel_matrix, sample_table)
 from udwtomo.config import validate_config
@@ -31,6 +31,12 @@ def table(n=2, zz=1.0, yy=0.0, z=1.0, yx=None):
     pairs = n * (n - 1) // 2
     return CorrelatorTable(z=np.broadcast_to(np.asarray(z, float), (n,)).copy(),
                            zz=np.full(pairs, float(zz)), yy=np.full(pairs, float(yy)), yx=yx_m)
+
+
+def write_reconstruction(rec, E, path, h_true):
+    """The roundtrip's reconstruction CSV of ``rec`` (every pair inverted),
+    the true H of each pair read off the matrix ``h_true``."""
+    scenarios._write_reconstruction(path, rec, E, h_true[rec.i - 1, rec.j - 1])
 
 
 def reference(t, i, j):
@@ -510,7 +516,7 @@ class TestAssembleWightman:
     @staticmethod
     def w_cells(t, e_12, path):
         """(Re W, Im W) of pair (1, 2) as written, with E_12 = e_12."""
-        tomography.write_reconstruction_results(
+        write_reconstruction(
             reconstruct_table(t), np.array([[0.0, e_12], [-e_12, 0.0]]), path, np.eye(2))
         with open(path, encoding="utf-8", newline="") as fh:
             row = next(csv.DictReader(fh))
@@ -527,7 +533,7 @@ class TestAssembleWightman:
         t = correlator_table(km)
         path = tmp_path / "recon.csv"
         rec = reconstruct_table(t)
-        tomography.write_reconstruction_results(rec, km.E, path, km.H)
+        write_reconstruction(rec, km.E, path, km.H)
         for line, h, e in zip(path.read_text().splitlines()[1:], rec.H,
                               km.E[rec.i - 1, rec.j - 1]):
             cells = line.split(",")
@@ -555,7 +561,7 @@ class TestReconstructRecord:
         km = random_kernel_matrix(3, seed=8)
         rec = reconstruct_table(correlator_table(km))
         path = tmp_path / "recon.csv"
-        tomography.write_reconstruction_results(rec, km.E, path, h_true=km.H)
+        write_reconstruction(rec, km.E, path, h_true=km.H)
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[:4] == ["i", "j", "regime", "H_reconstructed"]
         assert len(lines) == 1 + len(rec.H)
@@ -569,7 +575,7 @@ class TestReconstructRecord:
                                 ("dephased", table(zz=5e-7, yy=1e-7), np.eye(2))):
             rec = reconstruct_table(t)
             path = tmp_path / f"{name}.csv"
-            tomography.write_reconstruction_results(rec, np.zeros((t.n, t.n)), path, h_true)
+            write_reconstruction(rec, np.zeros((t.n, t.n)), path, h_true)
             with open(path, encoding="utf-8", newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert [r["regime"] for r in rows] == [
@@ -581,43 +587,36 @@ class TestReconstructRecord:
         assert rows[0]["flags"] == "dephasing_dominated"
 
     def test_csv_bytes(self, tmp_path):
-        # byte for byte what csv.writer writes for the inverted pairs, with
-        # the regime and flags texts that the masks stand for
+        # byte for byte what csv.writer writes for the pairs, with the
+        # regime and flags texts that the masks stand for
         km = random_kernel_matrix(5, seed=2)
-        mixed = CorrelatorTable(z=np.array([1.0, 0.9, 0.8]), zz=np.array([5e-7, 0.8, 0.0]),
-                                yy=np.array([1e-7, 0.2, 0.0]),
+        mixed = CorrelatorTable(z=np.array([1.0, 0.9, 0.8]), zz=np.array([5e-7, 0.8, 0.5]),
+                                yy=np.array([1e-7, 0.2, 0.1]),
                                 yx=np.array([[0.0, 0.0, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         for name, t, E, h_true in (("lattice", correlator_table(km), km.E, km.H),
                                    ("mixed", mixed, np.zeros((3, 3)), np.eye(3))):
             rec = reconstruct_table(t)
             path = tmp_path / f"{name}.csv"
-            tomography.write_reconstruction_results(rec, E, path, h_true)
-            ok = rec.ok
-            i, j = rec.i[ok], rec.j[ok]
+            assert not rec.failures
+            write_reconstruction(rec, E, path, h_true)
+            i, j = rec.i, rec.j
             buf = io.StringIO(newline="")
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["i", "j", "regime", "H_reconstructed", "H_true_if_known", "C_ij",
                              "Re_W", "Im_W", "flags"])
             for row in zip(i.tolist(), j.tolist(),
-                           np.where(rec.causal[ok], "causal", "spacelike").tolist(),
-                           rec.H[ok].tolist(), h_true[i - 1, j - 1].tolist(),
-                           rec.C[ok].tolist(), (0.5 * rec.H[ok]).tolist(),
+                           np.where(rec.causal, "causal", "spacelike").tolist(),
+                           rec.H.tolist(), h_true[i - 1, j - 1].tolist(),
+                           rec.C.tolist(), (0.5 * rec.H).tolist(),
                            (0.5 * E[i - 1, j - 1]).tolist(),
-                           np.where(rec.dephasing_dominated[ok], "dephasing_dominated",
+                           np.where(rec.dephasing_dominated, "dephasing_dominated",
                                     "").tolist()):
                 writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
             assert path.read_bytes() == buf.getvalue().encode("utf-8")
-        # pair (2, 3) fails; (1, 2) is causal and flagged, (1, 3) neither
+        # (1, 2) is causal and flagged, (1, 3) and (2, 3) neither
         assert [(c[:3], c[-1]) for c in csv.reader(path.read_text().splitlines()[1:])] == [
-            (["1", "2", "causal"], "dephasing_dominated"), (["1", "3", "spacelike"], "")]
-
-    def test_csv_leaves_out_failed_pairs(self, tmp_path):
-        t = table(n=3, yx={(1, 3): 2.0, (2, 3): 0.75})   # pair (1, 2) fails
-        rec = reconstruct_table(t)
-        path = tmp_path / "recon.csv"
-        tomography.write_reconstruction_results(rec, np.zeros((3, 3)), path, np.eye(3))
-        assert [line.split(",")[:2] for line in path.read_text().splitlines()[1:]] == [
-            ["1", "3"], ["2", "3"]]
+            (["1", "2", "causal"], "dephasing_dominated"), (["1", "3", "spacelike"], ""),
+            (["2", "3", "spacelike"], "")]
 
 
 def test_noise_scaling_slope():
