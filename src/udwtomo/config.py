@@ -82,7 +82,7 @@ _SCENARIO_DEFAULTS: dict[str, dict] = {
                           "state": "vacuum", "tol": 1e-12},
     "shot_noise_study": {"lattice": dict(_LATTICE_DEFAULT), "lambda": 2.0 * math.pi,
                          "shots_list": [10**3, 10**4, 10**5, 10**6, 10**7],
-                         "repeats": 4},
+                         "repeats": 4, "state": "vacuum"},
 }
 
 _DESCRIPTIONS = {
@@ -97,9 +97,16 @@ _DESCRIPTIONS = {
     "shot_noise_study": "reconstruction RMS error against measurement shots",
 }
 
-# every key some scenario has a default for
-_KNOWN_KEYS = {"scenario_id", *_GLOBAL_DEFAULTS,
-               *(key for defaults in _SCENARIO_DEFAULTS.values() for key in defaults)}
+
+def _allowed_keys(sid: str) -> set[str]:
+    """The keys a scenario reads: the global ones and its own defaults; a
+    curve scan (an ``s_over_ell`` default) also takes an ``anchor``, and a
+    scenario with a ``state`` takes ``beta``, for the thermal state only."""
+    defaults = _SCENARIO_DEFAULTS[sid]
+    return {"scenario_id", *_GLOBAL_DEFAULTS, *defaults,
+            *(["anchor"] if "s_over_ell" in defaults else []),
+            *(["beta"] if "state" in defaults else [])}
+
 
 SCENARIO_IDS = tuple(_SCENARIO_DEFAULTS)
 
@@ -132,9 +139,20 @@ def _require_number(raw: dict, key: str) -> float:
     return v
 
 
+def _check_keys(d: dict, allowed: tuple[str, ...], name: str,
+                field: str | None = None) -> None:
+    # an unknown key inside the object ``name`` is a ConfigError on ``field``
+    # (default ``name``)
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigError(f"field {name!r} takes only {list(allowed)}, got unknown "
+                          f"{unknown}", field=field or name)
+
+
 def _parse_event(d: dict, key: str) -> Event:
     if not isinstance(d, dict):
         raise ConfigError(f"field {key!r} must be an object with t/x/y/z", field=key)
+    _check_keys(d, ("t", "x", "y", "z"), key)
     return Event(*(_number(d.get(c, 0.0), f"{key}.{c}", key) for c in "txyz"))
 
 
@@ -143,6 +161,7 @@ def _parse_s_values(raw: dict) -> list[float]:
     if isinstance(spec, list):
         vals = [_number(v, "s_over_ell") for v in spec]
     elif isinstance(spec, dict):
+        _check_keys(spec, ("start", "stop", "step"), "s_over_ell")
         try:
             start, stop, step = (_number(spec[k], f"s_over_ell.{k}", "s_over_ell")
                                  for k in ("start", "stop", "step"))
@@ -167,11 +186,14 @@ def _parse_s_values(raw: dict) -> list[float]:
 
 def _parse_grid(raw: dict) -> tuple[tuple[float, float, int], tuple[float, float, int]]:
     grid = raw["grid"]
+    if isinstance(grid, dict):
+        _check_keys(grid, ("t", "x"), "grid")
     out = []
     for axis in ("t", "x"):
         ax = grid.get(axis) if isinstance(grid, dict) else None
         if not isinstance(ax, dict) or not {"start", "stop", "n"} <= set(ax):
             raise ConfigError(f"field 'grid.{axis}' needs start/stop/n", field="grid")
+        _check_keys(ax, ("start", "stop", "n"), f"grid.{axis}", "grid")
         n = ax["n"]
         if not _is_int(n) or n < 2:
             raise ConfigError(f"field 'grid.{axis}.n' must be an integer >= 2", field="grid")
@@ -184,6 +206,8 @@ def _parse_lattice(raw: dict, ell: float) -> LatticeSpec:
     lat = raw["lattice"]
     if not isinstance(lat, dict):
         raise ConfigError("field 'lattice' must be an object", field="lattice")
+    _check_keys(lat, ("n_space", "n_time", "spacing_space", "spacing_time", "origin"),
+                "lattice")
     try:
         counts = [lat[k] for k in ("n_space", "n_time")]
         if not all(_is_int(n) for n in counts):
@@ -211,7 +235,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(
             f"field 'scenario_id' must be one of {sorted(_SCENARIO_DEFAULTS)}, got {sid!r}",
             field="scenario_id")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - _allowed_keys(sid)
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}",
                           field=sorted(unknown)[0])
@@ -258,6 +282,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
         cfg.state_tag = merged["state"]
         if cfg.state_tag == "thermal" and cfg.beta is None:
             raise ConfigError("thermal state requires field 'beta'", field="beta")
+        if cfg.state_tag != "thermal" and cfg.beta is not None:
+            raise ConfigError("field 'beta' applies to the thermal state only", field="beta")
     if "shots_list" in merged:
         shots = merged["shots_list"]
         if (not isinstance(shots, list) or not shots
@@ -285,6 +311,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         bc = merged["base_config"]
         if not isinstance(bc, dict) or not {"dt", "dr"} <= set(bc):
             raise ConfigError("field 'base_config' needs dt and dr", field="base_config")
+        _check_keys(bc, ("dt", "dr"), "base_config")
         cfg.base_config = tuple(_number(bc[k], f"base_config.{k}", "base_config") * ell
                                 for k in ("dt", "dr"))
     if cfg.ell_grid and cfg.base_config is not None:

@@ -16,12 +16,14 @@ occupation weights (n_k + 1) and n_k on the positive/negative frequency parts
 for the KMS state.  This quadrature route is the independent oracle; every
 state and separation also has a closed form (Faddeeva / Dawson, summed over
 imaginary-time images for the KMS state), which is used everywhere else.
-``_smeared_quadrature_real`` integrates the oracle's Re W for a whole array
-of pairs in one adaptive pass, for the scans' quadrature column: its
-integrand takes an array of k and returns every pair's value at each k, so
-``numerics.integrate_semi_infinite_array`` evaluates each refinement round
-in one call.  ``_coth`` holds the occupation's small-argument series and
-saturation once, for that integrand and for the scalar oracle.
+Every quadrature here goes through ``numerics.integrate_semi_infinite``,
+whose integrand takes an array of k and returns every component's value at
+each k, so each refinement round is one call: the oracle
+``wightman_smeared_quadrature`` integrates its one pair's complex W, and
+``_smeared_quadrature_real`` the Re W of a whole array of pairs, for the
+scans' quadrature column.  ``_region_amplitudes_quadrature`` integrates a
+sourced state's region amplitudes, and ``_coth`` holds the occupation's
+small-argument series and saturation once.
 
 Sign conventions: W = H/2 + i E/2, so the smeared commutator function
 satisfies E = 2 Im W, and the retarded propagator between regions is read off
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, LightconeSingularityError
-from .numerics import integrate_semi_infinite, integrate_semi_infinite_array
+from .numerics import integrate_semi_infinite
 from .smearing import GaussianRegion
 from .spacetime import Interval, default_lightcone_tol, intervals
 
@@ -108,12 +110,10 @@ class FieldState:
 # masks over the points; a single event (pair) is an array of shape (4,).
 # ---------------------------------------------------------------------------
 
-def _coth(x, tanh=np.tanh):
-    """coth x for x > 0 (every caller passes beta k / 2 with k > 0), a float
-    or elementwise over an array: the two-term series below 1e-6, 1 above
-    350.  The scalar oracle passes math.tanh, which keeps libm's bits (np.tanh
-    differs from it in the last bit on some arguments)."""
-    return np.where(x < 1e-6, 1.0 / x + x / 3.0, np.where(x > 350.0, 1.0, 1.0 / tanh(x)))
+def _coth(x: np.ndarray) -> np.ndarray:
+    """coth x elementwise for x > 0 (every caller passes beta k / 2 with
+    k > 0): the two-term series below 1e-6, 1 above 350."""
+    return np.where(x < 1e-6, 1.0 / x + x / 3.0, np.where(x > 350.0, 1.0, 1.0 / np.tanh(x)))
 
 
 def _time_radius(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,11 +374,6 @@ def _pair_geometry(ri: GaussianRegion, rj: GaussianRegion) -> tuple[float, float
     return float(itv.dt), float(itv.dr)
 
 
-def _radial_factor(k: float, dr: float) -> float:
-    # sin(k dr)/dr, continued through dr = 0
-    return k if dr < 1e-300 else math.sin(k * dr) / dr
-
-
 def _radial_factors(dr: np.ndarray):
     # k -> sin(k dr)/dr for every dr of an array, continued through dr = 0
     zero = dr < 1e-300
@@ -391,64 +386,41 @@ def _radial_factors(dr: np.ndarray):
 _KMS_KNOTS = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
-def _region_amplitude_quadrature(state: FieldState, ell: float, region: GaussianRegion,
-                                 tol: float) -> float | complex:
-    """The sourced state's amplitude smeared over a width-ell region (phi0 for
-    the coherent state, F for the one-particle one) by its radial momentum
-    integral: the scalar twin of ``_region_amplitudes_quadrature``."""
-    c = region.center
-    r = math.sqrt(c.x**2 + c.y**2 + c.z**2)
-    t, delta = c.t, state.delta
-    if state.tag == "coherent":
-        a, pref = delta * delta + ell * ell, -delta / (_SQRT_2PI * math.pi)
-
-        def f(k: float) -> float:
-            return pref * math.exp(-a * k * k) * math.sin(k * t) * _radial_factor(k, r)
-    else:
-        a, pref = 0.5 * delta * delta + ell * ell, delta * delta / (math.pi * math.sqrt(2.0))
-
-        def f(k: float) -> complex:
-            return (pref * k * math.exp(-a * k * k) * _radial_factor(k, r)
-                    * complex(math.cos(k * t), -math.sin(k * t)))
-
-    return integrate_semi_infinite(f, tol, a, r + abs(t) + 1.0).value
-
-
 def wightman_smeared_quadrature(state: FieldState, ri: GaussianRegion,
                                 rj: GaussianRegion, tol: float) -> complex:
     """Full complex smeared two-point value via the radial momentum integral.
 
     This is the independent oracle for every closed form in this module: the
-    vacuum or KMS integral in one ``integrate_semi_infinite`` call, and for
-    a sourced state one more per region amplitude.
+    vacuum or KMS integral in one ``integrate_semi_infinite`` pass over the
+    pair, and for a sourced state one more over its two region amplitudes.
     """
     ell = _check_equal_widths(ri, rj)
     dt, dr = _pair_geometry(ri, rj)
     a, beta = 2.0 * ell * ell, state.beta
+    radial = _radial_factors(np.array([dr]))
 
-    def f(k: float) -> complex:
-        if beta is None:
-            re_w = math.cos(k * dt)
-        elif k > 0.0:
-            re_w = _coth(0.5 * beta * k, math.tanh) * math.cos(k * dt)
-        else:  # the k -> 0 limit of coth(beta k/2) sin(k dr)/dr
-            return complex(2.0 / beta / (4.0 * math.pi**2), 0.0)
-        return (math.exp(-a * k * k) * _radial_factor(k, dr)
-                * complex(re_w, -math.sin(k * dt)) / (4.0 * math.pi**2))
+    def f(k: np.ndarray) -> np.ndarray:
+        # the integrator samples k > 0 only, where coth is finite
+        occupation = 1.0 if beta is None else _coth(0.5 * beta * k)
+        w = (np.exp(-a * k * k) * (occupation * np.cos(k * dt) - 1j * np.sin(k * dt))
+             / (4.0 * math.pi**2))
+        return w[:, None] * radial(k[:, None])
 
     knots = [c / beta for c in _KMS_KNOTS] if beta is not None else ()
-    w = complex(integrate_semi_infinite(f, tol, a, dr + abs(dt) + 1.0, knots).value)
+    w = complex(integrate_semi_infinite(f, tol, a, dr + abs(dt) + 1.0, knots).value[0])
     if state.tag in ("vacuum", "thermal"):
         return w
-    amp_i, amp_j = (_region_amplitude_quadrature(state, ell, r, tol) for r in (ri, rj))
-    return w + _source_term(state, amp_i, amp_j)
+    centers = np.array([ri.center.coords(), rj.center.coords()])
+    amp_i, amp_j = _region_amplitudes_quadrature(state, ell, *_time_radius(centers), tol)
+    return w + complex(_source_term(state, amp_i, amp_j))
 
 
 def _region_amplitudes_quadrature(state: FieldState, ell: float, t: np.ndarray,
                                   r: np.ndarray, tol: float) -> np.ndarray:
-    """The sourced state's region-smeared amplitude at every region (t, r),
-    r the distance from the source: ``_region_amplitude_quadrature`` of
-    every region from one array pass."""
+    """The sourced state's amplitude smeared over the width-ell regions at
+    (t, r), r the distance from the source (phi0 for the coherent state, F
+    for the one-particle one), by its radial momentum integral: every region
+    in one ``integrate_semi_infinite`` pass."""
     delta, radial = state.delta, _radial_factors(r)
     if state.tag == "coherent":
         a, pref = delta * delta + ell * ell, -delta / (_SQRT_2PI * math.pi)
@@ -464,7 +436,7 @@ def _region_amplitudes_quadrature(state: FieldState, ell: float, t: np.ndarray,
             return pref * k * np.exp(-a * k * k) * radial(k) * np.exp(-1j * k * t)
 
     osc = float(np.max(r + np.abs(t))) + 1.0
-    return integrate_semi_infinite_array(f, tol, decay_scale=a, osc_scale=osc).value
+    return integrate_semi_infinite(f, tol, decay_scale=a, osc_scale=osc).value
 
 
 def _smeared_quadrature_real(state: FieldState, ell: float, a: np.ndarray,
@@ -507,7 +479,7 @@ def _smeared_quadrature_real(state: FieldState, ell: float, a: np.ndarray,
     knots = [c / beta for c in _KMS_KNOTS] if beta is not None else ()
     osc = float(np.max(dr + np.abs(dt))) + 1.0
     re = np.empty(len(dt))
-    re[order] = integrate_semi_infinite_array(f, tol, a2, osc, knots).value
+    re[order] = integrate_semi_infinite(f, tol, a2, osc, knots).value
     if state.tag in ("vacuum", "thermal"):
         return re
     centers, index = np.unique(np.concatenate([a, b]), axis=0, return_inverse=True)

@@ -1,14 +1,14 @@
 """Quadrature and fitting primitives.
 
-``integrate_semi_infinite`` is the one scalar oracle integrator: panelised
-adaptive Gauss-Kronrod on [0, K] with the cutoff K chosen from the
-integrand's Gaussian decay, plus an explicit tail certificate.  All the
+``integrate_semi_infinite`` is the one integrator, the smeared-kernel
+oracle's and the scans' quadrature column's: panelised adaptive
+Gauss-Kronrod on [0, K] for a vector of integrands (one per pair of a scan,
+or the one pair of the oracle), with the cutoff K chosen from the
+integrands' Gaussian decay, plus an explicit tail certificate.  All the
 radial momentum integrands in this package carry an exp(-a k^2) factor, so
 every caller passes that decay scale a, and the truncation error is bounded
 analytically; the oscillation scale sets the panels and optional knots add
-panel edges.  ``integrate_semi_infinite_array`` takes the same arguments
-for a vector of integrands (one per pair of a scan) under the same cutoff
-and panel rules.  It runs the adaptive 21-point Gauss-Kronrod algorithm of
+panel edges.  It runs the adaptive 21-point Gauss-Kronrod algorithm of
 ``scipy.integrate.quad_vec`` in numpy, one integrand call per refinement
 round over every node of every interval the round bisects, so it needs no
 scipy at all.
@@ -30,17 +30,17 @@ __all__ = [
     "QuadratureResult",
     "SlopeFit",
     "integrate_semi_infinite",
-    "integrate_semi_infinite_array",
     "fit_loglog_slope",
 ]
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value + absolute error certificate of a semi-infinite integral (for
-    the array integrator: the integrals and the largest certificate)."""
+    """The integrals of a vector integrand over [0, infinity), the largest
+    absolute error certificate among them, and the number of k at which
+    the integrand was evaluated."""
 
-    value: complex | np.ndarray
+    value: np.ndarray
     error_estimate: float
     evaluations: int
 
@@ -53,23 +53,18 @@ class SlopeFit:
     residual: float  # RMS residual in log-log space
 
 
-def _probe_is_complex(f: Callable[[float], complex], points: Sequence[float]) -> bool:
-    return any(isinstance(f(p), complex) for p in points)
-
-
 def _plan(f, tol: float, decay_scale: float, osc_scale: float,
           knots: Sequence[float]) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """(K, tail_bound, edges, limit) of both integrators: the cutoff K with
+    """(K, tail_bound, edges, limit) of the integrator: the cutoff K with
     |int_K^inf f| <= tail_bound <~ tol/10, the panel edges on [0, K] and
     each panel's subdivision budget.
 
-    f takes a 1-D array of k and returns one value per k: an array of shape
-    (len(k), n) for a vector integrand, whose components share one K (the
-    largest |f| sets it) and have a tail bound each.  It is called twice,
-    on the 24 magnitude probes and on the 3 points past K.  ``knots`` are
-    extra edges where the integrand changes on a scale the panels would not
-    resolve (the thermal occupation at k ~ 1/beta); those outside (0, K)
-    are dropped."""
+    f takes a 1-D array of k and returns an array of shape (len(k), n),
+    whose components share one K (the largest |f| sets it) and have a tail
+    bound each.  It is called twice, on the 24 magnitude probes and on the
+    3 points past K.  ``knots`` are extra edges where the integrand changes
+    on a scale the panels would not resolve (the thermal occupation at
+    k ~ 1/beta); those outside (0, K) are dropped."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not (decay_scale > 0 and osc_scale > 0):
@@ -92,54 +87,6 @@ def _plan(f, tol: float, decay_scale: float, osc_scale: float,
     inner = [x for x in knots if 0.0 < x < cutoff]
     return (cutoff, fk / (2.0 * a * cutoff),
             np.union1d(edges, inner) if inner else edges, limit)
-
-
-def integrate_semi_infinite(
-    f: Callable[[float], complex],
-    tol: float,
-    decay_scale: float,
-    osc_scale: float,
-    knots: Sequence[float] = (),
-) -> QuadratureResult:
-    """Integrate f over [0, infinity) to absolute tolerance ``tol``.
-
-    ``decay_scale`` is the Gaussian decay rate a of |f(k)| ~ exp(-a k^2); it
-    makes the truncation bound analytic.  ``osc_scale`` is the dominant
-    oscillation frequency (rad per unit k) and ``knots`` are extra panel
-    edges; both only affect how the finite range is panelised.  Each panel
-    of a real f, or of the real and imaginary parts of a complex one, is
-    integrated by ``scipy.integrate.quad``.  Deterministic for fixed inputs.
-    """
-    from scipy import integrate  # here, not at import: it takes ~0.5 s to load
-
-    cutoff, tail_bound, edges, limit = _plan(lambda ks: [f(k) for k in ks], tol,
-                                             decay_scale, osc_scale, knots)
-    n_panels = len(edges) - 1
-
-    is_complex = _probe_is_complex(f, [cutoff * 0.31, cutoff * 0.07])
-    parts = [(lambda k: f(k).real), (lambda k: f(k).imag)] if is_complex else [f]
-
-    eps = tol / (2.0 * len(parts) * n_panels)
-    totals, abserr, evals = [], 0.0, 0
-    for part in parts:
-        acc = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            out = integrate.quad(part, lo, hi, epsabs=eps, epsrel=1e-12,
-                                 limit=limit, full_output=1)
-            if len(out) > 3:
-                raise ConvergenceError(f"quadrature failed on panel [{lo:g}, {hi:g}] "
-                                       f"(error estimate {out[1]:.3e}): {out[3]}")
-            acc += out[0]
-            abserr += out[1]
-            evals += out[2]["neval"]
-        totals.append(acc)
-
-    err = abserr + tail_bound
-    if err > 10.0 * tol:
-        raise ConvergenceError(
-            f"accumulated quadrature error {err:.3e} exceeds tolerance {tol:.3e}")
-    value = complex(totals[0], totals[1]) if is_complex else totals[0]
-    return QuadratureResult(value=value, error_estimate=err, evaluations=evals)
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1], the one quad_vec uses:
@@ -219,7 +166,7 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray, chunk: int
     return np.concatenate(integrals), err, rnd
 
 
-def integrate_semi_infinite_array(
+def integrate_semi_infinite(
     f: Callable[[np.ndarray], np.ndarray],
     tol: float,
     decay_scale: float,
@@ -229,11 +176,13 @@ def integrate_semi_infinite_array(
     """Integrate every component of a vector-valued f over [0, infinity) to
     absolute tolerance ``tol``, in one adaptive pass.
 
-    The array sibling of ``integrate_semi_infinite``, with its cutoff and
-    panel rules: one cutoff K serves every component, ``osc_scale`` is the
-    largest component frequency and ``knots`` are extra panel edges.  f
-    takes a 1-D array of k and returns an array of shape (len(k), n), real
-    or complex, whose row i holds every component at k_i.
+    ``decay_scale`` is the Gaussian decay rate a of |f(k)| ~ exp(-a k^2); it
+    makes the truncation bound analytic.  One cutoff K serves every
+    component.  ``osc_scale`` is the largest component frequency (rad per
+    unit k) and ``knots`` are extra panel edges; both only affect how the
+    finite range is panelised.  f takes a 1-D array of k and returns an
+    array of shape (len(k), n), real or complex, whose row i holds every
+    component at k_i.  Deterministic for fixed inputs.
 
     The pass is the algorithm of ``scipy.integrate.quad_vec`` with
     ``norm="max"``, in numpy.  The panels are the initial intervals.  Each
@@ -254,8 +203,7 @@ def integrate_semi_infinite_array(
     cutoff, tail_bound, edges, limit = _plan(f, tol, decay_scale, osc_scale, knots)
     chunk = max(1, _CHUNK_VALUES // (_GK_POINTS * tail_bound.size))
     cap = limit * (len(edges) - 1)
-    # 4 tol: the rounds stop at an error sum below tol / 2, what the scalar
-    # integrator's panel tolerances add up to
+    # 4 tol: the rounds stop at an error sum below tol / 2
     epsabs, epsrel = 4.0 * tol, 1e-12
 
     ig, err, rnd = _gk21(f, edges[:-1], edges[1:], chunk)

@@ -1,7 +1,8 @@
 """Import hygiene: importing the package, checking a config, listing the
 scenarios and ``--help`` load neither numpy nor scipy; the scenarios that
 need no quadrature or Dawson values run without loading scipy, and the
-detector scenarios and the curve scans, their quadrature cells included,
+detector scenarios, the curve scans, their quadrature cells included, and
+the convergence sweep, whose residuals come from the quadrature oracle,
 never load ``scipy.integrate``.
 
 Each test runs a fresh interpreter, since the test process itself has
@@ -107,7 +108,7 @@ def test_curve_scenarios_skip_quadrature(src_env, tmp_path, scenario_id):
 @pytest.mark.parametrize("scenario_id", ["thermal_curves", "coherent_curves",
                                          "oneparticle_curves"])
 def test_quadrature_columns_skip_scipy_integrate(src_env, tmp_path, scenario_id):
-    # the quadrature cells run the array integrator, which is numpy alone
+    # the quadrature cells run the one integrator, which is numpy alone
     cfg = write_config(tmp_path / "cfg.json", {"scenario_id": scenario_id,
                                                "enable_quadrature_columns": True})
     body = (f"from udwtomo import cli\n"
@@ -116,6 +117,20 @@ def test_quadrature_columns_skip_scipy_integrate(src_env, tmp_path, scenario_id)
     assert not [m for m in loaded if m.startswith("scipy.integrate")]
     header = (tmp_path / "out" / f"{scenario_id}.csv").read_text().splitlines()[0]
     assert "smeared_quadrature" in header
+
+
+@pytest.mark.parametrize("raw", [
+    {"scenario_id": "convergence_sweep"},
+    {"scenario_id": "convergence_sweep", "state": "thermal", "beta": 50.0},
+], ids=["vacuum", "thermal"])
+def test_convergence_sweep_skips_scipy_integrate(src_env, tmp_path, raw):
+    # the oracle's one-pair quadrature is numpy alone, with the KMS knots
+    cfg = write_config(tmp_path / "cfg.json", raw)
+    body = (f"from udwtomo import cli\n"
+            f"assert cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0")
+    loaded = loaded_scipy_modules(body, src_env, tmp_path)
+    assert not [m for m in loaded if m.startswith("scipy.integrate")]
+    assert (tmp_path / "out" / "convergence_sweep.csv").stat().st_size > 0
 
 
 def test_thermal_roundtrip_matches_in_process(src_env, tmp_path):

@@ -222,10 +222,11 @@ class TestPhi0:
     def test_smeared_region_against_radial_quadrature(self):
         delta, ell = 1.5, 1.0
         state = FieldState.coherent(delta)
-        for (t, x) in ((6.0, 6.0), (-3.0, 8.0), (5.0, 0.0)):
-            closed = float(region_amplitudes(state, region(t, x, ell))[0])
-            quad = kernels._region_amplitude_quadrature(state, ell, region(t, x, ell), 1e-13)
-            assert closed == pytest.approx(quad, abs=1e-12)
+        x = np.array([[6.0, 6.0, 0.0, 0.0], [-3.0, 8.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]])
+        closed = kernels._region_amplitudes(state, ell, x)
+        quad = kernels._region_amplitudes_quadrature(state, ell, *kernels._time_radius(x), 1e-13)
+        for c, q in zip(closed.tolist(), quad.tolist()):
+            assert c == pytest.approx(q, abs=1e-12)
 
     def test_smeared_region_zero_at_equal_time(self):
         # region centered on the t = 0 slice: in/out Gaussians coincide
@@ -388,6 +389,48 @@ def thermal_excess(beta, dt, dr):
         4.0 * math.pi**2)
 
 
+def scipy_quad(f, points=()):
+    """int_0^8 f by ``scipy.integrate.quad``, real and imaginary parts apart,
+    broken at ``points``, for an f of one scalar k that carries e^{-a k^2}
+    with a >= 1, below 1e-27 past k = 8."""
+    from scipy.integrate import quad
+
+    points = [p for p in points if p < 8.0] or None
+    re, im = (quad(g, 0.0, 8.0, points=points, epsabs=1e-15, epsrel=1e-13, limit=2000)[0]
+              for g in (lambda k: f(k).real, lambda k: f(k).imag))
+    return complex(re, im)
+
+
+def radial(k, r):
+    return math.sin(k * r) / r if r > 0.0 else k
+
+
+def raw_wightman(beta, dt, dr):
+    """W at ell = 1 from its radial integrand, (1/(4 pi^2)) e^{-2k^2}
+    [coth(beta k/2) cos(k dt) - i sin(k dt)] sin(k dr)/dr, coth -> 1 for the
+    vacuum (beta None)."""
+    def f(k):
+        occupation = 1.0 if beta is None else 1.0 / math.tanh(0.5 * beta * k)
+        return (math.exp(-2.0 * k * k) * radial(k, dr)
+                * complex(occupation * math.cos(k * dt), -math.sin(k * dt)) / (4.0 * math.pi**2))
+
+    return scipy_quad(f, [] if beta is None else [c / beta for c in (0.01, 0.1, 1, 10, 100)])
+
+
+def raw_amplitude(state, t, r):
+    """A sourced state's amplitude smeared over a unit-width region at (t, r)
+    from its radial integrand: phi0 = -delta/(sqrt(2 pi) pi) int e^{-(delta^2 +
+    1) k^2} sin(k t) sin(k r)/r, F = delta^2/(sqrt2 pi) int k e^{-(delta^2/2 +
+    1) k^2} e^{-i k t} sin(k r)/r."""
+    delta = state.delta
+    if state.tag == "coherent":
+        return -delta / (math.sqrt(2.0 * math.pi) * math.pi) * scipy_quad(
+            lambda k: math.exp(-(delta**2 + 1.0) * k * k) * math.sin(k * t) * radial(k, r)).real
+    return delta**2 / (math.sqrt(2.0) * math.pi) * scipy_quad(
+        lambda k: k * math.exp(-(0.5 * delta**2 + 1.0) * k * k) * radial(k, r)
+        * complex(math.cos(k * t), -math.sin(k * t)))
+
+
 # (dt, dr) in units of ell: equal time, equal place, dr = 1e-6, lightlike,
 # |sigma| = 1e-3 next to the cone, the lattice's mixed separations, and
 # |dt|, dr up to 100
@@ -425,11 +468,11 @@ class TestSmearedOracle:
 
     @pytest.mark.parametrize("state, calls", [
         (FieldState.vacuum(), 1), (FieldState.thermal(50.0), 1),
-        (FieldState.coherent(1.5), 3), (FieldState.one_particle(2.0), 3)],
+        (FieldState.coherent(1.5), 2), (FieldState.one_particle(2.0), 2)],
         ids=["vacuum", "beta50", "coherent", "one_particle"])
     def test_every_quadrature_goes_through_one_integrator(self, state, calls, monkeypatch):
         # the two-point integral (the KMS one with its knots at multiples of
-        # 1/beta), then one integral per region amplitude of a sourced state
+        # 1/beta), then one pass over both region amplitudes of a sourced state
         seen = []
 
         def counted(f, tol, decay_scale, osc_scale, knots=()):
@@ -450,8 +493,7 @@ class TestSmearedOracle:
                              ids=["coherent", "one_particle"])
     def test_region_amplitudes_match_quadrature(self, state):
         # centres on the source (r = 0), on its t = 0 slice, next to its
-        # lightcone r = |t| and generic, for two widths; the scalar
-        # quadrature agrees with the array one
+        # lightcone r = |t| and generic, for two widths
         x = np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0], [-8.0, 1e-7, 0.0, 0.0],
                       [0.0, 4.0, 0.0, 0.0], [0.0, 1.2, -0.5, 2.0], [6.0, 6.0, 0.0, 0.0],
                       [6.0, 6.0 + 1e-9, 0.0, 0.0], [-5.0, 3.0, 4.0, 0.0],
@@ -461,10 +503,29 @@ class TestSmearedOracle:
             quad = kernels._region_amplitudes_quadrature(state, ell, *kernels._time_radius(x),
                                                          1e-13)
             assert np.max(np.abs(closed - quad)) <= 1e-12
-            for xi, qi in zip(x, quad):
-                one = kernels._region_amplitude_quadrature(
-                    state, ell, GaussianRegion(Event(*xi), ell), 1e-13)
-                assert abs(one - qi) <= 1e-12, xi
+
+    @pytest.mark.parametrize("beta", [None, 0.3, 50.0, 1e4],
+                             ids=["vacuum", "beta0.3", "beta50", "beta1e4"])
+    def test_oracle_matches_scipy_quad(self, beta):
+        # an independent reference: scipy's quad of the raw integrand
+        state = FieldState.vacuum() if beta is None else FieldState.thermal(beta)
+        for dt, dr in [(0.0, 3.0), (4.0, 0.0), (0.0, 1e-6), (10.0, 10.0), (3.0, 5.0),
+                       (-60.0, 100.0)]:
+            wq = wightman_smeared_quadrature(state, region(dt, dr), region(0, 0), 1e-12)
+            assert abs(wq - raw_wightman(beta, dt, dr)) <= 2e-12, (dt, dr)
+
+    @pytest.mark.parametrize("state", [FieldState.coherent(1.5), FieldState.one_particle(2.0)],
+                             ids=["coherent", "one_particle"])
+    def test_sourced_oracle_matches_scipy_quad(self, state):
+        # the vacuum integral plus the source term of both raw amplitudes
+        ri, rj = region(2.0, 5.0), region(-1.0, 0.5)
+        amp_i, amp_j = raw_amplitude(state, 2.0, 5.0), raw_amplitude(state, -1.0, 0.5)
+        if state.tag == "coherent":
+            source = amp_i * amp_j
+        else:
+            source = 2.0 * (amp_i * amp_j.conjugate()).real
+        want = raw_wightman(None, 3.0, 4.5) + source
+        assert abs(wightman_smeared_quadrature(state, ri, rj, 1e-12) - want) <= 2e-12
 
     def test_image_count_capped(self):
         # beta/ell ~ 1e-4 would need ~3e6 KMS images: refused before any work
@@ -583,7 +644,7 @@ class TestSmearedOracle:
 
 class TestSmearedQuadratureArray:
     """The one-pass array quadrature behind the scans' quadrature column,
-    pinned cell by cell to the scalar oracle's real part at tol 1e-12."""
+    pinned cell by cell to the one-pair oracle's real part at tol 1e-12."""
 
     @pytest.mark.parametrize("state, anchor", [
         (FieldState.thermal(0.3), (1.3, -2.2)), (FieldState.thermal(5.0), (1.3, -2.2)),
@@ -615,7 +676,7 @@ class TestSmearedQuadratureArray:
         # pass takes cos(k dt) only where dt != 0 and sin(k dr)/dr only where
         # dr != 0, and gives the bits of the integrand that takes both
         # everywhere
-        from udwtomo.numerics import integrate_semi_infinite_array
+        from udwtomo.numerics import integrate_semi_infinite
 
         state = FieldState.vacuum() if beta is None else FieldState.thermal(beta)
         steps = [(3.0, 0.0), (0.0, 2.5), (0.0, 0.0), (4.0, 1.5), (-6.0, 0.0), (0.0, 9.0),
@@ -633,7 +694,7 @@ class TestSmearedQuadratureArray:
             return w[:, None] * np.cos(k * itv.dt) * radial(k)
 
         knots = [c / beta for c in kernels._KMS_KNOTS] if beta is not None else ()
-        want = integrate_semi_infinite_array(
+        want = integrate_semi_infinite(
             f, 1e-10, 2.0, float(np.max(itv.dr + np.abs(itv.dt))) + 1.0, knots).value
         got = kernels._smeared_quadrature_real(state, 1.0, a, b, 1e-10)
         assert got.tobytes() == want.tobytes()

@@ -23,6 +23,8 @@ from udwtomo.kernels import FieldState, wightman_smeared_closed
 from udwtomo.smearing import GaussianRegion
 from udwtomo.spacetime import Event
 
+from test_kernels import scipy_quad
+
 
 def _erfi_scaled_over_x(x):
     """exp(-x^2) erfi(x) / x from the dt = 0 vacuum kernel at ell = 1."""
@@ -74,68 +76,58 @@ def test_erfi_scaled_consistent_with_erfi(x):
 
 class TestIntegrateSemiInfinite:
     def test_gaussian(self):
-        res = numerics.integrate_semi_infinite(lambda k: math.exp(-k * k), 1e-12,
+        res = numerics.integrate_semi_infinite(lambda k: np.exp(-k * k)[:, None], 1e-12,
                                                decay_scale=1.0, osc_scale=1.0)
-        assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
+        assert res.value.shape == (1,)
+        assert res.value[0] == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
         assert res.error_estimate <= 1e-12
         assert res.evaluations >= 1
 
     def test_gaussian_times_sinc(self):
         # oracle: (1/5) int_0^inf e^{-2k^2} sin(5k) dk = D(5/(2 sqrt2)) / (5 sqrt2)
         target = float(dawsn(5.0 / (2.0 * math.sqrt(2.0)))) / (5.0 * math.sqrt(2.0))
-        f = lambda k: k * math.exp(-2.0 * k * k) * (math.sin(5.0 * k) / (5.0 * k)
-                                                    if k > 0 else 1.0)
+        f = lambda k: (np.exp(-2.0 * k * k) * np.sin(5.0 * k) / 5.0)[:, None]
         res = numerics.integrate_semi_infinite(f, 1e-10, decay_scale=2.0, osc_scale=5.0)
-        assert res.value == pytest.approx(target, abs=1e-10)
+        assert res.value[0] == pytest.approx(target, abs=1e-10)
 
     def test_complex_integrand(self):
-        # the scalar integrator, and the array one on a two-component vector
-        f = lambda k: math.exp(-k * k) * complex(math.cos(k), -math.sin(k))
-        res = numerics.integrate_semi_infinite(f, 1e-11, decay_scale=1.0, osc_scale=1.0)
-        vec = numerics.integrate_semi_infinite_array(
+        # a two-component complex vector, each component against scipy's quad
+        res = numerics.integrate_semi_infinite(
             lambda k: np.exp(-k * k)[:, None] * np.exp(-1j * k[:, None] * np.array([1.0, 2.0])),
             1e-11, decay_scale=1.0, osc_scale=2.0)
-        for value, w in ((res.value, 1.0), (vec.value[0], 1.0), (vec.value[1], 2.0)):
-            re_t, _ = quad(lambda k: math.exp(-k * k) * math.cos(w * k), 0, 20, epsabs=1e-14)
-            im_t, _ = quad(lambda k: -math.exp(-k * k) * math.sin(w * k), 0, 20, epsabs=1e-14)
-            assert value.real == pytest.approx(re_t, abs=1e-11)
-            assert value.imag == pytest.approx(im_t, abs=1e-11)
+        for value, w in zip(res.value, (1.0, 2.0)):
+            want = scipy_quad(lambda k: math.exp(-k * k) * complex(math.cos(w * k),
+                                                                  -math.sin(w * k)))
+            assert value.real == pytest.approx(want.real, abs=1e-11)
+            assert value.imag == pytest.approx(want.imag, abs=1e-11)
 
     def test_deterministic(self):
-        f = lambda k: k * math.exp(-0.3 * k * k) * math.sin(7.0 * k)
-        a = numerics.integrate_semi_infinite(f, 1e-11, decay_scale=0.3, osc_scale=7.0)
-        b = numerics.integrate_semi_infinite(f, 1e-11, decay_scale=0.3, osc_scale=7.0)
-        assert a.value == b.value  # bit-identical
-        assert a.evaluations == b.evaluations
         g = lambda k: ((k * np.exp(-0.3 * k * k))[:, None]
                        * np.sin(k[:, None] * np.array([7.0, 1.0])))
-        a = numerics.integrate_semi_infinite_array(g, 1e-11, decay_scale=0.3, osc_scale=7.0)
-        b = numerics.integrate_semi_infinite_array(g, 1e-11, decay_scale=0.3, osc_scale=7.0)
-        assert a.value.tolist() == b.value.tolist()
+        a = numerics.integrate_semi_infinite(g, 1e-11, decay_scale=0.3, osc_scale=7.0)
+        b = numerics.integrate_semi_infinite(g, 1e-11, decay_scale=0.3, osc_scale=7.0)
+        assert a.value.tolist() == b.value.tolist()  # bit-identical
         assert a.evaluations == b.evaluations
 
     def test_nondecaying_integrand_raises(self):
         with pytest.raises(ConvergenceError):
-            numerics.integrate_semi_infinite(lambda k: 1.0 / (1.0 + k), 1e-10,
+            numerics.integrate_semi_infinite(lambda k: (1.0 / (1.0 + k))[:, None], 1e-10,
                                              decay_scale=1.0, osc_scale=1.0)
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):
-            numerics.integrate_semi_infinite(lambda k: math.exp(-k * k), 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            numerics.integrate_semi_infinite_array(lambda k: np.ones((k.size, 2)), 0.0, 1.0, 1.0)
+            numerics.integrate_semi_infinite(lambda k: np.ones((k.size, 2)), 0.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("scales", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0)])
     def test_scales_must_be_positive(self, scales):
-        for integrate in (numerics.integrate_semi_infinite,
-                          numerics.integrate_semi_infinite_array):
-            with pytest.raises(ValueError, match="decay_scale and osc_scale"):
-                integrate(lambda k: np.exp(-k * k) * np.ones(2), 1e-10, *scales)
+        with pytest.raises(ValueError, match="decay_scale and osc_scale"):
+            numerics.integrate_semi_infinite(lambda k: np.exp(-k * k)[:, None], 1e-10, *scales)
 
 
 class TestIntegrateSemiInfiniteArray:
     def test_components_match_scalar_integrator(self):
-        # e^{-a k^2} cos(w k) sin(k r)/r for several (w, r), r = 0 included
+        # e^{-a k^2} cos(w k) sin(k r)/r for several (w, r), r = 0 included,
+        # each component against scipy's quad of the same scalar integrand
         w = np.array([0.0, 3.0, 7.0, 0.5])
         r = np.array([0.0, 2.0, 0.5, 9.0])
         safe = np.where(r > 0.0, r, 1.0)
@@ -145,37 +137,33 @@ class TestIntegrateSemiInfiniteArray:
             return np.exp(-2.0 * k * k) * np.cos(k * w) * np.where(
                 r > 0.0, np.sin(k * safe) / safe, k)
 
-        res = numerics.integrate_semi_infinite_array(f, 1e-12, decay_scale=2.0,
-                                                     osc_scale=17.0)
+        res = numerics.integrate_semi_infinite(f, 1e-12, decay_scale=2.0, osc_scale=17.0)
         assert res.value.shape == (4,)
         assert res.error_estimate <= 1e-11
         for j in range(4):
-            one = numerics.integrate_semi_infinite(lambda k: float(f(np.array([k]))[0, j]),
-                                                   1e-12, decay_scale=2.0, osc_scale=17.0)
-            assert abs(res.value[j] - one.value) <= 1e-12
+            want = scipy_quad(lambda k: float(f(np.array([k]))[0, j]))
+            assert abs(res.value[j] - want.real) <= 1e-12
 
     def test_knots_resolve_a_narrow_feature(self):
-        # a spike of width 1e-4 at k = 0 next to a unit Gaussian: both
-        # integrators find it once knots sit at its scale
-        def f(k):
-            return math.exp(-k * k) + math.exp(-(k * 1e4) ** 2)
-
-        want = math.sqrt(math.pi) / 2.0 * (1.0 + 1e-4)
+        # a spike of width 1e-4 at k = 0 next to a unit Gaussian: the pass
+        # finds it once knots sit at its scale, as scipy's quad does with
+        # the same knots as break points
         knots = [c * 1e-4 for c in (0.01, 0.1, 1.0, 10.0, 100.0)]
-        scalar = numerics.integrate_semi_infinite(f, 1e-12, 1.0, 1.0, knots)
-        vector = numerics.integrate_semi_infinite_array(
+        res = numerics.integrate_semi_infinite(
             lambda k: np.stack([np.exp(-k * k) + np.exp(-(k * 1e4) ** 2), np.exp(-k * k)], 1),
             1e-12, decay_scale=1.0, osc_scale=1.0, knots=knots)
-        assert scalar.value == pytest.approx(want, abs=1e-12)
-        assert vector.value[0] == pytest.approx(want, abs=1e-12)
-        assert vector.value[1] == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
+        want = math.sqrt(math.pi) / 2.0 * (1.0 + 1e-4)
+        reference = scipy_quad(lambda k: math.exp(-k * k) + math.exp(-(k * 1e4) ** 2), knots)
+        assert reference.real == pytest.approx(want, abs=1e-12)
+        assert res.value[0] == pytest.approx(want, abs=1e-12)
+        assert res.value[1] == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
 
     def test_uncertified_component_raises(self):
         # one component decays too slowly for the hinted Gaussian cutoff: its
         # tail bound fails the whole pass
         f = lambda k: np.stack([np.exp(-k * k), 1.0 / (1.0 + k * k)], 1)
         with pytest.raises(ConvergenceError, match="exceeds tolerance"):
-            numerics.integrate_semi_infinite_array(f, 1e-10, decay_scale=1.0,
+            numerics.integrate_semi_infinite(f, 1e-10, decay_scale=1.0,
                                                    osc_scale=1.0)
 
     def test_non_finite_component_raises(self):
@@ -185,14 +173,14 @@ class TestIntegrateSemiInfiniteArray:
                     lambda k: np.where((0.51 < k) & (k < 0.6), math.nan, 0.0)):
             f = lambda k: np.stack([np.exp(-k * k), bad(k)], 1)
             with pytest.raises(ConvergenceError):
-                numerics.integrate_semi_infinite_array(f, 1e-10, decay_scale=1.0,
+                numerics.integrate_semi_infinite(f, 1e-10, decay_scale=1.0,
                                                        osc_scale=100.0)
 
 
 def _quad_vec_reference(f, tol, decay_scale, osc_scale, knots=()):
     """(value, certificate, evaluations) of the reference algorithm,
     ``scipy.integrate.quad_vec`` with ``norm="max"``, given one scalar k per
-    call and ``integrate_semi_infinite_array``'s cutoff, panels, tolerances
+    call and ``integrate_semi_infinite``'s cutoff, panels, tolerances
     and certificate.  Raises ConvergenceError where that certificate fails."""
     from scipy.integrate import quad_vec
 
@@ -234,9 +222,9 @@ def _gallery_thermal_scan(tmp_path, monkeypatch):
 
     def record(*args):
         calls.append(args)
-        return numerics.integrate_semi_infinite_array(*args)
+        return numerics.integrate_semi_infinite(*args)
 
-    monkeypatch.setattr(kernels, "integrate_semi_infinite_array", record)
+    monkeypatch.setattr(kernels, "integrate_semi_infinite", record)
     scenarios.run({"scenario_id": "thermal_curves", "beta": 50.236432,
                    "enable_quadrature_columns": True,
                    "anchor": {"t": 4.504637, "x": -3.558404, "y": 0.0, "z": 0.0},
@@ -248,7 +236,7 @@ def _gallery_thermal_scan(tmp_path, monkeypatch):
 
 
 class TestBatchedGaussKronrod:
-    """The array integrator against quad_vec, the algorithm it runs."""
+    """The integrator against quad_vec, the algorithm it runs."""
 
     CASES = {
         # the integrands of TestIntegrateSemiInfiniteArray and TestIntegrateSemiInfinite
@@ -278,16 +266,16 @@ class TestBatchedGaussKronrod:
             want = _quad_vec_reference(f, *args)
         except ConvergenceError:
             with pytest.raises(ConvergenceError):
-                numerics.integrate_semi_infinite_array(f, *args)
+                numerics.integrate_semi_infinite(f, *args)
             return
-        got = numerics.integrate_semi_infinite_array(f, *args)
+        got = numerics.integrate_semi_infinite(f, *args)
         assert got.evaluations == want[2]
         assert got.error_estimate == pytest.approx(want[1], rel=1e-12)
         np.testing.assert_allclose(got.value, want[0], rtol=1e-14, atol=1e-17)
 
     def test_high_osc_case_takes_several_rounds(self):
         f, sizes = _counted(_oscillating)
-        numerics.integrate_semi_infinite_array(f, 1e-12, 0.5, 60.0)
+        numerics.integrate_semi_infinite(f, 1e-12, 0.5, 60.0)
         # the magnitude probes, the cutoff points, the panels, then the rounds
         assert sizes[:2] == [24, 3]
         assert len(sizes) - 3 >= 3
@@ -295,7 +283,7 @@ class TestBatchedGaussKronrod:
     def test_gallery_thermal_scan_matches_quad_vec(self, tmp_path, monkeypatch):
         f, *args = _gallery_thermal_scan(tmp_path, monkeypatch)
         counted, sizes = _counted(f)
-        got = numerics.integrate_semi_infinite_array(counted, *args)
+        got = numerics.integrate_semi_infinite(counted, *args)
         value, err, neval = _quad_vec_reference(f, *args)
         assert got.evaluations == neval == sum(sizes[2:])
         assert got.error_estimate == pytest.approx(err, rel=1e-12)
@@ -307,11 +295,11 @@ class TestBatchedGaussKronrod:
     def test_chunked_rounds_give_the_same_bits(self, case, monkeypatch):
         f, *args = self.CASES[case]
         whole_f, whole_sizes = _counted(f)
-        whole = numerics.integrate_semi_infinite_array(whole_f, *args)
+        whole = numerics.integrate_semi_infinite(whole_f, *args)
         # one interval per call
         monkeypatch.setattr(numerics, "_CHUNK_VALUES", 1)
         split_f, split_sizes = _counted(f)
-        split = numerics.integrate_semi_infinite_array(split_f, *args)
+        split = numerics.integrate_semi_infinite(split_f, *args)
         assert max(split_sizes[2:]) == 21 < max(whole_sizes[2:])
         assert split.value.tolist() == whole.value.tolist()
         assert split.error_estimate == whole.error_estimate
@@ -330,7 +318,7 @@ class TestBatchedGaussKronrod:
             return out
 
         with pytest.raises(ConvergenceError):
-            numerics.integrate_semi_infinite_array(f, 1e-10, 1.0, 1.0)
+            numerics.integrate_semi_infinite(f, 1e-10, 1.0, 1.0)
         assert len(sizes) == 4
 
     def test_interval_cap_raises(self):
@@ -338,7 +326,7 @@ class TestBatchedGaussKronrod:
         # resolves it, so the rounds stop at the cap with the error near 1
         f = lambda k: np.stack([np.exp(-k * k), np.exp(-k * k) * np.cos(1e4 * k)], 1)
         with pytest.raises(ConvergenceError, match="exceeds tolerance") as exc:
-            numerics.integrate_semi_infinite_array(f, 1e-10, 1.0, 1.0)
+            numerics.integrate_semi_infinite(f, 1e-10, 1.0, 1.0)
         intervals, cap = map(int, re.search(r"\((\d+) intervals, cap (\d+)\)",
                                             str(exc.value)).groups())
         assert intervals >= cap == 200

@@ -26,6 +26,7 @@ from test_kernels import f_mode_integral
 SMALL_S = {"start": 1.0, "stop": 12.0, "step": 1.0}
 SMALL_GRID = {"t": {"start": -10.0, "stop": 10.0, "n": 5},
               "x": {"start": -10.0, "stop": 10.0, "n": 5}}
+LATTICE = {"n_space": 2, "n_time": 2, "spacing_space": 10.0, "spacing_time": 10.0}
 
 
 VAC = FieldState.vacuum()
@@ -136,6 +137,31 @@ class TestValidation:
         ({"scenario_id": "shot_noise_study", "shots_list": [10, 2**63]}, "shots_list"),
         # validated, and both 1000-shot rows drew the same tables
         ({"scenario_id": "shot_noise_study", "shots_list": [1000, 1000, 10000]}, "shots_list"),
+        # each of these validated and was then ignored: a key the scenario
+        # never reads, beta on a vacuum state, an unknown key in a nested object
+        ({"scenario_id": "vacuum_curves", "lattice": dict(LATTICE)}, "lattice"),
+        ({"scenario_id": "coherent_field_grid", "s_over_ell": [1.0, 2.0]}, "s_over_ell"),
+        ({"scenario_id": "coherent_field_grid", "repeats": 2}, "repeats"),
+        ({"scenario_id": "thermal_curves", "shots_list": [1000]}, "shots_list"),
+        ({"scenario_id": "convergence_sweep", "lambda": 1.0}, "lambda"),
+        ({"scenario_id": "shot_noise_study", "beta": 50.0}, "beta"),
+        ({"scenario_id": "tomography_roundtrip", "state": "vacuum", "beta": 50.0}, "beta"),
+        ({"scenario_id": "convergence_sweep", "beta": 50.0}, "beta"),
+        ({"scenario_id": "tomography_roundtrip",
+          "lattice": {**LATTICE, "spacing": 5.0}}, "lattice"),
+        ({"scenario_id": "shot_noise_study",
+          "lattice": {**LATTICE, "origin": {"t": 0.0, "w": 1.0}}}, "lattice"),
+        ({"scenario_id": "coherent_curves",
+          "anchor": {"t": 6.0, "x": -6.0, "w": 0.0}}, "anchor"),
+        ({"scenario_id": "vacuum_curves",
+          "s_over_ell": {"start": 0.5, "stop": 2.0, "step": 0.5, "count": 4}}, "s_over_ell"),
+        ({"scenario_id": "coherent_field_grid",
+          "grid": {**SMALL_GRID, "t": {"start": -1.0, "stop": 1.0, "n": 3, "step": 1.0}}},
+         "grid"),
+        ({"scenario_id": "coherent_field_grid",
+          "grid": {**SMALL_GRID, "y": {"start": -1.0, "stop": 1.0, "n": 3}}}, "grid"),
+        ({"scenario_id": "convergence_sweep",
+          "base_config": {"dt": 0.0, "dr": 1.0, "dx": 2.0}}, "base_config"),
     ])
     def test_malformed_values(self, raw, field, tmp_path, capsys):
         # each is a ConfigError naming the field, and the CLI exits 2
@@ -146,6 +172,18 @@ class TestValidation:
         path.write_text(json.dumps(raw))
         assert cli.main(["validate", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_keys_a_scenario_reads(self):
+        # every curve scan takes an anchor, and every scenario with a state
+        # takes beta for the thermal state
+        anchor = {"t": 1.0, "x": -2.0, "y": 0.0, "z": 0.5}
+        for sid in ("vacuum_curves", "thermal_curves", "coherent_curves", "oneparticle_curves"):
+            assert validate_config({"scenario_id": sid, "anchor": anchor}).anchor == Event(
+                1.0, -2.0, 0.0, 0.5)
+        for sid in ("tomography_roundtrip", "convergence_sweep", "shot_noise_study"):
+            cfg = validate_config({"scenario_id": sid, "state": "thermal", "beta": 50.0})
+            assert (cfg.state_tag, cfg.beta) == ("thermal", 50.0)
+        assert validate_config({"scenario_id": "shot_noise_study"}).state_tag == "vacuum"
 
     def test_empty_s_list_named(self):
         # used to be reported as "values must be strictly positive"
