@@ -33,12 +33,29 @@ the scenarios' defaults the two grids' value columns and the 520-row
 one-particle scan take the array pass; the 158-row scans, the grids'
 coordinates, the 16-region roundtrip's 120 pairs and the small tables
 (shot-noise study, convergence sweep, summary) do not.
+
+A file is opened without ``O_TRUNC`` (created with mode ``0o666`` less the
+umask if it does not exist; an existing one keeps its mode, and a symlink
+is written through), written over its old bytes, and then cut at the
+written length in a ``finally``, so a table that raises mid-write leaves
+the header and the blocks before the error and none of the old bytes.  A
+new file, and one that is not a regular file (``/dev/null``, a pipe), is
+not cut.  Truncating on open is what an existing file costs: over a 95 B,
+141 kB and 473 kB file, ``open(path, "w")`` took 0.074, 0.15 and 0.33 ms
+and its close 0.028-0.058 ms, against 0.013-0.027 ms for the open and
+0.012-0.014 ms for the cut and close without ``O_TRUNC`` (ext4, 2 cores,
+Python 3.11).  A hard kill mid-write (SIGKILL, a power loss) skips the
+``finally`` and can leave the new bytes followed by the old file's tail,
+where a truncating open left a short file: a table is complete only once
+``write_columns`` has returned, and the package never calls ``fsync``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -57,6 +74,10 @@ BLOCK_ROWS = 1024
 # 2.4); short decimals such as grid coordinates (~0.27 us each by "%.17g")
 # gain nothing at any size
 _ARRAY_MIN_FLOATS = 160
+
+# no O_TRUNC (see the module docstring); O_BINARY, on Windows only, keeps the
+# LF line endings
+_OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 # csv.writer quotes a field only if it holds one of these (which of them
 # depends on the Python version, so such fields go through csv.writer)
@@ -310,13 +331,21 @@ def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) ->
     seps = [","] * (len(columns) - 1) + ["\n"]
     cells = [(*_texts(values, sep, labels), blank, sep)
              for (values, blank, labels), sep in zip(columns, seps)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(map(_quoted, header)) + "\n")
-        for start in range(0, n_rows, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n_rows)
-            block = np.empty((stop - start, len(columns)), dtype=object)
-            for c, (texts, inverse, blank, sep) in enumerate(cells):
-                block[:, c] = texts[inverse[start:stop]]
-                if blank is not None:
-                    block[blank[start:stop], c] = sep
-            fh.write("".join(block.ravel().tolist()))
+    with open(os.open(path, _OPEN_FLAGS, 0o666), "w", encoding="utf-8", newline="\n") as fh:
+        old = os.fstat(fh.fileno())
+        cut = stat.S_ISREG(old.st_mode) and old.st_size > 0
+        try:
+            fh.write(",".join(map(_quoted, header)) + "\n")
+            for start in range(0, n_rows, BLOCK_ROWS):
+                stop = min(start + BLOCK_ROWS, n_rows)
+                block = np.empty((stop - start, len(columns)), dtype=object)
+                for c, (texts, inverse, blank, sep) in enumerate(cells):
+                    block[:, c] = texts[inverse[start:stop]]
+                    if blank is not None:
+                        block[blank[start:stop], c] = sep
+                fh.write("".join(block.ravel().tolist()))
+        finally:
+            # an old file's bytes past the written ones go, also when a block
+            # raises; a new file, a device or a pipe has nothing to cut
+            if cut:
+                fh.truncate()

@@ -5,6 +5,8 @@ import decimal
 import io
 import json
 import math
+import os
+import stat
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,8 @@ SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
                   math.inf, -math.inf, math.nan, 0.1, 1 / 3, -2.5e-17, 12.0]
 TEXTS = ["", "plain", "a,b", 'say "hi"', "two\nlines", "cr\rreturn", '",\n"',
          " padded ", "tab\there", "é ünïcode"]
+# an existing file's bytes, longer than the small tables written over them
+OLD_BYTES = b"s,v\nold,table,with,more,cells,than,the,new,one\n"
 # NaNs with payload and sign bits, quiet and signalling
 NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
             0xFFF0000000000001, 0x7FF8DEADBEEF0001, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF]
@@ -71,10 +75,16 @@ def test_special_floats_ints_and_text(tmp_path):
     [1.0, 2.0], (1, 2), np.array([1, None], dtype=object), np.array(["a", 2], dtype=object),
     np.array([2**70, 1], dtype=object), np.array([1 + 2j, 0j])])
 def test_untyped_columns_rejected(tmp_path, column):
-    # a column is a float, int, bool or text array; anything else is refused
+    # a column is a float, int, bool or text array; anything else is refused,
+    # before a new file is made or an existing one is touched
+    path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match="float, int, bool or text arrays"):
-        tables.write_columns(tmp_path / "bad.csv", ["s", "v"], [np.zeros(2), column])
-    assert not (tmp_path / "bad.csv").exists()
+        tables.write_columns(path, ["s", "v"], [np.zeros(2), column])
+    assert not path.exists()
+    path.write_bytes(OLD_BYTES)
+    with pytest.raises(ValueError, match="float, int, bool or text arrays"):
+        tables.write_columns(path, ["s", "v"], [np.zeros(2), column])
+    assert path.read_bytes() == OLD_BYTES
 
 
 def test_each_text_alone(tmp_path):
@@ -193,13 +203,87 @@ def test_labelled_columns(tmp_path):
 
 
 def test_mismatched_columns_rejected(tmp_path):
-    with pytest.raises(ValueError, match="equal lengths"):
-        tables.write_columns(tmp_path / "bad.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
-    with pytest.raises(ValueError, match="header"):
-        tables.write_columns(tmp_path / "bad.csv", ["a", "b"], [np.zeros(2)])
-    with pytest.raises(ValueError, match="blank mask"):
-        tables.write_columns(tmp_path / "bad.csv", ["a", "b"],
-                             [np.zeros(2), tables.Blanked(np.zeros(2), [True])])
+    # refused before a new file is made or an existing one is touched
+    missing, existing = tmp_path / "bad.csv", tmp_path / "old.csv"
+    existing.write_bytes(OLD_BYTES)
+    for path in (missing, existing):
+        with pytest.raises(ValueError, match="equal lengths"):
+            tables.write_columns(path, ["a", "b"], [np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValueError, match="header"):
+            tables.write_columns(path, ["a", "b"], [np.zeros(2)])
+        with pytest.raises(ValueError, match="blank mask"):
+            tables.write_columns(path, ["a", "b"],
+                                 [np.zeros(2), tables.Blanked(np.zeros(2), [True])])
+    assert not missing.exists()
+    assert existing.read_bytes() == OLD_BYTES
+
+
+def _table(n):
+    """A header and ``n`` rows of float, int and text columns."""
+    k = np.arange(n)
+    return ["s", "value", "k", "label"], [k * 0.25, np.sin(k), k % 7,
+                                          np.where(k % 2 == 0, "even", "odd,quoted")]
+
+
+@pytest.mark.parametrize("old_rows", [3 * tables.BLOCK_ROWS, 4, tables.BLOCK_ROWS + 3],
+                         ids=["longer", "shorter", "identical"])
+def test_rewrite_over_existing_file(tmp_path, old_rows):
+    # a file is written over the old bytes and cut at its own length
+    path = tmp_path / "table.csv"
+    tables.write_columns(path, *_table(old_rows))
+    old_size = path.stat().st_size
+    check(path, *_table(tables.BLOCK_ROWS + 3))
+    assert (path.stat().st_size > old_size) == (old_rows < tables.BLOCK_ROWS + 3)
+
+
+def test_error_in_second_block_cuts_the_old_file(tmp_path, monkeypatch):
+    # a block that raises over a longer existing file leaves the header and
+    # the blocks written before it, and none of the old file's bytes
+    path = tmp_path / "table.csv"
+    tables.write_columns(path, *_table(3 * tables.BLOCK_ROWS))
+    k = np.arange(tables.BLOCK_ROWS + 5)
+    v = k + 0.5
+    float_texts = tables._float_texts
+
+    def unjoinable_last(values, sep):
+        texts = float_texts(values, sep)
+        texts[-1] = None   # the largest value, the last row's, in the second block
+        return texts
+
+    monkeypatch.setattr(tables, "_float_texts", unjoinable_last)
+    with pytest.raises(TypeError):
+        tables.write_columns(path, ["k", "v"], [k, v])
+    rows = list(zip(k.tolist(), v.tolist()))[:tables.BLOCK_ROWS]
+    assert path.read_bytes() == csv_writer_bytes(["k", "v"], rows)
+
+
+def test_symlinked_output_is_written_through(tmp_path):
+    # the link stays a link and its target holds the table; a link to the
+    # null device is written and, having no length, not cut
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(OLD_BYTES * 1000)
+    link.symlink_to(target)
+    check(link, *_table(tables.BLOCK_ROWS + 3))
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == link.read_bytes()
+    null = tmp_path / "null.csv"
+    null.symlink_to(os.devnull)
+    tables.write_columns(null, *_table(5))
+    assert null.is_symlink() and null.read_bytes() == b""
+
+
+def test_existing_file_keeps_its_mode(tmp_path):
+    # an existing file keeps its permission bits; a new one gets those of
+    # open(path, "w")
+    path = tmp_path / "table.csv"
+    path.write_bytes(OLD_BYTES * 1000)
+    path.chmod(0o640)
+    check(path, *_table(5))
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    (tmp_path / "reference").write_bytes(b"")
+    check(tmp_path / "new.csv", *_table(5))
+    assert (stat.S_IMODE((tmp_path / "new.csv").stat().st_mode)
+            == stat.S_IMODE((tmp_path / "reference").stat().st_mode))
 
 
 # each 10^k as the float nearest to it
