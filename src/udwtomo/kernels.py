@@ -18,12 +18,13 @@ state and separation also has a closed form (Faddeeva / Dawson, summed over
 imaginary-time images for the KMS state), which is used everywhere else.
 Every quadrature here goes through ``numerics.integrate_semi_infinite``,
 whose integrand takes an array of k and returns every component's value at
-each k, so each refinement round is one call: the oracle
-``wightman_smeared_quadrature`` integrates its one pair's complex W, and
-``_smeared_quadrature_real`` the Re W of a whole array of pairs, for the
-scans' quadrature column.  ``_region_amplitudes_quadrature`` integrates a
-sourced state's region amplitudes, and ``_coth`` holds the occupation's
-small-argument series and saturation once.
+each k, so each refinement round is one call.  ``_smeared_quadrature`` is
+the one pair integrand: one pass gives the Re W of a whole array of pairs
+(the scans' quadrature column) or their complex W, and the oracle
+``wightman_smeared_quadrature`` is the complex pass over its one pair.
+``_region_amplitudes_quadrature`` integrates a sourced state's region
+amplitudes, and ``_coth`` holds the occupation's small-argument series and
+saturation once.
 
 Sign conventions: W = H/2 + i E/2, so the smeared commutator function
 satisfies E = 2 Im W, and the retarded propagator between regions is read off
@@ -369,50 +370,11 @@ def _check_equal_widths(ri: GaussianRegion, rj: GaussianRegion) -> float:
     return ri.ell
 
 
-def _pair_geometry(ri: GaussianRegion, rj: GaussianRegion) -> tuple[float, float]:
-    itv = intervals(ri.center.coords(), rj.center.coords())
-    return float(itv.dt), float(itv.dr)
-
-
 def _radial_factors(dr: np.ndarray):
     # k -> sin(k dr)/dr for every dr of an array, continued through dr = 0
     zero = dr < 1e-300
     safe = np.where(zero, 1.0, dr)
     return lambda k: np.where(zero, k, np.sin(k * safe) / safe)
-
-
-# the KMS integrand turns over at k ~ 1/beta, far below the cutoff when
-# beta >> ell; panel edges at these multiples of 1/beta resolve it
-_KMS_KNOTS = (0.01, 0.1, 1.0, 10.0, 100.0)
-
-
-def wightman_smeared_quadrature(state: FieldState, ri: GaussianRegion,
-                                rj: GaussianRegion, tol: float) -> complex:
-    """Full complex smeared two-point value via the radial momentum integral.
-
-    This is the independent oracle for every closed form in this module: the
-    vacuum or KMS integral in one ``integrate_semi_infinite`` pass over the
-    pair, and for a sourced state one more over its two region amplitudes.
-    """
-    ell = _check_equal_widths(ri, rj)
-    dt, dr = _pair_geometry(ri, rj)
-    a, beta = 2.0 * ell * ell, state.beta
-    radial = _radial_factors(np.array([dr]))
-
-    def f(k: np.ndarray) -> np.ndarray:
-        # the integrator samples k > 0 only, where coth is finite
-        occupation = 1.0 if beta is None else _coth(0.5 * beta * k)
-        w = (np.exp(-a * k * k) * (occupation * np.cos(k * dt) - 1j * np.sin(k * dt))
-             / (4.0 * math.pi**2))
-        return w[:, None] * radial(k[:, None])
-
-    knots = [c / beta for c in _KMS_KNOTS] if beta is not None else ()
-    w = complex(integrate_semi_infinite(f, tol, a, dr + abs(dt) + 1.0, knots).value[0])
-    if state.tag in ("vacuum", "thermal"):
-        return w
-    centers = np.array([ri.center.coords(), rj.center.coords()])
-    amp_i, amp_j = _region_amplitudes_quadrature(state, ell, *_time_radius(centers), tol)
-    return w + complex(_source_term(state, amp_i, amp_j))
 
 
 def _region_amplitudes_quadrature(state: FieldState, ell: float, t: np.ndarray,
@@ -439,24 +401,31 @@ def _region_amplitudes_quadrature(state: FieldState, ell: float, t: np.ndarray,
     return integrate_semi_infinite(f, tol, decay_scale=a, osc_scale=osc).value
 
 
-def _smeared_quadrature_real(state: FieldState, ell: float, a: np.ndarray,
-                             b: np.ndarray, tol: float) -> np.ndarray:
-    """Re W between the width-ell regions centred at coordinate arrays a, b
-    of shape (n, 4): ``wightman_smeared_quadrature(...).real`` of every pair
-    from one adaptive pass over the radial momentum integral, Im W left out.
-    A sourced state adds its region amplitudes, one more pass over the
-    distinct regions.  Raises ConvergenceError when a certificate exceeds
-    10 tol."""
+# the KMS integrand turns over at k ~ 1/beta, far below the cutoff when
+# beta >> ell; panel edges at these multiples of 1/beta resolve it
+_KMS_KNOTS = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+def _smeared_quadrature(state: FieldState, ell: float, a: np.ndarray, b: np.ndarray,
+                        tol: float, imag: bool = False) -> np.ndarray:
+    """W between the width-ell regions centred at coordinate arrays a, b of
+    shape (n, 4), every pair from one adaptive pass over the radial momentum
+    integral: Re W, or with ``imag`` the complex W.  The one pair integrand
+    of the package, behind the scans' quadrature column (Re) and the oracle
+    ``wightman_smeared_quadrature`` (one pair, complex).  A sourced state
+    adds its region amplitudes, one more pass over the distinct regions.
+    Raises ConvergenceError when a certificate exceeds 10 tol."""
     itv = intervals(a, b)
     dt, dr = itv.dt, itv.dr
+    dtype = complex if imag else float
     if dt.size == 0:
-        return np.zeros(0)
+        return np.zeros(0, dtype)
     a2, beta = 2.0 * ell * ell, state.beta
-    # cos(k dt) is 1 where dt = 0, and sin(k dr)/dr is k where dr = 0 (an
-    # anchored scan point has one or the other).  The pairs run in the order
-    # dt = dr = 0, then dr = 0, then both nonzero, then dt = 0, so each
-    # factor is taken on one slice, where it is not trivial; every pair's
-    # integral is independent of the order of the others, bit for bit
+    # cos(k dt) is 1 and sin(k dt) 0 where dt = 0, and sin(k dr)/dr is k
+    # where dr = 0 (an anchored scan point has one or the other).  The pairs
+    # run in the order dt = dr = 0, then dr = 0, then both nonzero, then
+    # dt = 0, so each factor is taken on one slice, where it is not trivial;
+    # each pair's integral is independent of the others' order, bit for bit
     timed, on_axis = dt != 0.0, dr < 1e-300
     order = np.argsort(np.array([0, 1, 3, 2])[timed + 2 * ~on_axis], kind="stable")
     dt, dr = dt[order], dr[order]
@@ -465,26 +434,40 @@ def _smeared_quadrature_real(state: FieldState, ell: float, a: np.ndarray,
     dt_timed, dr_moved = dt[timed_part], dr[first_moved:]
 
     def f(k: np.ndarray) -> np.ndarray:
-        # the integrator samples k > 0 only, where coth is finite
-        w = np.exp(-a2 * k * k) / (4.0 * math.pi**2)
-        if beta is not None:
-            w = w * _coth(0.5 * beta * k)
+        # w cos(k dt) - i w0 sin(k dt), times radial(k): the occupation weighs
+        # the cosine only (the integrator samples k > 0, where coth is finite)
+        w0 = np.exp(-a2 * k * k) / (4.0 * math.pi**2)
+        w = w0 if beta is None else w0 * _coth(0.5 * beta * k)
         k = k[:, None]
-        out = np.repeat(w[:, None], len(dt), axis=1)  # w cos(k dt) radial(k)
+        out = np.repeat(w[:, None], len(dt), axis=1).astype(dtype, copy=False)
         out[:, timed_part] *= np.cos(k * dt_timed)
+        if imag:
+            out.imag[:, timed_part] = -w0[:, None] * np.sin(k * dt_timed)
         out[:, :first_moved] *= k
         out[:, first_moved:] *= np.sin(k * dr_moved) / dr_moved
         return out
 
     knots = [c / beta for c in _KMS_KNOTS] if beta is not None else ()
     osc = float(np.max(dr + np.abs(dt))) + 1.0
-    re = np.empty(len(dt))
-    re[order] = integrate_semi_infinite(f, tol, a2, osc, knots).value
+    w = np.empty(len(dt), dtype)
+    w[order] = integrate_semi_infinite(f, tol, a2, osc, knots).value
     if state.tag in ("vacuum", "thermal"):
-        return re
+        return w
     centers, index = np.unique(np.concatenate([a, b]), axis=0, return_inverse=True)
     amp = _region_amplitudes_quadrature(state, ell, *_time_radius(centers), tol)
-    return re + _source_term(state, amp[index[:len(dt)]], amp[index[len(dt):]])
+    return w + _source_term(state, amp[index[:len(dt)]], amp[index[len(dt):]])
+
+
+def wightman_smeared_quadrature(state: FieldState, ri: GaussianRegion,
+                                rj: GaussianRegion, tol: float) -> complex:
+    """Full complex smeared two-point value via the radial momentum integral.
+
+    This is the independent oracle for every closed form in this module:
+    ``_smeared_quadrature``'s pass over the one pair, Im W included.
+    """
+    ell = _check_equal_widths(ri, rj)
+    return complex(_smeared_quadrature(state, ell, ri.center.coords()[None],
+                                       rj.center.coords()[None], tol, imag=True)[0])
 
 
 # Smearing over width-ell Gaussians is a heat flow exp(a d^2/dt^2), a = 2 ell^2,
@@ -590,12 +573,12 @@ def wightman_smeared_closed(state: FieldState, ri: GaussianRegion,
     any separation: the vacuum or KMS Re W, plus the sourced states' term
     from their ``_region_amplitudes``, and Im W = E/2."""
     ell = _check_equal_widths(ri, rj)
-    dt, dr = _pair_geometry(ri, rj)
-    re = float(_smeared_real(state.beta, ell, dt, dr))
+    itv = intervals(ri.center.coords(), rj.center.coords())
+    re = float(_smeared_real(state.beta, ell, itv.dt, itv.dr))
     if state.tag in ("coherent", "one_particle"):
         amp = _region_amplitudes(state, ell, np.array([ri.center.coords(), rj.center.coords()]))
         re += _source_term(state, amp[0], amp[1])
-    return complex(re, float(_commutator(dt, dr, ell)) / 2.0)
+    return complex(re, float(_commutator(itv.dt, itv.dr, ell)) / 2.0)
 
 
 def _commutator(dt, dr, ell: float) -> np.ndarray:

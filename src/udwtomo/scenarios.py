@@ -17,9 +17,10 @@ the vacuum pointlike kernel, the state's multipole estimate
 (``multipole.estimate_array``, whose pointlike term is the state's kernel)
 and, for the vacuum, the closed smeared kernel.  Lightlike points are masked
 out first and keep their error text in the ``errors`` column.  The optional
-quadrature column integrates the oracle's radial momentum integrals for
-every point in one adaptive pass (``kernels._smeared_quadrature_real``),
-whose integrand is evaluated once per refinement round over every node and
+quadrature column is the Re W of the oracle's own pair integrand
+(``kernels._smeared_quadrature``, whose complex pass over one pair is
+``wightman_smeared_quadrature``), every point in one adaptive pass whose
+integrand is evaluated once per refinement round over every node and
 point, without scipy; if that pass cannot certify the tolerance, ``run``
 raises its ``ConvergenceError``.
 
@@ -43,7 +44,7 @@ from . import multipole, tables, tomography
 from .config import SCENARIO_IDS, ScenarioConfig, list_scenarios, validate_config
 from .detector import CorrelatorTable, correlator_table, sample_table, stack_size
 from .errors import ConfigError, UdwTomoError
-from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature_real,
+from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature,
                       _smeared_real, _source_term, assemble_kernels, hadamard_array,
                       phi0_coherent_array, F_oneparticle_array)
 from .numerics import fit_loglog_slope
@@ -133,7 +134,7 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
     if cfg.enable_quadrature_columns:
         header.append(quadrature_col)
         # the oracle's integrals for every pair in one certified pass
-        cells.append(_smeared_quadrature_real(state, cfg.ell, a, b, cfg.tol))
+        cells.append(_smeared_quadrature(state, cfg.ell, a, b, cfg.tol))
     header.append("errors")
     path = out / f"{cfg.scenario_id}.csv"
     _write_scan(path, header, s, ok, cells, failures)

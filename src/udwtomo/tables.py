@@ -37,17 +37,19 @@ coordinates, the 16-region roundtrip's 120 pairs and the small tables
 A file is opened without ``O_TRUNC`` (created with mode ``0o666`` less the
 umask if it does not exist; an existing one keeps its mode, and a symlink
 is written through), written over its old bytes, and then cut at the
-written length in a ``finally``, so a table that raises mid-write leaves
-the header and the blocks before the error and none of the old bytes.  A
-new file, and one that is not a regular file (``/dev/null``, a pipe), is
-not cut.  Truncating on open is what an existing file costs: over a 95 B,
-141 kB and 473 kB file, ``open(path, "w")`` took 0.074, 0.15 and 0.33 ms
-and its close 0.028-0.058 ms, against 0.013-0.027 ms for the open and
-0.012-0.014 ms for the cut and close without ``O_TRUNC`` (ext4, 2 cores,
-Python 3.11).  A hard kill mid-write (SIGKILL, a power loss) skips the
-``finally`` and can leave the new bytes followed by the old file's tail,
-where a truncating open left a short file: a table is complete only once
-``write_columns`` has returned, and the package never calls ``fsync``.
+written length.  A new file, and one that is not a regular file
+(``/dev/null``, a pipe), is not cut.  A table that raises mid-write (a
+block that fails, an interrupt) leaves a regular file, new or old, empty,
+so no header and leading blocks parse as a complete table; the exception
+propagates unchanged, and a device or a pipe is left alone.  Truncating
+on open is what an existing file costs: over a 95 B, 141 kB and 473 kB
+file, ``open(path, "w")`` took 0.074, 0.15 and 0.33 ms and its close
+0.028-0.058 ms, against 0.013-0.027 ms for the open and 0.012-0.014 ms for
+the cut and close without ``O_TRUNC`` (ext4, 2 cores, Python 3.11).  A hard
+kill mid-write (SIGKILL, a power loss) runs no handler and can leave the
+new bytes followed by the old file's tail, where a truncating open left a
+short file: a table is complete only once ``write_columns`` has returned,
+and the package never calls ``fsync``.
 """
 
 from __future__ import annotations
@@ -333,7 +335,7 @@ def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) ->
              for (values, blank, labels), sep in zip(columns, seps)]
     with open(os.open(path, _OPEN_FLAGS, 0o666), "w", encoding="utf-8", newline="\n") as fh:
         old = os.fstat(fh.fileno())
-        cut = stat.S_ISREG(old.st_mode) and old.st_size > 0
+        regular = stat.S_ISREG(old.st_mode)
         try:
             fh.write(",".join(map(_quoted, header)) + "\n")
             for start in range(0, n_rows, BLOCK_ROWS):
@@ -344,8 +346,13 @@ def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) ->
                     if blank is not None:
                         block[blank[start:stop], c] = sep
                 fh.write("".join(block.ravel().tolist()))
-        finally:
-            # an old file's bytes past the written ones go, also when a block
-            # raises; a new file, a device or a pipe has nothing to cut
-            if cut:
+            # an old file's bytes past the written ones go; a new file, a
+            # device or a pipe has nothing to cut
+            if regular and old.st_size > 0:
                 fh.truncate()
+        except BaseException:
+            # a table cut short must not parse as complete: a regular file is
+            # left empty (truncate flushes pending texts before the cut)
+            if regular:
+                fh.truncate(0)
+            raise

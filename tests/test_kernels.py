@@ -456,7 +456,7 @@ class TestSmearedOracle:
         c = anchor.center
         others = [GaussianRegion(Event(c.t + dt, c.x + 0.6 * dr, c.y + 0.8 * dr, 0.0), 1.0)
                   for dt, dr in [(0.0, 0.0)] + ORACLE_GEOMETRIES]
-        one_pass = kernels._smeared_quadrature_real(
+        one_pass = kernels._smeared_quadrature(
             state, 1.0, np.array([ri.center.coords() for ri in others]),
             np.tile(c.coords(), (len(others), 1)), 1e-12)
         for ri, re_array, (dt, dr) in zip(others, one_pass, [(0.0, 0.0)] + ORACLE_GEOMETRIES):
@@ -580,7 +580,7 @@ class TestSmearedOracle:
                         / (4 * mp.pi**2))
             want.append(float(mp.quad(f, [0] + splits)))
         state = FieldState.thermal(beta)
-        one_pass = kernels._smeared_quadrature_real(
+        one_pass = kernels._smeared_quadrature(
             state, 1.0, np.array([[dt, dr, 0.0, 0.0] for dt, dr in geometries]),
             np.zeros((len(geometries), 4)), 1e-12)
         for (dt, dr), w, re_array in zip(geometries, want, one_pass):
@@ -636,15 +636,21 @@ class TestSmearedOracle:
         prod = np.prod(region_amplitudes(coh, ri, rj))
         assert (wc - wv).real == pytest.approx(prod, abs=1e-10)
 
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            wightman_smeared_quadrature(FieldState.vacuum(), region(0, 5, ell=1.0),
-                                        region(0, 0, ell=2.0), 1e-10)
+    @pytest.mark.parametrize("entry", [
+        lambda ri, rj: wightman_smeared_quadrature(FieldState.vacuum(), ri, rj, 1e-10),
+        lambda ri, rj: wightman_smeared_closed(FieldState.vacuum(), ri, rj),
+        lambda ri, rj: assemble_kernels(FieldState.vacuum(), [rj, ri], 1.0)],
+        ids=["wightman_smeared_quadrature", "wightman_smeared_closed", "assemble_kernels"])
+    def test_width_mismatch_rejected(self, entry):
+        with pytest.raises(ValueError, match="same width"):
+            entry(region(0, 5, ell=1.0), region(0, 0, ell=2.0))
 
 
 class TestSmearedQuadratureArray:
-    """The one-pass array quadrature behind the scans' quadrature column,
-    pinned cell by cell to the one-pair oracle's real part at tol 1e-12."""
+    """The one-pass pair quadrature behind the scans' quadrature column and
+    the oracle: the Re pass of a whole scan against the complex pass of one
+    pair at tol 1e-12, and the complex pass of many pairs against scipy's
+    quad of the raw integrand."""
 
     @pytest.mark.parametrize("state, anchor", [
         (FieldState.thermal(0.3), (1.3, -2.2)), (FieldState.thermal(5.0), (1.3, -2.2)),
@@ -661,7 +667,7 @@ class TestSmearedQuadratureArray:
         itv = intervals(np.array([b.coords() for b in others]), a.coords())
         assert np.any((itv.dr == 0.0) & (itv.dt != 0.0))
         assert np.min(np.abs(itv.sigma[itv.sigma != 0.0])) == pytest.approx(1e-3, rel=1e-9)
-        one_pass = kernels._smeared_quadrature_real(
+        one_pass = kernels._smeared_quadrature(
             state, 1.0, np.tile(a.coords(), (len(others), 1)),
             np.array([b.coords() for b in others]), 1e-12)
         for b, re_array in zip(others, one_pass):
@@ -669,13 +675,28 @@ class TestSmearedQuadratureArray:
                                              GaussianRegion(b, 1.0), 1e-12)
             assert abs(re_array - wq.real) <= 1e-12, b
 
+    @pytest.mark.parametrize("beta", [None, 0.3, 50.0, 1e4],
+                             ids=["vacuum", "beta0.3", "beta50", "beta1e4"])
+    def test_complex_pass_matches_scipy_quad(self, beta):
+        # coincident, dr = 0, dt = 0 and general pairs, dt of both signs, in
+        # one pass; both parts against scipy's quad of the raw integrand
+        state = FieldState.vacuum() if beta is None else FieldState.thermal(beta)
+        steps = [(0.0, 0.0), (4.0, 0.0), (-4.0, 0.0), (0.0, 3.0), (0.0, 1e-6), (3.0, 5.0),
+                 (-3.0, 5.0), (10.0, 10.0), (-60.0, 100.0)]
+        a = np.array([[dt, dr, 0.0, 0.0] for dt, dr in steps])
+        got = kernels._smeared_quadrature(state, 1.0, a, np.zeros_like(a), 1e-12, imag=True)
+        for (dt, dr), w in zip(steps, got):
+            want = raw_wightman(beta, dt, dr)
+            assert abs(w.real - want.real) <= 2e-12, (dt, dr)
+            assert abs(w.imag - want.imag) <= 2e-12, (dt, dr)
 
     @pytest.mark.parametrize("beta", [None, 0.3, 50.0])
     def test_trivial_factors_skipped_bit_for_bit(self, beta):
         # coincident, temporal, spatial and general pairs in mixed order: the
-        # pass takes cos(k dt) only where dt != 0 and sin(k dr)/dr only where
-        # dr != 0, and gives the bits of the integrand that takes both
-        # everywhere
+        # pass takes cos(k dt) and sin(k dt) only where dt != 0 and
+        # sin(k dr)/dr only where dr != 0, and gives the bits of the
+        # integrand that takes them everywhere; Re W to the byte, the complex
+        # W up to the sign of a zero imaginary part
         from udwtomo.numerics import integrate_semi_infinite
 
         state = FieldState.vacuum() if beta is None else FieldState.thermal(beta)
@@ -685,19 +706,45 @@ class TestSmearedQuadratureArray:
         b = a + np.array([[dt, dx, 0.0, 0.0] for dt, dx in steps])
         itv = intervals(a, b)
         radial = kernels._radial_factors(itv.dr)
-
-        def f(k):
-            w = np.exp(-2.0 * k * k) / (4.0 * math.pi**2)
-            if beta is not None:
-                w = w * kernels._coth(0.5 * beta * k)
-            k = k[:, None]
-            return w[:, None] * np.cos(k * itv.dt) * radial(k)
-
         knots = [c / beta for c in kernels._KMS_KNOTS] if beta is not None else ()
-        want = integrate_semi_infinite(
-            f, 1e-10, 2.0, float(np.max(itv.dr + np.abs(itv.dt))) + 1.0, knots).value
-        got = kernels._smeared_quadrature_real(state, 1.0, a, b, 1e-10)
-        assert got.tobytes() == want.tobytes()
+        osc = float(np.max(itv.dr + np.abs(itv.dt))) + 1.0
+
+        for imag in (False, True):
+            def f(k):
+                w0 = np.exp(-2.0 * k * k) / (4.0 * math.pi**2)
+                w = w0 if beta is None else w0 * kernels._coth(0.5 * beta * k)
+                k = k[:, None]
+                out = w[:, None] * np.cos(k * itv.dt)
+                if imag:
+                    out = out - 1j * (w0[:, None] * np.sin(k * itv.dt))
+                return out * radial(k)
+
+            want = integrate_semi_infinite(f, 1e-10, 2.0, osc, knots).value
+            got = kernels._smeared_quadrature(state, 1.0, a, b, 1e-10, imag=imag)
+            if imag:
+                assert got.dtype == complex and np.array_equal(got, want)
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("state", [FieldState.coherent(1.5), FieldState.one_particle(2.0)],
+                             ids=["coherent", "one_particle"])
+    def test_sourced_scan_takes_two_integrator_calls(self, state, monkeypatch):
+        # 40 pairs over 41 distinct regions: one pass over the pairs' vacuum
+        # integrals, one over the regions' amplitudes
+        seen = []
+
+        def counted(f, tol, decay_scale, osc_scale, knots=()):
+            seen.append(decay_scale)
+            return integrate(f, tol, decay_scale, osc_scale, knots)
+
+        integrate = kernels.integrate_semi_infinite
+        monkeypatch.setattr(kernels, "integrate_semi_infinite", counted)
+        s = np.linspace(-12.0, 12.0, 40)
+        a = np.tile([1.3, -2.2, 0.0, 0.0], (len(s), 1))
+        b = a + np.stack([0.3 * s, s, 0.5 * s, np.zeros_like(s)], axis=1)
+        out = kernels._smeared_quadrature(state, 1.0, a, b, 1e-10)
+        assert out.shape == (40,) and np.all(np.isfinite(out))
+        assert len(seen) == 2 and seen[0] == 2.0
 
 
 class TestCommutatorAndRetarded:

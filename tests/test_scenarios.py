@@ -425,7 +425,7 @@ class TestScenarioOutputs:
         def uncertified(state, ell, a, b, tol):
             raise ConvergenceError("accumulated quadrature error exceeds tolerance")
 
-        monkeypatch.setattr(scenarios, "_smeared_quadrature_real", uncertified)
+        monkeypatch.setattr(scenarios, "_smeared_quadrature", uncertified)
         raw = {"scenario_id": "thermal_curves", "beta": 50.0, "s_over_ell": [3.0, 5.0, 8.0],
                "enable_quadrature_columns": True, "output_dir": str(tmp_path / "quadrature")}
         with pytest.raises(ConvergenceError, match="accumulated quadrature error"):

@@ -236,13 +236,9 @@ def test_rewrite_over_existing_file(tmp_path, old_rows):
     assert (path.stat().st_size > old_size) == (old_rows < tables.BLOCK_ROWS + 3)
 
 
-def test_error_in_second_block_cuts_the_old_file(tmp_path, monkeypatch):
-    # a block that raises over a longer existing file leaves the header and
-    # the blocks written before it, and none of the old file's bytes
-    path = tmp_path / "table.csv"
-    tables.write_columns(path, *_table(3 * tables.BLOCK_ROWS))
+def _raise_in_second_block(monkeypatch, path):
+    # a write of BLOCK_ROWS + 5 rows whose second block raises TypeError
     k = np.arange(tables.BLOCK_ROWS + 5)
-    v = k + 0.5
     float_texts = tables._float_texts
 
     def unjoinable_last(values, sep):
@@ -252,9 +248,23 @@ def test_error_in_second_block_cuts_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tables, "_float_texts", unjoinable_last)
     with pytest.raises(TypeError):
-        tables.write_columns(path, ["k", "v"], [k, v])
-    rows = list(zip(k.tolist(), v.tolist()))[:tables.BLOCK_ROWS]
-    assert path.read_bytes() == csv_writer_bytes(["k", "v"], rows)
+        tables.write_columns(path, ["k", "v"], [k, k + 0.5])
+
+
+def test_error_in_second_block_cuts_the_old_file(tmp_path, monkeypatch):
+    # a block that raises over a longer existing file leaves it empty: no
+    # header and first block that parse as a complete table, and none of
+    # the old file's bytes
+    path = tmp_path / "table.csv"
+    tables.write_columns(path, *_table(3 * tables.BLOCK_ROWS))
+    _raise_in_second_block(monkeypatch, path)
+    assert path.read_bytes() == b""
+
+
+def test_error_in_second_block_leaves_a_new_file_empty(tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    _raise_in_second_block(monkeypatch, path)
+    assert path.exists() and path.read_bytes() == b""
 
 
 def test_symlinked_output_is_written_through(tmp_path):
@@ -462,7 +472,7 @@ def test_scan_with_failed_point_matches_csv_writer(tmp_path, monkeypatch, capsys
     def uncertified(state, ell, a, b, tol):
         raise ConvergenceError("accumulated quadrature error exceeds tolerance")
 
-    monkeypatch.setattr(scenarios, "_smeared_quadrature_real", uncertified)
+    monkeypatch.setattr(scenarios, "_smeared_quadrature", uncertified)
     raw["output_dir"] = str(tmp_path / "uncertified")
     with pytest.raises(ConvergenceError, match="accumulated quadrature error"):
         scenarios.run(raw)
