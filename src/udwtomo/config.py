@@ -126,6 +126,10 @@ def _number(v, name: str, field: str | None = None) -> float:
 
 # the largest shot count a binomial draw takes (its count is an int64)
 MAX_SHOTS = (1 << 63) - 1
+# the most points a curve scan or a field grid takes: a run holds arrays over
+# all of its points at once, so a larger count is refused here rather than
+# failing for memory mid-run
+MAX_POINTS = 10**6
 
 
 def _is_int(v) -> bool:
@@ -171,13 +175,20 @@ def _parse_s_values(raw: dict) -> list[float]:
         if step <= 0 or stop < start:
             raise ConfigError("field 's_over_ell' range must be increasing",
                               field="s_over_ell")
-        n = int(round((stop - start) / step))
+        span = (stop - start) / step  # inf when step underflows it
+        if not span < MAX_POINTS:  # before a value is built
+            raise ConfigError(f"field 's_over_ell' range has more than {MAX_POINTS} points",
+                              field="s_over_ell")
+        n = int(round(span))
         vals = [start + k * step for k in range(n + 1) if start + k * step <= stop + 1e-9]
     else:
         raise ConfigError("field 's_over_ell' must be a range object or list",
                           field="s_over_ell")
     if not vals:
         raise ConfigError("field 's_over_ell' is an empty list", field="s_over_ell")
+    if len(vals) > MAX_POINTS:
+        raise ConfigError(f"field 's_over_ell' has {len(vals)} points, more than {MAX_POINTS}",
+                          field="s_over_ell")
     if any(v <= 0 for v in vals):
         raise ConfigError("field 's_over_ell' values must be strictly positive",
                           field="s_over_ell")
@@ -199,6 +210,9 @@ def _parse_grid(raw: dict) -> tuple[tuple[float, float, int], tuple[float, float
             raise ConfigError(f"field 'grid.{axis}.n' must be an integer >= 2", field="grid")
         out.append((_number(ax["start"], f"grid.{axis}.start", "grid"),
                     _number(ax["stop"], f"grid.{axis}.stop", "grid"), n))
+    if out[0][2] * out[1][2] > MAX_POINTS:
+        raise ConfigError(f"field 'grid' has {out[0][2]} x {out[1][2]} points, more than "
+                          f"{MAX_POINTS}", field="grid")
     return out[0], out[1]
 
 

@@ -37,22 +37,22 @@ downstream.  ``pair_blocks`` is the one owner of that order and of the block
 size that bounds the per-pair work arrays.
 
 Both O(n^3) lattice passes sum a function of x_k = T_ik T_jk over the third
-detectors k: with T = tan 2G,
+detectors k: with T = tan 2G and c = cos 2G,
 
     prod_{k != i,j} cos(2G_ik -+ 2G_jk)
-        = exp(L_i + L_j - log c_ij - log c_ji + sum_k log(1 +- x_k)),
+        = z_i z_j e^(H_ii + H_jj) / (c_ij c_ji) * exp(sum_k log(1 +- x_k)),
 
-where c = cos 2G and L_i = sum_{k != i} log c_ik, and the inversion's
-correction is (1/2) sum_k arctanh x_k with T = yx / z.  ``_power_sums``
+and the inversion's correction is (1/2) sum_k arctanh x_k with T = yx / z,
+where the table has yx = -z T.  ``_power_sums``
 expands both in powers of x: sum_k x_k^p is the pair's entry of
 S_p = T^(o p) (T^(o p))^T, one n x n matrix product per power, and T's zero
 diagonal drops the k = i and k = j terms.  A pair joins the series when
 r_ij = max_k |T_ik| max_k |T_jk|, which bounds every |x_k|, is below
 ``_SERIES_RADIUS``; each table takes as many powers as its largest r_ij
-needs to bring the remainder under 2^-53 sum_k |x_k|.  Every other pair --
-r_ij past the radius, or a row of T with an entry that is not finite or of
-magnitude 1 or more, or (for the table) a row with a non-positive cos 2G --
-keeps the exact per-pair path: ``correlator_table`` forms each factor
+needs to bring the remainder under 2^-53 sum_k |x_k|.  The table and the
+inversion share this rule.  Every other pair -- r_ij past the radius, or a
+row of T with an entry that is not finite or of magnitude 1 or more -- keeps
+the exact per-pair path: ``correlator_table`` forms each factor
 cos(2G_ik -+ 2G_jk) as c_ik c_jk +- s_ik s_jk from s = sin 2G, and
 ``tomography.reconstruct_table`` sums arctanh x_k, both taking those pairs
 block by block of ``pair_blocks``.
@@ -358,15 +358,6 @@ def _power_sums(t: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(series, odd, np.nan), np.where(series, even, np.nan)
 
 
-def _prod_without(c: np.ndarray) -> np.ndarray:
-    """out[i, l] = prod_{k != l} c[i, k], from prefix and suffix products (no division)."""
-    before = np.ones_like(c)
-    before[:, 1:] = np.cumprod(c[:, :-1], axis=1)
-    after = np.ones_like(c)
-    after[:, :-1] = np.cumprod(c[:, :0:-1], axis=1)[:, ::-1]
-    return before * after
-
-
 def _exact_products(H: np.ndarray, G2: np.ndarray, c: np.ndarray, s: np.ndarray,
                     exact: np.ndarray, zz: np.ndarray, yy: np.ndarray) -> None:
     """zz and yy of the pairs that the mask ``exact`` marks, row-major, the
@@ -401,38 +392,30 @@ def _exact_products(H: np.ndarray, G2: np.ndarray, c: np.ndarray, s: np.ndarray,
 def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
     """Exact correlator table from the closed forms, in O(n^3) array work.
 
-    cos 2G and sin 2G are taken once, n^2 values each.  The pair products
-    prod_{k != i,j} cos(2G_ik -+ 2G_jk) of the series pairs (module
-    docstring) come from ``_power_sums`` over T = tan 2G, all powers:
+    cos 2G and sin 2G are taken once, n^2 values each, and every observable
+    follows from z and T = tan 2G (zero diagonal): yx_ik = -z_i T_ik, and
+    the pair products prod_{k != i,j} cos(2G_ik -+ 2G_jk) of the series
+    pairs (module docstring) come from ``_power_sums`` over T, all powers:
 
-        zz = e^(A) cosh(2 H_ij + O),   yy = e^(A) sinh(2 H_ij + O),
-        A = L_i + L_j - log c_ij - log c_ji - H_ii - H_jj - E,
+        zz = A cosh(2 H_ij + O),   yy = A sinh(2 H_ij + O),
+        A = z_i z_j e^(-E) / (c_ij c_ji),
 
-    with O and E the sums over the odd and the even powers.  A row with a
-    non-positive cos 2G_ik (k != i) is left out of the series.  Every other
-    pair takes ``_exact_products``.
+    with c = cos 2G and O and E the sums over the odd and the even powers.
+    Every other pair takes ``_exact_products``.
     """
     n = kernels.n
     H, G2 = kernels.H, 2.0 * kernels.GR
-    h_diag = np.diag(H)
     off = ~np.eye(n, dtype=bool)
     c, s = np.cos(G2), np.sin(G2)
-    cos = np.where(off, c, 1.0)  # k = i never enters a product
-    z = np.exp(-h_diag) * np.prod(cos, axis=1)
-    yx = np.where(off, -np.exp(-h_diag)[:, None] * s * _prod_without(cos), 0.0)
+    z = np.exp(-np.diag(H)) * np.prod(np.where(off, c, 1.0), axis=1)  # k = i never enters
+    t = np.where(off, s / c, 0.0)
+    yx = -z[:, None] * t
 
-    positive = np.all(cos > 0.0, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(off, s / c, 0.0)
-    t[~positive] = np.nan  # left out of the series
     odd, even = (v[0] for v in _power_sums(t[None], 1))
     series = ~np.isnan(odd)
     zz, yy = np.empty(n * (n - 1) // 2), np.empty(n * (n - 1) // 2)
     a, b = (v[series] for v in _pairs(n))
-    log_c = np.log(np.where(positive[:, None], cos, 1.0))
-    log_rows = np.sum(log_c, axis=1)
-    amp = np.exp(log_rows[a] + log_rows[b] - log_c[a, b] - log_c[b, a] - h_diag[a] - h_diag[b]
-                 - even[series])
+    amp = z[a] * z[b] * np.exp(-even[series]) / (c[a, b] * c[b, a])
     u = 2.0 * H[a, b] + odd[series]
     zz[series], yy[series] = amp * np.cosh(u), amp * np.sinh(u)
 

@@ -639,8 +639,9 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
 
     Only zero-mean quasifree states (vacuum, thermal) are admissible: the
     exact detector state formula presupposes a vanishing one-point function.
-    The retarded part is filled from the closed commutator form (it is state
-    independent) on the future side of each pair.  An H entry depends on its
+    Intervals and the closed commutator form (state independent) are taken
+    once per pair i <= j, and the retarded part is filled from the
+    commutator on the future side of each pair.  An H entry depends on its
     pair only through the geometry (|dt|, dr), and Re W is even in dt bit for
     bit, so the distinct geometries (exact floats, the diagonal's (0, 0)
     included) go to one closed evaluation, scattered to every pair that has
@@ -661,23 +662,23 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
     H = np.zeros((n, n))
     GR = np.zeros((n, n))
 
-    # the commutator is state independent: every pair in one array pass
+    # every quantity below is taken once per pair i <= j
     centers = np.array([r.center.coords() for r in regions])
-    itv = intervals(centers[:, None], centers[None, :])
-    E = lam2 * _commutator(itv.dt, itv.dr, regions[0].ell)
+    iu, ju = np.triu_indices(n)
+    itv = intervals(centers[iu], centers[ju])
 
     # one evaluation of the distinct (|dt|, dr), keyed on exact floats: the
     # complex key |dt| + i dr sorts them as (|dt|, dr) pairs in one 1-D pass
-    iu, ju = np.triu_indices(n)
-    dt = itv.dt[iu, ju]
-    geometry, index = np.unique(np.abs(dt) + 1j * itv.dr[iu, ju], return_inverse=True)
+    geometry, index = np.unique(np.abs(itv.dt) + 1j * itv.dr, return_inverse=True)
     values = lam2 * 2.0 * _smeared_real(state.beta, regions[0].ell, geometry.real,
                                         geometry.imag)
     H[iu, ju] = H[ju, iu] = values[index]
 
-    # G_R from E on the future side of each pair; dt = 0 pairs stay zero
-    fut, past = dt > 0.0, dt < 0.0
-    GR[iu[fut], ju[fut]] = E[iu[fut], ju[fut]]
-    GR[ju[past], iu[past]] = -E[iu[past], ju[past]]
+    # G_R from the (state independent) commutator on the future side of each
+    # pair, the transposed entry when dt < 0; dt = 0 pairs stay zero
+    e = lam2 * _commutator(itv.dt, itv.dr, regions[0].ell)
+    fut, past = itv.dt > 0.0, itv.dt < 0.0
+    GR[iu[fut], ju[fut]] = e[fut]
+    GR[ju[past], iu[past]] = -e[past]
 
     return KernelMatrix(H=H, GR=GR)

@@ -414,9 +414,8 @@ class TestCorrelatorTable:
     @pytest.mark.parametrize("case", ["random", "thermal-54", "vacuum-81", "strong"])
     def test_series_matches_exact_path(self, monkeypatch, case):
         # the series pairs against the per-pair products (every pair exact at
-        # radius 0); "strong" has rows with |2G| past pi/2 (a non-positive
-        # cos 2G) and past pi/4 (|tan 2G| >= 1), whose pairs keep the exact
-        # path bit for bit
+        # radius 0); "strong" has rows with |tan 2G| >= 1, whose pairs keep
+        # the exact path bit for bit
         kms = {
             "random": lambda: list(kernel_draws(range(2, 9), range(3))),
             "thermal-54": lambda: [self.lattice_kernels(FieldState.thermal(50.0), 3, 2)],
@@ -432,7 +431,7 @@ class TestCorrelatorTable:
             assert got.z.tobytes() == want.z.tobytes() and got.yx.tobytes() == want.yx.tobytes()
             t = np.tan(2.0 * km.GR)
             np.fill_diagonal(t, 0.0)
-            kept = np.all(np.cos(2.0 * km.GR) > 0.0, axis=1) & np.all(np.abs(t) < 1.0, axis=1)
+            kept = np.all(np.abs(t) < 1.0, axis=1)
             bound = np.max(np.abs(t), axis=1)
             for q, (a, b) in enumerate(zip(*np.triu_indices(km.n, 1))):
                 series = bool(kept[a] and kept[b] and bound[a] * bound[b] < radius)
@@ -451,6 +450,40 @@ class TestCorrelatorTable:
         GR = km.GR.copy()
         GR[-1, 0], GR[-2, 0] = 0.9, 0.5
         return KernelMatrix(H=km.H + 2.0 * np.eye(km.n), GR=GR)
+
+    def test_negative_cos_row_takes_the_series(self, monkeypatch):
+        # the last detector at 2G = pi - 0.2 to the first: cos 2G < 0 but
+        # |tan 2G| = 0.2, so the series rule that the inversion shares takes
+        # the pairs of that row
+        exact_products, marked = detector._exact_products, []
+
+        def record(H, G2, c, s, exact, zz, yy):
+            marked.append(exact.copy())
+            exact_products(H, G2, c, s, exact, zz, yy)
+
+        checked = 0
+        for km in kernel_draws([6, 8], range(3)):
+            GR = km.GR.copy()
+            GR[-1, 0] = (math.pi - 0.2) / 2.0
+            km = KernelMatrix(H=km.H + 2.0 * np.eye(km.n), GR=GR)
+            assert np.cos(2.0 * GR[-1, 0]) < 0.0
+            monkeypatch.setattr(detector, "_exact_products", record)
+            marked.clear()
+            got = correlator_table(km)
+            row = [pair_position(km.n, i, km.n) for i in range(1, km.n)]
+            assert not any(np.any(m[row]) for m in marked)  # no row pair on the exact path
+            monkeypatch.setattr(detector, "_SERIES_RADIUS", 0.0)
+            want = correlator_table(km)
+            monkeypatch.undo()
+            rho = density_matrix(km)
+            for i, q in enumerate(row, 1):
+                assert abs(got.zz[q] - want.zz[q]) <= 1e-14, i
+                assert abs(got.yy[q] - want.yy[q]) <= 1e-14, i
+                for kind in ("ZZ", "YY"):
+                    oracle = pauli_ev_oracle(rho, KIND_OPS[kind](i, km.n))
+                    assert abs(table_entry(got, i, km.n, kind) - oracle) <= 1e-10, (i, kind)
+            checked += len(row)
+        assert checked == 72
 
     def test_yy_strictly_inside_zz(self):
         # the arctanh domain of the noiseless reconstruction, for every pair

@@ -865,15 +865,22 @@ class TestAssemble:
         regions = lattice_regions()
         if shuffle:
             random.Random(3).shuffle(regions)
-        calls = []
-        real = kernels._smeared_real
+        calls, commutator_sizes = [], []
+        real, commutator = kernels._smeared_real, kernels._commutator
 
         def counting(beta, ell, dt, dr):
             calls.append(list(zip(np.abs(dt).tolist(), np.asarray(dr).tolist())))
             return real(beta, ell, dt, dr)
 
+        def counting_commutator(dt, dr, ell):
+            commutator_sizes.append(np.size(dt))
+            return commutator(dt, dr, ell)
+
         monkeypatch.setattr(kernels, "_smeared_real", counting)
+        monkeypatch.setattr(kernels, "_commutator", counting_commutator)
         assemble_kernels(FieldState.vacuum(), regions, 1.0)
+        # the commutator once per pair i <= j, n(n + 1)/2 of them, not n^2
+        assert commutator_sizes == [54 * 55 // 2]
         pairs = pair_intervals(regions)
         geometries = set(zip(np.abs(pairs.dt).tolist(), pairs.dr.tolist()))
         assert len(pairs.dt) == 1431

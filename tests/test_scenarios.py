@@ -162,6 +162,23 @@ class TestValidation:
           "grid": {**SMALL_GRID, "y": {"start": -1.0, "stop": 1.0, "n": 3}}}, "grid"),
         ({"scenario_id": "convergence_sweep",
           "base_config": {"dt": 0.0, "dr": 1.0, "dx": 2.0}}, "base_config"),
+        # more than config.MAX_POINTS points: validate built the ~2e10 values
+        # of the tiny step until it was killed (a subnormal step makes the
+        # count inf), and run died on the 10^6 x 10^6 grid with a numpy
+        # MemoryError traceback (exit 1)
+        ({"scenario_id": "vacuum_curves",
+          "s_over_ell": {"start": 0.5, "stop": 20.0, "step": 1e-9}}, "s_over_ell"),
+        ({"scenario_id": "vacuum_curves",
+          "s_over_ell": {"start": 0.5, "stop": 20.0, "step": 5e-324}}, "s_over_ell"),
+        ({"scenario_id": "vacuum_curves",
+          "s_over_ell": {"start": 1.0, "stop": 1e6 + 1.0, "step": 1.0}}, "s_over_ell"),
+        ({"scenario_id": "vacuum_curves", "s_over_ell": [1.0] * (10**6 + 1)}, "s_over_ell"),
+        ({"scenario_id": "coherent_field_grid",
+          "grid": {"t": {"start": -12.0, "stop": 12.0, "n": 10**6},
+                   "x": {"start": -12.0, "stop": 12.0, "n": 10**6}}}, "grid"),
+        ({"scenario_id": "oneparticle_diff_grid",
+          "grid": {"t": {"start": -1.0, "stop": 1.0, "n": 1001},
+                   "x": {"start": -1.0, "stop": 1.0, "n": 1000}}}, "grid"),
     ])
     def test_malformed_values(self, raw, field, tmp_path, capsys):
         # each is a ConfigError naming the field, and the CLI exits 2
@@ -184,6 +201,17 @@ class TestValidation:
             cfg = validate_config({"scenario_id": sid, "state": "thermal", "beta": 50.0})
             assert (cfg.state_tag, cfg.beta) == ("thermal", 50.0)
         assert validate_config({"scenario_id": "shot_noise_study"}).state_tag == "vacuum"
+
+    def test_point_count_bound_is_inclusive(self):
+        # a scan or a grid of exactly MAX_POINTS points is accepted
+        top = float(config.MAX_POINTS)
+        cfg = validate_config({"scenario_id": "vacuum_curves",
+                               "s_over_ell": {"start": 1.0, "stop": top, "step": 1.0}})
+        assert len(cfg.s_values) == config.MAX_POINTS and cfg.s_values[-1] == top
+        cfg = validate_config({"scenario_id": "coherent_field_grid",
+                               "grid": {"t": {"start": -1.0, "stop": 1.0, "n": 1000},
+                                        "x": {"start": -1.0, "stop": 1.0, "n": 1000}}})
+        assert cfg.grid_t[2] * cfg.grid_x[2] == config.MAX_POINTS
 
     def test_empty_s_list_named(self):
         # used to be reported as "values must be strictly positive"
