@@ -126,9 +126,9 @@ def _number(v, name: str, field: str | None = None) -> float:
 
 # the largest shot count a binomial draw takes (its count is an int64)
 MAX_SHOTS = (1 << 63) - 1
-# the most points a curve scan or a field grid takes: a run holds arrays over
-# all of its points at once, so a larger count is refused here rather than
-# failing for memory mid-run
+# the most points a curve scan or a field grid takes, and the most region
+# pairs a lattice has: a run holds arrays over all of them at once, so a
+# larger count is refused here rather than failing for memory mid-run
 MAX_POINTS = 10**6
 
 
@@ -234,9 +234,14 @@ def _parse_lattice(raw: dict, ell: float) -> LatticeSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'lattice': {exc}", field="lattice") from exc
     # both lattice scenarios reconstruct region pairs
-    if spec.n_space**3 * spec.n_time < 2:
+    n = spec.n_events  # from the integers, before a region is built
+    if n < 2:
         raise ConfigError("field 'lattice' must have at least 2 regions, got 1",
                           field="lattice")
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_POINTS:
+        raise ConfigError(f"field 'lattice' has {n} regions, {pairs} pairs, more than "
+                          f"{MAX_POINTS}", field="lattice")
     return spec
 
 

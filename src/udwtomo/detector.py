@@ -52,8 +52,8 @@ r_ij = max_k |T_ik| max_k |T_jk|, which bounds every |x_k|, is below
 needs to bring the remainder under 2^-53 sum_k |x_k|.  The table and the
 inversion share this rule.  Every other pair -- r_ij past the radius, or a
 row of T with an entry that is not finite or of magnitude 1 or more -- keeps
-the exact per-pair path: ``correlator_table`` forms each factor
-cos(2G_ik -+ 2G_jk) as c_ik c_jk +- s_ik s_jk from s = sin 2G, and
+the exact per-pair path over the same x_k: ``correlator_table`` multiplies
+out the factors 1 +- x_k of the products above, and
 ``tomography.reconstruct_table`` sums arctanh x_k, both taking those pairs
 block by block of ``pair_blocks``.
 
@@ -127,7 +127,8 @@ class DensityMatrix:
 
     Row/column index bits run from qubit 1 (most significant) down, with
     mu = +1 before mu = -1.  Raises ConsistencyError unless the entries are
-    Hermitian and of unit trace to 1e-12 and positive semidefinite to 1e-10.
+    a finite 2^n x 2^n matrix, Hermitian and of unit trace to 1e-12 and
+    positive semidefinite to 1e-10.
     """
 
     entries: np.ndarray
@@ -138,6 +139,11 @@ class DensityMatrix:
 
     def __post_init__(self):
         rho = self.entries
+        shape = np.shape(rho)
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0] or shape[0] & (shape[0] - 1):
+            raise ConsistencyError(f"density matrix of shape {shape}, need 2^n x 2^n")
+        if not np.isfinite(rho).all():  # a NaN makes every comparison below false
+            raise ConsistencyError("density matrix has entries that are not finite")
         herm = float(np.max(np.abs(rho - rho.conj().T)))
         if herm > _HERMITICITY_TOL:
             raise ConsistencyError(f"density matrix not Hermitian: deviation {herm:.3e}")
@@ -243,7 +249,7 @@ class CorrelatorTable:
 
 
 # One budget for every per-pair work array: pair blocks keep each float array
-# of the exact path -- the table's (pairs, nonzero G columns + 1) factors and
+# of the exact path -- the table's (pairs, nonzero T columns) factors and
 # the inversion's gathered ratio rows (pairs x n) and products x
 # (pairs x (n - 2)) -- within 128 KiB, and ``stack_size`` keeps each stack of
 # sampled tables within it.  The series path holds a few n x n arrays per
@@ -358,57 +364,30 @@ def _power_sums(t: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(series, odd, np.nan), np.where(series, even, np.nan)
 
 
-def _exact_products(H: np.ndarray, G2: np.ndarray, c: np.ndarray, s: np.ndarray,
-                    exact: np.ndarray, zz: np.ndarray, yy: np.ndarray) -> None:
-    """zz and yy of the pairs that the mask ``exact`` marks, row-major, the
-    marked pairs of one block of ``pair_blocks`` at a time: each pair's
-    prod_{k != i,j} cos(2G_ik -+ 2G_jk) as prod_k (c_ik c_jk +- s_ik s_jk)
-    over the columns k where some G_ik != 0 (every other factor is exactly 1),
-    with c = cos 2G and s = sin 2G."""
-    n, h_diag = len(H), np.diag(H)
-    # the columns with a nonzero G, then one of factor 1 (c = 1, s = 0) that
-    # takes the k = i and k = j exclusions of detectors outside them
-    cols = np.flatnonzero(np.any(G2 != 0.0, axis=0))
-    col_of = np.full(n, len(cols))
-    col_of[cols] = np.arange(len(cols))
-    cc, ss = np.ones((n, len(cols) + 1)), np.zeros((n, len(cols) + 1))
-    cc[:, :-1], ss[:, :-1] = c[:, cols], s[:, cols]
-
-    for at, a, b in pair_blocks(n, exact):
-        rows = np.arange(len(a))
-        both_c, both_s = cc[a] * cc[b], ss[a] * ss[b]
-        prods = []
-        for f in (both_c + both_s, both_c - both_s):  # cos(2G_ik -+ 2G_jk)
-            f[rows, col_of[a]] = f[rows, col_of[b]] = 1.0  # k = i, k = j
-            prods.append(np.prod(f, axis=1))
-        prod_diff, prod_sum = prods
-        plus = np.exp(2.0 * H[a, b]) * prod_diff
-        minus = np.exp(-2.0 * H[a, b]) * prod_sum
-        pref = 0.5 * np.exp(-h_diag[a] - h_diag[b])
-        zz[at] = pref * (plus + minus)
-        yy[at] = pref * (plus - minus)
-
-
 def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
     """Exact correlator table from the closed forms, in O(n^3) array work.
 
     cos 2G and sin 2G are taken once, n^2 values each, and every observable
-    follows from z and T = tan 2G (zero diagonal): yx_ik = -z_i T_ik, and
-    the pair products prod_{k != i,j} cos(2G_ik -+ 2G_jk) of the series
-    pairs (module docstring) come from ``_power_sums`` over T, all powers:
+    follows from z, c = cos 2G, T = tan 2G (zero diagonal) and H:
+    yx_ik = -z_i T_ik, and the pair products prod_{k != i,j} cos(2G_ik -+
+    2G_jk) (module docstring) come from x_k = T_ik T_jk.  The series pairs
+    take ``_power_sums`` over T, all powers:
 
         zz = A cosh(2 H_ij + O),   yy = A sinh(2 H_ij + O),
         A = z_i z_j e^(-E) / (c_ij c_ji),
 
-    with c = cos 2G and O and E the sums over the odd and the even powers.
-    Every other pair takes ``_exact_products``.
+    with O and E the sums over the odd and the even powers.  Every other
+    pair multiplies out P+- = prod_k (1 +- x_k) over the nonzero columns of
+    T (its zero diagonal makes the k = i and k = j factors exactly 1):
+
+        zz, yy = (1/2) z_i z_j / (c_ij c_ji) (e^(2 H_ij) P+ +- e^(-2 H_ij) P-).
     """
     n = kernels.n
     H, G2 = kernels.H, 2.0 * kernels.GR
     off = ~np.eye(n, dtype=bool)
-    c, s = np.cos(G2), np.sin(G2)
+    c = np.cos(G2)
     z = np.exp(-np.diag(H)) * np.prod(np.where(off, c, 1.0), axis=1)  # k = i never enters
-    t = np.where(off, s / c, 0.0)
+    t = np.where(off, np.sin(G2) / c, 0.0)
     yx = -z[:, None] * t
 
     odd, even = (v[0] for v in _power_sums(t[None], 1))
@@ -420,7 +399,13 @@ def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
     zz[series], yy[series] = amp * np.cosh(u), amp * np.sinh(u)
 
     if not series.all():
-        _exact_products(H, G2, c, s, ~series, zz, yy)
+        cols = t[:, np.any(t != 0.0, axis=0)]  # every other factor is exactly 1
+        for at, a, b in pair_blocks(n, ~series):
+            x = cols[a] * cols[b]  # T_ik T_jk, 0 at k = i and k = j
+            plus = np.exp(2.0 * H[a, b]) * np.prod(1.0 + x, axis=1)
+            minus = np.exp(-2.0 * H[a, b]) * np.prod(1.0 - x, axis=1)
+            amp = 0.5 * z[a] * z[b] / (c[a, b] * c[b, a])
+            zz[at], yy[at] = amp * (plus + minus), amp * (plus - minus)
     return CorrelatorTable(z=z, zz=zz, yy=yy, yx=yx)
 
 

@@ -600,8 +600,8 @@ class KernelMatrix:
     part; the commutator E = GR - GR^T and the symmetric propagator
     Delta = GR + GR^T are derived.  All entries carry the lambda^2 scaling,
     so they are dimensionless.  Raises ValueError unless H and GR are square
-    matrices of one shape and H is symmetric to 1e-12 relative to the
-    largest entry (at least 1).
+    matrices of one shape with finite entries and H is symmetric to 1e-12
+    relative to the largest entry (at least 1).
     """
 
     H: np.ndarray
@@ -627,6 +627,9 @@ class KernelMatrix:
         if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.GR) != shape:
             raise ValueError(f"kernel invariant violated: H {shape} and GR "
                              f"{np.shape(self.GR)} must be square and of one shape")
+        if not (np.isfinite(self.H).all() and np.isfinite(self.GR).all()):
+            # a NaN makes every comparison below false, so none would catch it
+            raise ValueError("kernel invariant violated: H and GR must be finite")
         scale = max(1.0, float(np.max(np.abs(self.H))), float(np.max(np.abs(self.GR))))
         dev = float(np.max(np.abs(self.H - self.H.T)))
         if dev > 1e-12 * scale:

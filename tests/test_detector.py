@@ -6,6 +6,7 @@ checked against it.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -123,9 +124,19 @@ class TestDensityMatrix:
     def test_construction_refuses_unphysical_entries(self):
         for entries, match in ((np.array([[0.5, 0.1], [0.3, 0.5]]), "not Hermitian"),
                                (np.eye(2), "trace"),
-                               (np.diag([1.5, -0.5]), "not PSD")):
+                               (np.diag([1.5, -0.5]), "not PSD"),
+                               (np.ones(4) / 4.0, r"shape \(4,\), need 2\^n"),
+                               # these two passed every check (a NaN fails no
+                               # comparison), the second as a state of 1 qubit
+                               (np.full((2, 2), np.nan), "not finite"),
+                               (np.eye(3) / 3.0, r"shape \(3, 3\), need 2\^n")):
             with pytest.raises(ConsistencyError, match=match):
                 DensityMatrix(entries=entries)
+        # a NaN kernel that bypasses KernelMatrix used to leak numpy's LinAlgError
+        nan_h = types.SimpleNamespace(n=2, H=np.full((2, 2), np.nan), E=np.zeros((2, 2)),
+                                      Delta=np.zeros((2, 2)))
+        with pytest.raises(ConsistencyError, match="not finite"):
+            density_matrix(nan_h)
 
     def test_perturbative_excitation_limit(self):
         # weak coupling: excitation probability P_e = (1 - e^{-H11})/2 must
@@ -455,11 +466,11 @@ class TestCorrelatorTable:
         # the last detector at 2G = pi - 0.2 to the first: cos 2G < 0 but
         # |tan 2G| = 0.2, so the series rule that the inversion shares takes
         # the pairs of that row
-        exact_products, marked = detector._exact_products, []
+        pair_blocks, marked = detector.pair_blocks, []
 
-        def record(H, G2, c, s, exact, zz, yy):
+        def record(n, exact):
             marked.append(exact.copy())
-            exact_products(H, G2, c, s, exact, zz, yy)
+            return pair_blocks(n, exact)
 
         checked = 0
         for km in kernel_draws([6, 8], range(3)):
@@ -467,7 +478,7 @@ class TestCorrelatorTable:
             GR[-1, 0] = (math.pi - 0.2) / 2.0
             km = KernelMatrix(H=km.H + 2.0 * np.eye(km.n), GR=GR)
             assert np.cos(2.0 * GR[-1, 0]) < 0.0
-            monkeypatch.setattr(detector, "_exact_products", record)
+            monkeypatch.setattr(detector, "pair_blocks", record)
             marked.clear()
             got = correlator_table(km)
             row = [pair_position(km.n, i, km.n) for i in range(1, km.n)]
@@ -484,6 +495,62 @@ class TestCorrelatorTable:
                     assert abs(table_entry(got, i, km.n, kind) - oracle) <= 1e-10, (i, kind)
             checked += len(row)
         assert checked == 72
+
+    @pytest.mark.parametrize("state", ["vacuum", "thermal"])
+    def test_exact_path_matches_high_precision_products(self, state):
+        # the 81-region lattice at 2 ell: pairs past the series bound take
+        # the per-pair products 1 +- T_ik T_jk, each relative to a 40-digit
+        # product of cos(2G_ik -+ 2G_jk) over the float entries of H and GR
+        mpmath = pytest.importorskip("mpmath")
+        fs = FieldState.vacuum() if state == "vacuum" else FieldState.thermal(50.0)
+        regions = [GaussianRegion(e, 1.0) for e in build_lattice(LatticeSpec(3, 3, 2.0, 2.0))]
+        km = assemble_kernels(fs, regions, 2 * math.pi)
+        table = correlator_table(km)
+        t = np.tan(2.0 * km.GR)
+        np.fill_diagonal(t, 0.0)
+        kept = np.all(np.abs(t) < 1.0, axis=1)
+        bound = np.max(np.abs(t), axis=1)
+        a, b = np.triu_indices(km.n, 1)
+        off = np.flatnonzero(~(kept[a] & kept[b] & (bound[a] * bound[b] < 0.5)))
+        assert len(off) > 1000
+        H, G2 = ([[mpmath.mpf(v) for v in row] for row in m.tolist()]
+                 for m in (km.H, 2.0 * km.GR))  # 2G is exact in binary
+        with mpmath.workdps(40):
+            for q in off[::len(off) // 120].tolist():
+                i, j = int(a[q]), int(b[q])
+                others = [k for k in range(km.n) if k not in (i, j)]
+                plus = mpmath.exp(2 * H[i][j]) * mpmath.fprod(
+                    mpmath.cos(G2[i][k] - G2[j][k]) for k in others)
+                minus = mpmath.exp(-2 * H[i][j]) * mpmath.fprod(
+                    mpmath.cos(G2[i][k] + G2[j][k]) for k in others)
+                pref = mpmath.exp(-H[i][i] - H[j][j]) / 2
+                for got, want in ((table.zz[q], pref * (plus + minus)),
+                                  (table.yy[q], pref * (plus - minus))):
+                    assert abs((got - want) / want) <= 1e-14, (i, j)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_exact_path_near_vanishing_cos(self, eps):
+        # up to three entries at 2G = pi/2 +- eps: |T| ~ 1/eps, c ~ eps, so
+        # the rows leave the series and z_i z_j / (c_ij c_ji) and the factors
+        # 1 +- T_ik T_jk carry large cancelling magnitudes
+        rng = np.random.default_rng(7)
+        for count in (1, 2, 3):
+            for km in kernel_draws([4, 6], range(2)):
+                GR = km.GR.copy()
+                below = np.flatnonzero(GR != 0.0)
+                for at in rng.choice(below, count, replace=False):
+                    GR.flat[at] = (math.pi / 2.0 + rng.choice([-eps, eps])) / 2.0
+                E = GR - GR.T
+                w_min = float(np.linalg.eigvalsh(0.5 * (km.H + 1j * E)).min())
+                km = KernelMatrix(H=km.H + 2.0 * max(0.0, 1e-6 - w_min) * np.eye(km.n), GR=GR)
+                table, rho = correlator_table(km), density_matrix(km)
+                assert np.max(np.abs(np.tan(2.0 * GR))) > 0.5 / eps
+                for i in range(1, km.n + 1):
+                    for j in range(i + 1, km.n + 1):
+                        for kind in ("ZZ", "YY"):
+                            want = pauli_ev_oracle(rho, KIND_OPS[kind](i, j))
+                            got = table_entry(table, i, j, kind)
+                            assert abs(got - want) <= 1e-14, (count, i, j, kind)
 
     def test_yy_strictly_inside_zz(self):
         # the arctanh domain of the noiseless reconstruction, for every pair

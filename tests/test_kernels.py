@@ -905,6 +905,12 @@ class TestAssemble:
             KernelMatrix(H=np.array([[0.5, 0.1], [0.3, 0.5]]), GR=np.zeros((2, 2)))
         with pytest.raises(ValueError, match=re.escape("H (4, 4) and GR (3, 3)")):
             KernelMatrix(H=0.5 * np.eye(4), GR=np.zeros((3, 3)))
+        # a NaN fails no comparison and max(1.0, nan) is 1.0, so these passed
+        for H, GR in (([[0.5, np.nan], [np.nan, 0.5]], np.zeros((2, 2))),
+                      (0.5 * np.eye(2), [[0.0, 0.0], [np.inf, 0.0]]),
+                      (np.full((2, 2), np.nan), np.full((2, 2), np.nan))):
+            with pytest.raises(ValueError, match="must be finite"):
+                KernelMatrix(H=np.array(H), GR=np.array(GR))
 
     def test_n_and_shapes(self):
         # n is the size of H; construction refuses H and GR that are not

@@ -179,6 +179,15 @@ class TestValidation:
         ({"scenario_id": "oneparticle_diff_grid",
           "grid": {"t": {"start": -1.0, "stop": 1.0, "n": 1001},
                    "x": {"start": -1.0, "stop": 1.0, "n": 1000}}}, "grid"),
+        # more than config.MAX_POINTS region pairs: 10^12 regions validated
+        # (exit 0) and run would have looped building them; 1415 regions have
+        # 1000405 pairs
+        ({"scenario_id": "tomography_roundtrip",
+          "lattice": {**LATTICE, "n_space": 1000, "n_time": 1000}}, "lattice"),
+        ({"scenario_id": "shot_noise_study",
+          "lattice": {**LATTICE, "n_space": 1, "n_time": 1415}}, "lattice"),
+        ({"scenario_id": "tomography_roundtrip",
+          "lattice": {**LATTICE, "n_space": 12, "n_time": 1}}, "lattice"),
     ])
     def test_malformed_values(self, raw, field, tmp_path, capsys):
         # each is a ConfigError naming the field, and the CLI exits 2
@@ -212,6 +221,14 @@ class TestValidation:
                                "grid": {"t": {"start": -1.0, "stop": 1.0, "n": 1000},
                                         "x": {"start": -1.0, "stop": 1.0, "n": 1000}}})
         assert cfg.grid_t[2] * cfg.grid_x[2] == config.MAX_POINTS
+        # a lattice of 1414 regions has 998991 pairs (1415 regions, refused,
+        # have 1000405); the 5^3 x 8 lattice of the CI roundtrip has 1000
+        assert 1414 * 1413 // 2 <= config.MAX_POINTS < 1415 * 1414 // 2
+        for sid in ("tomography_roundtrip", "shot_noise_study"):
+            for n_space, n_time in ((1, 1414), (5, 8)):
+                cfg = validate_config({"scenario_id": sid, "lattice": {
+                    **LATTICE, "n_space": n_space, "n_time": n_time}})
+                assert cfg.lattice.n_events == n_space**3 * n_time
 
     def test_empty_s_list_named(self):
         # used to be reported as "values must be strictly positive"
