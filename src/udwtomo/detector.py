@@ -42,20 +42,21 @@ detectors k: with T = tan 2G and c = cos 2G,
     prod_{k != i,j} cos(2G_ik -+ 2G_jk)
         = z_i z_j e^(H_ii + H_jj) / (c_ij c_ji) * exp(sum_k log(1 +- x_k)),
 
-and the inversion's correction is (1/2) sum_k arctanh x_k with T = yx / z,
-where the table has yx = -z T.  ``_power_sums``
-expands both in powers of x: sum_k x_k^p is the pair's entry of
-S_p = T^(o p) (T^(o p))^T, one n x n matrix product per power, and T's zero
-diagonal drops the k = i and k = j terms.  A pair joins the series when
-r_ij = max_k |T_ik| max_k |T_jk|, which bounds every |x_k|, is below
-``_SERIES_RADIUS``; each table takes as many powers as its largest r_ij
-needs to bring the remainder under 2^-53 sum_k |x_k|.  The table and the
-inversion share this rule.  Every other pair -- r_ij past the radius, or a
-row of T with an entry that is not finite or of magnitude 1 or more -- keeps
-the exact per-pair path over the same x_k: ``correlator_table`` multiplies
-out the factors 1 +- x_k of the products above, and
-``tomography.reconstruct_table`` sums arctanh x_k, both taking those pairs
-block by block of ``pair_blocks``.
+and the inversion's correction is (1/2) sum_k arctanh x_k
+= (1/4) ln(prod_k (1 + x_k) / prod_k (1 - x_k)) with T = yx / z, where the
+table has yx = -z T.  ``_power_sums`` expands both in powers of x: sum_k
+x_k^p is the pair's entry of S_p = T^(o p) (T^(o p))^T, one n x n matrix
+product per power, and T's zero diagonal drops the k = i and k = j terms.
+A pair joins the series when r_ij = max_k |T_ik| max_k |T_jk|, which bounds
+every |x_k|, is below ``_SERIES_RADIUS``; each table takes as many powers
+as its largest r_ij needs to bring the remainder under 2^-53 sum_k |x_k|.
+The table and the inversion share this rule.  Every other pair -- r_ij
+past the radius, or a row of T with an entry that is not finite or of
+magnitude 1 or more -- takes the per-pair path, one pass for both too:
+``_pair_products`` gathers its x_k block by block of ``pair_blocks``, and
+each caller reduces the products P+- = prod_k (1 +- x_k),
+``correlator_table`` as above and ``tomography.reconstruct_table`` as
+(1/4) ln(P+ / P-).
 
 ``sample_table`` draws one table, or a stack of tables (one per shot count
 and seed) that carries a leading axis on every array.  ``pair_blocks`` then
@@ -249,9 +250,9 @@ class CorrelatorTable:
 
 
 # One budget for every per-pair work array: pair blocks keep each float array
-# of the exact path -- the table's (pairs, nonzero T columns) factors and
-# the inversion's gathered ratio rows (pairs x n) and products x
-# (pairs x (n - 2)) -- within 128 KiB, and ``stack_size`` keeps each stack of
+# of the per-pair path -- the products x_k and the factors 1 +- x_k over
+# (pairs, nonzero columns of T), in the table and the inversion alike --
+# within 128 KiB, and ``stack_size`` keeps each stack of
 # sampled tables within it.  The series path holds a few n x n arrays per
 # table of a stack instead (T, its running power, the product and two sums).
 # On the 54- and 81-region thermal lattices (2 cores, numpy 2.4), before the
@@ -364,6 +365,31 @@ def _power_sums(t: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(series, odd, np.nan), np.where(series, even, np.nan)
 
 
+def _pair_products(t: np.ndarray, marked: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """x_k = t_ik t_jk of the pairs i < j that ``marked`` marks, block by block
+    of ``pair_blocks``: ``t`` is a stack (tables, n, n) with a zero diagonal
+    and ``marked`` runs over its flattened (tables, n(n-1)/2) pairs.
+
+    Yields ``(at, a, b, x, k)`` per block: ``at``, ``a`` and ``b`` as
+    ``pair_blocks`` gives them, and x[p, m] the x_k of pair ``at[p]`` at the
+    m-th column k[m] (0-based, ascending) with a nonzero entry anywhere in
+    the stack.  Every other x_k is 0, and so is x_i = x_j of a finite row,
+    so a factor 1 +- x_k there is exactly 1: a product over the columns kept
+    is bitwise the one over the third detectors k != i, j, whatever tables
+    share the stack.  Builds nothing when no pair is marked.
+    """
+    if not marked.any():
+        return
+    n = t.shape[-1]
+    k = np.flatnonzero(np.any(t != 0.0, axis=(0, 1)))
+    rows = t[..., k]
+    for at, a, b in pair_blocks(n, marked):
+        r = at // (n * (n - 1) // 2)  # the pair's table
+        with np.errstate(invalid="ignore"):  # 0 * inf in a row that is not finite
+            x = rows[r, a] * rows[r, b]
+        yield at, a, b, x, k
+
+
 def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
     """Exact correlator table from the closed forms, in O(n^3) array work.
 
@@ -377,8 +403,7 @@ def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
         A = z_i z_j e^(-E) / (c_ij c_ji),
 
     with O and E the sums over the odd and the even powers.  Every other
-    pair multiplies out P+- = prod_k (1 +- x_k) over the nonzero columns of
-    T (its zero diagonal makes the k = i and k = j factors exactly 1):
+    pair multiplies out P+- = prod_k (1 +- x_k) over ``_pair_products``:
 
         zz, yy = (1/2) z_i z_j / (c_ij c_ji) (e^(2 H_ij) P+ +- e^(-2 H_ij) P-).
     """
@@ -398,14 +423,11 @@ def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
     u = 2.0 * H[a, b] + odd[series]
     zz[series], yy[series] = amp * np.cosh(u), amp * np.sinh(u)
 
-    if not series.all():
-        cols = t[:, np.any(t != 0.0, axis=0)]  # every other factor is exactly 1
-        for at, a, b in pair_blocks(n, ~series):
-            x = cols[a] * cols[b]  # T_ik T_jk, 0 at k = i and k = j
-            plus = np.exp(2.0 * H[a, b]) * np.prod(1.0 + x, axis=1)
-            minus = np.exp(-2.0 * H[a, b]) * np.prod(1.0 - x, axis=1)
-            amp = 0.5 * z[a] * z[b] / (c[a, b] * c[b, a])
-            zz[at], yy[at] = amp * (plus + minus), amp * (plus - minus)
+    for at, a, b, x, _ in _pair_products(t[None], ~series):
+        plus = np.exp(2.0 * H[a, b]) * np.prod(1.0 + x, axis=1)
+        minus = np.exp(-2.0 * H[a, b]) * np.prod(1.0 - x, axis=1)
+        amp = 0.5 * z[a] * z[b] / (c[a, b] * c[b, a])
+        zz[at], yy[at] = amp * (plus + minus), amp * (plus - minus)
     return CorrelatorTable(z=z, zz=zz, yy=yy, yx=yx)
 
 

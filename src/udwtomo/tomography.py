@@ -25,11 +25,13 @@ single pair is read off at its row-major position q, where it also sits in
 (1/2) sum_m S_(2m+1) / (2m+1) with S_p = T^(o p) (T^(o p))^T, so the pairs
 under the series radius take C from a few n x n matrix products
 (``detector._power_sums``); the others -- a bound on |x_k| past the radius,
-or a ratio row that is not finite or reaches 1 -- sum arctanh x_k one by one
-over blocks of pairs, and only they can meet the <sz> and arctanh-domain
-errors.  A stack of sampled tables is inverted in the same pass, over all
-its (table, pair) rows, with one batched product per power; each table
-comes out bitwise as when it is inverted alone.
+or a ratio row that is not finite or reaches 1 -- take
+C = (1/4) ln(prod_k (1 + x_k) / prod_k (1 - x_k)) over blocks of pairs, from
+the products that the table's per-pair path multiplies out too
+(``detector._pair_products``), and only they can meet the <sz> and
+arctanh-domain errors.  A stack of sampled tables is inverted in the same
+pass, over all its (table, pair) rows, with one batched product per power;
+each table comes out bitwise as when it is inverted alone.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import CorrelatorTable, _pairs, _power_sums, pair_blocks
+from .detector import CorrelatorTable, _pair_products, _pairs, _power_sums
 from .errors import (DephasingError, NoiseDominatedError, TangentDomainError,
                      UdwTomoError)
 
@@ -75,38 +77,6 @@ class TableReconstruction:
         return mask.reshape(self.H.shape)
 
 
-def _exact_correction(ratios: np.ndarray, ra: np.ndarray, rb: np.ndarray,
-                      a: np.ndarray, b: np.ndarray):
-    """C of a block of pairs on the exact path, and each pair's first third
-    detector k (1-based, 0 if none) with |x_k| >= 1 and that |x_k|.
-
-    The pairs are detectors a[p] < b[p] of their table, rows ra[p] and rb[p]
-    of ``ratios`` (yx / z, one row per detector of the stack).  Their
-    x_k = (yx_ik/z_i)(yx_jk/z_j) are the products of the gathered ratio rows,
-    kept at the third detectors k in ascending order, so the arctanh terms
-    of C add up in that order; arctanh is evaluated only where x_k != 0
-    (arctanh(+-0) = +-0).
-    """
-    n, rows = ratios.shape[-1], np.arange(len(a))
-    third = np.ones((len(a), n), dtype=bool)  # k != a, b
-    third[rows, a] = third[rows, b] = False
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = (ratios[ra] * ratios[rb])[third].reshape(len(a), max(0, n - 2))
-        nonzero = x != 0.0
-        terms = x.copy()  # arctanh(+-0) = +-0
-        terms[nonzero] = np.arctanh(x[nonzero])
-        c = 0.5 * np.sum(terms, axis=1)
-    # the first column outside the domain of each row that has one
-    out_rows, out_cols = np.nonzero(np.abs(x) >= 1.0)
-    hit, at = np.unique(out_rows, return_index=True)
-    col = out_cols[at]
-    k = col + (col >= a[hit])  # the col-th third detector, 0-based
-    k += k >= b[hit]
-    k_first, x_first = np.zeros(len(a), dtype=int), np.zeros(len(a))
-    k_first[hit], x_first[hit] = k + 1, np.abs(x[hit, col])
-    return c, k_first, x_first
-
-
 def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     """Invert every pair i < j of ``table``: H_ij = (1/2) arctanh(yy/zz) - C_ij.
 
@@ -114,10 +84,12 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     at once, and each table's pairs come out bitwise as when it is inverted
     alone.  C_ij of the series pairs comes from ``detector._power_sums`` over
     T = yx / z with a zero diagonal, odd powers only, one batched product per
-    power for the whole stack.  Every other pair sums its arctanh terms
-    (``_exact_correction``), the marked pairs of one block of
-    ``detector.pair_blocks`` at a time, so those work arrays stay small
-    however large the lattice or the stack.
+    power for the whole stack.  Every other pair takes
+    C = (1/4) ln(P+ / P-), P+- = prod_k (1 +- x_k), over the x_k that
+    ``detector._pair_products`` gathers one block of pairs at a time, so
+    those work arrays stay small however large the lattice or the stack; a
+    pair with some |x_k| >= 1 takes no logarithm and fails on the first
+    such k.
 
     A pair is causal if row i or row j of yx is nonzero outside columns i and
     j; a spacelike pair has C = 0.  A pair that cannot be inverted gets NaN
@@ -131,8 +103,8 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     tables = math.prod(shape[:-1])
     off = ~np.eye(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = (table.yx / table.z[..., None]).reshape(-1, n)
-    c = 0.5 * _power_sums(np.where(off, ratios.reshape(tables, n, n), 0.0), 2)[0].reshape(-1)
+        t = np.where(off, table.yx / table.z[..., None], 0.0).reshape(tables, n, n)
+    c = 0.5 * _power_sums(t, 2)[0].reshape(-1)
     # every (table, pair) row, its detectors numbered over the whole stack
     a, b = (np.tile(v, tables) for v in _pairs(n))
     first = np.repeat(np.arange(tables) * n, n * (n - 1) // 2)
@@ -142,8 +114,12 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     causal = (counts[ra] > (yx[ra * n + b] != 0.0)) | (counts[rb] > (yx[rb * n + a] != 0.0))
 
     k_out, x_out = np.zeros(len(c), dtype=int), np.zeros(len(c))
-    for at, ea, eb in pair_blocks(n, np.isnan(c)):
-        c[at], k_out[at], x_out[at] = _exact_correction(ratios, ra[at], rb[at], ea, eb)
+    for at, _, _, x, k in _pair_products(t, np.isnan(c)):
+        col = np.argmax(np.abs(x) >= 1.0, axis=1)  # the first k outside the domain, or 0
+        k_out[at], x_out[at] = k[col] + 1, np.abs(x[np.arange(len(at)), col])
+        inside = x_out[at] < 1.0
+        x = x[inside]  # C = (1/2) sum_k arctanh x_k = (1/4) ln(P+ / P-)
+        c[at[inside]] = 0.25 * np.log(np.prod(1.0 + x, axis=1) / np.prod(1.0 - x, axis=1))
     c = np.where(causal, c, 0.0)
 
     z = table.z.reshape(-1)
@@ -157,7 +133,7 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     h = 0.5 * np.fromiter(map(math.atanh, inside), float, len(inside)) - c
 
     zero_z = causal & ((z[ra] == 0.0) | (z[rb] == 0.0))
-    tangent = causal & (k_out > 0)
+    tangent = causal & (x_out >= 1.0)
     dephased = np.abs(zz) < _DEPHASING_HARD
     failures: dict[int, UdwTomoError] = {}
     for q in np.flatnonzero(zero_z | tangent | dephased | noisy).tolist():

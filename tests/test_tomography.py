@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from udwtomo import detector, scenarios, tomography
+from udwtomo import detector, scenarios
 from udwtomo.detector import (CorrelatorTable, correlator_table,
                               random_kernel_matrix, sample_table)
 from udwtomo.config import validate_config
@@ -42,10 +42,11 @@ def write_reconstruction(rec, E, path, h_true):
 def reference(t, i, j):
     """The per-pair inversion, one pair at a time: (H, C, regime, flagged).
 
-    C is half the arctanh sum over the third detectors in ascending order,
-    the spacelike term is math.atanh of yy/zz, and the errors are checked in
-    the order: zero <sz> on a causal pair, first k outside the arctanh
-    domain, fully dephased zz, noise-dominated yy/zz.
+    C = (1/4) ln(P+ / P-), with P+- the products of 1 +- x_k over the third
+    detectors k in ascending order, the spacelike term is math.atanh of
+    yy/zz, and the errors are checked in the order: zero <sz> on a causal
+    pair, first k outside the arctanh domain, fully dephased zz,
+    noise-dominated yy/zz.
     """
     a, b = i - 1, j - 1
     q = a * (2 * t.n - a - 1) // 2 + b - a - 1  # row-major position of pair (i, j)
@@ -63,7 +64,7 @@ def reference(t, i, j):
                 raise TangentDomainError(
                     f"pair ({i},{j}), correction term k={k + 1}: |product| = "
                     f"{abs(xk):.6g} >= 1 (some 2G approaches pi/2)", k=k + 1)
-        c = float(0.5 * np.sum(np.arctanh(x)))
+        c = float(0.25 * np.log(np.prod(1.0 + x) / np.prod(1.0 - x)))
     zz, yy = float(t.zz[q]), float(t.yy[q])
     if abs(zz) < 1e-300:
         raise DephasingError(f"pair ({i},{j}): <sz sz> = {zz:g} is fully dephased")
@@ -244,10 +245,12 @@ class TestSeries:
     """Pairs under the series radius take C from power sums of T = yx / z.
 
     The truncation leaves at most 2^-53 sum_k |x_k|; with rounding, measured
-    on these cases, C stays within 2.3 eps sum_k |x_k| of the per-pair
-    arctanh sum and H within 1.1 eps (|H| + sum_k |x_k|).  The bound asserted
-    is 4 eps of each.  Every other pair, and every failure, is the
-    reference's bit for bit.
+    on these cases, C stays within 2.3 eps sum_k |x_k| of the arctanh sum
+    (1/2) sum_k arctanh x_k and H within 1.1 eps (|H| + sum_k |x_k|).  The
+    bound asserted is 4 eps of each.  The reference's product form is no
+    reference here: where every x_k is tiny, ln(P+ / P-) keeps only about
+    eps of the sum (3.7e-17 against 4.6e-18).  Every other pair, and every
+    failure, is the reference's bit for bit.
     """
 
     @staticmethod
@@ -284,12 +287,36 @@ class TestSeries:
                     continue
                 met_series += 1
                 others = [k for k in range(t.n) if k not in (i - 1, j - 1)]
-                size = float(np.sum(np.abs(ratios[i - 1, others] * ratios[j - 1, others])))
+                x = ratios[i - 1, others] * ratios[j - 1, others]
+                size = float(np.sum(np.abs(x)))
+                c = 0.5 * float(np.sum(np.arctanh(x))) if regime == "causal" else 0.0
+                h = 0.5 * math.atanh(t.yy[q] / t.zz[q]) - c
                 assert abs(rec.C[q] - c) <= 4 * EPS * size, (i, j)
                 assert abs(rec.H[q] - h) <= 4 * EPS * (abs(h) + size), (i, j)
         assert met_series > 0
         if case == "random" and shots:
             assert met_exact > 0, "noisy small tables should leave pairs past the radius"
+
+    @pytest.mark.parametrize("state", ["vacuum", "thermal"])
+    def test_per_pair_correction_matches_high_precision(self, state):
+        # the 81-region lattice at 2 ell: C of the pairs past the series
+        # radius, from (1/4) ln(P+ / P-), against (1/2) sum_k arctanh x_k in
+        # 40 digits over the same float x_k, exact and at 10^4 shots
+        mpmath = pytest.importorskip("mpmath")
+        fs = FieldState.vacuum() if state == "vacuum" else FieldState.thermal(50.0)
+        exact = correlator_table(lattice_kernels(3, 3, fs, spacing=2.0))
+        for t in (exact, sample_table(exact, 10**4, 81)):
+            rec, ratios = reconstruct_table(t), t.yx / t.z[:, None]
+            off = [q for q in np.flatnonzero(~series_pairs(t))[::7].tolist()
+                   if q not in rec.failures]
+            assert len(off) >= 100
+            with mpmath.workdps(40):
+                for q in off:
+                    i, j = int(rec.i[q]) - 1, int(rec.j[q]) - 1
+                    others = [k for k in range(t.n) if k not in (i, j)]
+                    x = (ratios[i, others] * ratios[j, others]).tolist()
+                    want = mpmath.fsum(mpmath.atanh(v) for v in x) / 2
+                    assert abs(rec.C[q] - want) <= 2e-15, (i + 1, j + 1)
 
     @pytest.mark.parametrize("spacing", [1.0, 2.0, 3.0, 10.0])
     @pytest.mark.parametrize("lam, failed", [(4, [28, 28, 28, 0]), (6, [28, 28, 28, 12])])
@@ -337,13 +364,14 @@ class TestRowBlocks:
         # of 5 pairs put a boundary inside the first row and in most others
         t = sample_table(correlator_table(random_kernel_matrix(9, 4)), 30, 4)
         calls = []
-        correction = tomography._exact_correction
+        pair_blocks = detector.pair_blocks
 
-        def counting(ratios, ra, rb, a, b):
-            calls.append(len(a))
-            return correction(ratios, ra, rb, a, b)
+        def counting(n, marked):
+            for block in pair_blocks(n, marked):
+                calls.append(len(block[0]))
+                yield block
 
-        monkeypatch.setattr(tomography, "_exact_correction", counting)
+        monkeypatch.setattr(detector, "pair_blocks", counting)
         monkeypatch.setattr(detector, "_CHUNK_ELEMENTS", 1 << 30)
         whole = reconstruct_table(t)
         assert calls == [36]
@@ -409,6 +437,23 @@ class TestStacks:
             assert_same_reconstruction(table_of(stack, r), rec)
         assert np.flatnonzero(~stack.ok.ravel()).tolist() == list(stack.failures)
         assert np.array_equal(stack.ok, np.array([rec.ok for rec in singles]))
+
+    def test_stack_with_other_zero_columns(self):
+        # the 81-region lattice at 2 ell: its exact table has 27 columns of
+        # yx that are zero (detectors with no causal future), a table of 10^4
+        # shots has none, so stacked the per-pair path keeps every column;
+        # each table still inverts bitwise as alone
+        exact = correlator_table(lattice_kernels(3, 3, FieldState.vacuum(), spacing=2.0))
+        sampled = sample_table(exact, 10**4, 81)
+        assert np.count_nonzero(~np.any(exact.yx != 0.0, axis=0)) == 27
+        assert np.all(np.any(sampled.yx != 0.0, axis=0))
+        parts = [exact, sampled]
+        stack = CorrelatorTable(*(np.array([getattr(t, name) for t in parts])
+                                  for name in ("z", "zz", "yy", "yx")))
+        assert not series_pairs(exact).all() and not series_pairs(sampled).all()
+        rec = reconstruct_table(stack)
+        for r, t in enumerate(parts):
+            assert_same_reconstruction(table_of(rec, r), reconstruct_table(t))
 
     def test_hand_built_stack(self):
         # tables that fail in different ways, stacked by hand
@@ -494,6 +539,29 @@ class TestGeneral:
         rec = reconstruct_table(correlator_table(km))
         assert not rec.failures
         np.testing.assert_allclose(rec.H, km.H[rec.i - 1, rec.j - 1], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("radius", [detector._SERIES_RADIUS, 0.0])
+    def test_inverts_the_table_up_to_the_tangent_domain(self, monkeypatch, radius):
+        # GR scaled up until 2G passes pi/2: every pair returns H or fails
+        # with TangentDomainError, exactly where the table's own ratios
+        # T = yx / z give a third detector k with |T_ik T_jk| >= 1
+        monkeypatch.setattr(detector, "_SERIES_RADIUS", radius)
+        failed = 0
+        for seed in range(20):
+            km = random_kernel_matrix(4 + seed % 5, seed)
+            for scale in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0):
+                scaled = KernelMatrix(H=km.H, GR=scale * km.GR)
+                t = correlator_table(scaled)
+                rec = reconstruct_table(t)
+                ratios = np.where(np.eye(t.n, dtype=bool), 0.0, t.yx / t.z[:, None])
+                a, b = rec.i - 1, rec.j - 1
+                x = ratios[a] * ratios[b]  # 0 at k = i and k = j
+                outside = np.any(np.abs(x) >= 1.0, axis=1)
+                assert np.array_equal(~rec.ok, outside), (seed, scale)
+                assert all(isinstance(err, TangentDomainError) for err in rec.failures.values())
+                assert np.all(np.abs(rec.H[rec.ok] - km.H[a, b][rec.ok]) <= 1e-10), (seed, scale)
+                failed += len(rec.failures)
+        assert failed > 0
 
     def test_roundtrip_mixed_n6(self):
         for seed in (3, 4, 5):
