@@ -24,12 +24,17 @@ integrand is evaluated once per refinement round over every node and
 point, without scipy; if that pass cannot certify the tolerance, ``run``
 raises its ``ConvergenceError``.
 
+The field grids (``_grid``) evaluate their field once per distinct
+(t, |x|) and write t, x and the value as ``tables.Indexed`` columns over the
+two axes and those values.
+
 All lengths are quoted in units of the region width ell.  Every output CSV
 is written from its columns by ``tables.write_columns``: UTF-8 with header
 row, LF line endings and 17-significant-digit floats, each distinct cell of
-a column formatted once; a curve scan's lightlike point keeps its s value and
-error text, its other cells blank (``tables.Blanked`` columns).  Identical
-config + seed reproduces byte-identical files.
+a column (or each value of an ``Indexed`` one) formatted once; a curve
+scan's lightlike point keeps its s value and error text, its other cells
+blank (``tables.Blanked`` columns).  Identical config + seed reproduces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature,
 from .numerics import fit_loglog_slope
 from .smearing import GaussianRegion
 from .spacetime import Event, build_lattice, intervals
-from .tables import Blanked, Labelled
+from .tables import Blanked, Indexed
 
 __all__ = ["ScenarioConfig", "SCENARIO_IDS", "validate_config", "run", "list_scenarios"]
 
@@ -141,32 +146,38 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
     return [path]
 
 
-def _grid(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, x) grid values in units of ell, row-major in t, and the events
-    (t ell, x ell, 0, 0) as one coordinate array."""
-    axes = [np.linspace(start, stop, n) for start, stop, n in (cfg.grid_t, cfg.grid_x)]
-    t, x = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-    coords = np.zeros((t.size, 4))
-    coords[:, 0] = t * cfg.ell
-    coords[:, 1] = x * cfg.ell
-    return t, x, coords
+def _grid(cfg: ScenarioConfig) -> tuple[Indexed, Indexed, np.ndarray, np.ndarray]:
+    """The (t, x) grid in units of ell, row-major in t: its t and x columns
+    as ``Indexed`` over the two axes, the events (t ell, |x| ell, 0, 0) of
+    the grid of t and the distinct |x| (the x axis's absolute values told
+    apart by bit pattern) as one coordinate array, and the index of each
+    (t, x) row's event.  The fields depend on x only through x^2, which
+    takes the same bits at x and -x, so an event stands for both rows."""
+    t_axis, x_axis = (np.linspace(start, stop, n) for start, stop, n in (cfg.grid_t, cfg.grid_x))
+    t = Indexed(t_axis, np.repeat(np.arange(len(t_axis)), len(x_axis)))
+    x = Indexed(x_axis, np.tile(np.arange(len(x_axis)), len(t_axis)))
+    bits, radius = np.unique(np.abs(x_axis).view(np.int64), return_inverse=True)
+    coords = np.zeros((len(t_axis), len(bits), 4))
+    coords[..., 0] = t_axis[:, None] * cfg.ell
+    coords[..., 1] = bits.view(np.float64) * cfg.ell
+    return t, x, coords.reshape(-1, 4), t.index * len(bits) + radius[x.index]
 
 
 def _run_coherent_field_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    t, x, coords = _grid(cfg)
+    t, x, coords, event = _grid(cfg)
     value = phi0_coherent_array(cfg.delta, coords)
     path = out / "coherent_field_grid.csv"
-    _write_rows(path, ["t", "x", "value"], [t, x, value])
+    _write_rows(path, ["t", "x", "value"], [t, x, Indexed(value, event)])
     return [path]
 
 
 def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
     f_anchor = F_oneparticle_array(cfg.delta, cfg.anchor.coords())
-    t, x, coords = _grid(cfg)
+    t, x, coords, event = _grid(cfg)
     value = _source_term(FieldState.one_particle(cfg.delta), f_anchor,
                          F_oneparticle_array(cfg.delta, coords))
     path = out / "oneparticle_diff_grid.csv"
-    _write_rows(path, ["t", "x", "value"], [t, x, value])
+    _write_rows(path, ["t", "x", "value"], [t, x, Indexed(value, event)])
     return [path]
 
 
@@ -197,11 +208,15 @@ def _write_reconstruction(path: Path, rec: tomography.TableReconstruction, E: np
                           h_true: np.ndarray) -> None:
     """One row per pair of ``rec`` (one table, every pair inverted), beside its
     true H, with W = H/2 + i E/2 from the commutator matrix ``E``."""
+    a, b = rec.i - 1, rec.j - 1
+    labels = np.arange(1, len(E) + 1)
     _write_rows(path, ["i", "j", "regime", "H_reconstructed", "H_true_if_known", "C_ij",
                        "Re_W", "Im_W", "flags"],
-                [rec.i, rec.j, Labelled(rec.causal, "spacelike", "causal"), rec.H, h_true,
-                 rec.C, 0.5 * rec.H, 0.5 * E[rec.i - 1, rec.j - 1],
-                 Labelled(rec.dephasing_dominated, "", "dephasing_dominated")])
+                [Indexed(labels, a), Indexed(labels, b),
+                 Indexed(np.array(["spacelike", "causal"]), rec.causal.view(np.uint8)),
+                 rec.H, h_true, rec.C, 0.5 * rec.H, 0.5 * E[a, b],
+                 Indexed(np.array(["", "dephasing_dominated"]),
+                         rec.dephasing_dominated.view(np.uint8))])
 
 
 def _run_tomography_roundtrip(cfg: ScenarioConfig, out: Path) -> list[Path]:

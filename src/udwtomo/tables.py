@@ -9,30 +9,39 @@ writes a lone empty cell as ``""``).
 
 ``write_columns`` takes a table as equal-length 1-D float, int, bool or
 text arrays (an object array, or anything that is not an ndarray, raises
-``ValueError``).  Each column is deduplicated once over the whole table by
-one ``np.unique`` -- a float column by its values' bit patterns (so ``-0.0``
-stays ``-0`` next to ``0``, and every NaN is its own cell), an int or text
-column by its values -- and each distinct cell is formatted once, carrying
-the separator that follows it in its column.  A bool column needs no
-``np.unique``: its two texts are ``False`` and ``True``, or the two of a
-``Labelled`` column, which writes a text column of two values from the mask
-it comes from.  The rows are then written in blocks of ``BLOCK_ROWS``, each
-block one ``"".join`` over its ``(rows, columns)`` texts gathered by the
-inverse index.  A ``Blanked`` column is written blank where its ``blank``
-mask is true (a failed row's cells).
+``ValueError``).  A column's cells are formatted once per entry of a
+values array and gathered back by an index of each row's entry.  A plain
+float, int or text column finds both by one ``np.unique`` over the whole
+table -- a float column by its values' bit patterns (so ``-0.0`` stays
+``-0`` next to ``0``, and every NaN is its own cell), an int or text column
+by its values.  An ``Indexed`` column brings its own: row r is
+``values[index[r]]``, ``values`` a 1-D float, int or text array and
+``index`` a 1-D integer array within range, and no ``np.unique`` runs (a
+repeated entry is formatted once per repeat, to the same text).  A bool
+column is the ``Indexed`` column of the texts ``False`` and ``True`` over
+its mask.  Each text carries the separator that follows it in its column.
+The rows are then written in blocks of ``BLOCK_ROWS``, each block one
+``"".join`` over its ``(rows, columns)`` texts gathered by the index.  A
+``Blanked`` column, which may hold an ``Indexed`` one, is written blank
+where its ``blank`` mask is true (a failed row's cells).
 
-A float column with fewer than ``_ARRAY_MIN_FLOATS`` distinct values is
+A float column with fewer than ``_ARRAY_MIN_FLOATS`` values to format is
 formatted by ``"%.17g" % v``, one value at a time.  A larger one goes
 through an exact array pass (``_array_texts``) in chunks of at most
 ``BLOCK_ROWS`` values: each value is scaled to a 17-digit integer by a
 double-double power of ten, and its text laid out in numpy.  The pass
 certifies each rounding, and ``"%.17g" % v`` formats whatever it does not
 settle: near-ties, zeros, NaNs, infinities and magnitudes outside
-[1e-250, 1e250).  Either way the texts are those of ``"%.17g" % v``.  At
-the scenarios' defaults the two grids' value columns and the 520-row
-one-particle scan take the array pass; the 158-row scans, the grids'
-coordinates, the 16-region roundtrip's 120 pairs and the small tables
-(shot-noise study, convergence sweep, summary) do not.
+[1e-250, 1e250).  Either way the texts are those of ``"%.17g" % v``.
+
+At the scenarios' defaults the two grids write t and x as ``Indexed``
+columns over their axes and the value as one over the field at each
+distinct (t, |x|); the reconstruction writes i, j, ``regime`` and
+``flags`` as ``Indexed`` columns.  Every other column is deduplicated.
+The grids' values and the 520-row one-particle scan take the array pass;
+the 158-row scans, the grids' axes, the 16-region roundtrip's 120 pairs
+and the small tables (shot-noise study, convergence sweep, summary) do
+not.
 
 A file is opened without ``O_TRUNC`` (created with mode ``0o666`` less the
 umask if it does not exist; an existing one keeps its mode, and a symlink
@@ -63,7 +72,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "Blanked", "Labelled", "write_columns"]
+__all__ = ["BLOCK_ROWS", "Blanked", "Indexed", "write_columns"]
 
 # the two default grid tables (~10^4 rows each) write in 4.4 and 4.7 ms at
 # 256 rows per block, 3.2 and 3.5 ms at 1024 and 3.6 and 3.7 ms at 4096
@@ -93,13 +102,15 @@ class Blanked(NamedTuple):
     blank: np.ndarray
 
 
-class Labelled(NamedTuple):
-    """A bool column written as ``true`` where ``values`` is true and as
-    ``false`` elsewhere."""
+class Indexed(NamedTuple):
+    """A column whose row r is ``values[index[r]]``."""
 
     values: np.ndarray
-    false: str
-    true: str
+    index: np.ndarray
+
+
+# a bool column's texts, indexed by its mask
+_BOOL_TEXTS = np.array(["False", "True"])
 
 
 def _quoted(text: str) -> str:
@@ -111,28 +122,47 @@ def _quoted(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _column(values) -> tuple[np.ndarray, np.ndarray | None, tuple[str, str]]:
-    """A column's cells as a 1-D array, its mask of blank cells, and the
-    texts of False and True."""
-    blank, labels = None, ("False", "True")
-    if isinstance(values, Blanked):
-        values, blank = values
-    elif isinstance(values, Labelled):
-        values, labels = values.values, (values.false, values.true)
-        if getattr(values, "dtype", None) != bool:
-            raise ValueError("a Labelled column's values must be a bool array")
-    if not isinstance(values, np.ndarray) or values.dtype.kind not in "fiubU":
-        raise ValueError("columns must be float, int, bool or text arrays, got "
-                         f"{getattr(values, 'dtype', type(values).__name__)}")
+def _dtype(values) -> str:
+    return str(getattr(values, "dtype", type(values).__name__))
+
+
+def _column(column) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """A column's values to format, the index of each row's value and its
+    mask of blank cells."""
+    blank = index = None
+    if isinstance(column, Blanked):
+        column, blank = column
+    if isinstance(column, Indexed):
+        values, index = column
+        if (not isinstance(values, np.ndarray) or values.dtype.kind not in "fiuU"
+                or values.ndim != 1):
+            raise ValueError("an Indexed column's values must be a 1-D float, int or text "
+                             f"array, got {_dtype(values)} of shape {np.shape(values)}")
+        if not isinstance(index, np.ndarray) or index.dtype.kind not in "iu" or index.ndim != 1:
+            raise ValueError("an Indexed column's index must be a 1-D integer array, got "
+                             f"{_dtype(index)} of shape {np.shape(index)}")
+        if len(index) and (index.min() < 0 or index.max() >= len(values)):
+            raise ValueError(f"an Indexed column's index runs outside its {len(values)} values")
+    else:
+        values = column
+        if not isinstance(values, np.ndarray) or values.dtype.kind not in "fiubU":
+            raise ValueError("columns must be float, int, bool or text arrays, got "
+                             f"{_dtype(values)}")
+        if values.ndim != 1:
+            raise ValueError(f"columns must be 1-D, got shape {values.shape}")
+        if values.dtype.kind == "b":
+            values, index = _BOOL_TEXTS, values.view(np.uint8)
     if values.dtype.kind == "f":
         values = values.astype(np.float64, copy=False)
-    if values.ndim != 1:
-        raise ValueError(f"columns must be 1-D, got shape {values.shape}")
+    if index is None:
+        distinct, index = np.unique(values.view(np.int64) if values.dtype.kind == "f" else values,
+                                    return_inverse=True)
+        values = distinct.view(values.dtype)
     if blank is not None:
         blank = np.asarray(blank, dtype=bool)
-        if blank.shape != values.shape:
-            raise ValueError(f"blank mask of shape {blank.shape} for {len(values)} cells")
-    return values, blank, labels
+        if blank.shape != index.shape:
+            raise ValueError(f"blank mask of shape {blank.shape} for {len(index)} cells")
+    return values, index, blank
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +332,16 @@ def _float_texts(v: np.ndarray, sep: str) -> list[str]:
 # the writer
 # ---------------------------------------------------------------------------
 
-def _texts(values: np.ndarray, sep: str,
-           labels: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """A column's distinct cells as texts followed by ``sep``, and the
-    index of each row's text; a bool column's two are ``labels``."""
-    kind = values.dtype.kind
-    if kind == "b":
-        return np.array([_quoted(v) + sep for v in labels], dtype=object), values.view(np.uint8)
-    key = values.view(np.int64) if kind == "f" else values
-    distinct, inverse = np.unique(key, return_inverse=True)
-    if kind == "f":
-        texts = _float_texts(distinct.view(np.float64), sep)
-    elif kind == "U":
-        texts = [_quoted(v) + sep for v in distinct.tolist()]
+def _texts(values: np.ndarray, sep: str) -> np.ndarray:
+    """The text of each entry of ``values``, followed by ``sep``."""
+    if values.dtype.kind == "f":
+        texts = _float_texts(values, sep)
+    elif values.dtype.kind == "U":
+        texts = [_quoted(v) + sep for v in values.tolist()]
     else:
         fmt = "%d" + sep
-        texts = [fmt % v for v in distinct.tolist()]
-    return np.array(texts, dtype=object), inverse
+        texts = [fmt % v for v in values.tolist()]
+    return np.array(texts, dtype=object)
 
 
 def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
@@ -327,12 +350,12 @@ def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) ->
     columns = [_column(c) for c in columns]
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header cells but {len(columns)} columns")
-    n_rows = len(columns[0][0]) if columns else 0
-    if any(len(values) != n_rows for values, _, _ in columns):
+    n_rows = len(columns[0][1]) if columns else 0
+    if any(len(index) != n_rows for _, index, _ in columns):
         raise ValueError("columns must have equal lengths")
     seps = [","] * (len(columns) - 1) + ["\n"]
-    cells = [(*_texts(values, sep, labels), blank, sep)
-             for (values, blank, labels), sep in zip(columns, seps)]
+    cells = [(_texts(values, sep), index, blank, sep)
+             for (values, index, blank), sep in zip(columns, seps)]
     with open(os.open(path, _OPEN_FLAGS, 0o666), "w", encoding="utf-8", newline="\n") as fh:
         old = os.fstat(fh.fileno())
         regular = stat.S_ISREG(old.st_mode)
@@ -341,8 +364,8 @@ def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) ->
             for start in range(0, n_rows, BLOCK_ROWS):
                 stop = min(start + BLOCK_ROWS, n_rows)
                 block = np.empty((stop - start, len(columns)), dtype=object)
-                for c, (texts, inverse, blank, sep) in enumerate(cells):
-                    block[:, c] = texts[inverse[start:stop]]
+                for c, (texts, index, blank, sep) in enumerate(cells):
+                    block[:, c] = texts[index[start:stop]]
                     if blank is not None:
                         block[blank[start:stop], c] = sep
                 fh.write("".join(block.ravel().tolist()))

@@ -93,7 +93,8 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
 
     A pair is causal if row i or row j of yx is nonzero outside columns i and
     j; a spacelike pair has C = 0.  A pair that cannot be inverted gets NaN
-    and its error in ``failures``, the first of: zero <sz> on a causal pair,
+    and its error in ``failures``, the first of: a vanishing <sz> on a
+    causal pair (zero, or so small that some yx_ik / z_i overflows),
     a product outside the arctanh domain (first k), a fully dephased zz, a
     noise-dominated yy/zz.  A series pair has finite ratio rows and every
     |x_k| < 1, so only the last two can stop it.  The other pairs are
@@ -102,8 +103,11 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     shape, n = np.shape(table.zz), table.n
     tables = math.prod(shape[:-1])
     off = ~np.eye(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.where(off, table.yx / table.z[..., None], 0.0).reshape(tables, n, n)
+    # <sz_i> vanishes for the inversion where it is zero or so small (a
+    # subnormal) that some yx_ik / z_i overflows
+    vanishing = (table.z == 0.0).reshape(-1) | np.any(np.isinf(t), axis=-1).reshape(-1)
     c = 0.5 * _power_sums(t, 2)[0].reshape(-1)
     # every (table, pair) row, its detectors numbered over the whole stack
     a, b = (np.tile(v, tables) for v in _pairs(n))
@@ -122,7 +126,6 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
         c[at[inside]] = 0.25 * np.log(np.prod(1.0 + x, axis=1) / np.prod(1.0 - x, axis=1))
     c = np.where(causal, c, 0.0)
 
-    z = table.z.reshape(-1)
     zz, yy = table.zz.reshape(-1), table.yy.reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = yy / zz
@@ -132,7 +135,7 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     inside = np.where(noisy, np.nan, ratio).tolist()
     h = 0.5 * np.fromiter(map(math.atanh, inside), float, len(inside)) - c
 
-    zero_z = causal & ((z[ra] == 0.0) | (z[rb] == 0.0))
+    zero_z = causal & (vanishing[ra] | vanishing[rb])
     tangent = causal & (x_out >= 1.0)
     dephased = np.abs(zz) < _DEPHASING_HARD
     failures: dict[int, UdwTomoError] = {}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udwtomo import cli, scenarios, tables
+from udwtomo import cli, kernels, scenarios, tables
 from udwtomo.errors import ConvergenceError
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
@@ -45,12 +45,15 @@ def reference_rows(columns):
     """The rows of ``columns`` as Python cells, a blanked cell empty."""
     cells = []
     for col in columns:
+        blank = None
         if isinstance(col, tables.Blanked):
-            cells.append(["" if b else v for v, b in zip(col.values.tolist(), col.blank)])
-        elif isinstance(col, tables.Labelled):
-            cells.append([col.true if v else col.false for v in col.values.tolist()])
+            col, blank = col
+        if isinstance(col, tables.Indexed):
+            values = col.values.tolist()
+            col = [values[k] for k in col.index.tolist()]
         else:
-            cells.append(col.tolist())
+            col = col.tolist()
+        cells.append(col if blank is None else ["" if b else v for v, b in zip(col, blank)])
     return list(zip(*cells))
 
 
@@ -183,6 +186,11 @@ def test_blank_cells(tmp_path):
     check(tmp_path / "blank.csv", ["value", "count"], [value, count])
 
 
+def labelled(mask, false, true):
+    """A bool mask written as one of two texts."""
+    return tables.Indexed(np.array([false, true]), mask.view(np.uint8))
+
+
 def test_labelled_columns(tmp_path):
     # a bool mask written as two texts, each quoted as csv.writer quotes it,
     # on both sides of a block boundary; all true, all false and no rows
@@ -190,16 +198,63 @@ def test_labelled_columns(tmp_path):
     k = np.arange(n)
     for false, true in (("spacelike", "causal"), ("", "dephasing_dominated"),
                         ("a,b", 'say "hi"'), ("two\nlines", "")):
-        columns = [k, tables.Labelled(k % 3 == 0, false, true),
-                   tables.Labelled(np.ones(n, dtype=bool), false, true),
-                   tables.Labelled(np.zeros(n, dtype=bool), true, false)]
+        columns = [k, labelled(k % 3 == 0, false, true),
+                   labelled(np.ones(n, dtype=bool), false, true),
+                   labelled(np.zeros(n, dtype=bool), true, false)]
         check(tmp_path / "labelled.csv", ["k", "mixed", "true", "false"], columns)
     check(tmp_path / "labelled.csv", ["k", "label"],
-          [k[:0], tables.Labelled(np.zeros(0, dtype=bool), "no", "yes")])
-    for values in (k % 2, np.where(k % 2 == 0, "yes", "no"), [True, False]):
-        with pytest.raises(ValueError, match="Labelled column's values must be a bool array"):
-            tables.write_columns(tmp_path / "bad.csv", ["k", "label"],
-                                 [k, tables.Labelled(values, "no", "yes")])
+          [k[:0], labelled(np.zeros(0, dtype=bool), "no", "yes")])
+
+
+def test_indexed_columns_reuse_and_skip_values(tmp_path):
+    # repeated and unused entries, int and float values, a Blanked column
+    # holding an Indexed one, and an index of each integer dtype
+    n = tables.BLOCK_ROWS + 5
+    k = np.arange(n)
+    floats = np.array([0.5, -0.0, 0.5, math.nan, 1e300, 0.0])
+    ints = np.array([7, -3, 7, 2**62])
+    texts = np.array(["a,b", "", "a,b", "plain"])
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64, np.intp):
+        columns = [k, tables.Indexed(floats, (k % 5).astype(dtype)),
+                   tables.Indexed(ints, (k % 2 * 2 + 1).astype(dtype)),
+                   tables.Blanked(tables.Indexed(texts, (k % 4).astype(dtype)), k % 3 == 0)]
+        check(tmp_path / "indexed.csv", ["k", "float", "int", "text"], columns)
+    check(tmp_path / "indexed.csv", ["k", "float"],
+          [k[:0], tables.Indexed(floats, np.array([], dtype=np.int64))])
+    assert (tmp_path / "indexed.csv").read_bytes() == b"k,float\n"
+
+
+@pytest.mark.parametrize("index, match", [
+    (np.array([0, 3]), "index runs outside its 3 values"),
+    (np.array([0, -1]), "index runs outside its 3 values"),
+    (np.array([2**63], dtype=np.uint64), "index runs outside its 3 values"),
+    (np.array([0.0, 1.0]), "index must be a 1-D integer array, got float64"),
+    (np.array([True, False]), "index must be a 1-D integer array, got bool"),
+    (np.array([[0, 1]]), r"index must be a 1-D integer array, got int64 of shape \(1, 2\)"),
+    ([0, 1], "index must be a 1-D integer array, got list"),
+])
+def test_bad_indexes_rejected(tmp_path, index, match):
+    # refused before a new file is made or an existing one is touched
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=match):
+        tables.write_columns(path, ["v"], [tables.Indexed(np.array([1.0, 2.0, 3.0]), index)])
+    assert not path.exists()
+    path.write_bytes(OLD_BYTES)
+    with pytest.raises(ValueError, match=match):
+        tables.write_columns(path, ["v"], [tables.Indexed(np.array([1.0, 2.0, 3.0]), index)])
+    assert path.read_bytes() == OLD_BYTES
+
+
+@pytest.mark.parametrize("values", [
+    np.array([True, False]), np.array([1 + 2j, 0j]), np.array([1, None], dtype=object),
+    np.zeros((2, 1)), [1.0, 2.0]])
+def test_bad_indexed_values_rejected(tmp_path, values):
+    # an Indexed column's values are a 1-D float, int or text array; a bool
+    # mask is written through its two texts
+    with pytest.raises(ValueError, match="Indexed column's values must be a 1-D float, int or text"):
+        tables.write_columns(tmp_path / "bad.csv", ["v"],
+                             [tables.Indexed(values, np.array([0, 1]))])
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_mismatched_columns_rejected(tmp_path):
@@ -214,6 +269,12 @@ def test_mismatched_columns_rejected(tmp_path):
         with pytest.raises(ValueError, match="blank mask"):
             tables.write_columns(path, ["a", "b"],
                                  [np.zeros(2), tables.Blanked(np.zeros(2), [True])])
+        with pytest.raises(ValueError, match="equal lengths"):
+            tables.write_columns(path, ["a", "b"],
+                                 [np.zeros(2), tables.Indexed(np.zeros(2), np.zeros(3, int))])
+        with pytest.raises(ValueError, match="blank mask of shape \\(2,\\) for 3 cells"):
+            tables.write_columns(path, ["a"], [tables.Blanked(
+                tables.Indexed(np.zeros(2), np.zeros(3, int)), [True, False])])
     assert not missing.exists()
     assert existing.read_bytes() == OLD_BYTES
 
@@ -423,6 +484,34 @@ def test_property_matches_csv_writer(tmp_path_factory, data):
         check(path, ["repeated", "distinct", "blanked", "int", "text", "bool"], columns)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_indexed_matches_csv_writer(tmp_path_factory, data):
+    # Indexed float, int and text columns whose values repeat entries and
+    # leave some unused (no rows at all: an empty index), one held by a
+    # Blanked column, beside a plain and a Blanked float column; floats go
+    # value by value or all through the array pass
+    n = data.draw(st.integers(0, 3 * SMALL_BLOCK + 1), label="rows")
+
+    def indexed(elements, dtype):
+        pool = data.draw(st.lists(elements, min_size=1, max_size=4))
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        index = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))
+        values = (floats_from_bits(values) if dtype == np.float64
+                  else np.array(values, dtype=dtype))
+        return tables.Indexed(values, np.array(index, dtype=np.intp))
+
+    blank = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    distinct = floats_from_bits(data.draw(st.lists(float_bits, min_size=n, max_size=n)))
+    columns = [indexed(float_bits, np.float64), indexed(st.integers(-2**63, 2**63 - 1), np.int64),
+               indexed(texts, str), tables.Blanked(indexed(float_bits, np.float64), blank),
+               distinct, tables.Blanked(distinct, blank)]
+    threshold = data.draw(st.sampled_from([1, tables._ARRAY_MIN_FLOATS]), label="threshold")
+    path = tmp_path_factory.getbasetemp() / "property_indexed.csv"
+    with mock.patch.multiple(tables, BLOCK_ROWS=SMALL_BLOCK, _ARRAY_MIN_FLOATS=threshold):
+        check(path, ["float", "int", "text", "blanked", "distinct", "blanked_distinct"], columns)
+
+
 def _captured_writes(monkeypatch):
     """Record each header and column list a scenario writes."""
     writes = []
@@ -435,16 +524,45 @@ def _captured_writes(monkeypatch):
     return writes
 
 
+def expanded(column):
+    """The cells of an ``Indexed`` column, row by row."""
+    return column.values[column.index]
+
+
 @pytest.mark.parametrize("sid", ["coherent_field_grid", "oneparticle_diff_grid"])
 def test_grid_files_match_csv_writer(sid, tmp_path, monkeypatch):
+    # t and x are written over their axes and the value over the distinct
+    # (t, |x|); expanded, they are the full grid's cells, the value bit for
+    # bit the field at every (t, x), in the default window (symmetric in x)
+    # and in one shifted so that no two x share an |x|
     writes = _captured_writes(monkeypatch)
-    [path] = scenarios.run({"scenario_id": sid, "output_dir": str(tmp_path)})
-    [(header, (t, x, value))] = writes
-    cfg = scenarios.validate_config({"scenario_id": sid, "output_dir": str(tmp_path)})
-    grid_t, grid_x, _ = scenarios._grid(cfg)
-    assert np.array_equal(t, grid_t) and np.array_equal(x, grid_x)
-    rows = zip(t.tolist(), x.tolist(), value.tolist())
-    assert path.read_bytes() == csv_writer_bytes(["t", "x", "value"], rows)
+    default = scenarios.validate_config({"scenario_id": sid})
+    (t0, t1, nt), (x0, x1, nx) = default.grid_t, default.grid_x
+    for shift, events in ((0.0, nt * (nx + 1) // 2), (0.37, nt * nx)):
+        raw = {"scenario_id": sid, "output_dir": str(tmp_path / str(shift)),
+               "grid": {"t": {"start": t0, "stop": t1, "n": nt},
+                        "x": {"start": x0 + shift, "stop": x1 + shift, "n": nx}}}
+        [path] = scenarios.run(raw)
+        [(header, (t, x, value))] = writes
+        writes.clear()
+        assert len(value.values) == events
+        cfg = scenarios.validate_config(raw)
+        grid_t, grid_x = (g.ravel() for g in np.meshgrid(
+            np.linspace(t0, t1, nt), np.linspace(x0 + shift, x1 + shift, nx), indexing="ij"))
+        assert expanded(t).tobytes() == grid_t.tobytes()
+        assert expanded(x).tobytes() == grid_x.tobytes()
+        coords = np.zeros((grid_t.size, 4))
+        coords[:, 0], coords[:, 1] = grid_t * cfg.ell, grid_x * cfg.ell
+        if sid == "coherent_field_grid":
+            field = kernels.phi0_coherent_array(cfg.delta, coords)
+        else:
+            field = kernels._source_term(
+                kernels.FieldState.one_particle(cfg.delta),
+                kernels.F_oneparticle_array(cfg.delta, cfg.anchor.coords()),
+                kernels.F_oneparticle_array(cfg.delta, coords))
+        assert expanded(value).tobytes() == field.tobytes()
+        rows = zip(grid_t.tolist(), grid_x.tolist(), field.tolist())
+        assert path.read_bytes() == csv_writer_bytes(["t", "x", "value"], rows)
 
 
 def test_scan_with_failed_point_matches_csv_writer(tmp_path, monkeypatch, capsys):

@@ -44,8 +44,8 @@ def reference(t, i, j):
 
     C = (1/4) ln(P+ / P-), with P+- the products of 1 +- x_k over the third
     detectors k in ascending order, the spacelike term is math.atanh of
-    yy/zz, and the errors are checked in the order: zero <sz> on a causal
-    pair, first k outside the arctanh domain, fully dephased zz,
+    yy/zz, and the errors are checked in the order: vanishing <sz> on a
+    causal pair, first k outside the arctanh domain, fully dephased zz,
     noise-dominated yy/zz.
     """
     a, b = i - 1, j - 1
@@ -56,7 +56,11 @@ def reference(t, i, j):
     c = 0.0
     if causal:
         zi, zj = float(t.z[a]), float(t.z[b])
-        if zi == 0.0 or zj == 0.0:
+        # <sz> vanishes where it is zero or so small that a ratio of its row
+        # overflows
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            overflows = [np.isinf(np.delete(t.yx[r], r) / z).any() for r, z in ((a, zi), (b, zj))]
+        if zi == 0.0 or zj == 0.0 or any(overflows):
             raise DephasingError(f"pair ({i},{j}): vanishing <sz> denominator")
         x = (t.yx[a, others] / zi) * (t.xy[others, b] / zj)
         for k, xk in zip(others, x):
@@ -180,6 +184,22 @@ class TestOracle:
         assert check_against_reference(t) == {"DephasingError on <sz>"}
         rec = reconstruct_table(t)
         assert sorted(rec.failures) == [0, 2] and not rec.causal[1]
+
+    def test_overflowing_ratio_fails_on_sz(self):
+        # a subnormal z_1 whose ratio yx_12 / z_1 overflows to inf: every
+        # causal pair on row 1 fails as a vanishing <sz>, where H and C used
+        # to be NaN with no failure; the spacelike pair (2, 3) is untouched
+        t = table(n=3, zz=0.6, yy=0.3, z=[1e-310, 1.0, 1.0],
+                  yx={(1, 2): 0.5, (1, 3): 1e-311, (2, 3): 0.2})
+        with np.errstate(all="raise"):
+            rec = reconstruct_table(t)
+        assert list(rec.failures) == [0, 1]
+        for q, pair in ((0, "(1,2)"), (1, "(1,3)")):
+            assert same_error(rec.failures[q],
+                              DephasingError(f"pair {pair}: vanishing <sz> denominator"))
+        assert not rec.causal[2] and rec.C[2] == 0.0
+        assert same_bits(rec.H[2], 0.5 * math.atanh(0.3 / 0.6))
+        assert check_against_reference(t) == {"DephasingError on <sz>"}
 
     @pytest.mark.parametrize("t, want", [
         # zero <sz> on a causal pair, also outside the arctanh domain and dephased
