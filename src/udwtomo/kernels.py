@@ -642,13 +642,13 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
 
     Only zero-mean quasifree states (vacuum, thermal) are admissible: the
     exact detector state formula presupposes a vanishing one-point function.
-    Intervals and the closed commutator form (state independent) are taken
-    once per pair i <= j, and the retarded part is filled from the
-    commutator on the future side of each pair.  An H entry depends on its
-    pair only through the geometry (|dt|, dr), and Re W is even in dt bit for
-    bit, so the distinct geometries (exact floats, the diagonal's (0, 0)
-    included) go to one closed evaluation, scattered to every pair that has
-    them.
+    Intervals are taken once per pair i <= j.  An entry depends on its pair
+    only through the geometry (|dt|, dr): Re W is even in dt bit for bit and
+    the closed commutator form (state independent) odd, so the distinct
+    geometries (exact floats, the diagonal's (0, 0) included) go to one
+    closed evaluation of each, scattered to every pair that has them.  The
+    retarded part is filled from the commutator on the future side of each
+    pair.
     """
     if state.tag not in ("vacuum", "thermal"):
         raise ValueError(
@@ -678,10 +678,12 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
     H[iu, ju] = H[ju, iu] = values[index]
 
     # G_R from the (state independent) commutator on the future side of each
-    # pair, the transposed entry when dt < 0; dt = 0 pairs stay zero
-    e = lam2 * _commutator(itv.dt, itv.dr, regions[0].ell)
+    # pair, the transposed entry -E(dt) when dt < 0 (dt = 0 pairs stay zero),
+    # taken on the same distinct geometries: E(-|dt|) is 0 - E(|dt|) bit for
+    # bit, an exact zero (both Gaussians underflowed) +0 on either side
+    e = (lam2 * _commutator(geometry.real, geometry.imag, regions[0].ell))[index]
     fut, past = itv.dt > 0.0, itv.dt < 0.0
     GR[iu[fut], ju[fut]] = e[fut]
-    GR[ju[past], iu[past]] = -e[past]
+    GR[ju[past], iu[past]] = -(0.0 - e[past])
 
     return KernelMatrix(H=H, GR=GR)

@@ -31,9 +31,10 @@ two axes and those values.
 All lengths are quoted in units of the region width ell.  Every output CSV
 is written from its columns by ``tables.write_columns``: UTF-8 with header
 row, LF line endings and 17-significant-digit floats, each distinct cell of
-a column (or each value of an ``Indexed`` one) formatted once; a curve
-scan's lightlike point keeps its s value and error text, its other cells
-blank (``tables.Blanked`` columns).  Identical config + seed reproduces
+a column (or each value of an ``Indexed`` one) formatted once.  A curve
+scan writes each kernel column as ``tables.Indexed`` over its points off
+the lightcone, so a lightlike point keeps its s value and error text and
+its other cells are blank (index -1).  Identical config + seed reproduces
 byte-identical files.
 """
 
@@ -55,7 +56,7 @@ from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature,
 from .numerics import fit_loglog_slope
 from .smearing import GaussianRegion
 from .spacetime import Event, build_lattice, intervals
-from .tables import Blanked, Indexed
+from .tables import Indexed
 
 __all__ = ["ScenarioConfig", "SCENARIO_IDS", "validate_config", "run", "list_scenarios"]
 
@@ -100,15 +101,13 @@ def _write_scan(path: Path, header: list[str], s: np.ndarray, ok: np.ndarray,
     """One row per scan point: s, the cells of the columns (each holding
     the points off the lightcone, in order) and an empty errors cell, or,
     for a failed point, blank cells and the error's text."""
-    failed, full_columns = ~ok, []
-    for values in columns:
-        full = np.full(len(ok), np.nan)  # the failed points' cells are never written
-        full[ok] = values
-        full_columns.append(Blanked(full, failed))
+    index = np.full(len(ok), -1)
+    index[ok] = np.arange(np.count_nonzero(ok))
     errors = [""] * len(s)
     for k, exc in failures.items():
         errors[k] = f"{type(exc).__name__}: {exc}"
-    _write_rows(path, header, [s, *full_columns, np.array(errors)])
+    _write_rows(path, header, [s, *(Indexed(values, index) for values in columns),
+                               np.array(errors)])
 
 
 def _run_vacuum_curves(cfg: ScenarioConfig, out: Path) -> list[Path]:
@@ -204,6 +203,11 @@ def _sampled_errors(exact: CorrelatorTable, h_true: np.ndarray, runs: list[tuple
     return np.concatenate(errors)
 
 
+# the flags cell of a pair, indexed by dephasing_dominated + 2 ill_conditioned
+_FLAGS = np.array(["", "dephasing_dominated", "ill_conditioned",
+                   "dephasing_dominated;ill_conditioned"])
+
+
 def _write_reconstruction(path: Path, rec: tomography.TableReconstruction, E: np.ndarray,
                           h_true: np.ndarray) -> None:
     """One row per pair of ``rec`` (one table, every pair inverted), beside its
@@ -215,8 +219,7 @@ def _write_reconstruction(path: Path, rec: tomography.TableReconstruction, E: np
                 [Indexed(labels, a), Indexed(labels, b),
                  Indexed(np.array(["spacelike", "causal"]), rec.causal.view(np.uint8)),
                  rec.H, h_true, rec.C, 0.5 * rec.H, 0.5 * E[a, b],
-                 Indexed(np.array(["", "dephasing_dominated"]),
-                         rec.dephasing_dominated.view(np.uint8))])
+                 Indexed(_FLAGS, rec.dephasing_dominated + 2 * rec.ill_conditioned)])
 
 
 def _run_tomography_roundtrip(cfg: ScenarioConfig, out: Path) -> list[Path]:

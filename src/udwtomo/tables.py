@@ -1,29 +1,28 @@
 """CSV tables as every scenario writes them.
 
 UTF-8, a header row, LF line endings, floats as ``%.17g`` (17 significant
-digits, so each float reads back exactly), ints in decimal, bools as
-``True``/``False``, and text quoted the way ``csv.writer`` quotes it
-(``QUOTE_MINIMAL``).  The bytes are those of ``csv.writer`` fed with
-``f"{v:.17g}"`` for the floats, for rows of two or more cells (csv.writer
-writes a lone empty cell as ``""``).
+digits, so each float reads back exactly), ints in decimal, and text quoted
+the way ``csv.writer`` quotes it (``QUOTE_MINIMAL``).  The bytes are those
+of ``csv.writer`` fed with ``f"{v:.17g}"`` for the floats, for rows of two
+or more cells (csv.writer writes a lone empty cell as ``""``).
 
-``write_columns`` takes a table as equal-length 1-D float, int, bool or
-text arrays (an object array, or anything that is not an ndarray, raises
+``write_columns`` takes a table as equal-length 1-D float, int or text
+arrays (a bool or object array, or anything that is not an ndarray, raises
 ``ValueError``).  A column's cells are formatted once per entry of a
 values array and gathered back by an index of each row's entry.  A plain
-float, int or text column finds both by one ``np.unique`` over the whole
-table -- a float column by its values' bit patterns (so ``-0.0`` stays
-``-0`` next to ``0``, and every NaN is its own cell), an int or text column
-by its values.  An ``Indexed`` column brings its own: row r is
-``values[index[r]]``, ``values`` a 1-D float, int or text array and
+column finds both by one ``np.unique`` over the whole table -- a float
+column by its values' bit patterns (so ``-0.0`` stays ``-0`` next to
+``0``, and every NaN is its own cell), an int or text column by its
+values.  An ``Indexed`` column, the one column wrapper, brings its own: row
+r is ``values[index[r]]``, ``values`` a 1-D float, int or text array and
 ``index`` a 1-D integer array within range, and no ``np.unique`` runs (a
-repeated entry is formatted once per repeat, to the same text).  A bool
-column is the ``Indexed`` column of the texts ``False`` and ``True`` over
-its mask.  Each text carries the separator that follows it in its column.
-The rows are then written in blocks of ``BLOCK_ROWS``, each block one
-``"".join`` over its ``(rows, columns)`` texts gathered by the index.  A
-``Blanked`` column, which may hold an ``Indexed`` one, is written blank
-where its ``blank`` mask is true (a failed row's cells).
+repeated entry is formatted once per repeat, to the same text).  An index
+entry of -1 is a blank cell (a failed row's): each column's texts end in
+the blank text, its separator alone, which the same gather picks up.  A
+mask is written as the ``Indexed`` column of its texts over the mask as
+integers.  Each text carries the separator that follows it in its
+column.  The rows are then written in blocks of ``BLOCK_ROWS``, each block
+one ``"".join`` over its ``(rows, columns)`` texts gathered by the index.
 
 A float column with fewer than ``_ARRAY_MIN_FLOATS`` values to format is
 formatted by ``"%.17g" % v``, one value at a time.  A larger one goes
@@ -34,10 +33,11 @@ certifies each rounding, and ``"%.17g" % v`` formats whatever it does not
 settle: near-ties, zeros, NaNs, infinities and magnitudes outside
 [1e-250, 1e250).  Either way the texts are those of ``"%.17g" % v``.
 
-At the scenarios' defaults the two grids write t and x as ``Indexed``
-columns over their axes and the value as one over the field at each
-distinct (t, |x|); the reconstruction writes i, j, ``regime`` and
-``flags`` as ``Indexed`` columns.  Every other column is deduplicated.
+The two grids write t and x as ``Indexed`` columns over their axes and the
+value as one over the field at each distinct (t, |x|); a curve scan writes
+each kernel column as one over its points off the lightcone, -1 at the
+lightlike ones; the reconstruction writes i, j, ``regime`` and ``flags`` as
+``Indexed`` columns.  Every other column is deduplicated.
 The grids' values and the 520-row one-particle scan take the array pass;
 the 158-row scans, the grids' axes, the 16-region roundtrip's 120 pairs
 and the small tables (shot-noise study, convergence sweep, summary) do
@@ -72,7 +72,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "Blanked", "Indexed", "write_columns"]
+__all__ = ["BLOCK_ROWS", "Indexed", "write_columns"]
 
 # the two default grid tables (~10^4 rows each) write in 4.4 and 4.7 ms at
 # 256 rows per block, 3.2 and 3.5 ms at 1024 and 3.6 and 3.7 ms at 4096
@@ -95,22 +95,12 @@ _OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 _SPECIAL = frozenset(',"\r\n')
 
 
-class Blanked(NamedTuple):
-    """A column whose cells are blank where ``blank`` is true."""
-
-    values: np.ndarray
-    blank: np.ndarray
-
-
 class Indexed(NamedTuple):
-    """A column whose row r is ``values[index[r]]``."""
+    """A column whose row r is ``values[index[r]]``, blank where
+    ``index[r]`` is -1."""
 
     values: np.ndarray
     index: np.ndarray
-
-
-# a bool column's texts, indexed by its mask
-_BOOL_TEXTS = np.array(["False", "True"])
 
 
 def _quoted(text: str) -> str:
@@ -126,12 +116,10 @@ def _dtype(values) -> str:
     return str(getattr(values, "dtype", type(values).__name__))
 
 
-def _column(column) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """A column's values to format, the index of each row's value and its
-    mask of blank cells."""
-    blank = index = None
-    if isinstance(column, Blanked):
-        column, blank = column
+def _column(column) -> tuple[np.ndarray, np.ndarray]:
+    """A column's values to format and the index of each row's value (-1
+    for a blank cell)."""
+    index = None
     if isinstance(column, Indexed):
         values, index = column
         if (not isinstance(values, np.ndarray) or values.dtype.kind not in "fiuU"
@@ -141,28 +129,21 @@ def _column(column) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         if not isinstance(index, np.ndarray) or index.dtype.kind not in "iu" or index.ndim != 1:
             raise ValueError("an Indexed column's index must be a 1-D integer array, got "
                              f"{_dtype(index)} of shape {np.shape(index)}")
-        if len(index) and (index.min() < 0 or index.max() >= len(values)):
+        if len(index) and (index.min() < -1 or index.max() >= len(values)):
             raise ValueError(f"an Indexed column's index runs outside its {len(values)} values")
     else:
         values = column
-        if not isinstance(values, np.ndarray) or values.dtype.kind not in "fiubU":
-            raise ValueError("columns must be float, int, bool or text arrays, got "
-                             f"{_dtype(values)}")
+        if not isinstance(values, np.ndarray) or values.dtype.kind not in "fiuU":
+            raise ValueError(f"columns must be float, int or text arrays, got {_dtype(values)}")
         if values.ndim != 1:
             raise ValueError(f"columns must be 1-D, got shape {values.shape}")
-        if values.dtype.kind == "b":
-            values, index = _BOOL_TEXTS, values.view(np.uint8)
     if values.dtype.kind == "f":
         values = values.astype(np.float64, copy=False)
     if index is None:
         distinct, index = np.unique(values.view(np.int64) if values.dtype.kind == "f" else values,
                                     return_inverse=True)
         values = distinct.view(values.dtype)
-    if blank is not None:
-        blank = np.asarray(blank, dtype=bool)
-        if blank.shape != index.shape:
-            raise ValueError(f"blank mask of shape {blank.shape} for {len(index)} cells")
-    return values, index, blank
+    return values, index
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +314,8 @@ def _float_texts(v: np.ndarray, sep: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _texts(values: np.ndarray, sep: str) -> np.ndarray:
-    """The text of each entry of ``values``, followed by ``sep``."""
+    """The text of each entry of ``values``, followed by ``sep``, and last
+    the blank cell's text, ``sep`` alone (index -1)."""
     if values.dtype.kind == "f":
         texts = _float_texts(values, sep)
     elif values.dtype.kind == "U":
@@ -341,6 +323,7 @@ def _texts(values: np.ndarray, sep: str) -> np.ndarray:
     else:
         fmt = "%d" + sep
         texts = [fmt % v for v in values.tolist()]
+    texts.append(sep)
     return np.array(texts, dtype=object)
 
 
@@ -351,11 +334,10 @@ def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) ->
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header cells but {len(columns)} columns")
     n_rows = len(columns[0][1]) if columns else 0
-    if any(len(index) != n_rows for _, index, _ in columns):
+    if any(len(index) != n_rows for _, index in columns):
         raise ValueError("columns must have equal lengths")
     seps = [","] * (len(columns) - 1) + ["\n"]
-    cells = [(_texts(values, sep), index, blank, sep)
-             for (values, index, blank), sep in zip(columns, seps)]
+    cells = [(_texts(values, sep), index) for (values, index), sep in zip(columns, seps)]
     with open(os.open(path, _OPEN_FLAGS, 0o666), "w", encoding="utf-8", newline="\n") as fh:
         old = os.fstat(fh.fileno())
         regular = stat.S_ISREG(old.st_mode)
@@ -364,10 +346,8 @@ def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) ->
             for start in range(0, n_rows, BLOCK_ROWS):
                 stop = min(start + BLOCK_ROWS, n_rows)
                 block = np.empty((stop - start, len(columns)), dtype=object)
-                for c, (texts, index, blank, sep) in enumerate(cells):
+                for c, (texts, index) in enumerate(cells):
                     block[:, c] = texts[index[start:stop]]
-                    if blank is not None:
-                        block[blank[start:stop], c] = sep
                 fh.write("".join(block.ravel().tolist()))
             # an old file's bytes past the written ones go; a new file, a
             # device or a pipe has nothing to cut

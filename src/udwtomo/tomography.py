@@ -49,6 +49,9 @@ __all__ = ["TableReconstruction", "reconstruct_table"]
 
 _DEPHASING_HARD = 1e-300   # |zz| below this: no information survives
 _DEPHASING_FLAG = 1e-6     # |zz| below this: result returned but flagged
+# condition number kappa = |zz| / (|zz| - |yy|) above this: kappa eps (eps =
+# 2^-52) passes 1e-8, and H's rounding error may with it; flagged
+_CONDITION_FLAG = 1e-8 * 2.0**52
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,11 @@ class TableReconstruction:
     table, (R, n(n-1)/2) for a stack of R.  ``H`` and ``C`` are NaN for the
     pairs in ``failures``, which maps a pair's flat position in ``H.ravel()``
     (for one table, its row-major position q) to the error that stopped its
-    inversion, in ascending positions.
+    inversion, in ascending positions.  ``condition`` is the condition number
+    kappa = |zz| / (|zz| - |yy|) of the arctanh term (inf where |yy| >= |zz|):
+    a relative error eps in yy/zz moves H by about kappa eps / 4, so a pair
+    is ``ill_conditioned`` where kappa eps > 1e-8 (eps = 2^-52), and
+    ``dephasing_dominated`` where |zz| < 1e-6.
     """
 
     i: np.ndarray
@@ -68,6 +75,8 @@ class TableReconstruction:
     C: np.ndarray
     causal: np.ndarray
     dephasing_dominated: np.ndarray
+    condition: np.ndarray
+    ill_conditioned: np.ndarray
     failures: dict[int, UdwTomoError]
 
     @property
@@ -127,8 +136,10 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     c = np.where(causal, c, 0.0)
 
     zz, yy = table.zz.reshape(-1), table.yy.reshape(-1)
+    margin = np.abs(zz) - np.abs(yy)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = yy / zz
+        condition = np.where(margin > 0.0, np.abs(zz) / margin, np.inf)
     # libm's atanh: numpy's vectorised arctanh differs from it in the last
     # 1-2 bits of about one value in five, and H would move with it
     noisy = np.abs(ratio) >= 1.0
@@ -156,7 +167,8 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
                 "sampled correlators are noise dominated", ratio=float(ratio[q]))
     bad = list(failures)
     h[bad] = c[bad] = np.nan
-    i, j, h, c, causal, flagged = (v.reshape(shape) for v in (
-        a + 1, b + 1, h, c, causal, np.abs(zz) < _DEPHASING_FLAG))
-    return TableReconstruction(i=i, j=j, H=h, C=c, causal=causal,
-                               dephasing_dominated=flagged, failures=failures)
+    i, j, h, c, causal, flagged, condition, ill = (v.reshape(shape) for v in (
+        a + 1, b + 1, h, c, causal, np.abs(zz) < _DEPHASING_FLAG, condition,
+        condition > _CONDITION_FLAG))
+    return TableReconstruction(i=i, j=j, H=h, C=c, causal=causal, dephasing_dominated=flagged,
+                               condition=condition, ill_conditioned=ill, failures=failures)

@@ -860,12 +860,38 @@ class TestAssemble:
         assert_bitwise(km.GR, GR)
         assert_bitwise(km.E, KernelMatrix(H, GR).E)
 
+    @pytest.mark.parametrize("spacing, origin", [
+        (3.3, Event(-3.306967, 0.059643, 1.581189, 2.675809)),
+        (45.0, Event(1.234567, -3.5, 2.25, 0.1)),
+    ], ids=["3.3ell", "45ell"])
+    def test_retarded_part_matches_per_pair_commutator(self, spacing, origin):
+        # a shuffled 4^3 x 3 lattice, so upper-triangle pairs i < j carry
+        # both signs of dt: G_R_ij is E at the pair's own dt where dt > 0,
+        # and G_R_ji is -E where dt < 0, bit for bit.  At 45 ell the far
+        # pairs' Gaussians both underflow and E is an exact zero, whose past
+        # side is -0
+        regions = [GaussianRegion(e, 1.0) for e in build_lattice(
+            LatticeSpec(4, 3, spacing, spacing, origin))]
+        random.Random(5).shuffle(regions)
+        km = assemble_kernels(FieldState.thermal(43.07), regions, 2 * math.pi)
+        pairs = pair_intervals(regions)
+        e = (2 * math.pi) ** 2 * kernels._commutator(pairs.dt, pairs.dr, 1.0)
+        iu, ju = np.triu_indices(len(regions), 1)
+        fut, past = pairs.dt > 0.0, pairs.dt < 0.0
+        GR = np.zeros_like(km.GR)
+        GR[iu[fut], ju[fut]] = e[fut]
+        GR[ju[past], iu[past]] = -e[past]
+        assert_bitwise(km.GR, GR)
+        assert fut.any() and past.any()
+        if spacing == 45.0:
+            assert np.count_nonzero(e[fut] == 0.0) and np.count_nonzero(e[past] == 0.0)
+
     @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
     def test_one_evaluation_per_distinct_geometry(self, monkeypatch, shuffle):
         regions = lattice_regions()
         if shuffle:
             random.Random(3).shuffle(regions)
-        calls, commutator_sizes = [], []
+        calls, commutator_calls = [], []
         real, commutator = kernels._smeared_real, kernels._commutator
 
         def counting(beta, ell, dt, dr):
@@ -873,22 +899,23 @@ class TestAssemble:
             return real(beta, ell, dt, dr)
 
         def counting_commutator(dt, dr, ell):
-            commutator_sizes.append(np.size(dt))
+            commutator_calls.append(list(zip(np.asarray(dt).tolist(), np.asarray(dr).tolist())))
             return commutator(dt, dr, ell)
 
         monkeypatch.setattr(kernels, "_smeared_real", counting)
         monkeypatch.setattr(kernels, "_commutator", counting_commutator)
         assemble_kernels(FieldState.vacuum(), regions, 1.0)
-        # the commutator once per pair i <= j, n(n + 1)/2 of them, not n^2
-        assert commutator_sizes == [54 * 55 // 2]
         pairs = pair_intervals(regions)
         geometries = set(zip(np.abs(pairs.dt).tolist(), pairs.dr.tolist()))
         assert len(pairs.dt) == 1431
         assert len(geometries) == 19
-        # one array call: each off-diagonal geometry once, and the diagonal's (0, 0)
+        # one array call each: each off-diagonal geometry once, and the
+        # diagonal's (0, 0); the commutator at dt = |dt| >= 0, on the same
+        # geometries as Re W
         assert len(calls) == 1
         assert len(calls[0]) == 20
         assert set(calls[0]) == geometries | {(0.0, 0.0)}
+        assert commutator_calls == calls
 
     def test_validate_rejects_asymmetric_h(self):
         km = assemble_kernels(FieldState.vacuum(), [region(0, 0), region(10, 10)], 1.0)

@@ -42,19 +42,35 @@ def csv_writer_bytes(header, rows):
 
 
 def reference_rows(columns):
-    """The rows of ``columns`` as Python cells, a blanked cell empty."""
+    """The rows of ``columns`` as Python cells, a blank cell (index -1 of an
+    ``Indexed`` column) empty."""
     cells = []
     for col in columns:
-        blank = None
-        if isinstance(col, tables.Blanked):
-            col, blank = col
         if isinstance(col, tables.Indexed):
             values = col.values.tolist()
-            col = [values[k] for k in col.index.tolist()]
+            col = ["" if k == -1 else values[k] for k in col.index.tolist()]
         else:
             col = col.tolist()
-        cells.append(col if blank is None else ["" if b else v for v, b in zip(col, blank)])
+        cells.append(col)
     return list(zip(*cells))
+
+
+def blanked(values, blank):
+    """``values`` as an ``Indexed`` column over its distinct entries (floats
+    told apart by bit pattern), blank where ``blank`` is true."""
+    keys = values.view(np.int64) if values.dtype.kind == "f" else values
+    distinct, index = np.unique(keys, return_inverse=True)
+    return tables.Indexed(distinct.view(values.dtype), np.where(blank, -1, index))
+
+
+def scan_column(values, blank):
+    """The cells of the rows where ``blank`` is false, in order, as the
+    scenarios write a scan's column: an ``Indexed`` column over them, blank
+    (index -1) at the other rows."""
+    blank = np.asarray(blank, dtype=bool)
+    index = np.full(len(blank), -1)
+    index[~blank] = np.arange(np.count_nonzero(~blank))
+    return tables.Indexed(values[~blank], index)
 
 
 def check(path, header, columns):
@@ -68,24 +84,25 @@ def test_special_floats_ints_and_text(tmp_path):
     columns = [np.array(SPECIAL_FLOATS), (k / 3).astype(np.float32), k, -k,
                np.full(n, 7, dtype=np.int32),
                np.array([np.iinfo(np.int64).min] * (n - 1) + [np.iinfo(np.int64).max]),
-               np.arange(n, dtype=np.uint64) + np.uint64(2**63), k % 3 == 0,
+               np.arange(n, dtype=np.uint64) + np.uint64(2**63),
                np.array([TEXTS[v % len(TEXTS)] for v in range(n)])]
-    header = ["a", "float32", "b,c", 'd"e', "int32", "int64", "uint64", "bool", "text"]
+    header = ["a", "float32", "b,c", 'd"e', "int32", "int64", "uint64", "text"]
     check(tmp_path / "table.csv", header, columns)
 
 
 @pytest.mark.parametrize("column", [
     [1.0, 2.0], (1, 2), np.array([1, None], dtype=object), np.array(["a", 2], dtype=object),
-    np.array([2**70, 1], dtype=object), np.array([1 + 2j, 0j])])
+    np.array([2**70, 1], dtype=object), np.array([1 + 2j, 0j]), np.array([True, False])])
 def test_untyped_columns_rejected(tmp_path, column):
-    # a column is a float, int, bool or text array; anything else is refused,
-    # before a new file is made or an existing one is touched
+    # a column is a float, int or text array; anything else (a bool mask
+    # too) is refused, before a new file is made or an existing one is
+    # touched
     path = tmp_path / "bad.csv"
-    with pytest.raises(ValueError, match="float, int, bool or text arrays"):
+    with pytest.raises(ValueError, match="float, int or text arrays"):
         tables.write_columns(path, ["s", "v"], [np.zeros(2), column])
     assert not path.exists()
     path.write_bytes(OLD_BYTES)
-    with pytest.raises(ValueError, match="float, int, bool or text arrays"):
+    with pytest.raises(ValueError, match="float, int or text arrays"):
         tables.write_columns(path, ["s", "v"], [np.zeros(2), column])
     assert path.read_bytes() == OLD_BYTES
 
@@ -108,7 +125,7 @@ def test_blocks_mix_row_types(tmp_path):
     errors = np.where(failed, np.char.add(np.char.add("Error: row ", k.astype(str)), ", failed"),
                       "")
     errors[tables.BLOCK_ROWS + 3] = "multi\nline"
-    columns = [k / 7, tables.Blanked(np.sin(k), failed), tables.Blanked(k, failed),
+    columns = [k / 7, scan_column(np.sin(k), failed), blanked(k, failed),
                text.astype(str), errors]
     check(tmp_path / "table.csv", ["s", "value", "count", "text", "errors"], columns)
 
@@ -171,19 +188,26 @@ def test_repeats_across_blocks_and_columns(tmp_path):
 
 
 def test_blank_cells(tmp_path):
-    # blanked cells are empty even where the value under them equals a cell
-    # of the same block that is written; a fully blanked row keeps its commas
+    # blank cells (index -1) are empty even where the value of the row
+    # equals a cell of the same block that is written; a fully blank row
+    # keeps its commas, and a column of blank cells only takes an index of
+    # -1 throughout, over no values or over values that no row takes
     n = tables.BLOCK_ROWS + 4
     k = np.arange(n)
     blank = (k % 3 == 0) | (k == tables.BLOCK_ROWS)
-    value = tables.Blanked(np.full(n, 2.5), blank)
-    count = tables.Blanked(k % 4, blank)
-    flag = tables.Blanked(k % 2 == 0, blank)
-    label = tables.Blanked(np.where(k % 2 == 0, "x,y", "z"), blank)
+    value = blanked(np.full(n, 2.5), blank)
+    count = blanked(k % 4, blank)
+    flag = tables.Indexed(np.array(["False", "True"]), np.where(blank, -1, k % 2 == 0))
+    label = blanked(np.where(k % 2 == 0, "x,y", "z"), blank)
     errors = np.where(blank, "ConvergenceError: failed", "")
     check(tmp_path / "blank.csv", ["s", "value", "count", "flag", "label", "errors"],
           [k * 0.5, value, count, flag, label, errors])
     check(tmp_path / "blank.csv", ["value", "count"], [value, count])
+    none = np.full(n, -1, dtype=np.int8)
+    all_blank = [tables.Indexed(values, none) for values in (
+        np.empty(0), np.array([], dtype=np.int64), np.array([], dtype=str), np.array([2.5, -0.0]))]
+    check(tmp_path / "blank.csv", ["k", "float", "int", "text", "unused"], [k, *all_blank])
+    assert (tmp_path / "blank.csv").read_text().splitlines()[1:3] == ["0,,,,", "1,,,,"]
 
 
 def labelled(mask, false, true):
@@ -207,17 +231,20 @@ def test_labelled_columns(tmp_path):
 
 
 def test_indexed_columns_reuse_and_skip_values(tmp_path):
-    # repeated and unused entries, int and float values, a Blanked column
-    # holding an Indexed one, and an index of each integer dtype
+    # repeated and unused entries, int and float values, blank cells (an
+    # index of -1, for a signed index), and an index of each integer dtype
     n = tables.BLOCK_ROWS + 5
     k = np.arange(n)
     floats = np.array([0.5, -0.0, 0.5, math.nan, 1e300, 0.0])
     ints = np.array([7, -3, 7, 2**62])
     texts = np.array(["a,b", "", "a,b", "plain"])
     for dtype in (np.int8, np.uint8, np.int32, np.uint64, np.intp):
+        text_index = k % 4
+        if np.issubdtype(dtype, np.signedinteger):
+            text_index[k % 3 == 0] = -1
         columns = [k, tables.Indexed(floats, (k % 5).astype(dtype)),
                    tables.Indexed(ints, (k % 2 * 2 + 1).astype(dtype)),
-                   tables.Blanked(tables.Indexed(texts, (k % 4).astype(dtype)), k % 3 == 0)]
+                   tables.Indexed(texts, text_index.astype(dtype))]
         check(tmp_path / "indexed.csv", ["k", "float", "int", "text"], columns)
     check(tmp_path / "indexed.csv", ["k", "float"],
           [k[:0], tables.Indexed(floats, np.array([], dtype=np.int64))])
@@ -226,7 +253,7 @@ def test_indexed_columns_reuse_and_skip_values(tmp_path):
 
 @pytest.mark.parametrize("index, match", [
     (np.array([0, 3]), "index runs outside its 3 values"),
-    (np.array([0, -1]), "index runs outside its 3 values"),
+    (np.array([0, -2]), "index runs outside its 3 values"),
     (np.array([2**63], dtype=np.uint64), "index runs outside its 3 values"),
     (np.array([0.0, 1.0]), "index must be a 1-D integer array, got float64"),
     (np.array([True, False]), "index must be a 1-D integer array, got bool"),
@@ -250,7 +277,7 @@ def test_bad_indexes_rejected(tmp_path, index, match):
     np.zeros((2, 1)), [1.0, 2.0]])
 def test_bad_indexed_values_rejected(tmp_path, values):
     # an Indexed column's values are a 1-D float, int or text array; a bool
-    # mask is written through its two texts
+    # mask is written as the index of its two texts
     with pytest.raises(ValueError, match="Indexed column's values must be a 1-D float, int or text"):
         tables.write_columns(tmp_path / "bad.csv", ["v"],
                              [tables.Indexed(values, np.array([0, 1]))])
@@ -266,15 +293,12 @@ def test_mismatched_columns_rejected(tmp_path):
             tables.write_columns(path, ["a", "b"], [np.zeros(2), np.zeros(3)])
         with pytest.raises(ValueError, match="header"):
             tables.write_columns(path, ["a", "b"], [np.zeros(2)])
-        with pytest.raises(ValueError, match="blank mask"):
-            tables.write_columns(path, ["a", "b"],
-                                 [np.zeros(2), tables.Blanked(np.zeros(2), [True])])
         with pytest.raises(ValueError, match="equal lengths"):
             tables.write_columns(path, ["a", "b"],
                                  [np.zeros(2), tables.Indexed(np.zeros(2), np.zeros(3, int))])
-        with pytest.raises(ValueError, match="blank mask of shape \\(2,\\) for 3 cells"):
-            tables.write_columns(path, ["a"], [tables.Blanked(
-                tables.Indexed(np.zeros(2), np.zeros(3, int)), [True, False])])
+        with pytest.raises(ValueError, match="equal lengths"):
+            tables.write_columns(path, ["a", "b"],
+                                 [np.zeros(2), tables.Indexed(np.zeros(0), np.full(3, -1))])
     assert not missing.exists()
     assert existing.read_bytes() == OLD_BYTES
 
@@ -452,7 +476,7 @@ def test_each_side_of_the_array_threshold(tmp_path, monkeypatch, extra):
     array_texts = tables._array_texts
     monkeypatch.setattr(tables, "_array_texts", lambda *a: calls.append(1) or array_texts(*a))
     check(tmp_path / "threshold.csv", ["v", "w", "k"],
-          [v, tables.Blanked(-v, np.arange(2 * n) % 7 == 0), np.arange(2 * n)])
+          [v, blanked(-v, np.arange(2 * n) % 7 == 0), np.arange(2 * n)])
     assert len(calls) == (2 if extra == 0 else 0)
 
 
@@ -473,30 +497,30 @@ def test_property_matches_csv_writer(tmp_path_factory, data):
     distinct = data.draw(st.lists(float_bits, min_size=n, max_size=n))
     ints = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
     words = data.draw(st.lists(texts, min_size=n, max_size=n))
-    bools = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    blank = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    blank = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     columns = [floats_from_bits(repeated), floats_from_bits(distinct),
-               tables.Blanked(floats_from_bits(repeated), blank),
+               blanked(floats_from_bits(repeated), blank),
                np.array(ints, dtype=np.int64), np.array(words, dtype=str),
-               np.array(bools, dtype=bool)]
+               blanked(np.array(words, dtype=str), blank)]
     path = tmp_path_factory.getbasetemp() / "property.csv"
     with mock.patch.object(tables, "BLOCK_ROWS", SMALL_BLOCK):
-        check(path, ["repeated", "distinct", "blanked", "int", "text", "bool"], columns)
+        check(path, ["repeated", "distinct", "blanked", "int", "text", "blanked_text"], columns)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_property_indexed_matches_csv_writer(tmp_path_factory, data):
     # Indexed float, int and text columns whose values repeat entries and
-    # leave some unused (no rows at all: an empty index), one held by a
-    # Blanked column, beside a plain and a Blanked float column; floats go
-    # value by value or all through the array pass
+    # leave some unused (no rows at all: an empty index), with blank cells
+    # (index -1; no values at all: every cell blank), beside a plain float
+    # column and a scan's column over the same floats; floats go value by
+    # value or all through the array pass
     n = data.draw(st.integers(0, 3 * SMALL_BLOCK + 1), label="rows")
 
     def indexed(elements, dtype):
         pool = data.draw(st.lists(elements, min_size=1, max_size=4))
-        values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
-        index = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=8))
+        index = data.draw(st.lists(st.integers(-1, len(values) - 1), min_size=n, max_size=n))
         values = (floats_from_bits(values) if dtype == np.float64
                   else np.array(values, dtype=dtype))
         return tables.Indexed(values, np.array(index, dtype=np.intp))
@@ -504,8 +528,8 @@ def test_property_indexed_matches_csv_writer(tmp_path_factory, data):
     blank = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     distinct = floats_from_bits(data.draw(st.lists(float_bits, min_size=n, max_size=n)))
     columns = [indexed(float_bits, np.float64), indexed(st.integers(-2**63, 2**63 - 1), np.int64),
-               indexed(texts, str), tables.Blanked(indexed(float_bits, np.float64), blank),
-               distinct, tables.Blanked(distinct, blank)]
+               indexed(texts, str), indexed(float_bits, np.float64),
+               distinct, scan_column(distinct, blank)]
     threshold = data.draw(st.sampled_from([1, tables._ARRAY_MIN_FLOATS]), label="threshold")
     path = tmp_path_factory.getbasetemp() / "property_indexed.csv"
     with mock.patch.multiple(tables, BLOCK_ROWS=SMALL_BLOCK, _ARRAY_MIN_FLOATS=threshold):
@@ -575,14 +599,19 @@ def test_scan_with_failed_point_matches_csv_writer(tmp_path, monkeypatch, capsys
     [path] = scenarios.run(raw)
     [(header, (s, *columns, errors))] = writes
     assert [bool(e) for e in errors.tolist()] == [abs(s_k) == 1e-5 for s_k in s.tolist()]
-    values = [c.values.tolist() for c in columns]
+    # each column holds the points off the lightcone, in order, and its
+    # index is -1 at the lightlike ones
+    ok = errors == ""
+    for c in columns:
+        assert c.index.tolist() == np.where(ok, np.cumsum(ok) - 1, -1).tolist()
+        assert len(c.values) == np.count_nonzero(ok)
     rows = []
     for k, (s_k, error) in enumerate(zip(s.tolist(), errors.tolist())):
         if error:
             assert error.startswith("LightconeSingularityError: ")
             rows.append([s_k, *[""] * len(columns), error])
         else:
-            rows.append([s_k, *(v[k] for v in values), ""])
+            rows.append([s_k, *(float(c.values[c.index[k]]) for c in columns), ""])
     assert path.read_bytes() == csv_writer_bytes(header, rows)
 
     # an uncertified quadrature pass writes no file: run raises, and the CLI

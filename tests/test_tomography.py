@@ -18,7 +18,7 @@ from udwtomo.smearing import GaussianRegion
 from udwtomo.spacetime import Event, LatticeSpec, build_lattice
 from udwtomo.tomography import TableReconstruction, reconstruct_table
 
-FIELDS = ("i", "j", "H", "C", "causal", "dephasing_dominated")
+FIELDS = ("i", "j", "H", "C", "causal", "dephasing_dominated", "condition", "ill_conditioned")
 
 
 def table(n=2, zz=1.0, yy=0.0, z=1.0, yx=None):
@@ -78,6 +78,13 @@ def reference(t, i, j):
             f"pair ({i},{j}): |yy/zz| = {abs(ratio):.6g} >= 1, "
             "sampled correlators are noise dominated", ratio=ratio)
     return 0.5 * math.atanh(ratio) - c, c, "causal" if causal else "spacelike", flagged
+
+
+def flags(rec):
+    """The flags cell of each pair: the names of its flags, joined by ";"."""
+    return [";".join(name for name, on in (("dephasing_dominated", d), ("ill_conditioned", i))
+                     if on)
+            for d, i in zip(rec.dephasing_dominated.tolist(), rec.ill_conditioned.tolist())]
 
 
 def same_bits(u, v):
@@ -400,7 +407,7 @@ class TestRowBlocks:
         blocked = reconstruct_table(t)
         assert calls == [5] * 7 + [1]
         assert whole.failures, "the sampled table should fail somewhere"
-        for name in ("i", "j", "H", "C", "causal", "dephasing_dominated"):
+        for name in FIELDS:
             u, v = getattr(whole, name), getattr(blocked, name)
             assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
         assert list(whole.failures) == list(blocked.failures)
@@ -645,6 +652,22 @@ class TestReconstructRecord:
         assert 0 not in rec.failures
         assert rec.dephasing_dominated[0]
 
+    def test_condition_number(self):
+        # kappa = |zz| / (|zz| - |yy|), inf where |yy| >= |zz|; a pair is
+        # ill-conditioned where kappa 2^-52 > 1e-8, i.e. kappa > 4.5e7
+        zz = [0.8, -0.8, 0.5, 0.5, 0.5, 0.0, 0.5, 0.5, 1.0, 1.0]
+        yy = [0.4, 0.4, 0.5 * (1 - 1e-9), 0.5 * (1 - 1e-6), 0.5, 0.0, -0.6, -0.25,
+              1 - 2.0**-26, 1 - 2.0**-25]
+        t = CorrelatorTable(z=np.ones(5), zz=np.array(zz), yy=np.array(yy), yx=np.zeros((5, 5)))
+        rec = reconstruct_table(t)
+        assert rec.condition.tolist() == [abs(z) / (abs(z) - abs(y)) if abs(y) < abs(z)
+                                          else math.inf for z, y in zip(zz, yy)]
+        assert rec.condition[8:].tolist() == [2.0**26, 2.0**25]
+        assert rec.ill_conditioned.tolist() == [False, False, True, False, True, True, True,
+                                                False, True, False]
+        # the pairs with |yy| >= |zz| fail, and are flagged all the same
+        assert list(rec.failures) == [4, 5, 6]
+
     def test_csv_output(self, tmp_path):
         km = random_kernel_matrix(3, seed=8)
         rec = reconstruct_table(correlator_table(km))
@@ -668,11 +691,27 @@ class TestReconstructRecord:
                 rows = list(csv.DictReader(fh))
             assert [r["regime"] for r in rows] == [
                 "causal" if c else "spacelike" for c in rec.causal]
-            assert [r["flags"] for r in rows] == [
-                "dephasing_dominated" if d else "" for d in rec.dephasing_dominated]
+            assert [r["flags"] for r in rows] == flags(rec)
             assert [float(r["H_true_if_known"]) for r in rows] == (
                 h_true[rec.i - 1, rec.j - 1].tolist())
         assert rows[0]["flags"] == "dephasing_dominated"
+
+    def test_csv_flags(self, tmp_path):
+        # four spacelike detectors, one pair per flags text: neither flag,
+        # dephasing-dominated (|zz| < 1e-6), ill-conditioned (kappa > 4.5e7)
+        # and both, joined by ";"
+        zz = [0.8, 5e-7, 0.5, 5e-7, 0.9, 1.0]
+        yy = [0.4, 1e-7, 0.5 * (1 - 1e-9), 5e-7 * (1 - 1e-9), 0.1, 1 - 2.0**-26]
+        t = CorrelatorTable(z=np.ones(4), zz=np.array(zz), yy=np.array(yy), yx=np.zeros((4, 4)))
+        rec = reconstruct_table(t)
+        assert not rec.failures
+        path = tmp_path / "flags.csv"
+        write_reconstruction(rec, np.zeros((4, 4)), path, np.eye(4))
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["flags"] for r in rows] == flags(rec) == [
+            "", "dephasing_dominated", "ill_conditioned", "dephasing_dominated;ill_conditioned",
+            "", "ill_conditioned"]
 
     def test_csv_bytes(self, tmp_path):
         # byte for byte what csv.writer writes for the pairs, with the
@@ -696,15 +735,48 @@ class TestReconstructRecord:
                            np.where(rec.causal, "causal", "spacelike").tolist(),
                            rec.H.tolist(), h_true[i - 1, j - 1].tolist(),
                            rec.C.tolist(), (0.5 * rec.H).tolist(),
-                           (0.5 * E[i - 1, j - 1]).tolist(),
-                           np.where(rec.dephasing_dominated, "dephasing_dominated",
-                                    "").tolist()):
+                           (0.5 * E[i - 1, j - 1]).tolist(), flags(rec)):
                 writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
             assert path.read_bytes() == buf.getvalue().encode("utf-8")
         # (1, 2) is causal and flagged, (1, 3) and (2, 3) neither
         assert [(c[:3], c[-1]) for c in csv.reader(path.read_text().splitlines()[1:])] == [
             (["1", "2", "causal"], "dephasing_dominated"), (["1", "3", "spacelike"], ""),
             (["2", "3", "spacelike"], "")]
+
+
+class TestConditioning:
+    """The ill_conditioned flag on the 81-region 3^3 x 3 lattices of the
+    exact roundtrip (lambda = 2 pi): near 1.5 ell spacing |yy/zz| comes
+    within rounding of 1, and H's error grows with kappa."""
+
+    @pytest.mark.parametrize("spacing, flagged, kappa_max", [
+        (1.5, 197, None), (2.0, 0, 2.6e7), (3.0, 0, 330.0), (10.0, 0, 1.07)])
+    @pytest.mark.parametrize("state", [{"state": "vacuum"},
+                                       {"state": "thermal", "beta": 50.0}],
+                             ids=["vacuum", "thermal"])
+    def test_exact_roundtrip(self, spacing, flagged, kappa_max, state):
+        cfg = validate_config({
+            "scenario_id": "tomography_roundtrip", "lambda": 2 * math.pi, **state,
+            "lattice": {"n_space": 3, "n_time": 3, "spacing_space": spacing,
+                        "spacing_time": spacing}})
+        _, exact, h_true = scenarios._lattice(cfg)
+        rec = reconstruct_table(exact)
+        assert not rec.failures
+        err = np.abs(rec.H - h_true)
+        ill = rec.ill_conditioned
+        assert np.count_nonzero(ill) == flagged
+        # every pair off by more than the 1e-8 roundtrip gate is flagged, and
+        # the worst unflagged one (9.4e-10 vacuum, 1.19e-9 thermal at 1.5
+        # ell) stays below it
+        assert ill[err > 1e-8].all()
+        assert err[~ill].max() < 1e-8
+        # the error stays within 0.41 kappa eps (0.402 at most, 2 ell vacuum)
+        assert (err <= 0.41 * rec.condition * 2.0**-52).all()
+        if flagged:
+            # the flagged pairs hold errors of 2.96e-4 (vacuum) and 3.47e-4
+            assert 1e-4 < err.max() < 1e-3
+        else:
+            assert rec.condition.max() == pytest.approx(kappa_max, rel=0.02)
 
 
 def test_noise_scaling_slope():
