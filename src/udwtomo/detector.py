@@ -75,7 +75,7 @@ import numpy as np
 
 from .config import MAX_SHOTS
 from .errors import CapacityError, ConsistencyError
-from .kernels import KernelMatrix
+from .kernels import KernelMatrix, _triu_indices
 
 __all__ = [
     "MAX_QUBITS",
@@ -296,12 +296,20 @@ _SERIES_TOL = 2.0**-53  # remainder bound, relative to sum_k |x_k|
 _FLUSH = 2.0**-255
 
 
-@functools.lru_cache(maxsize=8)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based a < b of the pairs of n detectors, row-major (read-only)."""
-    a, b = np.triu_indices(n, 1)
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
+    """0-based a < b of the pairs of n detectors, row-major (read-only,
+    computed once per n)."""
+    return _triu_indices(n, 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _flat_pairs(n: int) -> np.ndarray:
+    """The position a n + b of each pair of ``_pairs(n)`` in a flattened
+    (n, n) matrix (read-only)."""
+    a, b = _pairs(n)
+    flat = a * n + b
+    flat.flags.writeable = False
+    return flat
 
 
 def _last_power(r: float, step: int) -> int:
@@ -361,7 +369,7 @@ def _power_sums(t: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             sums[power % 2, live] += s
         power_of_t = power_of_t * factor
-    even, odd = sums.reshape(2, tables, n * n)[:, :, a * n + b]
+    even, odd = sums.reshape(2, tables, n * n)[:, :, _flat_pairs(n)]
     return np.where(series, odd, np.nan), np.where(series, even, np.nan)
 
 

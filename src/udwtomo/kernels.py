@@ -33,6 +33,7 @@ from E on the future side (dt > 0) of the pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -479,6 +480,8 @@ def wightman_smeared_quadrature(state: FieldState, ri: GaussianRegion,
 # 8 zeta(2K) (2K)!/(2 pi)^(2K) r / N^(2K+1) = 0.134 r / N^9.
 _HEAT_ORDER = 3
 _EULER_MACLAURIN = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)  # B_2k/(2k)!
+# -2 i^k of the k-th derivative f^(k) = Re[-2 i^k sum_j (a^j/j!) q^(2j+k)]
+_TAIL_FACTORS = np.array([-2.0 * 1j**k for k in range(2 * len(_EULER_MACLAURIN))])
 
 
 def _faddeeva_pair(z: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -511,12 +514,16 @@ def _image_tail(beta: float, a: float, dt: np.ndarray, dr: np.ndarray,
     from n is Re[i G], G = 2 artanh(dr/zeta)/dr - 2 sum_{j>=1} (a^j/j!) q^(2j-1)."""
     a, dr, zeta = a / beta / beta, dr / beta, dt / beta + 1j * n
     den = zeta * zeta - dr * dr
-    q = [1.0 / den, -2.0 * zeta / den**2]  # q^(k), by Leibniz on q (zeta^2 - dr^2) = 1
-    for k in range(2, 2 * _HEAT_ORDER + 2 * len(_EULER_MACLAURIN)):
-        q.append(-(2.0 * k * zeta * q[k - 1] + k * (k - 1) * q[k - 2]) / den)
+    # q^(k) stacked on a leading axis, by Leibniz on q (zeta^2 - dr^2) = 1
+    q = np.empty((len(_TAIL_FACTORS) + 2 * _HEAT_ORDER,) + np.shape(den), dtype=complex)
+    q[0], q[1] = 1.0 / den, -2.0 * zeta / den**2
+    for k in range(2, len(q)):
+        q[k] = -(2.0 * k * zeta * q[k - 1] + k * (k - 1) * q[k - 2]) / den
     heat = [a**j / math.factorial(j) for j in range(_HEAT_ORDER + 1)]
-    f = [(-2.0 * 1j**k * sum(c * q[2 * j + k] for j, c in enumerate(heat))).real
-         for k in range(2 * len(_EULER_MACLAURIN))]
+    # f^(k) for every k at once: one stacked term per heat order, summed in
+    # order j = 0, 1, ... as a per-k sum would be
+    f = (_TAIL_FACTORS.reshape((-1,) + (1,) * np.ndim(den))
+         * sum(c * q[2 * j:2 * j + len(_TAIL_FACTORS)] for j, c in enumerate(heat))).real
     t = dr / zeta
     tiny = np.abs(t) < 1e-8  # numpy's complex arctanh underflows far below
     artanh = np.where(tiny, 1.0 + t * t / 3.0, np.arctanh(np.where(tiny, 0.5, t))
@@ -636,6 +643,15 @@ class KernelMatrix:
             raise ValueError(f"kernel invariant violated: H symmetric (deviation {dev:.3e})")
 
 
+@functools.lru_cache(maxsize=16)
+def _triu_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k)``, computed once per (n, k) and read-only: the
+    pairs i <= j (k = 0) or i < j (k = 1) of n regions, row-major."""
+    i, j = np.triu_indices(n, k)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
                      lam: float) -> KernelMatrix:
     """Populate the full kernel matrix for a list of equal-width regions.
@@ -658,16 +674,21 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
     n = len(regions)
     if n == 0:
         raise ValueError("need at least one region")
-    for r in regions[1:]:
-        _check_equal_widths(regions[0], r)
+    # every width against the first in one pass, _check_equal_widths's test;
+    # it names the first region that fails it
+    ell = np.array([r.ell for r in regions], dtype=float)
+    unequal = np.abs(ell - ell[0]) > 1e-12 * np.maximum(ell, ell[0])
+    if unequal.any():
+        _check_equal_widths(regions[0], regions[int(np.argmax(unequal))])
 
     lam2 = lam * lam
     H = np.zeros((n, n))
     GR = np.zeros((n, n))
 
     # every quantity below is taken once per pair i <= j
-    centers = np.array([r.center.coords() for r in regions])
-    iu, ju = np.triu_indices(n)
+    centers = np.array([(r.center.t, r.center.x, r.center.y, r.center.z) for r in regions],
+                       dtype=float)
+    iu, ju = _triu_indices(n, 0)
     itv = intervals(centers[iu], centers[ju])
 
     # one evaluation of the distinct (|dt|, dr), keyed on exact floats: the

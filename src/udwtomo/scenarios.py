@@ -48,7 +48,7 @@ import numpy as np
 
 from . import multipole, tables, tomography
 from .config import SCENARIO_IDS, ScenarioConfig, list_scenarios, validate_config
-from .detector import CorrelatorTable, correlator_table, sample_table, stack_size
+from .detector import CorrelatorTable, _pairs, correlator_table, sample_table, stack_size
 from .errors import ConfigError, UdwTomoError
 from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature,
                       _smeared_real, _source_term, assemble_kernels, hadamard_array,
@@ -185,7 +185,7 @@ def _lattice(cfg: ScenarioConfig):
     every pair i < j, row-major (the order of the table's pair vectors)."""
     regions = [GaussianRegion(e, cfg.ell) for e in build_lattice(cfg.lattice)]
     km = assemble_kernels(_field_state(cfg), regions, cfg.lam)
-    return km, correlator_table(km), km.H[np.triu_indices(km.n, 1)]
+    return km, correlator_table(km), km.H[_pairs(km.n)]
 
 
 def _sampled_errors(exact: CorrelatorTable, h_true: np.ndarray, runs: list[tuple[int, int]],
@@ -211,14 +211,19 @@ _FLAGS = np.array(["", "dephasing_dominated", "ill_conditioned",
 def _write_reconstruction(path: Path, rec: tomography.TableReconstruction, E: np.ndarray,
                           h_true: np.ndarray) -> None:
     """One row per pair of ``rec`` (one table, every pair inverted), beside its
-    true H, with W = H/2 + i E/2 from the commutator matrix ``E``."""
+    true H, with W = H/2 + i E/2 from the commutator matrix ``E``.  H and Re W
+    are written over one dedupe of H (by bit pattern): its distinct values
+    and their halves."""
     a, b = rec.i - 1, rec.j - 1
     labels = np.arange(1, len(E) + 1)
+    bits, h_index = np.unique(rec.H.view(np.int64), return_inverse=True)
+    distinct_h = bits.view(np.float64)
     _write_rows(path, ["i", "j", "regime", "H_reconstructed", "H_true_if_known", "C_ij",
                        "Re_W", "Im_W", "flags"],
                 [Indexed(labels, a), Indexed(labels, b),
                  Indexed(np.array(["spacelike", "causal"]), rec.causal.view(np.uint8)),
-                 rec.H, h_true, rec.C, 0.5 * rec.H, 0.5 * E[a, b],
+                 Indexed(distinct_h, h_index), h_true, rec.C,
+                 Indexed(0.5 * distinct_h, h_index), 0.5 * E[a, b],
                  Indexed(_FLAGS, rec.dephasing_dominated + 2 * rec.ill_conditioned)])
 
 
@@ -227,15 +232,16 @@ def _run_tomography_roundtrip(cfg: ScenarioConfig, out: Path) -> list[Path]:
     rec = tomography.reconstruct_table(exact)
     if rec.failures:
         raise next(iter(rec.failures.values()))
-    max_err = float(np.max(np.abs(rec.H - h_true), initial=0.0))
     rec_path = out / "reconstruction.csv"
     _write_reconstruction(rec_path, rec, km.E, h_true)
     n_pairs, n_causal = len(rec.H), int(np.count_nonzero(rec.causal))
+    error, ill = np.abs(rec.H - h_true), rec.ill_conditioned
+    cells = (km.n, n_pairs, n_causal, n_pairs - n_causal, np.max(error, initial=0.0),
+             int(np.count_nonzero(ill)), np.max(error, initial=0.0, where=~ill))
     sum_path = out / "summary.csv"
-    _write_rows(sum_path, ["n_regions", "n_pairs", "n_causal", "n_spacelike",
-                           "max_abs_H_error"],
-                [*np.array([[km.n], [n_pairs], [n_causal], [n_pairs - n_causal]]),
-                 np.array([max_err])])
+    _write_rows(sum_path, ["n_regions", "n_pairs", "n_causal", "n_spacelike", "max_abs_H_error",
+                           "n_ill_conditioned", "max_abs_H_error_unflagged"],
+                [np.array([cell]) for cell in cells])
     return [rec_path, sum_path]
 
 

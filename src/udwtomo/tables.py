@@ -10,22 +10,28 @@ or more cells (csv.writer writes a lone empty cell as ``""``).
 arrays (a bool or object array, or anything that is not an ndarray, raises
 ``ValueError``).  A column's cells are formatted once per entry of a
 values array and gathered back by an index of each row's entry.  A plain
-column finds both by one ``np.unique`` over the whole table -- a float
-column by its values' bit patterns (so ``-0.0`` stays ``-0`` next to
-``0``, and every NaN is its own cell), an int or text column by its
-values.  An ``Indexed`` column, the one column wrapper, brings its own: row
-r is ``values[index[r]]``, ``values`` a 1-D float, int or text array and
-``index`` a 1-D integer array within range, and no ``np.unique`` runs (a
-repeated entry is formatted once per repeat, to the same text).  An index
-entry of -1 is a blank cell (a failed row's): each column's texts end in
-the blank text, its separator alone, which the same gather picks up.  A
-mask is written as the ``Indexed`` column of its texts over the mask as
-integers.  Each text carries the separator that follows it in its
+column of ``_DEDUPE_MIN_ROWS`` (16) rows or more finds both by one
+``np.unique`` over the whole table -- a float column by its values' bit
+patterns (so ``-0.0`` stays ``-0`` next to ``0``, and every NaN is its own
+cell), an int or text column by its values.  A shorter plain column is
+formatted row by row, its index 0, 1, ...: the sort would cost more than
+the repeats it saves (the roundtrip's one-row summary, the shot-noise
+study's columns).  An ``Indexed`` column, the one column wrapper, brings
+its own: row r is ``values[index[r]]``, ``values`` a 1-D float, int or text
+array and ``index`` a 1-D integer array within range, and no ``np.unique``
+runs (a repeated entry is formatted once per repeat, to the same text).
+An index entry of -1 is a blank cell (a failed row's): each column's texts
+end in the blank text, its separator alone, which the same gather picks
+up.  A mask is written as the ``Indexed`` column of its texts over the
+mask as integers.  Each text carries the separator that follows it in its
 column.  The rows are then written in blocks of ``BLOCK_ROWS``, each block
 one ``"".join`` over its ``(rows, columns)`` texts gathered by the index.
 
 A float column with fewer than ``_ARRAY_MIN_FLOATS`` values to format is
-formatted by ``"%.17g" % v``, one value at a time.  A larger one goes
+formatted by ``"%.17g" % v``, one value at a time, and so is a column of
+short decimals (``_short_decimals``: every value below 1e15 in magnitude
+and equal to itself rounded to six decimals, such as scan coordinates),
+whose texts ``"%.17g"`` writes in about 0.27 us each.  Any other goes
 through an exact array pass (``_array_texts``) in chunks of at most
 ``BLOCK_ROWS`` values: each value is scaled to a 17-digit integer by a
 double-double power of ten, and its text laid out in numpy.  The pass
@@ -37,11 +43,12 @@ The two grids write t and x as ``Indexed`` columns over their axes and the
 value as one over the field at each distinct (t, |x|); a curve scan writes
 each kernel column as one over its points off the lightcone, -1 at the
 lightlike ones; the reconstruction writes i, j, ``regime`` and ``flags`` as
-``Indexed`` columns.  Every other column is deduplicated.
-The grids' values and the 520-row one-particle scan take the array pass;
-the 158-row scans, the grids' axes, the 16-region roundtrip's 120 pairs
-and the small tables (shot-noise study, convergence sweep, summary) do
-not.
+``Indexed`` columns, and H and Re W as two over one dedupe of H (its
+distinct values and their halves).  Every other column of 16 rows or more
+is deduplicated.  The grids' values and the one-particle scan's 520 kernel
+values take the array pass; its 520 s values (short decimals), the 158-row
+scans, the grids' axes, the 16-region roundtrip's 120 pairs and the small
+tables (shot-noise study, convergence sweep, summary) do not.
 
 A file is opened without ``O_TRUNC`` (created with mode ``0o666`` less the
 umask if it does not exist; an existing one keeps its mode, and a symlink
@@ -83,8 +90,16 @@ BLOCK_ROWS = 1024
 # ~0.7 us per full-precision value: on the gallery's scan and grid columns
 # the two break even at 144-160 distinct values (2 cores, Python 3.11, numpy
 # 2.4); short decimals such as grid coordinates (~0.27 us each by "%.17g")
-# gain nothing at any size
+# gain nothing at any size, so they skip the pass (_short_decimals)
 _ARRAY_MIN_FLOATS = 160
+
+# a plain column of fewer rows is formatted row by row: np.unique costs more
+# than the repeats it would save
+_DEDUPE_MIN_ROWS = 16
+
+# a float column counts as short decimals when every value equals itself
+# rounded to six decimals and has a magnitude below this
+_SHORT_DECIMAL_MAX = 1e15
 
 # no O_TRUNC (see the module docstring); O_BINARY, on Windows only, keeps the
 # LF line endings
@@ -140,6 +155,8 @@ def _column(column) -> tuple[np.ndarray, np.ndarray]:
     if values.dtype.kind == "f":
         values = values.astype(np.float64, copy=False)
     if index is None:
+        if len(values) < _DEDUPE_MIN_ROWS:
+            return values, np.arange(len(values))
         distinct, index = np.unique(values.view(np.int64) if values.dtype.kind == "f" else values,
                                     return_inverse=True)
         values = distinct.view(values.dtype)
@@ -294,10 +311,22 @@ def _array_texts(v: np.ndarray, sep: str) -> tuple[list[str], np.ndarray]:
     return texts, ok
 
 
+def _short_decimals(v: np.ndarray) -> bool:
+    """Whether every float64 x in ``v`` has |x| < ``_SHORT_DECIMAL_MAX`` and
+    equals itself rounded to six decimals, rint(x 1e6) / 1e6 as ``np.round``
+    takes it (False at a NaN or an infinity).  The first value is tried on
+    its own first, so a column of full-precision values is turned away in
+    well under a microsecond."""
+    for x in v[:1].tolist():
+        if not (abs(x) < _SHORT_DECIMAL_MAX and round(x * 1e6) / 1e6 == x):
+            return False
+    return bool(np.all(np.abs(v) < _SHORT_DECIMAL_MAX) and np.all(np.round(v, 6) == v))
+
+
 def _float_texts(v: np.ndarray, sep: str) -> list[str]:
     """``"%.17g" % x + sep`` for each float64 x in ``v``."""
     fmt = "%.17g" + sep
-    if len(v) < _ARRAY_MIN_FLOATS:
+    if len(v) < _ARRAY_MIN_FLOATS or _short_decimals(v):
         return [fmt % x for x in v.tolist()]
     texts = []
     for start in range(0, len(v), BLOCK_ROWS):

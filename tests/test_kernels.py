@@ -646,6 +646,66 @@ class TestSmearedOracle:
             entry(region(0, 5, ell=1.0), region(0, 0, ell=2.0))
 
 
+def image_tail_per_term(beta, a, dt, dr, n):
+    """``kernels._image_tail`` one (k, j) term at a time: the reference its
+    stacked sums must match bit for bit."""
+    a, dr, zeta = a / beta / beta, dr / beta, dt / beta + 1j * n
+    den = zeta * zeta - dr * dr
+    q = [1.0 / den, -2.0 * zeta / den**2]
+    for k in range(2, 2 * kernels._HEAT_ORDER + 2 * len(kernels._EULER_MACLAURIN)):
+        q.append(-(2.0 * k * zeta * q[k - 1] + k * (k - 1) * q[k - 2]) / den)
+    heat = [a**j / math.factorial(j) for j in range(kernels._HEAT_ORDER + 1)]
+    f = [(-2.0 * 1j**k * sum(c * q[2 * j + k] for j, c in enumerate(heat))).real
+         for k in range(2 * len(kernels._EULER_MACLAURIN))]
+    t = dr / zeta
+    tiny = np.abs(t) < 1e-8
+    artanh = np.where(tiny, 1.0 + t * t / 3.0, np.arctanh(np.where(tiny, 0.5, t))
+                      / np.where(tiny, 0.5, t)) / zeta
+    g = 2.0 * artanh - 2.0 * sum(c * q[2 * j - 1] for j, c in enumerate(heat) if j)
+    total = (1j * g).real - 0.5 * f[0] - sum(c * f[2 * k + 1]
+                                             for k, c in enumerate(kernels._EULER_MACLAURIN))
+    return total / beta / beta
+
+
+class TestImageTail:
+    """The KMS image tail's heat-flow and Euler-Maclaurin terms, summed as
+    one stacked array op per heat order, against the per-term sums."""
+
+    @pytest.mark.parametrize("shape", [(), (17,), (3, 5)], ids=["0d", "1d", "2d"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_sums_match_per_term_bitwise(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            beta = float(np.exp(rng.uniform(math.log(0.5), math.log(500.0))))
+            a = float(rng.choice([0.5, 2.0, 8.0]))
+            n = int(rng.integers(1, 61))
+            dt = np.where(rng.uniform(size=shape) < 0.3, 0.0,
+                          np.abs(rng.uniform(-40.0, 40.0, shape)))
+            zeta = np.abs(dt / beta + 1j * n)
+            # dr = 0, dr far below zeta (the artanh series), and dr of order dt
+            dr = rng.choice(np.array([0.0, 1.0, 1.0]), size=shape) * rng.uniform(0.0, 40.0, shape)
+            small = rng.uniform(size=shape) < 0.3
+            dr = np.where(small, beta * zeta * rng.uniform(0.0, 1e-8, shape), dr)
+            got = kernels._image_tail(beta, a, dt, dr, n)
+            want = image_tail_per_term(beta, a, dt, dr, n)
+            assert np.shape(got) == np.shape(want) == shape
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("wrap", [np.float64, np.asarray], ids=["scalar", "0d-array"])
+    def test_zero_dimensional_inputs(self, wrap):
+        # wightman_smeared_closed takes one pair, so _smeared_real passes
+        # the tail numpy scalars (0-d after np.abs)
+        rng = np.random.default_rng(11)
+        for beta in (0.3, 0.5, 2.0, 47.0, 500.0):
+            for dt, dr in ((0.0, 0.0), (3.0, 0.0), (0.0, 4.5), (2.5, 7.25),
+                           (1.0, 1e-9 * beta), tuple(rng.uniform(0.0, 30.0, 2))):
+                for n in (1, 7, 60):
+                    args = (beta, 2.0, wrap(dt), wrap(dr), n)
+                    got, want = kernels._image_tail(*args), image_tail_per_term(*args)
+                    assert type(got) is type(want)
+                    assert_bitwise(got, want)
+
+
 class TestSmearedQuadratureArray:
     """The one-pass pair quadrature behind the scans' quadrature column and
     the oracle: the Re pass of a whole scan against the complex pass of one
@@ -916,6 +976,31 @@ class TestAssemble:
         assert len(calls[0]) == 20
         assert set(calls[0]) == geometries | {(0.0, 0.0)}
         assert commutator_calls == calls
+
+    def test_first_mismatched_width_named(self):
+        # the widths are compared in one pass; the error is the one-pair
+        # check's, naming the first region that fails it
+        regions = [region(0, 10 * k) for k in range(6)]
+        regions[2] = region(0, 20, ell=1.5)
+        regions[4] = region(0, 40, ell=3.0)
+        with pytest.raises(ValueError) as info:
+            assemble_kernels(FieldState.vacuum(), regions, 1.0)
+        assert str(info.value) == "regions must share the same width, got 1.0 and 1.5"
+        with pytest.raises(ValueError, match=re.escape("got 1.0 and 3.0")):
+            assemble_kernels(FieldState.vacuum(), regions[:2] + regions[3:], 1.0)
+
+    def test_widths_within_relative_tolerance_accepted(self):
+        # within 1e-12 relative of the first width passes, and the first
+        # region's width is the one the kernels use
+        near, far = 1.0 + 0.9e-12, 1.0 + 1.1e-12
+        regions = [region(0, 0), region(0, 10, ell=near), region(5, 20, ell=1.0 - 0.9e-12)]
+        km = assemble_kernels(FieldState.vacuum(), regions, 1.0)
+        same = assemble_kernels(FieldState.vacuum(), [region(0, 0), region(0, 10),
+                                                      region(5, 20)], 1.0)
+        assert_bitwise(km.H, same.H)
+        assert_bitwise(km.GR, same.GR)
+        with pytest.raises(ValueError, match=re.escape(f"got 1.0 and {far}")):
+            assemble_kernels(FieldState.vacuum(), regions + [region(9, 0, ell=far)], 1.0)
 
     def test_validate_rejects_asymmetric_h(self):
         km = assemble_kernels(FieldState.vacuum(), [region(0, 0), region(10, 10)], 1.0)

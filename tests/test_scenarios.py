@@ -438,6 +438,36 @@ class TestScenarioOutputs:
         regimes = {r["regime"] for r in rrows}
         assert regimes == {"spacelike", "causal"}
 
+    @pytest.mark.parametrize("spacing, flagged, unflagged", [
+        (1.5, 197, 9.41e-10), (10.0, 0, None)])
+    def test_roundtrip_summary_counts_ill_conditioned_pairs(self, tmp_path, spacing, flagged,
+                                                            unflagged):
+        # the 81-region 3^3 x 3 vacuum lattice at lambda = 2 pi: at 1.5 ell
+        # 197 pairs are flagged and max_abs_H_error (2.96e-4) is theirs, at
+        # 10 ell none is and the two maxima agree; both cells match a recount
+        # of reconstruction.csv
+        recon, summary = scenarios.run({
+            "scenario_id": "tomography_roundtrip", "lambda": 2 * math.pi,
+            "lattice": {"n_space": 3, "n_time": 3, "spacing_space": spacing,
+                        "spacing_time": spacing}, "output_dir": str(tmp_path)})
+        [srow] = read_csv(summary)
+        assert list(srow) == ["n_regions", "n_pairs", "n_causal", "n_spacelike",
+                              "max_abs_H_error", "n_ill_conditioned", "max_abs_H_error_unflagged"]
+        rows = read_csv(recon)
+        ill = ["ill_conditioned" in r["flags"].split(";") for r in rows]
+        errors = [abs(float(r["H_reconstructed"]) - float(r["H_true_if_known"])) for r in rows]
+        assert int(srow["n_ill_conditioned"]) == sum(ill) == flagged
+        worst = float(srow["max_abs_H_error_unflagged"])
+        assert worst == max(e for e, f in zip(errors, ill) if not f)
+        assert float(srow["max_abs_H_error"]) == max(errors)
+        # H and Re W are written over one dedupe of H
+        assert all(float(r["Re_W"]) == 0.5 * float(r["H_reconstructed"]) for r in rows)
+        if flagged:
+            assert worst == pytest.approx(unflagged, rel=0.01)
+            assert 1e-4 < float(srow["max_abs_H_error"]) < 1e-3
+        else:
+            assert worst == float(srow["max_abs_H_error"]) <= 1e-8
+
     def test_convergence_sweep(self, tmp_path):
         paths = scenarios.run({"scenario_id": "convergence_sweep",
                                "output_dir": str(tmp_path)})

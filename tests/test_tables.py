@@ -480,6 +480,69 @@ def test_each_side_of_the_array_threshold(tmp_path, monkeypatch, extra):
     assert len(calls) == (2 if extra == 0 else 0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 15, 16])
+def test_short_plain_columns_match_csv_writer(tmp_path, monkeypatch, n):
+    # a plain column of fewer than _DEDUPE_MIN_ROWS rows is formatted row by
+    # row, with no np.unique; from 16 rows on it is deduplicated: csv.writer's
+    # bytes either way, with signed zeros, NaN payloads, infinities, repeats,
+    # ints and text among the rows
+    assert tables._DEDUPE_MIN_ROWS == 16
+    pool = np.concatenate([[-0.0, 0.0, -0.0, math.inf, -math.inf, 0.5, 0.5, 1 / 3, -2.5e-17],
+                           floats_from_bits(NAN_BITS)])
+    floats = pool[np.arange(n) % len(pool)]
+    ints = np.array([7, -2**63, 7, 2**40, 0] * 4)[:n]
+    words = np.array(TEXTS * 2)[:n]
+    uniques = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: uniques.append(1) or unique(*a, **k))
+    check(tmp_path / "short.csv", ["v", "k", "text", "w"], [floats, ints, words, floats[::-1]])
+    assert len(uniques) == (4 if n >= tables._DEDUPE_MIN_ROWS else 0)
+
+
+SHORT_DECIMALS = st.integers(-10**20, 10**20).flatmap(
+    lambda k: st.sampled_from([k / 10**d for d in range(7)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_short_decimal_test_forced_each_way(data):
+    # short decimals (k / 10^d, d <= 6), optionally mixed with any float: the
+    # texts are "%.17g" % v whichever path the short-decimal test picks,
+    # and the test itself agrees with its np.round definition
+    values = data.draw(st.lists(SHORT_DECIMALS, min_size=1, max_size=12), label="short")
+    if data.draw(st.booleans(), label="mixed"):
+        values += floats_from_bits(data.draw(
+            st.lists(float_bits, min_size=1, max_size=4), label="any")).tolist()
+    v = np.array(data.draw(st.permutations(values), label="order"), dtype=np.float64)
+    with np.errstate(all="ignore"):
+        defined = bool(np.all(np.abs(v) < tables._SHORT_DECIMAL_MAX)
+                       and np.all(np.round(v, 6) == v))
+    assert tables._short_decimals(v) is defined
+    ref = ["%.17g;" % x for x in v.tolist()]
+    for short in (True, False):
+        with mock.patch.multiple(tables, _ARRAY_MIN_FLOATS=0,
+                                 _short_decimals=lambda v, short=short: short):
+            assert tables._float_texts(v, ";") == ref
+
+
+def test_short_decimals_skip_the_array_pass(monkeypatch):
+    # a long column of scan coordinates is formatted value by value; one
+    # full-precision value, a NaN, an infinity or a magnitude of 1e15 sends
+    # the column to the array pass
+    calls = []
+    array_texts = tables._array_texts
+    monkeypatch.setattr(tables, "_array_texts", lambda *a: calls.append(1) or array_texts(*a))
+    s = np.arange(-130.0, 130.5, 0.5)
+    assert len(s) >= tables._ARRAY_MIN_FLOATS
+    for column, array_pass in ((s, False), (s / 8.0, False), (s + 0.123456, False),
+                               (np.append(s, 0.1234567), True), (np.append(0.1234567, s), True),
+                               (np.append(s, math.nan), True), (np.append(s, math.inf), True),
+                               (np.append(s, 1e15), True), (np.append(s, 1e15 - 1), False)):
+        calls.clear()
+        assert tables._float_texts(column, ",") == ["%.17g," % x for x in column.tolist()]
+        assert bool(calls) is array_pass
+
+
 SMALL_BLOCK = 4
 EDGE_BITS = [0, 1 << 63, 1, (1 << 63) | 1, 0x000FFFFFFFFFFFFF, 0x0010000000000000,
              0x7FF0000000000000, 0xFFF0000000000000, *NAN_BITS]
