@@ -143,6 +143,18 @@ def _require_number(raw: dict, key: str) -> float:
     return v
 
 
+def _check_span(field: str, *corners: tuple[float, float, float, float]) -> None:
+    """ConfigError on ``field`` unless every event in the box the corners
+    (t, x, y, z) span, and the difference of any two, has a finite t^2 and
+    x^2 + y^2 + z^2, the squares a run takes of its coordinates and pair
+    separations; a length l alone is the corner (l, 0, 0, 0)."""
+    axes = list(zip(*corners))
+    for t, x, y, z in ([max(map(abs, a)) for a in axes], [max(a) - min(a) for a in axes]):
+        if not (math.isfinite(t * t) and math.isfinite(x * x + y * y + z * z)):
+            raise ConfigError(f"field {field!r} gives the run a length whose square "
+                              "overflows a float", field=field)
+
+
 def _check_keys(d: dict, allowed: tuple[str, ...], name: str,
                 field: str | None = None) -> None:
     # an unknown key inside the object ``name`` is a ConfigError on ``field``
@@ -153,11 +165,13 @@ def _check_keys(d: dict, allowed: tuple[str, ...], name: str,
                           f"{unknown}", field=field or name)
 
 
-def _parse_event(d: dict, key: str) -> Event:
+def _parse_event(d: dict, key: str, ell: float) -> Event:
     if not isinstance(d, dict):
         raise ConfigError(f"field {key!r} must be an object with t/x/y/z", field=key)
     _check_keys(d, ("t", "x", "y", "z"), key)
-    return Event(*(_number(d.get(c, 0.0), f"{key}.{c}", key) for c in "txyz"))
+    coords = tuple(_number(d.get(c, 0.0), f"{key}.{c}", key) * ell for c in "txyz")
+    _check_span(key, coords)
+    return Event(*coords)
 
 
 def _parse_s_values(raw: dict) -> list[float]:
@@ -230,7 +244,7 @@ def _parse_lattice(raw: dict, ell: float) -> LatticeSpec:
             n_space=counts[0], n_time=counts[1],
             spacing_space=_number(lat["spacing_space"], "lattice.spacing_space") * ell,
             spacing_time=_number(lat["spacing_time"], "lattice.spacing_time") * ell,
-            origin=_parse_event(lat.get("origin", {}), "lattice.origin"))
+            origin=_parse_event(lat.get("origin", {}), "lattice.origin", ell))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'lattice': {exc}", field="lattice") from exc
     # both lattice scenarios reconstruct region pairs
@@ -242,6 +256,11 @@ def _parse_lattice(raw: dict, ell: float) -> LatticeSpec:
     if pairs > MAX_POINTS:
         raise ConfigError(f"field 'lattice' has {n} regions, {pairs} pairs, more than "
                           f"{MAX_POINTS}", field="lattice")
+    # the box from the origin to the last site, or a spacing on where a count
+    # is 1 (origin + 0 spacing is nan for an infinite spacing)
+    o = (spec.origin.t, spec.origin.x, spec.origin.y, spec.origin.z)
+    sites = [(spec.n_time, spec.spacing_time)] + [(spec.n_space, spec.spacing_space)] * 3
+    _check_span("lattice", o, tuple(c + max(k - 1, 1) * d for c, (k, d) in zip(o, sites)))
     return spec
 
 
@@ -286,11 +305,16 @@ def validate_config(raw: dict) -> ScenarioConfig:
         cfg.beta = _require_number(merged, "beta") * ell
     if "delta" in merged and merged.get("delta") is not None:
         cfg.delta = _require_number(merged, "delta") * ell
+    for key, length in (("ell", ell), ("beta", cfg.beta), ("delta", cfg.delta)):
+        if length is not None:
+            _check_span(key, (length, 0.0, 0.0, 0.0))
     if "s_over_ell" in merged:
         cfg.s_values = _parse_s_values(merged)
     if "anchor" in merged:
-        a = _parse_event(merged["anchor"], "anchor")
-        cfg.anchor = Event(a.t * ell, a.x * ell, a.y * ell, a.z * ell)
+        cfg.anchor = _parse_event(merged["anchor"], "anchor", ell)
+    if cfg.s_values:  # the anchor moved up to max(s) ell along x, or forward or back in time
+        a, step = cfg.anchor or Event(0.0, 0.0, 0.0, 0.0), max(cfg.s_values) * ell
+        _check_span("s_over_ell", (a.t - step, a.x, a.y, a.z), (a.t + step, a.x + step, a.y, a.z))
     if "lattice" in merged:
         cfg.lattice = _parse_lattice(merged, ell)
     if "lambda" in merged:
@@ -319,6 +343,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
         cfg.repeats = merged["repeats"]
     if "grid" in merged:
         cfg.grid_t, cfg.grid_x = _parse_grid(merged)
+        (t0, t1, _), (x0, x1, _) = cfg.grid_t, cfg.grid_x
+        _check_span("grid", (t0 * ell, x0 * ell, 0.0, 0.0), (t1 * ell, x1 * ell, 0.0, 0.0))
     if "ell_grid" in merged:
         grid = merged["ell_grid"]
         widths = sorted(_number(v, "ell_grid") for v in grid) if isinstance(grid, list) else []
@@ -333,6 +359,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         _check_keys(bc, ("dt", "dr"), "base_config")
         cfg.base_config = tuple(_number(bc[k], f"base_config.{k}", "base_config") * ell
                                 for k in ("dt", "dr"))
+        _check_span("base_config", (0.0, 0.0, 0.0, 0.0), (*cfg.base_config, 0.0, 0.0))
     if cfg.ell_grid and cfg.base_config is not None:
         # the widths convergence_sweep's residual table accepts at this separation
         try:

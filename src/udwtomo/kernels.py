@@ -652,9 +652,10 @@ def _triu_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
+def assemble_kernels(state: FieldState, centers: np.ndarray, ell: float,
                      lam: float) -> KernelMatrix:
-    """Populate the full kernel matrix for a list of equal-width regions.
+    """Populate the full kernel matrix for the width-``ell`` regions centred
+    at the rows of ``centers``, an (n, 4) array of (t, x, y, z).
 
     Only zero-mean quasifree states (vacuum, thermal) are admissible: the
     exact detector state formula presupposes a vanishing one-point function.
@@ -669,40 +670,36 @@ def assemble_kernels(state: FieldState, regions: list[GaussianRegion],
     if state.tag not in ("vacuum", "thermal"):
         raise ValueError(
             f"assemble_kernels requires a zero-mean quasifree state, got {state.tag!r}")
+    if not (math.isfinite(ell) and ell > 0):
+        raise ValueError(f"region width ell must be positive and finite, got {ell!r}")
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("coupling lambda must be positive and finite")
-    n = len(regions)
-    if n == 0:
-        raise ValueError("need at least one region")
-    # every width against the first in one pass, _check_equal_widths's test;
-    # it names the first region that fails it
-    ell = np.array([r.ell for r in regions], dtype=float)
-    unequal = np.abs(ell - ell[0]) > 1e-12 * np.maximum(ell, ell[0])
-    if unequal.any():
-        _check_equal_widths(regions[0], regions[int(np.argmax(unequal))])
+    centers = np.asarray(centers, dtype=float)
+    if not (centers.ndim == 2 and centers.shape[1] == 4 and len(centers)
+            and np.isfinite(centers).all()):
+        raise ValueError(f"centers must be a non-empty finite (n, 4) array, got shape "
+                         f"{centers.shape}")
+    n = len(centers)
 
     lam2 = lam * lam
     H = np.zeros((n, n))
     GR = np.zeros((n, n))
 
     # every quantity below is taken once per pair i <= j
-    centers = np.array([(r.center.t, r.center.x, r.center.y, r.center.z) for r in regions],
-                       dtype=float)
     iu, ju = _triu_indices(n, 0)
     itv = intervals(centers[iu], centers[ju])
 
     # one evaluation of the distinct (|dt|, dr), keyed on exact floats: the
     # complex key |dt| + i dr sorts them as (|dt|, dr) pairs in one 1-D pass
     geometry, index = np.unique(np.abs(itv.dt) + 1j * itv.dr, return_inverse=True)
-    values = lam2 * 2.0 * _smeared_real(state.beta, regions[0].ell, geometry.real,
-                                        geometry.imag)
+    values = lam2 * 2.0 * _smeared_real(state.beta, ell, geometry.real, geometry.imag)
     H[iu, ju] = H[ju, iu] = values[index]
 
     # G_R from the (state independent) commutator on the future side of each
     # pair, the transposed entry -E(dt) when dt < 0 (dt = 0 pairs stay zero),
     # taken on the same distinct geometries: E(-|dt|) is 0 - E(|dt|) bit for
     # bit, an exact zero (both Gaussians underflowed) +0 on either side
-    e = (lam2 * _commutator(geometry.real, geometry.imag, regions[0].ell))[index]
+    e = (lam2 * _commutator(geometry.real, geometry.imag, ell))[index]
     fut, past = itv.dt > 0.0, itv.dt < 0.0
     GR[iu[fut], ju[fut]] = e[fut]
     GR[ju[past], iu[past]] = -(0.0 - e[past])

@@ -54,7 +54,6 @@ from .kernels import (FieldState, _lightcone_errors, _smeared_quadrature,
                       _smeared_real, _source_term, assemble_kernels, hadamard_array,
                       phi0_coherent_array, F_oneparticle_array)
 from .numerics import fit_loglog_slope
-from .smearing import GaussianRegion
 from .spacetime import Event, build_lattice, intervals
 from .tables import Indexed
 
@@ -183,8 +182,7 @@ def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
 def _lattice(cfg: ScenarioConfig):
     """The lattice's kernels, its exact correlator table and the true H of
     every pair i < j, row-major (the order of the table's pair vectors)."""
-    regions = [GaussianRegion(e, cfg.ell) for e in build_lattice(cfg.lattice)]
-    km = assemble_kernels(_field_state(cfg), regions, cfg.lam)
+    km = assemble_kernels(_field_state(cfg), build_lattice(cfg.lattice), cfg.ell, cfg.lam)
     return km, correlator_table(km), km.H[_pairs(km.n)]
 
 

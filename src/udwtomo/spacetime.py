@@ -6,9 +6,9 @@ Signature is (-,+,+,+), so the Synge world function
 
 is positive for spacelike separation and negative for timelike separation;
 a pair counts as lightlike where |sigma| is within ``default_lightcone_tol``.
-Lattices of interaction centers are ordered with the time index outermost so
-that, for each fixed spatial site, earlier couplings precede later ones in
-index order.
+A lattice of interaction centers is one (n, 4) coordinate array, ordered
+with the time index outermost so that, for each fixed spatial site, earlier
+couplings precede later ones in index order.
 
 Importing the module loads no numpy: ``Event`` and ``LatticeSpec`` serve
 config checking, and the array helpers load numpy at first use.
@@ -96,26 +96,21 @@ class LatticeSpec:
         return self.n_space**3 * self.n_time
 
 
-def build_lattice(spec: LatticeSpec) -> list[Event]:
-    """Events in row-major (time, z, y, x) order, time index outermost.
-
-    Within each spatial site, index order therefore follows time order, so a
-    site's earlier coupling is always in the causal past of its later ones.
-    """
-    o = spec.origin
-    events = []
-    for it in range(spec.n_time):
-        t = o.t + it * spec.spacing_time
-        for iz in range(spec.n_space):
-            for iy in range(spec.n_space):
-                for ix in range(spec.n_space):
-                    events.append(Event(
-                        t,
-                        o.x + ix * spec.spacing_space,
-                        o.y + iy * spec.spacing_space,
-                        o.z + iz * spec.spacing_space,
-                    ))
-    return events
+def build_lattice(spec: LatticeSpec) -> np.ndarray:
+    """The centers as one (n_events, 4) array of (t, x, y, z) rows, row-major
+    in (time, z, y, x), time index outermost; each coordinate is origin +
+    index * spacing.  Within each spatial site, index order therefore follows
+    time order, so a site's earlier coupling is in the causal past of its
+    later ones."""
+    import numpy as np
+    o, n = spec.origin, spec.n_space
+    space = np.arange(n) * spec.spacing_space
+    centers = np.empty((spec.n_time, n, n, n, 4))
+    centers[..., 0] = (o.t + np.arange(spec.n_time) * spec.spacing_time)[:, None, None, None]
+    centers[..., 1] = o.x + space
+    centers[..., 2] = (o.y + space)[:, None]
+    centers[..., 3] = (o.z + space)[:, None, None]
+    return centers.reshape(-1, 4)
 
 
 def checked_widths(base_config: tuple[float, float], ell_grid: list[float]) -> list[float]:

@@ -33,20 +33,24 @@ def region_amplitudes(state, *regions):
                                       np.array([r.center.coords() for r in regions]))
 
 
-def lattice_regions(origin=O, ell=1.0):
+def points(*tx):
+    """Region centers (t, x, 0, 0) as an (n, 4) array."""
+    return np.array([(t, x, 0.0, 0.0) for t, x in tx], dtype=float)
+
+
+def lattice_centers(origin=O):
     # 3^3 x 2 sites at 10 ell spacing: 54 regions, 1431 pairs
-    spec = LatticeSpec(3, 2, 10.0 * ell, 10.0 * ell, origin)
-    return [GaussianRegion(e, ell) for e in build_lattice(spec)]
+    return build_lattice(LatticeSpec(3, 2, 10.0, 10.0, origin))
 
 
-def per_pair_reference(state, regions, lam):
+def per_pair_reference(state, centers, ell, lam):
     """H and GR filled pair by pair, H from one wightman_smeared_closed call
-    per pair, the diagonal included."""
-    n, lam2 = len(regions), lam * lam
+    per pair of width-ell regions, the diagonal included."""
+    n, lam2 = len(centers), lam * lam
     H, GR = np.zeros((n, n)), np.zeros((n, n))
-    centers = np.array([r.center.coords() for r in regions])
+    regions = [GaussianRegion(Event(*c), ell) for c in centers.tolist()]
     itv = intervals(centers[:, None], centers[None, :])
-    E = lam2 * kernels._commutator(itv.dt, itv.dr, regions[0].ell)
+    E = lam2 * kernels._commutator(itv.dt, itv.dr, ell)
     for i in range(n):
         for j in range(i, n):
             w = wightman_smeared_closed(state, regions[i], regions[j])
@@ -58,10 +62,16 @@ def per_pair_reference(state, regions, lam):
     return H, GR
 
 
-def pair_intervals(regions):
-    """The intervals of every pair i < j of ``regions``' centers, row-major."""
-    centers = np.array([r.center.coords() for r in regions])
-    iu, ju = np.triu_indices(len(regions), 1)
+def shuffled(centers, seed):
+    """The rows of ``centers`` in the order ``random.Random(seed).shuffle`` gives."""
+    order = list(range(len(centers)))
+    random.Random(seed).shuffle(order)
+    return centers[order]
+
+
+def pair_intervals(centers):
+    """The intervals of every pair i < j of ``centers``, row-major."""
+    iu, ju = np.triu_indices(len(centers), 1)
     return intervals(centers[iu], centers[ju])
 
 
@@ -638,9 +648,8 @@ class TestSmearedOracle:
 
     @pytest.mark.parametrize("entry", [
         lambda ri, rj: wightman_smeared_quadrature(FieldState.vacuum(), ri, rj, 1e-10),
-        lambda ri, rj: wightman_smeared_closed(FieldState.vacuum(), ri, rj),
-        lambda ri, rj: assemble_kernels(FieldState.vacuum(), [rj, ri], 1.0)],
-        ids=["wightman_smeared_quadrature", "wightman_smeared_closed", "assemble_kernels"])
+        lambda ri, rj: wightman_smeared_closed(FieldState.vacuum(), ri, rj)],
+        ids=["wightman_smeared_quadrature", "wightman_smeared_closed"])
     def test_width_mismatch_rejected(self, entry):
         with pytest.raises(ValueError, match="same width"):
             entry(region(0, 5, ell=1.0), region(0, 0, ell=2.0))
@@ -813,7 +822,7 @@ class TestCommutatorAndRetarded:
 
     def test_zero_at_equal_time(self):
         assert kernels._commutator(0.0, 5.0, 1.0) == 0.0
-        km = assemble_kernels(FieldState.vacuum(), [region(0, 5), region(0, 0)], 1.0)
+        km = assemble_kernels(FieldState.vacuum(), points((0, 5), (0, 0)), 1.0, 1.0)
         assert km.GR[0, 1] == km.GR[1, 0] == 0.0
 
     def test_spacelike_tail_bound(self):
@@ -836,8 +845,7 @@ class TestCommutatorAndRetarded:
         assert e_ab == pytest.approx(-e_ba, rel=1e-15)
 
     def test_retarded_time_order(self):
-        past, future = region(0, 0), region(10.0, 10.0)
-        km = assemble_kernels(FieldState.vacuum(), [past, future], 1.0)
+        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (10.0, 10.0)), 1.0, 1.0)
         assert km.GR[1, 0] == kernels._commutator(10.0, 10.0, 1.0)
         assert km.GR[0, 1] == 0.0
 
@@ -845,19 +853,19 @@ class TestCommutatorAndRetarded:
 class TestAssemble:
     def test_single_region_vacuum(self):
         lam = 2.0
-        km = assemble_kernels(FieldState.vacuum(), [region(0, 0)], lam)
+        km = assemble_kernels(FieldState.vacuum(), points((0, 0)), 1.0, lam)
         assert km.H[0, 0] == pytest.approx(lam**2 / (8 * math.pi**2), rel=1e-14)
         assert km.E[0, 0] == 0.0
         assert km.GR[0, 0] == 0.0
 
     def test_two_spacelike_regions(self):
-        km = assemble_kernels(FieldState.vacuum(), [region(0, 0), region(0, 12)], 1.0)
+        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (0, 12)), 1.0, 1.0)
         assert abs(km.E[0, 1]) <= math.exp(-144.0 / 8.0)
         KernelMatrix(H=km.H, GR=km.GR)
 
     def test_identities_exact(self):
-        regions = [region(0, 0), region(10, 10), region(10, 0), region(20, 5)]
-        km = assemble_kernels(FieldState.vacuum(), regions, 2 * math.pi)
+        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (10, 10), (10, 0), (20, 5)),
+                              1.0, 2 * math.pi)
         assert np.array_equal(km.E, km.GR - km.GR.T)
         # antisymmetric bit for bit off the diagonal, signed zeros included
         off = ~np.eye(4, dtype=bool)
@@ -866,26 +874,38 @@ class TestAssemble:
         assert np.array_equal(km.H, km.H.T)
 
     def test_e_consistent_with_quadrature(self):
-        regions = [region(0, 0), region(10, 10)]
-        km = assemble_kernels(FieldState.vacuum(), regions, 1.0)
-        w = wightman_smeared_quadrature(FieldState.vacuum(), regions[0], regions[1],
+        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (10, 10)), 1.0, 1.0)
+        w = wightman_smeared_quadrature(FieldState.vacuum(), region(0, 0), region(10, 10),
                                         1e-12)
         assert km.E[0, 1] == pytest.approx(2 * w.imag, abs=1e-8)
 
     def test_thermal_assembly(self):
-        regions = [region(0, 0), region(0, 10), region(10, 0)]
-        km = assemble_kernels(FieldState.thermal(50.0), regions, 1.0)
+        centers = points((0, 0), (0, 10), (10, 0))
+        km = assemble_kernels(FieldState.thermal(50.0), centers, 1.0, 1.0)
         KernelMatrix(H=km.H, GR=km.GR)
         assert km.H[0, 0] > 0
         # thermal local noise exceeds the vacuum one
-        kv = assemble_kernels(FieldState.vacuum(), regions, 1.0)
+        kv = assemble_kernels(FieldState.vacuum(), centers, 1.0, 1.0)
         assert km.H[0, 0] > kv.H[0, 0]
 
     def test_rejects_non_quasifree(self):
         with pytest.raises(ValueError):
-            assemble_kernels(FieldState.coherent(1.0), [region(0, 0)], 1.0)
+            assemble_kernels(FieldState.coherent(1.0), points((0, 0)), 1.0, 1.0)
         with pytest.raises(ValueError):
-            assemble_kernels(FieldState.one_particle(1.0), [region(0, 0)], 1.0)
+            assemble_kernels(FieldState.one_particle(1.0), points((0, 0)), 1.0, 1.0)
+
+    @pytest.mark.parametrize("ell", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_width(self, ell):
+        with pytest.raises(ValueError, match="ell must be positive and finite"):
+            assemble_kernels(FieldState.vacuum(), points((0, 0), (0, 10)), ell, 1.0)
+
+    @pytest.mark.parametrize("centers", [
+        np.zeros((0, 4)), np.zeros(4), np.zeros((2, 3)), np.zeros((2, 4, 1)),
+        points((0, 0), (math.nan, 10)), points((0, 0), (0, -math.inf))],
+        ids=["empty", "one-row", "three-columns", "three-axes", "nan", "inf"])
+    def test_rejects_centers(self, centers):
+        with pytest.raises(ValueError, match=re.escape("non-empty finite (n, 4) array")):
+            assemble_kernels(FieldState.vacuum(), centers, 1.0, 1.0)
 
     @pytest.mark.parametrize("state, layout", [
         (FieldState.thermal(50.0), "lattice"),
@@ -897,25 +917,25 @@ class TestAssemble:
     def test_matches_per_pair_reference_bitwise(self, state, layout):
         if layout == "far":
             # commutators that underflow to zero on both sides of dt
-            regions = [region(0, 0), region(10, 200), region(-10, 400), region(5, 600)]
+            centers = points((0, 0), (10, 200), (-10, 400), (5, 600))
         elif layout == "ulp":
             # no coordinate of the origin is round, so pairs of one physical
             # geometry differ in the last bits of dt or dr: 27 exact-float
             # geometries where rounding leaves 19, each a key of its own
-            regions = lattice_regions(Event(-3.306967, 0.059643, 1.581189, 2.675809))
-            pairs = pair_intervals(regions)
+            centers = lattice_centers(Event(-3.306967, 0.059643, 1.581189, 2.675809))
+            pairs = pair_intervals(centers)
             exact = set(zip(np.abs(pairs.dt).tolist(), pairs.dr.tolist()))
             rounded = {(round(dt, 9), round(dr, 9)) for dt, dr in exact}
             assert (len(exact), len(rounded)) == (27, 19)
         else:
-            regions = lattice_regions(Event(1.234567, -3.5, 2.25, 0.1))
+            centers = lattice_centers(Event(1.234567, -3.5, 2.25, 0.1))
         if layout != "lattice":
-            random.Random(3).shuffle(regions)
+            centers = shuffled(centers, 3)
             # upper-triangle pairs now carry both signs of dt
-            dts = pair_intervals(regions).dt
+            dts = pair_intervals(centers).dt
             assert dts.min() < 0.0 < dts.max()
-        km = assemble_kernels(state, regions, 2 * math.pi)
-        H, GR = per_pair_reference(state, regions, 2 * math.pi)
+        km = assemble_kernels(state, centers, 1.0, 2 * math.pi)
+        H, GR = per_pair_reference(state, centers, 1.0, 2 * math.pi)
         assert_bitwise(km.H, H)
         assert_bitwise(km.GR, GR)
         assert_bitwise(km.E, KernelMatrix(H, GR).E)
@@ -930,13 +950,12 @@ class TestAssemble:
         # and G_R_ji is -E where dt < 0, bit for bit.  At 45 ell the far
         # pairs' Gaussians both underflow and E is an exact zero, whose past
         # side is -0
-        regions = [GaussianRegion(e, 1.0) for e in build_lattice(
-            LatticeSpec(4, 3, spacing, spacing, origin))]
-        random.Random(5).shuffle(regions)
-        km = assemble_kernels(FieldState.thermal(43.07), regions, 2 * math.pi)
-        pairs = pair_intervals(regions)
+        centers = build_lattice(LatticeSpec(4, 3, spacing, spacing, origin))
+        centers = shuffled(centers, 5)
+        km = assemble_kernels(FieldState.thermal(43.07), centers, 1.0, 2 * math.pi)
+        pairs = pair_intervals(centers)
         e = (2 * math.pi) ** 2 * kernels._commutator(pairs.dt, pairs.dr, 1.0)
-        iu, ju = np.triu_indices(len(regions), 1)
+        iu, ju = np.triu_indices(len(centers), 1)
         fut, past = pairs.dt > 0.0, pairs.dt < 0.0
         GR = np.zeros_like(km.GR)
         GR[iu[fut], ju[fut]] = e[fut]
@@ -948,9 +967,9 @@ class TestAssemble:
 
     @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
     def test_one_evaluation_per_distinct_geometry(self, monkeypatch, shuffle):
-        regions = lattice_regions()
+        centers = lattice_centers()
         if shuffle:
-            random.Random(3).shuffle(regions)
+            centers = shuffled(centers, 3)
         calls, commutator_calls = [], []
         real, commutator = kernels._smeared_real, kernels._commutator
 
@@ -964,8 +983,8 @@ class TestAssemble:
 
         monkeypatch.setattr(kernels, "_smeared_real", counting)
         monkeypatch.setattr(kernels, "_commutator", counting_commutator)
-        assemble_kernels(FieldState.vacuum(), regions, 1.0)
-        pairs = pair_intervals(regions)
+        assemble_kernels(FieldState.vacuum(), centers, 1.0, 1.0)
+        pairs = pair_intervals(centers)
         geometries = set(zip(np.abs(pairs.dt).tolist(), pairs.dr.tolist()))
         assert len(pairs.dt) == 1431
         assert len(geometries) == 19
@@ -977,33 +996,8 @@ class TestAssemble:
         assert set(calls[0]) == geometries | {(0.0, 0.0)}
         assert commutator_calls == calls
 
-    def test_first_mismatched_width_named(self):
-        # the widths are compared in one pass; the error is the one-pair
-        # check's, naming the first region that fails it
-        regions = [region(0, 10 * k) for k in range(6)]
-        regions[2] = region(0, 20, ell=1.5)
-        regions[4] = region(0, 40, ell=3.0)
-        with pytest.raises(ValueError) as info:
-            assemble_kernels(FieldState.vacuum(), regions, 1.0)
-        assert str(info.value) == "regions must share the same width, got 1.0 and 1.5"
-        with pytest.raises(ValueError, match=re.escape("got 1.0 and 3.0")):
-            assemble_kernels(FieldState.vacuum(), regions[:2] + regions[3:], 1.0)
-
-    def test_widths_within_relative_tolerance_accepted(self):
-        # within 1e-12 relative of the first width passes, and the first
-        # region's width is the one the kernels use
-        near, far = 1.0 + 0.9e-12, 1.0 + 1.1e-12
-        regions = [region(0, 0), region(0, 10, ell=near), region(5, 20, ell=1.0 - 0.9e-12)]
-        km = assemble_kernels(FieldState.vacuum(), regions, 1.0)
-        same = assemble_kernels(FieldState.vacuum(), [region(0, 0), region(0, 10),
-                                                      region(5, 20)], 1.0)
-        assert_bitwise(km.H, same.H)
-        assert_bitwise(km.GR, same.GR)
-        with pytest.raises(ValueError, match=re.escape(f"got 1.0 and {far}")):
-            assemble_kernels(FieldState.vacuum(), regions + [region(9, 0, ell=far)], 1.0)
-
     def test_validate_rejects_asymmetric_h(self):
-        km = assemble_kernels(FieldState.vacuum(), [region(0, 0), region(10, 10)], 1.0)
+        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (10, 10)), 1.0, 1.0)
         H = km.H.copy()
         H[0, 1] += 1.0
         with pytest.raises(ValueError, match="H symmetric"):

@@ -188,6 +188,42 @@ class TestValidation:
           "lattice": {**LATTICE, "n_space": 1, "n_time": 1415}}, "lattice"),
         ({"scenario_id": "tomography_roundtrip",
           "lattice": {**LATTICE, "n_space": 12, "n_time": 1}}, "lattice"),
+        # a length times ell, a coordinate or a pair separation whose square
+        # overflows: the anchor failed validate with an Event traceback (exit
+        # 1); the next six validated, then ended in a traceback from a state,
+        # an Event or a non-finite kernel matrix, or exited 0 with every
+        # value a lightcone error or nan
+        ({"scenario_id": "vacuum_curves", "ell": 10, "anchor": {"t": 1e308}}, "anchor"),
+        ({"scenario_id": "thermal_curves", "ell": 10, "beta": 1e308}, "beta"),
+        ({"scenario_id": "coherent_curves", "ell": 10, "delta": 1e308}, "delta"),
+        ({"scenario_id": "tomography_roundtrip", "ell": 10,
+          "lattice": {**LATTICE, "spacing_space": 1e308}}, "lattice"),
+        ({"scenario_id": "tomography_roundtrip", "ell": 1,
+          "lattice": {**LATTICE, "spacing_space": 1e200}}, "lattice"),
+        ({"scenario_id": "vacuum_curves", "ell": 1e300, "s_over_ell": [1e10, 2.0]}, "ell"),
+        ({"scenario_id": "coherent_field_grid", "ell": 1e300}, "ell"),
+        # the same check at the other fields that place an event of the run
+        ({"scenario_id": "vacuum_curves", "s_over_ell": [2.0, 1e200]}, "s_over_ell"),
+        ({"scenario_id": "coherent_curves", "anchor": {"t": 1e155}}, "anchor"),
+        ({"scenario_id": "oneparticle_diff_grid", "anchor": {"x": -1e200}}, "anchor"),
+        ({"scenario_id": "coherent_field_grid",
+          "grid": {**SMALL_GRID, "x": {"start": -1e200, "stop": 1.0, "n": 3}}}, "grid"),
+        ({"scenario_id": "shot_noise_study",
+          "lattice": {**LATTICE, "origin": {"z": 1e200}}}, "lattice"),
+        # squares that overflow only between two events: dt between the two
+        # time slices (run warned of an overflow in the commutator), and the
+        # coherent scan's backward step (its multipole cell was nan)
+        ({"scenario_id": "tomography_roundtrip",
+          "lattice": {**LATTICE, "spacing_time": 2e154, "origin": {"t": -1e154}}}, "lattice"),
+        ({"scenario_id": "coherent_curves", "anchor": {"t": -1e154}, "s_over_ell": [1e154]},
+         "s_over_ell"),
+        # a lone site sits at origin + 0 spacing, nan for an infinite one
+        ({"scenario_id": "tomography_roundtrip", "ell": 10,
+          "lattice": {**LATTICE, "n_time": 1, "spacing_time": 1e308}}, "lattice"),
+        ({"scenario_id": "convergence_sweep", "base_config": {"dt": 0.0, "dr": 1e200}},
+         "base_config"),
+        ({"scenario_id": "convergence_sweep", "ell": 10,
+          "ell_grid": [1e306, 1e307, 1e308]}, "ell_grid"),
     ])
     def test_malformed_values(self, raw, field, tmp_path, capsys):
         # each is a ConfigError naming the field, and the CLI exits 2
@@ -229,6 +265,24 @@ class TestValidation:
                 cfg = validate_config({"scenario_id": sid, "lattice": {
                     **LATTICE, "n_space": n_space, "n_time": n_time}})
                 assert cfg.lattice.n_events == n_space**3 * n_time
+
+    def test_lengths_with_finite_squares_accepted(self):
+        # up to the float range of a length's square, every length validates
+        big = {"ell": 1e150, "s_over_ell": [1.0], "anchor": {"t": 1e-150}}
+        assert validate_config({"scenario_id": "vacuum_curves", **big}).anchor.t == 1.0
+        cfg = validate_config({"scenario_id": "tomography_roundtrip", "lattice": {
+            **LATTICE, "spacing_space": 1e150, "spacing_time": 1e150,
+            "origin": {"t": -1e150}}})
+        assert (cfg.lattice.spacing_space, cfg.lattice.origin.t) == (1e150, -1e150)
+        assert validate_config({"scenario_id": "coherent_curves", "delta": 1e150}).delta == 1e150
+
+    def test_lattice_origin_in_units_of_ell(self):
+        # the origin is scaled by ell as the spacings and the anchor are
+        cfg = validate_config({"scenario_id": "tomography_roundtrip", "ell": 2.0,
+                               "lattice": {**LATTICE, "origin": {"t": 1.0}}})
+        assert cfg.lattice.origin == Event(2.0, 0.0, 0.0, 0.0)
+        assert build_lattice(cfg.lattice)[0].tolist() == [2.0, 0.0, 0.0, 0.0]
+        assert build_lattice(cfg.lattice)[-1].tolist() == [22.0, 20.0, 20.0, 20.0]
 
     def test_empty_s_list_named(self):
         # used to be reported as "values must be strictly positive"
@@ -561,8 +615,7 @@ def shot_noise_reference(config_dict, path):
     one inversion per (shots, repeat), the squared errors of the surviving
     pairs summed in (repeat, pair) order for each shot count; returns the bytes."""
     cfg = validate_config(config_dict)
-    regions = [GaussianRegion(e, cfg.ell) for e in build_lattice(cfg.lattice)]
-    km = assemble_kernels(FieldState.vacuum(), regions, cfg.lam)
+    km = assemble_kernels(FieldState.vacuum(), build_lattice(cfg.lattice), cfg.ell, cfg.lam)
     exact = correlator_table(km)
     rms, failed = [], []
     for shots in cfg.shots_list:

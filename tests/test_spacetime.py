@@ -59,37 +59,65 @@ def test_classify_exchange(a, b):
     assert ba == swapped.get(ab, ab)
 
 
+def lattice_reference(spec):
+    """The lattice as the per-site loop of Events it replaced: row-major in
+    (time, z, y, x), each coordinate origin + index * spacing."""
+    o = spec.origin
+    return [Event(o.t + it * spec.spacing_time, o.x + ix * spec.spacing_space,
+                  o.y + iy * spec.spacing_space, o.z + iz * spec.spacing_space)
+            for it in range(spec.n_time) for iz in range(spec.n_space)
+            for iy in range(spec.n_space) for ix in range(spec.n_space)]
+
+
 class TestLattice:
     def test_single(self):
-        spec = LatticeSpec(1, 1, 1.0, 1.0)
-        assert spacetime.build_lattice(spec) == [Event(0.0, 0.0, 0.0, 0.0)]
+        centers = spacetime.build_lattice(LatticeSpec(1, 1, 1.0, 1.0))
+        assert centers.shape == (1, 4) and centers.dtype == np.float64
+        assert centers.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_time_column(self):
-        spec = LatticeSpec(1, 3, 1.0, 2.0)
-        ev = spacetime.build_lattice(spec)
-        assert [e.t for e in ev] == [0.0, 2.0, 4.0]
-        assert all((e.x, e.y, e.z) == (0.0, 0.0, 0.0) for e in ev)
+        centers = spacetime.build_lattice(LatticeSpec(1, 3, 1.0, 2.0))
+        assert centers[:, 0].tolist() == [0.0, 2.0, 4.0]
+        assert not centers[:, 1:].any()
 
     def test_unit_cube(self):
-        spec = LatticeSpec(2, 1, 1.0, 1.0)
-        ev = spacetime.build_lattice(spec)
-        assert len(ev) == 8
-        assert {(e.x, e.y, e.z) for e in ev} == {
+        centers = spacetime.build_lattice(LatticeSpec(2, 1, 1.0, 1.0))
+        assert centers.shape == (8, 4)
+        assert {tuple(c) for c in centers[:, 1:].tolist()} == {
             (x, y, z) for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)}
 
     def test_count_and_uniqueness(self):
         spec = LatticeSpec(3, 2, 0.5, 0.25, origin=Event(1.0, -1.0, 2.0, 0.0))
-        ev = spacetime.build_lattice(spec)
-        assert len(ev) == spec.n_events == 54
-        assert len(set(ev)) == 54
+        centers = spacetime.build_lattice(spec)
+        assert centers.shape == (spec.n_events, 4) == (54, 4)
+        assert len(np.unique(centers, axis=0)) == 54
+
+    @pytest.mark.parametrize("origin", [Event(0.0, 0.0, 0.0, 0.0),
+                                        Event(0.1, -2.7, 0.35, 1.9)], ids=["zero", "inexact"])
+    @pytest.mark.parametrize("n_space", [1, 2, 3])
+    @pytest.mark.parametrize("n_time", [1, 2, 3])
+    def test_bitwise_equal_to_event_loop(self, origin, n_space, n_time):
+        # spacings and an origin not exact in binary, so a different
+        # evaluation order of any coordinate would move its last bits
+        spec = LatticeSpec(n_space, n_time, 3.3, 0.7, origin)
+        centers = spacetime.build_lattice(spec)
+        reference = np.array([e.coords() for e in lattice_reference(spec)])
+        assert centers.shape == reference.shape == (n_space**3 * n_time, 4)
+        assert np.array_equal(centers.view(np.int64), reference.view(np.int64))
 
     def test_time_outermost_ordering(self):
-        # for each spatial site, the earlier coupling must come first in index order
-        spec = LatticeSpec(2, 3, 1.0, 1.0)
-        ev = spacetime.build_lattice(spec)
+        # x varies fastest, then y, z and time; for each spatial site, the
+        # earlier coupling must come first in index order
+        centers = spacetime.build_lattice(LatticeSpec(2, 3, 1.0, 1.0))
+        grid = centers.reshape(3, 2, 2, 2, 4)
+        assert (grid[..., 0] == np.arange(3.0)[:, None, None, None]).all()
+        assert (grid[..., 3] == np.arange(2.0)[:, None, None]).all()
+        assert (grid[..., 2] == np.arange(2.0)[:, None]).all()
+        assert (grid[..., 1] == np.arange(2.0)).all()
         by_site = {}
-        for idx, e in enumerate(ev):
-            by_site.setdefault((e.x, e.y, e.z), []).append((idx, e.t))
+        for idx, (t, *site) in enumerate(centers.tolist()):
+            by_site.setdefault(tuple(site), []).append((idx, t))
+        assert len(by_site) == 8
         for entries in by_site.values():
             ts = [t for _, t in sorted(entries)]
             assert ts == sorted(ts)

@@ -14,7 +14,6 @@ from udwtomo.config import validate_config
 from udwtomo.errors import DephasingError, NoiseDominatedError, TangentDomainError
 from udwtomo.kernels import FieldState, KernelMatrix, assemble_kernels
 from udwtomo.numerics import fit_loglog_slope
-from udwtomo.smearing import GaussianRegion
 from udwtomo.spacetime import Event, LatticeSpec, build_lattice
 from udwtomo.tomography import TableReconstruction, reconstruct_table
 
@@ -176,8 +175,8 @@ class TestOracle:
         # the 3^3 x 2 thermal lattice at 10 ell: 1431 pairs, 1080 of them
         # causal, with exact zeros in most x_k; exact and sampled, bit for bit
         spec = LatticeSpec(3, 2, 10.0, 10.0, Event(-3.306967, 0.059643, 1.581189, 2.675809))
-        regions = [GaussianRegion(e, 1.0) for e in build_lattice(spec)]
-        exact = correlator_table(assemble_kernels(FieldState.thermal(50.0), regions, 2 * math.pi))
+        exact = correlator_table(assemble_kernels(FieldState.thermal(50.0), build_lattice(spec),
+                                                  1.0, 2 * math.pi))
         assert not check_against_reference(exact)
         assert np.count_nonzero(reconstruct_table(exact).causal) == 1080
         check_against_reference(sample_table(exact, 1000, 11))
@@ -265,7 +264,7 @@ def series_pairs(t):
 def lattice_kernels(n_space, n_time, state, lam=2 * math.pi, spacing=10.0,
                     origin=Event(-3.306967, 0.059643, 1.581189, 2.675809)):
     spec = LatticeSpec(n_space, n_time, spacing, spacing, origin)
-    return assemble_kernels(state, [GaussianRegion(e, 1.0) for e in build_lattice(spec)], lam)
+    return assemble_kernels(state, build_lattice(spec), 1.0, lam)
 
 
 class TestSeries:
@@ -450,8 +449,8 @@ class TestStacks:
         # the shot-noise study's default 16-region lattice, seed and 4 repeats:
         # the failure counts of test_shot_noise_failure_counts
         cfg = validate_config({"scenario_id": "shot_noise_study"})
-        regions = [GaussianRegion(e, cfg.ell) for e in build_lattice(cfg.lattice)]
-        exact = correlator_table(assemble_kernels(FieldState.vacuum(), regions, cfg.lam))
+        exact = correlator_table(assemble_kernels(FieldState.vacuum(), build_lattice(cfg.lattice),
+                                                  cfg.ell, cfg.lam))
         seeds = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=(shots, rep))
                  for rep in range(4)]
         singles = [reconstruct_table(sample_table(exact, shots, seed)) for seed in seeds]
