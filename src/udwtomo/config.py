@@ -4,13 +4,14 @@ A config is a JSON object naming one of ``SCENARIO_IDS`` and overriding its
 defaults; ``validate_config`` resolves it into a ``ScenarioConfig``, lengths
 in units of the region width ell, or raises ``ConfigError`` naming the field.
 Checking a config and listing the scenarios import only the standard
-library; ``scenarios.run`` executes a config and brings in numpy.
+library, and not ``dataclasses`` nor the ``inspect`` it loads (the records
+are a namespace and named tuples); ``scenarios.run`` brings in numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 
 from .errors import ConfigError
 from .spacetime import Event, LatticeSpec, checked_widths
@@ -18,29 +19,31 @@ from .spacetime import Event, LatticeSpec, checked_widths
 __all__ = ["ScenarioConfig", "SCENARIO_IDS", "validate_config", "list_scenarios"]
 
 
-@dataclass
-class ScenarioConfig:
-    """Resolved, validated scenario parameters."""
+class ScenarioConfig(SimpleNamespace):
+    """Resolved, validated scenario parameters; ``validate_config`` sets the
+    fields past the six global ones that a scenario reads."""
 
-    scenario_id: str
-    output_dir: str
-    seed: int
-    ell: float
-    tol: float  # quadrature cells and convergence_sweep only
-    enable_quadrature_columns: bool
-    beta: float | None = None
-    delta: float | None = None
-    s_values: list[float] = dc_field(default_factory=list)
-    anchor: Event | None = None
-    lattice: LatticeSpec | None = None
-    lam: float | None = None
-    state_tag: str = "vacuum"
-    shots_list: list[int] = dc_field(default_factory=list)
-    repeats: int = 4
-    grid_t: tuple[float, float, int] | None = None
-    grid_x: tuple[float, float, int] | None = None
-    ell_grid: list[float] = dc_field(default_factory=list)
-    base_config: tuple[float, float] | None = None
+    def __init__(self, scenario_id: str, output_dir: str, seed: int, ell: float, tol: float,
+                 enable_quadrature_columns: bool):
+        self.scenario_id = scenario_id
+        self.output_dir = output_dir
+        self.seed = seed
+        self.ell = ell
+        self.tol = tol  # quadrature cells and convergence_sweep only
+        self.enable_quadrature_columns = enable_quadrature_columns
+        self.beta: float | None = None
+        self.delta: float | None = None
+        self.s_values: list[float] = []
+        self.anchor: Event | None = None
+        self.lattice: LatticeSpec | None = None
+        self.lam: float | None = None
+        self.state_tag = "vacuum"
+        self.shots_list: list[int] = []
+        self.repeats = 4
+        self.grid_t: tuple[float, float, int] | None = None
+        self.grid_x: tuple[float, float, int] | None = None
+        self.ell_grid: list[float] = []
+        self.base_config: tuple[float, float] | None = None
 
 
 _GLOBAL_DEFAULTS: dict = {
@@ -315,6 +318,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if cfg.s_values:  # the anchor moved up to max(s) ell along x, or forward or back in time
         a, step = cfg.anchor or Event(0.0, 0.0, 0.0, 0.0), max(cfg.s_values) * ell
         _check_span("s_over_ell", (a.t - step, a.x, a.y, a.z), (a.t + step, a.x + step, a.y, a.z))
+        # the smallest step must move the anchor, or every point of the scan
+        # would sit on the anchor itself, at dt = dr = 0
+        s_min = min(cfg.s_values) * ell
+        if a.t + s_min == a.t or a.t - s_min == a.t or a.x + s_min == a.x:
+            raise ConfigError(f"field 'anchor' at (t, x) = ({a.t:g}, {a.x:g}) rounds away the "
+                              f"scan's smallest step {s_min:g}", field="anchor")
     if "lattice" in merged:
         cfg.lattice = _parse_lattice(merged, ell)
     if "lambda" in merged:

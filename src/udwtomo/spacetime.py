@@ -10,14 +10,15 @@ A lattice of interaction centers is one (n, 4) coordinate array, ordered
 with the time index outermost so that, for each fixed spatial site, earlier
 couplings precede later ones in index order.
 
-Importing the module loads no numpy: ``Event`` and ``LatticeSpec`` serve
-config checking, and the array helpers load numpy at first use.
+Importing the module loads neither numpy nor ``dataclasses``: ``Event`` and
+``LatticeSpec``, named tuples, serve config checking, and the array helpers
+load numpy at first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "Event",
@@ -30,19 +31,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(namedtuple("Event", "t x y z")):
     """A spacetime point (t, x, y, z) in natural units (c = 1)."""
 
-    t: float
-    x: float
-    y: float
-    z: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("t", "x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, t: float, x: float, y: float, z: float = 0.0) -> Event:
+        self = super().__new__(cls, t, x, y, z)
+        for name, v in zip(self._fields, self):
+            if not math.isfinite(v):
                 raise ValueError(f"Event.{name} must be finite")
+        return self
 
     def coords(self) -> np.ndarray:
         """The coordinates as a length-4 array ordered (t, x, y, z)."""
@@ -50,15 +49,11 @@ class Event:
         return np.array((self.t, self.x, self.y, self.z))
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Relative separation data for arrays of event pairs, from
-    ``intervals``: three arrays of the pairs' broadcast shape (0-d for a
-    single pair)."""
-
-    dt: np.ndarray     # t_a - t_b
-    dr: np.ndarray     # spatial distance, >= 0
-    sigma: np.ndarray  # (-dt^2 + dr^2) / 2
+Interval = namedtuple("Interval", "dt dr sigma")
+Interval.__doc__ = """Relative separation data for arrays of event pairs, from
+``intervals``: three arrays of the pairs' broadcast shape (0-d for a single
+pair), dt = t_a - t_b, the spatial distance dr >= 0 and sigma = (-dt^2 +
+dr^2) / 2."""
 
 
 def intervals(a: np.ndarray, b: np.ndarray) -> Interval:
@@ -75,21 +70,19 @@ def default_lightcone_tol(itv: Interval) -> np.ndarray:
     return 1e-9 * np.maximum(np.maximum(np.abs(itv.dt), itv.dr), 1.0)
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(namedtuple("LatticeSpec",
+                             "n_space n_time spacing_space spacing_time origin")):
     """Regular grid of interaction centers: n_space^3 sites x n_time slices."""
 
-    n_space: int
-    n_time: int
-    spacing_space: float
-    spacing_time: float
-    origin: Event = Event(0.0, 0.0, 0.0, 0.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_space < 1 or self.n_time < 1:
+    def __new__(cls, n_space: int, n_time: int, spacing_space: float, spacing_time: float,
+                origin: Event = Event(0.0, 0.0, 0.0, 0.0)) -> LatticeSpec:
+        if n_space < 1 or n_time < 1:
             raise ValueError("lattice counts must be >= 1")
-        if self.spacing_space <= 0 or self.spacing_time <= 0:
+        if spacing_space <= 0 or spacing_time <= 0:
             raise ValueError("lattice spacings must be strictly positive")
+        return super().__new__(cls, n_space, n_time, spacing_space, spacing_time, origin)
 
     @property
     def n_events(self) -> int:

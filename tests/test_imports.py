@@ -1,5 +1,6 @@
 """Import hygiene: importing the package, checking a config, listing the
-scenarios and ``--help`` load neither numpy nor scipy; the scenarios that
+scenarios and ``--help`` load neither numpy nor scipy, nor ``dataclasses``
+and ``inspect`` beyond what a bare interpreter loads; the scenarios that
 need no quadrature or Dawson values run without loading scipy, and the
 detector scenarios, the curve scans, their quadrature cells included, and
 the convergence sweep, whose residuals come from the quadrature oracle,
@@ -16,22 +17,36 @@ import pytest
 
 from udwtomo import scenarios
 
-# runs the snippet, then prints the numpy and scipy modules the interpreter has loaded
+# runs the snippet, then prints the modules under the given top-level names
+# that the interpreter has loaded
 _PROBE = """
 import sys
 {body}
-print("LOADED=" + ",".join(sorted(m for m in sys.modules
-                                  if m.split(".")[0] in ("numpy", "scipy"))))
+print("LOADED=" + ",".join(sorted(m for m in sys.modules if m.split(".")[0] in {roots!r})))
 """
 
+# the config path's records are no dataclasses: ``dataclasses`` pulls in
+# ``inspect``, ``ast``, ``dis`` and ``tokenize``, several milliseconds of a
+# cold ``validate``
+_NOT_ON_CONFIG_PATH = ("dataclasses", "inspect")
 
-def loaded_modules(body, env, cwd):
-    proc = subprocess.run([sys.executable, "-c", _PROBE.format(body=body)],
+
+def loaded_modules(body, env, cwd, roots=("numpy", "scipy")):
+    proc = subprocess.run([sys.executable, "-c", _PROBE.format(body=body, roots=roots)],
                           capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
     assert proc.returncode == 0, proc.stderr
     line = proc.stdout.strip().splitlines()[-1]
     assert line.startswith("LOADED="), proc.stdout
     return [m for m in line.split("=", 1)[1].split(",") if m]
+
+
+def config_path_extras(body, env, cwd):
+    """The numpy and scipy modules the snippet loads, and the ``dataclasses``
+    and ``inspect`` modules it loads that a bare interpreter in the same
+    environment has not (a ``site`` hook may preload some)."""
+    bare = set(loaded_modules("", env, cwd, _NOT_ON_CONFIG_PATH))
+    roots = ("numpy", "scipy", *_NOT_ON_CONFIG_PATH)
+    return [m for m in loaded_modules(body, env, cwd, roots) if m not in bare]
 
 
 def loaded_scipy_modules(body, env, cwd):
@@ -44,7 +59,11 @@ def write_config(path, raw):
 
 
 def test_import_package(src_env, tmp_path):
-    assert loaded_modules("import udwtomo", src_env, tmp_path) == []
+    assert config_path_extras("import udwtomo", src_env, tmp_path) == []
+
+
+def test_import_config(src_env, tmp_path):
+    assert config_path_extras("import udwtomo.config", src_env, tmp_path) == []
 
 
 def test_validate_every_scenario(src_env, tmp_path):
@@ -52,12 +71,12 @@ def test_validate_every_scenario(src_env, tmp_path):
              for sid in scenarios.SCENARIO_IDS]
     body = (f"from udwtomo import cli\n"
             f"assert all(cli.main(['validate', p]) == 0 for p in {paths!r})")
-    assert loaded_modules(body, src_env, tmp_path) == []
+    assert config_path_extras(body, src_env, tmp_path) == []
 
 
 def test_list_scenarios(src_env, tmp_path):
     body = "from udwtomo import cli\nassert cli.main(['list-scenarios']) == 0"
-    assert loaded_modules(body, src_env, tmp_path) == []
+    assert config_path_extras(body, src_env, tmp_path) == []
 
 
 def test_help(src_env, tmp_path):
@@ -68,7 +87,7 @@ def test_help(src_env, tmp_path):
             "    assert exc.code == 0, exc.code\n"
             "else:\n"
             "    raise AssertionError('--help did not exit')")
-    assert loaded_modules(body, src_env, tmp_path) == []
+    assert config_path_extras(body, src_env, tmp_path) == []
 
 
 def test_coherent_field_grid_run(src_env, tmp_path):

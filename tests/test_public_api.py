@@ -89,10 +89,30 @@ def test_every_definition_is_reached():
     assert unreached == []
 
 
+def _namedtuples(tree: ast.AST) -> dict[str, list[str]]:
+    """The named tuples of a module, ``X = namedtuple("X", "a b")`` or a
+    class derived from such a call, with their field names."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            name, calls = node.name, node.bases
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)):
+            name, calls = node.targets[0].id, [node.value]
+        else:
+            continue
+        for call in calls:
+            if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "namedtuple"
+                    and len(call.args) == 2 and isinstance(call.args[1], ast.Constant)):
+                out[name] = call.args[1].value.split()
+    return out
+
+
 def _stored_attributes(tree: ast.AST) -> list[str]:
-    """The fields of each dataclass and the ``self.<attr>`` that each
-    ``__init__`` sets (the exceptions' payloads), as ``Class.attr``."""
-    out = []
+    """The fields of each dataclass and named tuple and the ``self.<attr>``
+    that each ``__init__`` sets (the exceptions' payloads, the config
+    record's fields), as ``Class.attr``."""
+    out = [f"{name}.{f}" for name, names in _namedtuples(tree).items() for f in names]
     for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
         decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
         if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
@@ -227,6 +247,7 @@ def test_every_stored_attribute_is_read():
     package = [ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted((ROOT / "src" / "udwtomo").glob("*.py"))]
     classes = {n.name for tree in package for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    classes |= {name for tree in package for name in _namedtuples(tree)}
     fields, returns = {}, {}
     for tree in package:
         for node in tree.body:

@@ -224,6 +224,16 @@ class TestValidation:
          "base_config"),
         ({"scenario_id": "convergence_sweep", "ell": 10,
           "ell_grid": [1e306, 1e307, 1e308]}, "ell_grid"),
+        # an anchor so far out that the smallest scan step rounds away: the
+        # first validated and exited 0 from run, every row a lightcone error
+        # at dt = dr = 0; then the step lost forward in t only (the tie
+        # 1 + 2^-53 rounds to even), backward in t only, and along x only
+        ({"scenario_id": "coherent_curves", "anchor": {"t": 1e154, "x": 1e154}}, "anchor"),
+        ({"scenario_id": "vacuum_curves", "anchor": {"t": 1.0}, "s_over_ell": [2.0**-53]},
+         "anchor"),
+        ({"scenario_id": "vacuum_curves", "anchor": {"t": -1.0}, "s_over_ell": [2.0**-53]},
+         "anchor"),
+        ({"scenario_id": "oneparticle_curves", "anchor": {"x": 1e154}}, "anchor"),
     ])
     def test_malformed_values(self, raw, field, tmp_path, capsys):
         # each is a ConfigError naming the field, and the CLI exits 2
@@ -276,6 +286,19 @@ class TestValidation:
         assert (cfg.lattice.spacing_space, cfg.lattice.origin.t) == (1e150, -1e150)
         assert validate_config({"scenario_id": "coherent_curves", "delta": 1e150}).delta == 1e150
 
+    def test_scan_steps_that_move_the_anchor_accepted(self):
+        # the lightlike scan at the origin, a far anchor with steps that
+        # still move it, and the smallest step that moves t = 1 both ways
+        cfg = validate_config({"scenario_id": "thermal_curves",
+                               "s_over_ell": [1e-7, 1e-6, 0.5, 3.0]})
+        assert cfg.s_values[0] == 1e-7
+        cfg = validate_config({"scenario_id": "coherent_curves",
+                               "anchor": {"t": 1e154, "x": 1e154}, "s_over_ell": [1e140]})
+        assert cfg.anchor.t == 1e154
+        cfg = validate_config({"scenario_id": "vacuum_curves", "anchor": {"t": 1.0},
+                               "s_over_ell": [2.0**-52]})
+        assert cfg.anchor.t - cfg.s_values[0] < 1.0 < cfg.anchor.t + cfg.s_values[0]
+
     def test_lattice_origin_in_units_of_ell(self):
         # the origin is scaled by ell as the spacings and the anchor are
         cfg = validate_config({"scenario_id": "tomography_roundtrip", "ell": 2.0,
@@ -308,6 +331,35 @@ class TestValidation:
         # rounded values of the geometric grid they replaced
         cfg = validate_config({"scenario_id": "convergence_sweep"})
         assert cfg.ell_grid == [round(v, 10) for v in np.geomspace(0.02, 0.1, 7).tolist()]
+
+
+class TestScenarioConfig:
+    # the defaults of every field past the six global ones
+    DEFAULTS = {"beta": None, "delta": None, "s_values": [], "anchor": None, "lattice": None,
+                "lam": None, "state_tag": "vacuum", "shots_list": [], "repeats": 4,
+                "grid_t": None, "grid_x": None, "ell_grid": [], "base_config": None}
+
+    def test_defaults(self):
+        cfg = config.ScenarioConfig("vacuum_curves", "out", 7, 2.0, 1e-10, False)
+        assert vars(cfg) == {"scenario_id": "vacuum_curves", "output_dir": "out", "seed": 7,
+                             "ell": 2.0, "tol": 1e-10, "enable_quadrature_columns": False,
+                             **self.DEFAULTS}
+
+    def test_no_shared_default_lists(self):
+        for a, b in ([config.ScenarioConfig("vacuum_curves", "out", 7, 1.0, 1e-10, False)
+                      for _ in range(2)],
+                     [validate_config({"scenario_id": "coherent_field_grid"}) for _ in range(2)]):
+            for name in ("s_values", "shots_list", "ell_grid"):
+                assert getattr(a, name) == [] and getattr(a, name) is not getattr(b, name)
+            a.s_values.append(1.0)
+            assert b.s_values == []
+
+    @pytest.mark.parametrize("sid", config.SCENARIO_IDS)
+    def test_validating_twice_compares_equal(self, sid):
+        a, b = validate_config({"scenario_id": sid}), validate_config({"scenario_id": sid})
+        assert a == b and a is not b
+        b.seed += 1
+        assert a != b
 
 
 class TestConfigSplit:

@@ -38,8 +38,25 @@ def test_classify_examples():
 
 
 def test_event_requires_finite():
-    with pytest.raises(ValueError):
-        Event(math.inf, 0.0, 0.0, 0.0)
+    # each refusal names the coordinate
+    for name in "txyz":
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"Event.{name} must be finite"):
+                Event(**{**dict(t=1.0, x=2.0, y=3.0, z=4.0), name: bad})
+
+
+def test_event_record():
+    # equal coordinates are one event, as a set member too; z defaults to 0,
+    # and an event is immutable
+    a = Event(1.0, -2.0, 0.5)
+    assert a.z == 0.0 and a == Event(t=1.0, x=-2.0, y=0.5, z=0.0)
+    assert hash(a) == hash(Event(1.0, -2.0, 0.5, 0.0)) and len({a, Event(1.0, -2.0, 0.5)}) == 1
+    assert a != Event(1.0, -2.0, 0.5, 1.0)
+    with pytest.raises(AttributeError):
+        a.t = 3.0
+    with pytest.raises(AttributeError):
+        a.w = 3.0
+    assert a.coords().tolist() == [1.0, -2.0, 0.5, 0.0]
 
 
 @given(events, events)
@@ -123,7 +140,19 @@ class TestLattice:
             assert ts == sorted(ts)
 
     def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            LatticeSpec(0, 1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            LatticeSpec(1, 1, -1.0, 1.0)
+        for args, match in (((0, 1, 1.0, 1.0), "counts must be >= 1"),
+                            ((1, 0, 1.0, 1.0), "counts must be >= 1"),
+                            ((1, 1, 0.0, 1.0), "spacings must be strictly positive"),
+                            ((1, 1, 1.0, -1.0), "spacings must be strictly positive")):
+            with pytest.raises(ValueError, match=match):
+                LatticeSpec(*args)
+
+    def test_spec_record(self):
+        spec = LatticeSpec(3, 2, 1.5, 2.5)
+        assert spec.n_events == 54 and spec.origin == Event(0.0, 0.0, 0.0, 0.0)
+        assert spec == LatticeSpec(n_space=3, n_time=2, spacing_space=1.5, spacing_time=2.5,
+                                   origin=Event(0.0, 0.0, 0.0))
+        assert hash(spec) == hash(LatticeSpec(3, 2, 1.5, 2.5))
+        assert LatticeSpec(2, 5, 1.0, 1.0, Event(1.0, 2.0, 3.0)).n_events == 40
+        with pytest.raises(AttributeError):
+            spec.n_space = 4
