@@ -13,15 +13,14 @@ import numpy as np
 from udwtomo import (FieldState, LatticeSpec, assemble_kernels, build_lattice,
                      correlator_table, reconstruct_table, sample_table)
 
-ELL = 1.0
 SEED = 12
 
 def main():
-    spec = LatticeSpec(n_space=2, n_time=2, spacing_space=10 * ELL,
-                       spacing_time=10 * ELL)
+    # lengths in units of the region width ell
+    spec = LatticeSpec(n_space=2, n_time=2, spacing_space=10.0, spacing_time=10.0)
     # coupling chosen so the local noise H_ii is 0.5: correlators stay well
     # inside the invertible regime
-    km = assemble_kernels(FieldState.vacuum(), build_lattice(spec), ELL, lam=2 * math.pi)
+    km = assemble_kernels(FieldState.vacuum(), build_lattice(spec), lam=2 * math.pi)
     print(f"{km.n} regions, H_ii = {km.H[0, 0]:.3f}, "
           f"strongest cross kernel |H_ij| = {np.abs(km.H - np.diag(np.diag(km.H))).max():.4f}, "
           f"strongest causal link |G_ij| = {np.abs(km.GR).max():.4f}")

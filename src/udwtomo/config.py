@@ -2,7 +2,8 @@
 
 A config is a JSON object naming one of ``SCENARIO_IDS`` and overriding its
 defaults; ``validate_config`` resolves it into a ``ScenarioConfig``, lengths
-in units of the region width ell, or raises ``ConfigError`` naming the field.
+in units of the region width ell as written, or raises ``ConfigError``
+naming the field.
 Checking a config and listing the scenarios import only the standard
 library, and not ``dataclasses`` nor the ``inspect`` it loads (the records
 are a namespace and named tuples); ``scenarios.run`` brings in numpy.
@@ -146,16 +147,27 @@ def _require_number(raw: dict, key: str) -> float:
     return v
 
 
-def _check_span(field: str, *corners: tuple[float, float, float, float]) -> None:
-    """ConfigError on ``field`` unless every event in the box the corners
-    (t, x, y, z) span, and the difference of any two, has a finite t^2 and
-    x^2 + y^2 + z^2, the squares a run takes of its coordinates and pair
-    separations; a length l alone is the corner (l, 0, 0, 0)."""
-    axes = list(zip(*corners))
-    for t, x, y, z in ([max(map(abs, a)) for a in axes], [max(a) - min(a) for a in axes]):
-        if not (math.isfinite(t * t) and math.isfinite(x * x + y * y + z * z)):
-            raise ConfigError(f"field {field!r} gives the run a length whose square "
-                              "overflows a float", field=field)
+# The bound on every length of a config (units of ell), and on the inverse
+# widths 1/beta and 1/delta.  No kernel takes more than a fourth power of a
+# length or its inverse (1/(dr^2 - dt^2)^2 in the second time derivatives,
+# 1/delta^4 in the sourced products), and coordinates stay within ~1.4e3
+# bounds (lattice sites per axis), so those powers stay below ~1e135.  The
+# thermal image count, ~(1/beta)^10, is capped before that power is taken.
+# ell itself (in the config's own unit) has the widths' range, so the
+# prefactor ell^-2 a run applies stays within 1e+-60 and its outputs finite.
+LENGTH_BOUND = 1e30
+
+
+def _length(v, name: str, field: str | None = None, width: bool = False) -> float:
+    """v as a float within the length bound: |v| at most ``LENGTH_BOUND``, and
+    a ``width`` at least its reciprocal (so positive).  A ConfigError on
+    ``field`` (default ``name``) otherwise."""
+    v = _number(v, name, field)
+    low = 1.0 / LENGTH_BOUND if width else 0.0
+    if not low <= (v if width else abs(v)) <= LENGTH_BOUND:
+        raise ConfigError(f"field {name!r} must lie in [{low:g}, {LENGTH_BOUND:g}]"
+                          f"{'' if width else ' in magnitude'}, got {v!r}", field=field or name)
+    return v
 
 
 def _check_keys(d: dict, allowed: tuple[str, ...], name: str,
@@ -168,13 +180,11 @@ def _check_keys(d: dict, allowed: tuple[str, ...], name: str,
                           f"{unknown}", field=field or name)
 
 
-def _parse_event(d: dict, key: str, ell: float) -> Event:
+def _parse_event(d: dict, key: str) -> Event:
     if not isinstance(d, dict):
         raise ConfigError(f"field {key!r} must be an object with t/x/y/z", field=key)
     _check_keys(d, ("t", "x", "y", "z"), key)
-    coords = tuple(_number(d.get(c, 0.0), f"{key}.{c}", key) * ell for c in "txyz")
-    _check_span(key, coords)
-    return Event(*coords)
+    return Event(*(_length(d.get(c, 0.0), f"{key}.{c}", key) for c in "txyz"))
 
 
 def _parse_s_values(raw: dict) -> list[float]:
@@ -203,6 +213,7 @@ def _parse_s_values(raw: dict) -> list[float]:
                           field="s_over_ell")
     if not vals:
         raise ConfigError("field 's_over_ell' is an empty list", field="s_over_ell")
+    _length(max(vals), "s_over_ell")
     if len(vals) > MAX_POINTS:
         raise ConfigError(f"field 's_over_ell' has {len(vals)} points, more than {MAX_POINTS}",
                           field="s_over_ell")
@@ -225,15 +236,15 @@ def _parse_grid(raw: dict) -> tuple[tuple[float, float, int], tuple[float, float
         n = ax["n"]
         if not _is_int(n) or n < 2:
             raise ConfigError(f"field 'grid.{axis}.n' must be an integer >= 2", field="grid")
-        out.append((_number(ax["start"], f"grid.{axis}.start", "grid"),
-                    _number(ax["stop"], f"grid.{axis}.stop", "grid"), n))
+        out.append((_length(ax["start"], f"grid.{axis}.start", "grid"),
+                    _length(ax["stop"], f"grid.{axis}.stop", "grid"), n))
     if out[0][2] * out[1][2] > MAX_POINTS:
         raise ConfigError(f"field 'grid' has {out[0][2]} x {out[1][2]} points, more than "
                           f"{MAX_POINTS}", field="grid")
     return out[0], out[1]
 
 
-def _parse_lattice(raw: dict, ell: float) -> LatticeSpec:
+def _parse_lattice(raw: dict) -> LatticeSpec:
     lat = raw["lattice"]
     if not isinstance(lat, dict):
         raise ConfigError("field 'lattice' must be an object", field="lattice")
@@ -245,9 +256,9 @@ def _parse_lattice(raw: dict, ell: float) -> LatticeSpec:
             raise TypeError(f"site counts must be integers, got {counts}")
         spec = LatticeSpec(
             n_space=counts[0], n_time=counts[1],
-            spacing_space=_number(lat["spacing_space"], "lattice.spacing_space") * ell,
-            spacing_time=_number(lat["spacing_time"], "lattice.spacing_time") * ell,
-            origin=_parse_event(lat.get("origin", {}), "lattice.origin", ell))
+            spacing_space=_length(lat["spacing_space"], "lattice.spacing_space"),
+            spacing_time=_length(lat["spacing_time"], "lattice.spacing_time"),
+            origin=_parse_event(lat.get("origin", {}), "lattice.origin"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'lattice': {exc}", field="lattice") from exc
     # both lattice scenarios reconstruct region pairs
@@ -259,11 +270,6 @@ def _parse_lattice(raw: dict, ell: float) -> LatticeSpec:
     if pairs > MAX_POINTS:
         raise ConfigError(f"field 'lattice' has {n} regions, {pairs} pairs, more than "
                           f"{MAX_POINTS}", field="lattice")
-    # the box from the origin to the last site, or a spacing on where a count
-    # is 1 (origin + 0 spacing is nan for an infinite spacing)
-    o = (spec.origin.t, spec.origin.x, spec.origin.y, spec.origin.z)
-    sites = [(spec.n_time, spec.spacing_time)] + [(spec.n_space, spec.spacing_space)] * 3
-    _check_span("lattice", o, tuple(c + max(k - 1, 1) * d for c, (k, d) in zip(o, sites)))
     return spec
 
 
@@ -299,35 +305,34 @@ def validate_config(raw: dict) -> ScenarioConfig:
         scenario_id=sid,
         output_dir=merged["output_dir"],
         seed=seed,
-        ell=_require_number(merged, "ell"),
+        ell=_length(merged["ell"], "ell", width=True),
         tol=_require_number(merged, "tol"),
         enable_quadrature_columns=quadrature_columns,
     )
-    ell = cfg.ell
-    if "beta" in merged and merged.get("beta") is not None:
-        cfg.beta = _require_number(merged, "beta") * ell
-    if "delta" in merged and merged.get("delta") is not None:
-        cfg.delta = _require_number(merged, "delta") * ell
-    for key, length in (("ell", ell), ("beta", cfg.beta), ("delta", cfg.delta)):
-        if length is not None:
-            _check_span(key, (length, 0.0, 0.0, 0.0))
+    for key in ("beta", "delta"):
+        if merged.get(key) is not None:
+            setattr(cfg, key, _length(merged[key], key, width=True))
     if "s_over_ell" in merged:
         cfg.s_values = _parse_s_values(merged)
     if "anchor" in merged:
-        cfg.anchor = _parse_event(merged["anchor"], "anchor", ell)
-    if cfg.s_values:  # the anchor moved up to max(s) ell along x, or forward or back in time
-        a, step = cfg.anchor or Event(0.0, 0.0, 0.0, 0.0), max(cfg.s_values) * ell
-        _check_span("s_over_ell", (a.t - step, a.x, a.y, a.z), (a.t + step, a.x + step, a.y, a.z))
+        cfg.anchor = _parse_event(merged["anchor"], "anchor")
+    if cfg.s_values:
         # the smallest step must move the anchor, or every point of the scan
         # would sit on the anchor itself, at dt = dr = 0
-        s_min = min(cfg.s_values) * ell
+        a, s_min = cfg.anchor or Event(0.0, 0.0, 0.0, 0.0), min(cfg.s_values)
         if a.t + s_min == a.t or a.t - s_min == a.t or a.x + s_min == a.x:
             raise ConfigError(f"field 'anchor' at (t, x) = ({a.t:g}, {a.x:g}) rounds away the "
                               f"scan's smallest step {s_min:g}", field="anchor")
     if "lattice" in merged:
-        cfg.lattice = _parse_lattice(merged, ell)
+        cfg.lattice = _parse_lattice(merged)
     if "lambda" in merged:
         cfg.lam = _require_number(merged, "lambda")
+        # the lattice's coupling lambda/ell, squared in H, finite and nonzero
+        for key, coupling in (("lambda", cfg.lam), ("ell", cfg.lam / cfg.ell)):
+            if not 0.0 < coupling * coupling < math.inf:
+                raise ConfigError(f"field {key!r} gives the lattice a coupling lambda/ell = "
+                                  f"{coupling:g} whose square is zero or overflows a float",
+                                  field=key)
     if "state" in merged:
         if merged["state"] not in ("vacuum", "thermal"):
             raise ConfigError("field 'state' must be 'vacuum' or 'thermal'", field="state")
@@ -352,23 +357,20 @@ def validate_config(raw: dict) -> ScenarioConfig:
         cfg.repeats = merged["repeats"]
     if "grid" in merged:
         cfg.grid_t, cfg.grid_x = _parse_grid(merged)
-        (t0, t1, _), (x0, x1, _) = cfg.grid_t, cfg.grid_x
-        _check_span("grid", (t0 * ell, x0 * ell, 0.0, 0.0), (t1 * ell, x1 * ell, 0.0, 0.0))
     if "ell_grid" in merged:
         grid = merged["ell_grid"]
         widths = sorted(_number(v, "ell_grid") for v in grid) if isinstance(grid, list) else []
         if len(widths) < 3 or widths[0] <= 0:
             raise ConfigError("field 'ell_grid' must list >= 3 positive widths",
                               field="ell_grid")
-        cfg.ell_grid = [v * ell for v in widths]
+        cfg.ell_grid = widths
     if "base_config" in merged:
         bc = merged["base_config"]
         if not isinstance(bc, dict) or not {"dt", "dr"} <= set(bc):
             raise ConfigError("field 'base_config' needs dt and dr", field="base_config")
         _check_keys(bc, ("dt", "dr"), "base_config")
-        cfg.base_config = tuple(_number(bc[k], f"base_config.{k}", "base_config") * ell
+        cfg.base_config = tuple(_length(bc[k], f"base_config.{k}", "base_config")
                                 for k in ("dt", "dr"))
-        _check_span("base_config", (0.0, 0.0, 0.0, 0.0), (*cfg.base_config, 0.0, 0.0))
     if cfg.ell_grid and cfg.base_config is not None:
         # the widths convergence_sweep's residual table accepts at this separation
         try:

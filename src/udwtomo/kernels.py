@@ -16,11 +16,14 @@ occupation weights (n_k + 1) and n_k on the positive/negative frequency parts
 for the KMS state.  This quadrature route is the independent oracle; every
 state and separation also has a closed form (Faddeeva / Dawson, summed over
 imaginary-time images for the KMS state), which is used everywhere else.
-Every quadrature here goes through ``numerics.integrate_semi_infinite``,
-whose integrand takes an array of k and returns every component's value at
-each k, so each refinement round is one call.  ``_smeared_quadrature`` is
-the one pair integrand: one pass gives the Re W of a whole array of pairs
-(the scans' quadrature column) or their complex W, and the oracle
+W at width ell is ell^-2 times W at unit width: the closed forms and
+``assemble_kernels`` take lengths in units of ell, the quadrature oracle
+keeps ell and checks that covariance in physical units.  Every quadrature
+here goes through ``numerics.integrate_semi_infinite``, whose integrand
+takes an array of k and returns every component's value at each k, so each
+refinement round is one call.  ``_smeared_quadrature`` is the one pair
+integrand: one pass gives the Re W of a whole array of pairs (the scans'
+quadrature column) or their complex W, and the oracle
 ``wightman_smeared_quadrature`` is the complex pass over its one pair.
 ``_region_amplitudes_quadrature`` integrates a sourced state's region
 amplitudes, and ``_coth`` holds the occupation's small-argument series and
@@ -455,7 +458,8 @@ def _smeared_quadrature(state: FieldState, ell: float, a: np.ndarray, b: np.ndar
     if state.tag in ("vacuum", "thermal"):
         return w
     centers, index = np.unique(np.concatenate([a, b]), axis=0, return_inverse=True)
-    amp = _region_amplitudes_quadrature(state, ell, *_time_radius(centers), tol)
+    # amplitudes go as 1/ell and W as 1/ell^2: tol ell errs by the same share
+    amp = _region_amplitudes_quadrature(state, ell, *_time_radius(centers), tol * ell)
     return w + _source_term(state, amp[index[:len(dt)]], amp[index[len(dt):]])
 
 
@@ -471,11 +475,11 @@ def wightman_smeared_quadrature(state: FieldState, ri: GaussianRegion,
                                        rj.center.coords()[None], tol, imag=True)[0])
 
 
-# Smearing over width-ell Gaussians is a heat flow exp(a d^2/dt^2), a = 2 ell^2,
+# Smearing over unit-width Gaussians is a heat flow exp(a d^2/dt^2), a = 2,
 # which turns the vacuum's pole pair into the Faddeeva function w.  The KMS
 # kernel sums vacuum images at dt + i n beta: exactly up to n = N, beyond it
 # their heat-flow series to order M = 3 by Euler-Maclaurin with K = 4 terms.
-# Relative to the vacuum diagonal, r = 2 ell^2 / beta^2, these cuts err by at
+# Relative to the vacuum diagonal, r = 2 / beta^2, these cuts err by at
 # most 4 (2M+2)!/(M+1)! r^(M+2) / N^(2M+3) = 6720 r^5 / N^9 and
 # 8 zeta(2K) (2K)!/(2 pi)^(2K) r / N^(2K+1) = 0.134 r / N^9.
 _HEAT_ORDER = 3
@@ -506,13 +510,12 @@ def _faddeeva_pair(z: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _image_tail(beta: float, a: float, dt: np.ndarray, dr: np.ndarray,
-                n: int) -> np.ndarray:
+def _image_tail(beta: float, dt: np.ndarray, dr: np.ndarray, n: int) -> np.ndarray:
     """Sum over images m > n of the pair's heat-flow series
     f(m) = Re[-2 sum_j (a^j/j!) q^(2j)(dt + i m beta)], q = 1/(zeta^2 - dr^2),
-    by Euler-Maclaurin in units of beta: d/dm = i d/dzeta, and the integral
-    from n is Re[i G], G = 2 artanh(dr/zeta)/dr - 2 sum_{j>=1} (a^j/j!) q^(2j-1)."""
-    a, dr, zeta = a / beta / beta, dr / beta, dt / beta + 1j * n
+    a = 2, by Euler-Maclaurin in units of beta: d/dm = i d/dzeta, and the
+    integral from n is Re[i G], G = 2 artanh(dr/zeta)/dr - 2 sum_{j>=1} (a^j/j!) q^(2j-1)."""
+    a, dr, zeta = 2.0 / beta / beta, dr / beta, dt / beta + 1j * n
     den = zeta * zeta - dr * dr
     # q^(k) stacked on a leading axis, by Leibniz on q (zeta^2 - dr^2) = 1
     q = np.empty((len(_TAIL_FACTORS) + 2 * _HEAT_ORDER,) + np.shape(den), dtype=complex)
@@ -534,30 +537,31 @@ def _image_tail(beta: float, a: float, dt: np.ndarray, dr: np.ndarray,
     return total / beta / beta
 
 
-def _smeared_real(beta: float | None, ell: float, dt, dr) -> np.ndarray:
-    """Re W between width-ell regions at (dt, dr), dr = 0 included, for the
+def _smeared_real(beta: float | None, dt, dr) -> np.ndarray:
+    """Re W between unit-width regions at (dt, dr), dr = 0 included, for the
     vacuum (beta None) or KMS state; even in dt bit for bit.  The vacuum is
     sqrt(pi)/(32 pi^2 a) Im[w(z + h) - w(z - h)]/h at z = dt/(2 sqrt a),
     h = dr/(2 sqrt a), i.e. [D(u+) + D(u-)]/(8 pi^2 sqrt(a) dr) with D the
     Dawson integral, u+- = (dr +- dt)/(2 sqrt a); the KMS state adds twice
     the pair at z = (|dt| + i n beta)/(2 sqrt a) for each n >= 1."""
     dt, dr = np.abs(np.asarray(dt, dtype=float)), np.asarray(dr, dtype=float)
-    a = 2.0 * ell * ell
+    a = 2.0
     s, norm = 2.0 * math.sqrt(a), _SQRT_PI / (32.0 * math.pi**2 * a)
     h = dr / s
     acc = _faddeeva_pair(dt / s + 0j, h)
     if beta is None:
         return norm * acc
-    r = 2.0 * (ell / beta) ** 2
+    # 1/beta held at 1e4 (3.3e6 images, above the cap) before the powers
+    r = 2.0 * min(1.0 / beta, 1e4) ** 2
     n_images = math.ceil(max((max(6720.0 * r**5, 0.134 * r) / 5e-14) ** (1.0 / 9.0), 1.0))
     if n_images > 10**6:
-        raise CapacityError(f"beta/ell = {beta / ell:g} needs {n_images} KMS images")
+        raise CapacityError(f"beta/ell = {beta:g} needs more than 10^6 KMS images")
     # chunks of 64 images keep work arrays O(geometries) and each geometry's
     # sums independent of what else is evaluated with it
     for n in np.array_split(np.arange(1, n_images + 1), range(64, n_images, 64)):
         z = (dt[..., None] + 1j * beta * n) / s
         acc = acc + 2.0 * _faddeeva_pair(z, np.broadcast_to(h[..., None], z.shape)).sum(-1)
-    return norm * acc + _image_tail(beta, a, dt, dr, n_images) / (4.0 * math.pi**2)
+    return norm * acc + _image_tail(beta, dt, dr, n_images) / (4.0 * math.pi**2)
 
 
 def _region_amplitudes(state: FieldState, ell: float, x: np.ndarray) -> np.ndarray:
@@ -578,21 +582,25 @@ def wightman_smeared_closed(state: FieldState, ri: GaussianRegion,
                             rj: GaussianRegion) -> complex:
     """Smeared two-point value in closed form, for any of the four states at
     any separation: the vacuum or KMS Re W, plus the sourced states' term
-    from their ``_region_amplitudes``, and Im W = E/2."""
+    from their ``_region_amplitudes``, and Im W = E/2; in units of the
+    regions' ell, then scaled by ell^-2."""
     ell = _check_equal_widths(ri, rj)
-    itv = intervals(ri.center.coords(), rj.center.coords())
-    re = float(_smeared_real(state.beta, ell, itv.dt, itv.dr))
-    if state.tag in ("coherent", "one_particle"):
-        amp = _region_amplitudes(state, ell, np.array([ri.center.coords(), rj.center.coords()]))
-        re += _source_term(state, amp[0], amp[1])
-    return complex(re, float(_commutator(itv.dt, itv.dr, ell)) / 2.0)
+    unit = FieldState(state.tag, *(None if v is None else v / ell
+                                   for v in (state.beta, state.delta)))
+    x = np.array([ri.center.coords(), rj.center.coords()]) / ell
+    itv = intervals(x[0], x[1])
+    re = float(_smeared_real(unit.beta, itv.dt, itv.dr))
+    if unit.tag in ("coherent", "one_particle"):
+        amp = _region_amplitudes(unit, 1.0, x)
+        re += _source_term(unit, amp[0], amp[1])
+    scale = 1.0 / ell / ell
+    return complex(re * scale, float(_commutator(itv.dt, itv.dr)) / 2.0 * scale)
 
 
-def _commutator(dt, dr, ell: float) -> np.ndarray:
-    """The smeared commutator E = 2 Im W between width-ell regions at (dt, dr)
-    (closed form): odd in dt, Gaussian-suppressed away from the lightcone."""
-    return _gaussian_wave_pair(dt, dr, 2.0 * ell * ell)[0] / (
-        8.0 * math.sqrt(2.0) * math.pi**1.5 * ell)
+def _commutator(dt, dr) -> np.ndarray:
+    """The smeared commutator E = 2 Im W between unit-width regions at
+    (dt, dr) (closed form): odd in dt, Gaussian-suppressed off the lightcone."""
+    return _gaussian_wave_pair(dt, dr, 2.0)[0] / (8.0 * math.sqrt(2.0) * math.pi**1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +613,10 @@ class KernelMatrix:
 
     Stores H, the symmetric (anticommutator) part, and GR, the retarded
     part; the commutator E = GR - GR^T and the symmetric propagator
-    Delta = GR + GR^T are derived.  All entries carry the lambda^2 scaling,
-    so they are dimensionless.  Raises ValueError unless H and GR are square
-    matrices of one shape with finite entries and H is symmetric to 1e-12
-    relative to the largest entry (at least 1).
+    Delta = GR + GR^T are derived.  All entries carry the coupling squared,
+    (lambda/ell)^2, so they are dimensionless.  Raises ValueError unless H
+    and GR are square matrices of one shape with finite entries and H is
+    symmetric to 1e-12 relative to the largest entry (at least 1).
     """
 
     H: np.ndarray
@@ -652,10 +660,10 @@ def _triu_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def assemble_kernels(state: FieldState, centers: np.ndarray, ell: float,
-                     lam: float) -> KernelMatrix:
-    """Populate the full kernel matrix for the width-``ell`` regions centred
-    at the rows of ``centers``, an (n, 4) array of (t, x, y, z).
+def assemble_kernels(state: FieldState, centers: np.ndarray, lam: float) -> KernelMatrix:
+    """Populate the full kernel matrix for the unit-width regions centred at
+    the rows of ``centers``, an (n, 4) array of (t, x, y, z) in units of
+    ell, at the coupling ``lam`` = lambda/ell.
 
     Only zero-mean quasifree states (vacuum, thermal) are admissible: the
     exact detector state formula presupposes a vanishing one-point function.
@@ -670,8 +678,6 @@ def assemble_kernels(state: FieldState, centers: np.ndarray, ell: float,
     if state.tag not in ("vacuum", "thermal"):
         raise ValueError(
             f"assemble_kernels requires a zero-mean quasifree state, got {state.tag!r}")
-    if not (math.isfinite(ell) and ell > 0):
-        raise ValueError(f"region width ell must be positive and finite, got {ell!r}")
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("coupling lambda must be positive and finite")
     centers = np.asarray(centers, dtype=float)
@@ -692,14 +698,14 @@ def assemble_kernels(state: FieldState, centers: np.ndarray, ell: float,
     # one evaluation of the distinct (|dt|, dr), keyed on exact floats: the
     # complex key |dt| + i dr sorts them as (|dt|, dr) pairs in one 1-D pass
     geometry, index = np.unique(np.abs(itv.dt) + 1j * itv.dr, return_inverse=True)
-    values = lam2 * 2.0 * _smeared_real(state.beta, ell, geometry.real, geometry.imag)
+    values = lam2 * 2.0 * _smeared_real(state.beta, geometry.real, geometry.imag)
     H[iu, ju] = H[ju, iu] = values[index]
 
     # G_R from the (state independent) commutator on the future side of each
     # pair, the transposed entry -E(dt) when dt < 0 (dt = 0 pairs stay zero),
     # taken on the same distinct geometries: E(-|dt|) is 0 - E(|dt|) bit for
     # bit, an exact zero (both Gaussians underflowed) +0 on either side
-    e = (lam2 * _commutator(geometry.real, geometry.imag, ell))[index]
+    e = (lam2 * _commutator(geometry.real, geometry.imag))[index]
     fut, past = itv.dt > 0.0, itv.dt < 0.0
     GR[iu[fut], ju[fut]] = e[fut]
     GR[ju[past], iu[past]] = -(0.0 - e[past])

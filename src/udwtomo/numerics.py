@@ -61,10 +61,11 @@ def _plan(f, tol: float, decay_scale: float, osc_scale: float,
 
     f takes a 1-D array of k and returns an array of shape (len(k), n),
     whose components share one K (the largest |f| sets it) and have a tail
-    bound each.  It is called twice, on the 24 magnitude probes and on the
-    3 points past K.  ``knots`` are extra edges where the integrand changes
-    on a scale the panels would not resolve (the thermal occupation at
-    k ~ 1/beta); those outside (0, K) are dropped."""
+    bound each.  It is called on the 24 magnitude probes and on the 3
+    points past K, and on 3 more where K moves out.  ``knots`` are extra
+    edges where the integrand changes on a scale the panels would not
+    resolve (the thermal occupation at k ~ 1/beta); those outside (0, K)
+    are dropped."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not (decay_scale > 0 and osc_scale > 0):
@@ -78,6 +79,12 @@ def _plan(f, tol: float, decay_scale: float, osc_scale: float,
     cutoff = math.sqrt((max(math.log(mag / (tol / 10.0)), 0.0) + 5.0) / a)
     # |f| <= |f(K)| e^{-a(k^2-K^2)} beyond K, so the tail is <= |f(K)|/(2aK)
     fk = np.max(np.abs(f(cutoff * np.array([1.0, 1.02, 1.1]))), axis=0)
+    # a small 2aK (narrow regions in physical units) can take that past tol/10:
+    # K moves out once by the decay the excess needs
+    if np.max(fk) / (2.0 * a * cutoff) > tol / 10.0:
+        cutoff = math.sqrt(cutoff * cutoff + (math.log(
+            np.max(fk) / (2.0 * a * cutoff) / (tol / 10.0)) + 1.0) / a)
+        fk = np.max(np.abs(f(cutoff * np.array([1.0, 1.02, 1.1]))), axis=0)
     # aim for <= 50 oscillation periods per panel, capping the panel count;
     # heavily oscillatory panels get a proportionally larger subdivision budget
     width = max(50.0 * 2.0 * math.pi / osc_scale, cutoff / 512.0)

@@ -28,7 +28,9 @@ The field grids (``_grid``) evaluate their field once per distinct
 (t, |x|) and write t, x and the value as ``tables.Indexed`` columns over the
 two axes and those values.
 
-All lengths are quoted in units of the region width ell.  Every output CSV
+A runner computes in units of the region width ell and applies ell once on
+the way out: ell^-2 on W-like cells, ell^-1 on the phi0 grid, ell on the
+sweep's widths and lambda/ell as the lattice coupling.  Every output CSV
 is written from its columns by ``tables.write_columns``: UTF-8 with header
 row, LF line endings and 17-significant-digit floats, each distinct cell of
 a column (or each value of an ``Indexed`` one) formatted once.  A curve
@@ -79,14 +81,14 @@ def _scan(cfg: ScenarioConfig, temporal_sign: float = 1.0
                      dict[int, UdwTomoError]]:
     """Anchored scan geometry: the signed s values (negative = temporal
     branch, positive = spatial), the mask of the points off the lightcone,
-    those points' events as coordinate arrays (n_ok, 4) -- the anchor, and
-    the anchor moved by |s| ell in time (times ``temporal_sign``) or along
-    x -- and the lightlike points' errors by position."""
+    those points' events as coordinate arrays (n_ok, 4) in units of ell --
+    the anchor, and the anchor moved by |s| in time (times ``temporal_sign``)
+    or along x -- and the lightlike points' errors by position."""
     s = np.array([-v for v in reversed(cfg.s_values)] + list(cfg.s_values))
     anchor = cfg.anchor if cfg.anchor is not None else Event(0.0, 0.0, 0.0, 0.0)
     a = np.tile(anchor.coords(), (len(s), 1))
     b = a.copy()
-    step, temporal = np.abs(s) * cfg.ell, s < 0
+    step, temporal = np.abs(s), s < 0
     b[temporal, 0] += temporal_sign * step[temporal]
     b[~temporal, 1] += step[~temporal]
     failures: dict[int, UdwTomoError] = _lightcone_errors(intervals(a, b))
@@ -112,11 +114,11 @@ def _write_scan(path: Path, header: list[str], s: np.ndarray, ok: np.ndarray,
 def _run_vacuum_curves(cfg: ScenarioConfig, out: Path) -> list[Path]:
     s, ok, a, b, failures = _scan(cfg)
     itv = intervals(a, b)
-    value, pointlike, _ = multipole.estimate_array(FieldState.vacuum(), a, b, cfg.ell)
-    smeared = _smeared_real(None, cfg.ell, itv.dt, itv.dr)
+    value, pointlike, _ = multipole.estimate_array(FieldState.vacuum(), a, b, 1.0)
+    smeared = _smeared_real(None, itv.dt, itv.dr)
     path = out / "vacuum_curves.csv"
     _write_scan(path, ["s_over_ell", "pointlike", "smeared_closed", "multipole", "errors"],
-                s, ok, [pointlike, smeared, value], failures)
+                s, ok, [c / cfg.ell**2 for c in (pointlike, smeared, value)], failures)
     return [path]
 
 
@@ -132,21 +134,21 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
     header = ["s_over_ell", "vacuum_pointlike", kernel_col, multipole_col]
     s, ok, a, b, failures = _scan(cfg, temporal_sign)
     vacuum = hadamard_array(FieldState.vacuum(), a, b)
-    value, pointlike, _ = multipole.estimate_array(state, a, b, cfg.ell)
+    value, pointlike, _ = multipole.estimate_array(state, a, b, 1.0)
     cells = [vacuum, pointlike, value]
     if cfg.enable_quadrature_columns:
         header.append(quadrature_col)
         # the oracle's integrals for every pair in one certified pass
-        cells.append(_smeared_quadrature(state, cfg.ell, a, b, cfg.tol))
+        cells.append(_smeared_quadrature(state, 1.0, a, b, cfg.tol))
     header.append("errors")
     path = out / f"{cfg.scenario_id}.csv"
-    _write_scan(path, header, s, ok, cells, failures)
+    _write_scan(path, header, s, ok, [c / cfg.ell**2 for c in cells], failures)
     return [path]
 
 
 def _grid(cfg: ScenarioConfig) -> tuple[Indexed, Indexed, np.ndarray, np.ndarray]:
     """The (t, x) grid in units of ell, row-major in t: its t and x columns
-    as ``Indexed`` over the two axes, the events (t ell, |x| ell, 0, 0) of
+    as ``Indexed`` over the two axes, the events (t, |x|, 0, 0) of
     the grid of t and the distinct |x| (the x axis's absolute values told
     apart by bit pattern) as one coordinate array, and the index of each
     (t, x) row's event.  The fields depend on x only through x^2, which
@@ -156,14 +158,14 @@ def _grid(cfg: ScenarioConfig) -> tuple[Indexed, Indexed, np.ndarray, np.ndarray
     x = Indexed(x_axis, np.tile(np.arange(len(x_axis)), len(t_axis)))
     bits, radius = np.unique(np.abs(x_axis).view(np.int64), return_inverse=True)
     coords = np.zeros((len(t_axis), len(bits), 4))
-    coords[..., 0] = t_axis[:, None] * cfg.ell
-    coords[..., 1] = bits.view(np.float64) * cfg.ell
+    coords[..., 0] = t_axis[:, None]
+    coords[..., 1] = bits.view(np.float64)
     return t, x, coords.reshape(-1, 4), t.index * len(bits) + radius[x.index]
 
 
 def _run_coherent_field_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
     t, x, coords, event = _grid(cfg)
-    value = phi0_coherent_array(cfg.delta, coords)
+    value = phi0_coherent_array(cfg.delta, coords) / cfg.ell
     path = out / "coherent_field_grid.csv"
     _write_rows(path, ["t", "x", "value"], [t, x, Indexed(value, event)])
     return [path]
@@ -173,7 +175,7 @@ def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
     f_anchor = F_oneparticle_array(cfg.delta, cfg.anchor.coords())
     t, x, coords, event = _grid(cfg)
     value = _source_term(FieldState.one_particle(cfg.delta), f_anchor,
-                         F_oneparticle_array(cfg.delta, coords))
+                         F_oneparticle_array(cfg.delta, coords)) / cfg.ell**2
     path = out / "oneparticle_diff_grid.csv"
     _write_rows(path, ["t", "x", "value"], [t, x, Indexed(value, event)])
     return [path]
@@ -182,7 +184,7 @@ def _run_oneparticle_diff_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
 def _lattice(cfg: ScenarioConfig):
     """The lattice's kernels, its exact correlator table and the true H of
     every pair i < j, row-major (the order of the table's pair vectors)."""
-    km = assemble_kernels(_field_state(cfg), build_lattice(cfg.lattice), cfg.ell, cfg.lam)
+    km = assemble_kernels(_field_state(cfg), build_lattice(cfg.lattice), cfg.lam / cfg.ell)
     return km, correlator_table(km), km.H[_pairs(km.n)]
 
 
@@ -249,7 +251,8 @@ def _run_convergence_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
     fit = fit_loglog_slope(table)
     ell, resid = np.array(table).T
     path = out / "convergence_sweep.csv"
-    _write_rows(path, ["ell", "residual", "slope"], [ell, resid, np.full(len(ell), fit.slope)])
+    _write_rows(path, ["ell", "residual", "slope"],
+                [ell * cfg.ell, resid / cfg.ell**2, np.full(len(ell), fit.slope)])
     return [path]
 
 

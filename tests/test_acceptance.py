@@ -81,7 +81,7 @@ def test_criterion_2_density_matrix_physicality(oracle_sweep):
 
 def test_criterion_3_tomography_roundtrip():
     t0 = time.time()
-    km = assemble_kernels(VAC, build_lattice(LatticeSpec(2, 2, 10.0, 10.0)), 1.0, 2.0 * math.pi)
+    km = assemble_kernels(VAC, build_lattice(LatticeSpec(2, 2, 10.0, 10.0)), 2.0 * math.pi)
     rec = reconstruct_table(correlator_table(km))
     # a failed pair's NaN would fail the max; no pair may fail
     max_err = float(np.max(np.abs(rec.H - km.H[rec.i - 1, rec.j - 1])))
@@ -188,7 +188,7 @@ def test_criterion_8_symmetry_suite():
                                     Event(0, 10, 0, 0)]),
     ]
     for state, events in configs:
-        km = assemble_kernels(state, np.array([e.coords() for e in events]), 1.0, 2.0)
+        km = assemble_kernels(state, np.array([e.coords() for e in events]), 2.0)
         worst = max(worst, float(np.max(np.abs(km.H - km.H.T))))
         worst = max(worst, float(np.max(np.abs(km.E + km.E.T))))
         worst = max(worst, float(np.max(np.abs(km.Delta - (km.GR + km.GR.T)))))

@@ -377,7 +377,7 @@ class TestCorrelatorTable:
     def lattice_kernels(state, n_space, n_time):
         # 10 ell spacing at lambda = 2 pi, off a non-round origin
         spec = LatticeSpec(n_space, n_time, 10.0, 10.0, Event(1.234567, -3.5, 2.25, 0.1))
-        return assemble_kernels(state, build_lattice(spec), 1.0, 2 * math.pi)
+        return assemble_kernels(state, build_lattice(spec), 2 * math.pi)
 
     @staticmethod
     def block_sparse_kernels():
@@ -501,7 +501,7 @@ class TestCorrelatorTable:
         # product of cos(2G_ik -+ 2G_jk) over the float entries of H and GR
         mpmath = pytest.importorskip("mpmath")
         fs = FieldState.vacuum() if state == "vacuum" else FieldState.thermal(50.0)
-        km = assemble_kernels(fs, build_lattice(LatticeSpec(3, 3, 2.0, 2.0)), 1.0, 2 * math.pi)
+        km = assemble_kernels(fs, build_lattice(LatticeSpec(3, 3, 2.0, 2.0)), 2 * math.pi)
         table = correlator_table(km)
         t = np.tan(2.0 * km.GR)
         np.fill_diagonal(t, 0.0)

@@ -11,8 +11,9 @@ import re
 import numpy as np
 import pytest
 
-from udwtomo import kernels
-from udwtomo.errors import CapacityError, LightconeSingularityError
+from udwtomo import config, kernels
+from udwtomo.config import validate_config
+from udwtomo.errors import CapacityError, ConfigError, LightconeSingularityError
 from udwtomo.kernels import (FieldState, KernelMatrix, assemble_kernels,
                              F_oneparticle_array, hadamard_array, phi0_coherent_array,
                              wightman_smeared_closed, wightman_smeared_quadrature)
@@ -43,14 +44,14 @@ def lattice_centers(origin=O):
     return build_lattice(LatticeSpec(3, 2, 10.0, 10.0, origin))
 
 
-def per_pair_reference(state, centers, ell, lam):
+def per_pair_reference(state, centers, lam):
     """H and GR filled pair by pair, H from one wightman_smeared_closed call
-    per pair of width-ell regions, the diagonal included."""
+    per pair of unit-width regions, the diagonal included."""
     n, lam2 = len(centers), lam * lam
     H, GR = np.zeros((n, n)), np.zeros((n, n))
-    regions = [GaussianRegion(Event(*c), ell) for c in centers.tolist()]
+    regions = [GaussianRegion(Event(*c), 1.0) for c in centers.tolist()]
     itv = intervals(centers[:, None], centers[None, :])
-    E = lam2 * kernels._commutator(itv.dt, itv.dr, ell)
+    E = lam2 * kernels._commutator(itv.dt, itv.dr)
     for i in range(n):
         for j in range(i, n):
             w = wightman_smeared_closed(state, regions[i], regions[j])
@@ -375,9 +376,9 @@ class TestArrayKernels:
         assert kernels._region_amplitudes(FieldState.one_particle(delta), ell, x).tolist() == (
             delta**2 / wide2 * kernels._F(math.sqrt(wide2), x, dtt=True)[0]).tolist()
         t, r = np.array(pairs).T
-        value = kernels._gaussian_wave_pair(t, r, 2.0 * ell * ell, dtt=True)[0]
-        assert kernels._commutator(t, r, ell).tolist() == (
-            value / (8.0 * math.sqrt(2.0) * math.pi**1.5 * ell)).tolist()
+        value = kernels._gaussian_wave_pair(t, r, 2.0, dtt=True)[0]
+        assert kernels._commutator(t, r).tolist() == (
+            value / (8.0 * math.sqrt(2.0) * math.pi**1.5)).tolist()
 
     def test_lightlike_point_raises(self):
         a = self.coords([(0.3, 2.0), (1.0, 1.0)])
@@ -542,6 +543,17 @@ class TestSmearedOracle:
         with pytest.raises(CapacityError, match="KMS images"):
             wightman_smeared_closed(FieldState.thermal(1e-4), region(0, 5), region(0, 0))
 
+    def test_image_count_capped_down_to_the_length_bound(self):
+        # the image count takes r^5, r = 2/beta^2: at beta = 1e-30 it used to
+        # overflow (OverflowError, then math.ceil(inf)); every beta from the
+        # cap down to the config's bound, and below it, is a CapacityError
+        dt, dr = np.array([0.0, 3.0]), np.array([5.0, 0.0])
+        for beta in [*np.geomspace(1e-4, 1.0 / config.LENGTH_BOUND, 53).tolist(), 1e-70, 1e-300]:
+            with pytest.raises(CapacityError, match="KMS images"):
+                kernels._smeared_real(beta, dt, dr)
+        with pytest.raises(CapacityError, match="KMS images"):
+            wightman_smeared_closed(FieldState.thermal(1e-70), region(0, 5), region(0, 0))
+
     def test_closed_vs_quadrature_spatial(self):
         vac = FieldState.vacuum()
         for s in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
@@ -686,7 +698,6 @@ class TestImageTail:
         rng = np.random.default_rng(seed)
         for _ in range(40):
             beta = float(np.exp(rng.uniform(math.log(0.5), math.log(500.0))))
-            a = float(rng.choice([0.5, 2.0, 8.0]))
             n = int(rng.integers(1, 61))
             dt = np.where(rng.uniform(size=shape) < 0.3, 0.0,
                           np.abs(rng.uniform(-40.0, 40.0, shape)))
@@ -695,8 +706,8 @@ class TestImageTail:
             dr = rng.choice(np.array([0.0, 1.0, 1.0]), size=shape) * rng.uniform(0.0, 40.0, shape)
             small = rng.uniform(size=shape) < 0.3
             dr = np.where(small, beta * zeta * rng.uniform(0.0, 1e-8, shape), dr)
-            got = kernels._image_tail(beta, a, dt, dr, n)
-            want = image_tail_per_term(beta, a, dt, dr, n)
+            got = kernels._image_tail(beta, dt, dr, n)
+            want = image_tail_per_term(beta, 2.0, dt, dr, n)
             assert np.shape(got) == np.shape(want) == shape
             assert_bitwise(got, want)
 
@@ -709,8 +720,9 @@ class TestImageTail:
             for dt, dr in ((0.0, 0.0), (3.0, 0.0), (0.0, 4.5), (2.5, 7.25),
                            (1.0, 1e-9 * beta), tuple(rng.uniform(0.0, 30.0, 2))):
                 for n in (1, 7, 60):
-                    args = (beta, 2.0, wrap(dt), wrap(dr), n)
-                    got, want = kernels._image_tail(*args), image_tail_per_term(*args)
+                    args = (wrap(dt), wrap(dr), n)
+                    got = kernels._image_tail(beta, *args)
+                    want = image_tail_per_term(beta, 2.0, *args)
                     assert type(got) is type(want)
                     assert_bitwise(got, want)
 
@@ -821,51 +833,51 @@ class TestCommutatorAndRetarded:
     retarded part GR that assembly reads off from it."""
 
     def test_zero_at_equal_time(self):
-        assert kernels._commutator(0.0, 5.0, 1.0) == 0.0
-        km = assemble_kernels(FieldState.vacuum(), points((0, 5), (0, 0)), 1.0, 1.0)
+        assert kernels._commutator(0.0, 5.0) == 0.0
+        km = assemble_kernels(FieldState.vacuum(), points((0, 5), (0, 0)), 1.0)
         assert km.GR[0, 1] == km.GR[1, 0] == 0.0
 
     def test_spacelike_tail_bound(self):
         dt, dr = 2.0, 12.0
-        e = float(kernels._commutator(dt, dr, 1.0))
+        e = float(kernels._commutator(dt, dr))
         assert abs(e) <= math.exp(-((dr - abs(dt)) ** 2) / 8.0)
 
     def test_matches_2_im_quadrature(self):
         vac = FieldState.vacuum()
         geometries = [(10.0, 10.0), (3.0, 2.0), (-6.0, 4.0), (5.0, 0.0)]
         dt, dr = np.array(geometries).T
-        for (t, x), e in zip(geometries, kernels._commutator(dt, dr, 1.0).tolist()):
+        for (t, x), e in zip(geometries, kernels._commutator(dt, dr).tolist()):
             w = wightman_smeared_quadrature(vac, region(t, x), region(0, 0), 1e-12)
             assert e == pytest.approx(2.0 * w.imag, abs=1e-8 * max(abs(e), 1e-4))
 
     def test_antisymmetry(self):
         a, b = region(7.0, 3.0).center.coords(), region(-1.0, -2.0).center.coords()
         itv = intervals([a, b], [b, a])
-        e_ab, e_ba = kernels._commutator(itv.dt, itv.dr, 1.0).tolist()
+        e_ab, e_ba = kernels._commutator(itv.dt, itv.dr).tolist()
         assert e_ab == pytest.approx(-e_ba, rel=1e-15)
 
     def test_retarded_time_order(self):
-        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (10.0, 10.0)), 1.0, 1.0)
-        assert km.GR[1, 0] == kernels._commutator(10.0, 10.0, 1.0)
+        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (10.0, 10.0)), 1.0)
+        assert km.GR[1, 0] == kernels._commutator(10.0, 10.0)
         assert km.GR[0, 1] == 0.0
 
 
 class TestAssemble:
     def test_single_region_vacuum(self):
         lam = 2.0
-        km = assemble_kernels(FieldState.vacuum(), points((0, 0)), 1.0, lam)
+        km = assemble_kernels(FieldState.vacuum(), points((0, 0)), lam)
         assert km.H[0, 0] == pytest.approx(lam**2 / (8 * math.pi**2), rel=1e-14)
         assert km.E[0, 0] == 0.0
         assert km.GR[0, 0] == 0.0
 
     def test_two_spacelike_regions(self):
-        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (0, 12)), 1.0, 1.0)
+        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (0, 12)), 1.0)
         assert abs(km.E[0, 1]) <= math.exp(-144.0 / 8.0)
         KernelMatrix(H=km.H, GR=km.GR)
 
     def test_identities_exact(self):
         km = assemble_kernels(FieldState.vacuum(), points((0, 0), (10, 10), (10, 0), (20, 5)),
-                              1.0, 2 * math.pi)
+                              2 * math.pi)
         assert np.array_equal(km.E, km.GR - km.GR.T)
         # antisymmetric bit for bit off the diagonal, signed zeros included
         off = ~np.eye(4, dtype=bool)
@@ -874,30 +886,36 @@ class TestAssemble:
         assert np.array_equal(km.H, km.H.T)
 
     def test_e_consistent_with_quadrature(self):
-        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (10, 10)), 1.0, 1.0)
+        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (10, 10)), 1.0)
         w = wightman_smeared_quadrature(FieldState.vacuum(), region(0, 0), region(10, 10),
                                         1e-12)
         assert km.E[0, 1] == pytest.approx(2 * w.imag, abs=1e-8)
 
     def test_thermal_assembly(self):
         centers = points((0, 0), (0, 10), (10, 0))
-        km = assemble_kernels(FieldState.thermal(50.0), centers, 1.0, 1.0)
+        km = assemble_kernels(FieldState.thermal(50.0), centers, 1.0)
         KernelMatrix(H=km.H, GR=km.GR)
         assert km.H[0, 0] > 0
         # thermal local noise exceeds the vacuum one
-        kv = assemble_kernels(FieldState.vacuum(), centers, 1.0, 1.0)
+        kv = assemble_kernels(FieldState.vacuum(), centers, 1.0)
         assert km.H[0, 0] > kv.H[0, 0]
 
     def test_rejects_non_quasifree(self):
         with pytest.raises(ValueError):
-            assemble_kernels(FieldState.coherent(1.0), points((0, 0)), 1.0, 1.0)
+            assemble_kernels(FieldState.coherent(1.0), points((0, 0)), 1.0)
         with pytest.raises(ValueError):
-            assemble_kernels(FieldState.one_particle(1.0), points((0, 0)), 1.0, 1.0)
+            assemble_kernels(FieldState.one_particle(1.0), points((0, 0)), 1.0)
 
     @pytest.mark.parametrize("ell", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_width(self, ell):
+        # the assembly takes its centres in units of ell, so a lattice's width
+        # is refused by its config, before any assembly, and a one-pair
+        # region's by GaussianRegion
+        with pytest.raises(ConfigError) as exc:
+            validate_config({"scenario_id": "tomography_roundtrip", "ell": ell})
+        assert exc.value.field == "ell"
         with pytest.raises(ValueError, match="ell must be positive and finite"):
-            assemble_kernels(FieldState.vacuum(), points((0, 0), (0, 10)), ell, 1.0)
+            GaussianRegion(O, ell)
 
     @pytest.mark.parametrize("centers", [
         np.zeros((0, 4)), np.zeros(4), np.zeros((2, 3)), np.zeros((2, 4, 1)),
@@ -905,7 +923,7 @@ class TestAssemble:
         ids=["empty", "one-row", "three-columns", "three-axes", "nan", "inf"])
     def test_rejects_centers(self, centers):
         with pytest.raises(ValueError, match=re.escape("non-empty finite (n, 4) array")):
-            assemble_kernels(FieldState.vacuum(), centers, 1.0, 1.0)
+            assemble_kernels(FieldState.vacuum(), centers, 1.0)
 
     @pytest.mark.parametrize("state, layout", [
         (FieldState.thermal(50.0), "lattice"),
@@ -934,8 +952,8 @@ class TestAssemble:
             # upper-triangle pairs now carry both signs of dt
             dts = pair_intervals(centers).dt
             assert dts.min() < 0.0 < dts.max()
-        km = assemble_kernels(state, centers, 1.0, 2 * math.pi)
-        H, GR = per_pair_reference(state, centers, 1.0, 2 * math.pi)
+        km = assemble_kernels(state, centers, 2 * math.pi)
+        H, GR = per_pair_reference(state, centers, 2 * math.pi)
         assert_bitwise(km.H, H)
         assert_bitwise(km.GR, GR)
         assert_bitwise(km.E, KernelMatrix(H, GR).E)
@@ -952,9 +970,9 @@ class TestAssemble:
         # side is -0
         centers = build_lattice(LatticeSpec(4, 3, spacing, spacing, origin))
         centers = shuffled(centers, 5)
-        km = assemble_kernels(FieldState.thermal(43.07), centers, 1.0, 2 * math.pi)
+        km = assemble_kernels(FieldState.thermal(43.07), centers, 2 * math.pi)
         pairs = pair_intervals(centers)
-        e = (2 * math.pi) ** 2 * kernels._commutator(pairs.dt, pairs.dr, 1.0)
+        e = (2 * math.pi) ** 2 * kernels._commutator(pairs.dt, pairs.dr)
         iu, ju = np.triu_indices(len(centers), 1)
         fut, past = pairs.dt > 0.0, pairs.dt < 0.0
         GR = np.zeros_like(km.GR)
@@ -973,17 +991,17 @@ class TestAssemble:
         calls, commutator_calls = [], []
         real, commutator = kernels._smeared_real, kernels._commutator
 
-        def counting(beta, ell, dt, dr):
+        def counting(beta, dt, dr):
             calls.append(list(zip(np.abs(dt).tolist(), np.asarray(dr).tolist())))
-            return real(beta, ell, dt, dr)
+            return real(beta, dt, dr)
 
-        def counting_commutator(dt, dr, ell):
+        def counting_commutator(dt, dr):
             commutator_calls.append(list(zip(np.asarray(dt).tolist(), np.asarray(dr).tolist())))
-            return commutator(dt, dr, ell)
+            return commutator(dt, dr)
 
         monkeypatch.setattr(kernels, "_smeared_real", counting)
         monkeypatch.setattr(kernels, "_commutator", counting_commutator)
-        assemble_kernels(FieldState.vacuum(), centers, 1.0, 1.0)
+        assemble_kernels(FieldState.vacuum(), centers, 1.0)
         pairs = pair_intervals(centers)
         geometries = set(zip(np.abs(pairs.dt).tolist(), pairs.dr.tolist()))
         assert len(pairs.dt) == 1431
@@ -997,7 +1015,7 @@ class TestAssemble:
         assert commutator_calls == calls
 
     def test_validate_rejects_asymmetric_h(self):
-        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (10, 10)), 1.0, 1.0)
+        km = assemble_kernels(FieldState.vacuum(), points((0, 0), (10, 10)), 1.0)
         H = km.H.copy()
         H[0, 1] += 1.0
         with pytest.raises(ValueError, match="H symmetric"):

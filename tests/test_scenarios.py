@@ -234,6 +234,22 @@ class TestValidation:
         ({"scenario_id": "vacuum_curves", "anchor": {"t": -1.0}, "s_over_ell": [2.0**-53]},
          "anchor"),
         ({"scenario_id": "oneparticle_curves", "anchor": {"x": 1e154}}, "anchor"),
+        # widths below the length bound, whose squares underflow: the
+        # coherent scan died with a ZeroDivisionError (exit 1), the
+        # one-particle scan exited 0 with every multipole cell nan; and
+        # lengths past the bound, a prefactor ell^-2 that overflows, a
+        # coupling (lambda/ell)^2 that overflows, and a beta whose image
+        # count overflowed (exit 1)
+        ({"scenario_id": "coherent_curves", "delta": 1e-200}, "delta"),
+        ({"scenario_id": "oneparticle_curves", "delta": 1e-200}, "delta"),
+        ({"scenario_id": "oneparticle_curves", "delta": 1e150}, "delta"),
+        ({"scenario_id": "tomography_roundtrip", "state": "thermal", "beta": 50.0,
+          "lattice": {**LATTICE, "spacing_space": 1e150, "spacing_time": 1e150}}, "lattice"),
+        ({"scenario_id": "vacuum_curves", "ell": 1e-200}, "ell"),
+        ({"scenario_id": "tomography_roundtrip", "ell": 1e-200}, "ell"),
+        ({"scenario_id": "tomography_roundtrip", "ell": 1e-154}, "ell"),
+        ({"scenario_id": "tomography_roundtrip", "lambda": 1e200}, "lambda"),
+        ({"scenario_id": "tomography_roundtrip", "state": "thermal", "beta": 1e-70}, "beta"),
     ])
     def test_malformed_values(self, raw, field, tmp_path, capsys):
         # each is a ConfigError naming the field, and the CLI exits 2
@@ -277,35 +293,50 @@ class TestValidation:
                 assert cfg.lattice.n_events == n_space**3 * n_time
 
     def test_lengths_with_finite_squares_accepted(self):
-        # up to the float range of a length's square, every length validates
-        big = {"ell": 1e150, "s_over_ell": [1.0], "anchor": {"t": 1e-150}}
-        assert validate_config({"scenario_id": "vacuum_curves", **big}).anchor.t == 1.0
+        # up to the length bound (1e30 ell, and down to 1e-30 ell for beta,
+        # delta and ell itself) every length validates, as written: no
+        # length is multiplied by ell
+        bound = config.LENGTH_BOUND
+        for ell in (bound, 1.0 / bound):
+            big = {"ell": ell, "s_over_ell": [1.0, bound], "anchor": {"t": 1e-150}}
+            cfg = validate_config({"scenario_id": "vacuum_curves", **big})
+            assert (cfg.ell, cfg.anchor.t, cfg.s_values[-1]) == (ell, 1e-150, bound)
         cfg = validate_config({"scenario_id": "tomography_roundtrip", "lattice": {
-            **LATTICE, "spacing_space": 1e150, "spacing_time": 1e150,
-            "origin": {"t": -1e150}}})
-        assert (cfg.lattice.spacing_space, cfg.lattice.origin.t) == (1e150, -1e150)
-        assert validate_config({"scenario_id": "coherent_curves", "delta": 1e150}).delta == 1e150
+            **LATTICE, "spacing_space": bound, "spacing_time": bound,
+            "origin": {"t": -bound}}})
+        assert (cfg.lattice.spacing_space, cfg.lattice.origin.t) == (bound, -bound)
+        for width in (bound, 1.0 / bound):
+            cfg = validate_config({"scenario_id": "coherent_curves", "delta": width})
+            assert cfg.delta == width
+            assert validate_config({"scenario_id": "thermal_curves", "beta": width}).beta == width
+        axis = {"start": -bound, "stop": bound, "n": 3}
+        cfg = validate_config({"scenario_id": "coherent_field_grid", "grid": {"t": axis, "x": axis}})
+        assert cfg.grid_t == cfg.grid_x == (-bound, bound, 3)
 
     def test_scan_steps_that_move_the_anchor_accepted(self):
-        # the lightlike scan at the origin, a far anchor with steps that
-        # still move it, and the smallest step that moves t = 1 both ways
+        # the lightlike scan at the origin, an anchor at the length bound with
+        # steps that still move it, and the smallest step that moves t = 1
+        # both ways
         cfg = validate_config({"scenario_id": "thermal_curves",
                                "s_over_ell": [1e-7, 1e-6, 0.5, 3.0]})
         assert cfg.s_values[0] == 1e-7
+        bound = config.LENGTH_BOUND
         cfg = validate_config({"scenario_id": "coherent_curves",
-                               "anchor": {"t": 1e154, "x": 1e154}, "s_over_ell": [1e140]})
-        assert cfg.anchor.t == 1e154
+                               "anchor": {"t": bound, "x": bound}, "s_over_ell": [1e16]})
+        assert cfg.anchor.t == bound
         cfg = validate_config({"scenario_id": "vacuum_curves", "anchor": {"t": 1.0},
                                "s_over_ell": [2.0**-52]})
         assert cfg.anchor.t - cfg.s_values[0] < 1.0 < cfg.anchor.t + cfg.s_values[0]
 
     def test_lattice_origin_in_units_of_ell(self):
-        # the origin is scaled by ell as the spacings and the anchor are
+        # the origin is in units of ell as the spacings and the anchor are,
+        # and like them it stays as written: the run applies ell once, to
+        # the coupling
         cfg = validate_config({"scenario_id": "tomography_roundtrip", "ell": 2.0,
                                "lattice": {**LATTICE, "origin": {"t": 1.0}}})
-        assert cfg.lattice.origin == Event(2.0, 0.0, 0.0, 0.0)
-        assert build_lattice(cfg.lattice)[0].tolist() == [2.0, 0.0, 0.0, 0.0]
-        assert build_lattice(cfg.lattice)[-1].tolist() == [22.0, 20.0, 20.0, 20.0]
+        assert cfg.lattice.origin == Event(1.0, 0.0, 0.0, 0.0)
+        assert build_lattice(cfg.lattice)[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert build_lattice(cfg.lattice)[-1].tolist() == [11.0, 10.0, 10.0, 10.0]
 
     def test_empty_s_list_named(self):
         # used to be reported as "values must be strictly positive"
@@ -667,7 +698,7 @@ def shot_noise_reference(config_dict, path):
     one inversion per (shots, repeat), the squared errors of the surviving
     pairs summed in (repeat, pair) order for each shot count; returns the bytes."""
     cfg = validate_config(config_dict)
-    km = assemble_kernels(FieldState.vacuum(), build_lattice(cfg.lattice), cfg.ell, cfg.lam)
+    km = assemble_kernels(FieldState.vacuum(), build_lattice(cfg.lattice), cfg.lam / cfg.ell)
     exact = correlator_table(km)
     rms, failed = [], []
     for shots in cfg.shots_list:
@@ -736,6 +767,123 @@ class TestDeterminism:
         p1 = scenarios.run({**base, "seed": 1, "output_dir": str(tmp_path / "a")})
         p2 = scenarios.run({**base, "seed": 2, "output_dir": str(tmp_path / "b")})
         assert p1[0].read_bytes() != p2[0].read_bytes()
+
+
+# the kernel columns of each curve and grid scenario, and the power of ell
+# that divides them
+_SCALED = {
+    "vacuum_curves": (("pointlike", "smeared_closed", "multipole"), 2),
+    "thermal_curves": (("vacuum_pointlike", "thermal_pointlike", "thermal_multipole",
+                        "thermal_smeared_quadrature"), 2),
+    "coherent_curves": (("vacuum_pointlike", "state_kernel", "multipole"), 2),
+    "oneparticle_curves": (("vacuum_pointlike", "state_kernel", "multipole"), 2),
+    "coherent_field_grid": (("value",), 1),
+    "oneparticle_diff_grid": (("value",), 2),
+}
+
+
+def run_rows(tmp_path, raw, name):
+    [path] = scenarios.run({**raw, "output_dir": str(tmp_path / name)})
+    return read_csv(path)
+
+
+def assert_scaled(rows, unit, columns, factor, rel):
+    """Every cell of ``columns`` is its twin in ``unit`` times ``factor``
+    (exactly where rel is 0), blank where the twin is; the other cells equal."""
+    assert len(rows) == len(unit)
+    for r, u in zip(rows, unit):
+        assert ({k: v for k, v in r.items() if k not in columns}
+                == {k: v for k, v in u.items() if k not in columns})
+        for c in columns:
+            if u[c] == "":
+                assert r[c] == ""
+            elif rel:
+                assert float(r[c]) == pytest.approx(float(u[c]) * factor, rel=rel, abs=0)
+            else:
+                assert float(r[c]) == float(u[c]) * factor
+
+
+class TestUnitWidthCore:
+    """A run computes in units of ell and applies ell once on the way out,
+    so its outputs at any width are the unit-width ones times a power of ell."""
+
+    @pytest.mark.parametrize("sid", sorted(_SCALED))
+    def test_kernel_cells_scale_with_ell(self, sid, tmp_path):
+        # at ell = 2 every kernel cell is exactly 1/4 of its ell = 1 twin
+        # (1/2 on the phi0 grid), and at ell = 0.3 within 1e-15
+        columns, power = _SCALED[sid]
+        raw = {"scenario_id": sid, "enable_quadrature_columns": sid == "thermal_curves"}
+        unit = run_rows(tmp_path, raw, "unit")
+        for ell, rel in ((2.0, 0.0), (0.3, 1e-15)):
+            rows = run_rows(tmp_path, {**raw, "ell": ell}, f"ell{ell}")
+            assert_scaled(rows, unit, columns, ell**-power, rel)
+
+    def test_convergence_sweep_scales_with_ell(self, tmp_path):
+        # the widths column times ell, the residuals times ell^-2, one slope
+        unit = run_rows(tmp_path, {"scenario_id": "convergence_sweep"}, "unit")
+        rows = run_rows(tmp_path, {"scenario_id": "convergence_sweep", "ell": 2.0}, "ell2")
+        assert [(2.0 * float(u["ell"]), float(u["residual"]) / 4.0, u["slope"]) for u in unit] \
+            == [(float(r["ell"]), float(r["residual"]), r["slope"]) for r in rows]
+
+    @pytest.mark.parametrize("ell, lam", [(2.0, 2.0 * math.pi), (0.3, 0.6 * math.pi)])
+    def test_roundtrip_is_the_unit_roundtrip_at_lambda_over_ell(self, ell, lam, tmp_path):
+        # the lattice's kernels go as (lambda/ell)^2: the roundtrip at ell is
+        # the ell = 1 roundtrip at the coupling lambda/ell, byte for byte; the
+        # default one at ell = 2 is the one at lambda = pi
+        raw = {"scenario_id": "tomography_roundtrip"}
+        at_ell = scenarios.run({**raw, "ell": ell, "lambda": lam,
+                                "output_dir": str(tmp_path / "at_ell")})
+        unit = scenarios.run({**raw, "lambda": lam / ell, "output_dir": str(tmp_path / "unit")})
+        assert [p.read_bytes() for p in at_ell] == [p.read_bytes() for p in unit]
+        if ell == 2.0:
+            assert lam / ell == math.pi
+            # lambda is not scaled: at one lambda, H is exactly 1/4 of the ell = 1 H
+            default = read_csv(scenarios.run({**raw, "output_dir": str(tmp_path / "d")})[0])
+            assert [float(r["H_true_if_known"]) / 4.0 for r in default] == [
+                float(r["H_true_if_known"]) for r in read_csv(at_ell[0])]
+
+    @pytest.mark.parametrize("sid", ["vacuum_curves", "thermal_curves"])
+    def test_lightcone_tolerance_in_units_of_ell(self, sid, tmp_path):
+        # the lightcone tolerance's floor of 1 is one ell, not an absolute
+        # length: at ell = 1e-5 these scans wrote 32 of their 158 default
+        # rows as LightconeSingularityError, and all of them at 1e-6, with
+        # exit 0.  At any ell the failed rows are those at ell = 1 (here
+        # |s| = 1e-7 and 1e-6), with the same text, and every kernel cell is
+        # its ell = 1 twin times ell^-2
+        raw = {"scenario_id": sid,
+               "s_over_ell": [1e-7, 1e-6] + [0.5 + 0.25 * k for k in range(79)]}
+        unit = run_rows(tmp_path, raw, "unit")
+        assert sum(1 for u in unit if u["errors"]) == 4
+        for ell in (1e-5, 1e-8):
+            rows = run_rows(tmp_path, {**raw, "ell": ell}, f"ell{ell}")
+            assert [r["errors"] for r in rows] == [u["errors"] for u in unit]
+            assert_scaled(rows, unit, _SCALED[sid][0][:3], ell**-2, 1e-15)
+
+    @pytest.mark.parametrize("ell", [0.3, 2.0, 1e-5])
+    def test_closed_matches_oracle_at_any_width(self, ell):
+        # the closed form divides its regions' ell out and scales by ell^-2;
+        # the quadrature oracle integrates at the physical width, so the two
+        # agree at any ell, within the oracle's tolerance (which scales as W)
+        tol = 1e-12 / ell**2
+        origin = GaussianRegion(Event(0.0, 0.0, 0.0, 0.0), ell)
+        for state in (VAC, FieldState.thermal(5.0 * ell), FieldState.coherent(1.5 * ell),
+                      FieldState.one_particle(2.0 * ell)):
+            for dt, dr in ((0.0, 3.0), (2.0, 0.0), (1.5, 4.0), (5.0, 5.0)):
+                ri = GaussianRegion(Event(dt * ell, dr * ell, 0.0, 0.0), ell)
+                closed = wightman_smeared_closed(state, ri, origin)
+                oracle = wightman_smeared_quadrature(state, ri, origin, tol)
+                assert abs(closed - oracle) <= 2.0 * tol, (state, dt, dr)
+
+    def test_thermal_roundtrip_at_small_beta(self, tmp_path, capsys):
+        # beta = 1e-30 and 1e-70 ended in an OverflowError from the image
+        # count (exit 1): inside the length bound it is a CapacityError
+        # (exit 3), below it a config error (exit 2)
+        for beta, code, text in ((1e-30, 3, "KMS images"), (1e-70, 2, "'beta'")):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"scenario_id": "tomography_roundtrip",
+                                       "state": "thermal", "beta": beta}))
+            assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code
+            assert text in capsys.readouterr().err
 
 
 class TestCli:

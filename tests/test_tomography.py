@@ -176,7 +176,7 @@ class TestOracle:
         # causal, with exact zeros in most x_k; exact and sampled, bit for bit
         spec = LatticeSpec(3, 2, 10.0, 10.0, Event(-3.306967, 0.059643, 1.581189, 2.675809))
         exact = correlator_table(assemble_kernels(FieldState.thermal(50.0), build_lattice(spec),
-                                                  1.0, 2 * math.pi))
+                                                  2 * math.pi))
         assert not check_against_reference(exact)
         assert np.count_nonzero(reconstruct_table(exact).causal) == 1080
         check_against_reference(sample_table(exact, 1000, 11))
@@ -264,7 +264,7 @@ def series_pairs(t):
 def lattice_kernels(n_space, n_time, state, lam=2 * math.pi, spacing=10.0,
                     origin=Event(-3.306967, 0.059643, 1.581189, 2.675809)):
     spec = LatticeSpec(n_space, n_time, spacing, spacing, origin)
-    return assemble_kernels(state, build_lattice(spec), 1.0, lam)
+    return assemble_kernels(state, build_lattice(spec), lam)
 
 
 class TestSeries:
@@ -450,7 +450,7 @@ class TestStacks:
         # the failure counts of test_shot_noise_failure_counts
         cfg = validate_config({"scenario_id": "shot_noise_study"})
         exact = correlator_table(assemble_kernels(FieldState.vacuum(), build_lattice(cfg.lattice),
-                                                  cfg.ell, cfg.lam))
+                                                  cfg.lam / cfg.ell))
         seeds = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=(shots, rep))
                  for rep in range(4)]
         singles = [reconstruct_table(sample_table(exact, shots, seed)) for seed in seeds]
