@@ -414,28 +414,50 @@ def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
     pair multiplies out P+- = prod_k (1 +- x_k) over ``_pair_products``:
 
         zz, yy = (1/2) z_i z_j / (c_ij c_ji) (e^(2 H_ij) P+ +- e^(-2 H_ij) P-).
+
+    At strong coupling z_i z_j can underflow to 0 where cosh or e^(2 H_ij)
+    overflows.  A cell that these direct forms leave non-finite is taken
+    again with the amplitude's exponent joined to the pair's before the
+    exponential, ln|z_i| = -H_ii + sum_{k != i} ln|c_ik|, its sign carried
+    apart; every cell they get finite keeps its value.
     """
     n = kernels.n
     H, G2 = kernels.H, 2.0 * kernels.GR
     off = ~np.eye(n, dtype=bool)
     c = np.cos(G2)
-    z = np.exp(-np.diag(H)) * np.prod(np.where(off, c, 1.0), axis=1)  # k = i never enters
+    c_off = np.where(off, c, 1.0)  # k = i never enters z_i
+    z = np.exp(-np.diag(H)) * np.prod(c_off, axis=1)
     t = np.where(off, np.sin(G2) / c, 0.0)
     yx = -z[:, None] * t
 
     odd, even = (v[0] for v in _power_sums(t[None], 1))
     series = ~np.isnan(odd)
     zz, yy = np.empty(n * (n - 1) // 2), np.empty(n * (n - 1) // 2)
+    products = np.ones((2, len(zz)))  # P+- of each pair, 1 on the series
     a, b = (v[series] for v in _pairs(n))
-    amp = z[a] * z[b] * np.exp(-even[series]) / (c[a, b] * c[b, a])
-    u = 2.0 * H[a, b] + odd[series]
-    zz[series], yy[series] = amp * np.cosh(u), amp * np.sinh(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # z_i z_j = 0 against e^(2 H_ij) = inf
+        amp = z[a] * z[b] * np.exp(-even[series]) / (c[a, b] * c[b, a])
+        u = 2.0 * H[a, b] + odd[series]
+        zz[series], yy[series] = amp * np.cosh(u), amp * np.sinh(u)
+        for at, a, b, x, _ in _pair_products(t[None], ~series):
+            products[:, at] = np.prod(1.0 + x, axis=1), np.prod(1.0 - x, axis=1)
+            plus = np.exp(2.0 * H[a, b]) * products[0, at]
+            minus = np.exp(-2.0 * H[a, b]) * products[1, at]
+            amp = 0.5 * z[a] * z[b] / (c[a, b] * c[b, a])
+            zz[at], yy[at] = amp * (plus + minus), amp * (plus - minus)
 
-    for at, a, b, x, _ in _pair_products(t[None], ~series):
-        plus = np.exp(2.0 * H[a, b]) * np.prod(1.0 + x, axis=1)
-        minus = np.exp(-2.0 * H[a, b]) * np.prod(1.0 - x, axis=1)
-        amp = 0.5 * z[a] * z[b] / (c[a, b] * c[b, a])
-        zz[at], yy[at] = amp * (plus + minus), amp * (plus - minus)
+    redo = np.flatnonzero(~np.isfinite(zz) | ~np.isfinite(yy))
+    if len(redo):
+        log_c, sign_c = np.log(np.abs(c_off)), np.sign(c_off)
+        log_z, sign_z = np.sum(log_c, axis=1) - np.diag(H), np.prod(sign_c, axis=1)
+        a, b = (v[redo] for v in _pairs(n))
+        log_amp = log_z[a] + log_z[b] - log_c[a, b] - log_c[b, a]
+        half = 0.5 * sign_z[a] * sign_z[b] * sign_c[a, b] * sign_c[b, a]
+        u = 2.0 * H[a, b] + np.where(series[redo], odd[redo], 0.0)
+        e = np.where(series[redo], even[redo], 0.0)
+        plus = half * np.exp(log_amp + u - e) * products[0, redo]
+        minus = half * np.exp(log_amp - u - e) * products[1, redo]
+        zz[redo], yy[redo] = plus + minus, plus - minus
     return CorrelatorTable(z=z, zz=zz, yy=yy, yx=yx)
 
 

@@ -564,17 +564,18 @@ def _smeared_real(beta: float | None, dt, dr) -> np.ndarray:
     return norm * acc + _image_tail(beta, dt, dr, n_images) / (4.0 * math.pi**2)
 
 
-def _region_amplitudes(state: FieldState, ell: float, x: np.ndarray) -> np.ndarray:
-    """The sourced state's amplitude smeared over the width-ell regions
-    centred at coordinates x (..., 4), in closed form: smearing widens the
-    source, so it is the pointlike amplitude at the width delta', scaled;
-    coherent (delta/delta') phi0(delta', x) with delta'^2 = delta^2 + ell^2,
-    one-particle (delta^2/delta'^2) F(delta', x) with delta'^2 = delta^2 + 2 ell^2."""
+def _region_amplitudes(state: FieldState, x: np.ndarray) -> np.ndarray:
+    """The sourced state's amplitude smeared over the unit-width regions
+    centred at coordinates x (..., 4), all in units of ell, in closed form:
+    smearing widens the source, so it is the pointlike amplitude at the
+    width delta', scaled; coherent (delta/delta') phi0(delta', x) with
+    delta'^2 = delta^2 + 1, one-particle (delta^2/delta'^2) F(delta', x) with
+    delta'^2 = delta^2 + 2."""
     delta = state.delta
     if state.tag == "coherent":
-        wide = math.sqrt(delta * delta + ell * ell)
+        wide = math.sqrt(delta * delta + 1.0)
         return delta / wide * _phi0(wide, x)[0]
-    wide2 = delta**2 + 2.0 * ell * ell
+    wide2 = delta**2 + 2.0
     return delta**2 / wide2 * _F(math.sqrt(wide2), x)[0]
 
 
@@ -591,7 +592,7 @@ def wightman_smeared_closed(state: FieldState, ri: GaussianRegion,
     itv = intervals(x[0], x[1])
     re = float(_smeared_real(unit.beta, itv.dt, itv.dr))
     if unit.tag in ("coherent", "one_particle"):
-        amp = _region_amplitudes(unit, 1.0, x)
+        amp = _region_amplitudes(unit, x)
         re += _source_term(unit, amp[0], amp[1])
     scale = 1.0 / ell / ell
     return complex(re * scale, float(_commutator(itv.dt, itv.dr)) / 2.0 * scale)

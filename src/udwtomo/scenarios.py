@@ -149,18 +149,18 @@ def _run_state_curves(cfg: ScenarioConfig, out: Path, state: FieldState,
 def _grid(cfg: ScenarioConfig) -> tuple[Indexed, Indexed, np.ndarray, np.ndarray]:
     """The (t, x) grid in units of ell, row-major in t: its t and x columns
     as ``Indexed`` over the two axes, the events (t, |x|, 0, 0) of
-    the grid of t and the distinct |x| (the x axis's absolute values told
-    apart by bit pattern) as one coordinate array, and the index of each
+    the grid of t and the distinct |x| (``Indexed.distinct`` of the x axis's
+    absolute values) as one coordinate array, and the index of each
     (t, x) row's event.  The fields depend on x only through x^2, which
     takes the same bits at x and -x, so an event stands for both rows."""
     t_axis, x_axis = (np.linspace(start, stop, n) for start, stop, n in (cfg.grid_t, cfg.grid_x))
     t = Indexed(t_axis, np.repeat(np.arange(len(t_axis)), len(x_axis)))
     x = Indexed(x_axis, np.tile(np.arange(len(x_axis)), len(t_axis)))
-    bits, radius = np.unique(np.abs(x_axis).view(np.int64), return_inverse=True)
-    coords = np.zeros((len(t_axis), len(bits), 4))
+    radius = Indexed.distinct(np.abs(x_axis))
+    coords = np.zeros((len(t_axis), len(radius.values), 4))
     coords[..., 0] = t_axis[:, None]
-    coords[..., 1] = bits.view(np.float64)
-    return t, x, coords.reshape(-1, 4), t.index * len(bits) + radius[x.index]
+    coords[..., 1] = radius.values
+    return t, x, coords.reshape(-1, 4), t.index * len(radius.values) + radius.index[x.index]
 
 
 def _run_coherent_field_grid(cfg: ScenarioConfig, out: Path) -> list[Path]:
@@ -212,18 +212,16 @@ def _write_reconstruction(path: Path, rec: tomography.TableReconstruction, E: np
                           h_true: np.ndarray) -> None:
     """One row per pair of ``rec`` (one table, every pair inverted), beside its
     true H, with W = H/2 + i E/2 from the commutator matrix ``E``.  H and Re W
-    are written over one dedupe of H (by bit pattern): its distinct values
-    and their halves."""
+    are written over one ``Indexed.distinct`` of H: its distinct values and
+    their halves."""
     a, b = rec.i - 1, rec.j - 1
     labels = np.arange(1, len(E) + 1)
-    bits, h_index = np.unique(rec.H.view(np.int64), return_inverse=True)
-    distinct_h = bits.view(np.float64)
+    h = Indexed.distinct(rec.H)
     _write_rows(path, ["i", "j", "regime", "H_reconstructed", "H_true_if_known", "C_ij",
                        "Re_W", "Im_W", "flags"],
                 [Indexed(labels, a), Indexed(labels, b),
                  Indexed(np.array(["spacelike", "causal"]), rec.causal.view(np.uint8)),
-                 Indexed(distinct_h, h_index), h_true, rec.C,
-                 Indexed(0.5 * distinct_h, h_index), 0.5 * E[a, b],
+                 h, h_true, rec.C, Indexed(0.5 * h.values, h.index), 0.5 * E[a, b],
                  Indexed(_FLAGS, rec.dephasing_dominated + 2 * rec.ill_conditioned)])
 
 

@@ -9,46 +9,27 @@ or more cells (csv.writer writes a lone empty cell as ``""``).
 ``write_columns`` takes a table as equal-length 1-D float, int or text
 arrays (a bool or object array, or anything that is not an ndarray, raises
 ``ValueError``).  A column's cells are formatted once per entry of a
-values array and gathered back by an index of each row's entry.  A plain
-column of ``_DEDUPE_MIN_ROWS`` (16) rows or more finds both by one
-``np.unique`` over the whole table -- a float column by its values' bit
-patterns (so ``-0.0`` stays ``-0`` next to ``0``, and every NaN is its own
-cell), an int or text column by its values.  A shorter plain column is
-formatted row by row, its index 0, 1, ...: the sort would cost more than
-the repeats it saves (the roundtrip's one-row summary, the shot-noise
-study's columns).  An ``Indexed`` column, the one column wrapper, brings
-its own: row r is ``values[index[r]]``, ``values`` a 1-D float, int or text
-array and ``index`` a 1-D integer array within range, and no ``np.unique``
-runs (a repeated entry is formatted once per repeat, to the same text).
-An index entry of -1 is a blank cell (a failed row's): each column's texts
-end in the blank text, its separator alone, which the same gather picks
-up.  A mask is written as the ``Indexed`` column of its texts over the
-mask as integers.  Each text carries the separator that follows it in its
-column.  The rows are then written in blocks of ``BLOCK_ROWS``, each block
-one ``"".join`` over its ``(rows, columns)`` texts gathered by the index.
+values array and gathered back by an index of each row's entry.  An
+``Indexed`` column, the one column wrapper, brings its own and is not
+deduplicated again: row r is ``values[index[r]]``, ``values`` a 1-D float,
+int or text array and ``index`` a 1-D integer array within range, -1 for a
+blank cell (a failed row's).  ``Indexed.distinct`` makes one over an
+array's distinct entries, floats told apart by bit pattern (so ``-0.0``
+stays ``-0`` next to ``0``, and NaNs of different payloads stay apart),
+ints and text by value.  A plain column of ``_DEDUPE_MIN_ROWS`` (16) rows
+or more is written as its ``Indexed.distinct``; a shorter one is formatted
+row by row, because the sort would cost more than the repeats it saves.
+Each text carries the separator that follows it in its column, and the
+rows are written in blocks of ``BLOCK_ROWS``, each block one ``"".join``.
 
-A float column with fewer than ``_ARRAY_MIN_FLOATS`` values to format is
-formatted by ``"%.17g" % v``, one value at a time, and so is a column of
-short decimals (``_short_decimals``: every value below 1e15 in magnitude
-and equal to itself rounded to six decimals, such as scan coordinates),
-whose texts ``"%.17g"`` writes in about 0.27 us each.  Any other goes
+A float column of fewer than ``_ARRAY_MIN_FLOATS`` values to format is
+formatted by ``"%.17g" % v``, one value at a time; a longer one goes
 through an exact array pass (``_array_texts``) in chunks of at most
 ``BLOCK_ROWS`` values: each value is scaled to a 17-digit integer by a
 double-double power of ten, and its text laid out in numpy.  The pass
 certifies each rounding, and ``"%.17g" % v`` formats whatever it does not
 settle: near-ties, zeros, NaNs, infinities and magnitudes outside
 [1e-250, 1e250).  Either way the texts are those of ``"%.17g" % v``.
-
-The two grids write t and x as ``Indexed`` columns over their axes and the
-value as one over the field at each distinct (t, |x|); a curve scan writes
-each kernel column as one over its points off the lightcone, -1 at the
-lightlike ones; the reconstruction writes i, j, ``regime`` and ``flags`` as
-``Indexed`` columns, and H and Re W as two over one dedupe of H (its
-distinct values and their halves).  Every other column of 16 rows or more
-is deduplicated.  The grids' values and the one-particle scan's 520 kernel
-values take the array pass; its 520 s values (short decimals), the 158-row
-scans, the grids' axes, the 16-region roundtrip's 120 pairs and the small
-tables (shot-noise study, convergence sweep, summary) do not.
 
 A file is opened without ``O_TRUNC`` (created with mode ``0o666`` less the
 umask if it does not exist; an existing one keeps its mode, and a symlink
@@ -89,17 +70,15 @@ BLOCK_ROWS = 1024
 # the array pass costs ~75 us per chunk before its ~0.2 us per value, "%.17g"
 # ~0.7 us per full-precision value: on the gallery's scan and grid columns
 # the two break even at 144-160 distinct values (2 cores, Python 3.11, numpy
-# 2.4); short decimals such as grid coordinates (~0.27 us each by "%.17g")
-# gain nothing at any size, so they skip the pass (_short_decimals)
+# 2.4).  Short decimals such as scan coordinates (~0.26 us each by "%.17g")
+# take the pass too: the one-particle scan's 520 s values cost 160 us there
+# against 135 us by "%.17g" (same machine), ~0.15 % of the gallery's run, too
+# small a gap for a rule of their own
 _ARRAY_MIN_FLOATS = 160
 
 # a plain column of fewer rows is formatted row by row: np.unique costs more
 # than the repeats it would save
 _DEDUPE_MIN_ROWS = 16
-
-# a float column counts as short decimals when every value equals itself
-# rounded to six decimals and has a magnitude below this
-_SHORT_DECIMAL_MAX = 1e15
 
 # no O_TRUNC (see the module docstring); O_BINARY, on Windows only, keeps the
 # LF line endings
@@ -116,6 +95,15 @@ class Indexed(NamedTuple):
 
     values: np.ndarray
     index: np.ndarray
+
+    @classmethod
+    def distinct(cls, values: np.ndarray) -> Indexed:
+        """The 1-D ``values`` over their distinct entries: floats (as
+        float64) told apart by bit pattern, ints and text by value."""
+        floats = values.dtype.kind == "f"
+        keys = values.astype(np.float64, copy=False).view(np.int64) if floats else values
+        distinct, index = np.unique(keys, return_inverse=True)
+        return cls(distinct.view(np.float64) if floats else distinct, index)
 
 
 def _quoted(text: str) -> str:
@@ -157,9 +145,7 @@ def _column(column) -> tuple[np.ndarray, np.ndarray]:
     if index is None:
         if len(values) < _DEDUPE_MIN_ROWS:
             return values, np.arange(len(values))
-        distinct, index = np.unique(values.view(np.int64) if values.dtype.kind == "f" else values,
-                                    return_inverse=True)
-        values = distinct.view(values.dtype)
+        return Indexed.distinct(values)
     return values, index
 
 
@@ -311,22 +297,10 @@ def _array_texts(v: np.ndarray, sep: str) -> tuple[list[str], np.ndarray]:
     return texts, ok
 
 
-def _short_decimals(v: np.ndarray) -> bool:
-    """Whether every float64 x in ``v`` has |x| < ``_SHORT_DECIMAL_MAX`` and
-    equals itself rounded to six decimals, rint(x 1e6) / 1e6 as ``np.round``
-    takes it (False at a NaN or an infinity).  The first value is tried on
-    its own first, so a column of full-precision values is turned away in
-    well under a microsecond."""
-    for x in v[:1].tolist():
-        if not (abs(x) < _SHORT_DECIMAL_MAX and round(x * 1e6) / 1e6 == x):
-            return False
-    return bool(np.all(np.abs(v) < _SHORT_DECIMAL_MAX) and np.all(np.round(v, 6) == v))
-
-
 def _float_texts(v: np.ndarray, sep: str) -> list[str]:
     """``"%.17g" % x + sep`` for each float64 x in ``v``."""
     fmt = "%.17g" + sep
-    if len(v) < _ARRAY_MIN_FLOATS or _short_decimals(v):
+    if len(v) < _ARRAY_MIN_FLOATS:
         return [fmt % x for x in v.tolist()]
     texts = []
     for start in range(0, len(v), BLOCK_ROWS):

@@ -549,6 +549,41 @@ class TestCorrelatorTable:
                             got = table_entry(table, i, j, kind)
                             assert abs(got - want) <= 1e-14, (count, i, j, kind)
 
+    @staticmethod
+    def strong_coupling_kernels(case):
+        # H ~ 400 on and near the diagonal: z_i z_j underflows to 0 where
+        # cosh(2 H_ij + O) or e^(2 H_ij) overflows, which the table once wrote
+        # as 0 * inf = NaN; "lattice-8" is the 2^3 x 1 lattice at 0.3 ell
+        # spacing and lambda/ell = 2 pi / 0.0353, "per-pair" adds rows with
+        # |tan 2G| >= 1 so that pairs leave the series
+        if case == "two-detector":
+            return [plain_kernels(2, h=[[400.0, 390.0], [390.0, 400.0]],
+                                  gr=[[0.0, 0.0], [0.1, 0.0]])]
+        if case == "lattice-8":
+            lattice = build_lattice(LatticeSpec(2, 1, 0.3, 0.3))
+            return [assemble_kernels(FieldState.vacuum(), lattice, 2 * math.pi / 0.0353)]
+        kms = []
+        for seed in range(3):
+            km = random_kernel_matrix(5, seed=seed)
+            GR = km.GR.copy()
+            GR[-1, 0], GR[-2, 0] = 0.9, 0.5
+            kms.append(KernelMatrix(H=km.H + 390.0 * np.ones((5, 5)) + 10.0 * np.eye(5), GR=GR))
+        return kms
+
+    @pytest.mark.parametrize("case", ["two-detector", "lattice-8", "per-pair"])
+    def test_strong_coupling_matches_oracle(self, case):
+        for km in self.strong_coupling_kernels(case):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                table = correlator_table(km)
+            assert np.all(table.z < 1e-170)
+            rho = density_matrix(km)
+            for i in range(1, km.n + 1):
+                for j in range(i + 1, km.n + 1):
+                    for kind in ("ZZ", "YY"):
+                        want = pauli_ev_oracle(rho, KIND_OPS[kind](i, j))
+                        got = table_entry(table, i, j, kind)
+                        assert abs(got - want) <= 1e-10 * abs(want), (i, j, kind)
+
     def test_yy_strictly_inside_zz(self):
         # the arctanh domain of the noiseless reconstruction, for every pair
         for km in kernel_draws([5, 6], range(10)):

@@ -29,9 +29,8 @@ def region(t, x, ell=1.0):
 
 
 def region_amplitudes(state, *regions):
-    """The closed region amplitudes of equal-width regions, one array call."""
-    return kernels._region_amplitudes(state, regions[0].ell,
-                                      np.array([r.center.coords() for r in regions]))
+    """The closed region amplitudes of unit-width regions, one array call."""
+    return kernels._region_amplitudes(state, np.array([r.center.coords() for r in regions]))
 
 
 def points(*tx):
@@ -234,7 +233,7 @@ class TestPhi0:
         delta, ell = 1.5, 1.0
         state = FieldState.coherent(delta)
         x = np.array([[6.0, 6.0, 0.0, 0.0], [-3.0, 8.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]])
-        closed = kernels._region_amplitudes(state, ell, x)
+        closed = kernels._region_amplitudes(state, x)
         quad = kernels._region_amplitudes_quadrature(state, ell, *kernels._time_radius(x), 1e-13)
         for c, q in zip(closed.tolist(), quad.tolist()):
             assert c == pytest.approx(q, abs=1e-12)
@@ -368,12 +367,11 @@ class TestArrayKernels:
                 == kernels._phi0(delta, x, dtt=True)[0].tolist())
         assert (kernels.F_oneparticle_array(delta, x).tolist()
                 == kernels._F(delta, x, dtt=True)[0].tolist())
-        ell = 0.5
-        wide = math.sqrt(delta * delta + ell * ell)
-        assert kernels._region_amplitudes(FieldState.coherent(delta), ell, x).tolist() == (
+        wide = math.sqrt(delta * delta + 1.0)
+        assert kernels._region_amplitudes(FieldState.coherent(delta), x).tolist() == (
             delta / wide * kernels._phi0(wide, x, dtt=True)[0]).tolist()
-        wide2 = delta**2 + 2.0 * ell * ell
-        assert kernels._region_amplitudes(FieldState.one_particle(delta), ell, x).tolist() == (
+        wide2 = delta**2 + 2.0
+        assert kernels._region_amplitudes(FieldState.one_particle(delta), x).tolist() == (
             delta**2 / wide2 * kernels._F(math.sqrt(wide2), x, dtt=True)[0]).tolist()
         t, r = np.array(pairs).T
         value = kernels._gaussian_wave_pair(t, r, 2.0, dtt=True)[0]
@@ -504,16 +502,14 @@ class TestSmearedOracle:
                              ids=["coherent", "one_particle"])
     def test_region_amplitudes_match_quadrature(self, state):
         # centres on the source (r = 0), on its t = 0 slice, next to its
-        # lightcone r = |t| and generic, for two widths
+        # lightcone r = |t| and generic, at unit width
         x = np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0], [-8.0, 1e-7, 0.0, 0.0],
                       [0.0, 4.0, 0.0, 0.0], [0.0, 1.2, -0.5, 2.0], [6.0, 6.0, 0.0, 0.0],
                       [6.0, 6.0 + 1e-9, 0.0, 0.0], [-5.0, 3.0, 4.0, 0.0],
                       [2.0, 0.3, 0.0, 0.0], [12.0, -7.0, 3.0, 1.0]])
-        for ell in (0.5, 1.0):
-            closed = kernels._region_amplitudes(state, ell, x)
-            quad = kernels._region_amplitudes_quadrature(state, ell, *kernels._time_radius(x),
-                                                         1e-13)
-            assert np.max(np.abs(closed - quad)) <= 1e-12
+        closed = kernels._region_amplitudes(state, x)
+        quad = kernels._region_amplitudes_quadrature(state, 1.0, *kernels._time_radius(x), 1e-13)
+        assert np.max(np.abs(closed - quad)) <= 1e-12
 
     @pytest.mark.parametrize("beta", [None, 0.3, 50.0, 1e4],
                              ids=["vacuum", "beta0.3", "beta50", "beta1e4"])

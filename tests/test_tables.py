@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udwtomo import cli, kernels, scenarios, tables
+from udwtomo import cli, kernels, scenarios, tables, tomography
 from udwtomo.errors import ConvergenceError
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
@@ -55,12 +55,20 @@ def reference_rows(columns):
     return list(zip(*cells))
 
 
+def bitwise_unique(values):
+    """The distinct entries of the 1-D float64, int or text ``values`` and
+    each row's index among them, floats told apart by bit pattern: the
+    reference for ``Indexed.distinct``."""
+    keys = values.view(np.int64) if values.dtype.kind == "f" else values
+    distinct, index = np.unique(keys, return_inverse=True)
+    return distinct.view(values.dtype), index
+
+
 def blanked(values, blank):
     """``values`` as an ``Indexed`` column over its distinct entries (floats
     told apart by bit pattern), blank where ``blank`` is true."""
-    keys = values.view(np.int64) if values.dtype.kind == "f" else values
-    distinct, index = np.unique(keys, return_inverse=True)
-    return tables.Indexed(distinct.view(values.dtype), np.where(blank, -1, index))
+    distinct, index = bitwise_unique(values)
+    return tables.Indexed(distinct, np.where(blank, -1, index))
 
 
 def scan_column(values, blank):
@@ -284,6 +292,33 @@ def test_bad_indexed_values_rejected(tmp_path, values):
     assert not (tmp_path / "bad.csv").exists()
 
 
+def test_distinct_by_bit_pattern_or_value():
+    # -0.0 and 0.0 stay apart, and so does each NaN payload and sign; ints
+    # and text are compared by value; a float32 array is taken as float64
+    nans = floats_from_bits(NAN_BITS)
+    cases = [(np.concatenate([[0.0, -0.0, 1.5, 0.0, -0.0, 1.5], nans, nans[::-1]]),
+              3 + len(NAN_BITS)),
+             (np.array([7, -2**63, 7, 0, 2**62, 0]), 4),
+             (np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64), 2),
+             (np.array(["b", "", "a,b", "b", ""]), 3),
+             (np.array([0.5, -0.0, 0.5, 0.0], dtype=np.float32), 3),
+             (np.zeros(0), 0)]
+    for values, n_distinct in cases:
+        column = tables.Indexed.distinct(values)
+        assert isinstance(column, tables.Indexed) and column.index.dtype.kind == "i"
+        assert len(column.values) == n_distinct
+        if values.dtype.kind == "f":
+            want = values.astype(np.float64)
+            assert column.values.dtype == np.float64
+            assert len(set(column.values.view(np.uint64).tolist())) == n_distinct
+            assert column.values[column.index].tobytes() == want.tobytes()
+            assert [v.tobytes() for v in bitwise_unique(want)] == [v.tobytes() for v in column]
+        else:
+            assert column.values.dtype == values.dtype
+            assert column.values[column.index].tolist() == values.tolist()
+            assert column.values.tolist() == sorted(set(values.tolist()))
+
+
 def test_mismatched_columns_rejected(tmp_path):
     # refused before a new file is made or an existing one is touched
     missing, existing = tmp_path / "bad.csv", tmp_path / "old.csv"
@@ -505,42 +540,17 @@ SHORT_DECIMALS = st.integers(-10**20, 10**20).flatmap(
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_property_short_decimal_test_forced_each_way(data):
-    # short decimals (k / 10^d, d <= 6), optionally mixed with any float: the
-    # texts are "%.17g" % v whichever path the short-decimal test picks,
-    # and the test itself agrees with its np.round definition
+def test_property_short_decimals_match_printf(data):
+    # short decimals (k / 10^d, d <= 6), such as scan coordinates, alone or
+    # mixed with any float, take the array pass like any other column of its
+    # size: the texts are "%.17g" % v
     values = data.draw(st.lists(SHORT_DECIMALS, min_size=1, max_size=12), label="short")
     if data.draw(st.booleans(), label="mixed"):
         values += floats_from_bits(data.draw(
             st.lists(float_bits, min_size=1, max_size=4), label="any")).tolist()
     v = np.array(data.draw(st.permutations(values), label="order"), dtype=np.float64)
-    with np.errstate(all="ignore"):
-        defined = bool(np.all(np.abs(v) < tables._SHORT_DECIMAL_MAX)
-                       and np.all(np.round(v, 6) == v))
-    assert tables._short_decimals(v) is defined
-    ref = ["%.17g;" % x for x in v.tolist()]
-    for short in (True, False):
-        with mock.patch.multiple(tables, _ARRAY_MIN_FLOATS=0,
-                                 _short_decimals=lambda v, short=short: short):
-            assert tables._float_texts(v, ";") == ref
-
-
-def test_short_decimals_skip_the_array_pass(monkeypatch):
-    # a long column of scan coordinates is formatted value by value; one
-    # full-precision value, a NaN, an infinity or a magnitude of 1e15 sends
-    # the column to the array pass
-    calls = []
-    array_texts = tables._array_texts
-    monkeypatch.setattr(tables, "_array_texts", lambda *a: calls.append(1) or array_texts(*a))
-    s = np.arange(-130.0, 130.5, 0.5)
-    assert len(s) >= tables._ARRAY_MIN_FLOATS
-    for column, array_pass in ((s, False), (s / 8.0, False), (s + 0.123456, False),
-                               (np.append(s, 0.1234567), True), (np.append(0.1234567, s), True),
-                               (np.append(s, math.nan), True), (np.append(s, math.inf), True),
-                               (np.append(s, 1e15), True), (np.append(s, 1e15 - 1), False)):
-        calls.clear()
-        assert tables._float_texts(column, ",") == ["%.17g," % x for x in column.tolist()]
-        assert bool(calls) is array_pass
+    with mock.patch.object(tables, "_ARRAY_MIN_FLOATS", 0):
+        assert tables._float_texts(v, ";") == ["%.17g;" % x for x in v.tolist()]
 
 
 SMALL_BLOCK = 4
@@ -650,6 +660,35 @@ def test_grid_files_match_csv_writer(sid, tmp_path, monkeypatch):
         assert expanded(value).tobytes() == field.tobytes()
         rows = zip(grid_t.tolist(), grid_x.tolist(), field.tolist())
         assert path.read_bytes() == csv_writer_bytes(["t", "x", "value"], rows)
+
+
+def test_each_dedupe_site_takes_indexed_distinct(tmp_path, monkeypatch):
+    # the plain column of 16 rows or more, the reconstruction's H and Re W
+    # and the grids' distinct |x| get the values and index of one bitwise
+    # np.unique over their rows
+    for column in (np.array([0.5, -0.0, math.nan, 0.0] * 4), np.arange(16) % 3,
+                   np.array(TEXTS * 2)):
+        got = tables._column(column)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in bitwise_unique(column)]
+
+    writes = _captured_writes(monkeypatch)
+    raw = {"scenario_id": "tomography_roundtrip", "output_dir": str(tmp_path / "roundtrip")}
+    scenarios.run(raw)
+    (_, (_, _, _, h, _, _, re_w, _, _)), _ = writes
+    _, exact, _ = scenarios._lattice(scenarios.validate_config(raw))
+    distinct, index = bitwise_unique(tomography.reconstruct_table(exact).H)
+    assert h.values.tobytes() == distinct.tobytes() and h.index.tolist() == index.tolist()
+    assert re_w.values.tobytes() == (0.5 * distinct).tobytes()
+    assert re_w.index.tolist() == index.tolist()
+
+    for x in ({"start": -12.0, "stop": 12.0, "n": 41}, {"start": -11.63, "stop": 12.37, "n": 41}):
+        cfg = scenarios.validate_config({"scenario_id": "coherent_field_grid",
+                                         "grid": {"t": {"start": -3.0, "stop": 3.0, "n": 5},
+                                                  "x": x}})
+        t, x, coords, event = scenarios._grid(cfg)
+        radius, radius_index = bitwise_unique(np.abs(x.values))
+        assert coords.reshape(5, -1, 4)[0, :, 1].tobytes() == radius.tobytes()
+        assert event.tolist() == (t.index * len(radius) + radius_index[x.index]).tolist()
 
 
 def test_scan_with_failed_point_matches_csv_writer(tmp_path, monkeypatch, capsys):
