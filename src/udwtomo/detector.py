@@ -416,10 +416,12 @@ def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
         zz, yy = (1/2) z_i z_j / (c_ij c_ji) (e^(2 H_ij) P+ +- e^(-2 H_ij) P-).
 
     At strong coupling z_i z_j can underflow to 0 where cosh or e^(2 H_ij)
-    overflows.  A cell that these direct forms leave non-finite is taken
-    again with the amplitude's exponent joined to the pair's before the
-    exponential, ln|z_i| = -H_ii + sum_{k != i} ln|c_ik|, its sign carried
-    apart; every cell they get finite keeps its value.
+    overflows, or turn subnormal and keep only a few bits.  A cell that these
+    direct forms leave non-finite, and every pair whose |z_i z_j| is below
+    the smallest normal float, is taken again with the amplitude's exponent
+    joined to the pair's before the exponential, ln|z_i| = -H_ii +
+    sum_{k != i} ln|c_ik|, its sign carried apart; every other cell keeps
+    its value.
     """
     n = kernels.n
     H, G2 = kernels.H, 2.0 * kernels.GR
@@ -446,11 +448,13 @@ def correlator_table(kernels: KernelMatrix) -> CorrelatorTable:
             amp = 0.5 * z[a] * z[b] / (c[a, b] * c[b, a])
             zz[at], yy[at] = amp * (plus + minus), amp * (plus - minus)
 
-    redo = np.flatnonzero(~np.isfinite(zz) | ~np.isfinite(yy))
+    a, b = _pairs(n)
+    redo = np.flatnonzero(~np.isfinite(zz) | ~np.isfinite(yy)
+                          | (np.abs(z[a] * z[b]) < np.finfo(float).tiny))
     if len(redo):
         log_c, sign_c = np.log(np.abs(c_off)), np.sign(c_off)
         log_z, sign_z = np.sum(log_c, axis=1) - np.diag(H), np.prod(sign_c, axis=1)
-        a, b = (v[redo] for v in _pairs(n))
+        a, b = a[redo], b[redo]
         log_amp = log_z[a] + log_z[b] - log_c[a, b] - log_c[b, a]
         half = 0.5 * sign_z[a] * sign_z[b] * sign_c[a, b] * sign_c[b, a]
         u = 2.0 * H[a, b] + np.where(series[redo], odd[redo], 0.0)

@@ -19,17 +19,25 @@ stays ``-0`` next to ``0``, and NaNs of different payloads stay apart),
 ints and text by value.  A plain column of ``_DEDUPE_MIN_ROWS`` (16) rows
 or more is written as its ``Indexed.distinct``; a shorter one is formatted
 row by row, because the sort would cost more than the repeats it saves.
-Each text carries the separator that follows it in its column, and the
-rows are written in blocks of ``BLOCK_ROWS``, each block one ``"".join``.
+Every text is UTF-8 bytes from the start (``b"%.17g" % v``, ``b"%d" % v``,
+quoted text encoded once) and carries the separator that follows it in its
+column; the rows are written to a file opened ``"wb"`` in blocks of at most
+``BLOCK_ROWS`` cells (``BLOCK_ROWS // columns`` rows), each block one
+``b"".join``.
 
 A float column of fewer than ``_ARRAY_MIN_FLOATS`` values to format is
-formatted by ``"%.17g" % v``, one value at a time; a longer one goes
+formatted by ``b"%.17g" % v``, one value at a time; a longer one goes
 through an exact array pass (``_array_texts``) in chunks of at most
-``BLOCK_ROWS`` values: each value is scaled to a 17-digit integer by a
-double-double power of ten, and its text laid out in numpy.  The pass
-certifies each rounding, and ``"%.17g" % v`` formats whatever it does not
-settle: near-ties, zeros, NaNs, infinities and magnitudes outside
-[1e-250, 1e250).  Either way the texts are those of ``"%.17g" % v``.
+``BLOCK_ROWS`` values: each value is scaled to a 17-digit integer D by a
+double-double power of ten and given one 32-byte row of eight uint32 words
+(D's leading digit, its 16 other digits four to a word from one table of
+10^4 words, ``.0-e``, the exponent's sign and three digits, the separator
+and NULs).  A template of byte offsets for the value's sign, layout and
+number of significant digits gathers its text from the row in one ``take``,
+read back as ``S25`` bytes.  The pass certifies each rounding, and
+``b"%.17g" % v`` formats whatever it does not settle: near-ties, zeros,
+NaNs, infinities and magnitudes outside [1e-250, 1e250).  Either way the
+texts are those of ``"%.17g" % v``, encoded.
 
 A file is opened without ``O_TRUNC`` (created with mode ``0o666`` less the
 umask if it does not exist; an existing one keeps its mode, and a symlink
@@ -52,6 +60,7 @@ and the package never calls ``fsync``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import stat
@@ -62,18 +71,22 @@ import numpy as np
 
 __all__ = ["BLOCK_ROWS", "Indexed", "write_columns"]
 
-# the two default grid tables (~10^4 rows each) write in 4.4 and 4.7 ms at
-# 256 rows per block, 3.2 and 3.5 ms at 1024 and 3.6 and 3.7 ms at 4096
-# (2 cores, Python 3.11, numpy 2.4); larger blocks hold more texts at once
-BLOCK_ROWS = 1024
+# the array pass's chunk of values and the writer's block of cells: the
+# gallery's two grid tables (9409 and 5151 rows of 3 cells) write in 2.9-3.2
+# and 2.1-2.3 ms at 1024, 2.6-2.8 and 1.8-2.0 ms at 2048 and 2.4-2.7 and
+# 1.7-1.9 ms at 4096 (2 cores, Python 3.11, numpy 2.4); a chunk holds 32 B
+# of row and 200 B of gather index per value, and 4096 raised the gallery's
+# peak RSS by 0.4-0.8 MiB over 2048
+BLOCK_ROWS = 2048
 
-# the array pass costs ~75 us per chunk before its ~0.2 us per value, "%.17g"
-# ~0.7 us per full-precision value: on the gallery's scan and grid columns
-# the two break even at 144-160 distinct values (2 cores, Python 3.11, numpy
-# 2.4).  Short decimals such as scan coordinates (~0.26 us each by "%.17g")
-# take the pass too: the one-particle scan's 520 s values cost 160 us there
-# against 135 us by "%.17g" (same machine), ~0.15 % of the gallery's run, too
-# small a gap for a rule of their own
+# the array pass costs ~60 us per chunk before its ~0.1 us per value,
+# b"%.17g" 0.45-0.55 us per full-precision value: the two break even at
+# 136-176 distinct values (2 cores, Python 3.11, numpy 2.4), and the thermal
+# scan's five 158-value columns take 320-340 us by b"%.17g" against ~390 us
+# by the pass.  Short decimals such as scan coordinates (~0.2 us each by
+# b"%.17g") take the pass too: the one-particle scan's 520 s values cost
+# ~125 us there against ~100 us by b"%.17g" (same machine), ~0.25 % of the
+# gallery's run, too small a gap for a rule of their own
 _ARRAY_MIN_FLOATS = 160
 
 # a plain column of fewer rows is formatted row by row: np.unique costs more
@@ -156,7 +169,8 @@ def _column(column) -> tuple[np.ndarray, np.ndarray]:
 # |v| in [1e-250, 1e250) has decimal exponent X in [-250, 249]; v 10^(16 - X)
 # is its 17-digit integer, and X may move by one at a decade boundary
 _MIN_ABS, _MAX_ABS = 1e-250, 1e250
-_K_MIN, _K_MAX = 16 - 251, 16 + 251
+_X_MAX = 251
+_K_MIN, _K_MAX = 16 - _X_MAX, 16 + _X_MAX
 _SPLITTER = 134217729.0   # 2^27 + 1: Veltkamp's split into two 26-bit halves
 
 
@@ -201,10 +215,14 @@ def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, r - (s - p)
 
 
-# A text is gathered from its value's 27 codes: the 17 digits, the point,
-# "0", "-", "e", the exponent's sign, its three digits, the separator and
-# NUL (which numpy's str drops from the end of a text).
-_DOT, _ZERO, _MINUS, _E, _EXP_SIGN, _EXP, _SEP, _NUL = 17, 18, 19, 20, 21, 22, 25, 26
+# A value's row is 32 bytes, eight uint32 words: its leading digit, the 16
+# other digits of D four to a word, ".0-e", the exponent's sign and three
+# digits, and the separator followed by NULs (numpy's bytes drop NULs from
+# the end of a text).  A text gathers its bytes from the row by a template
+# of byte offsets.
+_ROW = 32
+_DIGITS = [0, *range(4, 20)]   # the offset of each of D's 17 digits
+_DOT, _ZERO, _MINUS, _E, _EXP_SIGN, _SEP, _NUL = 20, 21, 22, 23, 24, 28, 29
 _WIDTH = 25   # "-d.dddddddddddddddde-ddd" and the separator
 # layouts: fixed point for X in [-4, 16] (layout X + 4), then exponent
 # notation with two and with three exponent digits
@@ -213,18 +231,18 @@ _LAYOUTS = _FIXED + 2
 
 
 def _template(neg: bool, layout: int, m: int) -> list[int]:
-    """The codes a text takes, in order: sign ``neg``, ``layout``, and ``m``
-    significant digits (%g drops the 17 - m zeros after them)."""
+    """The offsets a text takes, in order: sign ``neg``, ``layout``, and
+    ``m`` significant digits (%g drops the 17 - m zeros after them)."""
     out = [_MINUS] if neg else []
     if 4 <= layout < _FIXED:                     # X >= 0: ddd.ddd, or ddd
         x = layout - 4
-        out += range(x + 1)
+        out += _DIGITS[:x + 1]
         if m > x + 1:
-            out += [_DOT, *range(x + 1, m)]
+            out += [_DOT, *_DIGITS[x + 1:m]]
     elif layout < _FIXED:                        # X < 0: 0.000ddd
-        out += [_ZERO, _DOT, *[_ZERO] * (3 - layout), *range(m)]
+        out += [_ZERO, _DOT, *[_ZERO] * (3 - layout), *_DIGITS[:m]]
     else:                                        # d.ddde+dd, d.ddde-ddd
-        out += [0, *([_DOT, *range(1, m)] if m > 1 else [])]
+        out += [0, *([_DOT, *_DIGITS[1:m]] if m > 1 else [])]
         out += [_E, _EXP_SIGN, *range(_SEP - (2 if layout == _FIXED else 3), _SEP)]
     out.append(_SEP)
     return out + [_NUL] * (_WIDTH - len(out))
@@ -234,23 +252,44 @@ def _templates() -> np.ndarray:
     """Every template, row (neg * _LAYOUTS + layout) * 17 + m - 1."""
     rows = [(neg, layout, m) for neg in (False, True) for layout in range(_LAYOUTS)
             for m in range(1, 18)]
-    out = np.empty((len(rows), _WIDTH), dtype=np.uint8)
+    out = np.empty((len(rows), _WIDTH), dtype=np.intp)
     for row, args in zip(out, rows):
         row[:] = _template(*args)
     return out
 
 
-_TEMPLATES = _templates()
-_CONSTANT_CODES = np.array([ord(c) for c in ".0-e"], dtype=np.uint8)[:, None]
-# the codes of the four digits of each int below 10^4, one column per int
-_GROUP_CODES = (np.arange(10 ** 4, dtype=np.uint16)
-                // np.array([1000, 100, 10, 1], dtype=np.uint16)[:, None] % 10 + ord("0")
-                ).astype(np.uint8)
-_RANKS = np.arange(1, 18, dtype=np.uint8)[:, None]
+def _words(codes: np.ndarray) -> np.ndarray:
+    """Rows of four byte codes as uint32 words, in memory order."""
+    return np.ascontiguousarray(codes, dtype=np.uint8).view(np.uint32).ravel()
 
 
-def _array_texts(v: np.ndarray, sep: str) -> tuple[list[str], np.ndarray]:
-    """``"%.17g" % x + sep`` for each float64 x in ``v``, and the mask of
+@functools.cache
+def _lookups() -> tuple[np.ndarray, ...]:
+    """The array pass's tables, built at its first call (a run that formats
+    no long float column, such as the lattice roundtrip, never holds them):
+    the templates; the word of each 4-digit group and the rank (1-4) of its
+    last nonzero digit; the word of each exponent X in [-_X_MAX, _X_MAX]
+    (sign and three digits) and its layout."""
+    # the codes of the four digits of each int below 10^4, one column per int
+    codes = (np.arange(10 ** 4, dtype=np.uint16)
+             // np.array([1000, 100, 10, 1], dtype=np.uint16)[:, None] % 10 + ord("0")
+             ).astype(np.uint8)
+    # 4 less a group's trailing zeros; a group of zeros gets -16, below any
+    # rank m can take
+    ranks = np.max((codes != ord("0")) * np.arange(1, 5, dtype=np.int8)[:, None], axis=0)
+    ranks[0] = -16
+    x = np.arange(-_X_MAX, _X_MAX + 1)
+    exp_codes = np.vstack([np.where(x < 0, ord("-"), ord("+")), codes[1:, np.abs(x)]])
+    layouts = np.where((x >= -4) & (x <= 16), x + 4,
+                       np.where(np.abs(x) < 100, _FIXED, _FIXED + 1))
+    return _templates(), _words(codes.T), ranks, _words(exp_codes.T), layouts.astype(np.intp)
+
+
+_POINT_WORD = np.frombuffer(b".0-e", dtype=np.uint32)[0]
+
+
+def _array_texts(v: np.ndarray, sep: bytes) -> tuple[list[bytes], np.ndarray]:
+    """``b"%.17g" % x + sep`` for each float64 x in ``v``, and the mask of
     the texts that hold it; the others are placeholders."""
     n = len(v)
     a = np.abs(v)
@@ -275,31 +314,34 @@ def _array_texts(v: np.ndarray, sep: str) -> tuple[list[str], np.ndarray]:
     carry = d == 10 ** 17                        # rounded up into the next decade
     d[carry] = 10 ** 16
     x[carry] += 1
-    # codes: one row per code, one column per value; D's digits four at a time
-    codes = np.empty((_NUL + 1, n), dtype=np.uint8)
-    for row in (13, 9, 5, 1):
-        d, group = np.divmod(d, 10 ** 4)
-        codes[row:row + 4] = _GROUP_CODES.take(group, axis=1)
-    codes[0] = d + ord("0")
-    codes[_DOT:_EXP_SIGN] = _CONSTANT_CODES
-    codes[_EXP_SIGN] = np.where(x < 0, ord("-"), ord("+"))
-    codes[_EXP:_SEP] = _GROUP_CODES[1:].take(np.abs(x), axis=1)
-    codes[_SEP] = ord(sep)
-    codes[_NUL] = 0
-    m = np.max((codes[:17] != ord("0")) * _RANKS, axis=0)   # significant digits
-    layout = np.where((x >= -4) & (x <= 16), x + 4,
-                      np.where(np.abs(x) < 100, _FIXED, _FIXED + 1))
-    template = _TEMPLATES.take((np.signbit(v) * _LAYOUTS + layout) * 17 + m - 1, axis=0)
-    index = np.multiply(template, n, dtype=np.intp)
-    index += np.arange(n)[:, None]
-    # the codes as UCS4, read back as fixed-width str (np.strings needs numpy 2)
-    texts = codes.ravel().take(index).astype(np.uint32).view(f"U{_WIDTH}").ravel().tolist()
+    # D's leading digit and four 4-digit groups: int32 past the first divmod
+    high, low = (part.astype(np.int32) for part in np.divmod(d, 10 ** 8))
+    high, g2 = np.divmod(high, 10 ** 4)
+    lead, g1 = np.divmod(high, 10 ** 4)
+    g3, g4 = np.divmod(low, 10 ** 4)
+    templates, group_words, ranks, exp_words, layouts = _lookups()
+    rows = np.empty((n, _ROW // 4), dtype=np.uint32)
+    rows.view(np.uint8)[:, 0] = lead + ord("0")
+    for word, group in enumerate((g1, g2, g3, g4), 1):
+        rows[:, word] = group_words.take(group)
+    rows[:, 5] = _POINT_WORD
+    x += _X_MAX
+    rows[:, 6] = exp_words.take(x)
+    rows[:, 7] = np.frombuffer(sep.ljust(4, b"\0"), dtype=np.uint32)[0]
+    # significant digits: the rank of the last nonzero digit
+    m = np.maximum(np.maximum(ranks.take(g1) + 1, ranks.take(g2) + 5),
+                   np.maximum(ranks.take(g3) + 9, ranks.take(g4) + 13))
+    np.maximum(m, 1, out=m)
+    template = (np.signbit(v) * _LAYOUTS + layouts.take(x)) * 17 + m - 1
+    index = templates.take(template, axis=0)
+    index += np.arange(0, _ROW * n, _ROW)[:, None]
+    texts = rows.view(np.uint8).ravel().take(index).view(f"S{_WIDTH}").ravel().tolist()
     return texts, ok
 
 
-def _float_texts(v: np.ndarray, sep: str) -> list[str]:
-    """``"%.17g" % x + sep`` for each float64 x in ``v``."""
-    fmt = "%.17g" + sep
+def _float_texts(v: np.ndarray, sep: bytes) -> list[bytes]:
+    """``b"%.17g" % x + sep`` for each float64 x in ``v``."""
+    fmt = b"%.17g" + sep
     if len(v) < _ARRAY_MIN_FLOATS:
         return [fmt % x for x in v.tolist()]
     texts = []
@@ -316,15 +358,15 @@ def _float_texts(v: np.ndarray, sep: str) -> list[str]:
 # the writer
 # ---------------------------------------------------------------------------
 
-def _texts(values: np.ndarray, sep: str) -> np.ndarray:
-    """The text of each entry of ``values``, followed by ``sep``, and last
-    the blank cell's text, ``sep`` alone (index -1)."""
+def _texts(values: np.ndarray, sep: bytes) -> np.ndarray:
+    """The UTF-8 text of each entry of ``values``, followed by ``sep``, and
+    last the blank cell's text, ``sep`` alone (index -1)."""
     if values.dtype.kind == "f":
         texts = _float_texts(values, sep)
     elif values.dtype.kind == "U":
-        texts = [_quoted(v) + sep for v in values.tolist()]
+        texts = [_quoted(v).encode() + sep for v in values.tolist()]
     else:
-        fmt = "%d" + sep
+        fmt = b"%d" + sep
         texts = [fmt % v for v in values.tolist()]
     texts.append(sep)
     return np.array(texts, dtype=object)
@@ -339,19 +381,22 @@ def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) ->
     n_rows = len(columns[0][1]) if columns else 0
     if any(len(index) != n_rows for _, index in columns):
         raise ValueError("columns must have equal lengths")
-    seps = [","] * (len(columns) - 1) + ["\n"]
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
     cells = [(_texts(values, sep), index) for (values, index), sep in zip(columns, seps)]
-    with open(os.open(path, _OPEN_FLAGS, 0o666), "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.open(path, _OPEN_FLAGS, 0o666), "wb") as fh:
         old = os.fstat(fh.fileno())
         regular = stat.S_ISREG(old.st_mode)
         try:
-            fh.write(",".join(map(_quoted, header)) + "\n")
-            for start in range(0, n_rows, BLOCK_ROWS):
-                stop = min(start + BLOCK_ROWS, n_rows)
+            fh.write((",".join(map(_quoted, header)) + "\n").encode())
+            # b"".join takes an 80-byte buffer record per item: 1431 rows of 9
+            # cells at once (the lattice roundtrip's table) took 1 MB
+            rows = max(1, BLOCK_ROWS // len(columns))
+            for start in range(0, n_rows, rows):
+                stop = min(start + rows, n_rows)
                 block = np.empty((stop - start, len(columns)), dtype=object)
                 for c, (texts, index) in enumerate(cells):
                     block[:, c] = texts[index[start:stop]]
-                fh.write("".join(block.ravel().tolist()))
+                fh.write(b"".join(block.ravel().tolist()))
             # an old file's bytes past the written ones go; a new file, a
             # device or a pipe has nothing to cut
             if regular and old.st_size > 0:

@@ -584,6 +584,33 @@ class TestCorrelatorTable:
                         got = table_entry(table, i, j, kind)
                         assert abs(got - want) <= 1e-10 * abs(want), (i, j, kind)
 
+    def test_subnormal_amplitude_keeps_its_precision(self):
+        # z_1 z_2 = e^-744 cos 0.2 is subnormal and cosh(708) finite, so the
+        # direct form's cell is finite but carries only the few bits of the
+        # subnormal; zz = yy = e^-744 cosh(708) = (e^-36 + e^-1452) / 2
+        km = plain_kernels(2, h=[[372.0, 354.0], [354.0, 372.0]], gr=[[0.0, 0.0], [0.1, 0.0]])
+        table = correlator_table(km)
+        want = 0.5 * math.exp(-36.0)
+        assert abs(table.zz[0] - want) <= 1e-12 * want
+        assert abs(table.yy[0] - want) <= 1e-12 * want
+        # beside pairs whose amplitude is normal, every cell against a
+        # 40-digit product of the closed form over the float entries
+        mpmath = pytest.importorskip("mpmath")
+        km = plain_kernels(3, h=[[372.0, 354.0, 0.3], [354.0, 372.0, 0.2], [0.3, 0.2, 1.0]],
+                           gr=[[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.05, 0.0]])
+        table = correlator_table(km)
+        assert abs(table.z[0] * table.z[1]) < np.finfo(float).tiny < abs(table.z[0] * table.z[2])
+        H, G2 = ([[mpmath.mpf(v) for v in row] for row in m.tolist()]
+                 for m in (km.H, 2.0 * km.GR))
+        with mpmath.workdps(40):
+            for q, (i, j, k) in enumerate(((0, 1, 2), (0, 2, 1), (1, 2, 0))):
+                plus = mpmath.exp(2 * H[i][j]) * mpmath.cos(G2[i][k] - G2[j][k])
+                minus = mpmath.exp(-2 * H[i][j]) * mpmath.cos(G2[i][k] + G2[j][k])
+                pref = mpmath.exp(-H[i][i] - H[j][j]) / 2
+                for got, want in ((table.zz[q], pref * (plus + minus)),
+                                  (table.yy[q], pref * (plus - minus))):
+                    assert abs((got - want) / want) <= 1e-12, (i, j)
+
     def test_yy_strictly_inside_zz(self):
         # the arctanh domain of the noiseless reconstruction, for every pair
         for km in kernel_draws([5, 6], range(10)):

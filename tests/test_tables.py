@@ -7,6 +7,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -357,13 +358,13 @@ def test_rewrite_over_existing_file(tmp_path, old_rows):
 
 
 def _raise_in_second_block(monkeypatch, path):
-    # a write of BLOCK_ROWS + 5 rows whose second block raises TypeError
+    # a write of BLOCK_ROWS + 5 rows whose last block raises TypeError
     k = np.arange(tables.BLOCK_ROWS + 5)
     float_texts = tables._float_texts
 
     def unjoinable_last(values, sep):
         texts = float_texts(values, sep)
-        texts[-1] = None   # the largest value, the last row's, in the second block
+        texts[-1] = None   # the largest value, the last row's, in the last block
         return texts
 
     monkeypatch.setattr(tables, "_float_texts", unjoinable_last)
@@ -481,8 +482,8 @@ def test_array_pass_is_printf_exact(name):
     rng = np.random.default_rng(20)
     v = EXACT_SETS[name](rng)
     v = np.concatenate([v, -v])
-    texts, ok = tables._array_texts(v, ",")
-    ref = ["%.17g," % x for x in v.tolist()]
+    texts, ok = tables._array_texts(v, b",")
+    ref = [b"%.17g," % x for x in v.tolist()]
     assert [t for t, settled in zip(texts, ok) if settled] == [r for r, settled in zip(ref, ok)
                                                              if settled]
     in_range = (np.abs(v) >= 1e-250) & (np.abs(v) < 1e250)
@@ -493,7 +494,7 @@ def test_array_pass_is_printf_exact(name):
         assert len(v) > 10**4 and len(unsettled) == len(v)
     if name == "decade carries":
         assert len(_carried(v)) == 2 * 13         # 1e-243, ..., 1e-14, ..., 1e+220
-    assert tables._float_texts(v, ",") == ref
+    assert tables._float_texts(v, b",") == ref
 
 
 @pytest.mark.parametrize("extra", [-1, 0], ids=["below-threshold", "at-threshold"])
@@ -550,7 +551,54 @@ def test_property_short_decimals_match_printf(data):
             st.lists(float_bits, min_size=1, max_size=4), label="any")).tolist()
     v = np.array(data.draw(st.permutations(values), label="order"), dtype=np.float64)
     with mock.patch.object(tables, "_ARRAY_MIN_FLOATS", 0):
-        assert tables._float_texts(v, ";") == ["%.17g;" % x for x in v.tolist()]
+        assert tables._float_texts(v, b";") == [b"%.17g;" % x for x in v.tolist()]
+
+
+def test_array_pass_across_block_boundaries(tmp_path):
+    # values the pass settles and values b"%.17g" formats (zeros, NaN, inf,
+    # ties, magnitudes out of range) on both sides of each chunk boundary,
+    # with each separator; in a table, the same floats in the first column
+    # (",") and the last ("\n") across row-block boundaries
+    rng = np.random.default_rng(11)
+    n = 2 * tables.BLOCK_ROWS + 5
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    ties = _ties(rng)
+    for k, edge in enumerate((tables.BLOCK_ROWS, 2 * tables.BLOCK_ROWS)):
+        v[edge - 4:edge + 4] = [-0.0, math.nan, ties[2 * k], 1e-300, -ties[2 * k + 1], math.inf,
+                                -1e280, 12.5]
+    for sep in (b",", b"\n", b";"):
+        assert tables._float_texts(v, sep) == [b"%.17g" % x + sep for x in v.tolist()]
+    check(tmp_path / "blocks.csv", ["v", "k", "w"], [v, np.arange(n), -v[::-1].copy()])
+
+
+def test_non_ascii_text_is_utf8(tmp_path):
+    # a header cell and an errors cell outside ASCII, some needing quotes,
+    # are the bytes of csv.writer encoded as UTF-8
+    n = tables.BLOCK_ROWS + 3
+    k = np.arange(n)
+    errors = np.where(k % 5 == 0, "RuntimeError: Δt ≤ 0 for région «α»", "")
+    errors[tables.BLOCK_ROWS + 1] = 'ValueError: "ħ", ∞\n€'
+    header = ["s_über_ℓ", 'wert "φ", ψ', "errors"]
+    check(tmp_path / "utf8.csv", header, [k / 3, np.sin(k), errors])
+    assert "région «α»".encode() in (tmp_path / "utf8.csv").read_bytes()
+
+
+def test_array_pass_holds_one_block_at_a_time():
+    # formatting 10^5 floats holds, beyond its output, at most one chunk's
+    # work arrays: the gather index (200 B a value), the row and the texts'
+    # bytes (57 B) and some 30 float64 and int64 temporaries; the whole
+    # column at once would take over 20 MB
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(10**5) * 10.0 ** rng.integers(-30, 30, 10**5)
+    tables._float_texts(v[:tables.BLOCK_ROWS], b",")
+    tracemalloc.start()
+    try:
+        texts = tables._float_texts(v, b",")
+        output, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(texts) == len(v)
+    assert peak - output <= 512 * tables.BLOCK_ROWS
 
 
 SMALL_BLOCK = 4
