@@ -32,12 +32,12 @@ A runner computes in units of the region width ell and applies ell once on
 the way out: ell^-2 on W-like cells, ell^-1 on the phi0 grid, ell on the
 sweep's widths and lambda/ell as the lattice coupling.  Every output CSV
 is written from its columns by ``tables.write_columns``: UTF-8 with header
-row, LF line endings and 17-significant-digit floats, each distinct cell of
-a column (or each value of an ``Indexed`` one) formatted once.  A curve
-scan writes each kernel column as ``tables.Indexed`` over its points off
-the lightcone, so a lightlike point keeps its s value and error text and
-its other cells are blank (index -1).  Identical config + seed reproduces
-byte-identical files.
+row, LF line endings and 17-significant-digit floats, a plain column
+formatted row by row and an ``Indexed`` one once per value, so each runner
+declares the columns that repeat.  A curve scan writes each kernel column
+as ``tables.Indexed`` over its points off the lightcone, so a lightlike
+point keeps its s value and error text and its other cells are blank
+(index -1).  Identical config + seed reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -101,14 +101,16 @@ def _write_scan(path: Path, header: list[str], s: np.ndarray, ok: np.ndarray,
                 columns: list[np.ndarray], failures: dict[int, UdwTomoError]) -> None:
     """One row per scan point: s, the cells of the columns (each holding
     the points off the lightcone, in order) and an empty errors cell, or,
-    for a failed point, blank cells and the error's text."""
+    for a failed point, blank cells and the error's text.  The errors
+    column is ``Indexed``: the empty text is value 0, each failure's text
+    one more."""
     index = np.full(len(ok), -1)
     index[ok] = np.arange(np.count_nonzero(ok))
-    errors = [""] * len(s)
-    for k, exc in failures.items():
-        errors[k] = f"{type(exc).__name__}: {exc}"
+    errors = np.array(["", *(f"{type(exc).__name__}: {exc}" for exc in failures.values())])
+    error = np.zeros(len(s), dtype=np.intp)
+    error[list(failures)] = np.arange(1, len(errors))
     _write_rows(path, header, [s, *(Indexed(values, index) for values in columns),
-                               np.array(errors)])
+                               Indexed(errors, error)])
 
 
 def _run_vacuum_curves(cfg: ScenarioConfig, out: Path) -> list[Path]:
@@ -213,7 +215,8 @@ def _write_reconstruction(path: Path, rec: tomography.TableReconstruction, E: np
     """One row per pair of ``rec`` (one table, every pair inverted), beside its
     true H, with W = H/2 + i E/2 from the commutator matrix ``E``.  H and Re W
     are written over one ``Indexed.distinct`` of H: its distinct values and
-    their halves."""
+    their halves; the true H, C and Im W, which repeat across pairs of one
+    geometry, each over their own."""
     a, b = rec.i - 1, rec.j - 1
     labels = np.arange(1, len(E) + 1)
     h = Indexed.distinct(rec.H)
@@ -221,7 +224,8 @@ def _write_reconstruction(path: Path, rec: tomography.TableReconstruction, E: np
                        "Re_W", "Im_W", "flags"],
                 [Indexed(labels, a), Indexed(labels, b),
                  Indexed(np.array(["spacelike", "causal"]), rec.causal.view(np.uint8)),
-                 h, h_true, rec.C, Indexed(0.5 * h.values, h.index), 0.5 * E[a, b],
+                 h, Indexed.distinct(h_true), Indexed.distinct(rec.C),
+                 Indexed(0.5 * h.values, h.index), Indexed.distinct(0.5 * E[a, b]),
                  Indexed(_FLAGS, rec.dephasing_dominated + 2 * rec.ill_conditioned)])
 
 
@@ -250,7 +254,8 @@ def _run_convergence_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
     ell, resid = np.array(table).T
     path = out / "convergence_sweep.csv"
     _write_rows(path, ["ell", "residual", "slope"],
-                [ell * cfg.ell, resid / cfg.ell**2, np.full(len(ell), fit.slope)])
+                [ell * cfg.ell, resid / cfg.ell**2,
+                 Indexed(np.array([fit.slope]), np.zeros(len(ell), dtype=np.intp))])
     return [path]
 
 

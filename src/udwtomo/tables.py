@@ -8,18 +8,15 @@ or more cells (csv.writer writes a lone empty cell as ``""``).
 
 ``write_columns`` takes a table as equal-length 1-D float, int or text
 arrays (a bool or object array, or anything that is not an ndarray, raises
-``ValueError``).  A column's cells are formatted once per entry of a
-values array and gathered back by an index of each row's entry.  An
-``Indexed`` column, the one column wrapper, brings its own and is not
-deduplicated again: row r is ``values[index[r]]``, ``values`` a 1-D float,
-int or text array and ``index`` a 1-D integer array within range, -1 for a
-blank cell (a failed row's).  ``Indexed.distinct`` makes one over an
-array's distinct entries, floats told apart by bit pattern (so ``-0.0``
-stays ``-0`` next to ``0``, and NaNs of different payloads stay apart),
-ints and text by value.  A plain column of ``_DEDUPE_MIN_ROWS`` (16) rows
-or more is written as its ``Indexed.distinct``; a shorter one is formatted
-row by row, because the sort would cost more than the repeats it saves.
-Every text is UTF-8 bytes from the start (``b"%.17g" % v``, ``b"%d" % v``,
+``ValueError``) and ``Indexed`` columns, the one column wrapper: row r is
+``values[index[r]]``, ``values`` a 1-D float, int or text array and
+``index`` a 1-D integer array within range, -1 for a blank cell (a failed
+row's).  A plain column is formatted row by row and an ``Indexed`` column
+once per value: the caller declares what repeats, and the writer looks for
+no repeats of its own.  ``Indexed.distinct`` makes one over a float
+array's distinct entries, told apart by bit pattern (so ``-0.0`` stays
+``-0`` next to ``0``, and NaNs of different payloads stay apart).  Every
+text is UTF-8 bytes from the start (``b"%.17g" % v``, ``b"%d" % v``,
 quoted text encoded once) and carries the separator that follows it in its
 column; the rows are written to a file opened ``"wb"`` in blocks of at most
 ``BLOCK_ROWS`` cells (``BLOCK_ROWS // columns`` rows), each block one
@@ -89,10 +86,6 @@ BLOCK_ROWS = 2048
 # gallery's run, too small a gap for a rule of their own
 _ARRAY_MIN_FLOATS = 160
 
-# a plain column of fewer rows is formatted row by row: np.unique costs more
-# than the repeats it would save
-_DEDUPE_MIN_ROWS = 16
-
 # no O_TRUNC (see the module docstring); O_BINARY, on Windows only, keeps the
 # LF line endings
 _OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
@@ -111,12 +104,11 @@ class Indexed(NamedTuple):
 
     @classmethod
     def distinct(cls, values: np.ndarray) -> Indexed:
-        """The 1-D ``values`` over their distinct entries: floats (as
-        float64) told apart by bit pattern, ints and text by value."""
-        floats = values.dtype.kind == "f"
-        keys = values.astype(np.float64, copy=False).view(np.int64) if floats else values
+        """The 1-D float ``values`` (as float64) over their distinct
+        entries, told apart by bit pattern."""
+        keys = values.astype(np.float64, copy=False).view(np.int64)
         distinct, index = np.unique(keys, return_inverse=True)
-        return cls(distinct.view(np.float64) if floats else distinct, index)
+        return cls(distinct.view(np.float64), index)
 
 
 def _quoted(text: str) -> str:
@@ -155,11 +147,7 @@ def _column(column) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"columns must be 1-D, got shape {values.shape}")
     if values.dtype.kind == "f":
         values = values.astype(np.float64, copy=False)
-    if index is None:
-        if len(values) < _DEDUPE_MIN_ROWS:
-            return values, np.arange(len(values))
-        return Indexed.distinct(values)
-    return values, index
+    return values, np.arange(len(values)) if index is None else index
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,10 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
     j; a spacelike pair has C = 0.  A pair that cannot be inverted gets NaN
     and its error in ``failures``, the first of: a vanishing <sz> on a
     causal pair (zero, or so small that some yx_ik / z_i overflows),
-    a product outside the arctanh domain (first k), a fully dephased zz, a
-    noise-dominated yy/zz.  A series pair has finite ratio rows and every
-    |x_k| < 1, so only the last two can stop it.  The other pairs are
-    unaffected.
+    a product outside the arctanh domain (first k), a fully dephased zz,
+    |yy/zz| >= 1 (noise, or zz and yy equal to float precision).  A series
+    pair has finite ratio rows and every |x_k| < 1, so only the last two
+    can stop it.  The other pairs are unaffected.
     """
     shape, n = np.shape(table.zz), table.n
     tables = math.prod(shape[:-1])
@@ -163,8 +163,9 @@ def reconstruct_table(table: CorrelatorTable) -> TableReconstruction:
             failures[q] = DephasingError(f"{pair}: <sz sz> = {zz[q]:g} is fully dephased")
         else:
             failures[q] = NoiseDominatedError(
-                f"{pair}: |yy/zz| = {abs(ratio[q]):.6g} >= 1, "
-                "sampled correlators are noise dominated", ratio=float(ratio[q]))
+                f"{pair}: |yy/zz| = {abs(ratio[q]):.6g} >= 1, sampled correlators are "
+                "noise dominated or zz and yy are equal to float precision",
+                ratio=float(ratio[q]))
     bad = list(failures)
     h[bad] = c[bad] = np.nan
     i, j, h, c, causal, flagged, condition, ill = (v.reshape(shape) for v in (

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from udwtomo import cli, config, detector, multipole, scenarios
+from udwtomo import cli, config, detector, multipole, scenarios, tables
 from udwtomo.detector import correlator_table, sample_table
 from udwtomo.errors import (ConfigError, ConvergenceError, LightconeSingularityError,
                             TangentDomainError)
@@ -769,6 +769,35 @@ class TestDeterminism:
         assert p1[0].read_bytes() != p2[0].read_bytes()
 
 
+class TestDeclaredRepeats:
+    def test_no_plain_column_repeats(self, tmp_path, monkeypatch):
+        # the writer formats a plain column row by row and looks for no
+        # repeats, so a runner declares each column that repeats as
+        # tables.Indexed: every scenario at its defaults, and a thermal scan
+        # with lightlike points (a failure's text beside the empty ones),
+        # writes no plain column of 16 rows or more with a repeated entry,
+        # floats compared by bit pattern
+        plain = []
+
+        def capture(path, header, columns):
+            plain.extend((path.name, name, column) for name, column in zip(header, columns)
+                         if not isinstance(column, tables.Indexed))
+            write_columns(path, header, columns)
+
+        monkeypatch.setattr(scenarios, "_write_rows", capture)
+        raws = [{"scenario_id": sid} for sid in scenarios.SCENARIO_IDS]
+        raws.append({"scenario_id": "thermal_curves", "beta": 50.0,
+                     "s_over_ell": [1e-5, *map(float, range(1, 9))]})
+        for k, raw in enumerate(raws):
+            scenarios.run({**raw, "output_dir": str(tmp_path / str(k))})
+        long = [(file, name, column) for file, name, column in plain if len(column) >= 16]
+        assert {name for _, name, _ in long} >= {"s_over_ell"}
+        repeated = [(file, name) for file, name, column in long
+                    if len(np.unique(column.astype(np.float64).view(np.int64)
+                                     if column.dtype.kind == "f" else column)) < len(column)]
+        assert not repeated
+
+
 # the kernel columns of each curve and grid scenario, and the power of ell
 # that divides them
 _SCALED = {
@@ -887,6 +916,20 @@ class TestUnitWidthCore:
 
 
 class TestCli:
+    def test_exact_table_with_equal_correlators(self, tmp_path, capsys):
+        # 8 regions 0.3 ell apart at lambda/ell ~ 178: zz and yy of the exact
+        # table agree to float precision (they differ by ~e^(-4H)), so
+        # |yy/zz| = 1 and the run exits 3 naming both causes, not noise alone
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario_id": "tomography_roundtrip", "ell": 0.0353,
+            "lattice": {"n_space": 2, "n_time": 1, "spacing_space": 0.3,
+                        "spacing_time": 0.3}}))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: pair (1,2): |yy/zz| = 1 >= 1, sampled correlators are noise "
+            "dominated or zz and yy are equal to float precision\n")
+
     def test_list_scenarios(self, capsys):
         assert cli.main(["list-scenarios"]) == 0
         out = capsys.readouterr().out

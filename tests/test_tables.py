@@ -294,30 +294,22 @@ def test_bad_indexed_values_rejected(tmp_path, values):
 
 
 def test_distinct_by_bit_pattern_or_value():
-    # -0.0 and 0.0 stay apart, and so does each NaN payload and sign; ints
-    # and text are compared by value; a float32 array is taken as float64
+    # -0.0 and 0.0 stay apart, and so does each NaN payload and sign; a
+    # float32 array is taken as float64
     nans = floats_from_bits(NAN_BITS)
     cases = [(np.concatenate([[0.0, -0.0, 1.5, 0.0, -0.0, 1.5], nans, nans[::-1]]),
               3 + len(NAN_BITS)),
-             (np.array([7, -2**63, 7, 0, 2**62, 0]), 4),
-             (np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64), 2),
-             (np.array(["b", "", "a,b", "b", ""]), 3),
              (np.array([0.5, -0.0, 0.5, 0.0], dtype=np.float32), 3),
              (np.zeros(0), 0)]
     for values, n_distinct in cases:
         column = tables.Indexed.distinct(values)
         assert isinstance(column, tables.Indexed) and column.index.dtype.kind == "i"
         assert len(column.values) == n_distinct
-        if values.dtype.kind == "f":
-            want = values.astype(np.float64)
-            assert column.values.dtype == np.float64
-            assert len(set(column.values.view(np.uint64).tolist())) == n_distinct
-            assert column.values[column.index].tobytes() == want.tobytes()
-            assert [v.tobytes() for v in bitwise_unique(want)] == [v.tobytes() for v in column]
-        else:
-            assert column.values.dtype == values.dtype
-            assert column.values[column.index].tolist() == values.tolist()
-            assert column.values.tolist() == sorted(set(values.tolist()))
+        want = values.astype(np.float64)
+        assert column.values.dtype == np.float64
+        assert len(set(column.values.view(np.uint64).tolist())) == n_distinct
+        assert column.values[column.index].tobytes() == want.tobytes()
+        assert [v.tobytes() for v in bitwise_unique(want)] == [v.tobytes() for v in column]
 
 
 def test_mismatched_columns_rejected(tmp_path):
@@ -501,8 +493,8 @@ def test_array_pass_is_printf_exact(name):
 def test_each_side_of_the_array_threshold(tmp_path, monkeypatch, extra):
     # float columns one distinct value short of the threshold are formatted
     # value by value, columns that reach it by the array pass; csv.writer's
-    # bytes either way, each value twice, zeros, NaN, inf and out-of-range
-    # magnitudes among them
+    # bytes either way, each value twice (declared by Indexed.distinct), zeros,
+    # NaN, inf and out-of-range magnitudes among them
     n = tables._ARRAY_MIN_FLOATS + extra
     rng = np.random.default_rng(7)
     v = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
@@ -512,17 +504,15 @@ def test_each_side_of_the_array_threshold(tmp_path, monkeypatch, extra):
     array_texts = tables._array_texts
     monkeypatch.setattr(tables, "_array_texts", lambda *a: calls.append(1) or array_texts(*a))
     check(tmp_path / "threshold.csv", ["v", "w", "k"],
-          [v, blanked(-v, np.arange(2 * n) % 7 == 0), np.arange(2 * n)])
+          [tables.Indexed.distinct(v), blanked(-v, np.arange(2 * n) % 7 == 0), np.arange(2 * n)])
     assert len(calls) == (2 if extra == 0 else 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 15, 16])
 def test_short_plain_columns_match_csv_writer(tmp_path, monkeypatch, n):
-    # a plain column of fewer than _DEDUPE_MIN_ROWS rows is formatted row by
-    # row, with no np.unique; from 16 rows on it is deduplicated: csv.writer's
-    # bytes either way, with signed zeros, NaN payloads, infinities, repeats,
-    # ints and text among the rows
-    assert tables._DEDUPE_MIN_ROWS == 16
+    # a plain column is formatted row by row at any length, with no np.unique:
+    # csv.writer's bytes, with signed zeros, NaN payloads, infinities,
+    # repeats, ints and text among the rows
     pool = np.concatenate([[-0.0, 0.0, -0.0, math.inf, -math.inf, 0.5, 0.5, 1 / 3, -2.5e-17],
                            floats_from_bits(NAN_BITS)])
     floats = pool[np.arange(n) % len(pool)]
@@ -532,7 +522,7 @@ def test_short_plain_columns_match_csv_writer(tmp_path, monkeypatch, n):
     unique = np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: uniques.append(1) or unique(*a, **k))
     check(tmp_path / "short.csv", ["v", "k", "text", "w"], [floats, ints, words, floats[::-1]])
-    assert len(uniques) == (4 if n >= tables._DEDUPE_MIN_ROWS else 0)
+    assert not uniques
 
 
 SHORT_DECIMALS = st.integers(-10**20, 10**20).flatmap(
@@ -711,23 +701,34 @@ def test_grid_files_match_csv_writer(sid, tmp_path, monkeypatch):
 
 
 def test_each_dedupe_site_takes_indexed_distinct(tmp_path, monkeypatch):
-    # the plain column of 16 rows or more, the reconstruction's H and Re W
-    # and the grids' distinct |x| get the values and index of one bitwise
-    # np.unique over their rows
-    for column in (np.array([0.5, -0.0, math.nan, 0.0] * 4), np.arange(16) % 3,
-                   np.array(TEXTS * 2)):
-        got = tables._column(column)
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in bitwise_unique(column)]
-
+    # the reconstruction's H and Re W, its true H, C and Im W, and the grids'
+    # distinct |x| get the values and index of one bitwise np.unique over
+    # their rows; a scan's errors column is the empty text and each failure's
+    # text once
     writes = _captured_writes(monkeypatch)
     raw = {"scenario_id": "tomography_roundtrip", "output_dir": str(tmp_path / "roundtrip")}
     scenarios.run(raw)
-    (_, (_, _, _, h, _, _, re_w, _, _)), _ = writes
-    _, exact, _ = scenarios._lattice(scenarios.validate_config(raw))
-    distinct, index = bitwise_unique(tomography.reconstruct_table(exact).H)
+    (_, (i, j, _, h, h_true, c, re_w, im_w, _)), _ = writes
+    km, exact, want_h_true = scenarios._lattice(scenarios.validate_config(raw))
+    rec = tomography.reconstruct_table(exact)
+    distinct, index = bitwise_unique(rec.H)
     assert h.values.tobytes() == distinct.tobytes() and h.index.tolist() == index.tolist()
     assert re_w.values.tobytes() == (0.5 * distinct).tobytes()
     assert re_w.index.tolist() == index.tolist()
+    im_w_rows = 0.5 * km.E[expanded(i) - 1, expanded(j) - 1]
+    for column, rows in ((h_true, want_h_true), (c, rec.C), (im_w, im_w_rows)):
+        assert isinstance(column, tables.Indexed) and len(column.values) < len(rows)
+        assert [v.tobytes() for v in column] == [v.tobytes() for v in bitwise_unique(rows)]
+
+    raw = {"scenario_id": "thermal_curves", "beta": 50.0, "s_over_ell": [1e-5, 3.0, 8.0],
+           "output_dir": str(tmp_path / "scan")}
+    writes.clear()
+    scenarios.run(raw)
+    [(_, (s, *_, errors))] = writes
+    failed = np.abs(s) == 1e-5
+    assert errors.values[0] == "" and len(errors.values) == 1 + np.count_nonzero(failed)
+    assert len(set(errors.values.tolist())) == len(errors.values)
+    assert errors.index.tolist() == np.where(failed, np.cumsum(failed), 0).tolist()
 
     for x in ({"start": -12.0, "stop": 12.0, "n": 41}, {"start": -11.63, "stop": 12.37, "n": 41}):
         cfg = scenarios.validate_config({"scenario_id": "coherent_field_grid",
@@ -748,6 +749,9 @@ def test_scan_with_failed_point_matches_csv_writer(tmp_path, monkeypatch, capsys
     writes = _captured_writes(monkeypatch)
     [path] = scenarios.run(raw)
     [(header, (s, *columns, errors))] = writes
+    # the errors column, indexed over the empty text and each failure's text
+    assert isinstance(errors, tables.Indexed) and errors.values[0] == ""
+    errors = expanded(errors)
     assert [bool(e) for e in errors.tolist()] == [abs(s_k) == 1e-5 for s_k in s.tolist()]
     # each column holds the points off the lightcone, in order, and its
     # index is -1 at the lightlike ones

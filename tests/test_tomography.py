@@ -74,8 +74,8 @@ def reference(t, i, j):
     ratio = yy / zz
     if abs(ratio) >= 1.0:
         raise NoiseDominatedError(
-            f"pair ({i},{j}): |yy/zz| = {abs(ratio):.6g} >= 1, "
-            "sampled correlators are noise dominated", ratio=ratio)
+            f"pair ({i},{j}): |yy/zz| = {abs(ratio):.6g} >= 1, sampled correlators are "
+            "noise dominated or zz and yy are equal to float precision", ratio=ratio)
     return 0.5 * math.atanh(ratio) - c, c, "causal" if causal else "spacelike", flagged
 
 
